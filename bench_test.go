@@ -341,7 +341,7 @@ func BenchmarkAblationBackend(b *testing.B) {
 		b.Run(backend.name, func(b *testing.B) {
 			var warnings int
 			for i := 0; i < b.N; i++ {
-				a := mustAnalyze(b, core.Options{Backend: backend.be}, src)
+				a := mustAnalyze(b, core.Options{Solver: core.SolverOptions{Backend: backend.be}}, src)
 				warnings = len(a.Report.Warnings)
 			}
 			b.ReportMetric(float64(warnings), "warnings")

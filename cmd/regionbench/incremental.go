@@ -193,3 +193,12 @@ func stableReportJSON(r *core.Report) string {
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+func medianMS(runs []float64) float64 {
+	if len(runs) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), runs...)
+	sort.Float64s(sorted)
+	return sorted[len(sorted)/2]
+}

@@ -8,11 +8,10 @@
 //	regionbench -table 7|8|11|all [-seed N] [-scale small|paper]
 //	regionbench -json out.json [-jobs N]
 //	regionbench -edit-loop N [-json out.json]
-//	regionbench -parallel-bench [-json out.json]
 //	regionbench -kernel-bench [-benchtime Nx] [-json out.json]
 //	regionbench -explain-bench [-json out.json]
 //	regionbench -query-bench [-json out.json]
-//	regionbench ... [-backend explicit|bdd] [-solver-workers N]
+//	regionbench ... [-backend explicit|bdd]
 //	regionbench ... [-bdd-node-size N] [-bdd-cache-ratio N]
 //
 // The -json mode analyzes every executable of the corpus through a
@@ -22,14 +21,6 @@
 // phase runs on the BDD engine and its Outputs include the kernel
 // counters (bdd_cache_hits, bdd_cache_misses, bdd_unique_collisions,
 // bdd_table_grows), making the -json document a kernel-tuning probe.
-//
-// -solver-workers N shards each analysis internally (parallel front
-// end plus SCC-scheduled pointer solve); with -json the per-workload
-// entries then carry a "solver" block describing the SCC schedule.
-// The -parallel-bench mode measures that scaling head-on: the largest
-// workload at workers 1/2/4 on both backends, with a report-parity
-// check, written as schema regionbench/parallel/v1 (see
-// BENCH_parallel.json).
 //
 // The -explain-bench mode measures the why-provenance subsystem over
 // the whole corpus: explanation latency for the recorded path
@@ -81,8 +72,6 @@ func main() {
 	bddGC := flag.Bool("bdd-gc", false, "enable BDD kernel mark-and-sweep GC at solver safe points (results-neutral)")
 	bddGCThreshold := flag.Int("bdd-gc-threshold", 0, "minimum live nodes before pressure triggers a collection (0 = kernel default)")
 	bddReorder := flag.Bool("bdd-reorder", false, "enable sifting-based BDD variable reordering between strata (results-neutral)")
-	solverWorkers := flag.Int("solver-workers", 0, "per-analysis solve parallelism: workers for the sharded front end and SCC-scheduled pointer solve (0 or 1 = sequential; reports are identical for every worker count)")
-	parallelBench := flag.Bool("parallel-bench", false, "measure single-workload scaling across solver worker counts on both backends (with -json, writes schema regionbench/parallel/v1)")
 	explainBench := flag.Bool("explain-bench", false, "measure why-provenance explanation latency (recorded vs replay paths) over the corpus with report/explanation parity checks (with -json, writes schema regionbench/explain/v1)")
 	queryBench := flag.Bool("query-bench", false, "measure demand-driven pair-query latency against the full pipeline over the corpus, gating on verdict parity with the full report (with -json, writes schema regionbench/query/v1)")
 	kernelBench := flag.Bool("kernel-bench", false, "measure BDD kernel lifecycle (GC/reorder) memory and wall trajectory on the heaviest workload (with -json, writes schema regionbench/kernel/v1)")
@@ -110,7 +99,6 @@ func main() {
 		GCThreshold: *bddGCThreshold,
 		Reorder:     *bddReorder,
 	}
-	benchOpts.Solver.Workers = *solverWorkers
 
 	if *oracleMode {
 		if err := runOracle(*oracleSeeds, *oracleStart, *jobs, *reproDir, *jsonPath); err != nil {
@@ -134,14 +122,6 @@ func main() {
 	pkgs := make([]*workloads.Package, len(specs))
 	for i, spec := range specs {
 		pkgs[i] = workloads.Generate(spec, *seed)
-	}
-
-	if *parallelBench {
-		if err := runParallelBench(*jsonPath, *seed, pkgs); err != nil {
-			fmt.Fprintf(os.Stderr, "regionbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *explainBench {
@@ -226,9 +206,6 @@ type workloadTimes struct {
 	Error   string       `json:"error,omitempty"`
 	Phases  []phaseTimes `json:"phases,omitempty"`
 	Stats   *headline    `json:"stats,omitempty"`
-	// Solver is the pointer solver's SCC schedule, present only when
-	// the run used -solver-workers > 1.
-	Solver *solverSched `json:"solver,omitempty"`
 }
 
 type phaseTimes struct {
@@ -299,9 +276,6 @@ func writeJSON(path string, pkgs []*workloads.Package, seed int64, scale string,
 					AllocBytes: p.AllocBytes,
 					Outputs:    p.Outputs,
 				})
-			}
-			if res.Out.Ptr != nil && res.Out.Ptr.Sched != nil {
-				wt.Solver = newSolverSched(res.Out)
 			}
 		}
 		doc.Workloads = append(doc.Workloads, wt)

@@ -47,8 +47,6 @@
 //	                   inconsistent.
 //	-refine            enable the def-use (Figure 5(b)) refinement
 //	-jobs N            analyze N file sets concurrently (default GOMAXPROCS)
-//	-solver-workers N  shard each analysis across N workers (0 or 1 =
-//	                   sequential; reports are identical either way)
 //	-bdd-node-size N   initial BDD node-table capacity for -backend bdd
 //	-bdd-cache-ratio N BDD node-table slots per op-cache slot
 //	-bdd-gc            enable BDD kernel mark-and-sweep GC
@@ -107,7 +105,6 @@ func run() int {
 	querySel := flag.String("query", "", "demand pair query \"src,dst\" (allocation sites as file:line or file:line:col) instead of a full report")
 	refine := flag.Bool("refine", false, "enable the def-use (Figure 5(b)) refinement")
 	jobs := flag.Int("jobs", 0, "number of file sets analyzed concurrently (0 = GOMAXPROCS)")
-	solverWorkers := flag.Int("solver-workers", 0, "shard each analysis across this many workers (0 or 1 = sequential; reports are identical)")
 	bddNodeSize := flag.Int("bdd-node-size", 0, "initial BDD node-table capacity for -backend bdd (0 = kernel default)")
 	bddCacheRatio := flag.Int("bdd-cache-ratio", 0, "BDD node-table slots per op-cache slot (0 = kernel default)")
 	bddGC := flag.Bool("bdd-gc", false, "enable BDD kernel mark-and-sweep GC at solver safe points")
@@ -152,7 +149,6 @@ func run() int {
 		// the report bytes are unchanged.
 		opts.Provenance = true
 	}
-	opts.Solver.Workers = *solverWorkers
 	opts.Solver.BDD.NodeSize = *bddNodeSize
 	opts.Solver.BDD.CacheRatio = *bddCacheRatio
 	opts.Solver.BDD.GC = *bddGC

@@ -96,10 +96,6 @@
 //	-bdd-gc               enable BDD kernel mark-and-sweep GC
 //	-bdd-gc-threshold N   minimum live nodes before a collection runs
 //	-bdd-reorder          enable sifting-based BDD variable reordering
-//	-solver-workers N     default per-request solve parallelism for
-//	                      requests that do not set solver_workers
-//	                      (0 or 1 = sequential; reports are identical
-//	                      for every worker count)
 //	-pprof-addr host:port serve net/http/pprof on a SEPARATE listener
 //	                      (off by default; keep it on localhost — the
 //	                      profiling endpoints are not authenticated)
@@ -140,7 +136,6 @@ func run() int {
 	bddGC := flag.Bool("bdd-gc", false, "enable BDD kernel mark-and-sweep GC for bdd-backend runs")
 	bddGCThreshold := flag.Int("bdd-gc-threshold", 0, "minimum live BDD nodes before a pressured collection runs (0 = kernel default)")
 	bddReorder := flag.Bool("bdd-reorder", false, "enable sifting-based BDD variable reordering between datalog strata")
-	solverWorkers := flag.Int("solver-workers", 0, "default per-request solve parallelism for requests that do not set solver_workers (0 or 1 = sequential)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
 	flag.Parse()
@@ -166,7 +161,6 @@ func run() int {
 			GCThreshold: *bddGCThreshold,
 			Reorder:     *bddReorder,
 		},
-		SolverWorkers: *solverWorkers,
 	})
 	server := &http.Server{
 		Addr:              *addr,

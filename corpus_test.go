@@ -61,11 +61,11 @@ func TestCorpusBothBackendsAgree(t *testing.T) {
 	for _, spec := range workloads.SmallCorpus() {
 		pkg := workloads.Generate(spec, 77)
 		exe := pkg.Exes[0]
-		exp, err := core.AnalyzeSource(core.Options{Backend: core.ExplicitBackend}, pkg.SourcesFor(exe))
+		exp, err := core.AnalyzeSource(core.Options{Solver: core.SolverOptions{Backend: core.ExplicitBackend}}, pkg.SourcesFor(exe))
 		if err != nil {
 			t.Fatalf("%s: %v", exe.Name, err)
 		}
-		bdd, err := core.AnalyzeSource(core.Options{Backend: core.BDDBackend}, pkg.SourcesFor(exe))
+		bdd, err := core.AnalyzeSource(core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend}}, pkg.SourcesFor(exe))
 		if err != nil {
 			t.Fatalf("%s (bdd): %v", exe.Name, err)
 		}

@@ -8,11 +8,8 @@ import (
 
 // SCCGraph is the condensation of the reachable call graph: strongly
 // connected components collapsed to single nodes, arranged as a DAG.
-// It is the shared substrate of two consumers with different needs —
-// context numbering (package contexts) wants the topological order of
-// components, and the parallel pointer solver wants the leaf-to-root
-// level schedule (components on the same level share no call edge, so
-// they can be solved concurrently).
+// Context numbering (package contexts) numbers against its
+// topological order of components.
 type SCCGraph struct {
 	// Comps lists the components in topological order, callers first
 	// (Comps[0] contains an entry); members of each component are
@@ -22,16 +19,6 @@ type SCCGraph struct {
 	Comps [][]string
 	// CompOf maps each reachable function to its component index.
 	CompOf map[string]int
-	// Succs lists, per component, the callee components (sorted,
-	// deduplicated, self-edges removed).
-	Succs [][]int
-	// Levels groups component indices by height in the DAG: Levels[0]
-	// holds the leaves (components calling no other component), and a
-	// component on Levels[k] only calls components on levels < k.
-	// Scheduling level by level, leaves first, therefore solves every
-	// callee before (or in the same sweep round as) its callers, and
-	// components within one level are independent.
-	Levels [][]int
 }
 
 // Condense computes the SCC DAG of g's reachable subgraph. The
@@ -94,47 +81,6 @@ func (g *Graph) Condense() *SCCGraph {
 	for id, comp := range comps {
 		for _, fn := range comp {
 			sg.CompOf[fn] = id
-		}
-	}
-
-	// Successor lists (cross-component edges only).
-	sg.Succs = make([][]int, len(comps))
-	for id, comp := range comps {
-		seen := make(map[int]bool)
-		for _, fn := range comp {
-			for _, callee := range g.calleesInOrder(fn) {
-				c := sg.CompOf[callee]
-				if c != id && !seen[c] {
-					seen[c] = true
-					sg.Succs[id] = append(sg.Succs[id], c)
-				}
-			}
-		}
-		sort.Ints(sg.Succs[id])
-	}
-
-	// Heights: leaves at level 0; every other component one above its
-	// tallest callee. Iterating in reverse topological order (callees
-	// have larger component indices than their callers) visits every
-	// successor before the component that calls it.
-	height := make([]int, len(comps))
-	maxH := 0
-	for id := len(comps) - 1; id >= 0; id-- {
-		h := 0
-		for _, s := range sg.Succs[id] {
-			if height[s]+1 > h {
-				h = height[s] + 1
-			}
-		}
-		height[id] = h
-		if h > maxH {
-			maxH = h
-		}
-	}
-	if len(comps) > 0 {
-		sg.Levels = make([][]int, maxH+1)
-		for id, h := range height {
-			sg.Levels[h] = append(sg.Levels[h], id)
 		}
 	}
 	return sg

@@ -82,14 +82,7 @@ type checker struct {
 // Check resolves and type-checks the given files as one program.
 // It always returns an Info; Info.Errors collects diagnostics.
 func Check(files ...*File) *Info {
-	c := newChecker()
-	c.declPasses(files)
-	c.bodyPass(files)
-	return c.info
-}
-
-func newChecker() *checker {
-	return &checker{
+	c := &checker{
 		info: &Info{
 			Types:    make(map[Expr]Type),
 			Uses:     make(map[*Ident]interface{}),
@@ -104,11 +97,6 @@ func newChecker() *checker {
 		},
 		laying: make(map[string]bool),
 	}
-}
-
-// declPasses runs passes 1-3: the whole-program declaration
-// environment, including global initializer expressions.
-func (c *checker) declPasses(files []*File) {
 	// Pass 1: struct tags and typedefs (typedefs resolve in order).
 	for _, f := range files {
 		for _, d := range f.Decls {
@@ -143,10 +131,7 @@ func (c *checker) declPasses(files []*File) {
 			}
 		}
 	}
-}
-
-// bodyPass runs pass 4: function bodies.
-func (c *checker) bodyPass(files []*File) {
+	// Pass 4: function bodies.
 	for _, f := range files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*FuncDecl); ok && fd.Body != nil {
@@ -154,6 +139,7 @@ func (c *checker) bodyPass(files []*File) {
 			}
 		}
 	}
+	return c.info
 }
 
 func (c *checker) errorf(pos Pos, format string, args ...interface{}) {

@@ -38,11 +38,6 @@ type Numbering struct {
 	SCC map[string]int
 	// Order lists component IDs in topological order (callers first).
 	Order [][]string
-	// DAG is the condensed call graph the numbering was computed over,
-	// including the leaf-to-root level schedule the parallel pointer
-	// solver consumes. SCC and Order are views of it, kept for
-	// compatibility.
-	DAG *callgraph.SCCGraph
 	// Count is the number of contexts of each reachable function,
 	// after capping.
 	Count map[string]uint64
@@ -98,14 +93,13 @@ func (n *Numbering) callEdges(fn string) []Edge {
 }
 
 // computeSCCs condenses the reachable call graph. The Tarjan run
-// lives in callgraph.Condense now — one condensation shared by the
-// numbering and the parallel solver's DAG schedule — with the same
-// traversal order (and so the same component numbering) this package
-// used when it owned the algorithm.
+// lives in callgraph.Condense, with the same traversal order (and so
+// the same component numbering) this package used when it owned the
+// algorithm.
 func (n *Numbering) computeSCCs(funcs []string) {
-	n.DAG = n.G.Condense()
-	n.Order = n.DAG.Comps
-	for fn, id := range n.DAG.CompOf {
+	dag := n.G.Condense()
+	n.Order = dag.Comps
+	for fn, id := range dag.CompOf {
 		n.SCC[fn] = id
 	}
 }

@@ -20,8 +20,7 @@ const ExplainSchemaV1 = "regionwiz/explain/v1"
 // Explanation is the why-provenance of one warning: the derivation
 // tree from the warning's objectPair fact down to base facts with
 // source positions. Explanations are deterministic — the same warning
-// produces the same bytes run to run, for every worker count, and on
-// both solver backends (the recorded and replayed paths build
+// produces the same bytes run to run and on both solver backends (the recorded and replayed paths build
 // identical trees) — so they deliberately carry no timing, backend, or
 // replay accounting.
 type Explanation struct {
@@ -80,9 +79,9 @@ func regionPairRules(rr regionRels) []*datalog.Rule {
 }
 
 // objectPairRule builds stratum 3, the verification join.
-func objectPairRule(regionPair *datalog.Relation, or objectRels) *datalog.Rule {
+func objectPairRule(or objectRels) *datalog.Rule {
 	return datalog.NewRule(datalog.T(or.objectPair, "o1", "n", "o2"),
-		datalog.T(regionPair, "x", "y"),
+		datalog.T(or.regionPair, "x", "y"),
 		datalog.T(or.own, "x", "o1"),
 		datalog.T(or.own, "y", "o2"),
 		datalog.T(or.access, "o1", "n", "o2"))
@@ -254,7 +253,7 @@ func (ex *Explainer) verifyPair(p ObjectPair) error {
 		oe.Add(or.own, uint64(ry), uint64(p.Dst))
 	}
 	oe.Add(or.access, uint64(p.Src), 0, uint64(p.Dst))
-	oe.Solve([]*datalog.Rule{objectPairRule(or.regionPair, or)}, 0)
+	oe.Solve([]*datalog.Rule{objectPairRule(or)}, 0)
 	if !oe.Has(or.objectPair, uint64(p.Src), 0, uint64(p.Dst)) {
 		return Errf(ErrInternal, "", "explain: replay diverged: objectPair(%d,%d) not re-derivable from its cone",
 			p.Src, p.Dst)

@@ -141,47 +141,43 @@ func TestExplainBackendParity(t *testing.T) {
 	}
 }
 
-// TestExplainWorkerDeterminism requires the same explanation bytes for
-// every solver worker count, on both backends, including concurrent
-// Explain calls on a shared Explainer (run under -race in CI).
+// TestExplainWorkerDeterminism requires concurrent Explain calls on a
+// shared Explainer to produce the same explanation bytes as one
+// sequential ExplainAll pass, on both backends (run under -race in
+// CI).
 func TestExplainWorkerDeterminism(t *testing.T) {
 	for _, backend := range []Backend{ExplicitBackend, BDDBackend} {
-		var want []byte
-		for _, workers := range []int{1, 2, 4} {
-			a := runOpts(t, Options{
-				Provenance: true,
-				Solver:     SolverOptions{Backend: backend, Workers: workers},
-			}, explainSource)
-			ex, err := a.Explainer(context.Background())
-			if err != nil {
-				t.Fatalf("backend=%d workers=%d: %v", backend, workers, err)
-			}
-			// Concurrent explains must agree with the sequential pass.
-			n := len(a.Report.Warnings)
-			results := make([]*Explanation, n)
-			var wg sync.WaitGroup
-			for i := 0; i < n; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					e, err := ex.Explain(context.Background(), i+1)
-					if err != nil {
-						t.Errorf("concurrent explain %d: %v", i+1, err)
-						return
-					}
-					results[i] = e
-				}(i)
-			}
-			wg.Wait()
-			got, _ := MarshalExplanations(results)
-			if want == nil {
-				want = got
-				continue
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("backend=%d workers=%d explanation bytes differ from workers=1",
-					backend, workers)
-			}
+		a := runOpts(t, Options{
+			Provenance: true,
+			Solver:     SolverOptions{Backend: backend},
+		}, explainSource)
+		ex, err := a.Explainer(context.Background())
+		if err != nil {
+			t.Fatalf("backend=%d: %v", backend, err)
+		}
+		all, err := ex.ExplainAll(context.Background())
+		if err != nil {
+			t.Fatalf("backend=%d: %v", backend, err)
+		}
+		want, _ := MarshalExplanations(all)
+		n := len(a.Report.Warnings)
+		results := make([]*Explanation, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				e, err := ex.Explain(context.Background(), i+1)
+				if err != nil {
+					t.Errorf("concurrent explain %d: %v", i+1, err)
+					return
+				}
+				results[i] = e
+			}(i)
+		}
+		wg.Wait()
+		if got, _ := MarshalExplanations(results); !bytes.Equal(got, want) {
+			t.Errorf("backend=%d: concurrent explanation bytes differ from ExplainAll", backend)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func TestKCFACapAnalysisTerminates(t *testing.T) {
 	opts := Options{KCFA: 2, ContextCap: 2}
 	run := func(backend Backend) *Analysis {
 		o := opts
-		o.Backend = backend
+		o.Solver.Backend = backend
 		a, err := AnalyzeSource(o, sources)
 		if err != nil {
 			t.Fatalf("backend %d: %v", backend, err)

@@ -11,20 +11,10 @@ import (
 )
 
 // SolverOptions groups every knob that controls *how* an analysis is
-// solved, as opposed to *what* it computes: worker count, fixpoint
-// budget, pair-computation backend, and BDD kernel sizing. It lives at
-// Options.Solver; the old top-level spellings (Options.Backend,
-// Options.BDD) remain as deprecated aliases that Normalize folds in,
-// so existing callers keep working and fingerprint identically.
+// solved, as opposed to *what* it computes: fixpoint budget,
+// points-to cap, pair-computation backend, and BDD kernel sizing. It
+// lives at Options.Solver.
 type SolverOptions struct {
-	// Workers bounds intra-analysis parallelism: the front end shards
-	// per file, the pointer fixpoint schedules call-graph SCCs
-	// leaf-to-root over this many workers, and the pairs phase runs
-	// independent work concurrently. 0 and 1 both mean the sequential
-	// solve. Reports are byte-identical for every worker count (the
-	// determinism tests and the oracle's workers matrix pin this), so
-	// Workers is excluded from Fingerprint like Observer is.
-	Workers int
 	// MaxRounds bounds the pointer fixpoint's iteration count
 	// (0 = unlimited). A cutoff changes results, so a nonzero value is
 	// fingerprinted.
@@ -36,8 +26,7 @@ type SolverOptions struct {
 	// through ⊤ are dropped. Capped runs surface a ptr_capped_vars
 	// phase output, a report-level precision block, and per-warning
 	// "throttled" annotations; a nonzero cap changes results and is
-	// fingerprinted. The cap forces the sequential pointer solve for
-	// determinism (the collapse is schedule-sensitive).
+	// fingerprinted.
 	PtsLimit int
 	// Backend selects the pair-computation engine.
 	Backend Backend
@@ -60,9 +49,6 @@ type SolverOptions struct {
 func (o Options) Validate() error {
 	if o.KCFA < 0 {
 		return Errf(ErrConfig, "", "options: negative KCFA %d", o.KCFA)
-	}
-	if o.Solver.Workers < 0 {
-		return Errf(ErrConfig, "", "options: negative Solver.Workers %d", o.Solver.Workers)
 	}
 	if o.Solver.MaxRounds < 0 {
 		return Errf(ErrConfig, "", "options: negative Solver.MaxRounds %d", o.Solver.MaxRounds)
@@ -125,23 +111,6 @@ func (o Options) Normalize() Options {
 		t := true
 		o.HeapCloning = &t
 	}
-	// Fold the deprecated top-level solver spellings into Solver, then
-	// mirror back so both spellings read the same afterwards. The new
-	// field wins when both are set (ExplicitBackend and the zero
-	// bdd.Config are "unset" — they are also the defaults, so the
-	// resolution is lossless).
-	if o.Solver.Backend == ExplicitBackend {
-		o.Solver.Backend = o.Backend
-	}
-	o.Backend = o.Solver.Backend
-	if o.Solver.BDD == (bdd.Config{}) {
-		o.Solver.BDD = o.BDD
-	}
-	o.BDD = o.Solver.BDD
-	if o.Solver.MaxRounds == 0 {
-		o.Solver.MaxRounds = o.MaxRounds
-	}
-	o.MaxRounds = o.Solver.MaxRounds
 	if o.ContextPolicy == "" {
 		if o.KCFA > 0 {
 			o.ContextPolicy = PolicyKCFA
@@ -151,26 +120,6 @@ func (o Options) Normalize() Options {
 	}
 	o.ExtraAllocFns = sortedUnique(o.ExtraAllocFns)
 	return o
-}
-
-// AliasConflicts rejects a deprecated top-level solver alias
-// (Backend, BDD, MaxRounds) set to a value that disagrees with its
-// Solver.* counterpart. Normalize alone would silently let the new
-// spelling win; at the Analyze* boundary (and in the analysis service)
-// a disagreement is a config error instead. Call it on the raw options
-// — after Normalize the two spellings always mirror, erasing the
-// conflict.
-func (o Options) AliasConflicts() error {
-	if o.Backend != ExplicitBackend && o.Solver.Backend != ExplicitBackend && o.Backend != o.Solver.Backend {
-		return Errf(ErrConfig, "", "options: deprecated Backend alias (%d) conflicts with Solver.Backend (%d); set one", o.Backend, o.Solver.Backend)
-	}
-	if o.BDD != (bdd.Config{}) && o.Solver.BDD != (bdd.Config{}) && o.BDD != o.Solver.BDD {
-		return Errf(ErrConfig, "", "options: deprecated BDD alias (%+v) conflicts with Solver.BDD (%+v); set one", o.BDD, o.Solver.BDD)
-	}
-	if o.MaxRounds != 0 && o.Solver.MaxRounds != 0 && o.MaxRounds != o.Solver.MaxRounds {
-		return Errf(ErrConfig, "", "options: deprecated MaxRounds alias (%d) conflicts with Solver.MaxRounds (%d); set one", o.MaxRounds, o.Solver.MaxRounds)
-	}
-	return nil
 }
 
 // sortedUnique sorts and deduplicates without mutating the input,
@@ -214,8 +163,8 @@ func (o Options) Fingerprint() string {
 		o.ContextCap, *o.HeapCloning, o.Solver.Backend, o.KCFA, o.DefUseRefinement)
 	fmt.Fprintf(h, "extra_alloc=%q\n", o.ExtraAllocFns)
 	// A fixpoint cutoff changes results; 0 (unlimited, the default) is
-	// not written so pre-SolverOptions digests stay valid. Workers and
-	// BDD sizing are deliberately absent — neither can change results.
+	// not written so pre-SolverOptions digests stay valid. BDD sizing
+	// is deliberately absent — it cannot change results.
 	if o.Solver.MaxRounds != 0 {
 		fmt.Fprintf(h, "max_rounds=%d\n", o.Solver.MaxRounds)
 	}

@@ -47,9 +47,9 @@ func TestValidateRejects(t *testing.T) {
 func TestValidateAccepts(t *testing.T) {
 	ok := []Options{
 		{Entry: "main"},
-		{Entries: []string{}},           // open program, all functions
-		{Entries: []string{"f"}},        // open program, listed roots
-		Options{}.Normalize(),           // zero value after normalization
+		{Entries: []string{}},    // open program, all functions
+		{Entries: []string{"f"}}, // open program, listed roots
+		Options{}.Normalize(),    // zero value after normalization
 		{Entry: "main", API: RCRegions()},
 	}
 	for i, o := range ok {
@@ -103,7 +103,7 @@ func TestFingerprint(t *testing.T) {
 		{Entries: []string{"f"}},
 		{ContextCap: 1},
 		{HeapCloning: Bool(false)},
-		{Backend: BDDBackend},
+		{Solver: SolverOptions{Backend: BDDBackend}},
 		{KCFA: 2},
 		{DefUseRefinement: true},
 		{ExtraAllocFns: []string{"my_alloc"}},

@@ -32,28 +32,13 @@ func (a *Analysis) computeObjectPairs(ctx context.Context) []ObjectPair {
 	if a.Opts.Solver.Backend == BDDBackend {
 		return a.computeObjectPairsBDD(ctx)
 	}
-	out := a.checkEdges(a.AccessEdges)
-	sortPairs(out)
-	return out
-}
-
-// checkEdges runs checkEdge over a batch of access edges, sharded
-// across Solver.Workers when parallelism is enabled. Each worker
-// writes into its own index range of the result slice and all inputs
-// (ownership, subregion order, refinement relations) are read-only, so
-// the compacted output is identical to the sequential scan.
-func (a *Analysis) checkEdges(edges []AccessEdge) []ObjectPair {
-	results := make([]ObjectPair, len(edges))
-	keep := make([]bool, len(edges))
-	parallelFor(a.Opts.Solver.Workers, len(edges), func(i int) {
-		results[i], keep[i] = a.checkEdge(edges[i])
-	})
 	var out []ObjectPair
-	for i, k := range keep {
-		if k {
-			out = append(out, results[i])
+	for _, e := range a.AccessEdges {
+		if p, bad := a.checkEdge(e); bad {
+			out = append(out, p)
 		}
 	}
+	sortPairs(out)
 	return out
 }
 

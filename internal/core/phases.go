@@ -69,38 +69,25 @@ func frontEndPhases() []pipeline.Phase[*Analysis] {
 				a.digests = make(map[string]string, len(paths))
 				a.changed = make(map[string]bool, len(paths))
 			}
-			// Decide reuse sequentially, parse the rest in parallel
-			// (files are independent), then assemble in path order so
-			// a.Files and the first-error choice match the sequential
-			// loop exactly.
-			files := make([]*cminor.File, len(paths))
-			parseErrs := make([][]*cminor.Error, len(paths))
-			var toParse []int
-			for i, p := range paths {
+			for _, p := range paths {
 				if a.snapshotting {
 					d := FileDigest(a.Sources[p])
 					a.digests[p] = d
 					if a.prev != nil && a.prev.digests[p] == d {
-						files[i] = a.prev.files[p]
+						a.Files = append(a.Files, a.prev.files[p])
 						a.Front.ParseReused++
 						continue
 					}
 					a.changed[p] = true
 				}
-				toParse = append(toParse, i)
-			}
-			parallelFor(a.Opts.Solver.Workers, len(toParse), func(j int) {
-				i := toParse[j]
-				files[i], parseErrs[i] = cminor.Parse(paths[i], a.Sources[paths[i]])
-			})
-			for i, p := range paths {
-				if errs := parseErrs[i]; len(errs) != 0 {
+				f, errs := cminor.Parse(p, a.Sources[p])
+				if len(errs) != 0 {
 					return Errf(ErrParse, errs[0].Pos.String(),
 						"parse %s: %v (and %d more)", p, errs[0], len(errs)-1)
 				}
-				a.Files = append(a.Files, files[i])
+				a.Files = append(a.Files, f)
+				a.Front.ParseParsed++
 			}
-			a.Front.ParseParsed += len(toParse)
 			return nil
 		}), "sources"),
 		pipeline.WithInputs(pipeline.New(PhaseCheck, func(_ context.Context, a *Analysis) error {
@@ -115,7 +102,7 @@ func frontEndPhases() []pipeline.Phase[*Analysis] {
 					}
 				}
 			} else {
-				a.Info = cminor.CheckParallel(a.Opts.Solver.Workers, a.Files...)
+				a.Info = cminor.Check(a.Files...)
 				a.Front.CheckChecked = len(a.Files)
 			}
 			if len(a.Info.Errors) != 0 {
@@ -136,38 +123,20 @@ func analysisPhases() []pipeline.Phase[*Analysis] {
 				// Per-file fragments, reused from the base when the file
 				// is unchanged and the declaration environment held
 				// (fragments bake in type layouts and symbol kinds, so a
-				// full fallback check invalidates all of them). Fresh
-				// lowers run in parallel: LowerFile only reads a.Info
-				// and Link assigns all program-wide IDs in file order,
-				// so the linked program is schedule-independent.
+				// full fallback check invalidates all of them). Link
+				// assigns all program-wide IDs in file order.
 				frags := make([]*ir.Fragment, len(a.Files))
 				a.fragments = make(map[string]*ir.Fragment, len(a.Files))
-				var toLower []int
 				for i, f := range a.Files {
 					if a.incrementalCheck && !a.changed[f.Path] {
 						frags[i] = a.prev.frags[f.Path]
 						a.Front.LowerReused++
 					} else {
-						toLower = append(toLower, i)
+						frags[i] = ir.LowerFile(a.Info, f)
 						a.Front.LowerLowered++
 					}
-				}
-				parallelFor(a.Opts.Solver.Workers, len(toLower), func(j int) {
-					i := toLower[j]
-					frags[i] = ir.LowerFile(a.Info, a.Files[i])
-				})
-				for i, f := range a.Files {
 					a.fragments[f.Path] = frags[i]
 				}
-				a.Prog = ir.Link(a.Info, frags)
-			} else if a.Opts.Solver.Workers > 1 && len(a.Files) > 1 {
-				// Plain mode, parallel: per-file fragments linked in
-				// file order. ir.Link documents byte-identity with the
-				// single-pass Lower.
-				frags := make([]*ir.Fragment, len(a.Files))
-				parallelFor(a.Opts.Solver.Workers, len(a.Files), func(i int) {
-					frags[i] = ir.LowerFile(a.Info, a.Files[i])
-				})
 				a.Prog = ir.Link(a.Info, frags)
 			} else {
 				a.Prog = ir.Lower(a.Info, a.Files...)

@@ -217,7 +217,7 @@ func TestObserverThroughOptions(t *testing.T) {
 // TestBDDBackendMetrics checks that the BDD backend surfaces its
 // node/tuple counts through the pairs phase.
 func TestBDDBackendMetrics(t *testing.T) {
-	a, err := AnalyzeSource(Options{Backend: BDDBackend}, corpusSources(t))
+	a, err := AnalyzeSource(Options{Solver: SolverOptions{Backend: BDDBackend}}, corpusSources(t))
 	if err != nil {
 		t.Fatal(err)
 	}

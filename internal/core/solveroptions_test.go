@@ -8,60 +8,38 @@ import (
 	"repro/internal/bdd"
 )
 
-// The deprecated top-level solver spellings (Options.Backend,
-// Options.BDD) and the SolverOptions spellings must configure the same
-// analysis: identical fingerprints, and Normalize mirrors whichever
-// side was set into the other.
-
+// TestSolverOptionsFingerprintAliases: spelling a solver default out
+// configures the same analysis as leaving it unset, and the digests
+// themselves are pinned — the text Fingerprint hashes must not drift,
+// or every cache key changes with it.
 func TestSolverOptionsFingerprintAliases(t *testing.T) {
-	old := Options{Backend: BDDBackend, BDD: bdd.Config{NodeSize: 1 << 14, CacheRatio: 2}}
-	niu := Options{Solver: SolverOptions{Backend: BDDBackend, BDD: bdd.Config{NodeSize: 1 << 14, CacheRatio: 2}}}
-	if old.Fingerprint() != niu.Fingerprint() {
-		t.Errorf("old and new backend spellings fingerprint differently:\n old %s\n new %s",
-			old.Fingerprint(), niu.Fingerprint())
+	spelled := Options{Solver: SolverOptions{Backend: ExplicitBackend, MaxRounds: 0, PtsLimit: 0}}
+	if spelled.Fingerprint() != (Options{}).Fingerprint() {
+		t.Errorf("explicitly spelled solver defaults fingerprint differently from the zero value")
 	}
-	both := Options{Backend: BDDBackend, Solver: SolverOptions{Backend: BDDBackend}}
-	if both.Fingerprint() != niu.Fingerprint() {
-		t.Errorf("setting both spellings fingerprints differently from setting one")
-	}
-	if def, seq := (Options{}).Fingerprint(), (Options{Solver: SolverOptions{Backend: ExplicitBackend}}).Fingerprint(); def != seq {
-		t.Errorf("explicit ExplicitBackend fingerprints differently from the default")
-	}
-}
-
-func TestSolverOptionsNormalizeMirrors(t *testing.T) {
-	cfg := bdd.Config{NodeSize: 4096}
-
-	n := Options{Solver: SolverOptions{Backend: BDDBackend, BDD: cfg}}.Normalize()
-	if n.Backend != BDDBackend || n.BDD != cfg {
-		t.Errorf("Solver fields did not mirror to deprecated aliases: Backend=%v BDD=%+v", n.Backend, n.BDD)
-	}
-
-	n = Options{Backend: BDDBackend, BDD: cfg}.Normalize()
-	if n.Solver.Backend != BDDBackend || n.Solver.BDD != cfg {
-		t.Errorf("deprecated aliases did not fold into Solver: %+v", n.Solver)
-	}
-
-	// When both are set the new spelling wins.
-	n = Options{
-		Backend: BDDBackend, BDD: bdd.Config{NodeSize: 1},
-		Solver: SolverOptions{Backend: BDDBackend, BDD: cfg},
-	}.Normalize()
-	if n.Solver.BDD != cfg || n.BDD != cfg {
-		t.Errorf("Solver.BDD should win over the deprecated alias: solver=%+v alias=%+v", n.Solver.BDD, n.BDD)
+	for _, tc := range []struct {
+		o    Options
+		want string
+	}{
+		{Options{}, "cecf35781c0030af4a979f296b9f951957794b2920c4064034111ca7554665f1"},
+		{Options{Solver: SolverOptions{Backend: BDDBackend}}, "57a44afa188cd4beb27af44cf0a1045cdbc41c6f2cb8094b4ef8f2a505f303cb"},
+		{Options{Solver: SolverOptions{MaxRounds: 3}}, "c8c1955bb818577e8bc95220125f70de9d6a835272f9a8d79f69e7c0c1cc15f5"},
+		{Options{Solver: SolverOptions{PtsLimit: 2}}, "8160e740a4e37ba1487b574875f9ee6e0e8c66fcce67dd6c543572e298098312"},
+	} {
+		if got := tc.o.Fingerprint(); got != tc.want {
+			t.Errorf("Fingerprint(%+v) = %s, want %s", tc.o.Solver, got, tc.want)
+		}
 	}
 }
 
 func TestSolverOptionsFingerprintExclusions(t *testing.T) {
 	base := Options{}
 	for _, o := range []Options{
-		{Solver: SolverOptions{Workers: 4}},
-		{Solver: SolverOptions{Workers: 16}},
 		{Solver: SolverOptions{BDD: bdd.Config{NodeSize: 1 << 20}}},
-		{BDD: bdd.Config{NodeSize: 1 << 20, CacheRatio: 8}},
+		{Solver: SolverOptions{BDD: bdd.Config{NodeSize: 1 << 20, CacheRatio: 8}}},
 	} {
 		if o.Fingerprint() != base.Fingerprint() {
-			t.Errorf("options %+v changed the fingerprint; Workers and BDD sizing cannot change results and must not key the cache", o.Solver)
+			t.Errorf("options %+v changed the fingerprint; BDD sizing cannot change results and must not key the cache", o.Solver)
 		}
 	}
 	// MaxRounds does change results, so it must be fingerprinted — but
@@ -84,7 +62,6 @@ func TestSolverOptionsValidate(t *testing.T) {
 		o    Options
 		want string
 	}{
-		{"negative workers", Options{Entry: "main", Solver: SolverOptions{Workers: -1}}, "Solver.Workers"},
 		{"negative max rounds", Options{Entry: "main", Solver: SolverOptions{MaxRounds: -2}}, "Solver.MaxRounds"},
 	} {
 		err := tc.o.Validate()
@@ -94,43 +71,6 @@ func TestSolverOptionsValidate(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
-		}
-	}
-}
-
-// TestSolverWorkersSameReport is the API-level determinism pin: the
-// same sources at workers 0, 1, 2, and 4 render the same report text.
-func TestSolverWorkersSameReport(t *testing.T) {
-	sources := map[string]string{
-		"a.c": `
-struct node { int *p; };
-void *apr_palloc(void *r, int n);
-void apr_pool_create(void **np, void *parent);
-void apr_pool_destroy(void *r);
-void fill(void *r, struct node *n) { n->p = apr_palloc(r, 4); }
-int main() {
-    void *root; void *sub;
-    apr_pool_create(&root, 0);
-    apr_pool_create(&sub, root);
-    struct node *n = apr_palloc(root, 8);
-    fill(sub, n);
-    apr_pool_destroy(sub);
-    return 0;
-}`,
-	}
-	var want string
-	for _, w := range []int{0, 1, 2, 4} {
-		a, err := AnalyzeSource(Options{Solver: SolverOptions{Workers: w}}, sources)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		got := canonicalReportText(t, a.Report)
-		if w == 0 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Errorf("workers=%d report differs from sequential:\n%s\nwant:\n%s", w, got, want)
 		}
 	}
 }

@@ -2,11 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
-
-	"repro/internal/bdd"
 )
 
 // ptsFanSources is a program where one pointer variable accumulates a
@@ -97,31 +94,26 @@ func TestPtsLimitBoundary(t *testing.T) {
 }
 
 // TestPtsLimitDeterministic: the ⊤ collapse must be deterministic —
-// identical reports across worker counts and both backends, even
-// though a nonzero cap forces the sequential pointer sweep.
+// identical reports on both backends.
 func TestPtsLimitDeterministic(t *testing.T) {
 	sources := ptsFanSources()
 	var want string
 	for _, backend := range []Backend{ExplicitBackend, BDDBackend} {
-		for _, w := range []int{1, 2, 4} {
-			opts := Options{Solver: SolverOptions{
-				PtsLimit: 2, Workers: w, Backend: backend,
-			}}
-			a, err := AnalyzeSource(opts, sources)
-			if err != nil {
-				t.Fatalf("backend=%v workers=%d: %v", backend, w, err)
-			}
-			if a.Ptr.CappedVars() == 0 {
-				t.Fatalf("backend=%v workers=%d: cap did not fire", backend, w)
-			}
-			got := canonicalReportText(t, a.Report)
-			if want == "" {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Errorf("backend=%v workers=%d report diverged:\n got %s\nwant %s", backend, w, got, want)
-			}
+		opts := Options{Solver: SolverOptions{PtsLimit: 2, Backend: backend}}
+		a, err := AnalyzeSource(opts, sources)
+		if err != nil {
+			t.Fatalf("backend=%v: %v", backend, err)
+		}
+		if a.Ptr.CappedVars() == 0 {
+			t.Fatalf("backend=%v: cap did not fire", backend)
+		}
+		got := canonicalReportText(t, a.Report)
+		if want == "" {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("backend=%v report diverged:\n got %s\nwant %s", backend, got, want)
 		}
 	}
 }
@@ -193,57 +185,6 @@ func TestOriginPolicyMarked(t *testing.T) {
 	}
 	if !s.Throttled() {
 		t.Error("origin run not marked throttled")
-	}
-}
-
-// TestAliasConflicts: the deprecated top-level spellings must either
-// agree with Solver or be rejected with a config error at the
-// boundary — before Normalize silently mirrors one over the other.
-func TestAliasConflicts(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		o    Options
-		want string // substring of the error; "" = accepted
-	}{
-		// ExplicitBackend is the zero value, indistinguishable from
-		// unset — so a deprecated-Backend alias only conflicts when both
-		// spellings are nonzero, which two backend variants cannot
-		// produce. The alias must win silently here, not error.
-		{"backend zero value is unset",
-			Options{Backend: BDDBackend, Solver: SolverOptions{Backend: ExplicitBackend}}, ""},
-		{"bdd config conflict",
-			Options{BDD: bdd.Config{NodeSize: 1 << 10}, Solver: SolverOptions{BDD: bdd.Config{NodeSize: 1 << 11}}},
-			"BDD"},
-		{"max rounds conflict",
-			Options{MaxRounds: 2, Solver: SolverOptions{MaxRounds: 3}},
-			"MaxRounds"},
-		{"backend agreement",
-			Options{Backend: BDDBackend, Solver: SolverOptions{Backend: BDDBackend}}, ""},
-		{"one side only", Options{MaxRounds: 2}, ""},
-		{"zero values", Options{}, ""},
-	} {
-		err := tc.o.AliasConflicts()
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: rejected: %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("%s: conflicting spellings accepted", tc.name)
-			continue
-		}
-		var cerr *Error
-		if !errors.As(err, &cerr) || cerr.Kind != ErrConfig {
-			t.Errorf("%s: error is not config-kind: %v", tc.name, err)
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
-		}
-		// The conflict must also stop an analysis, not just the helper.
-		if _, aerr := AnalyzeSource(tc.o, ptsFanSources()); aerr == nil {
-			t.Errorf("%s: AnalyzeSource ran despite the conflict", tc.name)
-		}
 	}
 }
 

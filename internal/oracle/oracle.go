@@ -128,18 +128,15 @@ type AnalysisConfig struct {
 	Sound bool
 	// SameReportsAs names a config whose canonical reports this one
 	// must reproduce byte-for-byte on both backends — the invariant
-	// that makes a knob "results-neutral" (solver worker counts, BDD
-	// sizing). Empty means no cross-config requirement.
+	// that makes a knob "results-neutral" (BDD sizing and lifecycle). Empty means no cross-config requirement.
 	SameReportsAs string
 }
 
 // DefaultConfigs returns the configuration matrix: the sound default
-// (full call-path cloning, heap cloning on), the same analysis solved
-// on four workers (must reproduce the default's reports byte-for-byte
-// — parallelism is results-neutral by contract), the BDD kernel under
-// minimum-table GC plus sifting reorder (lifecycle management is
-// results-neutral too: collections and reorders must not perturb
-// reports), the context-insensitive ablation (ContextCap 1 —
+// (full call-path cloning, heap cloning on), the BDD kernel under
+// minimum-table GC plus sifting reorder (must reproduce the default's
+// reports byte-for-byte — lifecycle management is results-neutral:
+// collections and reorders must not perturb reports), the context-insensitive ablation (ContextCap 1 —
 // documented unsound: merging loses the distinctions
 // TestContextSensitivityMatters pins), 2-CFA numbering (bounded call
 // strings merge deep paths the same way), the points-to cap (⊤
@@ -152,10 +149,6 @@ type AnalysisConfig struct {
 func DefaultConfigs() []AnalysisConfig {
 	return []AnalysisConfig{
 		{Name: "default", Opts: core.Options{}, Sound: true},
-		{Name: "workers4",
-			Opts:          core.Options{Solver: core.SolverOptions{Workers: 4}},
-			Sound:         true,
-			SameReportsAs: "default"},
 		{Name: "gcreorder",
 			Opts: core.Options{Solver: core.SolverOptions{
 				BDD: bdd.Config{NodeSize: 1, GC: true, GCThreshold: 1, Reorder: true},
@@ -436,7 +429,7 @@ func (h *Harness) Check(c *Case) (*CaseResult, error) {
 	}
 
 	// Cross-config identity: configs that differ only in
-	// results-neutral knobs (worker counts) must have reproduced their
+	// results-neutral knobs (BDD kernel lifecycle) must have reproduced their
 	// reference config's canonical reports on both backends.
 	for _, cfg := range h.Configs {
 		if cfg.SameReportsAs == "" {

@@ -395,8 +395,6 @@ func writeMetrics(w http.ResponseWriter, st Stats) {
 	counter("regionwizd_frontend_files_reused_total", st.FrontendFilesReused, "Source files whose front-end artifacts were reused.")
 	counter("regionwizd_frontend_files_rerun_total", st.FrontendFilesRerun, "Source files re-parsed by snapshot-backed runs.")
 	counter("regionwizd_queue_waits_total", st.QueueWaits, "Requests that waited in the admission queue.")
-	counter("regionwizd_parallel_solves_total", st.ParallelSolves, "Pipeline runs with intra-request solve parallelism.")
-	counter("regionwizd_solver_workers_used_total", st.SolverWorkersUsed, "Sum of solver worker counts across parallel runs.")
 	counter("regionwizd_warnings_total", st.Warnings, "Warnings reported across every pipeline run.")
 	counter("regionwizd_explain_requests_total", st.ExplainRequests, "Provenance (explain) queries served.")
 	counter("regionwizd_explain_replays_total", st.ExplainReplays, "Explain queries answered by demand-driven replay.")

@@ -99,6 +99,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"no sources", `{"sources": {}}`, http.StatusBadRequest, "config"},
 		{"bad api", analyzeBody(t, sourcesFor(0), RequestOptions{API: "jemalloc"}), http.StatusBadRequest, "config"},
 		{"bad backend", analyzeBody(t, sourcesFor(0), RequestOptions{Backend: "quantum"}), http.StatusBadRequest, "config"},
+		{"solver workers", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"solver_workers": 2}}`, http.StatusBadRequest, "config"},
 		{"negative kcfa", analyzeBody(t, sourcesFor(0), RequestOptions{KCFA: -1}), http.StatusBadRequest, "config"},
 		{"parse error", analyzeBody(t, map[string]string{"x.c": "int main( {"}, RequestOptions{}), http.StatusUnprocessableEntity, "parse"},
 		{"bad entry", analyzeBody(t, sourcesFor(0), RequestOptions{Entry: "nope"}), http.StatusUnprocessableEntity, "resolve"},

@@ -167,8 +167,7 @@ func TestHTTPQuery(t *testing.T) {
 }
 
 // TestWireThrottleOptions: the new wire options must round-trip into
-// core options, reject unknown enum spellings, and surface alias
-// conflicts (checked on the raw options) at the service boundary.
+// core options and reject unknown enum spellings.
 func TestWireThrottleOptions(t *testing.T) {
 	opts, err := RequestOptions{ContextPolicy: "origin", PtsLimit: 3}.ToOptions()
 	if err != nil {
@@ -181,13 +180,4 @@ func TestWireThrottleOptions(t *testing.T) {
 		t.Error("unknown context_policy accepted")
 	}
 
-	// An alias conflict must fail the request, not silently resolve.
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	bad := core.Options{MaxRounds: 2}
-	bad.Solver.MaxRounds = 3
-	var aerr *core.Error
-	if _, err := s.Analyze(context.Background(), bad, sourcesFor(0)); !errors.As(err, &aerr) || aerr.Kind != core.ErrConfig {
-		t.Errorf("alias conflict at the service boundary = %v, want config kind", err)
-	}
 }

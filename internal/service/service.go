@@ -27,7 +27,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -67,14 +69,6 @@ type Config struct {
 	// Kernel sizing never changes results, so it does not enter cache
 	// keys.
 	BDD bdd.Config
-	// SolverWorkers is the default per-request solve parallelism
-	// applied to requests that do not set solver_workers themselves.
-	// The default (0) keeps requests sequential: the service already
-	// parallelizes across requests via Workers, so intra-request
-	// sharding only pays off when the daemon is serving few, large
-	// requests. Reports are identical for every worker count, so this
-	// does not enter cache keys.
-	SolverWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -253,19 +247,9 @@ func (s *Service) serve(ctx context.Context, opts core.Options, sources map[stri
 }
 
 func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[string]string, delta *deltaReq) (*Result, error) {
-	// Alias conflicts must be checked on the raw options: Normalize
-	// mirrors the deprecated spellings into Solver and the
-	// disagreement would vanish silently.
-	if err := opts.AliasConflicts(); err != nil {
-		return nil, err
-	}
 	opts = opts.Normalize()
 	if opts.Solver.BDD == (bdd.Config{}) {
 		opts.Solver.BDD = s.cfg.BDD
-		opts.BDD = opts.Solver.BDD
-	}
-	if opts.Solver.Workers == 0 {
-		opts.Solver.Workers = s.cfg.SolverWorkers
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -344,11 +328,7 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	if opts.Solver.Workers > 1 {
-		s.stats.parallelSolves.Add(1)
-		s.stats.solverWorkersUsed.Add(uint64(opts.Solver.Workers))
-	}
-	res, err := s.run(ctx, key, opts, sources, base, delta)
+	res, err := s.lead(ctx, key, opts, sources, base, delta)
 	if err == nil {
 		res.Delta = dinfo
 	}
@@ -366,6 +346,25 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 	close(c.done)
 	s.wg.Done()
 	return res, err
+}
+
+// lead runs the leader path behind a panic boundary. A panic anywhere
+// in admission or the pipeline becomes an ErrInternal error, which
+// analyze then hands to the leader and every coalesced waiter while
+// it releases the in-flight entry as usual. run's own deferred
+// releases (admission slot, inflight gauge) fire during the unwind.
+func (s *Service) lead(ctx context.Context, key string, opts core.Options, sources map[string]string, base *core.Snapshot, delta *deltaReq) (res *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			slog.Default().LogAttrs(ctx, slog.LevelError, "analysis panicked",
+				slog.String("id", RequestID(ctx)),
+				slog.String("key", key),
+				slog.Any("panic", p),
+				slog.String("stack", string(debug.Stack())))
+			res, err = nil, core.Errf(core.ErrInternal, "", "analysis panicked: %v", p)
+		}
+	}()
+	return s.run(ctx, key, opts, sources, base, delta)
 }
 
 // await joins an in-flight identical run.

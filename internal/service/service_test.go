@@ -197,6 +197,79 @@ func TestSingleflightCoalesces(t *testing.T) {
 	}
 }
 
+// TestLeaderPanicReleasesCall injects a panic into the leader's
+// pipeline run through the configured Observer. The panic must become
+// an ErrInternal error for the leader and for a request coalesced onto
+// it, and it must release the in-flight entry and the admission slot:
+// the next identical request runs fresh on the single worker, and
+// Close returns.
+func TestLeaderPanicReleasesCall(t *testing.T) {
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var armed atomic.Bool
+	armed.Store(true)
+	obs := pipeline.ObserverFuncs[*core.Analysis]{
+		Start: func(name string, _ *core.Analysis) {
+			if name == core.PhaseParse && armed.Load() {
+				started <- struct{}{}
+				<-release
+				panic("injected observer panic")
+			}
+		},
+	}
+	s := New(Config{Workers: 1, Observer: obs})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, errs[0] = s.Analyze(ctx, core.Options{}, sourcesFor(0))
+	}()
+	<-started // the leader holds the in-flight entry now
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, errs[1] = s.Analyze(ctx, core.Options{}, sourcesFor(0))
+	}()
+	// Give the second request time to coalesce onto the leader.
+	time.Sleep(20 * time.Millisecond)
+	armed.Store(false)
+	close(release)
+	wg.Wait()
+
+	var aerr *core.Error
+	if !errors.As(errs[0], &aerr) || aerr.Kind != core.ErrInternal {
+		t.Fatalf("leader err = %v, want internal Error", errs[0])
+	}
+	if errs[1] != errs[0] {
+		t.Errorf("coalesced waiter err = %v, want the leader's %v", errs[1], errs[0])
+	}
+	if st := s.Stats(); st.Misses != 1 {
+		t.Fatalf("misses = %d, want 1 pipeline run for the leader and its waiter", st.Misses)
+	}
+
+	if _, err := s.Analyze(ctx, core.Options{}, sourcesFor(0)); err != nil {
+		t.Fatalf("identical request after the panic: %v", err)
+	}
+	if st := s.Stats(); st.Misses != 2 {
+		t.Errorf("misses = %d, want 2: the request after the panic must run fresh", st.Misses)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung after a leader panic")
+	}
+}
+
 func TestOverloadFailsFast(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})

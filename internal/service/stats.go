@@ -107,12 +107,6 @@ type Stats struct {
 	// artifacts were reused versus re-parsed.
 	FrontendFilesReused uint64 `json:"frontend_files_reused"`
 	FrontendFilesRerun  uint64 `json:"frontend_files_rerun"`
-	// ParallelSolves counts pipeline runs that executed with intra-
-	// request solve parallelism (effective solver workers > 1), and
-	// SolverWorkersUsed sums the worker counts those runs used — their
-	// ratio is the mean shard width. Sequential runs touch neither.
-	ParallelSolves    uint64 `json:"parallel_solves"`
-	SolverWorkersUsed uint64 `json:"solver_workers_used"`
 	// QueueWaits counts requests that had to queue; QueueWait is their
 	// cumulative wait, MaxQueueWait the single longest.
 	QueueWaits   uint64        `json:"queue_waits"`
@@ -158,7 +152,6 @@ type collector struct {
 	requests, hits, coalesced, misses, overloads, errs atomic.Uint64
 	deltaRequests, snapshotHits, snapshotGone          atomic.Uint64
 	frontendReused, frontendRerun                      atomic.Uint64
-	parallelSolves, solverWorkersUsed                  atomic.Uint64
 	warnings                                           atomic.Uint64
 	explainRequests, explainReplays                    atomic.Uint64
 	queryRequests, queryInconsistent                   atomic.Uint64
@@ -275,8 +268,6 @@ func (c *collector) snapshot() Stats {
 		SnapshotGone:        c.snapshotGone.Load(),
 		FrontendFilesReused: c.frontendReused.Load(),
 		FrontendFilesRerun:  c.frontendRerun.Load(),
-		ParallelSolves:      c.parallelSolves.Load(),
-		SolverWorkersUsed:   c.solverWorkersUsed.Load(),
 		Warnings:            c.warnings.Load(),
 		ExplainRequests:     c.explainRequests.Load(),
 		ExplainReplays:      c.explainReplays.Load(),

@@ -82,11 +82,6 @@ type RequestOptions struct {
 	BDDGC          bool `json:"bdd_gc,omitempty"`
 	BDDGCThreshold int  `json:"bdd_gc_threshold,omitempty"`
 	BDDReorder     bool `json:"bdd_reorder,omitempty"`
-	// SolverWorkers shards the solve inside this request across a
-	// worker pool (0 = service default, 1 = sequential). Reports are
-	// identical for every worker count, so this does not affect the
-	// cache key.
-	SolverWorkers int `json:"solver_workers,omitempty"`
 	// SolverMaxRounds bounds fixpoint rounds (0 = unlimited). A nonzero
 	// bound can change results and is part of the cache key.
 	SolverMaxRounds int `json:"solver_max_rounds,omitempty"`
@@ -116,7 +111,6 @@ func (ro RequestOptions) ToOptions() (core.Options, error) {
 		ExtraAllocFns:    ro.ExtraAllocFns,
 		Provenance:       ro.Provenance,
 		Solver: core.SolverOptions{
-			Workers:   ro.SolverWorkers,
 			MaxRounds: ro.SolverMaxRounds,
 			PtsLimit:  ro.PtsLimit,
 			BDD: bdd.Config{

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/oracle"
 	"repro/internal/pipeline"
 	"repro/internal/workloads"
 )
@@ -71,45 +70,6 @@ func TestParallelCorpusMatchesSerial(t *testing.T) {
 		if !bytes.Equal(got, serial[i]) {
 			t.Errorf("%s: parallel report differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				jobs[i].name, serial[i], got)
-		}
-	}
-}
-
-// TestSolverWorkersDeterminism pins the tentpole contract of the
-// intra-analysis parallel solve: for every small-corpus executable,
-// the canonical report (oracle.CanonicalReport — warnings plus the
-// stable stats) is byte-identical at workers 1, 2, and 4 on both
-// backends. Sources are split into files so the sharded front end is
-// exercised, not just the SCC-scheduled pointer solve. Run under
-// -race in CI, this doubles as the data-race proof for the per-shard
-// state.
-func TestSolverWorkersDeterminism(t *testing.T) {
-	for _, spec := range workloads.SmallCorpus() {
-		pkg := workloads.Generate(spec, 2008)
-		for _, exe := range pkg.Exes {
-			sources := pkg.SplitSourcesFor(exe, 4)
-			for _, backend := range []core.Backend{core.ExplicitBackend, core.BDDBackend} {
-				var want []byte
-				for _, workers := range []int{1, 2, 4} {
-					opts := core.Options{Solver: core.SolverOptions{
-						Workers: workers,
-						Backend: backend,
-					}}
-					a, err := core.AnalyzeSource(opts, sources)
-					if err != nil {
-						t.Fatalf("%s backend=%d workers=%d: %v", exe.Name, backend, workers, err)
-					}
-					got := oracle.CanonicalReport(a.Report)
-					if workers == 1 {
-						want = got
-						continue
-					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("%s backend=%d: workers=%d report differs from workers=1:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
-							exe.Name, backend, workers, want, workers, got)
-					}
-				}
-			}
 		}
 	}
 }

@@ -46,7 +46,7 @@ import (
 type Options = core.Options
 
 // SolverOptions groups the solve-strategy knobs (Options.Solver):
-// worker count, fixpoint round bound, backend, and BDD kernel sizing.
+// fixpoint round bound, points-to cap, backend, and BDD kernel sizing.
 type SolverOptions = core.SolverOptions
 
 // Backend selects the relation engine for the inconsistency
