@@ -44,10 +44,11 @@ type FuncInfo struct {
 	Locals []*VarObject
 }
 
-// Info is the checker's output: type and symbol resolution for one
-// program (possibly several files).
+// Info is the checker's output for one program (possibly several
+// files): the declaration environment, symbol resolution, and the few
+// per-expression facts the IR lowering reads. Expression types are
+// computed while checking but not stored.
 type Info struct {
-	Types    map[Expr]Type
 	Uses     map[*Ident]interface{} // *VarObject or *FuncObject
 	Fields   map[*FieldAccess]FieldInfo
 	Structs  map[string]*StructType
@@ -58,7 +59,11 @@ type Info struct {
 	FuncInfo map[*FuncDecl]*FuncInfo
 	// Sizeofs records the byte size each sizeof expression yields.
 	Sizeofs map[Expr]int64
-	Errors  []*Error
+	// PtrArith maps each + or - with a pointer operand to that
+	// operand: X when X is a pointer, else Y. Arithmetic on two
+	// non-pointers has no entry.
+	PtrArith map[*Binary]Expr
+	Errors   []*Error
 }
 
 // FuncNames returns the defined and declared function names, sorted.
@@ -84,7 +89,6 @@ type checker struct {
 func Check(files ...*File) *Info {
 	c := &checker{
 		info: &Info{
-			Types:    make(map[Expr]Type),
 			Uses:     make(map[*Ident]interface{}),
 			Fields:   make(map[*FieldAccess]FieldInfo),
 			Structs:  make(map[string]*StructType),
@@ -94,6 +98,7 @@ func Check(files ...*File) *Info {
 			Enums:    make(map[string]*EnumConst),
 			FuncInfo: make(map[*FuncDecl]*FuncInfo),
 			Sizeofs:  make(map[Expr]int64),
+			PtrArith: make(map[*Binary]Expr),
 		},
 		laying: make(map[string]bool),
 	}
@@ -509,14 +514,9 @@ func (c *checker) checkStmt(s Stmt) {
 	}
 }
 
-// checkExpr types an expression, recording the result in Info.Types.
+// checkExpr types an expression, recording the facts lowering reads
+// (Uses, Fields, Sizeofs, PtrArith) along the way.
 func (c *checker) checkExpr(e Expr) Type {
-	t := c.typeOf(e)
-	c.info.Types[e] = t
-	return t
-}
-
-func (c *checker) typeOf(e Expr) Type {
 	switch e := e.(type) {
 	case *Ident:
 		if v := c.lookupVar(e.Name); v != nil {
@@ -576,9 +576,11 @@ func (c *checker) typeOf(e Expr) Type {
 		case Plus, Minus:
 			// Pointer arithmetic keeps the pointer type.
 			if IsPointer(xt) {
+				c.info.PtrArith[e] = e.X
 				return xt
 			}
 			if IsPointer(yt) {
+				c.info.PtrArith[e] = e.Y
 				return yt
 			}
 			return xt

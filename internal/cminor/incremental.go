@@ -21,7 +21,7 @@ import (
 //
 // CheckIncremental returns a *partial* Info: the per-name environment
 // maps (Structs, Typedefs, Funcs, Globals, Enums) are complete copies,
-// but the per-AST-node fact maps (Types, Uses, Fields, Sizeofs,
+// but the per-AST-node fact maps (Uses, Fields, Sizeofs, PtrArith,
 // FuncInfo) cover only the re-checked declarations. That is exactly
 // what the IR lowering needs, because unchanged files are not
 // re-lowered either — their cached IR fragments are reused (see
@@ -387,7 +387,6 @@ func HasImplicitFuncs(info *Info) bool {
 func CheckIncremental(prev *Info, files []*File, changed map[string]bool) *Info {
 	c := &checker{
 		info: &Info{
-			Types:    make(map[Expr]Type),
 			Uses:     make(map[*Ident]interface{}),
 			Fields:   make(map[*FieldAccess]FieldInfo),
 			Structs:  copyStrMap(prev.Structs),
@@ -397,6 +396,7 @@ func CheckIncremental(prev *Info, files []*File, changed map[string]bool) *Info 
 			Enums:    copyStrMap(prev.Enums),
 			FuncInfo: make(map[*FuncDecl]*FuncInfo),
 			Sizeofs:  make(map[Expr]int64),
+			PtrArith: make(map[*Binary]Expr),
 		},
 		laying: make(map[string]bool),
 	}

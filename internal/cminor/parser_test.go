@@ -315,15 +315,29 @@ int g(struct conn *c) { return c->peer->fd; }
 func TestCheckPointerTypes(t *testing.T) {
 	f, info := mustCheck(t, `
 void g(void) {
+    char *p;
     char *s;
-    s = "hello";
+    int i;
+    s = "hello" + 1;
+    s = 1 + p;
+    i = i + 1;
 }`)
 	fd := f.Decls[0].(*FuncDecl)
-	as := fd.Body.Stmts[1].(*ExprStmt).X.(*AssignExpr)
-	rt := info.Types[as.RHS]
-	pt, ok := rt.(*PtrType)
-	if !ok || pt.Elem != TypeChar {
-		t.Fatalf("string literal type = %v", rt)
+	rhs := func(k int) *Binary {
+		return fd.Body.Stmts[k].(*ExprStmt).X.(*AssignExpr).RHS.(*Binary)
+	}
+	lit, right, scalar := rhs(3), rhs(4), rhs(5)
+	if got := info.PtrArith[lit]; got != lit.X {
+		t.Errorf(`"hello" + 1: pointer side = %v, want the left operand`, got)
+	}
+	if got := info.PtrArith[right]; got != right.Y {
+		t.Errorf("1 + p: pointer side = %v, want the right operand", got)
+	}
+	if got, ok := info.PtrArith[scalar]; ok {
+		t.Errorf("i + 1: recorded pointer side %v, want none", got)
+	}
+	if len(info.PtrArith) != 2 {
+		t.Errorf("PtrArith has %d entries, want 2", len(info.PtrArith))
 	}
 }
 

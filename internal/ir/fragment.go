@@ -14,14 +14,16 @@ import (
 // environment (types, layouts, signatures). As long as that
 // environment is unchanged (see cminor.DeclSignature), a fragment can
 // be cached by file digest and relinked into any number of programs.
-// Link never mutates a fragment: every Var and Instr is cloned with
-// fresh IDs, so one fragment may be shared by concurrent links.
+// A fragment variable's ID is its index in InitVars followed by
+// BodyVars. Link never mutates a fragment: it copies every Var and
+// Instr into per-program slabs before assigning program-wide IDs, so
+// one fragment may be shared by concurrent links.
 type Fragment struct {
 	// Path is the source file the fragment was lowered from.
 	Path string
 	// Init holds the file's global-initializer instructions, and
-	// InitVars the temporaries they use. Instr.Func is nil here; Link
-	// points the clones at the synthetic init function.
+	// InitVars the temporaries they use. Instr.Func is nil here;
+	// linking points them at the synthetic init function.
 	Init     []*Instr
 	InitVars []*Var
 	// Funcs are the file's defined functions in declaration order.
@@ -31,13 +33,13 @@ type Fragment struct {
 	Funcs    []*Func
 	BodyVars []*Var
 	// Globals are name-keyed proxy variables standing in for program
-	// globals; Link replaces every reference with the canonical global
-	// and folds the proxy's AddrTaken flag into it.
+	// globals; linking replaces every reference with the canonical
+	// global and folds the proxy's AddrTaken flag into it.
 	Globals map[string]*Var
 	// Strings are the file's string literal sites: the first
 	// InitStrings entries come from global initializers, the rest from
-	// function bodies. Operand.Str indexes this slice until Link
-	// rebases it.
+	// function bodies. A StringOpd's C indexes this slice until
+	// linking rebases it.
 	Strings     []StringLit
 	InitStrings int
 }
@@ -47,9 +49,10 @@ type Fragment struct {
 // re-checked it).
 func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
 	b := &builder{
-		frag: &Fragment{Path: f.Path, Globals: make(map[string]*Var)},
-		info: info,
-		vars: make(map[*cminor.VarObject]*Var),
+		frag:   &Fragment{Path: f.Path, Globals: make(map[string]*Var)},
+		info:   info,
+		vars:   make(map[*cminor.VarObject]*Var),
+		locals: make(map[*cminor.VarDecl]*Var),
 	}
 	// Global initializers first, mirroring Lower's historical order.
 	// Initializers of names the checker did not register as globals are
@@ -74,18 +77,128 @@ func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
 	return b.frag
 }
 
-// Link assembles fragments (in file order) into one Program, assigning
-// program-wide variable and instruction IDs, resolving global proxies
-// to canonical globals, and rebasing string indices. The instruction
-// order matches the historical single-pass Lower exactly: every
-// fragment's initializer segment first (file order), then every
-// fragment's function bodies — reports are byte-identical whether a
-// fragment was freshly lowered or replayed from a cache.
+// numInstrs counts the fragment's instructions, initializers included.
+func (fr *Fragment) numInstrs() int {
+	n := len(fr.Init)
+	for _, fn := range fr.Funcs {
+		n += len(fn.Instrs)
+	}
+	return n
+}
+
+// Link assembles fragments (in file order) into one Program without
+// mutating them: it links copies (see cloneFragments), so fragments
+// cached by a snapshot may be shared by concurrent links. Reports are
+// byte-identical whether a fragment was freshly lowered or replayed
+// from a cache.
 func Link(info *cminor.Info, frags []*Fragment) *Program {
+	return link(info, cloneFragments(frags))
+}
+
+// cloneFragments deep-copies fragments for link to adopt. Vars and
+// Instrs go into one slab each for the whole program, and operands are
+// pointed at the copies by fragment-local variable ID. Global proxies
+// and string literal tables are shared with the originals: link only
+// reads them.
+func cloneFragments(frags []*Fragment) []*Fragment {
+	nVars, nInstrs := 0, 0
+	for _, fr := range frags {
+		nVars += len(fr.InitVars) + len(fr.BodyVars)
+		nInstrs += fr.numInstrs()
+	}
+	vars := make([]Var, nVars)
+	instrs := make([]Instr, nInstrs)
+	out := make([]*Fragment, len(frags))
+	for i, fr := range frags {
+		local := vars[:len(fr.InitVars)+len(fr.BodyVars)]
+		vars = vars[len(local):]
+		nf := &Fragment{
+			Path:        fr.Path,
+			Funcs:       make([]*Func, len(fr.Funcs)),
+			InitVars:    make([]*Var, len(fr.InitVars)),
+			BodyVars:    make([]*Var, len(fr.BodyVars)),
+			Globals:     fr.Globals,
+			Strings:     fr.Strings,
+			InitStrings: fr.InitStrings,
+		}
+		funcs := make(map[*Func]*Func, len(fr.Funcs))
+		for k, fn := range fr.Funcs {
+			c := *fn
+			nf.Funcs[k] = &c
+			funcs[fn] = &c
+		}
+		copyVars := func(dst, src []*Var) {
+			for k, v := range src {
+				c := &local[v.ID]
+				*c = *v
+				c.Func = funcs[v.Func]
+				dst[k] = c
+			}
+		}
+		copyVars(nf.InitVars, fr.InitVars)
+		copyVars(nf.BodyVars, fr.BodyVars)
+		opd := func(o Operand) Operand {
+			if o.Kind == VarOpd && !o.Var.Global {
+				o.Var = &local[o.Var.ID]
+			}
+			return o
+		}
+		copyInstrs := func(src []*Instr) []*Instr {
+			dst := make([]*Instr, len(src))
+			for k, in := range src {
+				c := &instrs[k]
+				*c = *in
+				c.Dst, c.Src, c.Base, c.Callee = opd(in.Dst), opd(in.Src), opd(in.Base), opd(in.Callee)
+				if len(in.Args) > 0 {
+					c.Args = make([]Operand, len(in.Args))
+					for a, o := range in.Args {
+						c.Args[a] = opd(o)
+					}
+				}
+				dst[k] = c
+			}
+			instrs = instrs[len(src):]
+			return dst
+		}
+		nf.Init = copyInstrs(fr.Init)
+		for k, fn := range fr.Funcs {
+			c := nf.Funcs[k]
+			c.Instrs = copyInstrs(fn.Instrs)
+			c.Params = make([]*Var, len(fn.Params))
+			for p, v := range fn.Params {
+				c.Params[p] = &local[v.ID]
+			}
+			if fn.RetVal != nil {
+				c.RetVal = &local[fn.RetVal.ID]
+			}
+		}
+		out[i] = nf
+	}
+	return out
+}
+
+// link assembles fragments the caller owns into one Program, adopting
+// their Vars, Instrs and Funcs: it assigns program-wide variable and
+// instruction IDs, resolves global proxies to canonical globals, and
+// rebases string indices, all in place. The instruction order matches
+// the historical single-pass Lower exactly: every fragment's
+// initializer segment first (file order), then every fragment's
+// function bodies.
+func link(info *cminor.Info, frags []*Fragment) *Program {
+	nVars, nInstrs, nInit, nStrings := len(info.Globals), 0, 0, 0
+	for _, fr := range frags {
+		nVars += len(fr.InitVars) + len(fr.BodyVars)
+		nInstrs += fr.numInstrs()
+		nInit += len(fr.Init)
+		nStrings += len(fr.Strings)
+	}
 	prog := &Program{
 		Funcs:   make(map[string]*Func),
 		Externs: make(map[string]*cminor.FuncObject),
-		Globals: make(map[string]*Var),
+		Globals: make(map[string]*Var, len(info.Globals)),
+		Strings: make([]StringLit, 0, nStrings),
+		Vars:    make([]*Var, 0, nVars),
+		Instrs:  make([]*Instr, 0, nInstrs),
 		Info:    info,
 	}
 	addVar := func(v *Var) *Var {
@@ -134,92 +247,65 @@ func Link(info *cminor.Info, frags []*Fragment) *Program {
 		prog.Strings = append(prog.Strings, fr.Strings[:fr.InitStrings]...)
 	}
 	for i, fr := range frags {
-		bodyBase[i] = len(prog.Strings)
+		bodyBase[i] = len(prog.Strings) - fr.InitStrings
 		prog.Strings = append(prog.Strings, fr.Strings[fr.InitStrings:]...)
 	}
 
-	varMaps := make([]map[*Var]*Var, len(frags))
-	for i := range frags {
-		varMaps[i] = make(map[*Var]*Var)
-	}
-	remap := func(o Operand, i int) Operand {
+	resolve := func(o *Operand, i int) {
 		switch o.Kind {
 		case VarOpd:
 			if o.Var.Global {
 				o.Var = globalFor(o.Var)
-			} else {
-				o.Var = varMaps[i][o.Var]
 			}
 		case StringOpd:
-			if o.Str < frags[i].InitStrings {
-				o.Str += initBase[i]
+			if o.C < int64(frags[i].InitStrings) {
+				o.C += int64(initBase[i])
 			} else {
-				o.Str = bodyBase[i] + (o.Str - frags[i].InitStrings)
+				o.C += int64(bodyBase[i])
 			}
 		}
-		return o
 	}
-	cloneVar := func(v *Var, fn *Func) *Var {
-		return addVar(&Var{
-			Name: v.Name, Param: v.Param, Temp: v.Temp, Func: fn,
-			AddrTaken: v.AddrTaken, PointerLike: v.PointerLike,
-		})
-	}
-	cloneInstr := func(in *Instr, i int, fn *Func) *Instr {
-		ni := &Instr{
-			ID: len(prog.Instrs), Op: in.Op,
-			Dst: remap(in.Dst, i), Src: remap(in.Src, i),
-			Base: remap(in.Base, i), Off: in.Off,
-			Callee: remap(in.Callee, i),
-			Pos:    in.Pos, Func: fn,
+	adopt := func(in *Instr, i int, fn *Func) {
+		in.ID = len(prog.Instrs)
+		in.Func = fn
+		resolve(&in.Dst, i)
+		resolve(&in.Src, i)
+		resolve(&in.Base, i)
+		resolve(&in.Callee, i)
+		for k := range in.Args {
+			resolve(&in.Args[k], i)
 		}
-		if len(in.Args) > 0 {
-			ni.Args = make([]Operand, len(in.Args))
-			for k, a := range in.Args {
-				ni.Args[k] = remap(a, i)
-			}
-		}
-		prog.Instrs = append(prog.Instrs, ni)
-		fn.Instrs = append(fn.Instrs, ni)
-		return ni
+		prog.Instrs = append(prog.Instrs, in)
 	}
 
 	// Pass 1: the synthetic initializer function.
-	initFn := &Func{Name: InitFuncName}
+	initFn := &Func{Name: InitFuncName, Instrs: make([]*Instr, 0, nInit)}
 	for i, fr := range frags {
 		for _, v := range fr.InitVars {
-			varMaps[i][v] = cloneVar(v, initFn)
+			v.Func = initFn
+			addVar(v)
 		}
 		for _, in := range fr.Init {
-			cloneInstr(in, i, initFn)
+			adopt(in, i, initFn)
+			initFn.Instrs = append(initFn.Instrs, in)
 		}
 	}
 	if len(initFn.Instrs) > 0 {
 		prog.Funcs[InitFuncName] = initFn
 	}
 	// Pass 2: function bodies, file order then declaration order.
-	fnMap := make(map[*Func]*Func)
 	for _, fr := range frags {
 		for _, fn := range fr.Funcs {
-			nf := &Func{Name: fn.Name, Ret: fn.Ret, Variadic: fn.Variadic, Decl: fn.Decl}
-			prog.Funcs[fn.Name] = nf
-			fnMap[fn] = nf
+			prog.Funcs[fn.Name] = fn
 		}
 	}
 	for i, fr := range frags {
 		for _, v := range fr.BodyVars {
-			varMaps[i][v] = cloneVar(v, fnMap[v.Func])
+			addVar(v)
 		}
 		for _, fn := range fr.Funcs {
-			nf := fnMap[fn]
-			for _, p := range fn.Params {
-				nf.Params = append(nf.Params, varMaps[i][p])
-			}
-			if fn.RetVal != nil {
-				nf.RetVal = varMaps[i][fn.RetVal]
-			}
 			for _, in := range fn.Instrs {
-				cloneInstr(in, i, nf)
+				adopt(in, i, fn)
 			}
 		}
 	}

@@ -14,6 +14,7 @@ package ir
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/cminor"
@@ -78,8 +79,9 @@ type Operand struct {
 	Kind OperandKind
 	Var  *Var   // VarOpd
 	Fn   string // FuncOpd: function name
-	C    int64  // ConstOpd
-	Str  int    // StringOpd: index into Program.Strings
+	// C is the constant of a ConstOpd, or the index into
+	// Program.Strings of a StringOpd.
+	C int64
 }
 
 // IsNone reports whether the operand is absent.
@@ -96,7 +98,7 @@ func (o Operand) String() string {
 	case FuncOpd:
 		return "&" + o.Fn
 	case StringOpd:
-		return fmt.Sprintf("str#%d", o.Str)
+		return fmt.Sprintf("str#%d", o.C)
 	case NullOpd:
 		return "null"
 	}
@@ -209,16 +211,8 @@ func (p *Program) FuncNames() []string {
 	for n := range p.Funcs {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names
-}
-
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }
 
 // Dump renders a function's instructions, one per line (debugging and

@@ -14,7 +14,7 @@ func TestOperandString(t *testing.T) {
 		"x":     {Kind: VarOpd, Var: v},
 		"42":    {Kind: ConstOpd, C: 42},
 		"&f":    {Kind: FuncOpd, Fn: "f"},
-		"str#3": {Kind: StringOpd, Str: 3},
+		"str#3": {Kind: StringOpd, C: 3},
 		"null":  {Kind: NullOpd},
 	}
 	for want, o := range cases {

@@ -1,7 +1,7 @@
 package ir
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/cminor"
 )
@@ -14,37 +14,45 @@ const InitFuncName = "__global_init"
 // Lower converts checked files into an IR program. The checker's Info
 // must come from cminor.Check over exactly these files. It is the
 // batch composition of the per-file half (LowerFile) and the linking
-// half (Link); incremental analysis calls the halves separately,
-// reusing cached fragments for unchanged files.
+// half; incremental analysis calls LowerFile and Link separately,
+// reusing cached fragments for unchanged files. The fragments Lower
+// makes are private to it, so it links them in place rather than
+// cloning them as Link does.
 func Lower(info *cminor.Info, files ...*cminor.File) *Program {
 	frags := make([]*Fragment, len(files))
 	for i, f := range files {
 		frags[i] = LowerFile(info, f)
 	}
-	return Link(info, frags)
+	return link(info, frags)
 }
 
 // builder lowers one file into a fragment. Variables are appended to
 // *sink (InitVars while lowering global initializers, BodyVars inside
-// functions) without IDs; Link assigns program-wide identity.
+// functions) with fragment-local IDs; linking assigns program-wide
+// identity.
 type builder struct {
 	frag *Fragment
 	info *cminor.Info
 	fn   *Func
 	sink *[]*Var
 	vars map[*cminor.VarObject]*Var
-	tmps int
+	// locals indexes the current function's locals by declaration.
+	locals map[*cminor.VarDecl]*Var
+	tmps   int
 }
 
+// newVar appends a variable to *sink. Its ID is its index in the
+// fragment's InitVars followed by BodyVars (initializers are lowered
+// before any body, so the two lists never grow together).
 func (b *builder) newVar(name string, fn *Func) *Var {
-	v := &Var{Name: name, Func: fn}
+	v := &Var{ID: len(b.frag.InitVars) + len(b.frag.BodyVars), Name: name, Func: fn}
 	*b.sink = append(*b.sink, v)
 	return v
 }
 
 func (b *builder) temp() *Var {
 	b.tmps++
-	v := b.newVar(fmt.Sprintf("t%d", b.tmps), b.fn)
+	v := b.newVar("t"+strconv.Itoa(b.tmps), b.fn)
 	v.Temp = true
 	return v
 }
@@ -90,10 +98,12 @@ func (b *builder) lowerFunc(fd *cminor.FuncDecl) {
 		fn.Params = append(fn.Params, v)
 	}
 	fn.RetVal = b.newVar("__ret", fn)
+	clear(b.locals)
 	for _, l := range fi.Locals {
 		v := b.newVar(l.Name, fn)
 		v.PointerLike = cminor.IsPointer(l.Type)
 		b.vars[l] = v
+		b.locals[l.Decl] = v
 	}
 	b.stmt(fd.Body)
 	b.fn = nil
@@ -156,14 +166,12 @@ func (b *builder) stmt(s cminor.Stmt) {
 	}
 }
 
-// localObject finds the *Var for a local declaration via the checker's
-// FuncInfo (each VarDecl maps to exactly one VarObject).
+// localObject finds the *Var for a local declaration. Each VarDecl
+// maps to exactly one checker VarObject, so same-name locals in nested
+// blocks stay distinct.
 func (b *builder) localObject(d *cminor.VarDecl) *Var {
-	fi := b.info.FuncInfo[b.fn.Decl]
-	for _, l := range fi.Locals {
-		if l.Decl == d {
-			return b.vars[l]
-		}
+	if v, ok := b.locals[d]; ok {
+		return v
 	}
 	// Fall back to a fresh temp so lowering never crashes on checker
 	// gaps; the effect is an isolated variable.
@@ -210,7 +218,7 @@ func (b *builder) expr(e cminor.Expr) Operand {
 		idx := len(b.frag.Strings)
 		b.frag.Strings = append(b.frag.Strings, StringLit{Value: e.V, Pos: e.Pos})
 		t := b.temp()
-		b.emit(&Instr{Op: Assign, Dst: varOpd(t), Src: Operand{Kind: StringOpd, Str: idx}, Pos: e.Pos})
+		b.emit(&Instr{Op: Assign, Dst: varOpd(t), Src: Operand{Kind: StringOpd, C: int64(idx)}, Pos: e.Pos})
 		return varOpd(t)
 	case *cminor.Null:
 		return Operand{Kind: NullOpd}
@@ -295,18 +303,14 @@ func (b *builder) addressOf(x cminor.Expr, pos cminor.Pos) Operand {
 func (b *builder) binary(e *cminor.Binary) Operand {
 	x := b.expr(e.X)
 	y := b.expr(e.Y)
-	xt := b.info.Types[e.X]
-	yt := b.info.Types[e.Y]
 	// Pointer arithmetic: the result stays within the pointed-to
 	// object (constant offsets beyond fields are not tracked —
 	// the documented Section 5.5 unsoundness).
-	if e.Op == cminor.Plus || e.Op == cminor.Minus {
-		if xt != nil && cminor.IsPointer(xt) {
+	if p, ok := b.info.PtrArith[e]; ok {
+		if p == e.X {
 			return x
 		}
-		if yt != nil && cminor.IsPointer(yt) {
-			return y
-		}
+		return y
 	}
 	// Comparisons and integer arithmetic: results are scalar; merge
 	// both sides so int<->pointer laundering via arithmetic stays

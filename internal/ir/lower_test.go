@@ -310,3 +310,37 @@ char * g(char *s) { return s + 4; }`)
 		t.Fatalf("pointer arithmetic lost the object:\n%s", fn.Dump())
 	}
 }
+
+func TestLowerShadowedLocalsGetOwnVariables(t *testing.T) {
+	p := lower(t, `
+int f(void) {
+    int x = 1;
+    {
+        int x = 2;
+        {
+            int x = 3;
+        }
+    }
+    return x;
+}`)
+	fn := p.Funcs["f"]
+	byConst := make(map[int64]*Var)
+	for _, in := range fn.Instrs {
+		if in.Op == Assign && in.Src.Kind == ConstOpd {
+			if in.Dst.Var.Name != "x" || in.Dst.Var.Temp {
+				t.Fatalf("initializer %d assigns %s, want a local x:\n%s", in.Src.C, in.Dst, fn.Dump())
+			}
+			byConst[in.Src.C] = in.Dst.Var
+		}
+	}
+	if len(byConst) != 3 {
+		t.Fatalf("found initializers %v, want 1, 2 and 3:\n%s", byConst, fn.Dump())
+	}
+	if byConst[1] == byConst[2] || byConst[1] == byConst[3] || byConst[2] == byConst[3] {
+		t.Fatalf("shadowed locals share a variable:\n%s", fn.Dump())
+	}
+	// The return reads the outermost x.
+	if ret := fn.Instrs[len(fn.Instrs)-2]; ret.Dst.Var != fn.RetVal || ret.Src.Var != byConst[1] {
+		t.Fatalf("return assigns %s, want the outer x:\n%s", ret, fn.Dump())
+	}
+}

@@ -149,7 +149,7 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 					if s != nil {
 						assigns = append(assigns, assignC{d, s})
 					} else if in.Src.Kind == ir.StringOpd {
-						addrs = append(addrs, addrC{d, intern(Obj{Kind: StringObj, Str: in.Src.Str})})
+						addrs = append(addrs, addrC{d, intern(Obj{Kind: StringObj, Str: int(in.Src.C)})})
 					}
 				}
 			case ir.Addr:

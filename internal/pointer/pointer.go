@@ -471,7 +471,7 @@ func (r *Result) evalOpd(o ir.Operand, ctx uint64) []Loc {
 	case ir.VarOpd:
 		return sortedLocs(r.pts[r.key(o.Var, ctx)])
 	case ir.StringOpd:
-		id := r.intern(Obj{Kind: StringObj, Str: o.Str})
+		id := r.intern(Obj{Kind: StringObj, Str: int(o.C)})
 		return []Loc{{Obj: id}}
 	}
 	// Constants, nulls, and function operands carry no heap locations
