@@ -1,9 +1,14 @@
 package cminor
 
-// File is one parsed translation unit.
+// File is one parsed translation unit. The parser numbers the file's
+// identifiers densely in source order (Ident.ID), so per-identifier
+// facts live in tables of NumIdents entries rather than in maps keyed
+// by node. A File is never written after Parse returns: snapshots
+// share it between concurrent checks.
 type File struct {
-	Path  string
-	Decls []Decl
+	Path      string
+	Decls     []Decl
+	NumIdents int
 }
 
 // Decl is a top-level or block-level declaration.
@@ -220,10 +225,12 @@ func ExprPos(e Expr) Pos { return e.exprPos() }
 // StmtPos returns a statement's source position.
 func StmtPos(s Stmt) Pos { return s.stmtPos() }
 
-// Ident names a variable or function.
+// Ident names a variable or function. ID is its index among its
+// file's identifiers, 0..File.NumIdents-1 in source order.
 type Ident struct {
 	Pos  Pos
 	Name string
+	ID   int
 }
 
 // IntLit is an integer literal.

@@ -12,7 +12,10 @@ type VarObject struct {
 	Global bool
 	Param  bool
 	Decl   *VarDecl // nil for parameters
-	Func   *FuncDecl
+	// Index numbers a parameter or local within its function: its
+	// position in FuncInfo.Params followed by FuncInfo.Locals. It is
+	// zero for globals.
+	Index int
 }
 
 // FuncObject is a resolved function.
@@ -47,9 +50,14 @@ type FuncInfo struct {
 // Info is the checker's output for one program (possibly several
 // files): the declaration environment, symbol resolution, and the few
 // per-expression facts the IR lowering reads. Expression types are
-// computed while checking but not stored.
+// computed while checking but not stored, and no fact is stored in
+// the AST, which stays shared and read-only.
 type Info struct {
-	Uses     map[*Ident]interface{} // *VarObject or *FuncObject
+	// Uses resolves identifiers: Uses[f][id.ID] is the *VarObject,
+	// *FuncObject or *EnumConst that identifier id of file f names
+	// (nil for identifiers the checker did not resolve, such as those
+	// in enumerator values). Each file's table has f.NumIdents entries.
+	Uses     map[*File][]any
 	Fields   map[*FieldAccess]FieldInfo
 	Structs  map[string]*StructType
 	Typedefs map[string]Type
@@ -77,7 +85,10 @@ func (info *Info) FuncNames() []string {
 }
 
 type checker struct {
-	info   *Info
+	info *Info
+	uses []any // Uses table of the file being checked
+	// scopes is the block scope stack. Maps above the top stay in the
+	// backing array, emptied, for the next block to reuse.
 	scopes []map[string]*VarObject
 	cur    *FuncInfo
 
@@ -89,7 +100,7 @@ type checker struct {
 func Check(files ...*File) *Info {
 	c := &checker{
 		info: &Info{
-			Uses:     make(map[*Ident]interface{}),
+			Uses:     make(map[*File][]any, len(files)),
 			Fields:   make(map[*FieldAccess]FieldInfo),
 			Structs:  make(map[string]*StructType),
 			Typedefs: make(map[string]Type),
@@ -101,6 +112,9 @@ func Check(files ...*File) *Info {
 			PtrArith: make(map[*Binary]Expr),
 		},
 		laying: make(map[string]bool),
+	}
+	for _, f := range files {
+		c.info.Uses[f] = make([]any, f.NumIdents)
 	}
 	// Pass 1: struct tags and typedefs (typedefs resolve in order).
 	for _, f := range files {
@@ -127,6 +141,7 @@ func Check(files ...*File) *Info {
 	// Pass 3: functions and globals (signatures first so forward calls
 	// resolve).
 	for _, f := range files {
+		c.uses = c.info.Uses[f]
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *FuncDecl:
@@ -138,6 +153,7 @@ func Check(files ...*File) *Info {
 	}
 	// Pass 4: function bodies.
 	for _, f := range files {
+		c.uses = c.info.Uses[f]
 		for _, d := range f.Decls {
 			if fd, ok := d.(*FuncDecl); ok && fd.Body != nil {
 				c.checkFuncBody(fd)
@@ -402,8 +418,31 @@ func (c *checker) declareGlobal(d *VarDecl) {
 
 // --- scopes ---
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, make(map[string]*VarObject)) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+func (c *checker) pushScope() {
+	n := len(c.scopes)
+	if n == cap(c.scopes) {
+		c.scopes = append(c.scopes, nil)
+	}
+	c.scopes = c.scopes[:n+1]
+	if c.scopes[n] == nil {
+		c.scopes[n] = make(map[string]*VarObject)
+	}
+}
+
+// popScope empties the top scope for reuse. A map that grew large is
+// dropped instead, so one huge block does not make every later clear
+// pay for its buckets.
+func (c *checker) popScope() {
+	n := len(c.scopes) - 1
+	if top := c.scopes[n]; len(top) > maxReusedScope {
+		c.scopes[n] = nil
+	} else {
+		clear(top)
+	}
+	c.scopes = c.scopes[:n]
+}
+
+const maxReusedScope = 64
 
 func (c *checker) define(obj *VarObject, pos Pos) {
 	top := c.scopes[len(c.scopes)-1]
@@ -426,6 +465,11 @@ func (c *checker) lookupVar(name string) *VarObject {
 
 func (c *checker) checkFuncBody(fd *FuncDecl) {
 	obj := c.info.Funcs[fd.Name]
+	if len(obj.Type.Params) != len(fd.Params) {
+		// A redefinition declareFunc rejected, with another parameter
+		// list: there is no signature to check its body against.
+		return
+	}
 	fi := &FuncInfo{Obj: obj}
 	c.info.FuncInfo[fd] = fi
 	c.cur = fi
@@ -435,7 +479,7 @@ func (c *checker) checkFuncBody(fd *FuncDecl) {
 		if name == "" {
 			name = fmt.Sprintf("__arg%d", i)
 		}
-		v := &VarObject{Name: name, Type: obj.Type.Params[i], Param: true, Func: fd}
+		v := &VarObject{Name: name, Type: obj.Type.Params[i], Param: true, Index: i}
 		fi.Params = append(fi.Params, v)
 		c.define(v, p.Pos)
 	}
@@ -458,7 +502,8 @@ func (c *checker) checkStmt(s Stmt) {
 		c.checkBlock(s)
 	case *DeclStmt:
 		d := s.Decl
-		obj := &VarObject{Name: d.Name, Type: c.resolve(d.Type, d.Pos), Decl: d, Func: c.cur.Obj.Decl}
+		obj := &VarObject{Name: d.Name, Type: c.resolve(d.Type, d.Pos), Decl: d,
+			Index: len(c.cur.Params) + len(c.cur.Locals)}
 		c.cur.Locals = append(c.cur.Locals, obj)
 		c.define(obj, d.Pos)
 		if d.Init != nil {
@@ -520,15 +565,15 @@ func (c *checker) checkExpr(e Expr) Type {
 	switch e := e.(type) {
 	case *Ident:
 		if v := c.lookupVar(e.Name); v != nil {
-			c.info.Uses[e] = v
+			c.uses[e.ID] = v
 			return v.Type
 		}
 		if ec, ok := c.info.Enums[e.Name]; ok {
-			c.info.Uses[e] = ec
+			c.uses[e.ID] = ec
 			return TypeInt
 		}
 		if f, ok := c.info.Funcs[e.Name]; ok {
-			c.info.Uses[e] = f
+			c.uses[e.ID] = f
 			return &PtrType{Elem: f.Type}
 		}
 		c.errorf(e.Pos, "undeclared identifier %q", e.Name)
@@ -536,7 +581,7 @@ func (c *checker) checkExpr(e Expr) Type {
 		// object; C compilers issue the same courtesy.
 		v := &VarObject{Name: e.Name, Type: TypeInt, Global: true}
 		c.info.Globals[e.Name] = v
-		c.info.Uses[e] = v
+		c.uses[e.ID] = v
 		return v.Type
 	case *IntLit:
 		if e.V > 1<<31-1 || e.V < -(1<<31) {

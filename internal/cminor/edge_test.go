@@ -241,3 +241,22 @@ int a(void) { return 0; }`)
 		t.Fatalf("FuncNames = %v", names)
 	}
 }
+
+// Inputs the front-end fuzzer found panicking: each must end in
+// diagnostics, not a crash.
+func TestHostileInputsGiveErrors(t *testing.T) {
+	// A redefinition with another parameter list once indexed past the
+	// first definition's parameter types.
+	f := mustParse(t, "int f(int a) { return a; }\nint f(int a, int b) { return b; }")
+	if info := Check(f); len(info.Errors) == 0 || !strings.Contains(info.Errors[0].Error(), "redefined") {
+		t.Fatalf("redefinition errors = %v", info.Errors)
+	}
+	// A character literal cut off after its backslash once read past
+	// the input, and a run of stray characters once recursed once per
+	// character, overflowing the stack at a few million.
+	for _, src := range []string{`'\`, strings.Repeat(`\`, 4<<20)} {
+		if _, errs := Parse("hostile.c", src); len(errs) == 0 {
+			t.Fatalf("no diagnostics for %.10q", src)
+		}
+	}
+}

@@ -21,12 +21,12 @@ import (
 //
 // CheckIncremental returns a *partial* Info: the per-name environment
 // maps (Structs, Typedefs, Funcs, Globals, Enums) are complete copies,
-// but the per-AST-node fact maps (Uses, Fields, Sizeofs, PtrArith,
-// FuncInfo) cover only the re-checked declarations. That is exactly
-// what the IR lowering needs, because unchanged files are not
-// re-lowered either — their cached IR fragments are reused (see
-// ir.Fragment). Nothing downstream of lowering reads the per-node
-// maps.
+// but the per-AST-node facts (the per-file Uses tables, and Fields,
+// Sizeofs, PtrArith, FuncInfo) cover only the re-checked
+// declarations. That is exactly what the IR lowering needs, because
+// unchanged files are not re-lowered either — their cached IR
+// fragments are reused (see ir.Fragment). Nothing downstream of
+// lowering reads the per-node facts.
 
 // DeclSignature renders a file's externally visible declarations in a
 // canonical form: every top-level declaration with positions stripped
@@ -380,14 +380,15 @@ func HasImplicitFuncs(info *Info) bool {
 //
 // The returned Info never aliases prev's maps — prev stays valid as
 // an immutable snapshot base, so several deltas can be checked
-// against it concurrently. The per-name maps are complete copies; the
-// per-node fact maps hold entries only for changed files' global
-// initializers and function bodies. Retained objects (struct layouts,
-// function and global objects) are shared, never mutated.
+// against it concurrently. The per-name maps are complete copies;
+// Uses has a table only for each changed file, and the other per-node
+// fact maps hold entries only for changed files' global initializers
+// and function bodies. Retained objects (struct layouts, function and
+// global objects) are shared, never mutated.
 func CheckIncremental(prev *Info, files []*File, changed map[string]bool) *Info {
 	c := &checker{
 		info: &Info{
-			Uses:     make(map[*Ident]interface{}),
+			Uses:     make(map[*File][]any, len(changed)),
 			Fields:   make(map[*FieldAccess]FieldInfo),
 			Structs:  copyStrMap(prev.Structs),
 			Typedefs: copyStrMap(prev.Typedefs),
@@ -404,6 +405,8 @@ func CheckIncremental(prev *Info, files []*File, changed map[string]bool) *Info 
 		if !changed[f.Path] {
 			continue
 		}
+		c.uses = make([]any, f.NumIdents)
+		c.info.Uses[f] = c.uses
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *VarDecl:

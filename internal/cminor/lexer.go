@@ -26,6 +26,14 @@ func NewLexer(file, src string) *Lexer {
 // Errors returns the diagnostics accumulated so far.
 func (lx *Lexer) Errors() []*Error { return lx.errs }
 
+// errorf records a diagnostic, keeping at most 100 so that hostile
+// input cannot make the list outgrow the input.
+func (lx *Lexer) errorf(pos Pos, format string, args ...interface{}) {
+	if len(lx.errs) < 100 {
+		lx.errs = append(lx.errs, errf(pos, format, args...))
+	}
+}
+
 func (lx *Lexer) pos() Pos { return Pos{File: lx.file, Line: lx.line, Col: lx.col} }
 
 func (lx *Lexer) peekByte() byte {
@@ -79,7 +87,7 @@ func (lx *Lexer) skipSpaceAndComments() {
 				lx.advance()
 			}
 			if !closed {
-				lx.errs = append(lx.errs, errf(start, "unterminated block comment"))
+				lx.errorf(start, "unterminated block comment")
 			}
 		case c == '#':
 			// Preprocessor lines (e.g. #include) are skipped wholesale;
@@ -103,6 +111,9 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // Next returns the next token, consuming it.
 func (lx *Lexer) Next() Token {
+	// Unexpected characters are reported and skipped by jumping back
+	// here: recursing instead would take a stack frame per character.
+retry:
 	lx.skipSpaceAndComments()
 	pos := lx.pos()
 	if lx.off >= len(lx.src) {
@@ -150,7 +161,7 @@ func (lx *Lexer) Next() Token {
 			// to the region analysis.
 			u, uerr := strconv.ParseUint(numText, 0, 64)
 			if uerr != nil {
-				lx.errs = append(lx.errs, errf(pos, "bad integer literal %q", text))
+				lx.errorf(pos, "bad integer literal %q", text)
 			}
 			v = int64(u)
 		}
@@ -160,14 +171,16 @@ func (lx *Lexer) Next() Token {
 		var v int64
 		if lx.peekByte() == '\\' {
 			lx.advance()
-			v = int64(unescape(lx.advance()))
+			if lx.off < len(lx.src) {
+				v = int64(unescape(lx.advance()))
+			}
 		} else if lx.off < len(lx.src) {
 			v = int64(lx.advance())
 		}
 		if lx.peekByte() == '\'' {
 			lx.advance()
 		} else {
-			lx.errs = append(lx.errs, errf(pos, "unterminated char literal"))
+			lx.errorf(pos, "unterminated char literal")
 		}
 		return Token{Kind: CHARLIT, Val: v, Pos: pos}
 	case c == '"':
@@ -184,7 +197,7 @@ func (lx *Lexer) Next() Token {
 		if lx.off < len(lx.src) {
 			lx.advance() // closing quote
 		} else {
-			lx.errs = append(lx.errs, errf(pos, "unterminated string literal"))
+			lx.errorf(pos, "unterminated string literal")
 		}
 		return Token{Kind: STRLIT, Text: sb.String(), Pos: pos}
 	}
@@ -264,8 +277,8 @@ func (lx *Lexer) Next() Token {
 	case ':':
 		return Token{Kind: Colon, Pos: pos}
 	}
-	lx.errs = append(lx.errs, errf(pos, "unexpected character %q", string(c)))
-	return lx.Next()
+	lx.errorf(pos, "unexpected character %q", string(c))
+	goto retry
 }
 
 func isHexDigit(c byte) bool {

@@ -1,6 +1,10 @@
 package cminor
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/slab"
+)
 
 // Parser builds a File from tokens. It keeps a registry of typedef and
 // struct names so casts can be distinguished from parenthesized
@@ -14,6 +18,15 @@ type Parser struct {
 	typedefs   map[string]bool
 	lastParams []string // names from the most recent parseParamTypes
 	anonCount  int
+
+	// Slabs for the most numerous nodes; they live as long as the
+	// file (see package slab).
+	idents    []Ident
+	numIdents int
+	intLits   []IntLit
+	binaries  []Binary
+	assigns   []AssignExpr
+	exprStmts []ExprStmt
 }
 
 // Parse parses one CMinor translation unit.
@@ -35,6 +48,7 @@ func Parse(path, src string) (*File, []*Error) {
 		}
 	}
 	p.errs = append(p.errs, p.lx.Errors()...)
+	f.NumIdents = p.numIdents
 	return f, p.errs
 }
 
@@ -554,8 +568,7 @@ func (p *Parser) parseStmt() []Stmt {
 					}
 				}
 			} else {
-				e := p.parseExpr()
-				init = &ExprStmt{Pos: e.exprPos(), X: e}
+				init = p.exprStmt(p.parseExpr())
 				p.expect(Semi)
 			}
 		} else {
@@ -651,9 +664,15 @@ func (p *Parser) parseStmt() []Stmt {
 		}
 		return stmts
 	}
-	e := p.parseExpr()
+	s := p.exprStmt(p.parseExpr())
 	p.expect(Semi)
-	return []Stmt{&ExprStmt{Pos: e.exprPos(), X: e}}
+	return []Stmt{s}
+}
+
+func (p *Parser) exprStmt(x Expr) *ExprStmt {
+	s := slab.New(&p.exprStmts)
+	*s = ExprStmt{Pos: x.exprPos(), X: x}
+	return s
 }
 
 func (p *Parser) parseSingleStmt() Stmt {
@@ -676,7 +695,9 @@ func (p *Parser) parseAssignExpr() Expr {
 		pos := p.tok.Pos
 		p.next()
 		rhs := p.parseAssignExpr()
-		return &AssignExpr{Pos: pos, Op: op, LHS: lhs, RHS: rhs}
+		a := slab.New(&p.assigns)
+		*a = AssignExpr{Pos: pos, Op: op, LHS: lhs, RHS: rhs}
+		return a
 	}
 	return lhs
 }
@@ -730,7 +751,9 @@ func (p *Parser) parseBinaryExpr(minPrec int) Expr {
 		pos := p.tok.Pos
 		p.next()
 		rhs := p.parseBinaryExpr(prec + 1)
-		lhs = &Binary{Pos: pos, Op: op, X: lhs, Y: rhs}
+		b := slab.New(&p.binaries)
+		*b = Binary{Pos: pos, Op: op, X: lhs, Y: rhs}
+		lhs = b
 	}
 }
 
@@ -821,17 +844,15 @@ func (p *Parser) parsePrimary() Expr {
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case IDENT:
-		name := p.tok.Text
+		id := slab.New(&p.idents)
+		*id = Ident{Pos: pos, Name: p.tok.Text, ID: p.numIdents}
+		p.numIdents++
 		p.next()
-		return &Ident{Pos: pos, Name: name}
-	case INTLIT:
+		return id
+	case INTLIT, CHARLIT:
 		v := p.tok.Val
 		p.next()
-		return &IntLit{Pos: pos, V: v}
-	case CHARLIT:
-		v := p.tok.Val
-		p.next()
-		return &IntLit{Pos: pos, V: v}
+		return p.intLit(pos, v)
 	case STRLIT:
 		s := p.tok.Text
 		p.next()
@@ -852,5 +873,11 @@ func (p *Parser) parsePrimary() Expr {
 	}
 	p.errorf(pos, "expected expression, found %s", p.tok)
 	p.next()
-	return &IntLit{Pos: pos, V: 0}
+	return p.intLit(pos, 0)
+}
+
+func (p *Parser) intLit(pos Pos, v int64) *IntLit {
+	lit := slab.New(&p.intLits)
+	*lit = IntLit{Pos: pos, V: v}
+	return lit
 }

@@ -49,10 +49,9 @@ type Fragment struct {
 // re-checked it).
 func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
 	b := &builder{
-		frag:   &Fragment{Path: f.Path, Globals: make(map[string]*Var)},
-		info:   info,
-		vars:   make(map[*cminor.VarObject]*Var),
-		locals: make(map[*cminor.VarDecl]*Var),
+		frag: &Fragment{Path: f.Path, Globals: make(map[string]*Var)},
+		info: info,
+		uses: info.Uses[f],
 	}
 	// Global initializers first, mirroring Lower's historical order.
 	// Initializers of names the checker did not register as globals are
@@ -62,7 +61,7 @@ func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
 		if vd, ok := d.(*cminor.VarDecl); ok && vd.Init != nil {
 			if _, ok := info.Globals[vd.Name]; ok {
 				src := b.expr(vd.Init)
-				b.emit(&Instr{Op: Assign, Dst: varOpd(b.globalProxy(vd.Name)), Src: src, Pos: vd.Pos})
+				b.emit(Instr{Op: Assign, Dst: varOpd(b.globalProxy(vd.Name)), Src: src, Pos: vd.Pos})
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"repro/internal/cminor"
+	"repro/internal/slab"
 )
 
 // InitFuncName is the synthetic function holding global variable
@@ -29,23 +30,33 @@ func Lower(info *cminor.Info, files ...*cminor.File) *Program {
 // builder lowers one file into a fragment. Variables are appended to
 // *sink (InitVars while lowering global initializers, BodyVars inside
 // functions) with fragment-local IDs; linking assigns program-wide
-// identity.
+// identity. The fragment's Vars and Instrs come from the builder's
+// slabs, so they live and die with the fragment.
 type builder struct {
 	frag *Fragment
 	info *cminor.Info
+	uses []any // info.Uses table of the file being lowered
 	fn   *Func
 	sink *[]*Var
-	vars map[*cminor.VarObject]*Var
-	// locals indexes the current function's locals by declaration.
-	locals map[*cminor.VarDecl]*Var
-	tmps   int
+	// fi and fnVars describe the current function: fnVars[i] is the
+	// Var of the parameter or local whose VarObject.Index is i.
+	fi     *cminor.FuncInfo
+	fnVars []*Var
+	// nextLocal is the position in fi.Locals of the next local
+	// declaration statement to lower.
+	nextLocal int
+	tmps      int
+
+	varSlab   []Var
+	instrSlab []Instr
 }
 
 // newVar appends a variable to *sink. Its ID is its index in the
 // fragment's InitVars followed by BodyVars (initializers are lowered
 // before any body, so the two lists never grow together).
 func (b *builder) newVar(name string, fn *Func) *Var {
-	v := &Var{ID: len(b.frag.InitVars) + len(b.frag.BodyVars), Name: name, Func: fn}
+	v := slab.New(&b.varSlab)
+	*v = Var{ID: len(b.frag.InitVars) + len(b.frag.BodyVars), Name: name, Func: fn}
 	*b.sink = append(*b.sink, v)
 	return v
 }
@@ -69,7 +80,11 @@ func (b *builder) globalProxy(name string) *Var {
 	return v
 }
 
-func (b *builder) emit(in *Instr) *Instr {
+// emit copies an instruction into the builder's slab and appends it
+// to the current function (or the file's initializers).
+func (b *builder) emit(lit Instr) *Instr {
+	in := slab.New(&b.instrSlab)
+	*in = lit
 	in.Func = b.fn
 	if b.fn == nil {
 		b.frag.Init = append(b.frag.Init, in)
@@ -89,24 +104,24 @@ func (b *builder) lowerFunc(fd *cminor.FuncDecl) {
 		fn.Ret = true
 	}
 	b.frag.Funcs = append(b.frag.Funcs, fn)
-	b.fn = fn
+	b.fn, b.fi, b.nextLocal = fn, fi, 0
+	b.fnVars = b.fnVars[:0]
+	fn.Params = make([]*Var, 0, len(fi.Params))
 	for _, p := range fi.Params {
 		v := b.newVar(p.Name, fn)
 		v.Param = true
 		v.PointerLike = cminor.IsPointer(p.Type)
-		b.vars[p] = v
+		b.fnVars = append(b.fnVars, v)
 		fn.Params = append(fn.Params, v)
 	}
 	fn.RetVal = b.newVar("__ret", fn)
-	clear(b.locals)
 	for _, l := range fi.Locals {
 		v := b.newVar(l.Name, fn)
 		v.PointerLike = cminor.IsPointer(l.Type)
-		b.vars[l] = v
-		b.locals[l.Decl] = v
+		b.fnVars = append(b.fnVars, v)
 	}
 	b.stmt(fd.Body)
-	b.fn = nil
+	b.fn, b.fi = nil, nil
 }
 
 // --- statements ---
@@ -118,10 +133,15 @@ func (b *builder) stmt(s cminor.Stmt) {
 			b.stmt(st)
 		}
 	case *cminor.DeclStmt:
+		v := b.localVar(s.Decl)
 		if s.Decl.Init != nil {
-			obj := b.localObject(s.Decl)
+			if v == nil {
+				// A checker gap: lower into an isolated temp rather
+				// than crash.
+				v = b.temp()
+			}
 			src := b.expr(s.Decl.Init)
-			b.emit(&Instr{Op: Assign, Dst: varOpd(obj), Src: src, Pos: s.Decl.Pos})
+			b.emit(Instr{Op: Assign, Dst: varOpd(v), Src: src, Pos: s.Decl.Pos})
 		}
 	case *cminor.ExprStmt:
 		b.expr(s.X)
@@ -159,23 +179,33 @@ func (b *builder) stmt(s cminor.Stmt) {
 		src := Operand{}
 		if s.X != nil {
 			src = b.expr(s.X)
-			b.emit(&Instr{Op: Assign, Dst: varOpd(b.fn.RetVal), Src: src, Pos: s.Pos})
+			b.emit(Instr{Op: Assign, Dst: varOpd(b.fn.RetVal), Src: src, Pos: s.Pos})
 		}
-		b.emit(&Instr{Op: Ret, Src: varOpd(b.fn.RetVal), Pos: s.Pos})
+		b.emit(Instr{Op: Ret, Src: varOpd(b.fn.RetVal), Pos: s.Pos})
 	case *cminor.Break, *cminor.Continue, *cminor.Empty:
 	}
 }
 
-// localObject finds the *Var for a local declaration. Each VarDecl
-// maps to exactly one checker VarObject, so same-name locals in nested
+// localVar returns the *Var of a local declaration, or nil if the
+// checker did not record it. The checker lists a function's locals in
+// FuncInfo.Locals in the order their declaration statements are
+// lowered, so a cursor finds each one; same-name locals in nested
 // blocks stay distinct.
-func (b *builder) localObject(d *cminor.VarDecl) *Var {
-	if v, ok := b.locals[d]; ok {
-		return v
+func (b *builder) localVar(d *cminor.VarDecl) *Var {
+	if k := b.nextLocal; k < len(b.fi.Locals) && b.fi.Locals[k].Decl == d {
+		b.nextLocal++
+		return b.fnVars[len(b.fi.Params)+k]
 	}
-	// Fall back to a fresh temp so lowering never crashes on checker
-	// gaps; the effect is an isolated variable.
-	return b.temp()
+	return nil
+}
+
+// varOf returns the *Var of a resolved variable: the current
+// function's parameter or local, or the fragment's proxy for a global.
+func (b *builder) varOf(obj *cminor.VarObject) *Var {
+	if obj.Global {
+		return b.globalProxy(obj.Name)
+	}
+	return b.fnVars[obj.Index]
 }
 
 // --- expressions ---
@@ -191,18 +221,15 @@ type place struct {
 func (b *builder) expr(e cminor.Expr) Operand {
 	switch e := e.(type) {
 	case *cminor.Ident:
-		switch obj := b.info.Uses[e].(type) {
+		switch obj := b.uses[e.ID].(type) {
 		case *cminor.VarObject:
-			v := b.vars[obj]
-			if v == nil {
-				v = b.globalFallback(obj)
-			}
+			v := b.varOf(obj)
 			// Array-typed variables decay to a pointer to their
 			// storage.
 			if _, isArr := obj.Type.(*cminor.ArrayType); isArr {
 				t := b.temp()
 				v.AddrTaken = true
-				b.emit(&Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(v), Pos: e.Pos})
+				b.emit(Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(v), Pos: e.Pos})
 				return varOpd(t)
 			}
 			return varOpd(v)
@@ -218,7 +245,7 @@ func (b *builder) expr(e cminor.Expr) Operand {
 		idx := len(b.frag.Strings)
 		b.frag.Strings = append(b.frag.Strings, StringLit{Value: e.V, Pos: e.Pos})
 		t := b.temp()
-		b.emit(&Instr{Op: Assign, Dst: varOpd(t), Src: Operand{Kind: StringOpd, C: int64(idx)}, Pos: e.Pos})
+		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: Operand{Kind: StringOpd, C: int64(idx)}, Pos: e.Pos})
 		return varOpd(t)
 	case *cminor.Null:
 		return Operand{Kind: NullOpd}
@@ -234,8 +261,8 @@ func (b *builder) expr(e cminor.Expr) Operand {
 	case *cminor.CondExpr:
 		b.expr(e.Cond)
 		t := b.temp()
-		b.emit(&Instr{Op: Assign, Dst: varOpd(t), Src: b.expr(e.Then), Pos: e.Pos})
-		b.emit(&Instr{Op: Assign, Dst: varOpd(t), Src: b.expr(e.Else), Pos: e.Pos})
+		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: b.expr(e.Then), Pos: e.Pos})
+		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: b.expr(e.Else), Pos: e.Pos})
 		return varOpd(t)
 	case *cminor.Call:
 		return b.call(e)
@@ -259,18 +286,12 @@ func (b *builder) expr(e cminor.Expr) Operand {
 	return constOpd(0)
 }
 
-func (b *builder) globalFallback(obj *cminor.VarObject) *Var {
-	v := b.globalProxy(obj.Name)
-	b.vars[obj] = v
-	return v
-}
-
 func (b *builder) unary(e *cminor.Unary) Operand {
 	switch e.Op {
 	case cminor.Star:
 		base := b.expr(e.X)
 		t := b.temp()
-		b.emit(&Instr{Op: Load, Dst: varOpd(t), Base: base, Off: 0, Pos: e.Pos})
+		b.emit(Instr{Op: Load, Dst: varOpd(t), Base: base, Off: 0, Pos: e.Pos})
 		return varOpd(t)
 	case cminor.Amp:
 		return b.addressOf(e.X, e.Pos)
@@ -289,14 +310,14 @@ func (b *builder) addressOf(x cminor.Expr, pos cminor.Pos) Operand {
 	if pl.v != nil {
 		pl.v.AddrTaken = true
 		t := b.temp()
-		b.emit(&Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(pl.v), Pos: pos})
+		b.emit(Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(pl.v), Pos: pos})
 		return varOpd(t)
 	}
 	if pl.off == 0 {
 		return pl.base
 	}
 	t := b.temp()
-	b.emit(&Instr{Op: FieldAddr, Dst: varOpd(t), Base: pl.base, Off: pl.off, Pos: pos})
+	b.emit(Instr{Op: FieldAddr, Dst: varOpd(t), Base: pl.base, Off: pl.off, Pos: pos})
 	return varOpd(t)
 }
 
@@ -316,8 +337,8 @@ func (b *builder) binary(e *cminor.Binary) Operand {
 	// both sides so int<->pointer laundering via arithmetic stays
 	// visible to the weakly-typed analysis.
 	t := b.temp()
-	b.emit(&Instr{Op: Assign, Dst: varOpd(t), Src: x, Pos: e.Pos})
-	b.emit(&Instr{Op: Assign, Dst: varOpd(t), Src: y, Pos: e.Pos})
+	b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: x, Pos: e.Pos})
+	b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: y, Pos: e.Pos})
 	return varOpd(t)
 }
 
@@ -326,16 +347,16 @@ func (b *builder) assign(e *cminor.AssignExpr) Operand {
 	if e.Op != cminor.Assign {
 		// Compound assignment: merge old and new values.
 		t := b.temp()
-		b.emit(&Instr{Op: Assign, Dst: varOpd(t), Src: src, Pos: e.Pos})
+		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: src, Pos: e.Pos})
 		old := b.readPlace(b.lvalue(e.LHS), e.Pos)
-		b.emit(&Instr{Op: Assign, Dst: varOpd(t), Src: old, Pos: e.Pos})
+		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: old, Pos: e.Pos})
 		src = varOpd(t)
 	}
 	pl := b.lvalue(e.LHS)
 	if pl.v != nil {
-		b.emit(&Instr{Op: Assign, Dst: varOpd(pl.v), Src: src, Pos: e.Pos})
+		b.emit(Instr{Op: Assign, Dst: varOpd(pl.v), Src: src, Pos: e.Pos})
 	} else {
-		b.emit(&Instr{Op: Store, Base: pl.base, Off: pl.off, Src: src, Pos: e.Pos})
+		b.emit(Instr{Op: Store, Base: pl.base, Off: pl.off, Src: src, Pos: e.Pos})
 	}
 	return src
 }
@@ -343,7 +364,7 @@ func (b *builder) assign(e *cminor.AssignExpr) Operand {
 func (b *builder) call(e *cminor.Call) Operand {
 	var callee Operand
 	if id, ok := e.Fun.(*cminor.Ident); ok {
-		if fo, ok := b.info.Uses[id].(*cminor.FuncObject); ok {
+		if fo, ok := b.uses[id.ID].(*cminor.FuncObject); ok {
 			callee = Operand{Kind: FuncOpd, Fn: fo.Name}
 		}
 	}
@@ -355,7 +376,7 @@ func (b *builder) call(e *cminor.Call) Operand {
 		args[i] = b.expr(a)
 	}
 	dst := b.temp()
-	b.emit(&Instr{Op: Call, Dst: varOpd(dst), Callee: callee, Args: args, Pos: e.Pos})
+	b.emit(Instr{Op: Call, Dst: varOpd(dst), Callee: callee, Args: args, Pos: e.Pos})
 	return varOpd(dst)
 }
 
@@ -363,12 +384,8 @@ func (b *builder) call(e *cminor.Call) Operand {
 func (b *builder) lvalue(e cminor.Expr) place {
 	switch e := e.(type) {
 	case *cminor.Ident:
-		if obj, ok := b.info.Uses[e].(*cminor.VarObject); ok {
-			v := b.vars[obj]
-			if v == nil {
-				v = b.globalFallback(obj)
-			}
-			return place{v: v}
+		if obj, ok := b.uses[e.ID].(*cminor.VarObject); ok {
+			return place{v: b.varOf(obj)}
 		}
 	case *cminor.Unary:
 		if e.Op == cminor.Star {
@@ -390,7 +407,7 @@ func (b *builder) lvalue(e cminor.Expr) place {
 		if inner.v != nil {
 			inner.v.AddrTaken = true
 			t := b.temp()
-			b.emit(&Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(inner.v), Pos: e.Pos})
+			b.emit(Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(inner.v), Pos: e.Pos})
 			return place{base: varOpd(t), off: off}
 		}
 		return place{base: inner.base, off: inner.off + off}
@@ -399,7 +416,7 @@ func (b *builder) lvalue(e cminor.Expr) place {
 	}
 	// Not an lvalue we track: evaluate for effect, park in a temp.
 	t := b.temp()
-	b.emit(&Instr{Op: Assign, Dst: varOpd(t), Src: b.expr(e), Pos: cminor.ExprPos(e)})
+	b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: b.expr(e), Pos: cminor.ExprPos(e)})
 	return place{v: t}
 }
 
@@ -409,6 +426,6 @@ func (b *builder) readPlace(pl place, pos cminor.Pos) Operand {
 		return varOpd(pl.v)
 	}
 	t := b.temp()
-	b.emit(&Instr{Op: Load, Dst: varOpd(t), Base: pl.base, Off: pl.off, Pos: pos})
+	b.emit(Instr{Op: Load, Dst: varOpd(t), Base: pl.base, Off: pl.off, Pos: pos})
 	return varOpd(t)
 }

@@ -52,13 +52,13 @@ func TestMutatedCasesAreValid(t *testing.T) {
 
 func TestClassOf(t *testing.T) {
 	for fn, want := range map[string]string{
-		"pattern_sibling_leak_0":           "sibling-leak",
+		"pattern_sibling_leak_0":            "sibling-leak",
 		"pattern_temporary_inconsistency_2": "temporary-inconsistency",
-		"stage_0_1":                        "stage",
-		"lib_alloc_node":                   "lib",
-		"inflate_7":                        "mutated",
-		"main":                             "main",
-		"filler_3":                         "other",
+		"stage_0_1":                         "stage",
+		"lib_alloc_node":                    "lib",
+		"inflate_7":                         "mutated",
+		"main":                              "main",
+		"filler_3":                          "other",
 	} {
 		if got := classOf(fn); got != want {
 			t.Errorf("classOf(%q) = %q, want %q", fn, got, want)
