@@ -49,9 +49,6 @@
 //	-jobs N            analyze N file sets concurrently (default GOMAXPROCS)
 //	-bdd-node-size N   initial BDD node-table capacity for -backend bdd
 //	-bdd-cache-ratio N BDD node-table slots per op-cache slot
-//	-bdd-gc            enable BDD kernel mark-and-sweep GC
-//	-bdd-gc-threshold N  minimum live nodes before a collection runs
-//	-bdd-reorder       enable sifting-based BDD variable reordering
 //	-timeout D         abort the whole run after D (e.g. 30s, 5m)
 //	-watch             poll the arguments and re-analyze on change,
 //	                   printing only the warning diff; unchanged files
@@ -107,9 +104,6 @@ func run() int {
 	jobs := flag.Int("jobs", 0, "number of file sets analyzed concurrently (0 = GOMAXPROCS)")
 	bddNodeSize := flag.Int("bdd-node-size", 0, "initial BDD node-table capacity for -backend bdd (0 = kernel default)")
 	bddCacheRatio := flag.Int("bdd-cache-ratio", 0, "BDD node-table slots per op-cache slot (0 = kernel default)")
-	bddGC := flag.Bool("bdd-gc", false, "enable BDD kernel mark-and-sweep GC at solver safe points")
-	bddGCThreshold := flag.Int("bdd-gc-threshold", 0, "minimum live BDD nodes before a pressured collection runs (0 = kernel default)")
-	bddReorder := flag.Bool("bdd-reorder", false, "enable sifting-based BDD variable reordering between datalog strata")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
 	phaseStats := flag.Bool("phase-stats", false, "print the per-phase pipeline cost table")
 	watch := flag.Bool("watch", false, "re-analyze on file change, printing only the warning diff")
@@ -151,9 +145,6 @@ func run() int {
 	}
 	opts.Solver.BDD.NodeSize = *bddNodeSize
 	opts.Solver.BDD.CacheRatio = *bddCacheRatio
-	opts.Solver.BDD.GC = *bddGC
-	opts.Solver.BDD.GCThreshold = *bddGCThreshold
-	opts.Solver.BDD.Reorder = *bddReorder
 	if *entries != "" {
 		opts.Entries = strings.Split(*entries, ",")
 	}

@@ -67,10 +67,7 @@
 //	                   regionwizd_explain_requests_total,
 //	                   regionwizd_explain_replays_total,
 //	                   regionwizd_query_requests_total,
-//	                   regionwizd_query_inconsistent_total, and the
-//	                   regionwizd_bdd_peak_nodes gauge — the largest
-//	                   single-request BDD node peak, never summed across
-//	                   requests)
+//	                   and regionwizd_query_inconsistent_total)
 //	GET  /v1/stats     counters as JSON
 //
 // Logs are structured (log/slog, logfmt-style text): every request
@@ -93,9 +90,6 @@
 //	                      runs (0 = kernel default, 8192)
 //	-bdd-cache-ratio N    BDD node-table slots per op-cache slot
 //	                      (0 = kernel default, 1)
-//	-bdd-gc               enable BDD kernel mark-and-sweep GC
-//	-bdd-gc-threshold N   minimum live nodes before a collection runs
-//	-bdd-reorder          enable sifting-based BDD variable reordering
 //	-pprof-addr host:port serve net/http/pprof on a SEPARATE listener
 //	                      (off by default; keep it on localhost — the
 //	                      profiling endpoints are not authenticated)
@@ -133,9 +127,6 @@ func run() int {
 	requestTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request deadline including queue wait (0 = none)")
 	bddNodeSize := flag.Int("bdd-node-size", 0, "initial BDD node-table capacity for bdd-backend runs (0 = kernel default)")
 	bddCacheRatio := flag.Int("bdd-cache-ratio", 0, "BDD node-table slots per op-cache slot (0 = kernel default)")
-	bddGC := flag.Bool("bdd-gc", false, "enable BDD kernel mark-and-sweep GC for bdd-backend runs")
-	bddGCThreshold := flag.Int("bdd-gc-threshold", 0, "minimum live BDD nodes before a pressured collection runs (0 = kernel default)")
-	bddReorder := flag.Bool("bdd-reorder", false, "enable sifting-based BDD variable reordering between datalog strata")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
 	flag.Parse()
@@ -155,11 +146,8 @@ func run() int {
 		SnapshotEntries: *snapshotEntries,
 		RequestTimeout:  *requestTimeout,
 		BDD: bdd.Config{
-			NodeSize:    *bddNodeSize,
-			CacheRatio:  *bddCacheRatio,
-			GC:          *bddGC,
-			GCThreshold: *bddGCThreshold,
-			Reorder:     *bddReorder,
+			NodeSize:   *bddNodeSize,
+			CacheRatio: *bddCacheRatio,
 		},
 	})
 	server := &http.Server{

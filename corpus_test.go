@@ -1,8 +1,10 @@
 package regionwiz
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/workloads"
 )
@@ -55,23 +57,49 @@ func TestCorpusRegression(t *testing.T) {
 	}
 }
 
-// TestCorpusBothBackendsAgree runs one executable per package through
-// both pair-computation backends and compares warning counts.
+// TestCorpusBothBackendsAgree runs every executable of every package
+// through the explicit backend, the BDD backend at default sizing, and
+// the BDD backend on its minimum node table (which doubles and rehashes
+// constantly), and requires the same warning count and the same
+// Report.Stats from all three. Time and Phases are excluded: they hold
+// wall times and backend-specific counters. Seed 2008 is the corpus
+// regionbench analyzes by default; seed 77 adds a second draw.
 func TestCorpusBothBackendsAgree(t *testing.T) {
-	for _, spec := range workloads.SmallCorpus() {
-		pkg := workloads.Generate(spec, 77)
-		exe := pkg.Exes[0]
-		exp, err := core.AnalyzeSource(core.Options{Solver: core.SolverOptions{Backend: core.ExplicitBackend}}, pkg.SourcesFor(exe))
-		if err != nil {
-			t.Fatalf("%s: %v", exe.Name, err)
-		}
-		bdd, err := core.AnalyzeSource(core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend}}, pkg.SourcesFor(exe))
-		if err != nil {
-			t.Fatalf("%s (bdd): %v", exe.Name, err)
-		}
-		if len(exp.Report.Warnings) != len(bdd.Report.Warnings) {
-			t.Errorf("%s: explicit %d vs bdd %d warnings",
-				exe.Name, len(exp.Report.Warnings), len(bdd.Report.Warnings))
+	configs := []struct {
+		name string
+		opts core.Options
+	}{
+		{"explicit", core.Options{Solver: core.SolverOptions{Backend: core.ExplicitBackend}}},
+		{"bdd", core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend}}},
+		{"bdd-mintable", core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend, BDD: bdd.Config{NodeSize: 1}}}},
+	}
+	for _, seed := range []int64{2008, 77} {
+		for _, spec := range workloads.SmallCorpus() {
+			pkg := workloads.Generate(spec, seed)
+			for _, exe := range pkg.Exes {
+				var base *core.Analysis
+				for _, cfg := range configs {
+					a, err := core.AnalyzeSource(cfg.opts, pkg.SourcesFor(exe))
+					if err != nil {
+						t.Fatalf("seed %d %s (%s): %v", seed, exe.Name, cfg.name, err)
+					}
+					if base == nil {
+						base = a
+						continue
+					}
+					if len(a.Report.Warnings) != len(base.Report.Warnings) {
+						t.Errorf("seed %d %s: explicit %d vs %s %d warnings",
+							seed, exe.Name, len(base.Report.Warnings), cfg.name, len(a.Report.Warnings))
+					}
+					want, got := base.Report.Stats, a.Report.Stats
+					want.Time, want.Phases = 0, nil
+					got.Time, got.Phases = 0, nil
+					if !reflect.DeepEqual(want, got) {
+						t.Errorf("seed %d %s: stats diverged\nexplicit: %+v\n%s: %+v",
+							seed, exe.Name, want, cfg.name, got)
+					}
+				}
+			}
 		}
 	}
 }

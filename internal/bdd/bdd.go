@@ -18,7 +18,6 @@ package bdd
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Node is an index into a Manager's node table. The constants False and
@@ -70,52 +69,24 @@ type Manager struct {
 
 	// Replacement state for Replace: the currently loaded VarMap and
 	// its dense level map. Cache entries are keyed by VarMap identity,
-	// so switching maps invalidates nothing; a reorder does (orderSeq).
+	// so switching maps invalidates nothing.
 	replMap []int32
 	replVm  *VarMap
-	replOrd int32
 	vmSeq   int32
 
 	numVars int
 
-	// Variable order: nodes store levels (positions in the order), and
-	// these two permutations translate between a variable's identity
-	// and its current position. They start as the identity and only
-	// diverge after Reorder.
-	var2level []int32
-	level2var []int32
-	// orderSeq increments on every reorder; derived per-order state
-	// (the loaded replMap) is revalidated against it.
-	orderSeq int32
-
 	domains []*Domain
-
-	// External references (see gc.go): refs[n] counts Ref-pins on n,
-	// the roots of mark-and-sweep collection. freelist chains swept
-	// slots through their low fields (freeLevel marks them); freeNodes
-	// is the chain length. gcPressure is raised by table growth and
-	// answered by MaybeCollect at client safe points.
-	refs       map[Node]int32
-	freelist   Node
-	freeNodes  int32
-	gcPressure bool
 
 	// Kernel counters, surfaced via Stats.
 	cacheHits        uint64
 	cacheMisses      uint64
 	uniqueCollisions uint64
 	grows            uint64
-	collections      uint64
-	nodesFreed       uint64
-	sweepWall        time.Duration
-	reorders         uint64
-	reorderSwaps     uint64
-	peakNodes        int32
 
 	// OnEvent, when non-nil, is called synchronously on kernel
-	// structural events — kind "grow" after a node-table doubling,
-	// "cache_clear" after ClearCaches, "gc" after a Collect sweep and
-	// "reorder" after a sifting pass — with the live node count and
+	// structural events — kind "grow" after a node-table doubling and
+	// "cache_clear" after ClearCaches — with the live node count and
 	// table capacity. The trace layer hooks it to mark grows on the
 	// timeline without this package importing it. The callback runs on
 	// the (single-threaded) manager's goroutine and must not call back
@@ -150,18 +121,9 @@ func NewWith(cfg Config) *Manager {
 // NumVars reports how many boolean variables have been allocated.
 func (m *Manager) NumVars() int { return m.numVars }
 
-// Config returns the manager's normalized configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
 // NumNodes reports the number of live entries in the node table,
-// including the two terminals. Slots swept onto the freelist do not
-// count.
-func (m *Manager) NumNodes() int { return int(m.free - m.freeNodes) }
-
-// PeakNodes reports the high-water mark of the live node count —
-// under GC this can be far below the count an unmanaged table would
-// reach, which is the point of collecting.
-func (m *Manager) PeakNodes() int { return int(m.peakNodes) }
+// including the two terminals.
+func (m *Manager) NumNodes() int { return int(m.free) }
 
 // ManagerStats is a snapshot of the manager's footprint and kernel
 // counters, exposed for pipeline metrics and benchmarks.
@@ -182,23 +144,12 @@ type ManagerStats struct {
 	UniqueCollisions uint64
 	// Grows counts node-table doublings since creation.
 	Grows uint64
-	// PeakNodes is the live-node high-water mark since creation.
-	PeakNodes int
-	// Collections counts mark-and-sweep passes; NodesFreed the total
-	// nodes they swept; SweepWallNS the wall time spent sweeping.
-	Collections uint64
-	NodesFreed  uint64
-	SweepWallNS int64
-	// Reorders counts sifting passes; ReorderSwaps the adjacent-level
-	// swaps they performed.
-	Reorders     uint64
-	ReorderSwaps uint64
 }
 
 // Stats reports the manager's current footprint and counters.
 func (m *Manager) Stats() ManagerStats {
 	return ManagerStats{
-		Nodes:            m.NumNodes(),
+		Nodes:            int(m.free),
 		Capacity:         len(m.nodes),
 		Vars:             m.numVars,
 		CacheSlots:       len(m.applyCache.entries),
@@ -206,12 +157,6 @@ func (m *Manager) Stats() ManagerStats {
 		CacheMisses:      m.cacheMisses,
 		UniqueCollisions: m.uniqueCollisions,
 		Grows:            m.grows,
-		PeakNodes:        int(m.peakNodes),
-		Collections:      m.collections,
-		NodesFreed:       m.nodesFreed,
-		SweepWallNS:      int64(m.sweepWall),
-		Reorders:         m.reorders,
-		ReorderSwaps:     m.reorderSwaps,
 	}
 }
 
@@ -220,13 +165,6 @@ func (m *Manager) Stats() ManagerStats {
 // Nodes stay valid — this only forces recomputation, e.g. between
 // benchmark runs.
 func (m *Manager) ClearCaches() {
-	m.clearCaches()
-	if m.OnEvent != nil {
-		m.OnEvent("cache_clear", m.NumNodes(), len(m.nodes))
-	}
-}
-
-func (m *Manager) clearCaches() {
 	m.applyCache.clear()
 	m.notCache.clear()
 	m.iteCache.clear()
@@ -234,44 +172,35 @@ func (m *Manager) clearCaches() {
 	m.andExCache.clear()
 	m.replaceCache.clear()
 	m.satRecCache.clear()
+	if m.OnEvent != nil {
+		m.OnEvent("cache_clear", int(m.free), len(m.nodes))
+	}
 }
 
 // AddVar allocates one fresh boolean variable and returns its index.
-// New variables enter the order at the bottom.
 func (m *Manager) AddVar() int {
 	v := m.numVars
 	m.numVars++
-	m.var2level = append(m.var2level, int32(v))
-	m.level2var = append(m.level2var, int32(v))
 	return v
 }
 
 // AddVars allocates n fresh variables and returns the index of the first.
 func (m *Manager) AddVars(n int) int {
 	v := m.numVars
-	for i := 0; i < n; i++ {
-		m.AddVar()
-	}
+	m.numVars += n
 	return v
-}
-
-// LevelOfVar reports the current position of variable v in the order
-// (0 is the top). Positions equal variable indices until a Reorder.
-func (m *Manager) LevelOfVar(v int) int {
-	m.checkVar(v)
-	return int(m.var2level[v])
 }
 
 // Var returns the BDD for the single variable v.
 func (m *Manager) Var(v int) Node {
 	m.checkVar(v)
-	return m.mk(m.var2level[v], False, True)
+	return m.mk(int32(v), False, True)
 }
 
 // NVar returns the BDD for the negation of variable v.
 func (m *Manager) NVar(v int) Node {
 	m.checkVar(v)
-	return m.mk(m.var2level[v], True, False)
+	return m.mk(int32(v), True, False)
 }
 
 func (m *Manager) checkVar(v int) {
@@ -281,14 +210,13 @@ func (m *Manager) checkVar(v int) {
 }
 
 // Level reports the variable tested at the root of n, or -1 for a
-// terminal. (Historically named for the pre-reorder kernel, where a
-// variable's index and its level coincided.)
+// terminal.
 func (m *Manager) Level(n Node) int {
 	l := m.nodes[n].level
 	if l == terminalLevel {
 		return -1
 	}
-	return int(m.level2var[l])
+	return int(l)
 }
 
 // Low returns the low (variable=0) cofactor of n.
@@ -621,20 +549,17 @@ func (m *Manager) Replace(n Node, vm *VarMap) Node {
 	if vm.m != m {
 		panic("bdd: VarMap used with wrong Manager")
 	}
-	if m.replVm != vm || m.replOrd != m.orderSeq || len(m.replMap) != m.numVars {
+	if m.replVm != vm || len(m.replMap) != m.numVars {
 		if len(m.replMap) != m.numVars {
 			m.replMap = make([]int32, m.numVars)
 		}
-		// The dense map is level-indexed: position l of the current
-		// order maps to the position of the variable it renames to.
-		for l := range m.replMap {
-			m.replMap[l] = int32(l)
+		for i := range m.replMap {
+			m.replMap[i] = int32(i)
 		}
 		for i, from := range vm.from {
-			m.replMap[m.var2level[from]] = m.var2level[vm.to[i]]
+			m.replMap[from] = int32(vm.to[i])
 		}
 		m.replVm = vm
-		m.replOrd = m.orderSeq
 	}
 	return m.replaceRec(n, Node(vm.id))
 }
@@ -696,10 +621,7 @@ type VarMap struct {
 
 // NewVarMap builds a renaming mapping from[i] to to[i]. Both slices
 // must have equal length, contain valid distinct variables, and the
-// mapping must preserve relative order of the mapped variables in the
-// current variable order. A later Reorder can invalidate that
-// property; rebuild VarMaps after reordering (correctify panics on a
-// map whose order no longer holds).
+// mapping must preserve relative order of the mapped variables.
 func (m *Manager) NewVarMap(from, to []int) *VarMap {
 	if len(from) != len(to) {
 		panic("bdd: NewVarMap slices of unequal length")
@@ -710,7 +632,7 @@ func (m *Manager) NewVarMap(from, to []int) *VarMap {
 	}
 	for i := 0; i < len(from); i++ {
 		for j := i + 1; j < len(from); j++ {
-			if (m.var2level[from[i]] < m.var2level[from[j]]) != (m.var2level[to[i]] < m.var2level[to[j]]) {
+			if (from[i] < from[j]) != (to[i] < to[j]) {
 				panic("bdd: NewVarMap does not preserve variable order")
 			}
 		}
@@ -766,31 +688,15 @@ func (m *Manager) AllSat(n Node, vars []int, fn func(assignment []bool) bool) {
 			panic("bdd: AllSat vars must be strictly increasing")
 		}
 	}
-	// The walk descends the order by level; slots maps each level back
-	// to its caller-visible position so the assignment slice stays in
-	// variable-index order even after a Reorder.
-	lvls := make([]int32, len(vars))
-	slots := make([]int, len(vars))
-	for i, v := range vars {
-		m.checkVar(v)
-		lvls[i] = m.var2level[v]
-		slots[i] = i
-	}
-	for i := 1; i < len(lvls); i++ {
-		for j := i; j > 0 && lvls[j-1] > lvls[j]; j-- {
-			lvls[j-1], lvls[j] = lvls[j], lvls[j-1]
-			slots[j-1], slots[j] = slots[j], slots[j-1]
-		}
-	}
 	assign := make([]bool, len(vars))
-	m.allSatRec(n, lvls, slots, 0, assign, fn)
+	m.allSatRec(n, vars, 0, assign, fn)
 }
 
-func (m *Manager) allSatRec(n Node, lvls []int32, slots []int, i int, assign []bool, fn func([]bool) bool) bool {
+func (m *Manager) allSatRec(n Node, vars []int, i int, assign []bool, fn func([]bool) bool) bool {
 	if n == False {
 		return true
 	}
-	if i == len(lvls) {
+	if i == len(vars) {
 		// Remaining support must be empty for a unique assignment over
 		// vars; if n is not True some unmapped variable is constrained,
 		// but the assignment over vars is still satisfying for some
@@ -798,32 +704,32 @@ func (m *Manager) allSatRec(n Node, lvls []int32, slots []int, i int, assign []b
 		return fn(assign)
 	}
 	level := m.nodes[n].level
-	v := lvls[i]
+	v := int32(vars[i])
 	switch {
 	case n == True || level > v:
 		// n does not constrain vars[i]: both values.
-		assign[slots[i]] = false
-		if !m.allSatRec(n, lvls, slots, i+1, assign, fn) {
+		assign[i] = false
+		if !m.allSatRec(n, vars, i+1, assign, fn) {
 			return false
 		}
-		assign[slots[i]] = true
-		return m.allSatRec(n, lvls, slots, i+1, assign, fn)
+		assign[i] = true
+		return m.allSatRec(n, vars, i+1, assign, fn)
 	case level == v:
 		nd := m.nodes[n]
-		assign[slots[i]] = false
-		if !m.allSatRec(nd.low, lvls, slots, i+1, assign, fn) {
+		assign[i] = false
+		if !m.allSatRec(nd.low, vars, i+1, assign, fn) {
 			return false
 		}
-		assign[slots[i]] = true
-		return m.allSatRec(nd.high, lvls, slots, i+1, assign, fn)
+		assign[i] = true
+		return m.allSatRec(nd.high, vars, i+1, assign, fn)
 	default:
 		// n tests a variable before vars[i]: branch on it without
 		// recording.
 		nd := m.nodes[n]
-		if !m.allSatRec(nd.low, lvls, slots, i, assign, fn) {
+		if !m.allSatRec(nd.low, vars, i, assign, fn) {
 			return false
 		}
-		return m.allSatRec(nd.high, lvls, slots, i, assign, fn)
+		return m.allSatRec(nd.high, vars, i, assign, fn)
 	}
 }
 
@@ -838,7 +744,7 @@ func (m *Manager) Support(n Node) []int {
 		}
 		seen[x] = true
 		nd := m.nodes[x]
-		vars[int(m.level2var[nd.level])] = true
+		vars[int(nd.level)] = true
 		walk(nd.low)
 		walk(nd.high)
 	}

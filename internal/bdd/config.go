@@ -12,6 +12,10 @@ package bdd
 // per table slot) suits join-heavy datalog workloads; ratio 4-8 suits
 // memory-constrained deployments. See DESIGN.md's "BDD kernel"
 // section for corpus-level numbers.
+//
+// These two sizes are the only knobs. The kernel has no garbage
+// collection and no variable reordering: nodes live as long as their
+// Manager, and a variable's level is its index.
 type Config struct {
 	// NodeSize is the initial node-table capacity in nodes, rounded up
 	// to a power of two (minimum 1024). The table grows geometrically
@@ -24,21 +28,6 @@ type Config struct {
 	// lossy (collisions overwrite) and never grow. 0 means
 	// DefaultCacheRatio.
 	CacheRatio int
-	// GC enables mark-and-sweep collection of unreferenced nodes
-	// (BuDDy's bdd_gbc). Table growth raises a pressure flag; clients
-	// collect at safe points via MaybeCollect once every live node is
-	// reachable from a Ref-pinned root. Off by default: collection is
-	// only sound for clients that declare their roots.
-	GC bool
-	// GCThreshold is the minimum live-node count below which a
-	// pressured collection is skipped (sweeping a tiny table buys
-	// nothing). 0 means DefaultGCThreshold. Ignored unless GC is set.
-	GCThreshold int
-	// Reorder enables sifting-based dynamic variable reordering at
-	// client-declared safe points (the datalog layer runs it between
-	// strata). Like GC it requires every live node to be pinned, and it
-	// implies a collection first. Off by default.
-	Reorder bool
 }
 
 // Default kernel sizing: an 8K-node table with equal-sized caches
@@ -46,9 +35,6 @@ type Config struct {
 const (
 	DefaultNodeSize   = 1 << 13
 	DefaultCacheRatio = 1
-	// DefaultGCThreshold keeps collections away from small tables,
-	// where a sweep costs more than the nodes it could free.
-	DefaultGCThreshold = 1 << 12
 
 	minNodeSize  = 1 << 10
 	minCacheSize = 1 << 8
@@ -66,9 +52,6 @@ func (c Config) normalized() Config {
 	c.NodeSize = ceilPow2(c.NodeSize)
 	if c.CacheRatio <= 0 {
 		c.CacheRatio = DefaultCacheRatio
-	}
-	if c.GCThreshold <= 0 {
-		c.GCThreshold = DefaultGCThreshold
 	}
 	return c
 }

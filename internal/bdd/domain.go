@@ -94,22 +94,16 @@ func (d *Domain) Eq(value uint64) Node {
 		panic(fmt.Sprintf("bdd: value %d out of domain %s [0,%d)", value, d.name, d.size))
 	}
 	r := True
-	// Build bottom-up: deepest level first so mk levels nest. Sorting
-	// by the current order (not variable index) keeps this correct
-	// after a Reorder.
+	// Build bottom-up: highest variable index first so mk levels nest.
 	idx := append([]int(nil), d.vars...)
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && d.m.var2level[idx[j-1]] > d.m.var2level[idx[j]]; j-- {
-			idx[j-1], idx[j] = idx[j], idx[j-1]
-		}
-	}
+	sortInts(idx)
 	for i := len(idx) - 1; i >= 0; i-- {
 		v := idx[i]
 		bit := d.bitOf(v)
 		if value&(1<<bit) != 0 {
-			r = d.m.mk(d.m.var2level[v], False, r)
+			r = d.m.mk(int32(v), False, r)
 		} else {
-			r = d.m.mk(d.m.var2level[v], r, False)
+			r = d.m.mk(int32(v), r, False)
 		}
 	}
 	return r
@@ -194,4 +188,12 @@ func (d *Domain) RenameTo(other *Domain) *VarMap {
 		panic("bdd: RenameTo bit mismatch")
 	}
 	return d.m.NewVarMap(d.vars, other.vars)
+}
+
+func sortInts(a []int) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j-1] > a[j]; j-- {
+			a[j-1], a[j] = a[j], a[j-1]
+		}
+	}
 }

@@ -413,144 +413,3 @@ func TestDifferentialSatCount(t *testing.T) {
 		}
 	}
 }
-
-// evalRef evaluates reference node n under the assignment bits (bit v
-// is the value of variable v; the reference always keeps the identity
-// order, so its levels are variable indices).
-func evalRef(r *refBDD, n int, bits int) bool {
-	for n > 1 {
-		nd := r.nodes[n]
-		if bits>>uint(nd.level)&1 == 1 {
-			n = nd.high
-		} else {
-			n = nd.low
-		}
-	}
-	return n == 1
-}
-
-// TestDifferentialLifecycle interleaves the lifecycle API — Ref/Deref
-// pinning, forced and pressure-triggered collections, and forced
-// reorders — with random operation sequences against the reference.
-// Every pool entry is pinned, so each collection must preserve all of
-// them; while the kernel order is still the identity the check is
-// structural (isomorphic descent), and once a reorder has permuted the
-// levels it switches to SatCount plus exhaustive semantic evaluation
-// (the reference keeps the identity order, so the DAG shapes then
-// legitimately differ). Table invariants are re-verified after every
-// lifecycle event.
-func TestDifferentialLifecycle(t *testing.T) {
-	const numVars = 9
-	const protected = 2 + numVars // terminals + single-variable nodes
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		// Tiny table plus GCThreshold 1: growth happens constantly, so
-		// the pressure path (MaybeCollect) fires throughout the run.
-		m := NewWith(Config{NodeSize: 1, CacheRatio: 1 << 20, GC: true, GCThreshold: 1})
-		m.AddVars(numVars)
-		ref := newRef(numVars)
-
-		ks := []Node{False, True}
-		rs := []int{0, 1}
-		for v := 0; v < numVars; v++ {
-			ks = append(ks, m.Ref(m.Var(v)))
-			rs = append(rs, ref.variable(v))
-		}
-
-		reordered := false
-		checkPool := func(step int, why string) {
-			t.Helper()
-			for i := range ks {
-				if got, want := m.SatCount(ks[i]), ref.satCount(rs[i], numVars); got != want {
-					t.Fatalf("seed %d step %d after %s: pool[%d] SatCount %v, reference %v",
-						seed, step, why, i, got, want)
-				}
-				if !reordered {
-					if !equalStructure(t, m, ks[i], ref, rs[i]) {
-						t.Fatalf("seed %d step %d after %s: pool[%d] structure diverged",
-							seed, step, why, i)
-					}
-					continue
-				}
-				for bits := 0; bits < 1<<numVars; bits++ {
-					if evalNode(m, ks[i], bits) != evalRef(ref, rs[i], bits) {
-						t.Fatalf("seed %d step %d after %s: pool[%d] differs at assignment %b",
-							seed, step, why, i, bits)
-					}
-				}
-			}
-		}
-
-		for step := 0; step < 360; step++ {
-			i, j := rng.Intn(len(ks)), rng.Intn(len(ks))
-			var kn Node
-			var rn int
-			switch rng.Intn(7) {
-			case 0:
-				kn, rn = m.And(ks[i], ks[j]), ref.and(rs[i], rs[j])
-			case 1:
-				kn, rn = m.Or(ks[i], ks[j]), ref.or(rs[i], rs[j])
-			case 2:
-				kn, rn = m.Xor(ks[i], ks[j]), ref.xor(rs[i], rs[j])
-			case 3:
-				kn, rn = m.Diff(ks[i], ks[j]), ref.diff(rs[i], rs[j])
-			case 4:
-				kn, rn = m.Not(ks[i]), ref.not(rs[i])
-			case 5:
-				var vars []int
-				var rvars []int32
-				for v := 0; v < numVars; v++ {
-					if rng.Intn(4) == 0 {
-						vars = append(vars, v)
-						rvars = append(rvars, int32(v))
-					}
-				}
-				kn, rn = m.Exists(ks[i], m.Cube(vars)), ref.exists(rs[i], rvars)
-			case 6:
-				var vars []int
-				var rvars []int32
-				for v := 0; v < numVars; v++ {
-					if rng.Intn(4) == 0 {
-						vars = append(vars, v)
-						rvars = append(rvars, int32(v))
-					}
-				}
-				kn = m.AndExists(ks[i], ks[j], m.Cube(vars))
-				rn = ref.exists(ref.and(rs[i], rs[j]), rvars)
-			}
-			ks = append(ks, m.Ref(kn))
-			rs = append(rs, rn)
-
-			// Bound the pool, exercising Deref: evicted entries become
-			// garbage for the next collection (unless shared).
-			for len(ks) > 32 {
-				e := protected + rng.Intn(len(ks)-protected)
-				m.Deref(ks[e])
-				ks = append(ks[:e], ks[e+1:]...)
-				rs = append(rs[:e], rs[e+1:]...)
-			}
-
-			switch {
-			case step%90 == 89: // forced reorder (collects first)
-				m.Reorder()
-				reordered = true
-				checkIntegrity(t, m)
-				checkPool(step, "reorder")
-			case step%25 == 24: // forced collection
-				m.Collect()
-				checkIntegrity(t, m)
-				checkPool(step, "forced gc")
-			default: // pressure-triggered collection
-				if m.MaybeCollect() {
-					checkIntegrity(t, m)
-					checkPool(step, "pressure gc")
-				}
-			}
-		}
-		checkPool(360, "final")
-		st := m.Stats()
-		if st.Collections == 0 || st.NodesFreed == 0 || st.Reorders == 0 {
-			t.Fatalf("seed %d: lifecycle not exercised (stats %+v)", seed, st)
-		}
-	}
-}

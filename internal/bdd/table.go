@@ -23,11 +23,6 @@ type node struct {
 	hash, next int32
 }
 
-// freeLevel marks a swept slot. Free slots are chained into the
-// manager's freelist through their low fields and are reused by mk
-// before the bump pointer advances — indices of live nodes never move.
-const freeLevel int32 = -1
-
 // hash3 mixes a node triple into a bucket index (masked by the
 // caller). Multiplicative mixing with an avalanche tail keeps the low
 // bits well distributed for power-of-two tables.
@@ -64,37 +59,17 @@ func (m *Manager) mk(level int32, low, high Node) Node {
 		}
 		m.uniqueCollisions++
 	}
-	i := m.allocNode()
-	n := &m.nodes[i]
-	n.level, n.low, n.high = level, low, high
-	b := &m.nodes[h&m.mask]
-	n.next = b.hash
-	b.hash = i
-	if live := m.free - m.freeNodes; live > m.peakNodes {
-		m.peakNodes = live
-	}
-	return Node(i)
-}
-
-// allocNode returns a fresh slot index: the freelist head when one is
-// available, else the bump pointer (growing the table when full).
-// Only level/low/high/next are reset — slot i's hash field heads
-// bucket i's chain and belongs to the table, not to node i.
-func (m *Manager) allocNode() int32 {
-	if m.freelist != 0 {
-		i := int32(m.freelist)
-		n := &m.nodes[i]
-		m.freelist = n.low
-		n.level, n.low, n.high, n.next = 0, 0, 0, 0
-		m.freeNodes--
-		return i
-	}
 	if int(m.free) == len(m.nodes) {
 		m.grow()
 	}
 	i := m.free
 	m.free++
-	return i
+	n := &m.nodes[i]
+	n.level, n.low, n.high = level, low, high
+	b := &m.nodes[h&m.mask]
+	n.next = b.hash
+	b.hash = i
+	return Node(i)
 }
 
 // grow doubles the table and rehashes every live node. Node indices
@@ -107,54 +82,17 @@ func (m *Manager) grow() {
 	m.nodes = grown
 	m.mask = uint32(len(m.nodes) - 1)
 	m.grows++
-	if m.cfg.GC {
-		// Growth is the kernel's pressure signal: MaybeCollect answers
-		// it at the next client safe point (see gc.go).
-		m.gcPressure = true
-	}
 	for i := range m.nodes {
 		m.nodes[i].hash = 0
 		m.nodes[i].next = 0
 	}
 	for i := int32(2); i < m.free; i++ {
 		n := &m.nodes[i]
-		if n.level == freeLevel {
-			continue
-		}
 		b := &m.nodes[hash3(n.level, n.low, n.high)&m.mask]
 		n.next = b.hash
 		b.hash = i
 	}
 	if m.OnEvent != nil {
-		m.OnEvent("grow", m.NumNodes(), len(m.nodes))
+		m.OnEvent("grow", int(m.free), len(m.nodes))
 	}
-}
-
-// unhash removes node i from its bucket's collision chain (the bucket
-// derived from the node's current contents). Used by the sweep and the
-// reorder swap, which mutate node contents in place.
-func (m *Manager) unhash(i Node) {
-	nd := &m.nodes[i]
-	b := &m.nodes[hash3(nd.level, nd.low, nd.high)&m.mask]
-	if b.hash == int32(i) {
-		b.hash = nd.next
-		nd.next = 0
-		return
-	}
-	for j := b.hash; j != 0; j = m.nodes[j].next {
-		if m.nodes[j].next == int32(i) {
-			m.nodes[j].next = nd.next
-			nd.next = 0
-			return
-		}
-	}
-	panic("bdd: unhash: node not on its chain")
-}
-
-// rehash pushes node i onto the bucket chain for its current contents.
-func (m *Manager) rehash(i Node) {
-	nd := &m.nodes[i]
-	b := &m.nodes[hash3(nd.level, nd.low, nd.high)&m.mask]
-	nd.next = b.hash
-	b.hash = int32(i)
 }

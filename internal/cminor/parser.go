@@ -19,6 +19,14 @@ type Parser struct {
 	lastParams []string // names from the most recent parseParamTypes
 	anonCount  int
 
+	// Nesting budget (see maxNesting). depth counts the levels
+	// enclosing the construct being parsed; peak is the deepest level
+	// reached since the innermost open scope began, counting the levels
+	// wrap added to operands parsed before their operator. tooDeep is
+	// set once the budget is spent and the rest of the file abandoned.
+	depth, peak int
+	tooDeep     bool
+
 	// Slabs for the most numerous nodes; they live as long as the
 	// file (see package slab).
 	idents    []Ident
@@ -58,10 +66,60 @@ func (p *Parser) next() {
 }
 
 func (p *Parser) errorf(pos Pos, format string, args ...interface{}) {
-	if len(p.errs) < 100 {
+	if len(p.errs) < 100 && !p.tooDeep {
 		p.errs = append(p.errs, errf(pos, format, args...))
 	}
 }
+
+// maxNesting bounds how deeply a file's syntax nests. Every statement
+// inside a function body counts one level, as does every parenthesis,
+// prefix operator, cast, assignment, conditional, call, index, field
+// access, binary operator (each link of a chain such as 1+1+1), struct
+// or enum body, and declarator level (pointer, array, function).
+// The checker and the lowerer recurse over the AST, and a goroutine
+// stack overflow is fatal in Go, so deeper input is a parse error.
+const maxNesting = 1000
+
+// reach records that the construct being parsed extends level levels
+// deep, and abandons the file when that exceeds maxNesting.
+func (p *Parser) reach(pos Pos, level int) {
+	if level > p.peak {
+		p.peak = level
+	}
+	if level > maxNesting && !p.tooDeep {
+		p.errorf(pos, "nesting deeper than %d levels", maxNesting)
+		p.tooDeep = true
+		// Only EOF from here on: every parse loop ends at EOF and no
+		// parse function descends on it, so the recursion unwinds.
+		p.lx.off = len(p.lx.src)
+		p.tok = Token{Kind: EOF, Pos: pos}
+		p.peek = p.tok
+	}
+}
+
+// enter descends one level for a construct starting at the current
+// token; leave ascends again.
+func (p *Parser) enter() {
+	p.depth++
+	p.reach(p.tok.Pos, p.depth)
+}
+
+func (p *Parser) leave() { p.depth-- }
+
+// scope starts measuring peak from the current depth, for a parse
+// function whose operator may arrive after its first operand. It
+// returns the outer peak for endScope.
+func (p *Parser) scope() int {
+	outer := p.peak
+	p.peak = p.depth
+	return outer
+}
+
+// wrap pushes everything parsed since scope one level deeper: the
+// operator at pos takes it as an operand.
+func (p *Parser) wrap(pos Pos) { p.reach(pos, p.peak+1) }
+
+func (p *Parser) endScope(outer int) { p.peak = max(outer, p.peak) }
 
 func (p *Parser) expect(k Kind) Token {
 	t := p.tok
@@ -159,13 +217,15 @@ func pendingStruct(te TypeExpr) (*StructDecl, bool) {
 // StructTE referencing the definition's tag.
 type structDefTE struct {
 	StructTE
-	def *StructDecl
+	def    *StructDecl
+	height int // nesting levels of the body, for maxNesting
 }
 
 // enumDefTE carries an inline enum definition.
 type enumDefTE struct {
 	EnumTE
-	def *EnumDecl
+	def    *EnumDecl
+	height int
 }
 
 // pendingEnum extracts an enum definition smuggled through a TypeExpr.
@@ -200,6 +260,8 @@ func (p *Parser) parseStructOrDecl() []Decl {
 }
 
 func (p *Parser) parseStructBody(pos Pos, tag string, union bool) *StructDecl {
+	p.enter()
+	defer p.leave()
 	p.expect(LBrace)
 	sd := &StructDecl{Pos: pos, Name: tag, Union: union}
 	for p.tok.Kind != RBrace && p.tok.Kind != EOF {
@@ -223,6 +285,8 @@ func (p *Parser) parseStructBody(pos Pos, tag string, union bool) *StructDecl {
 
 // parseEnumBody parses { A, B = 3, C }.
 func (p *Parser) parseEnumBody(pos Pos, tag string) *EnumDecl {
+	p.enter()
+	defer p.leave()
 	p.expect(LBrace)
 	ed := &EnumDecl{Pos: pos, Name: tag}
 	for p.tok.Kind != RBrace && p.tok.Kind != EOF {
@@ -296,8 +360,11 @@ func (p *Parser) parseTypeSpecifier() TypeExpr {
 				p.anonCount++
 				tag = fmt.Sprintf("__anon%d", p.anonCount)
 			}
+			outer := p.scope()
 			sd := p.parseStructBody(pos, tag, union)
-			return &structDefTE{StructTE: StructTE{Name: tag, Union: union}, def: sd}
+			h := p.peak - p.depth
+			p.endScope(outer)
+			return &structDefTE{StructTE: StructTE{Name: tag, Union: union}, def: sd, height: h}
 		}
 		if tag == "" {
 			p.errorf(pos, "anonymous struct without body")
@@ -316,8 +383,11 @@ func (p *Parser) parseTypeSpecifier() TypeExpr {
 				p.anonCount++
 				tag = fmt.Sprintf("__anonenum%d", p.anonCount)
 			}
+			outer := p.scope()
 			ed := p.parseEnumBody(pos, tag)
-			return &enumDefTE{EnumTE: EnumTE{Name: tag}, def: ed}
+			h := p.peak - p.depth
+			p.endScope(outer)
+			return &enumDefTE{EnumTE: EnumTE{Name: tag}, def: ed, height: h}
 		}
 		if tag == "" {
 			p.errorf(pos, "anonymous enum without body")
@@ -339,8 +409,12 @@ func (p *Parser) parseTypeSpecifier() TypeExpr {
 // parenthesized function-pointer form), and array/function suffixes.
 // It returns the name ("" for abstract declarators) and the full type.
 func (p *Parser) parseDeclarator(base TypeExpr) (string, TypeExpr) {
+	// Each pointer, array and function level nests the base one level
+	// deeper; the levels entered here are released on return.
+	defer p.setDepth(p.depth)
 	t := base
 	for p.tok.Kind == Star {
+		p.enter()
 		p.next()
 		for p.tok.Kind == KwConst {
 			p.next()
@@ -349,6 +423,7 @@ func (p *Parser) parseDeclarator(base TypeExpr) (string, TypeExpr) {
 	}
 	// Function pointer: ( * name ) ( params )
 	if p.tok.Kind == LParen && p.peek.Kind == Star {
+		p.enter()
 		p.next() // (
 		p.next() // *
 		name := ""
@@ -358,6 +433,7 @@ func (p *Parser) parseDeclarator(base TypeExpr) (string, TypeExpr) {
 		}
 		p.expect(RParen)
 		params, variadic := p.parseParamTypes()
+		p.reachBase(base)
 		return name, &PtrTE{Elem: &FuncTE{Ret: t, Params: params, Variadic: variadic}}
 	}
 	name := ""
@@ -367,6 +443,7 @@ func (p *Parser) parseDeclarator(base TypeExpr) (string, TypeExpr) {
 	}
 	// Array suffixes.
 	for p.tok.Kind == LBrack {
+		p.enter()
 		p.next()
 		n := int64(1)
 		if p.tok.Kind == INTLIT {
@@ -381,7 +458,22 @@ func (p *Parser) parseDeclarator(base TypeExpr) (string, TypeExpr) {
 		params, variadic := p.parseParamTypes()
 		t = &FuncTE{Ret: t, Params: params, Variadic: variadic}
 	}
+	p.reachBase(base)
 	return name, t
+}
+
+func (p *Parser) setDepth(d int) { p.depth = d }
+
+// reachBase charges an inline struct or enum body in a declarator's
+// base at the declarator's full depth: the body nests inside every
+// pointer, array and function level of the declarator.
+func (p *Parser) reachBase(base TypeExpr) {
+	switch b := base.(type) {
+	case *structDefTE:
+		p.reach(p.tok.Pos, p.depth+b.height)
+	case *enumDefTE:
+		p.reach(p.tok.Pos, p.depth+b.height)
+	}
 }
 
 // parseParamTypes parses a parenthesized parameter list. It records
@@ -389,6 +481,8 @@ func (p *Parser) parseDeclarator(base TypeExpr) (string, TypeExpr) {
 // (assigned on return, so nested function-pointer parameter lists do
 // not clobber an in-progress outer list).
 func (p *Parser) parseParamTypes() ([]TypeExpr, bool) {
+	p.enter()
+	defer p.leave()
 	p.expect(LParen)
 	var types []TypeExpr
 	var names []string
@@ -517,6 +611,8 @@ func (p *Parser) parseBlock() *Block {
 }
 
 func (p *Parser) parseStmt() []Stmt {
+	p.enter()
+	defer p.leave()
 	switch p.tok.Kind {
 	case LBrace:
 		return []Stmt{p.parseBlock()}
@@ -688,31 +784,41 @@ func (p *Parser) parseSingleStmt() Stmt {
 func (p *Parser) parseExpr() Expr { return p.parseAssignExpr() }
 
 func (p *Parser) parseAssignExpr() Expr {
-	lhs := p.parseCondExpr()
+	outer := p.scope()
+	x := p.parseCondExpr()
 	switch p.tok.Kind {
 	case Assign, PlusAssign, MinusAssign:
 		op := p.tok.Kind
 		pos := p.tok.Pos
+		p.wrap(pos)
+		p.enter()
 		p.next()
 		rhs := p.parseAssignExpr()
+		p.leave()
 		a := slab.New(&p.assigns)
-		*a = AssignExpr{Pos: pos, Op: op, LHS: lhs, RHS: rhs}
-		return a
+		*a = AssignExpr{Pos: pos, Op: op, LHS: x, RHS: rhs}
+		x = a
 	}
-	return lhs
+	p.endScope(outer)
+	return x
 }
 
 func (p *Parser) parseCondExpr() Expr {
-	c := p.parseBinaryExpr(0)
+	outer := p.scope()
+	x := p.parseBinaryExpr(0)
 	if p.tok.Kind == Question {
 		pos := p.tok.Pos
+		p.wrap(pos)
+		p.enter()
 		p.next()
 		t := p.parseAssignExpr()
 		p.expect(Colon)
 		f := p.parseCondExpr()
-		return &CondExpr{Pos: pos, Cond: c, Then: t, Else: f}
+		p.leave()
+		x = &CondExpr{Pos: pos, Cond: x, Then: t, Else: f}
 	}
-	return c
+	p.endScope(outer)
+	return x
 }
 
 // binary operator precedence, higher binds tighter.
@@ -741,16 +847,22 @@ func binPrec(k Kind) int {
 }
 
 func (p *Parser) parseBinaryExpr(minPrec int) Expr {
+	outer := p.scope()
 	lhs := p.parseUnary()
 	for {
 		prec := binPrec(p.tok.Kind)
 		if prec == 0 || prec < minPrec {
+			p.endScope(outer)
 			return lhs
 		}
 		op := p.tok.Kind
 		pos := p.tok.Pos
+		// Left-associative: the chain so far becomes the left operand.
+		p.wrap(pos)
+		p.enter()
 		p.next()
 		rhs := p.parseBinaryExpr(prec + 1)
+		p.leave()
 		b := slab.New(&p.binaries)
 		*b = Binary{Pos: pos, Op: op, X: lhs, Y: rhs}
 		lhs = b
@@ -760,20 +872,19 @@ func (p *Parser) parseBinaryExpr(minPrec int) Expr {
 func (p *Parser) parseUnary() Expr {
 	pos := p.tok.Pos
 	switch p.tok.Kind {
-	case Not, Minus, Tilde, Star, Amp, Plus:
+	case Not, Minus, Tilde, Star, Amp, Plus, Inc, Dec:
 		op := p.tok.Kind
+		p.enter()
 		p.next()
 		x := p.parseUnary()
+		p.leave()
 		if op == Plus {
 			return x
 		}
 		return &Unary{Pos: pos, Op: op, X: x}
-	case Inc, Dec:
-		op := p.tok.Kind
-		p.next()
-		x := p.parseUnary()
-		return &Unary{Pos: pos, Op: op, X: x}
 	case KwSizeof:
+		p.enter()
+		defer p.leave()
 		p.next()
 		if p.tok.Kind == LParen && p.isTypeStart(p.peek) {
 			p.next()
@@ -786,6 +897,8 @@ func (p *Parser) parseUnary() Expr {
 		return &SizeofExpr{Pos: pos, X: x}
 	case LParen:
 		if p.isTypeStart(p.peek) {
+			p.enter()
+			defer p.leave()
 			p.next()
 			base := p.parseTypeSpecifier()
 			_, te := p.parseDeclarator(base)
@@ -798,11 +911,22 @@ func (p *Parser) parseUnary() Expr {
 }
 
 func (p *Parser) parsePostfix() Expr {
+	outer := p.scope()
 	x := p.parsePrimary()
 	for {
-		switch p.tok.Kind {
+		pos, kind := p.tok.Pos, p.tok.Kind
+		switch kind {
+		case LParen, LBrack, Dot, Arrow, Inc, Dec:
+		default:
+			p.endScope(outer)
+			return x
+		}
+		// Each postfix operator takes the expression so far as its
+		// operand.
+		p.wrap(pos)
+		switch kind {
 		case LParen:
-			pos := p.tok.Pos
+			p.enter()
 			p.next()
 			var args []Expr
 			for p.tok.Kind != RParen && p.tok.Kind != EOF {
@@ -812,30 +936,22 @@ func (p *Parser) parsePostfix() Expr {
 				}
 			}
 			p.expect(RParen)
+			p.leave()
 			x = &Call{Pos: pos, Fun: x, Args: args}
 		case LBrack:
-			pos := p.tok.Pos
+			p.enter()
 			p.next()
 			i := p.parseExpr()
 			p.expect(RBrack)
+			p.leave()
 			x = &Index{Pos: pos, X: x, I: i}
-		case Dot:
-			pos := p.tok.Pos
+		case Dot, Arrow:
 			p.next()
 			name := p.expect(IDENT).Text
-			x = &FieldAccess{Pos: pos, X: x, Name: name}
-		case Arrow:
-			pos := p.tok.Pos
-			p.next()
-			name := p.expect(IDENT).Text
-			x = &FieldAccess{Pos: pos, X: x, Name: name, Arrow: true}
+			x = &FieldAccess{Pos: pos, X: x, Name: name, Arrow: kind == Arrow}
 		case Inc, Dec:
-			op := p.tok.Kind
-			pos := p.tok.Pos
 			p.next()
-			x = &Postfix{Pos: pos, Op: op, X: x}
-		default:
-			return x
+			x = &Postfix{Pos: pos, Op: kind, X: x}
 		}
 	}
 }
@@ -866,9 +982,11 @@ func (p *Parser) parsePrimary() Expr {
 		p.next()
 		return &Null{Pos: pos}
 	case LParen:
+		p.enter()
 		p.next()
 		x := p.parseExpr()
 		p.expect(RParen)
+		p.leave()
 		return x
 	}
 	p.errorf(pos, "expected expression, found %s", p.tok)

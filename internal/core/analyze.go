@@ -250,12 +250,6 @@ func AnalyzeContext(ctx context.Context, opts Options, info *cminor.Info, files 
 
 // pointerConfig derives the pointer-analysis extern models from the
 // region API.
-// BDDStats returns the BDD kernel's counter snapshot from the pairs
-// phase — zero for explicit-backend runs. Benchmarks read it directly
-// so they see the lifecycle gauges (peak nodes) even for
-// configurations where no collection ran.
-func (a *Analysis) BDDStats() bdd.ManagerStats { return a.bddStats }
-
 func (a *Analysis) pointerConfig() pointer.Config {
 	cfg := pointer.Config{
 		AllocFns:     map[string]bool{"malloc": true, "calloc": true, "realloc": true, "strdup": true},

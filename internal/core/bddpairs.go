@@ -56,10 +56,6 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 	sctx, s2 := trace.StartSpan(ctx, "pairs.stratum:regionPair")
 	p.Solve(sctx, regionPairRules(rr), 0)
 	s2.End()
-	// Stratum boundary: all live state is back in relations, so this is
-	// a reorder/GC safe point before the (largest) verification join.
-	p.ReorderIfEnabled()
-	p.CollectIfPressured()
 	// Stratum 3: the verification join.
 	sctx, s3 := trace.StartSpan(ctx, "pairs.stratum:objectPair")
 	p.Solve(sctx, []*datalog.Rule{objectPairRule(or)}, 0)

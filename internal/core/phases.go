@@ -307,21 +307,6 @@ func (a *Analysis) RelationSizes() map[string]int64 {
 		s["bdd_cache_misses"] = int64(a.bddStats.CacheMisses)
 		s["bdd_unique_collisions"] = int64(a.bddStats.UniqueCollisions)
 		s["bdd_table_grows"] = int64(a.bddStats.Grows)
-		// Lifecycle counters surface only when a collection or reorder
-		// actually ran, so default-config phase outputs (pinned by
-		// golden reports) are untouched.
-		if a.bddStats.Collections > 0 {
-			s["bdd_gc_collections"] = int64(a.bddStats.Collections)
-			s["bdd_gc_nodes_freed"] = int64(a.bddStats.NodesFreed)
-			s["bdd_gc_sweep_ns"] = a.bddStats.SweepWallNS
-		}
-		if a.bddStats.Reorders > 0 {
-			s["bdd_reorders"] = int64(a.bddStats.Reorders)
-			s["bdd_reorder_swaps"] = int64(a.bddStats.ReorderSwaps)
-		}
-		if a.bddStats.Collections > 0 || a.bddStats.Reorders > 0 {
-			s["bdd_peak_nodes"] = int64(a.bddStats.PeakNodes)
-		}
 	}
 	if a.Report != nil {
 		s["instruction_pairs"] = int64(a.Report.Stats.IPairs)

@@ -26,10 +26,6 @@ type Program struct {
 	// env is the reusable rule-evaluation scratch (rule.go).
 	renames map[renameKey]renameOps
 	env     *evalEnv
-	// fixpointRoots holds the running fixpoint's delta maps so that
-	// mid-derivation GC safe points (lifecycle.go) can pin them along
-	// with the derivation's own intermediates.
-	fixpointRoots []map[*Relation]bdd.Node
 }
 
 // NewProgram returns an empty program with a default-sized BDD

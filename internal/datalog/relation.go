@@ -194,9 +194,7 @@ type renameKey struct{ src, dst *bdd.Domain }
 
 // renameOps is the cached constraint apparatus of one rename: the
 // src==dst equality BDD and the src quantification cube. BDD nodes are
-// stable indices — GC safe points pin these entries (lifecycle.go) and
-// reordering rewrites nodes in place — so the cache never needs
-// invalidation.
+// stable indices, so the cache never needs invalidation.
 type renameOps struct{ eq, cube bdd.Node }
 
 // renameInstance moves one column of n from physical instance src to

@@ -232,7 +232,6 @@ func (p *Program) derive(r *Rule, deltaIdx int, delta bdd.Node) bdd.Node {
 		if acc == bdd.False {
 			return bdd.False
 		}
-		p.deriveSafePoint(acc, delta)
 	}
 	for _, t := range r.Body {
 		if !t.Neg {
@@ -242,7 +241,6 @@ func (p *Program) derive(r *Rule, deltaIdx int, delta bdd.Node) bdd.Node {
 		if acc == bdd.False {
 			return bdd.False
 		}
-		p.deriveSafePoint(acc)
 	}
 	// Project onto head variables and move them to the head schema:
 	// exists(all eval insts). acc AND (evalInst(v_j) == headAttr_j).
@@ -258,7 +256,6 @@ func (p *Program) derive(r *Rule, deltaIdx int, delta bdd.Node) bdd.Node {
 			panic(fmt.Sprintf("datalog: wildcard in head of %s without constant binding", head.Rel.Name))
 		}
 		constrain = m.And(constrain, env.insts[v].EqDomain(attrInst))
-		p.deriveSafePoint(acc, constrain)
 	}
 	// Build the quantification cube in sorted-variable order: map
 	// iteration order would vary the AND association run to run, which
@@ -273,7 +270,6 @@ func (p *Program) derive(r *Rule, deltaIdx int, delta bdd.Node) bdd.Node {
 	for _, v := range vars {
 		cube = m.And(cube, env.insts[v].Cube())
 	}
-	p.deriveSafePoint(acc, constrain, cube)
 	return m.AndExists(acc, constrain, cube)
 }
 
@@ -331,11 +327,6 @@ func (p *Program) SolveSemiNaive(ctx context.Context, rules []*Rule, maxRounds i
 	if solve != nil {
 		nodes0 = m.NumNodes()
 	}
-	// Register the delta maps as roots for mid-derivation safe points;
-	// the maps are read through the registration on every collection,
-	// so in-round updates are covered.
-	p.fixpointRoots = append(p.fixpointRoots[:0], delta)
-	defer func() { p.fixpointRoots = nil }()
 	for _, r := range rules {
 		ruleSp := roundSp.Child("rule:" + r.Name())
 		d := p.derive(r, -1, bdd.False)
@@ -347,15 +338,10 @@ func (p *Program) SolveSemiNaive(ctx context.Context, rules []*Rule, maxRounds i
 		if ruleSp != nil {
 			ruleSp.End(trace.Uint64("new_tuples", p.countTuples(newTuples, r.Head.Rel.attrs)))
 		}
-		// Between rules only relations and the deltas are live; the
-		// rule's join intermediates are garbage, so sweep under pressure
-		// before the next rule piles its own on top.
-		p.collectMidRound(delta)
 	}
 	if roundSp != nil {
 		p.endRoundSpan(roundSp, rounds, delta, nodes0)
 	}
-	p.collectAfterRound(delta)
 	for {
 		// Quiesce?
 		anyDelta := false
@@ -387,7 +373,6 @@ func (p *Program) SolveSemiNaive(ctx context.Context, rules []*Rule, maxRounds i
 		for rel := range derivedBy {
 			next[rel] = bdd.False
 		}
-		p.fixpointRoots = append(p.fixpointRoots[:0], delta, next)
 		for _, r := range rules {
 			for i, t := range r.Body {
 				if t.Neg || !derivedBy[t.Rel] {
@@ -410,19 +395,12 @@ func (p *Program) SolveSemiNaive(ctx context.Context, rules []*Rule, maxRounds i
 						trace.Uint64("delta_tuples", p.countTuples(d, t.Rel.attrs)),
 						trace.Uint64("new_tuples", p.countTuples(newTuples, r.Head.Rel.attrs)))
 				}
-				// Safe point between delta applications: live state is
-				// the relations, the round's input deltas, and the
-				// next-round deltas built so far.
-				p.collectMidRound(delta, next)
 			}
 		}
 		delta = next
 		if roundSp != nil {
 			p.endRoundSpan(roundSp, rounds, delta, nodes0)
 		}
-		// Round boundary: the previous round's deltas were replaced
-		// above, so pressure-triggered GC can sweep them now.
-		p.collectAfterRound(delta)
 	}
 }
 
@@ -476,8 +454,6 @@ func (p *Program) Solve(ctx context.Context, rules []*Rule, maxRounds int) (int,
 					trace.Bool("changed", ruleChanged),
 					trace.Uint64("head_tuples", r.Head.Rel.Count()))
 			}
-			// Between naive rule applications only relations are live.
-			p.CollectIfPressured()
 		}
 		if roundSp != nil {
 			roundSp.End(
@@ -486,7 +462,6 @@ func (p *Program) Solve(ctx context.Context, rules []*Rule, maxRounds int) (int,
 				trace.Int("bdd_nodes", p.M.NumNodes()),
 				trace.Int("bdd_nodes_delta", p.M.NumNodes()-nodes0))
 		}
-		p.CollectIfPressured()
 		if !changed {
 			solve.End(trace.Int("rounds", rounds), trace.Bool("fixpoint", true))
 			return rounds, true

@@ -45,7 +45,7 @@ func (c *Case) applyMutations(rng *rand.Rand, n int) {
 // new source and a description ("" when no candidate site exists).
 func mutateOnce(src string, rng *rand.Rand) (string, string) {
 	kinds := []func(string, *rand.Rand) (string, string){
-		mutateStmtReorder,
+		mutateStmtSwap,
 		mutateRegionOpSwap,
 		mutateCallDepth,
 	}
@@ -86,9 +86,9 @@ func actionStmt(line string) bool {
 
 var declRe = regexp.MustCompile(`^[A-Za-z_][A-Za-z_0-9]*(\s+\*?|\s*\*\s*)[A-Za-z_]`)
 
-// mutateStmtReorder swaps two adjacent action statements at the same
+// mutateStmtSwap swaps two adjacent action statements at the same
 // indentation.
-func mutateStmtReorder(src string, rng *rand.Rand) (string, string) {
+func mutateStmtSwap(src string, rng *rand.Rand) (string, string) {
 	lines := strings.Split(src, "\n")
 	var cands []int
 	for i := 0; i+1 < len(lines); i++ {

@@ -128,16 +128,17 @@ type AnalysisConfig struct {
 	Sound bool
 	// SameReportsAs names a config whose canonical reports this one
 	// must reproduce byte-for-byte on both backends — the invariant
-	// that makes a knob "results-neutral" (BDD sizing and lifecycle). Empty means no cross-config requirement.
+	// that makes a knob "results-neutral" (BDD table sizing). Empty
+	// means no cross-config requirement.
 	SameReportsAs string
 }
 
 // DefaultConfigs returns the configuration matrix: the sound default
-// (full call-path cloning, heap cloning on), the BDD kernel under
-// minimum-table GC plus sifting reorder (must reproduce the default's
-// reports byte-for-byte — lifecycle management is results-neutral:
-// collections and reorders must not perturb reports), the context-insensitive ablation (ContextCap 1 —
-// documented unsound: merging loses the distinctions
+// (full call-path cloning, heap cloning on), the BDD kernel on its
+// minimum node table (must reproduce the default's reports
+// byte-for-byte — the table doubles and rehashes constantly, and
+// growth must not perturb reports), the context-insensitive ablation
+// (ContextCap 1 — documented unsound: merging loses the distinctions
 // TestContextSensitivityMatters pins), 2-CFA numbering (bounded call
 // strings merge deep paths the same way), the points-to cap (⊤
 // collapse past one location per variable — tight enough to actually
@@ -149,9 +150,9 @@ type AnalysisConfig struct {
 func DefaultConfigs() []AnalysisConfig {
 	return []AnalysisConfig{
 		{Name: "default", Opts: core.Options{}, Sound: true},
-		{Name: "gcreorder",
+		{Name: "mintable",
 			Opts: core.Options{Solver: core.SolverOptions{
-				BDD: bdd.Config{NodeSize: 1, GC: true, GCThreshold: 1, Reorder: true},
+				BDD: bdd.Config{NodeSize: 1},
 			}},
 			Sound:         true,
 			SameReportsAs: "default"},
@@ -429,8 +430,8 @@ func (h *Harness) Check(c *Case) (*CaseResult, error) {
 	}
 
 	// Cross-config identity: configs that differ only in
-	// results-neutral knobs (BDD kernel lifecycle) must have reproduced their
-	// reference config's canonical reports on both backends.
+	// results-neutral knobs (BDD table sizing) must have reproduced
+	// their reference config's canonical reports on both backends.
 	for _, cfg := range h.Configs {
 		if cfg.SameReportsAs == "" {
 			continue

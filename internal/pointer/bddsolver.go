@@ -417,11 +417,6 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 			datalog.T(edges, "d", "b"), datalog.T(vP, "b", "h"), datalog.T(sr.rel, "h", "h2")))
 	}
 
-	// All base relations are loaded and no intermediates are held, so
-	// this is a reorder safe point before the fixpoint (the fixpoint
-	// itself collects at its round boundaries).
-	p.ReorderIfEnabled()
-
 	br.Rounds, br.Converged = p.SolveSemiNaive(ctx, rules, 0)
 
 	// --- read the results back out ---

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bdd"
 	"repro/internal/core"
 )
 
@@ -89,45 +88,6 @@ func TestServiceExplain(t *testing.T) {
 	}
 }
 
-// TestBDDPeakNodesGauge pins the satellite fix: bdd_peak_nodes is
-// exported as a per-request maximum gauge, not summed across requests
-// like the true counters.
-func TestBDDPeakNodesGauge(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	ctx := context.Background()
-	opts := core.Options{}
-	opts.Solver.Backend = core.BDDBackend
-	// Peak-node tracking only surfaces in phase outputs when GC or a
-	// reorder ran; enable both so even this small workload reports it.
-	opts.Solver.BDD = bdd.Config{NodeSize: 1, GC: true, GCThreshold: 1, Reorder: true}
-
-	var peak int64
-	for i := 0; i < 3; i++ {
-		res, err := s.Analyze(ctx, opts, sourcesFor(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p := pairsOutputs(t, res.ReportJSON)["bdd_peak_nodes"]; p > peak {
-			peak = p
-		}
-	}
-	if peak == 0 {
-		t.Fatal("BDD runs reported no peak")
-	}
-	st := s.Stats()
-	if st.BDDPeakNodes != peak {
-		t.Errorf("BDDPeakNodes = %d, want per-request max %d (summing would give %d)",
-			st.BDDPeakNodes, peak, 3*peak)
-	}
-	if _, ok := st.BDDOutputs["bdd_peak_nodes"]; ok {
-		t.Error("bdd_peak_nodes still summed into BDDOutputs")
-	}
-	if st.BDDOutputs["bdd_nodes"] == 0 {
-		t.Error("true counters no longer accumulate")
-	}
-}
-
 // TestHTTPExplain is the endpoint round-trip: analyze, explain by key,
 // and the snapshot-gone conflict. It also checks the request id lands
 // in error bodies and the explain metrics reach /v1/metrics.
@@ -142,7 +102,7 @@ func TestHTTPExplain(t *testing.T) {
 	defer srv.Close()
 
 	resp, data := postAnalyze(t, srv, analyzeBody(t, sourcesFor(0),
-		RequestOptions{Backend: "bdd", BDDNodeSize: 1, BDDGC: true, BDDGCThreshold: 1, BDDReorder: true}))
+		RequestOptions{Backend: "bdd", BDDNodeSize: 1}))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze: %d %s", resp.StatusCode, data)
 	}
@@ -218,13 +178,9 @@ func TestHTTPExplain(t *testing.T) {
 		"regionwizd_explain_replays_total 1",
 		"regionwizd_warnings_total 1",
 		"regionwizd_explain_duration_seconds_count 1",
-		"# TYPE regionwizd_bdd_peak_nodes gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
-	}
-	if strings.Contains(text, "regionwizd_bdd_peak_nodes_total") {
-		t.Error("bdd_peak_nodes still exported as a summed counter")
 	}
 }

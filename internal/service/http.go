@@ -433,16 +433,10 @@ func writeMetrics(w http.ResponseWriter, st Stats) {
 		sort.Strings(keys)
 		for _, k := range keys {
 			// bdd_cache_hits -> regionwizd_bdd_cache_hits_total etc.;
-			// cumulative over every bdd-backend pipeline run. The
-			// collector routes bdd_peak_nodes (a per-request gauge, not
-			// a counter) to BDDPeakNodes, so it never lands here.
+			// cumulative over every bdd-backend pipeline run.
 			counter("regionwizd_"+k+"_total", uint64(st.BDDOutputs[k]),
 				"Cumulative BDD kernel counter from the pairs phase.")
 		}
-	}
-	if st.BDDPeakNodes > 0 {
-		gauge("regionwizd_bdd_peak_nodes", st.BDDPeakNodes,
-			"Largest single-request BDD node peak observed.")
 	}
 	writeHistogram(&sb, "regionwizd_analyze_duration_seconds",
 		"End-to-end Analyze latency, all outcomes.", "", st.Histograms["analyze"])

@@ -100,6 +100,11 @@ func TestHTTPErrors(t *testing.T) {
 		{"bad api", analyzeBody(t, sourcesFor(0), RequestOptions{API: "jemalloc"}), http.StatusBadRequest, "config"},
 		{"bad backend", analyzeBody(t, sourcesFor(0), RequestOptions{Backend: "quantum"}), http.StatusBadRequest, "config"},
 		{"solver workers", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"solver_workers": 2}}`, http.StatusBadRequest, "config"},
+		// The BDD kernel's GC and reorder options were removed; old
+		// clients get a config error, not a silently ignored knob.
+		{"removed bdd_gc", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"bdd_gc": true}}`, http.StatusBadRequest, "config"},
+		{"removed bdd_gc_threshold", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"bdd_gc_threshold": 1}}`, http.StatusBadRequest, "config"},
+		{"removed bdd_reorder", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"bdd_reorder": true}}`, http.StatusBadRequest, "config"},
 		{"negative kcfa", analyzeBody(t, sourcesFor(0), RequestOptions{KCFA: -1}), http.StatusBadRequest, "config"},
 		{"parse error", analyzeBody(t, map[string]string{"x.c": "int main( {"}, RequestOptions{}), http.StatusUnprocessableEntity, "parse"},
 		{"bad entry", analyzeBody(t, sourcesFor(0), RequestOptions{Entry: "nope"}), http.StatusUnprocessableEntity, "resolve"},
@@ -127,6 +132,36 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET analyze status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestHTTPDeepNestingSurvives: a body nested a million parentheses
+// deep used to overflow the goroutine stack, which kills the whole
+// daemon. It must be a 422 parse error, and the same service must go on
+// answering.
+func TestHTTPDeepNestingSurvives(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	const n = 1_000_000
+	deep := "int main(void) { return " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; }"
+	resp, data := postAnalyze(t, srv, analyzeBody(t, map[string]string{"deep.c": deep}, RequestOptions{}))
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("deep body: status %d, want 422 (%.200s)", resp.StatusCode, data)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(data, &er); err != nil {
+		t.Fatalf("error body not JSON: %.200s", data)
+	}
+	if er.Error.Kind != "parse" {
+		t.Errorf("kind = %q, want parse", er.Error.Kind)
+	}
+
+	resp, data = postAnalyze(t, srv, analyzeBody(t, sourcesFor(0), RequestOptions{}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("normal request after the deep one: status %d (%s)", resp.StatusCode, data)
 	}
 }
 

@@ -115,17 +115,9 @@ type Stats struct {
 	// Phases aggregates per-phase cost over every pipeline run.
 	Phases map[string]PhaseTotal `json:"phases,omitempty"`
 	// BDDOutputs accumulates, over every pipeline run, the bdd_*
-	// counters the pairs phase reports (node/tuple footprint, op-cache
-	// traffic, and — when enabled — GC and reorder activity). These are
-	// true counters, so summing across requests is meaningful;
-	// bdd_peak_nodes is not one of them — see BDDPeakNodes.
+	// counters the pairs phase reports (node/tuple footprint and
+	// op-cache traffic).
 	BDDOutputs map[string]int64 `json:"bdd_outputs,omitempty"`
-	// BDDPeakNodes is the largest single-request BDD node peak the
-	// service has seen — a high-water gauge, not a counter. (It used to
-	// ride in BDDOutputs and be summed across requests, which made the
-	// exported number meaningless; a per-request maximum is the only
-	// aggregation of a peak that says anything.)
-	BDDPeakNodes int64 `json:"bdd_peak_nodes,omitempty"`
 	// Warnings sums the warnings reported by every pipeline run the
 	// service executed (cache hits and coalesced waiters share their
 	// leader's run and do not re-count).
@@ -168,9 +160,6 @@ type collector struct {
 	phases     map[string]*PhaseTotal
 	phaseHists map[string]*histogram
 	bddOutputs map[string]int64
-	// bddPeakNodes is the high-water mark of per-request BDD peaks
-	// (guarded by mu; fed by phaseObserver).
-	bddPeakNodes int64
 }
 
 func newCollector() *collector {
@@ -217,17 +206,9 @@ func (c *collector) phaseObserver(next ...pipeline.Observer[*core.Analysis]) pip
 			pt.AllocBytes += m.AllocBytes
 			// BDD kernel counters ride in the pairs phase's outputs;
 			// accumulate them service-wide so /v1/metrics and /v1/stats
-			// show the fleet totals. bdd_peak_nodes is the exception: a
-			// peak is a per-request gauge, so summing it across requests
-			// produces a number with no meaning — track the maximum.
+			// show the fleet totals.
 			for k, v := range m.Outputs {
 				if len(k) <= 4 || k[:4] != "bdd_" {
-					continue
-				}
-				if k == "bdd_peak_nodes" {
-					if v > c.bddPeakNodes {
-						c.bddPeakNodes = v
-					}
 					continue
 				}
 				c.bddOutputs[k] += v
@@ -300,7 +281,6 @@ func (c *collector) snapshot() Stats {
 			s.BDDOutputs[k] = v
 		}
 	}
-	s.BDDPeakNodes = c.bddPeakNodes
 	for name, h := range c.phaseHists {
 		if hs := h.snapshot(); hs.Count > 0 {
 			s.Histograms["phase:"+name] = hs

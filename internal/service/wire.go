@@ -75,13 +75,6 @@ type RequestOptions struct {
 	// results, so these do not affect the cache key.
 	BDDNodeSize   int `json:"bdd_node_size,omitempty"`
 	BDDCacheRatio int `json:"bdd_cache_ratio,omitempty"`
-	// BDDGC / BDDGCThreshold / BDDReorder control the kernel's
-	// mark-and-sweep collection and sifting-based variable reordering.
-	// Both are report-invariant (asserted by the oracle), so like the
-	// sizing knobs they stay out of the cache key.
-	BDDGC          bool `json:"bdd_gc,omitempty"`
-	BDDGCThreshold int  `json:"bdd_gc_threshold,omitempty"`
-	BDDReorder     bool `json:"bdd_reorder,omitempty"`
 	// SolverMaxRounds bounds fixpoint rounds (0 = unlimited). A nonzero
 	// bound can change results and is part of the cache key.
 	SolverMaxRounds int `json:"solver_max_rounds,omitempty"`
@@ -114,11 +107,8 @@ func (ro RequestOptions) ToOptions() (core.Options, error) {
 			MaxRounds: ro.SolverMaxRounds,
 			PtsLimit:  ro.PtsLimit,
 			BDD: bdd.Config{
-				NodeSize:    ro.BDDNodeSize,
-				CacheRatio:  ro.BDDCacheRatio,
-				GC:          ro.BDDGC,
-				GCThreshold: ro.BDDGCThreshold,
-				Reorder:     ro.BDDReorder,
+				NodeSize:   ro.BDDNodeSize,
+				CacheRatio: ro.BDDCacheRatio,
 			},
 		},
 	}
