@@ -7,9 +7,6 @@
 //
 //	regionbench -table 7|8|11|all [-seed N] [-scale small|paper]
 //	regionbench -json out.json [-jobs N]
-//	regionbench -edit-loop N [-json out.json]
-//	regionbench -explain-bench [-json out.json]
-//	regionbench -query-bench [-json out.json]
 //	regionbench ... [-backend explicit|bdd]
 //	regionbench ... [-bdd-node-size N] [-bdd-cache-ratio N]
 //
@@ -20,22 +17,6 @@
 // phase runs on the BDD engine and its Outputs include the kernel
 // counters (bdd_cache_hits, bdd_cache_misses, bdd_unique_collisions,
 // bdd_table_grows), making the -json document a kernel-tuning probe.
-//
-// The -explain-bench mode measures the why-provenance subsystem over
-// the whole corpus: explanation latency for the recorded path
-// (explicit backend with Provenance on) against the two replay paths
-// (explicit without recording, and the BDD backend), refusing to write
-// numbers unless reports are byte-identical with recording on or off,
-// all three paths emit byte-identical explanation documents, and every
-// tree bottoms out in base facts with source positions (schema
-// regionbench/explain/v1).
-//
-// The -query-bench mode measures the demand-driven pair-query path
-// (see regionwiz -query): each corpus workload is analyzed in full,
-// then every reported warning's allocation-site pair is re-asked as a
-// demand query (with reversed pairs as negative probes). Numbers are
-// written only if every demand verdict matches the full report
-// (schema regionbench/query/v1, see BENCH_query.json).
 package main
 
 import (
@@ -68,9 +49,6 @@ func main() {
 	backend := flag.String("backend", "explicit", "pair-computation engine: explicit or bdd")
 	bddNodeSize := flag.Int("bdd-node-size", 0, "initial BDD node-table capacity (0 = kernel default)")
 	bddCacheRatio := flag.Int("bdd-cache-ratio", 0, "BDD node-table slots per op-cache slot (0 = kernel default)")
-	explainBench := flag.Bool("explain-bench", false, "measure why-provenance explanation latency (recorded vs replay paths) over the corpus with report/explanation parity checks (with -json, writes schema regionbench/explain/v1)")
-	queryBench := flag.Bool("query-bench", false, "measure demand-driven pair-query latency against the full pipeline over the corpus, gating on verdict parity with the full report (with -json, writes schema regionbench/query/v1)")
-	editLoop := flag.Int("edit-loop", 0, "steady-state incremental mode: split the largest workload into files, then re-analyze N single-file edits against the previous snapshot (with -json, writes schema regionbench/incremental/v1)")
 	oracleMode := flag.Bool("oracle", false, "run the differential soundness/parity oracle sweep instead of benchmarks")
 	oracleSeeds := flag.Int("seeds", 100, "number of oracle sweep seeds (with -oracle)")
 	oracleStart := flag.Int64("seed-start", 0, "first oracle sweep seed (with -oracle)")
@@ -115,30 +93,6 @@ func main() {
 		pkgs[i] = workloads.Generate(spec, *seed)
 	}
 
-	if *explainBench {
-		if err := runExplainBench(*jsonPath, *seed, pkgs); err != nil {
-			fmt.Fprintf(os.Stderr, "regionbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *queryBench {
-		if err := runQueryBench(*jsonPath, *seed, pkgs); err != nil {
-			fmt.Fprintf(os.Stderr, "regionbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *editLoop > 0 {
-		if err := runEditLoop(*jsonPath, *editLoop, *seed, pkgs); err != nil {
-			fmt.Fprintf(os.Stderr, "regionbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *jsonPath != "" {
 		if err := writeJSON(*jsonPath, pkgs, *seed, *scale, *jobs, *traceOn); err != nil {
 			fmt.Fprintf(os.Stderr, "regionbench: %v\n", err)
@@ -158,7 +112,7 @@ func main() {
 	}
 }
 
-// --- -json mode: the BENCH_*.json trajectory schema ---
+// --- -json mode: the phase-timings trajectory schema ---
 
 type benchDoc struct {
 	Schema    string          `json:"schema"`

@@ -37,14 +37,14 @@
 //	-pts-limit N       cap each variable's points-to set at N; overflow
 //	                   collapses to a tainted ⊤ object (documented
 //	                   unsound throttle; the report is marked)
-//	-query src,dst     demand pair query instead of a full report: is
-//	                   an access from the allocation site src to dst
+//	-query src,dst     answer a pair query instead of printing the report:
+//	                   is an access from the allocation site src to dst
 //	                   ("file:line" or "file:line:col") inconsistent?
-//	                   Only the two sites' cone is checked — the global
-//	                   pair fixpoint never runs. With -json the answer
-//	                   is a "regionwiz/query/v1" document. The verdict
-//	                   agrees with the full analysis; exit code 3 means
-//	                   inconsistent.
+//	                   The full analysis runs and the verdict is read
+//	                   from it, so it agrees with the report. With -json
+//	                   the answer is a "regionwiz/query/v1" document;
+//	                   exit code 3 means inconsistent. Not valid with
+//	                   -watch.
 //	-refine            enable the def-use (Figure 5(b)) refinement
 //	-jobs N            analyze N file sets concurrently (default GOMAXPROCS)
 //	-bdd-node-size N   initial BDD node-table capacity for -backend bdd
@@ -99,7 +99,7 @@ func run() int {
 	kcfa := flag.Int("kcfa", 0, "use k-CFA call-string contexts of this depth instead of call-path cloning")
 	contextPolicy := flag.String("context-policy", "", "context numbering policy: clone, kcfa, or origin (default derived from -kcfa)")
 	ptsLimit := flag.Int("pts-limit", 0, "cap each variable's points-to set; overflow collapses to a tainted ⊤ object (0 = unlimited)")
-	querySel := flag.String("query", "", "demand pair query \"src,dst\" (allocation sites as file:line or file:line:col) instead of a full report")
+	querySel := flag.String("query", "", "pair query \"src,dst\" (allocation sites as file:line or file:line:col), answered from the full analysis instead of printing the report")
 	refine := flag.Bool("refine", false, "enable the def-use (Figure 5(b)) refinement")
 	jobs := flag.Int("jobs", 0, "number of file sets analyzed concurrently (0 = GOMAXPROCS)")
 	bddNodeSize := flag.Int("bdd-node-size", 0, "initial BDD node-table capacity for -backend bdd (0 = kernel default)")
@@ -169,19 +169,18 @@ func run() int {
 		return 2
 	}
 
+	var srcSite, dstSite string
 	if *querySel != "" {
-		srcSite, dstSite, ok := strings.Cut(*querySel, ",")
+		var ok bool
+		srcSite, dstSite, ok = strings.Cut(*querySel, ",")
 		if !ok || srcSite == "" || dstSite == "" {
 			fmt.Fprintf(os.Stderr, "regionwiz: -query wants \"src,dst\" allocation sites, got %q\n", *querySel)
 			return 2
 		}
-		ctx := context.Background()
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
+		if *watch {
+			fmt.Fprintln(os.Stderr, "regionwiz: -query and -watch cannot be combined")
+			return 2
 		}
-		return runQuery(ctx, flag.Args(), opts, srcSite, dstSite, *jsonOut)
 	}
 
 	if *watch {
@@ -248,6 +247,28 @@ func run() int {
 		}
 		report := res.Out.Report
 		switch {
+		case *querySel != "":
+			ans, err := res.Out.QueryPair(ctx, srcSite, dstSite)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "regionwiz: %s: %v\n", sets[i].name, err)
+				code = 1
+				continue
+			}
+			if *jsonOut {
+				data, err := json.MarshalIndent(ans, "", "  ")
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "regionwiz: %v\n", err)
+					return 1
+				}
+				fmt.Println(string(data))
+			} else {
+				fmt.Println(ans)
+			}
+			// A query's exit status is its verdict, not the report's
+			// warning count.
+			if ans.Inconsistent && code == 0 {
+				code = 3
+			}
 		case *jsonOut:
 			data, err := json.MarshalIndent(report, "", "  ")
 			if err != nil {
@@ -277,7 +298,7 @@ func run() int {
 		if *phaseStats {
 			printPhaseStats(report.Stats.Phases)
 		}
-		if len(report.Warnings) > 0 && code == 0 {
+		if *querySel == "" && len(report.Warnings) > 0 && code == 0 {
 			code = 3
 		}
 	}
@@ -310,43 +331,6 @@ func run() int {
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "regionwiz: -memprofile: %v\n", err)
 			return 1
-		}
-	}
-	return code
-}
-
-// runQuery is the -query mode: one demand pair verdict per file set
-// instead of a full report. Exit codes mirror the report mode: 1 on
-// error, 3 when any set's verdict is inconsistent, 0 otherwise.
-func runQuery(ctx context.Context, args []string, opts regionwiz.Options, srcSite, dstSite string, jsonOut bool) int {
-	sets, err := fileSets(args)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "regionwiz: %v\n", err)
-		return 1
-	}
-	code := 0
-	for _, set := range sets {
-		if len(sets) > 1 {
-			fmt.Printf("== %s ==\n", set.name)
-		}
-		ans, err := regionwiz.QueryPairFiles(ctx, opts, srcSite, dstSite, set.files...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "regionwiz: %s: %v\n", set.name, err)
-			code = 1
-			continue
-		}
-		if jsonOut {
-			data, err := json.MarshalIndent(ans, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "regionwiz: %v\n", err)
-				return 1
-			}
-			fmt.Println(string(data))
-		} else {
-			fmt.Println(ans)
-		}
-		if ans.Inconsistent && code == 0 {
-			code = 3
 		}
 	}
 	return code

@@ -47,11 +47,11 @@
 //	                   &dst=<file:line[:col]>
 //	                   -> {"schema": "regionwiz/query/v1", "key": "...",
 //	                       "answer": {...}}
-//	                   demand pair verdict: whether objects allocated at
-//	                   src may hold dangling pointers into objects
-//	                   allocated at dst, answered against the cached
-//	                   result without re-running the pair fixpoint. The
-//	                   verdict always agrees with the full report.
+//	                   pair verdict: whether objects allocated at src
+//	                   may hold dangling pointers into objects
+//	                   allocated at dst, read from the cached result
+//	                   without re-running the analysis. The verdict
+//	                   always agrees with the report.
 //	                   Evicted keys answer 409 ("snapshot_gone"); an
 //	                   unknown allocation site answers 422. Throttled
 //	                   runs (points-to cap, capped contexts, origin

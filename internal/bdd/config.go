@@ -38,6 +38,12 @@ const (
 
 	minNodeSize  = 1 << 10
 	minCacheSize = 1 << 8
+
+	// MaxNodeSize bounds Config.NodeSize (core.Options.Validate rejects
+	// more). The table grows on demand, so a larger initial size only
+	// claims memory up front, and past 2^62 rounding to a power of two
+	// would never terminate.
+	MaxNodeSize = 1 << 22
 )
 
 // normalized returns the config with defaults filled and sizes rounded

@@ -24,7 +24,7 @@ int main(void) {
     return 0;
 }`
 
-// checkTreeShape asserts the structural contract CI's explain-smoke
+// checkTreeShape asserts the structural contract CI's smoke job
 // also checks: every path bottoms out in base facts, and every base
 // leaf carries a non-empty source position.
 func checkTreeShape(t *testing.T, n *ExplainNode) {

@@ -56,6 +56,9 @@ func (o Options) Validate() error {
 	if o.Solver.PtsLimit < 0 {
 		return Errf(ErrConfig, "", "options: negative Solver.PtsLimit %d", o.Solver.PtsLimit)
 	}
+	if o.Solver.BDD.NodeSize > bdd.MaxNodeSize {
+		return Errf(ErrConfig, "", "options: Solver.BDD.NodeSize %d exceeds %d", o.Solver.BDD.NodeSize, bdd.MaxNodeSize)
+	}
 	switch o.ContextPolicy {
 	case "", PolicyClone, PolicyOrigin:
 		if o.KCFA > 0 && o.ContextPolicy != "" {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/pipeline"
 )
 
@@ -17,6 +18,7 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"negative kcfa", Options{Entry: "main", KCFA: -1}, "negative KCFA"},
 		{"no root", Options{}, "no analysis root"},
+		{"bdd node size", Options{Entry: "main", Solver: SolverOptions{BDD: bdd.Config{NodeSize: bdd.MaxNodeSize + 1}}}, "NodeSize"},
 		{"bad outarg", Options{
 			Entry: "main",
 			API: &RegionAPI{

@@ -17,12 +17,12 @@ import (
 // v1 name, incompatible ones bump it.
 const QuerySchemaV1 = "regionwiz/query/v1"
 
-// PairAnswer is the verdict of one demand-driven pair query: whether
-// the objects allocated at Src may hold pointers into the objects
-// allocated at Dst across regions with no subregion order. The verdict
-// agrees with the full analysis — a pair is inconsistent here exactly
-// when the global report carries a warning for the same site pair
-// (regionbench -query-bench gates on that equivalence).
+// PairAnswer is the verdict of one pair query: whether the objects
+// allocated at Src may hold pointers into the objects allocated at Dst
+// across regions with no subregion order. The verdict is read from a
+// finished analysis and agrees with its report — a pair is
+// inconsistent here exactly when the report carries a warning for the
+// same site pair (TestCorpusBothBackendsAgree pins that equivalence).
 type PairAnswer struct {
 	Schema string `json:"schema"`
 	// Src and Dst echo the resolved allocation-site positions.
@@ -57,62 +57,18 @@ func (q *PairAnswer) String() string {
 	return q.Message
 }
 
-// QueryPairSource answers one pair query over CMinor sources without
-// computing the full report: the front end and the analysis phases
-// through access extraction run, then only the access edges between
-// the two queried allocation sites are checked. srcSite and dstSite
-// are "file:line" or "file:line:col" allocation-site positions.
-func QueryPairSource(ctx context.Context, opts Options, sources map[string]string, srcSite, dstSite string) (*PairAnswer, error) {
-	opts, err := opts.prepare()
-	if err != nil {
-		return nil, err
-	}
-	a := newAnalysis(opts)
-	a.Sources = sources
-	// The truncated pipeline never runs the post phase, so pre-seed the
-	// report runPhases folds its metrics into.
-	a.Report = &Report{}
-	if _, err := runPhasesDemand(ctx, a); err != nil {
-		return nil, err
-	}
-	return a.QueryPair(ctx, srcSite, dstSite)
-}
-
-// QueryPairSnapshot is QueryPairSource over a snapshot's pinned
-// options and sources.
-func QueryPairSnapshot(ctx context.Context, snap *Snapshot, srcSite, dstSite string) (*PairAnswer, error) {
-	return QueryPairSource(ctx, snap.Options(), snap.Sources(), srcSite, dstSite)
-}
-
-// runPhasesDemand runs the truncated demand pipeline: the front end
-// plus every analysis phase up to and including access-relation
-// extraction. The pairs phase (the global fixpoint over every region
-// pair and every σ edge) and the post phase (condensing and ranking
-// the full report) are skipped — the query checks only the cone of
-// the two sites it was asked about.
-func runPhasesDemand(ctx context.Context, a *Analysis) (*Analysis, error) {
-	phases := frontEndPhases()
-	for _, p := range analysisPhases() {
-		phases = append(phases, p)
-		if p.Name() == PhaseAccess {
-			break
-		}
-	}
-	return runPhases(ctx, a, phases)
-}
-
-// QueryPair answers one pair query against an analysis that has at
-// least reached the access phase — either a demand run
-// (QueryPairSource) or a finished full analysis (the daemon's cached
-// results). The verdict is computed twice: once by the direct edge
+// QueryPair answers one pair query against a finished analysis (a
+// one-shot run or one of the daemon's cached results): srcSite and
+// dstSite are "file:line" or "file:line:col" allocation-site
+// positions. The verdict is computed twice: once by the direct edge
 // check the explicit backend uses (checkEdge), and once by re-deriving
 // every witnessing objectPair fact on a per-query Datalog cone
 // restricted to the two sites' objects and owner regions. Divergence
 // between the two is an internal error, surfaced rather than papered
 // over.
 func (a *Analysis) QueryPair(ctx context.Context, srcSite, dstSite string) (*PairAnswer, error) {
-	if a.Ptr == nil {
-		return nil, Errf(ErrInternal, "", "query: analysis has not reached the access phase")
+	if a.Report == nil {
+		return nil, Errf(ErrInternal, "", "query: analysis has no report")
 	}
 	_, sp := trace.StartSpan(ctx, "query.pair")
 	srcObjs, err := a.allocObjectsAt(srcSite)
@@ -161,7 +117,7 @@ func (a *Analysis) QueryPair(ctx context.Context, srcSite, dstSite string) (*Pai
 		DstObjects: len(dstObjs),
 		Edges:      edges,
 		Pairs:      len(pairs),
-		Throttled:  a.throttled(),
+		Throttled:  a.Report.Stats.Throttled(),
 	}
 	if len(pairs) > 0 {
 		ans.Inconsistent = true
@@ -190,18 +146,6 @@ func (a *Analysis) QueryPair(ctx context.Context, srcSite, dstSite string) (*Pai
 			trace.Bool("inconsistent", ans.Inconsistent))
 	}
 	return ans, nil
-}
-
-// throttled mirrors Stats.Throttled for analyses whose post phase
-// never ran (demand queries have no populated report stats).
-func (a *Analysis) throttled() bool {
-	if a.Opts.ContextPolicy == PolicyOrigin {
-		return true
-	}
-	if a.Numbering != nil && a.Numbering.Capped {
-		return true
-	}
-	return a.Ptr != nil && a.Ptr.CappedVars() > 0
 }
 
 // allocObjectsAt resolves a "file:line" or "file:line:col" query

@@ -63,10 +63,6 @@ type Snapshot struct {
 // stripped).
 func (s *Snapshot) Options() Options { return s.opts }
 
-// Sources returns the snapshot's full source set. Callers must not
-// mutate the returned map.
-func (s *Snapshot) Sources() map[string]string { return s.sources }
-
 // Apply materializes the source set a delta request describes: the
 // snapshot's sources with changed paths overwritten or added and
 // removed paths dropped. The snapshot itself is not modified.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -188,9 +189,10 @@ func TestOriginPolicyMarked(t *testing.T) {
 	}
 }
 
-// TestQueryPairMatchesReport: the demand verdict must agree with the
-// full analysis — every reported site pair queries inconsistent, its
-// reversal (unreported here) queries consistent.
+// TestQueryPairMatchesReport: the query verdict read from a finished
+// analysis must agree with its report — every reported site pair
+// queries inconsistent, its reversal (unreported here) queries
+// consistent.
 func TestQueryPairMatchesReport(t *testing.T) {
 	sources := ptsFanSources()
 	full, err := AnalyzeSource(Options{}, sources)
@@ -207,12 +209,12 @@ func TestQueryPairMatchesReport(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, ps := range sites {
-		ans, err := QueryPairSource(ctx, Options{}, sources, ps.Src.String(), ps.Dst.String())
+		ans, err := full.QueryPair(ctx, ps.Src.String(), ps.Dst.String())
 		if err != nil {
 			t.Fatalf("query %s -> %s: %v", ps.Src, ps.Dst, err)
 		}
 		if !ans.Inconsistent {
-			t.Errorf("demand query %s -> %s consistent but the full report warns", ps.Src, ps.Dst)
+			t.Errorf("query %s -> %s consistent but the report warns", ps.Src, ps.Dst)
 		}
 		if ans.Pairs == 0 {
 			t.Errorf("inconsistent answer for %s -> %s carries no object pairs", ps.Src, ps.Dst)
@@ -220,18 +222,22 @@ func TestQueryPairMatchesReport(t *testing.T) {
 		if reported[ps.Dst.String()+"|"+ps.Src.String()] {
 			continue
 		}
-		rev, err := QueryPairSource(ctx, Options{}, sources, ps.Dst.String(), ps.Src.String())
+		rev, err := full.QueryPair(ctx, ps.Dst.String(), ps.Src.String())
 		if err != nil {
 			t.Fatalf("reverse query %s -> %s: %v", ps.Dst, ps.Src, err)
 		}
 		if rev.Inconsistent {
-			t.Errorf("reverse query %s -> %s inconsistent but the full report has no such warning", ps.Dst, ps.Src)
+			t.Errorf("reverse query %s -> %s inconsistent but the report has no such warning", ps.Dst, ps.Src)
 		}
 	}
 
 	// A throttled configuration must mark its answers.
 	ps := sites[0]
-	ans, err := QueryPairSource(ctx, Options{ContextPolicy: PolicyOrigin}, sources, ps.Src.String(), ps.Dst.String())
+	origin, err := AnalyzeSource(Options{ContextPolicy: PolicyOrigin}, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, err := origin.QueryPair(ctx, ps.Src.String(), ps.Dst.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +245,22 @@ func TestQueryPairMatchesReport(t *testing.T) {
 		t.Error("origin-policy query answer not marked throttled")
 	}
 
-	// Unknown sites are a resolve error, bad shapes a config error.
-	if _, err := QueryPairSource(ctx, Options{}, sources, "fan.c:9999", ps.Dst.String()); err == nil {
-		t.Error("query on a line with no allocation site succeeded")
-	}
-	if _, err := QueryPairSource(ctx, Options{}, sources, "nonsense", ps.Dst.String()); err == nil {
-		t.Error("malformed site query succeeded")
+	// Unknown sites are a resolve error, bad shapes a config error, and
+	// an analysis that never finished is an internal error.
+	for _, tc := range []struct {
+		name     string
+		a        *Analysis
+		src      string
+		wantKind ErrorKind
+	}{
+		{"unknown site", full, "fan.c:9999", ErrResolve},
+		{"malformed site", full, "nonsense", ErrConfig},
+		{"unfinished analysis", &Analysis{}, ps.Src.String(), ErrInternal},
+	} {
+		_, err := tc.a.QueryPair(ctx, tc.src, ps.Dst.String())
+		var aerr *Error
+		if !errors.As(err, &aerr) || aerr.Kind != tc.wantKind {
+			t.Errorf("%s: err = %v, want kind %v", tc.name, err, tc.wantKind)
+		}
 	}
 }

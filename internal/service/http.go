@@ -119,7 +119,7 @@ type QueryResponse struct {
 //
 //	POST /v1/analyze  — run (or replay) an analysis
 //	GET  /v1/explain  — why-provenance trees for a cached result
-//	GET  /v1/query    — demand pair verdict against a cached result
+//	GET  /v1/query    — pair verdict read from a cached result
 //	GET  /v1/healthz  — liveness
 //	GET  /v1/metrics  — counters in Prometheus text exposition format
 //	GET  /v1/stats    — counters as JSON

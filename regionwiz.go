@@ -175,35 +175,16 @@ func MarshalExplanations(exps []*Explanation) ([]byte, error) {
 	return core.MarshalExplanations(exps)
 }
 
-// QuerySchemaV1 identifies the pair-query (demand verdict) JSON
-// encoding produced by regionwiz -query and the regionwizd /v1/query
-// endpoint.
+// QuerySchemaV1 identifies the pair-query JSON encoding produced by
+// regionwiz -query and the regionwizd /v1/query endpoint.
 const QuerySchemaV1 = core.QuerySchemaV1
 
-// PairAnswer is the verdict of one demand-driven pair query: whether
-// objects allocated at one site may hold pointers into objects
-// allocated at another across regions with no subregion order. The
-// verdict agrees with the full analysis for the same site pair.
+// PairAnswer is the verdict of one pair query (Analysis.QueryPair on a
+// finished analysis): whether objects allocated at one site may hold
+// pointers into objects allocated at another across regions with no
+// subregion order. The verdict agrees with the analysis's report for
+// the same site pair.
 type PairAnswer = core.PairAnswer
-
-// QueryPairSource answers one pair query over sources without
-// computing the full report: the pipeline runs only through
-// access-relation extraction, then the access edges between the two
-// queried allocation sites ("file:line" or "file:line:col") are
-// checked and every witnessing object pair is re-derived on a
-// per-query Datalog cone.
-func QueryPairSource(ctx context.Context, opts Options, sources map[string]string, srcSite, dstSite string) (*PairAnswer, error) {
-	return core.QueryPairSource(ctx, opts, sources, srcSite, dstSite)
-}
-
-// QueryPairFiles is QueryPairSource over files read from disk.
-func QueryPairFiles(ctx context.Context, opts Options, srcSite, dstSite string, paths ...string) (*PairAnswer, error) {
-	sources, err := readSourceFiles(paths)
-	if err != nil {
-		return nil, err
-	}
-	return core.QueryPairSource(ctx, opts, sources, srcSite, dstSite)
-}
 
 // AnalyzeSource analyzes CMinor/C-subset sources given as
 // path -> content pairs and returns the full analysis state.
