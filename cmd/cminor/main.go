@@ -62,15 +62,15 @@ func main() {
 		g := callgraph.Build(prog, *entry, nil)
 		for _, fn := range g.ReachableFuncs() {
 			fmt.Printf("%s:\n", fn)
-			for _, in := range g.Prog.Funcs[fn].Instrs {
+			for _, in := range g.Prog.Funcs[fn].Instrs() {
 				if in.Op != ir.Call {
 					continue
 				}
 				for _, callee := range g.Edges[in.ID] {
-					fmt.Printf("  %s -> %s\n", in.Pos, callee)
+					fmt.Printf("  %s -> %s\n", in.Pos(), callee)
 				}
 				for _, ext := range g.ExternCalls[in.ID] {
-					fmt.Printf("  %s -> %s (extern)\n", in.Pos, ext)
+					fmt.Printf("  %s -> %s (extern)\n", in.Pos(), ext)
 				}
 			}
 		}

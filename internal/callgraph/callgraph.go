@@ -52,7 +52,7 @@ type Graph struct {
 	// Reachable holds the defined functions reachable from the entry.
 	Reachable map[string]bool
 	// VF is the resolved function-pointer points-to relation vF: V x F.
-	VF map[*ir.Var]map[string]bool
+	VF map[int32]map[string]bool
 }
 
 // Build constructs the call graph for prog with the given entry
@@ -85,7 +85,7 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 		ExternCalls: make(map[int][]string),
 		Callers:     make(map[string][]int),
 		Reachable:   make(map[string]bool),
-		VF:          make(map[*ir.Var]map[string]bool),
+		VF:          make(map[int32]map[string]bool),
 	}
 
 	edgeSet := make(map[int]map[string]bool)
@@ -104,7 +104,7 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 		set[fn] = true
 		return true
 	}
-	addVF := func(v *ir.Var, fn string) bool {
+	addVF := func(v int32, fn string) bool {
 		set := g.VF[v]
 		if set == nil {
 			set = make(map[string]bool)
@@ -116,7 +116,7 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 		set[fn] = true
 		return true
 	}
-	flowVF := func(dst *ir.Var, src ir.Operand) bool {
+	flowVF := func(dst int32, src ir.Opd) bool {
 		changed := false
 		switch src.Kind {
 		case ir.FuncOpd:
@@ -154,29 +154,31 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 	// edge resolution all feed each other.
 	for changed := true; changed; {
 		changed = false
-		for _, in := range prog.Instrs {
+		c := prog.Cursor(0, prog.NumInstrs())
+		for c.Next() {
+			in := c.Inst
 			switch in.Op {
 			case ir.Assign:
-				if in.Dst.Kind == ir.VarOpd && flowVF(in.Dst.Var, in.Src) {
+				if in.Dst().Kind == ir.VarOpd && flowVF(in.Dst().Var, in.Src()) {
 					changed = true
 				}
 			case ir.Store:
-				switch in.Src.Kind {
+				switch in.Src().Kind {
 				case ir.FuncOpd:
-					if addHeapVF(in.Off, in.Src.Fn) {
+					if addHeapVF(in.Off(), in.Src().Fn) {
 						changed = true
 					}
 				case ir.VarOpd:
-					for fn := range g.VF[in.Src.Var] {
-						if addHeapVF(in.Off, fn) {
+					for fn := range g.VF[in.Src().Var] {
+						if addHeapVF(in.Off(), fn) {
 							changed = true
 						}
 					}
 				}
 			case ir.Load:
-				if in.Dst.Kind == ir.VarOpd {
-					for fn := range heapVF[in.Off] {
-						if addVF(in.Dst.Var, fn) {
+				if in.Dst().Kind == ir.VarOpd {
+					for fn := range heapVF[in.Off()] {
+						if addVF(in.Dst().Var, fn) {
 							changed = true
 						}
 					}
@@ -184,11 +186,11 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 			case ir.Call:
 				// Resolve callees.
 				var callees []string
-				switch in.Callee.Kind {
+				switch in.Callee().Kind {
 				case ir.FuncOpd:
-					callees = []string{in.Callee.Fn}
+					callees = []string{in.Callee().Fn}
 				case ir.VarOpd:
-					for fn := range g.VF[in.Callee.Var] {
+					for fn := range g.VF[in.Callee().Var] {
 						callees = append(callees, fn)
 					}
 				}
@@ -197,8 +199,8 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 					if !defined {
 						// Implicit calls through runtime registries.
 						for _, argIdx := range implicitByFn[fn] {
-							if argIdx < len(in.Args) {
-								a := in.Args[argIdx]
+							if argIdx < in.NumArgs() {
+								a := in.Arg(argIdx)
 								switch a.Kind {
 								case ir.FuncOpd:
 									if addEdge(in.ID, a.Fn) {
@@ -219,16 +221,14 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 						changed = true
 					}
 					// Parameter wiring.
-					for i, a := range in.Args {
-						if i < len(target.Params) {
-							if flowVF(target.Params[i], a) {
-								changed = true
-							}
+					for i := 0; i < in.NumArgs() && i < target.NumParams; i++ {
+						if flowVF(target.Param(i), in.Arg(i)) {
+							changed = true
 						}
 					}
 					// Return wiring.
-					if in.Dst.Kind == ir.VarOpd && target.RetVal != nil {
-						if flowVF(in.Dst.Var, ir.Operand{Kind: ir.VarOpd, Var: target.RetVal}) {
+					if in.Dst().Kind == ir.VarOpd && target.RetVal >= 0 {
+						if flowVF(in.Dst().Var, ir.Opd{Kind: ir.VarOpd, Var: target.RetVal}) {
 							changed = true
 						}
 					}
@@ -248,17 +248,19 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 	for fn := range g.Callers {
 		sort.Ints(g.Callers[fn])
 	}
-	for _, in := range prog.Instrs {
+	c := prog.Cursor(0, prog.NumInstrs())
+	for c.Next() {
+		in := c.Inst
 		if in.Op != ir.Call {
 			continue
 		}
-		switch in.Callee.Kind {
+		switch in.Callee().Kind {
 		case ir.FuncOpd:
-			if _, defined := prog.Funcs[in.Callee.Fn]; !defined {
-				g.ExternCalls[in.ID] = append(g.ExternCalls[in.ID], in.Callee.Fn)
+			if _, defined := prog.Funcs[in.Callee().Fn]; !defined {
+				g.ExternCalls[in.ID] = append(g.ExternCalls[in.ID], in.Callee().Fn)
 			}
 		case ir.VarOpd:
-			for fn := range g.VF[in.Callee.Var] {
+			for fn := range g.VF[in.Callee().Var] {
 				if _, defined := prog.Funcs[fn]; !defined {
 					g.ExternCalls[in.ID] = append(g.ExternCalls[in.ID], fn)
 				}
@@ -288,28 +290,26 @@ func (g *Graph) computeReachable() {
 	for len(work) > 0 {
 		fn := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, in := range g.Prog.Funcs[fn].Instrs {
-			if in.Op != ir.Call {
-				continue
-			}
-			for _, callee := range g.Edges[in.ID] {
+		f := g.Prog.Funcs[fn]
+		for id := f.First; id < f.End; id++ {
+			for _, callee := range g.Edges[id] {
 				push(callee)
 			}
 		}
 	}
 }
 
-// CallSites returns the CALL instructions of fn that have at least one
-// resolved defined callee.
-func (g *Graph) CallSites(fn string) []*ir.Instr {
+// CallSites returns the IDs of fn's CALL instructions that have at
+// least one resolved defined callee.
+func (g *Graph) CallSites(fn string) []int {
 	f := g.Prog.Funcs[fn]
 	if f == nil {
 		return nil
 	}
-	var out []*ir.Instr
-	for _, in := range f.Instrs {
-		if in.Op == ir.Call && len(g.Edges[in.ID]) > 0 {
-			out = append(out, in)
+	var out []int
+	for id := f.First; id < f.End; id++ {
+		if len(g.Edges[id]) > 0 {
+			out = append(out, id)
 		}
 	}
 	return out

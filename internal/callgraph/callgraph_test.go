@@ -25,7 +25,7 @@ func build(t *testing.T, src string) *Graph {
 // calleesOf collects all resolved callees of every call in fn.
 func calleesOf(g *Graph, fn string) []string {
 	set := map[string]bool{}
-	for _, in := range g.Prog.Funcs[fn].Instrs {
+	for _, in := range g.Prog.Funcs[fn].Instrs() {
 		if in.Op != ir.Call {
 			continue
 		}

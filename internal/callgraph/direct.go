@@ -33,31 +33,34 @@ func BuildDirect(prog *ir.Program, entries []string, implicit []ImplicitSpec) (*
 	// occurrence (assigned, stored, passed to a defined function or a
 	// non-registered extern slot) could seed the vF relation, and any
 	// VarOpd callee could consume it — both require the full fixpoint.
-	for _, in := range prog.Instrs {
-		if in.Src.Kind == ir.FuncOpd || in.Base.Kind == ir.FuncOpd || in.Dst.Kind == ir.FuncOpd {
+	c := prog.Cursor(0, prog.NumInstrs())
+	for c.Next() {
+		in := c.Inst
+		if in.Src().Kind == ir.FuncOpd || in.Base().Kind == ir.FuncOpd || in.Dst().Kind == ir.FuncOpd {
 			return nil, false
 		}
+		callee := in.Callee()
 		if in.Op != ir.Call {
-			if in.Callee.Kind == ir.FuncOpd {
+			if callee.Kind == ir.FuncOpd {
 				return nil, false
 			}
 			continue
 		}
-		switch in.Callee.Kind {
+		switch callee.Kind {
 		case ir.FuncOpd:
 		case ir.VarOpd:
 			return nil, false
 		}
-		_, defined := prog.Funcs[in.Callee.Fn]
-		for i, a := range in.Args {
-			if a.Kind != ir.FuncOpd {
+		_, defined := prog.Funcs[callee.Fn]
+		for i := 0; i < in.NumArgs(); i++ {
+			if in.Arg(i).Kind != ir.FuncOpd {
 				continue
 			}
-			if defined || in.Callee.Kind != ir.FuncOpd {
+			if defined || callee.Kind != ir.FuncOpd {
 				return nil, false
 			}
 			ok := false
-			for _, argIdx := range implicitByFn[in.Callee.Fn] {
+			for _, argIdx := range implicitByFn[callee.Fn] {
 				if argIdx == i {
 					ok = true
 				}
@@ -80,7 +83,7 @@ func BuildDirect(prog *ir.Program, entries []string, implicit []ImplicitSpec) (*
 		ExternCalls: make(map[int][]string),
 		Callers:     make(map[string][]int),
 		Reachable:   make(map[string]bool),
-		VF:          make(map[*ir.Var]map[string]bool),
+		VF:          make(map[int32]map[string]bool),
 	}
 	addEdge := func(instrID int, fn string, seen map[string]bool) {
 		if _, def := prog.Funcs[fn]; !def || seen[fn] {
@@ -90,11 +93,17 @@ func BuildDirect(prog *ir.Program, entries []string, implicit []ImplicitSpec) (*
 		g.Edges[instrID] = append(g.Edges[instrID], fn)
 		g.Callers[fn] = append(g.Callers[fn], instrID)
 	}
-	for _, in := range prog.Instrs {
-		if in.Op != ir.Call || in.Callee.Kind != ir.FuncOpd {
+	c = prog.Cursor(0, prog.NumInstrs())
+	for c.Next() {
+		in := c.Inst
+		if in.Op != ir.Call {
 			continue
 		}
-		fn := in.Callee.Fn
+		callee := in.Callee()
+		if callee.Kind != ir.FuncOpd {
+			continue
+		}
+		fn := callee.Fn
 		if _, defined := prog.Funcs[fn]; defined {
 			seen := make(map[string]bool, 1)
 			addEdge(in.ID, fn, seen)
@@ -103,8 +112,10 @@ func BuildDirect(prog *ir.Program, entries []string, implicit []ImplicitSpec) (*
 		g.ExternCalls[in.ID] = append(g.ExternCalls[in.ID], fn)
 		seen := make(map[string]bool)
 		for _, argIdx := range implicitByFn[fn] {
-			if argIdx < len(in.Args) && in.Args[argIdx].Kind == ir.FuncOpd {
-				addEdge(in.ID, in.Args[argIdx].Fn, seen)
+			if argIdx < in.NumArgs() {
+				if a := in.Arg(argIdx); a.Kind == ir.FuncOpd {
+					addEdge(in.ID, a.Fn, seen)
+				}
 			}
 		}
 		sort.Strings(g.Edges[in.ID])

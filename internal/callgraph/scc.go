@@ -1,10 +1,6 @@
 package callgraph
 
-import (
-	"sort"
-
-	"repro/internal/ir"
-)
+import "sort"
 
 // SCCGraph is the condensation of the reachable call graph: strongly
 // connected components collapsed to single nodes, arranged as a DAG.
@@ -96,11 +92,8 @@ func (g *Graph) calleesInOrder(fn string) []string {
 		return nil
 	}
 	var out []string
-	for _, in := range f.Instrs {
-		if in.Op != ir.Call {
-			continue
-		}
-		for _, callee := range g.Edges[in.ID] {
+	for id := f.First; id < f.End; id++ {
+		for _, callee := range g.Edges[id] {
 			if g.Reachable[callee] {
 				out = append(out, callee)
 			}

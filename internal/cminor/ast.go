@@ -3,12 +3,14 @@ package cminor
 // File is one parsed translation unit. The parser numbers the file's
 // identifiers densely in source order (Ident.ID), so per-identifier
 // facts live in tables of NumIdents entries rather than in maps keyed
-// by node. A File is never written after Parse returns: snapshots
-// share it between concurrent checks.
+// by node. NumTokens is what the file charged its TokenBudget. A File
+// is never written after Parse returns: snapshots share it between
+// concurrent checks.
 type File struct {
 	Path      string
 	Decls     []Decl
 	NumIdents int
+	NumTokens int
 }
 
 // Decl is a top-level or block-level declaration.

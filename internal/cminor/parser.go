@@ -22,10 +22,14 @@ type Parser struct {
 	// Nesting budget (see maxNesting). depth counts the levels
 	// enclosing the construct being parsed; peak is the deepest level
 	// reached since the innermost open scope began, counting the levels
-	// wrap added to operands parsed before their operator. tooDeep is
-	// set once the budget is spent and the rest of the file abandoned.
+	// wrap added to operands parsed before their operator.
 	depth, peak int
-	tooDeep     bool
+	// Token budget (see maxTokens): the file may lex budget tokens and
+	// has lexed tokens.
+	budget, tokens int
+	// abandoned is set once either budget is spent and the rest of
+	// the file abandoned.
+	abandoned bool
 
 	// Slabs for the most numerous nodes; they live as long as the
 	// file (see package slab).
@@ -37,11 +41,31 @@ type Parser struct {
 	exprStmts []ExprStmt
 }
 
-// Parse parses one CMinor translation unit.
+// Parse parses one CMinor translation unit against a budget of its
+// own.
 func Parse(path, src string) (*File, []*Error) {
-	p := &Parser{lx: NewLexer(path, src), typedefs: make(map[string]bool)}
-	p.tok = p.lx.Next()
-	p.peek = p.lx.Next()
+	var b TokenBudget
+	return b.Parse(path, src)
+}
+
+// maxTokens bounds the tokens one analysis parses across all its
+// files. Parse and check keep about 60 bytes per token live, so it
+// bounds what one request can make the front end hold; at 1<<21 it is
+// over 16 times the largest program of the paper corpus (114,005
+// tokens).
+const maxTokens = 1 << 21
+
+// TokenBudget is what one analysis has spent of maxTokens. The zero
+// value is a full budget.
+type TokenBudget struct{ used int }
+
+// Parse parses one file against the budget and charges its tokens. A
+// file that would overspend is a parse error at its first token over
+// budget, and is parsed no further.
+func (b *TokenBudget) Parse(path, src string) (*File, []*Error) {
+	p := &Parser{lx: NewLexer(path, src), typedefs: make(map[string]bool), budget: maxTokens - b.used}
+	p.tok = p.lex()
+	p.peek = p.lex()
 	f := &File{Path: path}
 	for p.tok.Kind != EOF {
 		before := p.tok
@@ -56,19 +80,57 @@ func Parse(path, src string) (*File, []*Error) {
 		}
 	}
 	p.errs = append(p.errs, p.lx.Errors()...)
-	f.NumIdents = p.numIdents
+	f.NumIdents, f.NumTokens = p.numIdents, p.tokens
+	b.used += p.tokens
 	return f, p.errs
+}
+
+// Reuse charges the tokens of a file parsed earlier. It reports false,
+// charging nothing, when the file does not fit; parsing it again then
+// reports the token over budget.
+func (b *TokenBudget) Reuse(f *File) bool {
+	if b.used+f.NumTokens > maxTokens {
+		return false
+	}
+	b.used += f.NumTokens
+	return true
 }
 
 func (p *Parser) next() {
 	p.tok = p.peek
-	p.peek = p.lx.Next()
+	p.peek = p.lex()
+}
+
+// lex returns the next token, or abandons the file at the first token
+// over the token budget.
+func (p *Parser) lex() Token {
+	t := p.lx.Next()
+	if t.Kind == EOF || p.abandoned {
+		return t
+	}
+	if p.tokens == p.budget {
+		p.errorf(t.Pos, "more than %d tokens in one analysis", maxTokens)
+		p.abandon(t.Pos)
+		return p.peek
+	}
+	p.tokens++
+	return t
 }
 
 func (p *Parser) errorf(pos Pos, format string, args ...interface{}) {
-	if len(p.errs) < 100 && !p.tooDeep {
+	if len(p.errs) < 100 && !p.abandoned {
 		p.errs = append(p.errs, errf(pos, format, args...))
 	}
+}
+
+// abandon gives up on the rest of the file after a budget error at
+// pos. Only EOF follows: every parse loop ends at EOF and no parse
+// function descends on it, so the recursion unwinds.
+func (p *Parser) abandon(pos Pos) {
+	p.abandoned = true
+	p.lx.off = len(p.lx.src)
+	p.tok = Token{Kind: EOF, Pos: pos}
+	p.peek = p.tok
 }
 
 // maxNesting bounds how deeply a file's syntax nests. Every statement
@@ -86,14 +148,9 @@ func (p *Parser) reach(pos Pos, level int) {
 	if level > p.peak {
 		p.peak = level
 	}
-	if level > maxNesting && !p.tooDeep {
+	if level > maxNesting && !p.abandoned {
 		p.errorf(pos, "nesting deeper than %d levels", maxNesting)
-		p.tooDeep = true
-		// Only EOF from here on: every parse loop ends at EOF and no
-		// parse function descends on it, so the recursion unwinds.
-		p.lx.off = len(p.lx.src)
-		p.tok = Token{Kind: EOF, Pos: pos}
-		p.peek = p.tok
+		p.abandon(pos)
 	}
 }
 

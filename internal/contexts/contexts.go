@@ -79,13 +79,10 @@ func (n *Numbering) callEdges(fn string) []Edge {
 		return nil
 	}
 	var out []Edge
-	for _, in := range f.Instrs {
-		if in.Op != ir.Call {
-			continue
-		}
-		for _, callee := range n.G.Edges[in.ID] {
+	for id := f.First; id < f.End; id++ {
+		for _, callee := range n.G.Edges[id] {
 			if n.G.Reachable[callee] {
-				out = append(out, Edge{Instr: in.ID, Callee: callee})
+				out = append(out, Edge{Instr: id, Callee: callee})
 			}
 		}
 	}

@@ -85,12 +85,12 @@ func NewKCFA(g *callgraph.Graph, k int, cap uint64) *Numbering {
 		if f == nil {
 			continue
 		}
-		for _, in := range f.Instrs {
-			for _, callee := range g.Edges[in.ID] {
+		for id := f.First; id < f.End; id++ {
+			for _, callee := range g.Edges[id] {
 				if !g.Reachable[callee] {
 					continue
 				}
-				cs := pushCallString(w.cs, in.ID, ks.k)
+				cs := pushCallString(w.cs, id, ks.k)
 				if _, fresh := assign(callee, cs); fresh {
 					queue = append(queue, work{callee, cs})
 				}

@@ -89,7 +89,7 @@ func TestKCFAMapContextConsistent(t *testing.T) {
 	// shared must map main's context to different callee contexts.
 	var edges []Edge
 	for _, fn := range []string{"left", "right"} {
-		for _, in := range g.Prog.Funcs[fn].Instrs {
+		for _, in := range g.Prog.Funcs[fn].Instrs() {
 			for _, callee := range g.Edges[in.ID] {
 				if callee == "shared" {
 					edges = append(edges, Edge{Instr: in.ID, Callee: callee})
@@ -164,7 +164,7 @@ int main(void) { return f1() + f1(); }`
 		if f == nil {
 			continue
 		}
-		for _, in := range f.Instrs {
+		for _, in := range f.Instrs() {
 			for _, callee := range g.Edges[in.ID] {
 				e := Edge{Instr: in.ID, Callee: callee}
 				for ctx := uint64(0); ctx < a.Count[fn]; ctx++ {

@@ -88,14 +88,14 @@ func NewOrigin(g *callgraph.Graph, cap uint64, originFns map[string]bool) *Numbe
 		if f == nil {
 			continue
 		}
-		for _, in := range f.Instrs {
-			for _, callee := range g.Edges[in.ID] {
+		for id := f.First; id < f.End; id++ {
+			for _, callee := range g.Edges[id] {
 				if !g.Reachable[callee] {
 					continue
 				}
 				tok := w.tok
 				if originFns[callee] {
-					tok = strconv.Itoa(in.ID)
+					tok = strconv.Itoa(id)
 				}
 				if _, fresh := assign(callee, tok); fresh {
 					queue = append(queue, work{callee, tok})

@@ -116,7 +116,6 @@ func Bool(b bool) *bool { return &b }
 type Region struct {
 	Index  int
 	Obj    int // pointer-analysis object ID; -1 for root
-	Site   *ir.Instr
 	Ctx    uint64
 	Parent int // region index after the Section 4.3 join collapse
 	// Cands are the candidate parents observed before collapsing.
@@ -290,11 +289,13 @@ func (a *Analysis) originFns() map[string]bool {
 	}
 	out := make(map[string]bool)
 	for fnName, f := range a.Prog.Funcs {
-		for _, in := range f.Instrs {
+		c := a.Prog.Cursor(f.First, f.End)
+		for c.Next() {
+			in := c.Inst
 			if in.Op != ir.Call {
 				continue
 			}
-			for _, name := range a.externNamesOf(in) {
+			for _, name := range a.externNamesOf(&in) {
 				if isOrigin(name) {
 					out[fnName] = true
 				}
@@ -306,36 +307,38 @@ func (a *Analysis) originFns() map[string]bool {
 
 // externCallSites enumerates every reachable (ctx, CALL instruction,
 // extern name) triple, the drive shaft of effect extraction.
-func (a *Analysis) externCallSites(visit func(fn string, ctx uint64, in *ir.Instr, extern string)) {
+func (a *Analysis) externCallSites(visit func(fn string, ctx uint64, in *ir.Inst, extern string)) {
 	for _, fnName := range a.Graph.ReachableFuncs() {
 		f := a.Prog.Funcs[fnName]
 		count := a.Numbering.Count[fnName]
-		for _, in := range f.Instrs {
+		c := a.Prog.Cursor(f.First, f.End)
+		for c.Next() {
+			in := c.Inst
 			if in.Op != ir.Call {
 				continue
 			}
-			externs := a.externNamesOf(in)
+			externs := a.externNamesOf(&in)
 			if len(externs) == 0 {
 				continue
 			}
 			for ctx := uint64(0); ctx < count; ctx++ {
 				for _, name := range externs {
-					visit(fnName, ctx, in, name)
+					visit(fnName, ctx, &in, name)
 				}
 			}
 		}
 	}
 }
 
-func (a *Analysis) externNamesOf(in *ir.Instr) []string {
-	switch in.Callee.Kind {
+func (a *Analysis) externNamesOf(in *ir.Inst) []string {
+	switch in.Callee().Kind {
 	case ir.FuncOpd:
-		if _, defined := a.Prog.Funcs[in.Callee.Fn]; !defined {
-			return []string{in.Callee.Fn}
+		if _, defined := a.Prog.Funcs[in.Callee().Fn]; !defined {
+			return []string{in.Callee().Fn}
 		}
 	case ir.VarOpd:
 		var out []string
-		for fn := range a.Graph.VF[in.Callee.Var] {
+		for fn := range a.Graph.VF[in.Callee().Var] {
 			if _, defined := a.Prog.Funcs[fn]; !defined {
 				out = append(out, fn)
 			}
@@ -369,13 +372,13 @@ func (a *Analysis) extractRegions() {
 		}
 		idx := len(a.Regions)
 		a.Regions = append(a.Regions, Region{
-			Index: idx, Obj: id, Site: obj.Site, Ctx: obj.Ctx, Parent: RootRegion,
+			Index: idx, Obj: id, Ctx: obj.Ctx, Parent: RootRegion,
 		})
 		a.regionOf[id] = idx
 	}
 	// Second pass: candidate parents from creation calls.
 	cands := make(map[int]map[int]bool)
-	a.externCallSites(func(fn string, ctx uint64, in *ir.Instr, extern string) {
+	a.externCallSites(func(fn string, ctx uint64, in *ir.Inst, extern string) {
 		spec, ok := a.Opts.API.Create[extern]
 		if !ok {
 			return
@@ -401,8 +404,8 @@ func (a *Analysis) extractRegions() {
 			}
 		}
 		// p̂: remember the variable the parent was read from.
-		if spec.ParentArg >= 0 && spec.ParentArg < len(in.Args) {
-			if arg := in.Args[spec.ParentArg]; arg.Kind == ir.VarOpd {
+		if spec.ParentArg >= 0 && spec.ParentArg < in.NumArgs() {
+			if arg := in.Arg(spec.ParentArg); arg.Kind == ir.VarOpd {
 				addVarInst(a.parentVars, child, varInst{arg.Var, ctx})
 			}
 		}
@@ -422,11 +425,11 @@ func (a *Analysis) extractRegions() {
 // points at no region all mean the root region (Section 4.1: "if the
 // parameter given in rnew or ralloc is null, it means the root
 // region").
-func (a *Analysis) regionArgTargets(in *ir.Instr, ctx uint64, argIdx int) []int {
-	if argIdx < 0 || argIdx >= len(in.Args) {
+func (a *Analysis) regionArgTargets(in *ir.Inst, ctx uint64, argIdx int) []int {
+	if argIdx < 0 || argIdx >= in.NumArgs() {
 		return []int{RootRegion}
 	}
-	arg := in.Args[argIdx]
+	arg := in.Arg(argIdx)
 	if arg.Kind == ir.NullOpd || arg.Kind == ir.ConstOpd {
 		return []int{RootRegion}
 	}
@@ -448,7 +451,7 @@ func (a *Analysis) regionArgTargets(in *ir.Instr, ctx uint64, argIdx int) []int 
 // varInst is one context-sensitive variable instance — the V of the
 // Figure 5(b) refinement relations.
 type varInst struct {
-	v   *ir.Var
+	v   int32
 	ctx uint64
 }
 
@@ -488,11 +491,11 @@ func (a *Analysis) sameVarWitness(x, srcObj, dstObj int) bool {
 // allocRegionTargets resolves the region argument of an allocation
 // call, returning nil (no ownership) when the argument is NULL or
 // points at no region.
-func (a *Analysis) allocRegionTargets(in *ir.Instr, ctx uint64, argIdx int) []int {
-	if argIdx < 0 || argIdx >= len(in.Args) {
+func (a *Analysis) allocRegionTargets(in *ir.Inst, ctx uint64, argIdx int) []int {
+	if argIdx < 0 || argIdx >= in.NumArgs() {
 		return nil
 	}
-	arg := in.Args[argIdx]
+	arg := in.Arg(argIdx)
 	if arg.Kind != ir.VarOpd && arg.Kind != ir.StringOpd {
 		return nil
 	}
@@ -654,7 +657,7 @@ func (a *Analysis) extractOwnership() {
 		a.Owner[obj] = append(a.Owner[obj], region)
 		a.ownEdges++
 	}
-	a.externCallSites(func(fn string, ctx uint64, in *ir.Instr, extern string) {
+	a.externCallSites(func(fn string, ctx uint64, in *ir.Inst, extern string) {
 		spec, ok := a.Opts.API.Alloc[extern]
 		if !ok {
 			return
@@ -673,8 +676,8 @@ func (a *Analysis) extractOwnership() {
 			add(objID, r)
 		}
 		// f̂: remember the variable the owner region was read from.
-		if spec.RegionArg >= 0 && spec.RegionArg < len(in.Args) {
-			if arg := in.Args[spec.RegionArg]; arg.Kind == ir.VarOpd {
+		if spec.RegionArg >= 0 && spec.RegionArg < in.NumArgs() {
+			if arg := in.Arg(spec.RegionArg); arg.Kind == ir.VarOpd {
 				addVarInst(a.ownerVars, objID, varInst{arg.Var, ctx})
 			}
 		}

@@ -442,10 +442,10 @@ func (a *Analysis) regionPos(idx int) string {
 		return "<root>"
 	}
 	r := a.Regions[idx]
-	if r.Site != nil && r.Site.Pos.IsValid() {
-		return r.Site.Pos.String()
-	}
 	if r.Obj >= 0 {
+		if p := a.sitePos(r.Obj); p.IsValid() {
+			return p.String()
+		}
 		return a.objPos(r.Obj)
 	}
 	return a.regionDesc(idx)
@@ -453,11 +453,8 @@ func (a *Analysis) regionPos(idx int) string {
 
 // instrPos renders an instruction position with its enclosing
 // function.
-func (a *Analysis) instrPos(in *ir.Instr) string {
-	if in.Func != nil {
-		return fmt.Sprintf("%s (%s)", in.Pos, in.Func.Name)
-	}
-	return in.Pos.String()
+func (a *Analysis) instrPos(in ir.Inst) string {
+	return fmt.Sprintf("%s (%s)", in.Pos(), in.Func().Name)
 }
 
 // String renders the explanation as a human-readable tree, one node

@@ -224,8 +224,8 @@ func (a *Analysis) PairSites() []PairSite {
 
 func (a *Analysis) sitePos(obj int) cminor.Pos {
 	o := a.Ptr.Objects[obj]
-	if o.Kind == pointer.AllocObj && o.Site != nil {
-		return o.Site.Pos
+	if o.Kind == pointer.AllocObj {
+		return a.Prog.Instr(int(o.Site)).Pos()
 	}
 	return cminor.Pos{}
 }
@@ -233,8 +233,8 @@ func (a *Analysis) sitePos(obj int) cminor.Pos {
 // siteOf maps an object to its allocation instruction ID (or -1).
 func (a *Analysis) siteOf(obj int) int {
 	o := a.Ptr.Objects[obj]
-	if o.Kind == pointer.AllocObj && o.Site != nil {
-		return o.Site.ID
+	if o.Kind == pointer.AllocObj {
+		return int(o.Site)
 	}
 	return -1
 }

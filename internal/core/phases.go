@@ -69,18 +69,22 @@ func frontEndPhases() []pipeline.Phase[*Analysis] {
 				a.digests = make(map[string]string, len(paths))
 				a.changed = make(map[string]bool, len(paths))
 			}
+			// One token budget covers every file of the analysis. A
+			// reused file that would overspend it is parsed again, so
+			// the error names the token over budget.
+			var budget cminor.TokenBudget
 			for _, p := range paths {
 				if a.snapshotting {
 					d := FileDigest(a.Sources[p])
 					a.digests[p] = d
-					if a.prev != nil && a.prev.digests[p] == d {
+					if a.prev != nil && a.prev.digests[p] == d && budget.Reuse(a.prev.files[p]) {
 						a.Files = append(a.Files, a.prev.files[p])
 						a.Front.ParseReused++
 						continue
 					}
 					a.changed[p] = true
 				}
-				f, errs := cminor.Parse(p, a.Sources[p])
+				f, errs := budget.Parse(p, a.Sources[p])
 				if len(errs) != 0 {
 					return Errf(ErrParse, errs[0].Pos.String(),
 						"parse %s: %v (and %d more)", p, errs[0], len(errs)-1)
@@ -270,7 +274,7 @@ func (a *Analysis) RelationSizes() map[string]int64 {
 		s["reachable_funcs"] = int64(len(reach))
 		instrs := 0
 		for _, fn := range reach {
-			instrs += len(a.Prog.Funcs[fn].Instrs)
+			instrs += a.Prog.Funcs[fn].NumInstrs()
 		}
 		s["reachable_instrs"] = int64(instrs)
 	}

@@ -160,10 +160,13 @@ func (a *Analysis) allocObjectsAt(q string) ([]int, error) {
 	}
 	var out []int
 	for id, o := range a.Ptr.Objects {
-		if o.Kind != pointer.AllocObj || o.Site == nil || !o.Site.Pos.IsValid() {
+		if o.Kind != pointer.AllocObj {
 			continue
 		}
-		p := o.Site.Pos
+		p := a.sitePos(id)
+		if !p.IsValid() {
+			continue
+		}
 		if p.File != file || p.Line != line {
 			continue
 		}

@@ -168,7 +168,7 @@ func (a *Analysis) postProcess(pairs []ObjectPair) *Report {
 	reach := a.Graph.ReachableFuncs()
 	instrs := 0
 	for _, fn := range reach {
-		instrs += len(a.Prog.Funcs[fn].Instrs)
+		instrs += a.Prog.Funcs[fn].NumInstrs()
 	}
 	stats := Stats{
 		R:             a.RegionCount(),
@@ -215,8 +215,8 @@ func (a *Analysis) describe(ip IPair) Warning {
 // (the cause-clustering key).
 func (a *Analysis) causeOf(obj int) string {
 	o := a.Ptr.Objects[obj]
-	if o.Kind == pointer.AllocObj && o.Site != nil && o.Site.Func != nil {
-		return o.Site.Func.Name
+	if o.Kind == pointer.AllocObj {
+		return a.Prog.Instr(int(o.Site)).Func().Name
 	}
 	if o.Kind == pointer.ParamObj {
 		return o.Fn
@@ -228,17 +228,17 @@ func (a *Analysis) objPos(obj int) string {
 	o := a.Ptr.Objects[obj]
 	switch o.Kind {
 	case pointer.AllocObj:
-		if o.Site != nil && o.Site.Pos.IsValid() {
-			return fmt.Sprintf("%s (%s)", o.Site.Pos, o.Fn)
+		if p := a.sitePos(obj); p.IsValid() {
+			return fmt.Sprintf("%s (%s)", p, o.Fn)
 		}
 		return o.Fn
 	case pointer.VarStorageObj:
-		return fmt.Sprintf("&%s", o.Var.Name)
+		return fmt.Sprintf("&%s", a.Prog.VarName(o.Var))
 	case pointer.ParamObj:
-		return fmt.Sprintf("param %s of %s", o.Var.Name, o.Fn)
+		return fmt.Sprintf("param %s of %s", a.Prog.VarName(o.Var), o.Fn)
 	case pointer.StringObj:
-		if o.Str < len(a.Prog.Strings) {
-			return fmt.Sprintf("%q", a.Prog.Strings[o.Str].Value)
+		if o.Str < a.Prog.NumStrings() {
+			return fmt.Sprintf("%q", a.Prog.StringLit(o.Str).Value)
 		}
 		return "string"
 	case pointer.TopObj:
@@ -254,12 +254,12 @@ func (a *Analysis) regionDesc(idx int) string {
 		return "<root>"
 	}
 	r := a.Regions[idx]
-	if r.Site != nil && r.Site.Pos.IsValid() {
-		return fmt.Sprintf("region@%s#%d", r.Site.Pos, r.Ctx)
-	}
 	if r.Obj >= 0 {
+		if p := a.sitePos(r.Obj); p.IsValid() {
+			return fmt.Sprintf("region@%s#%d", p, r.Ctx)
+		}
 		if o := a.Ptr.Objects[r.Obj]; o.Kind == pointer.ParamObj {
-			return fmt.Sprintf("param-region %s of %s", o.Var.Name, o.Fn)
+			return fmt.Sprintf("param-region %s of %s", a.Prog.VarName(o.Var), o.Fn)
 		}
 	}
 	return fmt.Sprintf("region#%d", idx)

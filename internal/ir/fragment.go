@@ -7,203 +7,113 @@ import (
 )
 
 // Fragment is the lowered IR of a single file: the per-file half of
-// Lower. Fragments carry no program-wide identity — variable and
-// instruction IDs are unassigned, global references are name-keyed
-// proxies, and string literal indices are fragment-local — so a
-// fragment depends only on its own file's AST and the declaration
-// environment (types, layouts, signatures). As long as that
-// environment is unchanged (see cminor.DeclSignature), a fragment can
-// be cached by file digest and relinked into any number of programs.
-// A fragment variable's ID is its index in InitVars followed by
-// BodyVars. Link never mutates a fragment: it copies every Var and
-// Instr into per-program slabs before assigning program-wide IDs, so
-// one fragment may be shared by concurrent links.
+// Lower. A fragment carries no program-wide identity — variables,
+// instructions, callees, string literals and call arguments are
+// numbered locally, and globals are name-keyed slots — so it depends
+// only on its own file's AST and the declaration environment (types,
+// layouts, signatures). As long as that environment is unchanged (see
+// cminor.DeclSignature), a fragment can be cached by file digest and
+// linked into any number of programs. A fragment is immutable once
+// LowerFile returns: Link only reads it, so concurrent links may share
+// it, and its instruction and variable tables hold no pointers for the
+// collector to scan.
 type Fragment struct {
 	// Path is the source file the fragment was lowered from.
 	Path string
-	// Init holds the file's global-initializer instructions, and
-	// InitVars the temporaries they use. Instr.Func is nil here;
-	// linking points them at the synthetic init function.
-	Init     []*Instr
-	InitVars []*Var
-	// Funcs are the file's defined functions in declaration order.
-	// BodyVars lists every function-local variable (parameters, return
-	// slots, locals, temporaries) in creation order; each knows its
-	// fragment Func.
-	Funcs    []*Func
-	BodyVars []*Var
-	// Globals are name-keyed proxy variables standing in for program
-	// globals; linking replaces every reference with the canonical
-	// global and folds the proxy's AddrTaken flag into it.
-	Globals map[string]*Var
-	// Strings are the file's string literal sites: the first
-	// InitStrings entries come from global initializers, the rest from
-	// function bodies. A StringOpd's C indexes this slice until
-	// linking rebases it.
-	Strings     []StringLit
-	InitStrings int
+
+	// instrs holds the file's global-initializer instructions
+	// [0, numInit), then its function bodies in declaration order.
+	instrs  []Instr
+	numInit int
+	// vars holds the temporaries of the initializers [0, numInitVars),
+	// then every function-local variable (parameters, return slots,
+	// locals, temporaries) in creation order; varNames is parallel.
+	vars        []Var
+	varNames    []string
+	numInitVars int32
+	// args is the argument table Instr.Args indexes; consts holds the
+	// constants too wide for an Operand; names the callee and function
+	// value names FuncOpd operands index.
+	args   []Operand
+	consts []int64
+	names  []string
+	// funcs are the file's defined functions in declaration order,
+	// numbered fragment-locally.
+	funcs []Func
+	// globals are the program globals the file names, one slot each;
+	// a slot's addrTaken records that this file takes the address.
+	globals []globalSlot
+	// strings are the file's string literal sites: the first
+	// initStrings from global initializers, the rest from bodies.
+	strings     []StringLit
+	initStrings int
 }
 
-// LowerFile lowers one checked file into a reusable fragment. info
-// must cover the file (a full check, or an incremental check that
-// re-checked it).
-func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
-	b := &builder{
-		frag: &Fragment{Path: f.Path, Globals: make(map[string]*Var)},
-		info: info,
-		uses: info.Uses[f],
-	}
-	// Global initializers first, mirroring Lower's historical order.
-	// Initializers of names the checker did not register as globals are
-	// dropped, as the single-pass Lower always did.
-	b.sink = &b.frag.InitVars
-	for _, d := range f.Decls {
-		if vd, ok := d.(*cminor.VarDecl); ok && vd.Init != nil {
-			if _, ok := info.Globals[vd.Name]; ok {
-				src := b.expr(vd.Init)
-				b.emit(Instr{Op: Assign, Dst: varOpd(b.globalProxy(vd.Name)), Src: src, Pos: vd.Pos})
-			}
-		}
-	}
-	b.frag.InitStrings = len(b.frag.Strings)
-	// Function bodies.
-	b.sink = &b.frag.BodyVars
-	for _, d := range f.Decls {
-		if fd, ok := d.(*cminor.FuncDecl); ok && fd.Body != nil {
-			b.lowerFunc(fd)
-		}
-	}
-	return b.frag
+type globalSlot struct {
+	name      string
+	addrTaken bool
 }
 
-// numInstrs counts the fragment's instructions, initializers included.
-func (fr *Fragment) numInstrs() int {
-	n := len(fr.Init)
-	for _, fn := range fr.Funcs {
-		n += len(fn.Instrs)
-	}
-	return n
+// Program is a whole linked program: a view over shared, immutable
+// fragments plus the per-fragment base offsets that turn their local
+// numbers into program-wide IDs. Linking copies no instruction,
+// variable or operand; Instr, Var and StringLit resolve them on demand.
+//
+// Program-wide numbering: variables are the globals (declared ones in
+// sorted name order, then checker-fallback names), then every
+// fragment's initializer temporaries, then every fragment's body
+// variables; instructions are every fragment's initializers, then
+// every fragment's bodies — both in file order.
+type Program struct {
+	Funcs   map[string]*Func
+	Externs map[string]*cminor.FuncObject // declared but not defined
+	Info    *cminor.Info
+
+	frags     []linked
+	funcs     []Func
+	initFn    *Func
+	globals   []global
+	globalIDs map[string]int32
+	numInit   int // initializer instructions
+	numInstrs int
+	numVars   int32
+	bodyVar0  int32 // first body variable's ID
+	initStrs  int   // initializer string literals
+	numStrs   int
 }
 
-// Link assembles fragments (in file order) into one Program without
-// mutating them: it links copies (see cloneFragments), so fragments
-// cached by a snapshot may be shared by concurrent links. Reports are
+type global struct {
+	name        string
+	pointerLike bool
+	addrTaken   bool
+}
+
+// linked is one fragment's place in a program: the IDs of its first
+// initializer and body instruction, variable and string literal, its
+// first function's index in Program.funcs, and its global slots'
+// canonical variable IDs.
+type linked struct {
+	p                    *Program
+	frag                 *Fragment
+	initInstr, bodyInstr int
+	initVar, bodyVar     int32
+	initStr, bodyStr     int
+	funcs                int
+	slots                []int32
+}
+
+// Link assembles fragments (in file order) into one Program. It reads
+// the fragments and writes only the Program, so fragments cached by a
+// snapshot may be shared by concurrent links, and reports are
 // byte-identical whether a fragment was freshly lowered or replayed
-// from a cache.
+// from a cache. It costs O(#fragments + #globals + #funcs).
 func Link(info *cminor.Info, frags []*Fragment) *Program {
-	return link(info, cloneFragments(frags))
-}
-
-// cloneFragments deep-copies fragments for link to adopt. Vars and
-// Instrs go into one slab each for the whole program, and operands are
-// pointed at the copies by fragment-local variable ID. Global proxies
-// and string literal tables are shared with the originals: link only
-// reads them.
-func cloneFragments(frags []*Fragment) []*Fragment {
-	nVars, nInstrs := 0, 0
-	for _, fr := range frags {
-		nVars += len(fr.InitVars) + len(fr.BodyVars)
-		nInstrs += fr.numInstrs()
-	}
-	vars := make([]Var, nVars)
-	instrs := make([]Instr, nInstrs)
-	out := make([]*Fragment, len(frags))
-	for i, fr := range frags {
-		local := vars[:len(fr.InitVars)+len(fr.BodyVars)]
-		vars = vars[len(local):]
-		nf := &Fragment{
-			Path:        fr.Path,
-			Funcs:       make([]*Func, len(fr.Funcs)),
-			InitVars:    make([]*Var, len(fr.InitVars)),
-			BodyVars:    make([]*Var, len(fr.BodyVars)),
-			Globals:     fr.Globals,
-			Strings:     fr.Strings,
-			InitStrings: fr.InitStrings,
-		}
-		funcs := make(map[*Func]*Func, len(fr.Funcs))
-		for k, fn := range fr.Funcs {
-			c := *fn
-			nf.Funcs[k] = &c
-			funcs[fn] = &c
-		}
-		copyVars := func(dst, src []*Var) {
-			for k, v := range src {
-				c := &local[v.ID]
-				*c = *v
-				c.Func = funcs[v.Func]
-				dst[k] = c
-			}
-		}
-		copyVars(nf.InitVars, fr.InitVars)
-		copyVars(nf.BodyVars, fr.BodyVars)
-		opd := func(o Operand) Operand {
-			if o.Kind == VarOpd && !o.Var.Global {
-				o.Var = &local[o.Var.ID]
-			}
-			return o
-		}
-		copyInstrs := func(src []*Instr) []*Instr {
-			dst := make([]*Instr, len(src))
-			for k, in := range src {
-				c := &instrs[k]
-				*c = *in
-				c.Dst, c.Src, c.Base, c.Callee = opd(in.Dst), opd(in.Src), opd(in.Base), opd(in.Callee)
-				if len(in.Args) > 0 {
-					c.Args = make([]Operand, len(in.Args))
-					for a, o := range in.Args {
-						c.Args[a] = opd(o)
-					}
-				}
-				dst[k] = c
-			}
-			instrs = instrs[len(src):]
-			return dst
-		}
-		nf.Init = copyInstrs(fr.Init)
-		for k, fn := range fr.Funcs {
-			c := nf.Funcs[k]
-			c.Instrs = copyInstrs(fn.Instrs)
-			c.Params = make([]*Var, len(fn.Params))
-			for p, v := range fn.Params {
-				c.Params[p] = &local[v.ID]
-			}
-			if fn.RetVal != nil {
-				c.RetVal = &local[fn.RetVal.ID]
-			}
-		}
-		out[i] = nf
-	}
-	return out
-}
-
-// link assembles fragments the caller owns into one Program, adopting
-// their Vars, Instrs and Funcs: it assigns program-wide variable and
-// instruction IDs, resolves global proxies to canonical globals, and
-// rebases string indices, all in place. The instruction order matches
-// the historical single-pass Lower exactly: every fragment's
-// initializer segment first (file order), then every fragment's
-// function bodies.
-func link(info *cminor.Info, frags []*Fragment) *Program {
-	nVars, nInstrs, nInit, nStrings := len(info.Globals), 0, 0, 0
-	for _, fr := range frags {
-		nVars += len(fr.InitVars) + len(fr.BodyVars)
-		nInstrs += fr.numInstrs()
-		nInit += len(fr.Init)
-		nStrings += len(fr.Strings)
-	}
-	prog := &Program{
-		Funcs:   make(map[string]*Func),
-		Externs: make(map[string]*cminor.FuncObject),
-		Globals: make(map[string]*Var, len(info.Globals)),
-		Strings: make([]StringLit, 0, nStrings),
-		Vars:    make([]*Var, 0, nVars),
-		Instrs:  make([]*Instr, 0, nInstrs),
-		Info:    info,
-	}
-	addVar := func(v *Var) *Var {
-		v.ID = len(prog.Vars)
-		prog.Vars = append(prog.Vars, v)
-		return v
+	p := &Program{
+		Funcs:     make(map[string]*Func),
+		Externs:   make(map[string]*cminor.FuncObject),
+		Info:      info,
+		frags:     make([]linked, len(frags)),
+		globalIDs: make(map[string]int32, len(info.Globals)),
 	}
 	// Canonical globals in sorted name order (variable IDs carry no
 	// analysis meaning; sorting makes linking deterministic).
@@ -212,101 +122,255 @@ func link(info *cminor.Info, frags []*Fragment) *Program {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		prog.Globals[name] = addVar(&Var{
-			Name: name, Global: true,
-			PointerLike: cminor.IsPointer(info.Globals[name].Type),
-		})
+	p.globals = make([]global, len(names))
+	for i, name := range names {
+		p.globals[i] = global{name: name, pointerLike: cminor.IsPointer(info.Globals[name].Type)}
+		p.globalIDs[name] = int32(i)
 	}
 	for name, fo := range info.Funcs {
 		if fo.Decl == nil || fo.Decl.Body == nil {
-			prog.Externs[name] = fo
+			p.Externs[name] = fo
 		}
 	}
-	// globalFor resolves a fragment proxy to the canonical global,
-	// creating one for checker-fallback names (undeclared identifiers
-	// lowered as untyped globals) and accumulating AddrTaken.
-	globalFor := func(p *Var) *Var {
-		v, ok := prog.Globals[p.Name]
-		if !ok {
-			v = addVar(&Var{Name: p.Name, Global: true})
-			prog.Globals[p.Name] = v
-		}
-		if p.AddrTaken {
-			v.AddrTaken = true
-		}
-		return v
-	}
-	// Strings: initializer literals in file order, then body literals
-	// in file order — the order the single-pass Lower emitted them.
-	initBase := make([]int, len(frags))
-	bodyBase := make([]int, len(frags))
+	// Global slots: a name the checker did not register (a fallback)
+	// gets a canonical global after the declared ones. AddrTaken is
+	// the OR over every slot naming the global.
+	nFuncs := 0
 	for i, fr := range frags {
-		initBase[i] = len(prog.Strings)
-		prog.Strings = append(prog.Strings, fr.Strings[:fr.InitStrings]...)
+		lf := &p.frags[i]
+		lf.p, lf.frag = p, fr
+		lf.slots = make([]int32, len(fr.globals))
+		for s, g := range fr.globals {
+			id, ok := p.globalIDs[g.name]
+			if !ok {
+				id = int32(len(p.globals))
+				p.globals = append(p.globals, global{name: g.name})
+				p.globalIDs[g.name] = id
+			}
+			lf.slots[s] = id
+			if g.addrTaken {
+				p.globals[id].addrTaken = true
+			}
+		}
+		nFuncs += len(fr.funcs)
 	}
-	for i, fr := range frags {
-		bodyBase[i] = len(prog.Strings) - fr.InitStrings
-		prog.Strings = append(prog.Strings, fr.Strings[fr.InitStrings:]...)
+	// Bases: every initializer segment first, then every body.
+	nextVar, nextInstr, nextStr := int32(len(p.globals)), 0, 0
+	for i := range p.frags {
+		lf := &p.frags[i]
+		lf.initVar, lf.initInstr, lf.initStr = nextVar, nextInstr, nextStr
+		nextVar += lf.frag.numInitVars
+		nextInstr += lf.frag.numInit
+		nextStr += lf.frag.initStrings
 	}
+	p.bodyVar0, p.numInit, p.initStrs = nextVar, nextInstr, nextStr
+	p.funcs = make([]Func, 0, nFuncs)
+	for i := range p.frags {
+		lf := &p.frags[i]
+		fr := lf.frag
+		lf.bodyVar, lf.bodyInstr, lf.bodyStr = nextVar, nextInstr, nextStr
+		lf.funcs = len(p.funcs)
+		for _, fn := range fr.funcs {
+			fn.p = p
+			fn.First, fn.End = lf.instrID(fn.First), lf.instrID(fn.End)
+			fn.VarFirst, fn.VarEnd = lf.varID(fn.VarFirst), lf.varID(fn.VarEnd)
+			fn.Params, fn.RetVal = lf.varID(fn.Params), lf.varID(fn.RetVal)
+			p.funcs = append(p.funcs, fn)
+		}
+		nextVar += int32(len(fr.vars)) - fr.numInitVars
+		nextInstr += len(fr.instrs) - fr.numInit
+		nextStr += len(fr.strings) - fr.initStrings
+	}
+	p.numVars, p.numInstrs, p.numStrs = nextVar, nextInstr, nextStr
+	if p.numInit > 0 {
+		p.initFn = &Func{
+			Name: InitFuncName, p: p, End: p.numInit,
+			VarFirst: int32(len(p.globals)), VarEnd: p.bodyVar0, RetVal: -1,
+		}
+		p.Funcs[InitFuncName] = p.initFn
+	}
+	for i := range p.funcs {
+		p.Funcs[p.funcs[i].Name] = &p.funcs[i]
+	}
+	return p
+}
 
-	resolve := func(o *Operand, i int) {
-		switch o.Kind {
-		case VarOpd:
-			if o.Var.Global {
-				o.Var = globalFor(o.Var)
-			}
-		case StringOpd:
-			if o.C < int64(frags[i].InitStrings) {
-				o.C += int64(initBase[i])
-			} else {
-				o.C += int64(bodyBase[i])
-			}
-		}
+// instrID maps a fragment-local instruction index to its program ID.
+func (lf *linked) instrID(local int) int {
+	if local < lf.frag.numInit {
+		return lf.initInstr + local
 	}
-	adopt := func(in *Instr, i int, fn *Func) {
-		in.ID = len(prog.Instrs)
-		in.Func = fn
-		resolve(&in.Dst, i)
-		resolve(&in.Src, i)
-		resolve(&in.Base, i)
-		resolve(&in.Callee, i)
-		for k := range in.Args {
-			resolve(&in.Args[k], i)
-		}
-		prog.Instrs = append(prog.Instrs, in)
-	}
+	return lf.bodyInstr + local - lf.frag.numInit
+}
 
-	// Pass 1: the synthetic initializer function.
-	initFn := &Func{Name: InitFuncName, Instrs: make([]*Instr, 0, nInit)}
-	for i, fr := range frags {
-		for _, v := range fr.InitVars {
-			v.Func = initFn
-			addVar(v)
-		}
-		for _, in := range fr.Init {
-			adopt(in, i, initFn)
-			initFn.Instrs = append(initFn.Instrs, in)
-		}
+// varID maps a fragment-local variable index (or global slot -1-V) to
+// its program ID.
+func (lf *linked) varID(v int32) int32 {
+	switch {
+	case v < 0:
+		return lf.slots[-1-v]
+	case v < lf.frag.numInitVars:
+		return lf.initVar + v
 	}
-	if len(initFn.Instrs) > 0 {
-		prog.Funcs[InitFuncName] = initFn
-	}
-	// Pass 2: function bodies, file order then declaration order.
-	for _, fr := range frags {
-		for _, fn := range fr.Funcs {
-			prog.Funcs[fn.Name] = fn
+	return lf.bodyVar + v - lf.frag.numInitVars
+}
+
+// opd resolves a stored operand.
+func (lf *linked) opd(o Operand) Opd {
+	switch o.Kind {
+	case VarOpd:
+		return Opd{Kind: VarOpd, Var: lf.varID(o.V)}
+	case ConstOpd:
+		return Opd{Kind: ConstOpd, C: int64(o.V)}
+	case bigConstOpd:
+		return Opd{Kind: ConstOpd, C: lf.frag.consts[o.V]}
+	case FuncOpd:
+		return Opd{Kind: FuncOpd, Fn: lf.frag.names[o.V]}
+	case StringOpd:
+		if int(o.V) < lf.frag.initStrings {
+			return Opd{Kind: StringOpd, C: int64(lf.initStr + int(o.V))}
 		}
+		return Opd{Kind: StringOpd, C: int64(lf.bodyStr + int(o.V) - lf.frag.initStrings)}
 	}
-	for i, fr := range frags {
-		for _, v := range fr.BodyVars {
-			addVar(v)
-		}
-		for _, fn := range fr.Funcs {
-			for _, in := range fn.Instrs {
-				adopt(in, i, fn)
-			}
-		}
+	return Opd{Kind: o.Kind}
+}
+
+// inst returns the fragment's local-th instruction, whose ID is id.
+func (lf *linked) inst(local, id int) Inst {
+	in := &lf.frag.instrs[local]
+	return Inst{ID: id, Op: in.Op, in: in, lf: lf}
+}
+
+// locate finds the fragment holding instruction id and its local
+// index there. Each search below finds the last fragment whose
+// segment starts at or before the ID: fragments with empty segments
+// before it share its start, and those after it start later.
+func (p *Program) locate(id int) (*linked, int) {
+	if id < p.numInit {
+		i := sort.Search(len(p.frags), func(i int) bool { return p.frags[i].initInstr > id }) - 1
+		return &p.frags[i], id - p.frags[i].initInstr
 	}
-	return prog
+	i := sort.Search(len(p.frags), func(i int) bool { return p.frags[i].bodyInstr > id }) - 1
+	lf := &p.frags[i]
+	return lf, lf.frag.numInit + id - lf.bodyInstr
+}
+
+// Cursor walks a range of instructions in ID order, locating each
+// fragment once rather than each instruction:
+//
+//	c := p.Cursor(f.First, f.End)
+//	for c.Next() {
+//		in := c.Inst
+//		...
+//	}
+//
+// (Declared in a for statement's init clause, the cursor would be
+// copied every iteration.)
+type Cursor struct {
+	// Inst is the current instruction, valid after Next returns true.
+	Inst Inst
+
+	p              *Program
+	lf             *linked
+	local          int
+	next, end, seg int
+}
+
+// Cursor returns a cursor over the instructions with IDs in
+// [first, end).
+func (p *Program) Cursor(first, end int) Cursor {
+	return Cursor{p: p, next: first, end: end, seg: first}
+}
+
+// Next advances to the next instruction, reporting false at the end.
+func (c *Cursor) Next() bool {
+	if c.next >= c.end {
+		return false
+	}
+	if c.next == c.seg {
+		c.enter()
+	}
+	c.Inst = c.lf.inst(c.local, c.next)
+	c.local++
+	c.next++
+	return true
+}
+
+// enter moves the cursor into the fragment segment holding c.next.
+func (c *Cursor) enter() {
+	c.lf, c.local = c.p.locate(c.next)
+	if c.next < c.p.numInit {
+		c.seg = c.lf.initInstr + c.lf.frag.numInit
+	} else {
+		c.seg = c.lf.bodyInstr + len(c.lf.frag.instrs) - c.lf.frag.numInit
+	}
+}
+
+// NumInstrs counts the program's instructions; IDs are 0..NumInstrs-1.
+func (p *Program) NumInstrs() int { return p.numInstrs }
+
+// Instr resolves the instruction with the given ID.
+func (p *Program) Instr(id int) Inst {
+	lf, local := p.locate(id)
+	return lf.inst(local, id)
+}
+
+// NumVars counts the program's variables; IDs are 0..NumVars-1, the
+// globals first.
+func (p *Program) NumVars() int { return int(p.numVars) }
+
+// NumGlobals counts the globals; a variable is global iff its ID is
+// below it.
+func (p *Program) NumGlobals() int32 { return int32(len(p.globals)) }
+
+// Global returns the ID of the named global.
+func (p *Program) Global(name string) (int32, bool) {
+	id, ok := p.globalIDs[name]
+	return id, ok
+}
+
+// locateVar finds the fragment holding a non-global variable and its
+// local index there.
+func (p *Program) locateVar(id int32) (*linked, int32) {
+	if id < p.bodyVar0 {
+		i := sort.Search(len(p.frags), func(i int) bool { return p.frags[i].initVar > id }) - 1
+		return &p.frags[i], id - p.frags[i].initVar
+	}
+	i := sort.Search(len(p.frags), func(i int) bool { return p.frags[i].bodyVar > id }) - 1
+	lf := &p.frags[i]
+	return lf, lf.frag.numInitVars + id - lf.bodyVar
+}
+
+// Var returns the record of the variable with the given ID.
+func (p *Program) Var(id int32) Var {
+	if id < int32(len(p.globals)) {
+		g := p.globals[id]
+		return Var{Global: true, AddrTaken: g.addrTaken, PointerLike: g.pointerLike}
+	}
+	lf, local := p.locateVar(id)
+	return lf.frag.vars[local]
+}
+
+// VarName returns the source name of the variable with the given ID.
+func (p *Program) VarName(id int32) string {
+	if id < int32(len(p.globals)) {
+		return p.globals[id].name
+	}
+	lf, local := p.locateVar(id)
+	return lf.frag.varNames[local]
+}
+
+// NumStrings counts the program's string literal sites.
+func (p *Program) NumStrings() int { return p.numStrs }
+
+// StringLit returns string literal site i: initializer literals in
+// file order, then body literals in file order.
+func (p *Program) StringLit(i int) StringLit {
+	if i < p.initStrs {
+		k := sort.Search(len(p.frags), func(k int) bool { return p.frags[k].initStr > i }) - 1
+		return p.frags[k].frag.strings[i-p.frags[k].initStr]
+	}
+	k := sort.Search(len(p.frags), func(k int) bool { return p.frags[k].bodyStr > i }) - 1
+	lf := &p.frags[k]
+	return lf.frag.strings[lf.frag.initStrings+i-lf.bodyStr]
 }

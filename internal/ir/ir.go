@@ -10,6 +10,14 @@
 // effect-bearing instructions. (The concrete interpreter in package
 // interp executes the AST directly and is the flow-sensitive
 // reference.)
+//
+// The stored IR is numbered tuples, as bddbddb consumed it: an Instr
+// names its variables, callee, string literal and arguments by
+// integer indices local to its file's Fragment, and holds no pointer.
+// Fragments are immutable once lowered and shared by every Program
+// linked from them; a Program is a view that adds per-fragment base
+// offsets, and hands readers resolved values (Inst, Opd) that carry
+// program-wide IDs.
 package ir
 
 import (
@@ -72,27 +80,166 @@ const (
 	FuncOpd
 	StringOpd
 	NullOpd
+	// bigConstOpd is a stored constant that does not fit in an
+	// Operand: V indexes the fragment's constant table. Resolution
+	// turns it into a ConstOpd.
+	bigConstOpd
 )
 
-// Operand is a source or destination of an instruction.
+// Operand is a stored source or destination of an instruction. V is
+// interpreted by Kind, always relative to the operand's fragment:
+//
+//   - VarOpd: a variable index (InitVars then BodyVars) when V >= 0,
+//     or global slot -1-V;
+//   - ConstOpd: the constant itself;
+//   - FuncOpd: an index into the fragment's function-name table;
+//   - StringOpd: an index into the fragment's string literals.
 type Operand struct {
 	Kind OperandKind
-	Var  *Var   // VarOpd
-	Fn   string // FuncOpd: function name
-	// C is the constant of a ConstOpd, or the index into
-	// Program.Strings of a StringOpd.
-	C int64
+	V    int32
 }
 
-// IsNone reports whether the operand is absent.
-func (o Operand) IsNone() bool { return o.Kind == None }
+// Instr is one stored IR instruction: an opcode with its operands as
+// fragment-local numbers. The call arguments are NumArgs operands
+// from index Args of the fragment's argument table; the source file
+// is the fragment's. Its program-wide ID is computed when linked.
+type Instr struct {
+	Dst    Operand
+	Src    Operand // Assign/Store/Ret source; Addr variable
+	Base   Operand // Load/Store/FieldAddr base pointer
+	Callee Operand // Call
+	Off    int64   // Load/Store/FieldAddr byte offset
 
-func (o Operand) String() string {
+	Args, NumArgs int32
+	Line, Col     int32
+	// Func is the fragment-local index of the enclosing function, or
+	// -1 for a global initializer.
+	Func int32
+	Op   Op
+}
+
+// Var is one variable's record: a source variable, parameter, global,
+// or compiler temporary. Its name lives in a separate table, so
+// records hold no pointers.
+type Var struct {
+	// Global is set in the records Program.Var makes for globals;
+	// fragments store only local variables.
+	Global bool
+	Param  bool
+	Temp   bool
+	// AddrTaken is set when an Addr instruction takes the variable's
+	// address; only such variables need storage objects in the pointer
+	// analysis. A global's flag is per program: the OR over the
+	// fragments linked into it.
+	AddrTaken bool
+	// PointerLike reports whether the variable's declared type can
+	// carry a pointer (pointers, integers wide enough after casts —
+	// CMinor is weakly typed, so this is advisory only).
+	PointerLike bool
+}
+
+// Opd is an operand resolved against a Program: the value readers
+// see.
+type Opd struct {
+	Kind OperandKind
+	Var  int32 // VarOpd: program-wide variable ID
+	// C is the constant of a ConstOpd, or the program-wide index of a
+	// StringOpd's literal (see Program.StringLit).
+	C  int64
+	Fn string // FuncOpd: function name
+}
+
+// Inst is an instruction of a Program: a handle on the stored Instr
+// whose accessors resolve operands, position and function on demand.
+// ID is unique across the program — the paper's instruction set I.
+// Inst values are computed by Program.Instr; nothing a Program holds
+// points at them. At four words it stays in registers.
+type Inst struct {
+	ID int
+	Op Op
+
+	in *Instr
+	lf *linked
+}
+
+// Off is a Load, Store or FieldAddr's byte offset.
+func (in Inst) Off() int64 { return in.in.Off }
+
+// NumArgs is a call's argument count; Arg resolves each one.
+func (in Inst) NumArgs() int { return int(in.in.NumArgs) }
+
+// Dst is the destination operand.
+func (in Inst) Dst() Opd { return in.lf.opd(in.in.Dst) }
+
+// Src is the Assign/Store/Ret source, or the Addr variable.
+func (in Inst) Src() Opd { return in.lf.opd(in.in.Src) }
+
+// Base is the Load/Store/FieldAddr base pointer.
+func (in Inst) Base() Opd { return in.lf.opd(in.in.Base) }
+
+// Callee is a Call's callee.
+func (in Inst) Callee() Opd { return in.lf.opd(in.in.Callee) }
+
+// Arg returns the k-th call argument, 0 <= k < NumArgs.
+func (in Inst) Arg(k int) Opd { return in.lf.opd(in.lf.frag.args[int(in.in.Args)+k]) }
+
+// Pos is the instruction's source position.
+func (in Inst) Pos() cminor.Pos {
+	return cminor.Pos{File: in.lf.frag.Path, Line: int(in.in.Line), Col: int(in.in.Col)}
+}
+
+// Func is the enclosing function: the synthetic initializer for a
+// global initializer.
+func (in Inst) Func() *Func {
+	if in.in.Func < 0 {
+		return in.lf.p.initFn
+	}
+	return &in.lf.p.funcs[in.lf.funcs+int(in.in.Func)]
+}
+
+func (in Inst) String() string {
+	return in.format(in.lf.p.VarName)
+}
+
+// format renders the instruction with variables named by name.
+func (in Inst) format(name func(int32) string) string {
+	opd := func(o Opd) string { return o.format(name) }
+	switch in.Op {
+	case Assign:
+		return fmt.Sprintf("%s = ASSIGN %s", opd(in.Dst()), opd(in.Src()))
+	case Load:
+		return fmt.Sprintf("%s = LOAD [%s+%d]", opd(in.Dst()), opd(in.Base()), in.Off())
+	case Store:
+		return fmt.Sprintf("STORE [%s+%d] = %s", opd(in.Base()), in.Off(), opd(in.Src()))
+	case Addr:
+		return fmt.Sprintf("%s = ADDR %s", opd(in.Dst()), opd(in.Src()))
+	case FieldAddr:
+		return fmt.Sprintf("%s = ADD %s, %d", opd(in.Dst()), opd(in.Base()), in.Off())
+	case Call:
+		args := make([]string, in.NumArgs())
+		for i := range args {
+			args[i] = opd(in.Arg(i))
+		}
+		call := fmt.Sprintf("CALL %s(%s)", opd(in.Callee()), strings.Join(args, ", "))
+		if in.Dst().Kind == None {
+			return call
+		}
+		return fmt.Sprintf("%s = %s", opd(in.Dst()), call)
+	case Ret:
+		if in.Src().Kind == None {
+			return "RET"
+		}
+		return fmt.Sprintf("RET %s", opd(in.Src()))
+	}
+	return "?"
+}
+
+func (o Opd) format(name func(int32) string) string {
 	switch o.Kind {
 	case None:
 		return "_"
 	case VarOpd:
-		return o.Var.Name
+		return name(o.Var)
 	case ConstOpd:
 		return fmt.Sprintf("%d", o.C)
 	case FuncOpd:
@@ -105,104 +252,67 @@ func (o Operand) String() string {
 	return "?"
 }
 
-// Instr is one IR instruction. ID is unique across the whole program —
-// the paper's instruction set I.
-type Instr struct {
-	ID   int
-	Op   Op
-	Dst  Operand
-	Src  Operand // Assign/Store/Ret source; Addr variable
-	Base Operand // Load/Store/FieldAddr base pointer
-	Off  int64   // Load/Store/FieldAddr byte offset
-	// Call:
-	Callee Operand
-	Args   []Operand
-
-	Pos  cminor.Pos
-	Func *Func
-}
-
-func (in *Instr) String() string {
-	switch in.Op {
-	case Assign:
-		return fmt.Sprintf("%s = ASSIGN %s", in.Dst, in.Src)
-	case Load:
-		return fmt.Sprintf("%s = LOAD [%s+%d]", in.Dst, in.Base, in.Off)
-	case Store:
-		return fmt.Sprintf("STORE [%s+%d] = %s", in.Base, in.Off, in.Src)
-	case Addr:
-		return fmt.Sprintf("%s = ADDR %s", in.Dst, in.Src)
-	case FieldAddr:
-		return fmt.Sprintf("%s = ADD %s, %d", in.Dst, in.Base, in.Off)
-	case Call:
-		args := make([]string, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = a.String()
-		}
-		call := fmt.Sprintf("CALL %s(%s)", in.Callee, strings.Join(args, ", "))
-		if in.Dst.IsNone() {
-			return call
-		}
-		return fmt.Sprintf("%s = %s", in.Dst, call)
-	case Ret:
-		if in.Src.IsNone() {
-			return "RET"
-		}
-		return fmt.Sprintf("RET %s", in.Src)
-	}
-	return "?"
-}
-
-// Var is an IR variable: a source variable, parameter, global, or
-// compiler temporary. ID is unique across the program — the paper's
-// variable set V.
-type Var struct {
-	ID     int
-	Name   string
-	Global bool
-	Param  bool
-	Temp   bool
-	Func   *Func // nil for globals
-	// AddrTaken is set when an Addr instruction takes the variable's
-	// address; only such variables need storage objects in the pointer
-	// analysis.
-	AddrTaken bool
-	// PointerLike reports whether the variable's declared type can
-	// carry a pointer (pointers, integers wide enough after casts —
-	// CMinor is weakly typed, so this is advisory only).
-	PointerLike bool
-}
-
-func (v *Var) String() string { return v.Name }
-
-// Func is a lowered function body.
+// Func is a lowered function. In a Fragment its numbers are
+// fragment-local (instruction and variable indices); in a Program
+// they are program-wide IDs.
 type Func struct {
 	Name     string
-	Params   []*Var
 	Ret      bool // has a non-void return type
 	Variadic bool
-	Instrs   []*Instr
 	Decl     *cminor.FuncDecl
+	// First and End bound the function's instructions: [First, End).
+	First, End int
+	// VarFirst and VarEnd bound the variables the function owns —
+	// parameters, return slot, locals and temporaries.
+	VarFirst, VarEnd int32
+	// The NumParams parameters are the variables from Params on.
+	Params    int32
+	NumParams int
 	// RetVal is the distinguished variable that Ret instructions
-	// assign; the call-return wiring in the pointer analysis reads it.
-	RetVal *Var
+	// assign, which the call-return wiring in the pointer analysis
+	// reads; -1 for the synthetic initializer.
+	RetVal int32
+
+	p *Program
+}
+
+// Param returns the variable ID of the i-th parameter.
+func (f *Func) Param(i int) int32 { return f.Params + int32(i) }
+
+// NumInstrs counts the function's instructions.
+func (f *Func) NumInstrs() int { return f.End - f.First }
+
+// Instrs resolves the function's instructions into a new slice; a
+// Program.Cursor over First..End-1 allocates nothing.
+func (f *Func) Instrs() []Inst {
+	out := make([]Inst, 0, f.NumInstrs())
+	c := f.p.Cursor(f.First, f.End)
+	for c.Next() {
+		out = append(out, c.Inst)
+	}
+	return out
+}
+
+// Dump renders a function's instructions, one per line (debugging and
+// the cmd/cminor tool).
+func (f *Func) Dump() string {
+	var sb strings.Builder
+	params := make([]string, f.NumParams)
+	for i := range params {
+		params[i] = f.p.VarName(f.Param(i))
+	}
+	fmt.Fprintf(&sb, "func %s(%s):\n", f.Name, strings.Join(params, ", "))
+	c := f.p.Cursor(f.First, f.End)
+	for c.Next() {
+		fmt.Fprintf(&sb, "  %4d  %s\n", c.Inst.ID, c.Inst)
+	}
+	return sb.String()
 }
 
 // StringLit is one string literal site.
 type StringLit struct {
 	Value string
 	Pos   cminor.Pos
-}
-
-// Program is a whole lowered program.
-type Program struct {
-	Funcs   map[string]*Func
-	Externs map[string]*cminor.FuncObject // declared but not defined
-	Globals map[string]*Var
-	Strings []StringLit
-	Vars    []*Var   // all variables, indexed by ID
-	Instrs  []*Instr // all instructions, indexed by ID
-	Info    *cminor.Info
 }
 
 // FuncNames returns defined function names in a stable order.
@@ -213,19 +323,4 @@ func (p *Program) FuncNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Dump renders a function's instructions, one per line (debugging and
-// the cmd/cminor tool).
-func (f *Func) Dump() string {
-	var sb strings.Builder
-	params := make([]string, len(f.Params))
-	for i, p := range f.Params {
-		params[i] = p.Name
-	}
-	fmt.Fprintf(&sb, "func %s(%s):\n", f.Name, strings.Join(params, ", "))
-	for _, in := range f.Instrs {
-		fmt.Fprintf(&sb, "  %4d  %s\n", in.ID, in)
-	}
-	return sb.String()
 }

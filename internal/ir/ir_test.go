@@ -3,30 +3,34 @@ package ir
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/cminor"
 )
 
+// testName names variable 0 "x" and variable 1 "y".
+func testName(v int32) string { return [...]string{"x", "y"}[v] }
+
 func TestOperandString(t *testing.T) {
-	v := &Var{Name: "x"}
-	cases := map[string]Operand{
+	cases := map[string]Opd{
 		"_":     {},
-		"x":     {Kind: VarOpd, Var: v},
+		"x":     {Kind: VarOpd, Var: 0},
 		"42":    {Kind: ConstOpd, C: 42},
 		"&f":    {Kind: FuncOpd, Fn: "f"},
 		"str#3": {Kind: StringOpd, C: 3},
 		"null":  {Kind: NullOpd},
 	}
 	for want, o := range cases {
-		if got := o.String(); got != want {
+		if got := o.format(testName); got != want {
 			t.Errorf("Operand %+v = %q, want %q", o, got, want)
 		}
 	}
 }
 
 func TestInstrString(t *testing.T) {
-	x := Operand{Kind: VarOpd, Var: &Var{Name: "x"}}
-	y := Operand{Kind: VarOpd, Var: &Var{Name: "y"}}
+	// A fragment whose local variables 0 and 1 link to program
+	// variables 0 and 1, calling g with argument y.
+	x := Operand{Kind: VarOpd, V: 0}
+	y := Operand{Kind: VarOpd, V: 1}
+	g := Operand{Kind: FuncOpd, V: 0}
+	lf := &linked{frag: &Fragment{args: []Operand{y}, names: []string{"g"}}}
 	cases := []struct {
 		in   Instr
 		want string
@@ -36,13 +40,14 @@ func TestInstrString(t *testing.T) {
 		{Instr{Op: Store, Base: x, Off: 4, Src: y}, "STORE [x+4] = y"},
 		{Instr{Op: Addr, Dst: x, Src: y}, "x = ADDR y"},
 		{Instr{Op: FieldAddr, Dst: x, Base: y, Off: 16}, "x = ADD y, 16"},
-		{Instr{Op: Call, Dst: x, Callee: Operand{Kind: FuncOpd, Fn: "g"}, Args: []Operand{y}}, "x = CALL &g(y)"},
-		{Instr{Op: Call, Callee: Operand{Kind: FuncOpd, Fn: "g"}}, "CALL &g()"},
+		{Instr{Op: Call, Dst: x, Callee: g, NumArgs: 1}, "x = CALL &g(y)"},
+		{Instr{Op: Call, Callee: g}, "CALL &g()"},
 		{Instr{Op: Ret, Src: x}, "RET x"},
 		{Instr{Op: Ret}, "RET"},
 	}
 	for _, tc := range cases {
-		if got := tc.in.String(); got != tc.want {
+		lf.frag.instrs = []Instr{tc.in}
+		if got := lf.inst(0, 0).format(testName); got != tc.want {
 			t.Errorf("Instr = %q, want %q", got, tc.want)
 		}
 	}
@@ -93,8 +98,8 @@ char * g(char *s) {
 	// The compound assignment must keep s's abstract object flowing
 	// into the returned value.
 	found := false
-	for _, in := range fn.Instrs {
-		if in.Op == Assign && in.Src.Kind == VarOpd && in.Src.Var.Name == "s" {
+	for _, in := range fn.Instrs() {
+		if in.Op == Assign && in.Src().Kind == VarOpd && p.VarName(in.Src().Var) == "s" {
 			found = true
 		}
 	}
@@ -111,7 +116,7 @@ extern int check(int x);
 int g(int a) { return a && check(a); }`)
 	fn := p.Funcs["g"]
 	calls := 0
-	for _, in := range fn.Instrs {
+	for _, in := range fn.Instrs() {
 		if in.Op == Call {
 			calls++
 		}
@@ -131,7 +136,7 @@ int g(int n) {
 }`)
 	fn := p.Funcs["g"]
 	calls := 0
-	for _, in := range fn.Instrs {
+	for _, in := range fn.Instrs() {
 		if in.Op == Call {
 			calls++
 		}
@@ -154,9 +159,9 @@ long g(void) {
 	fn := p.Funcs["g"]
 	// x must be assigned (directly) from p.
 	ok := false
-	for _, in := range fn.Instrs {
-		if in.Op == Assign && in.Dst.Var != nil && in.Dst.Var.Name == "x" &&
-			in.Src.Kind == VarOpd && in.Src.Var.Name == "p" {
+	for _, in := range fn.Instrs() {
+		if in.Op == Assign && in.Dst().Kind == VarOpd && p.VarName(in.Dst().Var) == "x" &&
+			in.Src().Kind == VarOpd && p.VarName(in.Src().Var) == "p" {
 			ok = true
 		}
 	}
@@ -179,13 +184,13 @@ func TestAddressOfFieldOfPointer(t *testing.T) {
 struct s { long a; long b; };
 long * g(struct s *p) { return &p->b; }`)
 	fn := p.Funcs["g"]
-	var fa *Instr
-	for _, in := range fn.Instrs {
+	var fa *Inst
+	for _, in := range fn.Instrs() {
 		if in.Op == FieldAddr {
-			fa = in
+			fa = &in
 		}
 	}
-	if fa == nil || fa.Off != 8 {
+	if fa == nil || fa.Off() != 8 {
 		t.Fatalf("&p->b: %v", fa)
 	}
 }
@@ -196,11 +201,9 @@ func TestAddressOfFirstFieldIsBase(t *testing.T) {
 struct s { long a; long b; };
 long * g(struct s *p) { return &p->a; }`)
 	fn := p.Funcs["g"]
-	for _, in := range fn.Instrs {
+	for _, in := range fn.Instrs() {
 		if in.Op == FieldAddr {
 			t.Fatalf("offset-0 field address emitted ADD:\n%s", fn.Dump())
 		}
 	}
 }
-
-var _ = cminor.Pos{} // keep the import for helpers in lower_test.go

@@ -2,7 +2,7 @@ package ir
 
 import (
 	"fmt"
-	"sort"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -74,109 +74,100 @@ func lowerFiles(info *cminor.Info, files []*cminor.File) []*Fragment {
 
 // opdString renders an operand with its variable's ID, so two dumps
 // agree only if every operand names the same program variable.
-func opdString(o Operand) string {
+func opdString(p *Program, o Opd) string {
 	switch o.Kind {
 	case VarOpd:
-		return fmt.Sprintf("v%d:%s", o.Var.ID, o.Var.Name)
+		return fmt.Sprintf("v%d:%s", o.Var, p.VarName(o.Var))
 	case None:
 		return "_"
 	}
 	return fmt.Sprintf("%d:%d:%s", o.Kind, o.C, o.Fn)
 }
 
-func funcName(fn *Func) string {
-	if fn == nil {
-		return "<nil>"
+// varFunc names the function owning a variable, or <nil> for a global.
+func varFunc(p *Program, v int32) string {
+	for _, name := range p.FuncNames() {
+		if fn := p.Funcs[name]; fn.VarFirst <= v && v < fn.VarEnd {
+			return name
+		}
 	}
-	return fn.Name
+	return "<nil>"
 }
 
 // progDump renders everything linking decides: variable IDs and flags,
 // string indices, and every instruction's ID, function and operands.
 func progDump(p *Program) string {
 	var sb strings.Builder
-	for _, v := range p.Vars {
+	for id := int32(0); int(id) < p.NumVars(); id++ {
+		v := p.Var(id)
 		fmt.Fprintf(&sb, "var %d %s g=%t p=%t t=%t fn=%s addr=%t ptr=%t\n",
-			v.ID, v.Name, v.Global, v.Param, v.Temp, funcName(v.Func), v.AddrTaken, v.PointerLike)
+			id, p.VarName(id), v.Global, v.Param, v.Temp, varFunc(p, id), v.AddrTaken, v.PointerLike)
 	}
-	for i, s := range p.Strings {
+	for i := 0; i < p.NumStrings(); i++ {
+		s := p.StringLit(i)
 		fmt.Fprintf(&sb, "str %d %q %s\n", i, s.Value, s.Pos)
 	}
 	for _, name := range p.FuncNames() {
 		fn := p.Funcs[name]
 		fmt.Fprintf(&sb, "func %s ret=%t", name, fn.Ret)
-		for _, v := range fn.Params {
-			sb.WriteString(" " + opdString(varOpd(v)))
+		for i := 0; i < fn.NumParams; i++ {
+			sb.WriteString(" " + opdString(p, Opd{Kind: VarOpd, Var: fn.Param(i)}))
 		}
-		if fn.RetVal != nil {
-			sb.WriteString(" -> " + opdString(varOpd(fn.RetVal)))
+		if fn.RetVal >= 0 {
+			sb.WriteString(" -> " + opdString(p, Opd{Kind: VarOpd, Var: fn.RetVal}))
 		}
 		sb.WriteByte('\n')
-		for _, in := range fn.Instrs {
-			fmt.Fprintf(&sb, "  %d %s fn=%s %s %s %s+%d %s(", in.ID, in.Op, funcName(in.Func),
-				opdString(in.Dst), opdString(in.Src), opdString(in.Base), in.Off, opdString(in.Callee))
-			for _, a := range in.Args {
-				sb.WriteString(opdString(a) + ",")
+		for _, in := range fn.Instrs() {
+			fmt.Fprintf(&sb, "  %d %s fn=%s %s %s %s+%d %s(", in.ID, in.Op, in.Func().Name,
+				opdString(p, in.Dst()), opdString(p, in.Src()), opdString(p, in.Base()), in.Off(), opdString(p, in.Callee()))
+			for k := 0; k < in.NumArgs(); k++ {
+				sb.WriteString(opdString(p, in.Arg(k)) + ",")
 			}
-			fmt.Fprintf(&sb, ") %s\n", in.Pos)
+			fmt.Fprintf(&sb, ") %s\n", in.Pos())
 		}
 	}
 	return sb.String()
 }
 
-// fragState renders a fragment including object identities, so any
-// write to a fragment's Vars, Instrs or Funcs changes it.
+// fragState renders a fragment's every field, including where each
+// table lives, so any write to a fragment — or a table swapped for a
+// copy — changes it.
 func fragState(fr *Fragment) string {
 	var sb strings.Builder
-	vars := append(append([]*Var(nil), fr.InitVars...), fr.BodyVars...)
-	names := make([]string, 0, len(fr.Globals))
-	for name := range fr.Globals {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		vars = append(vars, fr.Globals[name])
-	}
-	for _, v := range vars {
-		fmt.Fprintf(&sb, "%p %+v\n", v, *v)
-	}
-	instrs := append([]*Instr(nil), fr.Init...)
-	for _, fn := range fr.Funcs {
-		fmt.Fprintf(&sb, "%p %+v\n", fn, *fn)
-		instrs = append(instrs, fn.Instrs...)
-	}
-	for _, in := range instrs {
-		fmt.Fprintf(&sb, "%p %+v\n", in, *in)
-	}
-	fmt.Fprintf(&sb, "%+v %d\n", fr.Strings, fr.InitStrings)
+	fmt.Fprintf(&sb, "%+v\n", *fr)
+	fmt.Fprintf(&sb, "%p %p %p %p %p %p %p %p %p %p\n", fr.instrs, fr.vars, fr.varNames, fr.args,
+		fr.consts, fr.names, fr.funcs, fr.globals, fr.strings, fr)
 	return sb.String()
 }
 
-// checkWired verifies that a linked program refers only to its own
-// objects: every instruction sits in its function and in Program.Instrs
-// at its ID, every variable operand is the program's variable, every
-// string operand indexes the literal lowered at its position, and
-// every local variable belongs to one of the program's functions.
+// checkWired verifies that a linked program is consistent: every
+// instruction sits in its function and resolves at its ID, every
+// variable operand names one of the program's variables, every string
+// operand indexes the literal lowered at its position, and every
+// local variable belongs to one of the program's functions.
 func checkWired(t *testing.T, p *Program) {
 	t.Helper()
-	for _, v := range p.Vars {
-		if v.Func != nil && p.Funcs[v.Func.Name] != v.Func {
-			t.Fatalf("variable %d (%s) belongs to a function outside the program", v.ID, v.Name)
+	for id := p.NumGlobals(); int(id) < p.NumVars(); id++ {
+		if varFunc(p, id) == "<nil>" {
+			t.Fatalf("variable %d (%s) belongs to no function of the program", id, p.VarName(id))
 		}
 	}
 	for _, name := range p.FuncNames() {
 		fn := p.Funcs[name]
-		for _, in := range fn.Instrs {
-			if in.Func != fn || p.Instrs[in.ID] != in {
+		for _, in := range fn.Instrs() {
+			if in.Func() != fn || p.Instr(in.ID).Func() != fn {
 				t.Fatalf("%s: instruction %d is not wired into the program", name, in.ID)
 			}
-			opds := append([]Operand{in.Dst, in.Src, in.Base, in.Callee}, in.Args...)
+			opds := []Opd{in.Dst(), in.Src(), in.Base(), in.Callee()}
+			for k := 0; k < in.NumArgs(); k++ {
+				opds = append(opds, in.Arg(k))
+			}
 			for _, o := range opds {
-				if o.Kind == VarOpd && p.Vars[o.Var.ID] != o.Var {
+				if o.Kind == VarOpd && (o.Var < 0 || int(o.Var) >= p.NumVars()) {
 					t.Fatalf("%s: instruction %d names a variable outside the program", name, in.ID)
 				}
-				if o.Kind == StringOpd && p.Strings[o.C].Pos != in.Pos {
-					t.Fatalf("%s: instruction %d at %s names string %d from %s", name, in.ID, in.Pos, o.C, p.Strings[o.C].Pos)
+				if o.Kind == StringOpd && p.StringLit(int(o.C)).Pos != in.Pos() {
+					t.Fatalf("%s: instruction %d at %s names string %d from %s", name, in.ID, in.Pos(), o.C, p.StringLit(int(o.C)).Pos)
 				}
 			}
 		}
@@ -192,6 +183,7 @@ func TestLinkLeavesFragmentsUnchanged(t *testing.T) {
 	}
 	p := Link(info, frags)
 	Link(info, frags)
+	progDump(p)
 	for i, fr := range frags {
 		if fragState(fr) != before[i] {
 			t.Errorf("Link modified fragment %s", fr.Path)
@@ -242,11 +234,85 @@ func TestLowerMatchesLink(t *testing.T) {
 	}
 }
 
+// TestOperandAndInstrSizes pins the stored IR's layout: an Instr fits
+// in 64 bytes, and Instr, Operand and Var hold no pointers, so the
+// collector never scans the tables holding them.
 func TestOperandAndInstrSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Operand{}); got != 40 {
-		t.Errorf("Operand is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(Instr{}); got > 64 {
+		t.Errorf("Instr is %d bytes, want at most 64", got)
 	}
-	if got := unsafe.Sizeof(Instr{}); got > 256 {
-		t.Errorf("Instr is %d bytes, want at most 256", got)
+	for _, v := range []any{Instr{}, Operand{}, Var{}} {
+		if path := pointerField(reflect.TypeOf(v)); path != "" {
+			t.Errorf("%T holds a pointer-carrying field %s", v, path)
+		}
+	}
+}
+
+// pointerField returns the path to the first field of t (searched
+// depth first) whose type carries a pointer: a pointer, slice, string,
+// map, channel, function or interface. It returns "" if there is none.
+func pointerField(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		return t.Kind().String()
+	case reflect.Array:
+		if p := pointerField(t.Elem()); p != "" {
+			return "[]" + p
+		}
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if p := pointerField(f.Type); p != "" {
+				return "." + f.Name + p
+			}
+		}
+	}
+	return ""
+}
+
+// TestCursorMatchesInstr: a cursor yields exactly what Instr resolves,
+// in ID order, across fragments whose initializer or body segments are
+// empty.
+func TestCursorMatchesInstr(t *testing.T) {
+	var files []*cminor.File
+	for _, s := range []struct{ path, src string }{
+		{"a.c", "int x = 1;\nint f(void) { return x; }"},
+		{"b.c", "int g(void) { return 2; }"},
+		{"c.c", "extern int x;\nint *p = &x;"},
+		{"d.c", ""},
+		{"e.c", "int *q = &x;\nint main(void) { return f() + g(); }"},
+	} {
+		f, errs := cminor.Parse(s.path, s.src)
+		if len(errs) != 0 {
+			t.Fatalf("parse %s: %v", s.path, errs)
+		}
+		files = append(files, f)
+	}
+	info := cminor.Check(files...)
+	if len(info.Errors) != 0 {
+		t.Fatalf("check: %v", info.Errors)
+	}
+	p := Lower(info, files...)
+	walk := func(first, end int) {
+		c := p.Cursor(first, end)
+		id := first
+		for c.Next() {
+			if want := p.Instr(id); c.Inst.ID != id || c.Inst.String() != want.String() || c.Inst.Pos() != want.Pos() {
+				t.Fatalf("cursor over [%d, %d) gave %d %s at %s, want %d %s at %s",
+					first, end, c.Inst.ID, c.Inst, c.Inst.Pos(), id, want, want.Pos())
+			}
+			id++
+		}
+		if id != end {
+			t.Fatalf("cursor over [%d, %d) stopped at %d", first, end, id)
+		}
+	}
+	walk(0, p.NumInstrs())
+	for _, name := range p.FuncNames() {
+		walk(p.Funcs[name].First, p.Funcs[name].End)
+	}
+	if p.Funcs[InitFuncName].NumInstrs() == 0 || p.NumInstrs() <= p.Funcs[InitFuncName].End {
+		t.Fatal("fixture lacks initializers or bodies")
 	}
 }

@@ -1,10 +1,10 @@
 package ir
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/cminor"
-	"repro/internal/slab"
 )
 
 // InitFuncName is the synthetic function holding global variable
@@ -14,114 +14,188 @@ const InitFuncName = "__global_init"
 
 // Lower converts checked files into an IR program. The checker's Info
 // must come from cminor.Check over exactly these files. It is the
-// batch composition of the per-file half (LowerFile) and the linking
-// half; incremental analysis calls LowerFile and Link separately,
-// reusing cached fragments for unchanged files. The fragments Lower
-// makes are private to it, so it links them in place rather than
-// cloning them as Link does.
+// batch composition of the per-file half (LowerFile) and Link;
+// incremental analysis calls them separately, reusing cached fragments
+// for unchanged files.
 func Lower(info *cminor.Info, files ...*cminor.File) *Program {
 	frags := make([]*Fragment, len(files))
 	for i, f := range files {
 		frags[i] = LowerFile(info, f)
 	}
-	return link(info, frags)
+	return Link(info, frags)
 }
 
-// builder lowers one file into a fragment. Variables are appended to
-// *sink (InitVars while lowering global initializers, BodyVars inside
-// functions) with fragment-local IDs; linking assigns program-wide
-// identity. The fragment's Vars and Instrs come from the builder's
-// slabs, so they live and die with the fragment.
+// LowerFile lowers one checked file into a reusable fragment. info
+// must cover the file (a full check, or an incremental check that
+// re-checked it).
+func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
+	// Lowering emits about 1.25 instructions and 0.6 variables per
+	// identifier on the paper corpus; tables sized from that seldom
+	// regrow.
+	b := &builder{
+		frag:     &Fragment{Path: f.Path},
+		info:     info,
+		uses:     info.Uses[f],
+		fn:       -1,
+		instrs:   make([]Instr, 0, f.NumIdents*5/4+16),
+		vars:     make([]Var, 0, f.NumIdents*5/8+16),
+		varNames: make([]string, 0, f.NumIdents*5/8+16),
+		slots:    make(map[string]int32),
+		names:    make(map[string]int32),
+	}
+	// Global initializers first, mirroring Lower's historical order.
+	// Initializers of names the checker did not register as globals are
+	// dropped, as the single-pass Lower always did.
+	for _, d := range f.Decls {
+		if vd, ok := d.(*cminor.VarDecl); ok && vd.Init != nil {
+			if _, ok := info.Globals[vd.Name]; ok {
+				src := b.expr(vd.Init)
+				b.emit(Instr{Op: Assign, Dst: varOpd(b.globalSlot(vd.Name)), Src: src}, vd.Pos)
+			}
+		}
+	}
+	b.frag.numInit = len(b.instrs)
+	b.frag.numInitVars = int32(len(b.vars))
+	b.frag.initStrings = len(b.frag.strings)
+	// Function bodies.
+	for _, d := range f.Decls {
+		if fd, ok := d.(*cminor.FuncDecl); ok && fd.Body != nil {
+			b.lowerFunc(fd)
+		}
+	}
+	b.frag.instrs, b.frag.vars, b.frag.varNames, b.frag.args = fit(b.instrs), fit(b.vars), fit(b.varNames), b.args
+	return b.frag
+}
+
+// fit returns s, or a copy without its spare capacity when that is
+// more than an eighth of its length, so a fragment holds little more
+// than its tables.
+func fit[T any](s []T) []T {
+	if cap(s)-len(s) > len(s)/8 {
+		return slices.Clone(s)
+	}
+	return s
+}
+
+// builder lowers one file into a fragment, numbering everything
+// fragment-locally; Link assigns program-wide identity.
 type builder struct {
 	frag *Fragment
-	info *cminor.Info
-	uses []any // info.Uses table of the file being lowered
-	fn   *Func
-	sink *[]*Var
+	// instrs, vars, varNames and args become the fragment's tables.
+	instrs   []Instr
+	vars     []Var
+	varNames []string
+	args     []Operand
+	info     *cminor.Info
+	uses     []any // info.Uses table of the file being lowered
+	// fn is the fragment-local index of the function being lowered, -1
+	// while lowering global initializers.
+	fn int32
 	// fi and fnVars describe the current function: fnVars[i] is the
-	// Var of the parameter or local whose VarObject.Index is i.
+	// variable of the parameter or local whose VarObject.Index is i.
 	fi     *cminor.FuncInfo
-	fnVars []*Var
+	fnVars []int32
 	// nextLocal is the position in fi.Locals of the next local
 	// declaration statement to lower.
 	nextLocal int
 	tmps      int
-
-	varSlab   []Var
-	instrSlab []Instr
+	// slots and names number the fragment's global slots and FuncOpd
+	// names.
+	slots map[string]int32
+	names map[string]int32
+	// argStack holds the arguments of the calls being lowered.
+	argStack []Operand
 }
 
-// newVar appends a variable to *sink. Its ID is its index in the
-// fragment's InitVars followed by BodyVars (initializers are lowered
-// before any body, so the two lists never grow together).
-func (b *builder) newVar(name string, fn *Func) *Var {
-	v := slab.New(&b.varSlab)
-	*v = Var{ID: len(b.frag.InitVars) + len(b.frag.BodyVars), Name: name, Func: fn}
-	*b.sink = append(*b.sink, v)
-	return v
+// newVar appends a variable and returns its fragment-local index
+// (initializers are lowered before any body, so initializer
+// temporaries come first).
+func (b *builder) newVar(name string, v Var) int32 {
+	b.vars = append(b.vars, v)
+	b.varNames = append(b.varNames, name)
+	return int32(len(b.vars) - 1)
 }
 
-func (b *builder) temp() *Var {
+func (b *builder) temp() int32 {
 	b.tmps++
-	v := b.newVar("t"+strconv.Itoa(b.tmps), b.fn)
-	v.Temp = true
-	return v
+	return b.newVar("t"+strconv.Itoa(b.tmps), Var{Temp: true})
 }
 
-// globalProxy returns the fragment's name-keyed stand-in for a program
-// global. Proxies live only in frag.Globals (never in a var sink);
-// Link replaces them with canonical globals.
-func (b *builder) globalProxy(name string) *Var {
-	if v, ok := b.frag.Globals[name]; ok {
-		return v
+// globalSlot returns the operand index of the fragment's slot for a
+// program global; Link maps the slot to the canonical global.
+func (b *builder) globalSlot(name string) int32 {
+	s, ok := b.slots[name]
+	if !ok {
+		s = int32(len(b.frag.globals))
+		b.frag.globals = append(b.frag.globals, globalSlot{name: name})
+		b.slots[name] = s
 	}
-	v := &Var{Name: name, Global: true}
-	b.frag.Globals[name] = v
-	return v
+	return -1 - s
 }
 
-// emit copies an instruction into the builder's slab and appends it
-// to the current function (or the file's initializers).
-func (b *builder) emit(lit Instr) *Instr {
-	in := slab.New(&b.instrSlab)
-	*in = lit
-	in.Func = b.fn
-	if b.fn == nil {
-		b.frag.Init = append(b.frag.Init, in)
+// takeAddr marks a variable (a local index or a global slot) as
+// address-taken.
+func (b *builder) takeAddr(v int32) {
+	if v < 0 {
+		b.frag.globals[-1-v].addrTaken = true
 	} else {
-		b.fn.Instrs = append(b.fn.Instrs, in)
+		b.vars[v].AddrTaken = true
 	}
-	return in
 }
 
-func varOpd(v *Var) Operand    { return Operand{Kind: VarOpd, Var: v} }
-func constOpd(c int64) Operand { return Operand{Kind: ConstOpd, C: c} }
+// emit appends an instruction to the current function (or the file's
+// initializers).
+func (b *builder) emit(in Instr, pos cminor.Pos) {
+	in.Func = b.fn
+	in.Line, in.Col = int32(pos.Line), int32(pos.Col)
+	b.instrs = append(b.instrs, in)
+}
+
+func varOpd(v int32) Operand { return Operand{Kind: VarOpd, V: v} }
+
+func (b *builder) constOpd(c int64) Operand {
+	if c == int64(int32(c)) {
+		return Operand{Kind: ConstOpd, V: int32(c)}
+	}
+	b.frag.consts = append(b.frag.consts, c)
+	return Operand{Kind: bigConstOpd, V: int32(len(b.frag.consts) - 1)}
+}
+
+func (b *builder) funcOpd(name string) Operand {
+	k, ok := b.names[name]
+	if !ok {
+		k = int32(len(b.frag.names))
+		b.frag.names = append(b.frag.names, name)
+		b.names[name] = k
+	}
+	return Operand{Kind: FuncOpd, V: k}
+}
 
 func (b *builder) lowerFunc(fd *cminor.FuncDecl) {
 	fi := b.info.FuncInfo[fd]
-	fn := &Func{Name: fd.Name, Decl: fd, Variadic: fd.Variadic}
+	fn := Func{Name: fd.Name, Decl: fd, Variadic: fd.Variadic}
 	if _, isVoid := b.info.Funcs[fd.Name].Type.Ret.(*cminor.VoidType); !isVoid {
 		fn.Ret = true
 	}
-	b.frag.Funcs = append(b.frag.Funcs, fn)
-	b.fn, b.fi, b.nextLocal = fn, fi, 0
+	b.fn = int32(len(b.frag.funcs))
+	b.fi, b.nextLocal = fi, 0
 	b.fnVars = b.fnVars[:0]
-	fn.Params = make([]*Var, 0, len(fi.Params))
+	fn.First = len(b.instrs)
+	fn.VarFirst = int32(len(b.vars))
+	fn.Params, fn.NumParams = fn.VarFirst, len(fi.Params)
 	for _, p := range fi.Params {
-		v := b.newVar(p.Name, fn)
-		v.Param = true
-		v.PointerLike = cminor.IsPointer(p.Type)
-		b.fnVars = append(b.fnVars, v)
-		fn.Params = append(fn.Params, v)
+		b.fnVars = append(b.fnVars, b.newVar(p.Name, Var{Param: true, PointerLike: cminor.IsPointer(p.Type)}))
 	}
-	fn.RetVal = b.newVar("__ret", fn)
+	fn.RetVal = b.newVar("__ret", Var{})
 	for _, l := range fi.Locals {
-		v := b.newVar(l.Name, fn)
-		v.PointerLike = cminor.IsPointer(l.Type)
-		b.fnVars = append(b.fnVars, v)
+		b.fnVars = append(b.fnVars, b.newVar(l.Name, Var{PointerLike: cminor.IsPointer(l.Type)}))
 	}
+	b.frag.funcs = append(b.frag.funcs, fn)
 	b.stmt(fd.Body)
-	b.fn, b.fi = nil, nil
+	f := &b.frag.funcs[b.fn]
+	f.End = len(b.instrs)
+	f.VarEnd = int32(len(b.vars))
+	b.fn, b.fi = -1, nil
 }
 
 // --- statements ---
@@ -133,15 +207,15 @@ func (b *builder) stmt(s cminor.Stmt) {
 			b.stmt(st)
 		}
 	case *cminor.DeclStmt:
-		v := b.localVar(s.Decl)
+		v, ok := b.localVar(s.Decl)
 		if s.Decl.Init != nil {
-			if v == nil {
+			if !ok {
 				// A checker gap: lower into an isolated temp rather
 				// than crash.
 				v = b.temp()
 			}
 			src := b.expr(s.Decl.Init)
-			b.emit(Instr{Op: Assign, Dst: varOpd(v), Src: src, Pos: s.Decl.Pos})
+			b.emit(Instr{Op: Assign, Dst: varOpd(v), Src: src}, s.Decl.Pos)
 		}
 	case *cminor.ExprStmt:
 		b.expr(s.X)
@@ -176,34 +250,35 @@ func (b *builder) stmt(s cminor.Stmt) {
 			}
 		}
 	case *cminor.Return:
-		src := Operand{}
+		ret := b.frag.funcs[b.fn].RetVal
 		if s.X != nil {
-			src = b.expr(s.X)
-			b.emit(Instr{Op: Assign, Dst: varOpd(b.fn.RetVal), Src: src, Pos: s.Pos})
+			src := b.expr(s.X)
+			b.emit(Instr{Op: Assign, Dst: varOpd(ret), Src: src}, s.Pos)
 		}
-		b.emit(Instr{Op: Ret, Src: varOpd(b.fn.RetVal), Pos: s.Pos})
+		b.emit(Instr{Op: Ret, Src: varOpd(ret)}, s.Pos)
 	case *cminor.Break, *cminor.Continue, *cminor.Empty:
 	}
 }
 
-// localVar returns the *Var of a local declaration, or nil if the
-// checker did not record it. The checker lists a function's locals in
-// FuncInfo.Locals in the order their declaration statements are
+// localVar returns the variable of a local declaration, or false if
+// the checker did not record it. The checker lists a function's locals
+// in FuncInfo.Locals in the order their declaration statements are
 // lowered, so a cursor finds each one; same-name locals in nested
 // blocks stay distinct.
-func (b *builder) localVar(d *cminor.VarDecl) *Var {
+func (b *builder) localVar(d *cminor.VarDecl) (int32, bool) {
 	if k := b.nextLocal; k < len(b.fi.Locals) && b.fi.Locals[k].Decl == d {
 		b.nextLocal++
-		return b.fnVars[len(b.fi.Params)+k]
+		return b.fnVars[len(b.fi.Params)+k], true
 	}
-	return nil
+	return 0, false
 }
 
-// varOf returns the *Var of a resolved variable: the current
-// function's parameter or local, or the fragment's proxy for a global.
-func (b *builder) varOf(obj *cminor.VarObject) *Var {
+// varOf returns the variable of a resolved variable object: the
+// current function's parameter or local, or the fragment's slot for a
+// global.
+func (b *builder) varOf(obj *cminor.VarObject) int32 {
 	if obj.Global {
-		return b.globalProxy(obj.Name)
+		return b.globalSlot(obj.Name)
 	}
 	return b.fnVars[obj.Index]
 }
@@ -213,9 +288,10 @@ func (b *builder) varOf(obj *cminor.VarObject) *Var {
 // place describes an assignable location: either a variable or a
 // memory cell [base+off].
 type place struct {
-	v    *Var    // non-nil for variable places
-	base Operand // memory places
-	off  int64
+	isVar bool
+	v     int32   // variable places
+	base  Operand // memory places
+	off   int64
 }
 
 func (b *builder) expr(e cminor.Expr) Operand {
@@ -228,24 +304,24 @@ func (b *builder) expr(e cminor.Expr) Operand {
 			// storage.
 			if _, isArr := obj.Type.(*cminor.ArrayType); isArr {
 				t := b.temp()
-				v.AddrTaken = true
-				b.emit(Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(v), Pos: e.Pos})
+				b.takeAddr(v)
+				b.emit(Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(v)}, e.Pos)
 				return varOpd(t)
 			}
 			return varOpd(v)
 		case *cminor.FuncObject:
-			return Operand{Kind: FuncOpd, Fn: obj.Name}
+			return b.funcOpd(obj.Name)
 		case *cminor.EnumConst:
-			return constOpd(obj.Value)
+			return b.constOpd(obj.Value)
 		}
-		return constOpd(0)
+		return b.constOpd(0)
 	case *cminor.IntLit:
-		return constOpd(e.V)
+		return b.constOpd(e.V)
 	case *cminor.StrLit:
-		idx := len(b.frag.Strings)
-		b.frag.Strings = append(b.frag.Strings, StringLit{Value: e.V, Pos: e.Pos})
+		idx := len(b.frag.strings)
+		b.frag.strings = append(b.frag.strings, StringLit{Value: e.V, Pos: e.Pos})
 		t := b.temp()
-		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: Operand{Kind: StringOpd, C: int64(idx)}, Pos: e.Pos})
+		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: Operand{Kind: StringOpd, V: int32(idx)}}, e.Pos)
 		return varOpd(t)
 	case *cminor.Null:
 		return Operand{Kind: NullOpd}
@@ -261,8 +337,8 @@ func (b *builder) expr(e cminor.Expr) Operand {
 	case *cminor.CondExpr:
 		b.expr(e.Cond)
 		t := b.temp()
-		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: b.expr(e.Then), Pos: e.Pos})
-		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: b.expr(e.Else), Pos: e.Pos})
+		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: b.expr(e.Then)}, e.Pos)
+		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: b.expr(e.Else)}, e.Pos)
 		return varOpd(t)
 	case *cminor.Call:
 		return b.call(e)
@@ -273,17 +349,17 @@ func (b *builder) expr(e cminor.Expr) Operand {
 		return b.expr(e.X)
 	case *cminor.SizeofType:
 		if sz, ok := b.info.Sizeofs[e]; ok {
-			return constOpd(sz)
+			return b.constOpd(sz)
 		}
-		return constOpd(8)
+		return b.constOpd(8)
 	case *cminor.SizeofExpr:
 		b.expr(e.X)
 		if sz, ok := b.info.Sizeofs[e]; ok {
-			return constOpd(sz)
+			return b.constOpd(sz)
 		}
-		return constOpd(8)
+		return b.constOpd(8)
 	}
-	return constOpd(0)
+	return b.constOpd(0)
 }
 
 func (b *builder) unary(e *cminor.Unary) Operand {
@@ -291,7 +367,7 @@ func (b *builder) unary(e *cminor.Unary) Operand {
 	case cminor.Star:
 		base := b.expr(e.X)
 		t := b.temp()
-		b.emit(Instr{Op: Load, Dst: varOpd(t), Base: base, Off: 0, Pos: e.Pos})
+		b.emit(Instr{Op: Load, Dst: varOpd(t), Base: base, Off: 0}, e.Pos)
 		return varOpd(t)
 	case cminor.Amp:
 		return b.addressOf(e.X, e.Pos)
@@ -301,23 +377,23 @@ func (b *builder) unary(e *cminor.Unary) Operand {
 		// object, Section 5.5).
 		return b.expr(e.X)
 	}
-	return constOpd(0)
+	return b.constOpd(0)
 }
 
 // addressOf lowers &x for the supported lvalue shapes.
 func (b *builder) addressOf(x cminor.Expr, pos cminor.Pos) Operand {
 	pl := b.lvalue(x)
-	if pl.v != nil {
-		pl.v.AddrTaken = true
+	if pl.isVar {
+		b.takeAddr(pl.v)
 		t := b.temp()
-		b.emit(Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(pl.v), Pos: pos})
+		b.emit(Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(pl.v)}, pos)
 		return varOpd(t)
 	}
 	if pl.off == 0 {
 		return pl.base
 	}
 	t := b.temp()
-	b.emit(Instr{Op: FieldAddr, Dst: varOpd(t), Base: pl.base, Off: pl.off, Pos: pos})
+	b.emit(Instr{Op: FieldAddr, Dst: varOpd(t), Base: pl.base, Off: pl.off}, pos)
 	return varOpd(t)
 }
 
@@ -337,8 +413,8 @@ func (b *builder) binary(e *cminor.Binary) Operand {
 	// both sides so int<->pointer laundering via arithmetic stays
 	// visible to the weakly-typed analysis.
 	t := b.temp()
-	b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: x, Pos: e.Pos})
-	b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: y, Pos: e.Pos})
+	b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: x}, e.Pos)
+	b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: y}, e.Pos)
 	return varOpd(t)
 }
 
@@ -347,16 +423,16 @@ func (b *builder) assign(e *cminor.AssignExpr) Operand {
 	if e.Op != cminor.Assign {
 		// Compound assignment: merge old and new values.
 		t := b.temp()
-		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: src, Pos: e.Pos})
+		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: src}, e.Pos)
 		old := b.readPlace(b.lvalue(e.LHS), e.Pos)
-		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: old, Pos: e.Pos})
+		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: old}, e.Pos)
 		src = varOpd(t)
 	}
 	pl := b.lvalue(e.LHS)
-	if pl.v != nil {
-		b.emit(Instr{Op: Assign, Dst: varOpd(pl.v), Src: src, Pos: e.Pos})
+	if pl.isVar {
+		b.emit(Instr{Op: Assign, Dst: varOpd(pl.v), Src: src}, e.Pos)
 	} else {
-		b.emit(Instr{Op: Store, Base: pl.base, Off: pl.off, Src: src, Pos: e.Pos})
+		b.emit(Instr{Op: Store, Base: pl.base, Off: pl.off, Src: src}, e.Pos)
 	}
 	return src
 }
@@ -365,18 +441,24 @@ func (b *builder) call(e *cminor.Call) Operand {
 	var callee Operand
 	if id, ok := e.Fun.(*cminor.Ident); ok {
 		if fo, ok := b.uses[id.ID].(*cminor.FuncObject); ok {
-			callee = Operand{Kind: FuncOpd, Fn: fo.Name}
+			callee = b.funcOpd(fo.Name)
 		}
 	}
-	if callee.IsNone() {
+	if callee.Kind == None {
 		callee = b.expr(e.Fun)
 	}
-	args := make([]Operand, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = b.expr(a)
+	// Arguments may contain calls of their own, so they are gathered
+	// on a stack and copied into the argument table together.
+	base := len(b.argStack)
+	for _, a := range e.Args {
+		opd := b.expr(a)
+		b.argStack = append(b.argStack, opd)
 	}
+	start := int32(len(b.args))
+	b.args = append(b.args, b.argStack[base:]...)
+	b.argStack = b.argStack[:base]
 	dst := b.temp()
-	b.emit(Instr{Op: Call, Dst: varOpd(dst), Callee: callee, Args: args, Pos: e.Pos})
+	b.emit(Instr{Op: Call, Dst: varOpd(dst), Callee: callee, Args: start, NumArgs: int32(len(e.Args))}, e.Pos)
 	return varOpd(dst)
 }
 
@@ -385,7 +467,7 @@ func (b *builder) lvalue(e cminor.Expr) place {
 	switch e := e.(type) {
 	case *cminor.Ident:
 		if obj, ok := b.uses[e.ID].(*cminor.VarObject); ok {
-			return place{v: b.varOf(obj)}
+			return place{isVar: true, v: b.varOf(obj)}
 		}
 	case *cminor.Unary:
 		if e.Op == cminor.Star {
@@ -404,10 +486,10 @@ func (b *builder) lvalue(e cminor.Expr) place {
 			return place{base: b.expr(e.X), off: off}
 		}
 		inner := b.lvalue(e.X)
-		if inner.v != nil {
-			inner.v.AddrTaken = true
+		if inner.isVar {
+			b.takeAddr(inner.v)
 			t := b.temp()
-			b.emit(Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(inner.v), Pos: e.Pos})
+			b.emit(Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(inner.v)}, e.Pos)
 			return place{base: varOpd(t), off: off}
 		}
 		return place{base: inner.base, off: inner.off + off}
@@ -416,16 +498,16 @@ func (b *builder) lvalue(e cminor.Expr) place {
 	}
 	// Not an lvalue we track: evaluate for effect, park in a temp.
 	t := b.temp()
-	b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: b.expr(e), Pos: cminor.ExprPos(e)})
-	return place{v: t}
+	b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: b.expr(e)}, cminor.ExprPos(e))
+	return place{isVar: true, v: t}
 }
 
 // readPlace loads the value stored at a place.
 func (b *builder) readPlace(pl place, pos cminor.Pos) Operand {
-	if pl.v != nil {
+	if pl.isVar {
 		return varOpd(pl.v)
 	}
 	t := b.temp()
-	b.emit(Instr{Op: Load, Dst: varOpd(t), Base: pl.base, Off: pl.off, Pos: pos})
+	b.emit(Instr{Op: Load, Dst: varOpd(t), Base: pl.base, Off: pl.off}, pos)
 	return varOpd(t)
 }

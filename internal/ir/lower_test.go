@@ -21,8 +21,8 @@ func lower(t *testing.T, src string) *Program {
 }
 
 func ops(fn *Func) []Op {
-	out := make([]Op, len(fn.Instrs))
-	for i, in := range fn.Instrs {
+	out := make([]Op, fn.NumInstrs())
+	for i, in := range fn.Instrs() {
 		out[i] = in.Op
 	}
 	return out
@@ -39,7 +39,7 @@ func TestLowerAssignAndReturn(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("ops = %v, want %v", got, want)
 	}
-	if fn.Instrs[0].Dst.Var != fn.RetVal {
+	if fn.Instrs()[0].Dst().Var != fn.RetVal {
 		t.Fatal("return does not assign RetVal")
 	}
 }
@@ -54,23 +54,23 @@ void g(struct req_t *req, struct conn_t *conn) {
     req->connection = conn;
 }`)
 	fn := p.Funcs["g"]
-	var store *Instr
-	for _, in := range fn.Instrs {
+	var store *Inst
+	for _, in := range fn.Instrs() {
 		if in.Op == Store {
-			store = in
+			store = &in
 		}
 	}
 	if store == nil {
 		t.Fatal("no STORE emitted")
 	}
-	if store.Off != 8 {
-		t.Fatalf("STORE offset = %d, want 8 (connection after padded int id)", store.Off)
+	if store.Off() != 8 {
+		t.Fatalf("STORE offset = %d, want 8 (connection after padded int id)", store.Off())
 	}
-	if store.Base.Kind != VarOpd || store.Base.Var.Name != "req" {
-		t.Fatalf("STORE base = %v", store.Base)
+	if store.Base().Kind != VarOpd || p.VarName(store.Base().Var) != "req" {
+		t.Fatalf("STORE base = %v", store.Base())
 	}
-	if store.Src.Kind != VarOpd || store.Src.Var.Name != "conn" {
-		t.Fatalf("STORE src = %v", store.Src)
+	if store.Src().Kind != VarOpd || p.VarName(store.Src().Var) != "conn" {
+		t.Fatalf("STORE src = %v", store.Src())
 	}
 }
 
@@ -79,8 +79,8 @@ func TestLowerFieldLoadChain(t *testing.T) {
 struct a { struct a *next; int v; };
 int g(struct a *p) { return p->next->v; }`)
 	fn := p.Funcs["g"]
-	var loads []*Instr
-	for _, in := range fn.Instrs {
+	var loads []Inst
+	for _, in := range fn.Instrs() {
 		if in.Op == Load {
 			loads = append(loads, in)
 		}
@@ -88,11 +88,11 @@ int g(struct a *p) { return p->next->v; }`)
 	if len(loads) != 2 {
 		t.Fatalf("%d loads, want 2", len(loads))
 	}
-	if loads[0].Off != 0 || loads[1].Off != 8 {
-		t.Fatalf("load offsets = %d,%d want 0,8", loads[0].Off, loads[1].Off)
+	if loads[0].Off() != 0 || loads[1].Off() != 8 {
+		t.Fatalf("load offsets = %d,%d want 0,8", loads[0].Off(), loads[1].Off())
 	}
 	// Second load's base must be the first load's destination.
-	if loads[1].Base.Var != loads[0].Dst.Var {
+	if loads[1].Base().Var != loads[0].Dst().Var {
 		t.Fatal("load chain not threaded through temp")
 	}
 }
@@ -106,17 +106,17 @@ int g(void) {
     return 0;
 }`)
 	fn := p.Funcs["g"]
-	var addr *Instr
-	for _, in := range fn.Instrs {
+	var addr *Inst
+	for _, in := range fn.Instrs() {
 		if in.Op == Addr {
-			addr = in
+			addr = &in
 		}
 	}
 	if addr == nil {
 		t.Fatal("no ADDR emitted for &x")
 	}
-	if addr.Src.Var.Name != "x" || !addr.Src.Var.AddrTaken {
-		t.Fatalf("ADDR of %v, AddrTaken=%v", addr.Src, addr.Src.Var.AddrTaken)
+	if p.VarName(addr.Src().Var) != "x" || !p.Var(addr.Src().Var).AddrTaken {
+		t.Fatalf("ADDR of %v, AddrTaken=%v", addr.Src(), p.Var(addr.Src().Var).AddrTaken)
 	}
 }
 
@@ -129,28 +129,28 @@ int g(void) {
     return fp(3) + f(4);
 }`)
 	fn := p.Funcs["g"]
-	var direct, indirect *Instr
-	for _, in := range fn.Instrs {
+	var direct, indirect *Inst
+	for _, in := range fn.Instrs() {
 		if in.Op != Call {
 			continue
 		}
-		switch in.Callee.Kind {
+		switch in.Callee().Kind {
 		case FuncOpd:
-			direct = in
+			direct = &in
 		case VarOpd:
-			indirect = in
+			indirect = &in
 		}
 	}
-	if direct == nil || direct.Callee.Fn != "f" {
+	if direct == nil || direct.Callee().Fn != "f" {
 		t.Fatalf("direct call: %v", direct)
 	}
-	if indirect == nil || indirect.Callee.Var.Name != "fp" {
+	if indirect == nil || p.VarName(indirect.Callee().Var) != "fp" {
 		t.Fatalf("indirect call: %v", indirect)
 	}
 	// fp = f must assign a function operand.
 	found := false
-	for _, in := range fn.Instrs {
-		if in.Op == Assign && in.Src.Kind == FuncOpd && in.Src.Fn == "f" {
+	for _, in := range fn.Instrs() {
+		if in.Op == Assign && in.Src().Kind == FuncOpd && in.Src().Fn == "f" {
 			found = true
 		}
 	}
@@ -164,17 +164,17 @@ func TestLowerDerefStore(t *testing.T) {
 	p := lower(t, `
 void g(int **newp, int *v) { *newp = v; }`)
 	fn := p.Funcs["g"]
-	var store *Instr
-	for _, in := range fn.Instrs {
+	var store *Inst
+	for _, in := range fn.Instrs() {
 		if in.Op == Store {
-			store = in
+			store = &in
 		}
 	}
-	if store == nil || store.Off != 0 {
+	if store == nil || store.Off() != 0 {
 		t.Fatalf("deref store: %v", store)
 	}
-	if store.Base.Var.Name != "newp" || store.Src.Var.Name != "v" {
-		t.Fatalf("store operands: %v %v", store.Base, store.Src)
+	if p.VarName(store.Base().Var) != "newp" || p.VarName(store.Src().Var) != "v" {
+		t.Fatalf("store operands: %v %v", store.Base(), store.Src())
 	}
 }
 
@@ -182,11 +182,11 @@ func TestLowerStringLiteral(t *testing.T) {
 	p := lower(t, `
 char * g(void) { return "hello"; }
 char * h(void) { return "hello"; }`)
-	if len(p.Strings) != 2 {
-		t.Fatalf("%d string sites, want 2 (per-site objects, not interned)", len(p.Strings))
+	if p.NumStrings() != 2 {
+		t.Fatalf("%d string sites, want 2 (per-site objects, not interned)", p.NumStrings())
 	}
-	if p.Strings[0].Value != "hello" {
-		t.Fatalf("string value %q", p.Strings[0].Value)
+	if p.StringLit(0).Value != "hello" {
+		t.Fatalf("string value %q", p.StringLit(0).Value)
 	}
 }
 
@@ -200,8 +200,8 @@ int g(void) { return *gp; }`)
 		t.Fatal("no global init function")
 	}
 	hasAddr := false
-	for _, in := range initFn.Instrs {
-		if in.Op == Addr && in.Src.Var.Name == "x" {
+	for _, in := range initFn.Instrs() {
+		if in.Op == Addr && p.VarName(in.Src().Var) == "x" {
 			hasAddr = true
 		}
 	}
@@ -215,17 +215,17 @@ func TestLowerTernaryMergesBothArms(t *testing.T) {
 int *g(int c, int *a, int *b) { return c ? a : b; }`)
 	fn := p.Funcs["g"]
 	// Both a and b must flow into one temp.
-	var dst *Var
+	dst := int32(-1)
 	srcs := map[string]bool{}
-	for _, in := range fn.Instrs {
-		if in.Op == Assign && in.Src.Kind == VarOpd &&
-			(in.Src.Var.Name == "a" || in.Src.Var.Name == "b") {
-			if dst == nil {
-				dst = in.Dst.Var
-			} else if in.Dst.Var != dst {
+	for _, in := range fn.Instrs() {
+		if in.Op == Assign && in.Src().Kind == VarOpd &&
+			(p.VarName(in.Src().Var) == "a" || p.VarName(in.Src().Var) == "b") {
+			if dst < 0 {
+				dst = in.Dst().Var
+			} else if in.Dst().Var != dst {
 				t.Fatal("ternary arms assigned to different temps")
 			}
-			srcs[in.Src.Var.Name] = true
+			srcs[p.VarName(in.Src().Var)] = true
 		}
 	}
 	if !srcs["a"] || !srcs["b"] {
@@ -247,13 +247,13 @@ int g(void) {
 	if !strings.Contains(text, "ADDR a") {
 		t.Fatalf("array decay missing ADDR:\n%s", text)
 	}
-	var store *Instr
-	for _, in := range fn.Instrs {
+	var store *Inst
+	for _, in := range fn.Instrs() {
 		if in.Op == Store {
-			store = in
+			store = &in
 		}
 	}
-	if store == nil || store.Off != 0 {
+	if store == nil || store.Off() != 0 {
 		t.Fatalf("array store = %v (index-insensitive offset 0 expected)", store)
 	}
 }
@@ -267,13 +267,13 @@ int g(void) {
     return p.b;
 }`)
 	fn := p.Funcs["g"]
-	var store *Instr
-	for _, in := range fn.Instrs {
+	var store *Inst
+	for _, in := range fn.Instrs() {
 		if in.Op == Store {
-			store = in
+			store = &in
 		}
 	}
-	if store == nil || store.Off != 4 {
+	if store == nil || store.Off() != 4 {
 		t.Fatalf("p.b store = %v, want offset 4", store)
 	}
 }
@@ -282,15 +282,32 @@ func TestInstrAndVarIDsAreDense(t *testing.T) {
 	p := lower(t, `
 int f(int x) { return x + 1; }
 int main(void) { return f(2); }`)
-	for i, in := range p.Instrs {
-		if in.ID != i {
+	// Instruction IDs 0..NumInstrs-1 resolve to themselves, and the
+	// functions' ranges tile them in order.
+	for i := 0; i < p.NumInstrs(); i++ {
+		if in := p.Instr(i); in.ID != i {
 			t.Fatalf("instr %d has ID %d", i, in.ID)
 		}
 	}
-	for i, v := range p.Vars {
-		if v.ID != i {
-			t.Fatalf("var %d has ID %d", i, v.ID)
+	// Variable IDs: the globals, then the functions' variable ranges,
+	// back to back; every operand names one of them.
+	next := p.NumGlobals()
+	for _, name := range p.FuncNames() {
+		fn := p.Funcs[name]
+		if fn.VarFirst != next || fn.VarEnd < fn.VarFirst {
+			t.Fatalf("%s owns variables [%d, %d), want to start at %d", name, fn.VarFirst, fn.VarEnd, next)
 		}
+		next = fn.VarEnd
+		for _, in := range fn.Instrs() {
+			for _, o := range []Opd{in.Dst(), in.Src(), in.Base(), in.Callee()} {
+				if o.Kind == VarOpd && (o.Var < 0 || int(o.Var) >= p.NumVars()) {
+					t.Fatalf("%s: instruction %d names variable %d of %d", name, in.ID, o.Var, p.NumVars())
+				}
+			}
+		}
+	}
+	if int(next) != p.NumVars() {
+		t.Fatalf("functions own variables up to %d of %d", next, p.NumVars())
 	}
 }
 
@@ -301,8 +318,8 @@ char * g(char *s) { return s + 4; }`)
 	// RetVal must be assigned (directly or via temp) from s, not a
 	// fresh unrelated temp.
 	assignedFromS := false
-	for _, in := range fn.Instrs {
-		if in.Op == Assign && in.Dst.Var == fn.RetVal && in.Src.Kind == VarOpd && in.Src.Var.Name == "s" {
+	for _, in := range fn.Instrs() {
+		if in.Op == Assign && in.Dst().Var == fn.RetVal && in.Src().Kind == VarOpd && p.VarName(in.Src().Var) == "s" {
 			assignedFromS = true
 		}
 	}
@@ -324,13 +341,13 @@ int f(void) {
     return x;
 }`)
 	fn := p.Funcs["f"]
-	byConst := make(map[int64]*Var)
-	for _, in := range fn.Instrs {
-		if in.Op == Assign && in.Src.Kind == ConstOpd {
-			if in.Dst.Var.Name != "x" || in.Dst.Var.Temp {
-				t.Fatalf("initializer %d assigns %s, want a local x:\n%s", in.Src.C, in.Dst, fn.Dump())
+	byConst := make(map[int64]int32)
+	for _, in := range fn.Instrs() {
+		if in.Op == Assign && in.Src().Kind == ConstOpd {
+			if p.VarName(in.Dst().Var) != "x" || p.Var(in.Dst().Var).Temp {
+				t.Fatalf("initializer %d assigns %s, want a local x:\n%s", in.Src().C, p.VarName(in.Dst().Var), fn.Dump())
 			}
-			byConst[in.Src.C] = in.Dst.Var
+			byConst[in.Src().C] = in.Dst().Var
 		}
 	}
 	if len(byConst) != 3 {
@@ -340,7 +357,7 @@ int f(void) {
 		t.Fatalf("shadowed locals share a variable:\n%s", fn.Dump())
 	}
 	// The return reads the outermost x.
-	if ret := fn.Instrs[len(fn.Instrs)-2]; ret.Dst.Var != fn.RetVal || ret.Src.Var != byConst[1] {
-		t.Fatalf("return assigns %s, want the outer x:\n%s", ret, fn.Dump())
+	if ret := fn.Instrs()[fn.NumInstrs()-2]; ret.Dst().Var != fn.RetVal || ret.Src().Var != byConst[1] {
+		t.Fatalf("return assigns %s, want the outer x:\n%s", &ret, fn.Dump())
 	}
 }

@@ -1,9 +1,15 @@
 package oracle
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzAnalyzeOracle is the native fuzz face of the differential
@@ -49,4 +55,108 @@ func FuzzAnalyzeOracle(f *testing.F) {
 		}
 		t.Fatalf("seed %d (%s, mutations %v):\n%s", seed, c.Name, c.Mutations, sb.String())
 	})
+}
+
+// FuzzIncremental checks delta requests against a fixed multi-file
+// base: the fuzzer's bytes pick removed paths and changed files, each
+// either a mutation of its base version or raw replacement bytes (a
+// changed path may also be new). The delta, applied with
+// AnalyzeIncremental, and a from-scratch AnalyzeSource of the same
+// sources must both succeed with byte-identical canonical reports or
+// both fail with the same error kind; a delta that removes every file
+// must fail as ErrConfig; nothing may panic.
+//
+// Run bounded in CI: go test ./internal/oracle -run '^$' -fuzz FuzzIncremental -fuzztime 15s
+func FuzzIncremental(f *testing.F) {
+	base := incrSources()
+	paths := make([]string, 0, len(base))
+	for p := range base {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	opts := core.Options{}
+	_, snap, err := core.AnalyzeSourceSnapshot(context.Background(), opts, base)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Layout: removed-path mask, changed-path mask (bit len(paths) is a
+	// new file), then per changed path a mode byte followed by either
+	// two seed bytes (even mode: mutate) or a length byte and that many
+	// content bytes (odd mode: replace).
+	for i := range paths {
+		f.Add([]byte{0, 1 << i, 0, 7, byte(i)})
+	}
+	f.Add([]byte{0x0f, 0})                         // remove everything
+	f.Add([]byte{0x01, 0})                         // remove one file
+	f.Add([]byte{0x0f, 0x10, 1, 3, 'i', 'n', 't'}) // everything replaced by a new file
+	f.Add([]byte{0, 0x02, 1, 9, 'v', 'o', 'i', 'd', ' ', 'f', '(', ')', ';'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		changed, removed := decodeDelta(data, base, paths)
+		ctx := context.Background()
+		sources := snap.Apply(changed, removed)
+		a, _, incErr := core.AnalyzeIncremental(ctx, opts, snap, changed, removed)
+		if len(sources) == 0 {
+			if errorKind(incErr) != core.ErrConfig {
+				t.Fatalf("delta removing every file: %v, want a config error", incErr)
+			}
+			return
+		}
+		full, fullErr := core.AnalyzeSource(opts, sources)
+		if incErr != nil || fullErr != nil {
+			if errorKind(incErr) != errorKind(fullErr) {
+				t.Fatalf("incremental error %v, from-scratch error %v", incErr, fullErr)
+			}
+			return
+		}
+		if got, want := CanonicalReport(a.Report), CanonicalReport(full.Report); !bytes.Equal(got, want) {
+			t.Fatalf("incremental diverged from from-scratch\nincremental:\n%s\nfrom-scratch:\n%s", got, want)
+		}
+	})
+}
+
+// decodeDelta turns fuzzer bytes into a delta over base (see
+// FuzzIncremental for the layout); missing bytes read as zero.
+func decodeDelta(data []byte, base map[string]string, paths []string) (map[string]string, []string) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	removeMask, changeMask := next(), next()
+	var removed []string
+	for i, p := range paths {
+		if removeMask>>i&1 == 1 {
+			removed = append(removed, p)
+		}
+	}
+	changed := make(map[string]string)
+	for i, p := range append(paths[:len(paths):len(paths)], "fuzz-new.c") {
+		if changeMask>>i&1 == 0 {
+			continue
+		}
+		if mode := next(); mode%2 == 0 && i < len(paths) {
+			rng := rand.New(rand.NewSource(int64(next())<<8 | int64(next())))
+			changed[p], _ = mutateOnce(base[p], rng)
+		} else {
+			n := min(int(next()), len(data))
+			changed[p] = string(data[:n])
+			data = data[n:]
+		}
+	}
+	return changed, removed
+}
+
+// errorKind is the core.Error kind of err, or -1 for nil.
+func errorKind(err error) core.ErrorKind {
+	if err == nil {
+		return -1
+	}
+	var e *core.Error
+	if !errors.As(err, &e) {
+		return core.ErrInternal
+	}
+	return e.Kind
 }

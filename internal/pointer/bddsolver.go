@@ -45,7 +45,7 @@ type BDDResult struct {
 	// Ctx always 0).
 	Objects []Obj
 
-	vp   map[*ir.Var]map[Loc]bool
+	vp   map[int32]map[Loc]bool
 	heap map[heapKey]map[Loc]bool
 
 	Rounds int
@@ -70,7 +70,7 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 	prog := n.G.Prog
 	br := &BDDResult{
 		Prog:  prog,
-		vp:    make(map[*ir.Var]map[Loc]bool),
+		vp:    make(map[int32]map[Loc]bool),
 		heap:  make(map[heapKey]map[Loc]bool),
 		TopID: -1,
 	}
@@ -91,22 +91,24 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 		br.TopID = intern(Obj{Kind: TopObj})
 	}
 
-	type assignC struct{ d, s *ir.Var }
+	// Variables are program IDs; the synthetic variable standing for
+	// an out-allocated object o is -1-o.
+	type assignC struct{ d, s int32 }
 	type addrC struct {
-		d   *ir.Var
+		d   int32
 		obj int
 	}
 	type loadC struct {
-		d, b *ir.Var
+		d, b int32
 		f    int64
 	}
 	type storeC struct {
-		b *ir.Var
+		b int32
 		f int64
-		s *ir.Var
+		s int32
 	}
 	type faddrC struct {
-		d, b *ir.Var
+		d, b int32
 		f    int64
 	}
 	var assigns []assignC
@@ -114,23 +116,20 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 	var loads []loadC
 	var stores []storeC
 	var faddrs []faddrC
-	var takenVars []*ir.Var
+	var takenVars []int32
 
-	varOf := func(o ir.Operand) *ir.Var {
-		if o.Kind == ir.VarOpd {
-			return o.Var
-		}
-		return nil
+	varOf := func(o ir.Opd) (int32, bool) {
+		return o.Var, o.Kind == ir.VarOpd
 	}
-	externNames := func(in *ir.Instr) []string {
-		switch in.Callee.Kind {
+	externNames := func(in *ir.Inst) []string {
+		switch in.Callee().Kind {
 		case ir.FuncOpd:
-			if _, defined := prog.Funcs[in.Callee.Fn]; !defined {
-				return []string{in.Callee.Fn}
+			if _, defined := prog.Funcs[in.Callee().Fn]; !defined {
+				return []string{in.Callee().Fn}
 			}
 		case ir.VarOpd:
 			var out []string
-			for fn := range n.G.VF[in.Callee.Var] {
+			for fn := range n.G.VF[in.Callee().Var] {
 				if _, defined := prog.Funcs[fn]; !defined {
 					out = append(out, fn)
 				}
@@ -142,34 +141,40 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 	}
 
 	for _, fnName := range n.G.ReachableFuncs() {
-		for _, in := range prog.Funcs[fnName].Instrs {
+		f := prog.Funcs[fnName]
+		c := prog.Cursor(f.First, f.End)
+		for c.Next() {
+			in := c.Inst
 			switch in.Op {
 			case ir.Assign:
-				if d, s := varOf(in.Dst), varOf(in.Src); d != nil {
-					if s != nil {
+				if d, ok := varOf(in.Dst()); ok {
+					if s, ok := varOf(in.Src()); ok {
 						assigns = append(assigns, assignC{d, s})
-					} else if in.Src.Kind == ir.StringOpd {
-						addrs = append(addrs, addrC{d, intern(Obj{Kind: StringObj, Str: int(in.Src.C)})})
+					} else if in.Src().Kind == ir.StringOpd {
+						addrs = append(addrs, addrC{d, intern(Obj{Kind: StringObj, Str: int(in.Src().C)})})
 					}
 				}
 			case ir.Addr:
-				if d := varOf(in.Dst); d != nil {
-					v := in.Src.Var
+				if d, ok := varOf(in.Dst()); ok {
+					v := in.Src().Var
 					id := intern(Obj{Kind: VarStorageObj, Var: v})
 					addrs = append(addrs, addrC{d, id})
 					takenVars = append(takenVars, v)
 				}
 			case ir.FieldAddr:
-				if d, b := varOf(in.Dst), varOf(in.Base); d != nil && b != nil {
-					faddrs = append(faddrs, faddrC{d, b, in.Off})
+				d, dok := varOf(in.Dst())
+				if b, bok := varOf(in.Base()); dok && bok {
+					faddrs = append(faddrs, faddrC{d, b, in.Off()})
 				}
 			case ir.Load:
-				if d, b := varOf(in.Dst), varOf(in.Base); d != nil && b != nil {
-					loads = append(loads, loadC{d, b, in.Off})
+				d, dok := varOf(in.Dst())
+				if b, bok := varOf(in.Base()); dok && bok {
+					loads = append(loads, loadC{d, b, in.Off()})
 				}
 			case ir.Store:
-				if b, s := varOf(in.Base), varOf(in.Src); b != nil && s != nil {
-					stores = append(stores, storeC{b, in.Off, s})
+				b, bok := varOf(in.Base())
+				if s, sok := varOf(in.Src()); bok && sok {
+					stores = append(stores, storeC{b, in.Off(), s})
 				}
 			case ir.Call:
 				// Defined callees: parameter/return assignment edges.
@@ -178,42 +183,40 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 					if target == nil {
 						continue
 					}
-					for i, a := range in.Args {
-						if i >= len(target.Params) {
-							break
-						}
-						if s := varOf(a); s != nil {
-							assigns = append(assigns, assignC{target.Params[i], s})
+					for i := 0; i < in.NumArgs() && i < target.NumParams; i++ {
+						if s, ok := varOf(in.Arg(i)); ok {
+							assigns = append(assigns, assignC{target.Param(i), s})
 						}
 					}
-					if d := varOf(in.Dst); d != nil && target.RetVal != nil {
+					if d, ok := varOf(in.Dst()); ok && target.RetVal >= 0 {
 						assigns = append(assigns, assignC{d, target.RetVal})
 					}
 				}
 				// Extern models.
-				for _, name := range externNames(in) {
+				for _, name := range externNames(&in) {
 					switch {
 					case cfg.AllocFns[name]:
-						id := intern(Obj{Kind: AllocObj, Site: in, Fn: name})
-						if d := varOf(in.Dst); d != nil {
+						id := intern(Obj{Kind: AllocObj, Site: int32(in.ID), Fn: name})
+						if d, ok := varOf(in.Dst()); ok {
 							addrs = append(addrs, addrC{d, id})
 						}
 					case hasKey(cfg.OutAllocFns, name):
 						argIdx := cfg.OutAllocFns[name]
-						id := intern(Obj{Kind: AllocObj, Site: in, Fn: name})
-						if argIdx < len(in.Args) {
-							if b := varOf(in.Args[argIdx]); b != nil {
+						id := intern(Obj{Kind: AllocObj, Site: int32(in.ID), Fn: name})
+						if argIdx < in.NumArgs() {
+							if b, ok := varOf(in.Arg(argIdx)); ok {
 								// *b = fresh: a store of a synthetic
 								// variable holding the object.
-								tmp := &ir.Var{ID: -1 - id, Name: "__out" + name, Temp: true}
+								tmp := int32(-1 - id)
 								addrs = append(addrs, addrC{tmp, id})
 								stores = append(stores, storeC{b, 0, tmp})
 							}
 						}
 					case hasKey(cfg.ReturnArgFns, name):
 						argIdx := cfg.ReturnArgFns[name]
-						if argIdx < len(in.Args) {
-							if d, s := varOf(in.Dst), varOf(in.Args[argIdx]); d != nil && s != nil {
+						if argIdx < in.NumArgs() {
+							d, dok := varOf(in.Dst())
+							if s, sok := varOf(in.Arg(argIdx)); dok && sok {
 								assigns = append(assigns, assignC{d, s})
 							}
 						}
@@ -224,9 +227,9 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 	}
 
 	// --- intern variables and (object, offset) locations ---
-	varIdx := make(map[*ir.Var]uint64)
-	var varList []*ir.Var
-	vnum := func(v *ir.Var) uint64 {
+	varIdx := make(map[int32]uint64)
+	var varList []int32
+	vnum := func(v int32) uint64 {
 		if i, ok := varIdx[v]; ok {
 			return i
 		}
@@ -384,7 +387,7 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 	// agree (the sync the explicit solver does imperatively).
 	varStore := p.Relation("varStore", V.At(0), H.At(0))
 	for _, v := range varList {
-		if v != nil && v.AddrTaken {
+		if v >= 0 && prog.Var(v).AddrTaken {
 			if id, ok := objID[Obj{Kind: VarStorageObj, Var: v}]; ok {
 				if hc, ok := locIdx[Loc{Obj: id}]; ok {
 					varStore.Add(vnum(v), hc)
@@ -455,8 +458,9 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 	return br
 }
 
-// PointsTo returns v's location set (context-insensitive), sorted.
-func (br *BDDResult) PointsTo(v *ir.Var) []Loc { return sortedLocs(br.vp[v]) }
+// PointsTo returns variable v's location set (context-insensitive),
+// sorted.
+func (br *BDDResult) PointsTo(v int32) []Loc { return sortedLocs(br.vp[v]) }
 
 // HeapAt returns the heap cell contents, sorted.
 func (br *BDDResult) HeapAt(obj int, off int64) []Loc {

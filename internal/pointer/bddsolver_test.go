@@ -16,18 +16,18 @@ import (
 // order and solver.
 func objKey(o Obj) string {
 	site := -1
-	if o.Site != nil {
-		site = o.Site.ID
+	if o.Kind == AllocObj {
+		site = int(o.Site)
 	}
 	vname := ""
-	if o.Var != nil {
-		vname = fmt.Sprintf("%s/%d", o.Var.Name, o.Var.ID)
+	if o.Kind == VarStorageObj || o.Kind == ParamObj {
+		vname = fmt.Sprintf("%d", o.Var)
 	}
 	return fmt.Sprintf("k%d:site%d:v%s:s%d:%s", o.Kind, site, vname, o.Str, o.Fn)
 }
 
 // canonical points-to set of one variable as sorted strings.
-func canonExplicit(r *Result, v *ir.Var) []string {
+func canonExplicit(r *Result, v int32) []string {
 	var out []string
 	for _, l := range r.PointsTo(v, 0) {
 		out = append(out, fmt.Sprintf("%s+%d", objKey(r.Objects[l.Obj]), l.Off))
@@ -36,7 +36,7 @@ func canonExplicit(r *Result, v *ir.Var) []string {
 	return out
 }
 
-func canonBDD(br *BDDResult, v *ir.Var) []string {
+func canonBDD(br *BDDResult, v int32) []string {
 	var out []string
 	for _, l := range br.PointsTo(v) {
 		out = append(out, fmt.Sprintf("%s+%d", objKey(br.Objects[l.Obj]), l.Off))
@@ -64,22 +64,32 @@ func crossCheck(t *testing.T, src string) {
 	cfg.HeapCloning = false
 	exp := Analyze(n, cfg)
 	bddr := AnalyzeBDD(context.Background(), n, cfg)
-	for _, v := range prog.Vars {
-		if v.Temp || v.Name == "__ret" {
-			continue
+	// The globals, then every reachable function's variables.
+	vars := make([]int32, 0, prog.NumVars())
+	for v := int32(0); v < prog.NumGlobals(); v++ {
+		vars = append(vars, v)
+	}
+	for name, fn := range prog.Funcs {
+		if g.Reachable[name] {
+			for v := fn.VarFirst; v < fn.VarEnd; v++ {
+				vars = append(vars, v)
+			}
 		}
-		if v.Func != nil && !g.Reachable[v.Func.Name] {
+	}
+	for _, v := range vars {
+		name := prog.VarName(v)
+		if prog.Var(v).Temp || name == "__ret" {
 			continue
 		}
 		a := canonExplicit(exp, v)
 		b := canonBDD(bddr, v)
 		if len(a) != len(b) {
-			t.Errorf("%s: explicit %v vs bdd %v", v.Name, a, b)
+			t.Errorf("%s: explicit %v vs bdd %v", name, a, b)
 			continue
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Errorf("%s[%d]: explicit %v vs bdd %v", v.Name, i, a, b)
+				t.Errorf("%s[%d]: explicit %v vs bdd %v", name, i, a, b)
 				break
 			}
 		}

@@ -55,11 +55,13 @@ type Obj struct {
 	// Ctx is the calling context of the allocation (always 0 when heap
 	// cloning is disabled, and for globals and strings).
 	Ctx uint64
-	// Site is the allocating CALL instruction (AllocObj).
-	Site *ir.Instr
-	// Var is the variable whose address was taken (VarStorageObj).
-	Var *ir.Var
-	// Str indexes ir.Program.Strings (StringObj).
+	// Site is the ID of the allocating CALL instruction (AllocObj).
+	Site int32
+	// Var is the ID of the variable whose address was taken
+	// (VarStorageObj), or of the entry parameter (ParamObj).
+	Var int32
+	// Str is the string literal's index (StringObj; see
+	// ir.Program.StringLit).
 	Str int
 	// Fn names the allocator that produced an AllocObj (for region
 	// classification by the core analysis).
@@ -108,7 +110,7 @@ type Config struct {
 
 // varKey identifies a variable in a context.
 type varKey struct {
-	v   *ir.Var
+	v   int32
 	ctx uint64
 }
 
@@ -136,7 +138,7 @@ type Result struct {
 
 	// addrTaken caches address-taken variables per function (nil key =
 	// globals).
-	addrTaken map[*ir.Func][]*ir.Var
+	addrTaken map[*ir.Func][]int32
 
 	Rounds int
 	// Converged reports whether the fixpoint was actually reached;
@@ -188,8 +190,8 @@ func (r *Result) intern(o Obj) int {
 	return id
 }
 
-func (r *Result) key(v *ir.Var, ctx uint64) varKey {
-	if v.Global {
+func (r *Result) key(v int32, ctx uint64) varKey {
+	if v < r.Prog.NumGlobals() {
 		return varKey{v: v, ctx: 0}
 	}
 	return varKey{v: v, ctx: ctx}
@@ -243,15 +245,15 @@ func (r *Result) TopObjID() int { return r.topID }
 // collapsed to {⊤} under Config.PtsLimit.
 func (r *Result) CappedVars() int { return len(r.capped) }
 
-// PointsTo returns the location set of v in ctx, sorted.
-func (r *Result) PointsTo(v *ir.Var, ctx uint64) []Loc {
+// PointsTo returns the location set of variable v in ctx, sorted.
+func (r *Result) PointsTo(v int32, ctx uint64) []Loc {
 	return sortedLocs(r.pts[r.key(v, ctx)])
 }
 
 // OperandPointsTo returns the location set an operand denotes in ctx
 // (variables read their points-to set; string operands denote their
 // literal object; everything else denotes nothing).
-func (r *Result) OperandPointsTo(o ir.Operand, ctx uint64) []Loc {
+func (r *Result) OperandPointsTo(o ir.Opd, ctx uint64) []Loc {
 	return r.evalOpd(o, ctx)
 }
 
@@ -366,8 +368,9 @@ func (r *Result) solve(ctx context.Context) {
 			if f == nil {
 				continue
 			}
-			for _, p := range f.Params {
-				if !p.PointerLike {
+			for i := 0; i < f.NumParams; i++ {
+				p := f.Param(i)
+				if !r.Prog.Var(p).PointerLike {
 					continue
 				}
 				id := r.intern(Obj{Kind: ParamObj, Var: p, Fn: entry})
@@ -377,6 +380,7 @@ func (r *Result) solve(ctx context.Context) {
 			}
 		}
 	}
+	var code []ir.Inst
 	for {
 		r.Rounds++
 		roundSp := sp.Child("round")
@@ -384,9 +388,15 @@ func (r *Result) solve(ctx context.Context) {
 		for _, fn := range funcs {
 			f := r.Prog.Funcs[fn]
 			count := n.Count[fn]
+			// Walk the function once per round, not once per context.
+			code = code[:0]
+			c := r.Prog.Cursor(f.First, f.End)
+			for c.Next() {
+				code = append(code, c.Inst)
+			}
 			for cx := uint64(0); cx < count; cx++ {
-				for _, in := range f.Instrs {
-					if r.step(fn, cx, in) {
+				for i := range code {
+					if r.step(fn, cx, &code[i]) {
 						changed = true
 					}
 				}
@@ -427,25 +437,33 @@ func (r *Result) solve(ctx context.Context) {
 // direct assignment to the variable is visible through its address.
 func (r *Result) syncAddrTaken(f *ir.Func, ctx uint64) bool {
 	if r.addrTaken == nil {
-		r.addrTaken = make(map[*ir.Func][]*ir.Var)
-		for _, v := range r.Prog.Vars {
-			if v.AddrTaken {
-				r.addrTaken[v.Func] = append(r.addrTaken[v.Func], v)
+		r.addrTaken = make(map[*ir.Func][]int32)
+		for v := int32(0); v < r.Prog.NumGlobals(); v++ {
+			if r.Prog.Var(v).AddrTaken {
+				r.addrTaken[nil] = append(r.addrTaken[nil], v)
+			}
+		}
+		for _, fn := range r.Prog.Funcs {
+			for v := fn.VarFirst; v < fn.VarEnd; v++ {
+				if r.Prog.Var(v).AddrTaken {
+					r.addrTaken[fn] = append(r.addrTaken[fn], v)
+				}
 			}
 		}
 	}
 	changed := false
-	vars := make([]*ir.Var, 0, len(r.addrTaken[f])+len(r.addrTaken[nil]))
+	vars := make([]int32, 0, len(r.addrTaken[f])+len(r.addrTaken[nil]))
 	vars = append(vars, r.addrTaken[f]...)
 	if ctx == 0 {
 		vars = append(vars, r.addrTaken[nil]...) // globals, synced once
 	}
 	for _, v := range vars {
-		if v.Global && ctx != 0 {
+		global := v < r.Prog.NumGlobals()
+		if global && ctx != 0 {
 			continue
 		}
 		octx := ctx
-		if v.Global || !r.Config.HeapCloning {
+		if global || !r.Config.HeapCloning {
 			octx = 0
 		}
 		id := r.intern(Obj{Kind: VarStorageObj, Ctx: octx, Var: v})
@@ -466,7 +484,7 @@ func (r *Result) syncAddrTaken(f *ir.Func, ctx uint64) bool {
 }
 
 // evalOpd returns the location set an operand denotes in ctx.
-func (r *Result) evalOpd(o ir.Operand, ctx uint64) []Loc {
+func (r *Result) evalOpd(o ir.Opd, ctx uint64) []Loc {
 	switch o.Kind {
 	case ir.VarOpd:
 		return sortedLocs(r.pts[r.key(o.Var, ctx)])
@@ -479,9 +497,9 @@ func (r *Result) evalOpd(o ir.Operand, ctx uint64) []Loc {
 	return nil
 }
 
-func (r *Result) step(fn string, ctx uint64, in *ir.Instr) bool {
+func (r *Result) step(fn string, ctx uint64, in *ir.Inst) bool {
 	changed := false
-	flowTo := func(dst ir.Operand, locs []Loc) {
+	flowTo := func(dst ir.Opd, locs []Loc) {
 		if dst.Kind != ir.VarOpd {
 			return
 		}
@@ -494,45 +512,45 @@ func (r *Result) step(fn string, ctx uint64, in *ir.Instr) bool {
 	}
 	switch in.Op {
 	case ir.Assign:
-		flowTo(in.Dst, r.evalOpd(in.Src, ctx))
+		flowTo(in.Dst(), r.evalOpd(in.Src(), ctx))
 	case ir.Addr:
-		v := in.Src.Var
+		v := in.Src().Var
 		octx := ctx
-		if v.Global || !r.Config.HeapCloning {
+		if v < r.Prog.NumGlobals() || !r.Config.HeapCloning {
 			octx = 0
 		}
 		id := r.intern(Obj{Kind: VarStorageObj, Ctx: octx, Var: v})
-		flowTo(in.Dst, []Loc{{Obj: id}})
+		flowTo(in.Dst(), []Loc{{Obj: id}})
 	case ir.FieldAddr:
-		base := r.evalOpd(in.Base, ctx)
+		base := r.evalOpd(in.Base(), ctx)
 		locs := make([]Loc, len(base))
 		for i, l := range base {
 			if l.Obj == r.topID && r.topID >= 0 {
 				locs[i] = l // ⊤ has no fields: shifting stays ⊤
 				continue
 			}
-			locs[i] = Loc{Obj: l.Obj, Off: l.Off + in.Off}
+			locs[i] = Loc{Obj: l.Obj, Off: l.Off + in.Off()}
 		}
-		flowTo(in.Dst, locs)
+		flowTo(in.Dst(), locs)
 	case ir.Load:
 		var locs []Loc
-		for _, b := range r.evalOpd(in.Base, ctx) {
+		for _, b := range r.evalOpd(in.Base(), ctx) {
 			if b.Obj == r.topID && r.topID >= 0 {
 				locs = append(locs, b) // load through ⊤ yields ⊤
 				continue
 			}
-			for l := range r.heap[heapKey{b.Obj, b.Off + in.Off}] {
+			for l := range r.heap[heapKey{b.Obj, b.Off + in.Off()}] {
 				locs = append(locs, l)
 			}
 		}
-		flowTo(in.Dst, locs)
+		flowTo(in.Dst(), locs)
 	case ir.Store:
-		src := r.evalOpd(in.Src, ctx)
-		for _, b := range r.evalOpd(in.Base, ctx) {
+		src := r.evalOpd(in.Src(), ctx)
+		for _, b := range r.evalOpd(in.Base(), ctx) {
 			if b.Obj == r.topID && r.topID >= 0 {
 				continue // store through ⊤ dropped (unsound throttle)
 			}
-			k := heapKey{b.Obj, b.Off + in.Off}
+			k := heapKey{b.Obj, b.Off + in.Off()}
 			for _, l := range src {
 				if r.addHeap(k, l) {
 					changed = true
@@ -549,7 +567,7 @@ func (r *Result) step(fn string, ctx uint64, in *ir.Instr) bool {
 	return changed
 }
 
-func (r *Result) stepCall(fn string, ctx uint64, in *ir.Instr) bool {
+func (r *Result) stepCall(fn string, ctx uint64, in *ir.Inst) bool {
 	changed := false
 	n := r.Numbering
 	// Defined callees: parameter/return wiring in the mapped context.
@@ -559,19 +577,16 @@ func (r *Result) stepCall(fn string, ctx uint64, in *ir.Instr) bool {
 			continue
 		}
 		calleeCtx := n.MapContext(fn, ctx, contexts.Edge{Instr: in.ID, Callee: callee})
-		for i, a := range in.Args {
-			if i >= len(target.Params) {
-				break
-			}
-			pk := r.key(target.Params[i], calleeCtx)
-			for _, l := range r.evalOpd(a, ctx) {
+		for i := 0; i < in.NumArgs() && i < target.NumParams; i++ {
+			pk := r.key(target.Param(i), calleeCtx)
+			for _, l := range r.evalOpd(in.Arg(i), ctx) {
 				if r.addPts(pk, l) {
 					changed = true
 				}
 			}
 		}
-		if in.Dst.Kind == ir.VarOpd && target.RetVal != nil {
-			dk := r.key(in.Dst.Var, ctx)
+		if in.Dst().Kind == ir.VarOpd && target.RetVal >= 0 {
+			dk := r.key(in.Dst().Var, ctx)
 			for l := range r.pts[r.key(target.RetVal, calleeCtx)] {
 				if r.addPts(dk, l) {
 					changed = true
@@ -585,16 +600,16 @@ func (r *Result) stepCall(fn string, ctx uint64, in *ir.Instr) bool {
 		switch {
 		case r.Config.AllocFns[name]:
 			id := r.allocate(name, ctx, in)
-			if in.Dst.Kind == ir.VarOpd {
-				if r.addPts(r.key(in.Dst.Var, ctx), Loc{Obj: id}) {
+			if in.Dst().Kind == ir.VarOpd {
+				if r.addPts(r.key(in.Dst().Var, ctx), Loc{Obj: id}) {
 					changed = true
 				}
 			}
 		case hasKey(r.Config.OutAllocFns, name):
 			argIdx := r.Config.OutAllocFns[name]
 			id := r.allocate(name, ctx, in)
-			if argIdx < len(in.Args) {
-				for _, b := range r.evalOpd(in.Args[argIdx], ctx) {
+			if argIdx < in.NumArgs() {
+				for _, b := range r.evalOpd(in.Arg(argIdx), ctx) {
 					if b.Obj == r.topID && r.topID >= 0 {
 						continue // store through ⊤ dropped
 					}
@@ -605,9 +620,9 @@ func (r *Result) stepCall(fn string, ctx uint64, in *ir.Instr) bool {
 			}
 		case hasKey(r.Config.ReturnArgFns, name):
 			argIdx := r.Config.ReturnArgFns[name]
-			if argIdx < len(in.Args) && in.Dst.Kind == ir.VarOpd {
-				dk := r.key(in.Dst.Var, ctx)
-				for _, l := range r.evalOpd(in.Args[argIdx], ctx) {
+			if argIdx < in.NumArgs() && in.Dst().Kind == ir.VarOpd {
+				dk := r.key(in.Dst().Var, ctx)
+				for _, l := range r.evalOpd(in.Arg(argIdx), ctx) {
 					if r.addPts(dk, l) {
 						changed = true
 					}
@@ -620,15 +635,15 @@ func (r *Result) stepCall(fn string, ctx uint64, in *ir.Instr) bool {
 
 // externCallees lists unresolved callee names of a call (direct extern
 // target or function-pointer candidates that are not defined).
-func (r *Result) externCallees(in *ir.Instr) []string {
-	switch in.Callee.Kind {
+func (r *Result) externCallees(in *ir.Inst) []string {
+	switch in.Callee().Kind {
 	case ir.FuncOpd:
-		if _, defined := r.Prog.Funcs[in.Callee.Fn]; !defined {
-			return []string{in.Callee.Fn}
+		if _, defined := r.Prog.Funcs[in.Callee().Fn]; !defined {
+			return []string{in.Callee().Fn}
 		}
 	case ir.VarOpd:
 		var out []string
-		for fn := range r.Numbering.G.VF[in.Callee.Var] {
+		for fn := range r.Numbering.G.VF[in.Callee().Var] {
 			if _, defined := r.Prog.Funcs[fn]; !defined {
 				out = append(out, fn)
 			}
@@ -639,12 +654,12 @@ func (r *Result) externCallees(in *ir.Instr) []string {
 	return nil
 }
 
-func (r *Result) allocate(fnName string, ctx uint64, in *ir.Instr) int {
+func (r *Result) allocate(fnName string, ctx uint64, in *ir.Inst) int {
 	octx := ctx
 	if !r.Config.HeapCloning {
 		octx = 0
 	}
-	id := r.intern(Obj{Kind: AllocObj, Ctx: octx, Site: in, Fn: fnName})
+	id := r.intern(Obj{Kind: AllocObj, Ctx: octx, Site: int32(in.ID), Fn: fnName})
 	r.allocAt[varKey2{ctx, in.ID}] = id
 	return id
 }

@@ -41,22 +41,20 @@ func analyzeCfg(t *testing.T, src string, cfg Config) *Result {
 
 // varOf finds a named variable in a function (params, locals, or
 // globals for fn == "").
-func varOf(r *Result, fn, name string) *ir.Var {
+func varOf(r *Result, fn, name string) int32 {
 	if fn == "" {
-		return r.Prog.Globals[name]
+		if v, ok := r.Prog.Global(name); ok {
+			return v
+		}
+		return -1
 	}
 	f := r.Prog.Funcs[fn]
-	for _, p := range f.Params {
-		if p.Name == name {
-			return p
-		}
-	}
-	for _, v := range r.Prog.Vars {
-		if v.Func == f && v.Name == name {
+	for v := f.VarFirst; v < f.VarEnd; v++ {
+		if r.Prog.VarName(v) == name {
 			return v
 		}
 	}
-	return nil
+	return -1
 }
 
 func TestMallocPointsTo(t *testing.T) {
@@ -315,8 +313,8 @@ int main(void) {
     p = malloc(4);
     return 0;
 }`)
-	var call *ir.Instr
-	for _, in := range r.Prog.Funcs["main"].Instrs {
+	var call ir.Inst
+	for _, in := range r.Prog.Funcs["main"].Instrs() {
 		if in.Op == ir.Call {
 			call = in
 		}
@@ -325,7 +323,7 @@ int main(void) {
 	if id < 0 {
 		t.Fatal("AllocObjAt found nothing")
 	}
-	if r.Objects[id].Site != call {
+	if int(r.Objects[id].Site) != call.ID {
 		t.Fatal("AllocObjAt site mismatch")
 	}
 }

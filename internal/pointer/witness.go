@@ -15,19 +15,21 @@ import "repro/internal/ir"
 // first match wins. The scan reads only the converged points-to sets,
 // so both solver backends witness the same instruction. It allocates nothing into the Result and is safe to call
 // concurrently with other read-only accessors.
-func (r *Result) HeapWitness(obj int, off int64, dst Loc) (*ir.Instr, uint64, bool) {
+func (r *Result) HeapWitness(obj int, off int64, dst Loc) (ir.Inst, uint64, bool) {
 	for _, fn := range r.Numbering.G.ReachableFuncs() {
 		f := r.Prog.Funcs[fn]
 		if f == nil {
 			continue
 		}
 		for ctx := uint64(0); ctx < r.Numbering.Count[fn]; ctx++ {
-			for _, in := range f.Instrs {
+			c := r.Prog.Cursor(f.First, f.End)
+			for c.Next() {
+				in := c.Inst
 				switch in.Op {
 				case ir.Store:
 					hit := false
-					for _, b := range r.evalOpd(in.Base, ctx) {
-						if b.Obj == obj && b.Off+in.Off == off {
+					for _, b := range r.evalOpd(in.Base(), ctx) {
+						if b.Obj == obj && b.Off+in.Off() == off {
 							hit = true
 							break
 						}
@@ -35,7 +37,7 @@ func (r *Result) HeapWitness(obj int, off int64, dst Loc) (*ir.Instr, uint64, bo
 					if !hit {
 						continue
 					}
-					for _, l := range r.evalOpd(in.Src, ctx) {
+					for _, l := range r.evalOpd(in.Src(), ctx) {
 						if l == dst {
 							return in, ctx, true
 						}
@@ -44,12 +46,12 @@ func (r *Result) HeapWitness(obj int, off int64, dst Loc) (*ir.Instr, uint64, bo
 					if dst.Off != 0 || r.AllocObjAt(ctx, in.ID) != dst.Obj {
 						continue
 					}
-					for _, name := range r.externCallees(in) {
+					for _, name := range r.externCallees(&in) {
 						argIdx, ok := r.Config.OutAllocFns[name]
-						if !ok || argIdx >= len(in.Args) {
+						if !ok || argIdx >= in.NumArgs() {
 							continue
 						}
-						for _, b := range r.evalOpd(in.Args[argIdx], ctx) {
+						for _, b := range r.evalOpd(in.Arg(argIdx), ctx) {
 							if b.Obj == obj && b.Off == off {
 								return in, ctx, true
 							}
@@ -59,5 +61,5 @@ func (r *Result) HeapWitness(obj int, off int64, dst Loc) (*ir.Instr, uint64, bo
 			}
 		}
 	}
-	return nil, 0, false
+	return ir.Inst{}, 0, false
 }

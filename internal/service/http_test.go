@@ -165,6 +165,38 @@ func TestHTTPDeepNestingSurvives(t *testing.T) {
 	}
 }
 
+// TestHTTPTokenBudgetSurvives: a request whose files together lex to
+// more tokens than one analysis may parse is a 422 parse error at the
+// first token over budget — in the second file, which only the sum
+// overspends — and the daemon serves the next request.
+func TestHTTPTokenBudgetSurvives(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	// Each file is over half the budget: n empty statements are n
+	// tokens, plus ten for the function around them.
+	const n = 1_100_000
+	body := func() string { return "int main(void) { " + strings.Repeat(";", n) + " return 0; }" }
+	resp, data := postAnalyze(t, srv, analyzeBody(t, map[string]string{"a.c": body(), "b.c": body()}, RequestOptions{}))
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("over-budget body: status %d, want 422 (%.200s)", resp.StatusCode, data)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(data, &er); err != nil {
+		t.Fatalf("error body not JSON: %.200s", data)
+	}
+	if er.Error.Kind != "parse" || !strings.HasPrefix(er.Error.Pos, "b.c:1:") || !strings.Contains(er.Error.Message, "tokens") {
+		t.Errorf("error %+v, want a parse error in b.c naming the token budget", er.Error)
+	}
+
+	resp, data = postAnalyze(t, srv, analyzeBody(t, sourcesFor(0), RequestOptions{}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("normal request after the over-budget one: status %d (%s)", resp.StatusCode, data)
+	}
+}
+
 func TestHTTPHealthMetricsStats(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()

@@ -1,8 +1,7 @@
 // Package slab allocates values of one type in chunks whose lifetime
 // is the structure they build, the way a region allocator groups
-// objects that die together. The front end takes its most numerous
-// nodes from slabs: a file's AST nodes live as long as the file, and
-// a fragment's IR instructions and variables as long as the fragment.
+// objects that die together. The parser takes its most numerous
+// nodes from slabs: a file's AST nodes live as long as the file.
 //
 // A slab is just a slice whose length is the number of values handed
 // out from its current chunk. Chunks never move once values are handed
