@@ -33,11 +33,15 @@ func main() {
 			fail("%v", err)
 		}
 		if *dump == "tokens" {
-			toks, errs := cminor.Tokenize(path, string(src))
-			for _, t := range toks {
-				fmt.Printf("%s\t%s\n", t.Pos, t)
+			lx := cminor.NewLexer(path, string(src))
+			for {
+				t := lx.Next()
+				fmt.Printf("%s\t%s\n", cminor.FilePos{File: path, Pos: t.Pos}, lx.Describe(t))
+				if t.Kind == cminor.EOF {
+					break
+				}
 			}
-			reportErrors(errs)
+			reportErrors(lx.Errors())
 			continue
 		}
 		f, errs := cminor.Parse(path, string(src))

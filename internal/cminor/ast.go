@@ -27,11 +27,14 @@ type StructDecl struct {
 	Opaque bool
 }
 
-// FieldDecl is one member of a struct or union.
+// FieldDecl is one member of a struct or union. Pos is the token
+// after its declarator; Start is the first token of the declaration
+// it is part of.
 type FieldDecl struct {
-	Pos  Pos
-	Name string
-	Type TypeExpr
+	Pos   Pos
+	Start Pos
+	Name  string
+	Type  TypeExpr
 }
 
 // EnumDecl declares an enum type; each item is an integer constant.

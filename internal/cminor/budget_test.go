@@ -31,7 +31,7 @@ func TestTokenBudgetPastLimit(t *testing.T) {
 	for _, tc := range []struct {
 		left      int
 		src       string
-		line, col int
+		line, col int32
 	}{
 		{5, sixTokens, 1, 13},
 		{0, sixTokens, 1, 1},

@@ -91,8 +91,20 @@ type checker struct {
 	// backing array, emptied, for the next block to reuse.
 	scopes []map[string]*VarObject
 	cur    *FuncInfo
+	// file is the path of the file being checked, for diagnostics.
+	file string
 
 	laying map[string]bool // struct layout cycle detection
+	// bodies records where each struct's fields were declared, for
+	// diagnostics about them.
+	bodies map[string]structBody
+}
+
+// structBody is the declaration that gave a struct its fields, and
+// the file it is in.
+type structBody struct {
+	file string
+	decl *StructDecl
 }
 
 // Check resolves and type-checks the given files as one program.
@@ -112,12 +124,14 @@ func Check(files ...*File) *Info {
 			PtrArith: make(map[*Binary]Expr),
 		},
 		laying: make(map[string]bool),
+		bodies: make(map[string]structBody),
 	}
 	for _, f := range files {
 		c.info.Uses[f] = make([]any, f.NumIdents)
 	}
 	// Pass 1: struct tags and typedefs (typedefs resolve in order).
 	for _, f := range files {
+		c.file = f.Path
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *StructDecl:
@@ -136,11 +150,12 @@ func Check(files ...*File) *Info {
 	}
 	sort.Strings(tags)
 	for _, tag := range tags {
-		c.layoutStruct(tag, Pos{})
+		c.layoutStruct(tag)
 	}
 	// Pass 3: functions and globals (signatures first so forward calls
 	// resolve).
 	for _, f := range files {
+		c.file = f.Path
 		c.uses = c.info.Uses[f]
 		for _, d := range f.Decls {
 			switch d := d.(type) {
@@ -153,6 +168,7 @@ func Check(files ...*File) *Info {
 	}
 	// Pass 4: function bodies.
 	for _, f := range files {
+		c.file = f.Path
 		c.uses = c.info.Uses[f]
 		for _, d := range f.Decls {
 			if fd, ok := d.(*FuncDecl); ok && fd.Body != nil {
@@ -164,8 +180,13 @@ func Check(files ...*File) *Info {
 }
 
 func (c *checker) errorf(pos Pos, format string, args ...interface{}) {
+	c.errorAt(c.file, pos, format, args...)
+}
+
+// errorAt records a diagnostic at pos in file.
+func (c *checker) errorAt(file string, pos Pos, format string, args ...interface{}) {
 	if len(c.info.Errors) < 200 {
-		c.info.Errors = append(c.info.Errors, errf(pos, format, args...))
+		c.info.Errors = append(c.info.Errors, errf(file, pos, format, args...))
 	}
 }
 
@@ -185,6 +206,7 @@ func (c *checker) declareStruct(d *StructDecl) {
 		}
 		st.Opaque = false
 		st.Union = d.Union
+		c.bodies[d.Name] = structBody{file: c.file, decl: d}
 		for _, fd := range d.Fields {
 			st.Fields = append(st.Fields, Field{Name: fd.Name, Type: c.resolve(fd.Type, fd.Pos)})
 		}
@@ -272,21 +294,25 @@ func (c *checker) constEval(e Expr) (int64, bool) {
 }
 
 // layoutStruct computes the layout of the named struct, recursing into
-// embedded struct fields with cycle detection.
-func (c *checker) layoutStruct(tag string, pos Pos) {
+// embedded struct fields with cycle detection. A field that embeds a
+// struct still being laid out is reported where it is declared.
+func (c *checker) layoutStruct(tag string) {
 	st := c.info.Structs[tag]
 	if st == nil || st.Opaque || st.size > 0 {
 		return
 	}
-	if c.laying[tag] {
-		c.errorf(pos, "struct %s embeds itself (use a pointer)", tag)
-		return
-	}
 	c.laying[tag] = true
-	for _, f := range st.Fields {
-		if inner, ok := baseStruct(f.Type); ok {
-			c.layoutStruct(inner.Name, pos)
+	for i, f := range st.Fields {
+		inner, ok := baseStruct(f.Type)
+		if !ok {
+			continue
 		}
+		if c.laying[inner.Name] {
+			body := c.bodies[tag]
+			c.errorAt(body.file, body.decl.Fields[i].Start, "struct %s embeds itself (use a pointer)", inner.Name)
+			continue
+		}
+		c.layoutStruct(inner.Name)
 	}
 	st.layOut()
 	delete(c.laying, tag)
@@ -329,7 +355,7 @@ func (c *checker) resolve(te TypeExpr, pos Pos) Type {
 		return TypeInt
 	case *structDefTE:
 		c.declareStruct(te.def)
-		c.layoutStruct(te.Name, pos)
+		c.layoutStruct(te.Name)
 		return c.structRef(te.Name, te.Union)
 	case *enumDefTE:
 		// Items may already be declared by pass 1; declareEnum guards

@@ -16,27 +16,28 @@ func TestKindString(t *testing.T) {
 
 func TestTokenString(t *testing.T) {
 	cases := []struct {
-		tok  Token
+		src  string
 		want string
 	}{
-		{Token{Kind: IDENT, Text: "foo"}, "foo"},
-		{Token{Kind: INTLIT, Val: 7}, "7"},
-		{Token{Kind: STRLIT, Text: "hi"}, `"hi"`},
-		{Token{Kind: Arrow}, "->"},
+		{"foo", "foo"},
+		{"7", "7"},
+		{`"hi"`, `"hi"`},
+		{"->", "->"},
 	}
 	for _, tc := range cases {
-		if got := tc.tok.String(); got != tc.want {
+		lx := NewLexer("t.c", tc.src)
+		if got := lx.Describe(lx.Next()); got != tc.want {
 			t.Errorf("Token = %q, want %q", got, tc.want)
 		}
 	}
 }
 
 func TestPosString(t *testing.T) {
-	p := Pos{File: "a.c", Line: 3, Col: 9}
+	p := FilePos{File: "a.c", Pos: Pos{Line: 3, Col: 9}}
 	if p.String() != "a.c:3:9" {
 		t.Fatalf("pos = %q", p)
 	}
-	if (Pos{Line: 1, Col: 2}).String() != "1:2" {
+	if (Pos{Line: 1, Col: 2}).String() != "1:2" || (FilePos{Pos: Pos{Line: 1, Col: 2}}).String() != "1:2" {
 		t.Fatal("fileless pos format")
 	}
 	if (Pos{}).IsValid() {

@@ -405,6 +405,7 @@ func CheckIncremental(prev *Info, files []*File, changed map[string]bool) *Info 
 		if !changed[f.Path] {
 			continue
 		}
+		c.file = f.Path
 		c.uses = make([]any, f.NumIdents)
 		c.info.Uses[f] = c.uses
 		for _, d := range f.Decls {

@@ -13,14 +13,19 @@ type Lexer struct {
 	src  string
 	file string
 	off  int
-	line int
-	col  int
+	line int32
+	// lineStart is the offset of the current line's first byte; a
+	// token's column is its offset past it, plus one.
+	lineStart int
+	// strs holds the unescaped string literals, indexed by their
+	// tokens' Val.
+	strs []string
 	errs []*Error
 }
 
-// NewLexer returns a lexer over src; file is used in positions.
+// NewLexer returns a lexer over src; file is used in diagnostics.
 func NewLexer(file, src string) *Lexer {
-	return &Lexer{src: src, file: file, line: 1, col: 1}
+	return &Lexer{src: src, file: file, line: 1}
 }
 
 // Errors returns the diagnostics accumulated so far.
@@ -30,11 +35,34 @@ func (lx *Lexer) Errors() []*Error { return lx.errs }
 // input cannot make the list outgrow the input.
 func (lx *Lexer) errorf(pos Pos, format string, args ...interface{}) {
 	if len(lx.errs) < 100 {
-		lx.errs = append(lx.errs, errf(pos, format, args...))
+		lx.errs = append(lx.errs, errf(lx.file, pos, format, args...))
 	}
 }
 
-func (lx *Lexer) pos() Pos { return Pos{File: lx.file, Line: lx.line, Col: lx.col} }
+func (lx *Lexer) pos() Pos { return Pos{Line: lx.line, Col: int32(lx.off-lx.lineStart) + 1} }
+
+// Text returns a token's text: its spelling in the source, or a
+// string literal's unescaped value.
+func (lx *Lexer) Text(t Token) string {
+	if t.Kind == STRLIT {
+		return lx.strs[t.Val]
+	}
+	return lx.src[t.Off:t.End]
+}
+
+// Describe renders a token for diagnostics: identifiers by spelling,
+// integers by value, strings quoted, everything else by kind.
+func (lx *Lexer) Describe(t Token) string {
+	switch t.Kind {
+	case IDENT:
+		return lx.Text(t)
+	case INTLIT:
+		return strconv.FormatInt(t.Val, 10)
+	case STRLIT:
+		return strconv.Quote(lx.Text(t))
+	}
+	return t.Kind.String()
+}
 
 func (lx *Lexer) peekByte() byte {
 	if lx.off >= len(lx.src) {
@@ -55,9 +83,7 @@ func (lx *Lexer) advance() byte {
 	lx.off++
 	if c == '\n' {
 		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
+		lx.lineStart = lx.off
 	}
 	return c
 }
@@ -69,9 +95,7 @@ func (lx *Lexer) skipSpaceAndComments() {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
 			lx.advance()
 		case c == '/' && lx.peekByte2() == '/':
-			for lx.off < len(lx.src) && lx.peekByte() != '\n' {
-				lx.advance()
-			}
+			lx.skipLine()
 		case c == '/' && lx.peekByte2() == '*':
 			start := lx.pos()
 			lx.advance()
@@ -92,12 +116,17 @@ func (lx *Lexer) skipSpaceAndComments() {
 		case c == '#':
 			// Preprocessor lines (e.g. #include) are skipped wholesale;
 			// CMinor programs declare their externs directly.
-			for lx.off < len(lx.src) && lx.peekByte() != '\n' {
-				lx.advance()
-			}
+			lx.skipLine()
 		default:
 			return
 		}
+	}
+}
+
+// skipLine moves to the end of the line, leaving its newline.
+func (lx *Lexer) skipLine() {
+	for lx.off < len(lx.src) && lx.src[lx.off] != '\n' {
+		lx.off++
 	}
 }
 
@@ -111,28 +140,39 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // Next returns the next token, consuming it.
 func (lx *Lexer) Next() Token {
+	var t Token
+	lx.scan(&t)
+	return t
+}
+
+// scan consumes the next token and stores it in *t. The parser scans
+// into its lookahead in place: a Token returned by value goes back
+// through the stack in pieces, and reading it whole right after
+// stalls the load on those stores.
+func (lx *Lexer) scan(t *Token) {
 	// Unexpected characters are reported and skipped by jumping back
 	// here: recursing instead would take a stack frame per character.
 retry:
 	lx.skipSpaceAndComments()
 	pos := lx.pos()
+	start := lx.off
 	if lx.off >= len(lx.src) {
-		return Token{Kind: EOF, Pos: pos}
+		lx.token(t, EOF, pos, start, 0)
+		return
 	}
 	c := lx.peekByte()
 	switch {
 	case isIdentStart(c):
-		start := lx.off
-		for lx.off < len(lx.src) && isIdentCont(lx.peekByte()) {
-			lx.advance()
+		// An identifier holds no newline, so the scan skips advance's
+		// line bookkeeping.
+		end := start + 1
+		for end < len(lx.src) && isIdentCont(lx.src[end]) {
+			end++
 		}
-		text := lx.src[start:lx.off]
-		if k, ok := keywords[text]; ok {
-			return Token{Kind: k, Text: text, Pos: pos}
-		}
-		return Token{Kind: IDENT, Text: text, Pos: pos}
+		lx.off = end
+		lx.token(t, keyword(lx.src[start:end]), pos, start, 0)
+		return
 	case isDigit(c):
-		start := lx.off
 		if c == '0' && (lx.peekByte2() == 'x' || lx.peekByte2() == 'X') {
 			lx.advance()
 			lx.advance()
@@ -165,7 +205,8 @@ retry:
 			}
 			v = int64(u)
 		}
-		return Token{Kind: INTLIT, Text: text, Val: v, Pos: pos}
+		lx.token(t, INTLIT, pos, start, v)
+		return
 	case c == '\'':
 		lx.advance()
 		var v int64
@@ -182,88 +223,118 @@ retry:
 		} else {
 			lx.errorf(pos, "unterminated char literal")
 		}
-		return Token{Kind: CHARLIT, Val: v, Pos: pos}
+		lx.token(t, CHARLIT, pos, start, v)
+		return
 	case c == '"':
 		lx.advance()
-		var sb strings.Builder
+		body := lx.off
+		escaped := false
 		for lx.off < len(lx.src) && lx.peekByte() != '"' {
-			ch := lx.advance()
-			if ch == '\\' && lx.off < len(lx.src) {
-				sb.WriteByte(unescape(lx.advance()))
-			} else {
-				sb.WriteByte(ch)
+			if lx.advance() == '\\' && lx.off < len(lx.src) {
+				lx.advance()
+				escaped = true
 			}
+		}
+		str := lx.src[body:lx.off]
+		if escaped {
+			str = unescapeString(str)
 		}
 		if lx.off < len(lx.src) {
 			lx.advance() // closing quote
 		} else {
 			lx.errorf(pos, "unterminated string literal")
 		}
-		return Token{Kind: STRLIT, Text: sb.String(), Pos: pos}
+		lx.strs = append(lx.strs, str)
+		lx.token(t, STRLIT, pos, start, int64(len(lx.strs)-1))
+		return
 	}
-	// Operators and punctuation.
-	lx.advance()
-	two := func(next byte, k2, k1 Kind) Token {
+	// Operators and punctuation: every case consumes one byte and
+	// maybe more, but never a newline.
+	lx.off++
+	if k := lx.punct(c); k != EOF {
+		lx.token(t, k, pos, start, 0)
+		return
+	}
+	lx.errorf(pos, "unexpected character %q", lx.src[start:lx.off])
+	goto retry
+}
+
+// token stores in *t the token of kind k that began at pos and offset
+// start and ends at the current offset. It stores field by field: a
+// Token built whole on the stack would be copied out by wide loads of
+// the narrow stores that just built it.
+func (lx *Lexer) token(t *Token, k Kind, pos Pos, start int, val int64) {
+	t.Kind = k
+	t.Pos = pos
+	t.Off = int32(start)
+	t.End = int32(lx.off)
+	t.Val = val
+}
+
+// punct returns the operator or punctuation kind that begins with c,
+// consuming the rest of it, or EOF when c begins none.
+func (lx *Lexer) punct(c byte) Kind {
+	two := func(next byte, k2, k1 Kind) Kind {
 		if lx.peekByte() == next {
-			lx.advance()
-			return Token{Kind: k2, Pos: pos}
+			lx.off++
+			return k2
 		}
-		return Token{Kind: k1, Pos: pos}
+		return k1
 	}
 	switch c {
 	case '(':
-		return Token{Kind: LParen, Pos: pos}
+		return LParen
 	case ')':
-		return Token{Kind: RParen, Pos: pos}
+		return RParen
 	case '{':
-		return Token{Kind: LBrace, Pos: pos}
+		return LBrace
 	case '}':
-		return Token{Kind: RBrace, Pos: pos}
+		return RBrace
 	case '[':
-		return Token{Kind: LBrack, Pos: pos}
+		return LBrack
 	case ']':
-		return Token{Kind: RBrack, Pos: pos}
+		return RBrack
 	case ';':
-		return Token{Kind: Semi, Pos: pos}
+		return Semi
 	case ',':
-		return Token{Kind: Comma, Pos: pos}
+		return Comma
 	case '.':
 		if lx.peekByte() == '.' && lx.peekByte2() == '.' {
-			lx.advance()
-			lx.advance()
-			return Token{Kind: Ellipsis, Pos: pos}
+			lx.off++
+			lx.off++
+			return Ellipsis
 		}
-		return Token{Kind: Dot, Pos: pos}
+		return Dot
 	case '*':
-		return Token{Kind: Star, Pos: pos}
+		return Star
 	case '+':
 		if lx.peekByte() == '+' {
-			lx.advance()
-			return Token{Kind: Inc, Pos: pos}
+			lx.off++
+			return Inc
 		}
 		return two('=', PlusAssign, Plus)
 	case '-':
 		if lx.peekByte() == '>' {
-			lx.advance()
-			return Token{Kind: Arrow, Pos: pos}
+			lx.off++
+			return Arrow
 		}
 		if lx.peekByte() == '-' {
-			lx.advance()
-			return Token{Kind: Dec, Pos: pos}
+			lx.off++
+			return Dec
 		}
 		return two('=', MinusAssign, Minus)
 	case '/':
-		return Token{Kind: Slash, Pos: pos}
+		return Slash
 	case '%':
-		return Token{Kind: Percent, Pos: pos}
+		return Percent
 	case '&':
 		return two('&', AndAnd, Amp)
 	case '|':
 		return two('|', OrOr, Pipe)
 	case '^':
-		return Token{Kind: Caret, Pos: pos}
+		return Caret
 	case '~':
-		return Token{Kind: Tilde, Pos: pos}
+		return Tilde
 	case '!':
 		return two('=', Neq, Not)
 	case '=':
@@ -273,16 +344,30 @@ retry:
 	case '>':
 		return two('=', Ge, Gt)
 	case '?':
-		return Token{Kind: Question, Pos: pos}
+		return Question
 	case ':':
-		return Token{Kind: Colon, Pos: pos}
+		return Colon
 	}
-	lx.errorf(pos, "unexpected character %q", string(c))
-	goto retry
+	return EOF
 }
 
 func isHexDigit(c byte) bool {
 	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+}
+
+// unescapeString resolves the escapes of a string literal's body.
+func unescapeString(s string) string {
+	var sb strings.Builder
+	sb.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' && i+1 < len(s) {
+			i++
+			sb.WriteByte(unescape(s[i]))
+		} else {
+			sb.WriteByte(s[i])
+		}
+	}
+	return sb.String()
 }
 
 func unescape(c byte) byte {
@@ -303,17 +388,4 @@ func unescape(c byte) byte {
 		return '"'
 	}
 	return c
-}
-
-// Tokenize lexes the whole input (testing convenience).
-func Tokenize(file, src string) ([]Token, []*Error) {
-	lx := NewLexer(file, src)
-	var toks []Token
-	for {
-		t := lx.Next()
-		toks = append(toks, t)
-		if t.Kind == EOF {
-			return toks, lx.errs
-		}
-	}
 }

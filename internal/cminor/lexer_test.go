@@ -2,6 +2,19 @@ package cminor
 
 import "testing"
 
+// Tokenize lexes the whole input, EOF included.
+func Tokenize(file, src string) ([]Token, []*Error) {
+	lx := NewLexer(file, src)
+	var toks []Token
+	for {
+		t := lx.Next()
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, lx.errs
+		}
+	}
+}
+
 func kinds(toks []Token) []Kind {
 	ks := make([]Kind, len(toks))
 	for i, t := range toks {
@@ -73,8 +86,12 @@ func TestLexPreprocessorSkipped(t *testing.T) {
 }
 
 func TestLexLiterals(t *testing.T) {
-	toks, errs := Tokenize("t.c", `0x1F 010 'a' '\n' "hi\tthere" 42u 100L`)
-	if len(errs) != 0 {
+	lx := NewLexer("t.c", `0x1F 010 'a' '\n' "hi\tthere" 42u 100L "plain"`)
+	var toks []Token
+	for tok := lx.Next(); tok.Kind != EOF; tok = lx.Next() {
+		toks = append(toks, tok)
+	}
+	if errs := lx.Errors(); len(errs) != 0 {
 		t.Fatalf("errors: %v", errs)
 	}
 	if toks[0].Val != 31 {
@@ -86,8 +103,11 @@ func TestLexLiterals(t *testing.T) {
 	if toks[2].Val != 'a' || toks[3].Val != '\n' {
 		t.Errorf("char literals wrong: %d %d", toks[2].Val, toks[3].Val)
 	}
-	if toks[4].Text != "hi\tthere" {
-		t.Errorf("string literal = %q", toks[4].Text)
+	if lx.Text(toks[4]) != "hi\tthere" {
+		t.Errorf("string literal = %q", lx.Text(toks[4]))
+	}
+	if lx.Text(toks[7]) != "plain" || lx.Text(toks[0]) != "0x1F" || lx.Text(toks[6]) != "100L" {
+		t.Errorf("token texts = %q %q %q", lx.Text(toks[7]), lx.Text(toks[0]), lx.Text(toks[6]))
 	}
 	if toks[5].Val != 42 || toks[6].Val != 100 {
 		t.Errorf("suffixed literals wrong: %d %d", toks[5].Val, toks[6].Val)

@@ -73,7 +73,7 @@ func TestNestingPastLimit(t *testing.T) {
 			if len(errs) != 1 {
 				t.Fatalf("%s at %d: %d parse errors, want 1: %v", sh.name, n, len(errs), errs)
 			}
-			if pos := errs[0].Pos; pos.Line != 1 || pos.Col != sh.col || !strings.Contains(errs[0].Msg, "nesting") {
+			if pos := errs[0].Pos; pos.Line != 1 || int(pos.Col) != sh.col || !strings.Contains(errs[0].Msg, "nesting") {
 				t.Errorf("%s at %d: error %v, want a nesting error at 1:%d", sh.name, n, errs[0], sh.col)
 			}
 			_, err := core.AnalyzeSource(core.Options{}, map[string]string{"deep.c": src})

@@ -2,6 +2,7 @@ package cminor
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/slab"
 )
@@ -31,6 +32,9 @@ type Parser struct {
 	// the file abandoned.
 	abandoned bool
 
+	// stmts is the statement stack (see pushStmt).
+	stmts []Stmt
+
 	// Slabs for the most numerous nodes; they live as long as the
 	// file (see package slab).
 	idents    []Ident
@@ -39,6 +43,24 @@ type Parser struct {
 	binaries  []Binary
 	assigns   []AssignExpr
 	exprStmts []ExprStmt
+	varDecls  []VarDecl
+	declStmts []DeclStmt
+	blocks    []Block
+	ifs       []If
+	fors      []For
+	returns   []Return
+}
+
+// maxFileSize bounds a file's length: tokens locate their text by
+// int32 offsets. A longer file is one parse error at 1:1.
+const maxFileSize = math.MaxInt32
+
+// checkFileSize reports a file of n bytes that is too long to lex.
+func checkFileSize(path string, n int) *Error {
+	if n > maxFileSize {
+		return errf(path, Pos{Line: 1, Col: 1}, "file longer than %d bytes", maxFileSize)
+	}
+	return nil
 }
 
 // Parse parses one CMinor translation unit against a budget of its
@@ -63,19 +85,19 @@ type TokenBudget struct{ used int }
 // file that would overspend is a parse error at its first token over
 // budget, and is parsed no further.
 func (b *TokenBudget) Parse(path, src string) (*File, []*Error) {
-	p := &Parser{lx: NewLexer(path, src), typedefs: make(map[string]bool), budget: maxTokens - b.used}
-	p.tok = p.lex()
-	p.peek = p.lex()
 	f := &File{Path: path}
+	if err := checkFileSize(path, len(src)); err != nil {
+		return f, []*Error{err}
+	}
+	p := &Parser{lx: NewLexer(path, src), typedefs: make(map[string]bool), budget: maxTokens - b.used}
+	p.lex(&p.tok)
+	p.lex(&p.peek)
 	for p.tok.Kind != EOF {
 		before := p.tok
-		d := p.parseTopDecl()
-		if d != nil {
-			f.Decls = append(f.Decls, d...)
-		}
+		f.Decls = p.parseTopDecl(f.Decls)
 		if p.tok == before && p.tok.Kind != EOF {
 			// No progress: skip the offending token to avoid loops.
-			p.errorf(p.tok.Pos, "unexpected %s", p.tok)
+			p.errorf(p.tok.Pos, "unexpected %s", p.lx.Describe(p.tok))
 			p.next()
 		}
 	}
@@ -98,28 +120,28 @@ func (b *TokenBudget) Reuse(f *File) bool {
 
 func (p *Parser) next() {
 	p.tok = p.peek
-	p.peek = p.lex()
+	p.lex(&p.peek)
 }
 
-// lex returns the next token, or abandons the file at the first token
-// over the token budget.
-func (p *Parser) lex() Token {
-	t := p.lx.Next()
+// lex scans the next token into t, or abandons the file at the first
+// token over the token budget.
+func (p *Parser) lex(t *Token) {
+	p.lx.scan(t)
 	if t.Kind == EOF || p.abandoned {
-		return t
+		return
 	}
 	if p.tokens == p.budget {
-		p.errorf(t.Pos, "more than %d tokens in one analysis", maxTokens)
-		p.abandon(t.Pos)
-		return p.peek
+		pos := t.Pos
+		p.errorf(pos, "more than %d tokens in one analysis", maxTokens)
+		p.abandon(pos)
+		return
 	}
 	p.tokens++
-	return t
 }
 
 func (p *Parser) errorf(pos Pos, format string, args ...interface{}) {
 	if len(p.errs) < 100 && !p.abandoned {
-		p.errs = append(p.errs, errf(pos, format, args...))
+		p.errs = append(p.errs, errf(p.lx.file, pos, format, args...))
 	}
 }
 
@@ -181,7 +203,7 @@ func (p *Parser) endScope(outer int) { p.peak = max(outer, p.peak) }
 func (p *Parser) expect(k Kind) Token {
 	t := p.tok
 	if t.Kind != k {
-		p.errorf(t.Pos, "expected %s, found %s", k, t)
+		p.errorf(t.Pos, "expected %s, found %s", k, p.lx.Describe(t))
 		return Token{Kind: k, Pos: t.Pos}
 	}
 	p.next()
@@ -202,42 +224,36 @@ func (p *Parser) isTypeStart(t Token) bool {
 	case KwInt, KwChar, KwLong, KwUnsigned, KwVoid, KwStruct, KwUnion, KwConst, KwEnum:
 		return true
 	case IDENT:
-		return p.typedefs[t.Text]
+		return p.typedefs[p.lx.Text(t)]
 	}
 	return false
 }
 
 // --- Declarations ---
 
-func (p *Parser) parseTopDecl() []Decl {
+// parseTopDecl parses one file-scope declaration and appends what it
+// declares to decls.
+func (p *Parser) parseTopDecl(decls []Decl) []Decl {
 	switch p.tok.Kind {
 	case Semi:
 		p.next()
-		return nil
+		return decls
 	case KwTypedef:
-		return p.parseTypedef()
+		return p.parseTypedef(decls)
 	case KwStruct, KwUnion:
 		// Either a struct declaration/definition or a declaration whose
 		// base type is a struct. Distinguish by what follows the tag.
 		if p.peek.Kind == IDENT {
 			// struct NAME { ... } ; or struct NAME ; or struct NAME decl
-			return p.parseStructOrDecl()
+			return p.parseStructOrDecl(decls)
 		}
-		fallthrough
-	case KwEnum:
-		if p.tok.Kind == KwEnum {
-			return p.parseDeclaration(true)
-		}
-		fallthrough
-	default:
-		return p.parseDeclaration(true)
 	}
+	return p.parseDeclaration(declTop, decls)
 }
 
-func (p *Parser) parseTypedef() []Decl {
+func (p *Parser) parseTypedef(decls []Decl) []Decl {
 	pos := p.expect(KwTypedef).Pos
 	base := p.parseTypeSpecifier()
-	var decls []Decl
 	// A typedef of a struct or enum definition also declares it.
 	if sd, ok := pendingStruct(base); ok {
 		decls = append(decls, sd)
@@ -293,11 +309,11 @@ func pendingEnum(te TypeExpr) (*EnumDecl, bool) {
 	return nil, false
 }
 
-func (p *Parser) parseStructOrDecl() []Decl {
+func (p *Parser) parseStructOrDecl(decls []Decl) []Decl {
 	kw := p.tok.Kind
 	union := kw == KwUnion
 	startPos := p.tok.Pos
-	tag := p.peek.Text
+	tag := p.lx.Text(p.peek)
 	// Three cases after "struct NAME": "{" definition, ";" forward
 	// declaration, else it is the base type of a declaration.
 	p.next() // struct
@@ -306,13 +322,13 @@ func (p *Parser) parseStructOrDecl() []Decl {
 	case LBrace:
 		sd := p.parseStructBody(startPos, tag, union)
 		p.expect(Semi)
-		return []Decl{sd}
+		return append(decls, sd)
 	case Semi:
 		p.next()
-		return []Decl{&StructDecl{Pos: startPos, Name: tag, Union: union, Opaque: true}}
+		return append(decls, &StructDecl{Pos: startPos, Name: tag, Union: union, Opaque: true})
 	default:
 		base := TypeExpr(&StructTE{Name: tag, Union: union})
-		return p.parseDeclarationFrom(startPos, base, true)
+		return p.parseDeclarationFrom(startPos, base, declTop, decls)
 	}
 }
 
@@ -322,6 +338,7 @@ func (p *Parser) parseStructBody(pos Pos, tag string, union bool) *StructDecl {
 	p.expect(LBrace)
 	sd := &StructDecl{Pos: pos, Name: tag, Union: union}
 	for p.tok.Kind != RBrace && p.tok.Kind != EOF {
+		start := p.tok.Pos
 		base := p.parseTypeSpecifier()
 		for {
 			name, te := p.parseDeclarator(base)
@@ -329,7 +346,7 @@ func (p *Parser) parseStructBody(pos Pos, tag string, union bool) *StructDecl {
 				p.errorf(p.tok.Pos, "struct field requires a name")
 				break
 			}
-			sd.Fields = append(sd.Fields, FieldDecl{Pos: p.tok.Pos, Name: name, Type: te})
+			sd.Fields = append(sd.Fields, FieldDecl{Pos: p.tok.Pos, Start: start, Name: name, Type: te})
 			if !p.accept(Comma) {
 				break
 			}
@@ -348,7 +365,7 @@ func (p *Parser) parseEnumBody(pos Pos, tag string) *EnumDecl {
 	ed := &EnumDecl{Pos: pos, Name: tag}
 	for p.tok.Kind != RBrace && p.tok.Kind != EOF {
 		itemPos := p.tok.Pos
-		name := p.expect(IDENT).Text
+		name := p.lx.Text(p.expect(IDENT))
 		var value Expr
 		if p.accept(Assign) {
 			value = p.parseCondExpr()
@@ -361,6 +378,16 @@ func (p *Parser) parseEnumBody(pos Pos, tag string) *EnumDecl {
 	p.expect(RBrace)
 	return ed
 }
+
+// The built-in type names are shared: a TypeExpr is immutable once
+// parsed, and no table keys on its identity.
+var (
+	nameInt      = &NameTE{Name: "int"}
+	nameChar     = &NameTE{Name: "char"}
+	nameLong     = &NameTE{Name: "long"}
+	nameUnsigned = &NameTE{Name: "unsigned"}
+	nameVoid     = &NameTE{Name: "void"}
+)
 
 // parseTypeSpecifier parses the leading type of a declaration:
 // builtins, struct/union references or inline definitions, typedef
@@ -377,39 +404,39 @@ func (p *Parser) parseTypeSpecifier() TypeExpr {
 	switch p.tok.Kind {
 	case KwInt:
 		p.next()
-		return &NameTE{Name: "int"}
+		return nameInt
 	case KwChar:
 		p.next()
-		return &NameTE{Name: "char"}
+		return nameChar
 	case KwLong:
 		p.next()
 		p.accept(KwLong) // long long
 		p.accept(KwInt)  // long int
-		return &NameTE{Name: "long"}
+		return nameLong
 	case KwUnsigned:
 		p.next()
 		// unsigned [int|char|long]
 		switch p.tok.Kind {
 		case KwChar:
 			p.next()
-			return &NameTE{Name: "char"}
+			return nameChar
 		case KwLong:
 			p.next()
-			return &NameTE{Name: "long"}
+			return nameLong
 		case KwInt:
 			p.next()
 		}
-		return &NameTE{Name: "unsigned"}
+		return nameUnsigned
 	case KwVoid:
 		p.next()
-		return &NameTE{Name: "void"}
+		return nameVoid
 	case KwStruct, KwUnion:
 		union := p.tok.Kind == KwUnion
 		pos := p.tok.Pos
 		p.next()
 		tag := ""
 		if p.tok.Kind == IDENT {
-			tag = p.tok.Text
+			tag = p.lx.Text(p.tok)
 			p.next()
 		}
 		if p.tok.Kind == LBrace {
@@ -432,7 +459,7 @@ func (p *Parser) parseTypeSpecifier() TypeExpr {
 		p.next()
 		tag := ""
 		if p.tok.Kind == IDENT {
-			tag = p.tok.Text
+			tag = p.lx.Text(p.tok)
 			p.next()
 		}
 		if p.tok.Kind == LBrace {
@@ -451,15 +478,14 @@ func (p *Parser) parseTypeSpecifier() TypeExpr {
 		}
 		return &EnumTE{Name: tag}
 	case IDENT:
-		if p.typedefs[p.tok.Text] {
-			name := p.tok.Text
+		if name := p.lx.Text(p.tok); p.typedefs[name] {
 			p.next()
 			return &NameTE{Name: name}
 		}
 	}
-	p.errorf(p.tok.Pos, "expected type, found %s", p.tok)
+	p.errorf(p.tok.Pos, "expected type, found %s", p.lx.Describe(p.tok))
 	p.next()
-	return &NameTE{Name: "int"}
+	return nameInt
 }
 
 // parseDeclarator parses pointer stars, the declared name (possibly a
@@ -485,7 +511,7 @@ func (p *Parser) parseDeclarator(base TypeExpr) (string, TypeExpr) {
 		p.next() // *
 		name := ""
 		if p.tok.Kind == IDENT {
-			name = p.tok.Text
+			name = p.lx.Text(p.tok)
 			p.next()
 		}
 		p.expect(RParen)
@@ -495,7 +521,7 @@ func (p *Parser) parseDeclarator(base TypeExpr) (string, TypeExpr) {
 	}
 	name := ""
 	if p.tok.Kind == IDENT {
-		name = p.tok.Text
+		name = p.lx.Text(p.tok)
 		p.next()
 	}
 	// Array suffixes.
@@ -571,18 +597,29 @@ func (p *Parser) parseParamTypes() ([]TypeExpr, bool) {
 	return types, variadic
 }
 
+// declMode says where a declaration is, and so what it may hold.
+type declMode uint8
+
+const (
+	declTop   declMode = iota // file scope: function bodies allowed
+	declFor                   // a for-loop initializer
+	declBlock                 // a block: variables become DeclStmts
+)
+
 // parseDeclaration parses a declaration starting at the current token
-// (storage specifiers, base type, declarators). top selects whether
-// function bodies are allowed.
-func (p *Parser) parseDeclaration(top bool) []Decl {
+// (storage specifiers, base type, declarators) and appends what it
+// declares to decls. In a block, each variable is pushed as a
+// DeclStmt instead (see pushStmt), and decls collects only what a
+// block cannot hold.
+func (p *Parser) parseDeclaration(mode declMode, decls []Decl) []Decl {
 	pos := p.tok.Pos
 	extern := false
 	for p.tok.Kind == KwExtern || p.tok.Kind == KwStatic {
 		extern = extern || p.tok.Kind == KwExtern
 		p.next()
 	}
+	first := len(decls)
 	base := p.parseTypeSpecifier()
-	var decls []Decl
 	if sd, ok := pendingStruct(base); ok {
 		decls = append(decls, sd)
 		if p.tok.Kind == Semi {
@@ -597,20 +634,20 @@ func (p *Parser) parseDeclaration(top bool) []Decl {
 			return decls
 		}
 	}
-	rest := p.parseDeclarationFrom(pos, base, top)
-	// Mark externs.
-	for _, d := range rest {
-		if fd, ok := d.(*FuncDecl); ok && extern {
-			fd.Extern = true
+	decls = p.parseDeclarationFrom(pos, base, mode, decls)
+	if extern {
+		for _, d := range decls[first:] {
+			if fd, ok := d.(*FuncDecl); ok {
+				fd.Extern = true
+			}
 		}
 	}
-	return append(decls, rest...)
+	return decls
 }
 
 // parseDeclarationFrom continues a declaration whose base type is
-// already parsed.
-func (p *Parser) parseDeclarationFrom(pos Pos, base TypeExpr, top bool) []Decl {
-	var decls []Decl
+// already parsed (see parseDeclaration).
+func (p *Parser) parseDeclarationFrom(pos Pos, base TypeExpr, mode declMode, decls []Decl) []Decl {
 	for {
 		name, te := p.parseDeclarator(base)
 		if fn, ok := te.(*FuncTE); ok && name != "" {
@@ -624,7 +661,7 @@ func (p *Parser) parseDeclarationFrom(pos Pos, base TypeExpr, top bool) []Decl {
 			}
 			fd := &FuncDecl{Pos: pos, Name: name, Ret: fn.Ret, Params: params, Variadic: fn.Variadic}
 			if p.tok.Kind == LBrace {
-				if !top {
+				if mode != declTop {
 					p.errorf(p.tok.Pos, "nested function definition")
 				}
 				fd.Body = p.parseBlock()
@@ -636,11 +673,16 @@ func (p *Parser) parseDeclarationFrom(pos Pos, base TypeExpr, top bool) []Decl {
 			if name == "" {
 				p.errorf(p.tok.Pos, "declaration requires a name")
 			}
-			vd := &VarDecl{Pos: pos, Name: name, Type: te}
+			vd := slab.New(&p.varDecls)
+			*vd = VarDecl{Pos: pos, Name: name, Type: te}
 			if p.accept(Assign) {
 				vd.Init = p.parseAssignExpr()
 			}
-			decls = append(decls, vd)
+			if mode == declBlock {
+				p.pushStmt(p.declStmt(vd))
+			} else {
+				decls = append(decls, vd)
+			}
 		}
 		if !p.accept(Comma) {
 			break
@@ -652,43 +694,65 @@ func (p *Parser) parseDeclarationFrom(pos Pos, base TypeExpr, top bool) []Decl {
 
 // --- Statements ---
 
+// pushStmt pushes a parsed statement on the statement stack. Each
+// statement list being parsed (a block's, a case body's, a single
+// statement's) is the part of the stack above the height its parser
+// started at, and is taken off by popStmts once complete, so no list
+// grows by reallocation and a single statement takes no list at all.
+func (p *Parser) pushStmt(s Stmt) { p.stmts = append(p.stmts, s) }
+
+// popStmts takes the statements above height mark off the stack.
+func (p *Parser) popStmts(mark int) []Stmt {
+	list := append([]Stmt(nil), p.stmts[mark:]...)
+	clear(p.stmts[mark:])
+	p.stmts = p.stmts[:mark]
+	return list
+}
+
 func (p *Parser) parseBlock() *Block {
-	b := &Block{Pos: p.tok.Pos}
+	b := slab.New(&p.blocks)
+	b.Pos = p.tok.Pos
 	p.expect(LBrace)
+	mark := len(p.stmts)
 	for p.tok.Kind != RBrace && p.tok.Kind != EOF {
 		before := p.tok
-		b.Stmts = append(b.Stmts, p.parseStmt()...)
+		p.parseStmt()
 		if p.tok == before {
-			p.errorf(p.tok.Pos, "unexpected %s in block", p.tok)
+			p.errorf(p.tok.Pos, "unexpected %s in block", p.lx.Describe(p.tok))
 			p.next()
 		}
 	}
+	b.Stmts = p.popStmts(mark)
 	p.expect(RBrace)
 	return b
 }
 
-func (p *Parser) parseStmt() []Stmt {
+// parseStmt parses one statement and pushes it (see pushStmt). A
+// local declaration pushes a DeclStmt for each variable it declares,
+// or nothing.
+func (p *Parser) parseStmt() {
 	p.enter()
 	defer p.leave()
+	var s Stmt
 	switch p.tok.Kind {
 	case LBrace:
-		return []Stmt{p.parseBlock()}
+		s = p.parseBlock()
 	case Semi:
 		pos := p.tok.Pos
 		p.next()
-		return []Stmt{&Empty{Pos: pos}}
+		s = &Empty{Pos: pos}
 	case KwIf:
-		pos := p.tok.Pos
+		is := slab.New(&p.ifs)
+		is.Pos = p.tok.Pos
 		p.next()
 		p.expect(LParen)
-		cond := p.parseExpr()
+		is.Cond = p.parseExpr()
 		p.expect(RParen)
-		then := p.parseSingleStmt()
-		var els Stmt
+		is.Then = p.parseSingleStmt()
 		if p.accept(KwElse) {
-			els = p.parseSingleStmt()
+			is.Else = p.parseSingleStmt()
 		}
-		return []Stmt{&If{Pos: pos, Cond: cond, Then: then, Else: els}}
+		s = is
 	case KwWhile:
 		pos := p.tok.Pos
 		p.next()
@@ -696,7 +760,7 @@ func (p *Parser) parseStmt() []Stmt {
 		cond := p.parseExpr()
 		p.expect(RParen)
 		body := p.parseSingleStmt()
-		return []Stmt{&While{Pos: pos, Cond: cond, Body: body}}
+		s = &While{Pos: pos, Cond: cond, Body: body}
 	case KwDo:
 		pos := p.tok.Pos
 		p.next()
@@ -706,120 +770,136 @@ func (p *Parser) parseStmt() []Stmt {
 		cond := p.parseExpr()
 		p.expect(RParen)
 		p.expect(Semi)
-		return []Stmt{&While{Pos: pos, Cond: cond, Body: body, DoWhile: true}}
+		s = &While{Pos: pos, Cond: cond, Body: body, DoWhile: true}
 	case KwFor:
-		pos := p.tok.Pos
+		fs := slab.New(&p.fors)
+		fs.Pos = p.tok.Pos
 		p.next()
 		p.expect(LParen)
-		var init Stmt
 		if p.tok.Kind != Semi {
 			if p.isTypeStart(p.tok) {
-				ds := p.parseDeclaration(false)
+				ds := p.parseDeclaration(declFor, nil)
 				if len(ds) > 0 {
 					if vd, ok := ds[0].(*VarDecl); ok {
-						init = &DeclStmt{Decl: vd}
+						fs.Init = p.declStmt(vd)
 					}
 				}
 			} else {
-				init = p.exprStmt(p.parseExpr())
+				fs.Init = p.exprStmt(p.parseExpr())
 				p.expect(Semi)
 			}
 		} else {
 			p.next()
 		}
-		var cond Expr
 		if p.tok.Kind != Semi {
-			cond = p.parseExpr()
+			fs.Cond = p.parseExpr()
 		}
 		p.expect(Semi)
-		var post Expr
 		if p.tok.Kind != RParen {
-			post = p.parseExpr()
+			fs.Post = p.parseExpr()
 		}
 		p.expect(RParen)
-		body := p.parseSingleStmt()
-		return []Stmt{&For{Pos: pos, Init: init, Cond: cond, Post: post, Body: body}}
+		fs.Body = p.parseSingleStmt()
+		s = fs
 	case KwSwitch:
-		pos := p.tok.Pos
-		p.next()
-		p.expect(LParen)
-		cond := p.parseExpr()
-		p.expect(RParen)
-		p.expect(LBrace)
-		sw := &Switch{Pos: pos, Cond: cond}
-		var cur *SwitchCase
-		for p.tok.Kind != RBrace && p.tok.Kind != EOF {
-			switch p.tok.Kind {
-			case KwCase:
-				cpos := p.tok.Pos
-				p.next()
-				v := p.parseCondExpr()
-				p.expect(Colon)
-				if cur == nil || len(cur.Body) > 0 || cur.Default {
-					sw.Cases = append(sw.Cases, SwitchCase{Pos: cpos})
-					cur = &sw.Cases[len(sw.Cases)-1]
-				}
-				cur.Values = append(cur.Values, v)
-			case KwDefault:
-				cpos := p.tok.Pos
-				p.next()
-				p.expect(Colon)
-				sw.Cases = append(sw.Cases, SwitchCase{Pos: cpos, Default: true})
-				cur = &sw.Cases[len(sw.Cases)-1]
-			default:
-				if cur == nil {
-					p.errorf(p.tok.Pos, "statement before first case label")
-					sw.Cases = append(sw.Cases, SwitchCase{Pos: p.tok.Pos, Default: true})
-					cur = &sw.Cases[len(sw.Cases)-1]
-				}
-				before := p.tok
-				cur.Body = append(cur.Body, p.parseStmt()...)
-				if p.tok == before {
-					p.errorf(p.tok.Pos, "unexpected %s in switch", p.tok)
-					p.next()
-				}
-			}
-		}
-		p.expect(RBrace)
-		return []Stmt{sw}
+		s = p.parseSwitch()
 	case KwReturn:
-		pos := p.tok.Pos
+		rs := slab.New(&p.returns)
+		rs.Pos = p.tok.Pos
 		p.next()
-		var x Expr
 		if p.tok.Kind != Semi {
-			x = p.parseExpr()
+			rs.X = p.parseExpr()
 		}
 		p.expect(Semi)
-		return []Stmt{&Return{Pos: pos, X: x}}
+		s = rs
 	case KwBreak:
 		pos := p.tok.Pos
 		p.next()
 		p.expect(Semi)
-		return []Stmt{&Break{Pos: pos}}
+		s = &Break{Pos: pos}
 	case KwContinue:
 		pos := p.tok.Pos
 		p.next()
 		p.expect(Semi)
-		return []Stmt{&Continue{Pos: pos}}
-	}
-	if p.isTypeStart(p.tok) && !(p.tok.Kind == IDENT && p.peek.Kind != IDENT && p.peek.Kind != Star) {
-		// A local declaration. The guard above keeps expressions that
-		// merely start with a typedef-registered identifier (rare)
-		// from being misparsed; "T x" and "T *x" are declarations.
-		decls := p.parseDeclaration(false)
-		stmts := make([]Stmt, 0, len(decls))
-		for _, d := range decls {
-			if vd, ok := d.(*VarDecl); ok {
-				stmts = append(stmts, &DeclStmt{Decl: vd})
-			} else {
+		s = &Continue{Pos: pos}
+	default:
+		if p.isTypeStart(p.tok) && !(p.tok.Kind == IDENT && p.peek.Kind != IDENT && p.peek.Kind != Star) {
+			// A local declaration. The guard above keeps expressions
+			// that merely start with a typedef-registered identifier
+			// (rare) from being misparsed; "T x" and "T *x" are
+			// declarations.
+			for _, d := range p.parseDeclaration(declBlock, nil) {
 				p.errorf(d.declPos(), "unsupported declaration in block")
 			}
+			return
 		}
-		return stmts
+		s = p.exprStmt(p.parseExpr())
+		p.expect(Semi)
 	}
-	s := p.exprStmt(p.parseExpr())
-	p.expect(Semi)
-	return []Stmt{s}
+	p.pushStmt(s)
+}
+
+// parseSwitch parses a switch statement. A case label directly after
+// another joins its group; the statements after a group's labels are
+// its body.
+func (p *Parser) parseSwitch() *Switch {
+	pos := p.tok.Pos
+	p.next()
+	p.expect(LParen)
+	cond := p.parseExpr()
+	p.expect(RParen)
+	p.expect(LBrace)
+	sw := &Switch{Pos: pos, Cond: cond}
+	var cur *SwitchCase
+	mark := len(p.stmts)
+	// startCase ends the current group's body and starts a new group.
+	startCase := func(c SwitchCase) {
+		if cur != nil {
+			cur.Body = p.popStmts(mark)
+		}
+		sw.Cases = append(sw.Cases, c)
+		cur = &sw.Cases[len(sw.Cases)-1]
+	}
+	for p.tok.Kind != RBrace && p.tok.Kind != EOF {
+		switch p.tok.Kind {
+		case KwCase:
+			cpos := p.tok.Pos
+			p.next()
+			v := p.parseCondExpr()
+			p.expect(Colon)
+			if cur == nil || len(p.stmts) > mark || cur.Default {
+				startCase(SwitchCase{Pos: cpos})
+			}
+			cur.Values = append(cur.Values, v)
+		case KwDefault:
+			cpos := p.tok.Pos
+			p.next()
+			p.expect(Colon)
+			startCase(SwitchCase{Pos: cpos, Default: true})
+		default:
+			if cur == nil {
+				p.errorf(p.tok.Pos, "statement before first case label")
+				startCase(SwitchCase{Pos: p.tok.Pos, Default: true})
+			}
+			before := p.tok
+			p.parseStmt()
+			if p.tok == before {
+				p.errorf(p.tok.Pos, "unexpected %s in switch", p.lx.Describe(p.tok))
+				p.next()
+			}
+		}
+	}
+	if cur != nil {
+		cur.Body = p.popStmts(mark)
+	}
+	p.expect(RBrace)
+	return sw
+}
+
+func (p *Parser) declStmt(vd *VarDecl) *DeclStmt {
+	s := slab.New(&p.declStmts)
+	s.Decl = vd
+	return s
 }
 
 func (p *Parser) exprStmt(x Expr) *ExprStmt {
@@ -828,12 +908,18 @@ func (p *Parser) exprStmt(x Expr) *ExprStmt {
 	return s
 }
 
+// parseSingleStmt parses the statement of an if, loop or do: one
+// statement, or a block of what a lone declaration declared.
 func (p *Parser) parseSingleStmt() Stmt {
-	ss := p.parseStmt()
-	if len(ss) == 1 {
-		return ss[0]
+	mark := len(p.stmts)
+	p.parseStmt()
+	if len(p.stmts) == mark+1 {
+		s := p.stmts[mark]
+		p.stmts[mark] = nil
+		p.stmts = p.stmts[:mark]
+		return s
 	}
-	return &Block{Pos: p.tok.Pos, Stmts: ss}
+	return &Block{Pos: p.tok.Pos, Stmts: p.popStmts(mark)}
 }
 
 // --- Expressions ---
@@ -1004,7 +1090,7 @@ func (p *Parser) parsePostfix() Expr {
 			x = &Index{Pos: pos, X: x, I: i}
 		case Dot, Arrow:
 			p.next()
-			name := p.expect(IDENT).Text
+			name := p.lx.Text(p.expect(IDENT))
 			x = &FieldAccess{Pos: pos, X: x, Name: name, Arrow: kind == Arrow}
 		case Inc, Dec:
 			p.next()
@@ -1018,7 +1104,7 @@ func (p *Parser) parsePrimary() Expr {
 	switch p.tok.Kind {
 	case IDENT:
 		id := slab.New(&p.idents)
-		*id = Ident{Pos: pos, Name: p.tok.Text, ID: p.numIdents}
+		*id = Ident{Pos: pos, Name: p.lx.Text(p.tok), ID: p.numIdents}
 		p.numIdents++
 		p.next()
 		return id
@@ -1027,11 +1113,11 @@ func (p *Parser) parsePrimary() Expr {
 		p.next()
 		return p.intLit(pos, v)
 	case STRLIT:
-		s := p.tok.Text
+		s := p.lx.Text(p.tok)
 		p.next()
 		// Adjacent string literals concatenate.
 		for p.tok.Kind == STRLIT {
-			s += p.tok.Text
+			s += p.lx.Text(p.tok)
 			p.next()
 		}
 		return &StrLit{Pos: pos, V: s}
@@ -1046,7 +1132,7 @@ func (p *Parser) parsePrimary() Expr {
 		p.leave()
 		return x
 	}
-	p.errorf(pos, "expected expression, found %s", p.tok)
+	p.errorf(pos, "expected expression, found %s", p.lx.Describe(p.tok))
 	p.next()
 	return p.intLit(pos, 0)
 }

@@ -117,61 +117,147 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-var keywords = map[string]Kind{
-	"int": KwInt, "char": KwChar, "long": KwLong, "unsigned": KwUnsigned, "void": KwVoid,
-	"struct": KwStruct, "union": KwUnion, "typedef": KwTypedef,
-	"if": KwIf, "else": KwElse, "while": KwWhile, "for": KwFor, "do": KwDo,
-	"return": KwReturn, "break": KwBreak, "continue": KwContinue,
-	"sizeof": KwSizeof, "extern": KwExtern, "static": KwStatic, "const": KwConst,
-	"NULL": KwNull,
-	"enum": KwEnum, "switch": KwSwitch, "case": KwCase, "default": KwDefault,
-}
-
-// Pos is a source position.
-type Pos struct {
-	File string
-	Line int
-	Col  int
-}
-
-func (p Pos) String() string {
-	if p.File == "" {
-		return fmt.Sprintf("%d:%d", p.Line, p.Col)
+// keyword returns the keyword kind spelled s, or IDENT when s is not
+// a keyword. It switches on length and then on bytes, so no lookup
+// hashes the identifier.
+func keyword(s string) Kind {
+	switch len(s) {
+	case 2:
+		switch s {
+		case "if":
+			return KwIf
+		case "do":
+			return KwDo
+		}
+	case 3:
+		switch s {
+		case "int":
+			return KwInt
+		case "for":
+			return KwFor
+		}
+	case 4:
+		switch s[0] {
+		case 'c':
+			switch s {
+			case "char":
+				return KwChar
+			case "case":
+				return KwCase
+			}
+		case 'e':
+			switch s {
+			case "else":
+				return KwElse
+			case "enum":
+				return KwEnum
+			}
+		case 'l':
+			if s == "long" {
+				return KwLong
+			}
+		case 'v':
+			if s == "void" {
+				return KwVoid
+			}
+		case 'N':
+			if s == "NULL" {
+				return KwNull
+			}
+		}
+	case 5:
+		switch s {
+		case "union":
+			return KwUnion
+		case "while":
+			return KwWhile
+		case "break":
+			return KwBreak
+		case "const":
+			return KwConst
+		}
+	case 6:
+		switch s {
+		case "struct":
+			return KwStruct
+		case "return":
+			return KwReturn
+		case "sizeof":
+			return KwSizeof
+		case "extern":
+			return KwExtern
+		case "static":
+			return KwStatic
+		case "switch":
+			return KwSwitch
+		}
+	case 7:
+		switch s {
+		case "typedef":
+			return KwTypedef
+		case "default":
+			return KwDefault
+		}
+	case 8:
+		switch s {
+		case "unsigned":
+			return KwUnsigned
+		case "continue":
+			return KwContinue
+		}
 	}
-	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+	return IDENT
 }
+
+// Pos is a source position within a file: 1-based line and byte
+// column. It names no file and holds no pointer, so AST nodes and
+// tokens carry it for 8 bytes and the collector never scans it; the
+// file comes from the enclosing File (or Fragment, or Error). A
+// position that leaves its file travels as a FilePos.
+type Pos struct {
+	Line, Col int32
+}
+
+func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
 // IsValid reports whether the position carries real location info.
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
-// Token is one lexical token.
-type Token struct {
-	Kind Kind
-	Text string // identifier spelling, literal text (unquoted for strings)
-	Val  int64  // integer/char literal value
-	Pos  Pos
+// FilePos is a position together with the file it is in: the form a
+// position takes in diagnostics, IR instructions, and anything else
+// read away from its File.
+type FilePos struct {
+	File string
+	Pos
 }
 
-func (t Token) String() string {
-	switch t.Kind {
-	case IDENT:
-		return t.Text
-	case INTLIT:
-		return fmt.Sprintf("%d", t.Val)
-	case STRLIT:
-		return fmt.Sprintf("%q", t.Text)
+func (p FilePos) String() string {
+	if p.File == "" {
+		return p.Pos.String()
 	}
-	return t.Kind.String()
+	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+}
+
+// Token is one lexical token. It holds no pointer: an identifier's or
+// number's text is the source span [Off, End), read through the Lexer
+// that produced it (Lexer.Text). Val is an integer or char literal's
+// value, or a string literal's index in the lexer's table of unescaped
+// strings.
+type Token struct {
+	Kind     Kind
+	Pos      Pos
+	Off, End int32
+	Val      int64
 }
 
 // Error is a front-end diagnostic with a source position.
 type Error struct {
-	Pos Pos
+	Pos FilePos
 	Msg string
 }
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-func errf(pos Pos, format string, args ...interface{}) *Error {
-	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+func errf(file string, pos Pos, format string, args ...interface{}) *Error {
+	return &Error{Pos: FilePos{File: file, Pos: pos}, Msg: fmt.Sprintf(format, args...)}
 }

@@ -205,7 +205,7 @@ func (a *Analysis) condense(pairs []ObjectPair) []IPair {
 // allocation sites (used by the soundness property tests to match
 // static reports against concrete executions).
 type PairSite struct {
-	Src, Dst cminor.Pos
+	Src, Dst cminor.FilePos
 }
 
 // PairSites returns the allocation-site position pairs of every
@@ -222,12 +222,12 @@ func (a *Analysis) PairSites() []PairSite {
 	return out
 }
 
-func (a *Analysis) sitePos(obj int) cminor.Pos {
+func (a *Analysis) sitePos(obj int) cminor.FilePos {
 	o := a.Ptr.Objects[obj]
 	if o.Kind == pointer.AllocObj {
 		return a.Prog.Instr(int(o.Site)).Pos()
 	}
-	return cminor.Pos{}
+	return cminor.FilePos{}
 }
 
 // siteOf maps an object to its allocation instruction ID (or -1).

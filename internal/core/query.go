@@ -167,10 +167,10 @@ func (a *Analysis) allocObjectsAt(q string) ([]int, error) {
 		if !p.IsValid() {
 			continue
 		}
-		if p.File != file || p.Line != line {
+		if p.File != file || int(p.Line) != line {
 			continue
 		}
-		if col > 0 && p.Col != col {
+		if col > 0 && int(p.Col) != col {
 			continue
 		}
 		out = append(out, id)

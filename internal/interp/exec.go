@@ -19,7 +19,7 @@ func regionDepth(r *Region) int {
 // call invokes a function by name with evaluated arguments. Undefined
 // functions dispatch to the extern models (the region APIs, malloc,
 // and a default no-op).
-func (m *Machine) call(name string, args []Value, pos cminor.Pos) (Value, error) {
+func (m *Machine) call(name string, args []Value, pos cminor.FilePos) (Value, error) {
 	if err := m.burn(); err != nil {
 		return Value{}, err
 	}
@@ -47,14 +47,18 @@ func (m *Machine) call(name string, args []Value, pos cminor.Pos) (Value, error)
 		}
 		fr.locals[pname] = c
 	}
-	if err := m.execBlock(fr, fo.Decl.Body); err != nil {
+	outer := m.file
+	m.file = m.fileOf[fo.Decl]
+	err := m.execBlock(fr, fo.Decl.Body)
+	m.file = outer
+	if err != nil {
 		return Value{}, err
 	}
 	return fr.ret, nil
 }
 
 // extern models the runtime functions the analysis knows about.
-func (m *Machine) extern(name string, args []Value, pos cminor.Pos) (Value, error) {
+func (m *Machine) extern(name string, args []Value, pos cminor.FilePos) (Value, error) {
 	regionArg := func(i int) *Region {
 		if i < len(args) && args[i].Kind == RegionVal {
 			return args[i].Region
@@ -170,7 +174,7 @@ func (m *Machine) killRegion(r *Region, destroySelf bool) error {
 		entries := m.cleanups[d]
 		delete(m.cleanups, d)
 		for i := len(entries) - 1; i >= 0; i-- {
-			if _, err := m.call(entries[i].fn, []Value{entries[i].data}, cminor.Pos{}); err != nil {
+			if _, err := m.call(entries[i].fn, []Value{entries[i].data}, cminor.FilePos{}); err != nil {
 				return err
 			}
 		}
@@ -194,7 +198,7 @@ func (m *Machine) killRegion(r *Region, destroySelf bool) error {
 
 // noteUse records a use-after-delete event when the cell lives in an
 // object whose owner region has been destroyed.
-func (m *Machine) noteUse(c *Cell, pos cminor.Pos) *Cell {
+func (m *Machine) noteUse(c *Cell, pos cminor.FilePos) *Cell {
 	if c != nil && c.Obj != nil && (c.Obj.Freed ||
 		(c.Obj.Owner != nil && !c.Obj.Owner.Alive)) {
 		m.effects.Dangling = append(m.effects.Dangling, DanglingUse{Pos: pos, Obj: c.Obj})
@@ -405,7 +409,7 @@ func (m *Machine) exec(fr *frame, s cminor.Stmt) error {
 	case *cminor.Empty:
 		return nil
 	}
-	return fmt.Errorf("interp: unsupported statement at %v", cminor.StmtPos(s))
+	return fmt.Errorf("interp: unsupported statement at %v", m.at(cminor.StmtPos(s)))
 }
 
 // --- expressions ---
@@ -424,7 +428,7 @@ func (m *Machine) lvalue(fr *frame, e cminor.Expr) (*Cell, error) {
 			if v.Kind != PtrVal || v.Ptr == nil {
 				return &Cell{}, nil // tolerate wild derefs: scratch cell
 			}
-			return m.noteUse(v.Ptr, e.Pos), nil
+			return m.noteUse(v.Ptr, m.at(e.Pos)), nil
 		}
 	case *cminor.FieldAccess:
 		fi, ok := m.info.Fields[e]
@@ -441,7 +445,7 @@ func (m *Machine) lvalue(fr *frame, e cminor.Expr) (*Cell, error) {
 				return &Cell{}, nil
 			}
 			if v.Ptr.Obj != nil {
-				return m.noteUse(v.Ptr.Obj.Field(v.Ptr.Off+off), e.Pos), nil
+				return m.noteUse(v.Ptr.Obj.Field(v.Ptr.Off+off), m.at(e.Pos)), nil
 			}
 			return v.Ptr, nil
 		}
@@ -488,7 +492,7 @@ func (m *Machine) backingFor(c *Cell) (*Object, error) {
 	if o, ok := m.backings[c]; ok {
 		return o, nil
 	}
-	o, err := m.newObject(nil, cminor.Pos{})
+	o, err := m.newObject(nil, cminor.FilePos{})
 	if err != nil {
 		return nil, err
 	}
@@ -543,7 +547,7 @@ func (m *Machine) eval(fr *frame, e cminor.Expr) (Value, error) {
 	case *cminor.IntLit:
 		return Value{Kind: IntVal, Int: e.V}, nil
 	case *cminor.StrLit:
-		o := m.stringObject(e.V, e.Pos)
+		o := m.stringObject(e.V, m.at(e.Pos))
 		return Value{Kind: PtrVal, Ptr: o.Field(0)}, nil
 	case *cminor.Null:
 		return Value{Kind: NullVal}, nil
@@ -610,7 +614,7 @@ func (m *Machine) eval(fr *frame, e cminor.Expr) (Value, error) {
 		}
 		return Value{Kind: IntVal, Int: 8}, nil
 	}
-	return Value{}, fmt.Errorf("interp: unsupported expression at %v", cminor.ExprPos(e))
+	return Value{}, fmt.Errorf("interp: unsupported expression at %v", m.at(cminor.ExprPos(e)))
 }
 
 func (m *Machine) evalUnary(fr *frame, e *cminor.Unary) (Value, error) {
@@ -672,7 +676,7 @@ func (m *Machine) evalUnary(fr *frame, e *cminor.Unary) (Value, error) {
 		}
 		return c.Val, nil
 	}
-	return Value{}, fmt.Errorf("interp: unsupported unary at %v", e.Pos)
+	return Value{}, fmt.Errorf("interp: unsupported unary at %v", m.at(e.Pos))
 }
 
 func (m *Machine) evalBinary(fr *frame, e *cminor.Binary) (Value, error) {
@@ -759,7 +763,7 @@ func (m *Machine) evalBinary(fr *frame, e *cminor.Binary) (Value, error) {
 		}
 		return Value{Kind: IntVal, Int: r}, nil
 	}
-	return Value{}, fmt.Errorf("interp: unsupported binary at %v", e.Pos)
+	return Value{}, fmt.Errorf("interp: unsupported binary at %v", m.at(e.Pos))
 }
 
 func valueEq(x, y Value) bool {
@@ -803,17 +807,17 @@ func (m *Machine) evalCall(fr *frame, e *cminor.Call) (Value, error) {
 		// function itself.
 		if c, err := m.varCell(fr, id.Name); err == nil {
 			if c.Val.Kind == FnVal {
-				return m.call(c.Val.Fn, args, e.Pos)
+				return m.call(c.Val.Fn, args, m.at(e.Pos))
 			}
 		}
-		return m.call(id.Name, args, e.Pos)
+		return m.call(id.Name, args, m.at(e.Pos))
 	}
 	v, err := m.eval(fr, e.Fun)
 	if err != nil {
 		return Value{}, err
 	}
 	if v.Kind == FnVal {
-		return m.call(v.Fn, args, e.Pos)
+		return m.call(v.Fn, args, m.at(e.Pos))
 	}
 	return Value{}, nil
 }

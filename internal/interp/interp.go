@@ -60,7 +60,7 @@ type Object struct {
 	ID    int
 	Owner *Region // nil when allocated with no region (root-like)
 	// Site is the source position of the allocating call.
-	Site cminor.Pos
+	Site cminor.FilePos
 	// cells are created lazily per offset.
 	cells map[int64]*Cell
 	// IsString marks string literal objects.
@@ -92,7 +92,7 @@ func (o *Object) Field(off int64) *Cell {
 type Region struct {
 	ID     int
 	Parent *Region
-	Site   cminor.Pos
+	Site   cminor.FilePos
 	Alive  bool
 }
 
@@ -115,7 +115,7 @@ func (r *Region) Leq(other *Region) bool {
 // static analysis prevents these before deployment; the interpreter
 // observes them per schedule.
 type DanglingUse struct {
-	Pos cminor.Pos
+	Pos cminor.FilePos
 	Obj *Object
 }
 
@@ -244,6 +244,11 @@ type Machine struct {
 	files []*cminor.File
 	opts  Options
 
+	// file is the file of the code executing, which positions in the
+	// AST are relative to; fileOf gives each defined function's.
+	file   string
+	fileOf map[*cminor.FuncDecl]string
+
 	globals map[string]*Cell
 	effects *Effects
 	fuel    int
@@ -289,12 +294,21 @@ func Run(info *cminor.Info, opts Options, files ...*cminor.File) (*Effects, erro
 		fuel:     opts.Fuel,
 		strings:  make(map[string]*Object),
 		cleanups: make(map[*Region][]cleanupEntry),
+		fileOf:   make(map[*cminor.FuncDecl]string),
 	}
 	for name := range info.Globals {
 		m.globals[name] = &Cell{}
 	}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*cminor.FuncDecl); ok && fd.Body != nil {
+				m.fileOf[fd] = f.Path
+			}
+		}
+	}
 	// Global initializers.
 	for _, f := range files {
+		m.file = f.Path
 		for _, d := range f.Decls {
 			if vd, ok := d.(*cminor.VarDecl); ok && vd.Init != nil {
 				v, err := m.eval(nil, vd.Init)
@@ -315,8 +329,13 @@ func Run(info *cminor.Info, opts Options, files ...*cminor.File) (*Effects, erro
 			args[i] = Value{Kind: IntVal, Int: opts.Args[i]}
 		}
 	}
-	_, err := m.call(opts.Entry, args, cminor.Pos{})
+	_, err := m.call(opts.Entry, args, cminor.FilePos{})
 	return m.effects, err
+}
+
+// at qualifies a position in the executing code with its file.
+func (m *Machine) at(pos cminor.Pos) cminor.FilePos {
+	return cminor.FilePos{File: m.file, Pos: pos}
 }
 
 // frame is one activation record.
@@ -337,7 +356,7 @@ func (m *Machine) burn() error {
 	return nil
 }
 
-func (m *Machine) newRegion(parent *Region, pos cminor.Pos) (*Region, error) {
+func (m *Machine) newRegion(parent *Region, pos cminor.FilePos) (*Region, error) {
 	depth := 0
 	for x := parent; x != nil; x = x.Parent {
 		depth++
@@ -350,7 +369,7 @@ func (m *Machine) newRegion(parent *Region, pos cminor.Pos) (*Region, error) {
 	return r, nil
 }
 
-func (m *Machine) newObject(owner *Region, pos cminor.Pos) (*Object, error) {
+func (m *Machine) newObject(owner *Region, pos cminor.FilePos) (*Object, error) {
 	if len(m.effects.Objects) >= m.opts.MaxObjects {
 		return nil, &BudgetError{Resource: "objects", Limit: m.opts.MaxObjects}
 	}
@@ -359,7 +378,7 @@ func (m *Machine) newObject(owner *Region, pos cminor.Pos) (*Object, error) {
 	return o, nil
 }
 
-func (m *Machine) stringObject(s string, pos cminor.Pos) *Object {
+func (m *Machine) stringObject(s string, pos cminor.FilePos) *Object {
 	if o, ok := m.strings[s]; ok {
 		return o
 	}

@@ -111,7 +111,7 @@ type Instr struct {
 	Off    int64   // Load/Store/FieldAddr byte offset
 
 	Args, NumArgs int32
-	Line, Col     int32
+	Pos           cminor.Pos
 	// Func is the fragment-local index of the enclosing function, or
 	// -1 for a global initializer.
 	Func int32
@@ -183,9 +183,9 @@ func (in Inst) Callee() Opd { return in.lf.opd(in.in.Callee) }
 // Arg returns the k-th call argument, 0 <= k < NumArgs.
 func (in Inst) Arg(k int) Opd { return in.lf.opd(in.lf.frag.args[int(in.in.Args)+k]) }
 
-// Pos is the instruction's source position.
-func (in Inst) Pos() cminor.Pos {
-	return cminor.Pos{File: in.lf.frag.Path, Line: int(in.in.Line), Col: int(in.in.Col)}
+// Pos is the instruction's source position, in its fragment's file.
+func (in Inst) Pos() cminor.FilePos {
+	return cminor.FilePos{File: in.lf.frag.Path, Pos: in.in.Pos}
 }
 
 // Func is the enclosing function: the synthetic initializer for a
@@ -312,7 +312,7 @@ func (f *Func) Dump() string {
 // StringLit is one string literal site.
 type StringLit struct {
 	Value string
-	Pos   cminor.Pos
+	Pos   cminor.FilePos
 }
 
 // FuncNames returns defined function names in a stable order.

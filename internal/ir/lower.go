@@ -147,7 +147,7 @@ func (b *builder) takeAddr(v int32) {
 // initializers).
 func (b *builder) emit(in Instr, pos cminor.Pos) {
 	in.Func = b.fn
-	in.Line, in.Col = int32(pos.Line), int32(pos.Col)
+	in.Pos = pos
 	b.instrs = append(b.instrs, in)
 }
 
@@ -319,7 +319,7 @@ func (b *builder) expr(e cminor.Expr) Operand {
 		return b.constOpd(e.V)
 	case *cminor.StrLit:
 		idx := len(b.frag.strings)
-		b.frag.strings = append(b.frag.strings, StringLit{Value: e.V, Pos: e.Pos})
+		b.frag.strings = append(b.frag.strings, StringLit{Value: e.V, Pos: cminor.FilePos{File: b.frag.Path, Pos: e.Pos}})
 		t := b.temp()
 		b.emit(Instr{Op: Assign, Dst: varOpd(t), Src: Operand{Kind: StringOpd, V: int32(idx)}}, e.Pos)
 		return varOpd(t)

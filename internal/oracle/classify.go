@@ -21,7 +21,7 @@ type classifier struct {
 
 type funcSpan struct {
 	name string
-	line int
+	line int32
 }
 
 func newClassifier(files []*cminor.File) *classifier {
@@ -40,7 +40,7 @@ func newClassifier(files []*cminor.File) *classifier {
 }
 
 // enclosing returns the name of the defined function containing pos.
-func (c *classifier) enclosing(pos cminor.Pos) string {
+func (c *classifier) enclosing(pos cminor.FilePos) string {
 	spans := c.funcs[pos.File]
 	name := ""
 	for _, s := range spans {
@@ -78,7 +78,7 @@ func classOf(fn string) string {
 // classify names the violation class of a dynamic pair: the planted
 // pattern when either allocation site sits in a pattern function
 // (preferring the holder's side), else the holder's structural class.
-func (c *classifier) classify(src, dst cminor.Pos) string {
+func (c *classifier) classify(src, dst cminor.FilePos) string {
 	sc := classOf(c.enclosing(src))
 	if patternClass(sc) {
 		return sc

@@ -27,7 +27,7 @@ type missExplainer struct {
 
 // nearest renders the explanation of the reported warning whose
 // allocation-site pair is closest to the missed dynamic pair.
-func (m *missExplainer) nearest(src, dst cminor.Pos) string {
+func (m *missExplainer) nearest(src, dst cminor.FilePos) string {
 	if len(m.a.Report.Warnings) == 0 {
 		return "no warnings reported under this configuration; nothing was derived near the missed pair"
 	}
@@ -59,11 +59,11 @@ func (m *missExplainer) nearest(src, dst cminor.Pos) string {
 // posDist scores how far apart two source positions are: positions in
 // the same file compare by line distance; a file change outweighs any
 // in-file distance.
-func posDist(a, b cminor.Pos) int {
+func posDist(a, b cminor.FilePos) int {
 	if a.File != b.File {
 		return 1 << 20
 	}
-	d := a.Line - b.Line
+	d := int(a.Line) - int(b.Line)
 	if d < 0 {
 		d = -d
 	}

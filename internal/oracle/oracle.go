@@ -239,7 +239,7 @@ func NewHarness() *Harness {
 // interpreter, keyed by the allocation-site positions the static
 // report uses.
 type DynamicViolation struct {
-	Src, Dst cminor.Pos
+	Src, Dst cminor.FilePos
 	Argc     int64
 	Class    string
 }
@@ -473,7 +473,7 @@ func (h *Harness) runDynamic(info *cminor.Info, files []*cminor.File, cls *class
 		}
 		for _, inc := range eff.Inconsistencies() {
 			src := inc.Edge.Src.Site
-			var dst cminor.Pos
+			var dst cminor.FilePos
 			if inc.Edge.DstReg != nil {
 				dst = inc.Edge.DstReg.Site
 			} else {
@@ -518,7 +518,7 @@ func isBudget(err error) bool {
 	return errors.Is(err, interp.ErrBudget)
 }
 
-func posKey(src, dst cminor.Pos) string {
+func posKey(src, dst cminor.FilePos) string {
 	return src.String() + "|" + dst.String()
 }
 

@@ -15,8 +15,12 @@ package slab
 import "unsafe"
 
 // MaxChunkBytes caps the size of one chunk: the largest size class
-// the Go allocator serves from its small-object spans.
-const MaxChunkBytes = 32 << 10
+// the Go allocator serves from its small-object spans (32 KiB), less
+// the 8-byte header it puts before every object over 512 bytes that
+// holds pointers. A chunk of exactly 32 KiB of such values (1024
+// 32-byte nodes, say) would be a large object: a span of its own,
+// zeroed page by page.
+const MaxChunkBytes = 32<<10 - 8
 
 // firstChunk is the element count of a slab's first chunk.
 const firstChunk = 8

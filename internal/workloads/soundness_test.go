@@ -76,7 +76,7 @@ func checkSoundness(t *testing.T, name string, sources map[string]string) {
 	if err != nil {
 		t.Fatalf("%s: analyze: %v", name, err)
 	}
-	posKey := func(src, dst cminor.Pos) string {
+	posKey := func(src, dst cminor.FilePos) string {
 		return fmt.Sprintf("%s|%s", src, dst)
 	}
 	static := map[string]bool{}
@@ -92,7 +92,7 @@ func checkSoundness(t *testing.T, name string, sources map[string]string) {
 		}
 		for _, inc := range eff.Inconsistencies() {
 			srcPos := inc.Edge.Src.Site
-			var dstPos cminor.Pos
+			var dstPos cminor.FilePos
 			if inc.Edge.DstObj != nil {
 				dstPos = inc.Edge.DstObj.Site
 			} else if inc.Edge.DstReg != nil {
