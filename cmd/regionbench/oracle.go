@@ -12,8 +12,7 @@ import (
 
 // runOracle drives the differential soundness/parity sweep
 // (regionbench -oracle -seeds N). Both backends always run — the
-// parity invariant needs them — so the -backend flag does not apply.
-// With -json the regionwiz/oracle/v1 summary is written to the given
+// parity invariant needs them. With -json the regionwiz/oracle/v1 summary is written to the given
 // path; the human-readable verdict always prints. A sweep with
 // unallowlisted violations (or harness errors) exits 1.
 func runOracle(seeds int, start int64, jobs int, reproDir, jsonPath string) error {

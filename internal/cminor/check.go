@@ -354,7 +354,11 @@ func (c *checker) resolve(te TypeExpr, pos Pos) Type {
 		c.errorf(pos, "unknown type %q", te.Name)
 		return TypeInt
 	case *structDefTE:
-		c.declareStruct(te.def)
+		// A file-scope definition ("typedef struct s {...} T;") also
+		// reaches pass 1 as a StructDecl; declare it only once.
+		if c.bodies[te.Name].decl != te.def {
+			c.declareStruct(te.def)
+		}
 		c.layoutStruct(te.Name)
 		return c.structRef(te.Name, te.Union)
 	case *enumDefTE:

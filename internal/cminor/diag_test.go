@@ -21,6 +21,8 @@ func TestSelfEmbeddingStructPosition(t *testing.T) {
 			"b.c:4:3: struct a embeds itself (use a pointer)"},
 		{[][2]string{{"a.c", "int a;"}, {"g.c", "struct s { int a; const struct s x, y; };"}},
 			"g.c:1:19: struct s embeds itself (use a pointer)"},
+		{[][2]string{{"a.c", "int a;"}, {"t.c", "typedef struct s { int a; struct s x; } T;"}},
+			"t.c:1:27: struct s embeds itself (use a pointer)"},
 	} {
 		var fs []*File
 		for _, f := range tc.files {

@@ -263,6 +263,31 @@ struct req { struct mix m; struct req *next; };
 	}
 }
 
+// TestCheckInlineStructDefinitions: a struct defined inside a
+// file-scope typedef or variable declaration is declared once, not
+// reported as a redefinition of itself.
+func TestCheckInlineStructDefinitions(t *testing.T) {
+	for _, tc := range []struct {
+		src, tag string
+		size     int64
+	}{
+		{"typedef struct { int a; } T;\nint f(void) { T t; t.a = 1; return t.a; }", "__anon1", 4},
+		{"typedef struct s { int b; } U;\nint f(void) { U u; struct s *p; p = &u; return p->b; }", "s", 4},
+		{"typedef struct { int a; long l; } A, *AP;\nint f(void) { A x; AP p; p = &x; return p->a; }", "__anon1", 16},
+		{"struct { int a; } g;\nint f(void) { g.a = 1; return g.a; }", "__anon1", 4},
+	} {
+		f := mustParse(t, tc.src)
+		info := Check(f)
+		if len(info.Errors) != 0 {
+			t.Errorf("%q: check errors %v", tc.src, info.Errors)
+			continue
+		}
+		if st := info.Structs[tc.tag]; st == nil || st.Opaque || st.Size() != tc.size {
+			t.Errorf("%q: struct %s = %+v, want defined with size %d", tc.src, tc.tag, st, tc.size)
+		}
+	}
+}
+
 func TestCheckSelfEmbeddingRejected(t *testing.T) {
 	f := mustParse(t, `struct s { struct s inner; };`)
 	info := Check(f)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cminor"
 	"repro/internal/contexts"
 	"repro/internal/ir"
-	"repro/internal/pipeline"
 	"repro/internal/pointer"
 )
 
@@ -75,10 +74,6 @@ type Options struct {
 	// ExtraAllocFns adds generic allocators (malloc-style) that create
 	// non-region objects.
 	ExtraAllocFns []string
-	// Observer, when set, receives pipeline phase start/end callbacks
-	// (logging, benchmarking, progress reporting). Phase metrics are
-	// additionally recorded in Report.Stats.Phases regardless.
-	Observer pipeline.Observer[*Analysis]
 	// Solver groups how the analysis is solved: fixpoint budget,
 	// points-to cap, backend, and BDD sizing. See SolverOptions.
 	Solver SolverOptions
@@ -87,8 +82,8 @@ type Options struct {
 	// region strata on a witness-recording tuple engine, so Explain
 	// answers come from recorded derivations instead of a replay.
 	// Recording never changes the pairs, the report, or any phase
-	// metric — reports are byte-identical with it on or off — so, like
-	// Observer, it is excluded from Fingerprint.
+	// metric — reports are byte-identical with it on or off — so it is
+	// excluded from Fingerprint.
 	Provenance bool
 }
 
@@ -154,10 +149,6 @@ type Analysis struct {
 	// Options.Provenance was set on an explicit-backend run (explain.go);
 	// nil otherwise, in which case Explainer replays on demand.
 	prov *provRecord
-
-	// Metrics is the per-phase cost breakdown of the run, including
-	// phases that ran before an error aborted the pipeline.
-	Metrics *pipeline.Metrics
 
 	// Front counts per-file front-end reuse for snapshot-backed runs
 	// (AnalyzeSourceSnapshot / AnalyzeIncremental); zero otherwise.
@@ -226,7 +217,7 @@ func AnalyzeSourceContext(ctx context.Context, opts Options, sources map[string]
 	}
 	a := newAnalysis(opts)
 	a.Sources = sources
-	return runPhases(ctx, a, append(frontEndPhases(), analysisPhases()...))
+	return runPhases(ctx, a, phases)
 }
 
 // Analyze runs the full RegionWiz pipeline over checked files.
@@ -244,7 +235,7 @@ func AnalyzeContext(ctx context.Context, opts Options, info *cminor.Info, files 
 	a := newAnalysis(opts)
 	a.Info = info
 	a.Files = files
-	return runPhases(ctx, a, analysisPhases())
+	return runPhases(ctx, a, phases[frontEnd:])
 }
 
 // pointerConfig derives the pointer-analysis extern models from the

@@ -146,9 +146,8 @@ func sortedUnique(in []string) []string {
 // Fingerprint returns a stable hex digest of the normalized options —
 // every field that can change an analysis result (entry roots, API
 // specs, context configuration, backend, refinements, extern models).
-// Observer is excluded: it watches a run but cannot alter it. BDD is
-// excluded for the same reason: kernel sizing changes time and memory,
-// never results. Provenance is excluded too: witness recording feeds
+// BDD is excluded: kernel sizing changes time and memory, never
+// results. Provenance is excluded too: witness recording feeds
 // Explain but never the report, so a provenance-on run may answer for
 // a cached provenance-off result and vice versa. Together with
 // per-file source digests this keys the analysis service's result

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bdd"
-	"repro/internal/pipeline"
 )
 
 func TestValidateRejects(t *testing.T) {
@@ -118,11 +117,6 @@ func TestFingerprint(t *testing.T) {
 			t.Errorf("variant %d collides with %d: %+v", i, prev, v)
 		}
 		seen[fp] = i
-	}
-	// Observer is excluded: it cannot change results.
-	withObs := Options{Observer: pipeline.ObserverFuncs[*Analysis]{}}
-	if withObs.Fingerprint() != a {
-		t.Error("observer changed the fingerprint")
 	}
 }
 

@@ -2,14 +2,16 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sort"
+	"time"
 
 	"repro/internal/callgraph"
 	"repro/internal/cminor"
 	"repro/internal/contexts"
 	"repro/internal/ir"
-	"repro/internal/pipeline"
 	"repro/internal/pointer"
+	"repro/internal/trace"
 )
 
 // Phase names, in execution order. Each maps onto a stage of the
@@ -32,11 +34,11 @@ const (
 // PhaseNames lists every analysis phase in execution order, including
 // the front-end phases run only by AnalyzeSource.
 func PhaseNames() []string {
-	return []string{
-		PhaseParse, PhaseCheck, PhaseLower, PhaseCallGraph,
-		PhaseContexts, PhasePointer, PhaseRegions, PhaseOwnership,
-		PhaseAccess, PhasePairs, PhasePost,
+	names := make([]string, len(phases))
+	for i, ph := range phases {
+		names[i] = ph.name
 	}
+	return names
 }
 
 // newAnalysis allocates the shared pipeline state. opts must already
@@ -51,216 +53,285 @@ func newAnalysis(opts Options) *Analysis {
 	}
 }
 
-// frontEndPhases parses and checks a.Sources into a.Files and a.Info.
+// phase is one named stage of the analysis over the shared state.
+// ctx is the run's; long phases poll it for cancellation.
+type phase struct {
+	name string
+	run  func(ctx context.Context, a *Analysis) error
+}
+
+// phases is the analysis in execution order. The first frontEnd
+// entries parse and check a.Sources into a.Files and a.Info; runs
+// that start from checked files (AnalyzeContext) skip them.
 // Snapshot-backed runs (a.snapshotting) digest every file; incremental
 // runs (a.prev set) additionally reuse the base snapshot's ASTs for
 // digest-unchanged files and, when the edit preserves all declaration
 // signatures, re-check only the changed files against the base's
 // declaration environment.
-func frontEndPhases() []pipeline.Phase[*Analysis] {
-	return []pipeline.Phase[*Analysis]{
-		pipeline.WithInputs(pipeline.New(PhaseParse, func(_ context.Context, a *Analysis) error {
-			paths := make([]string, 0, len(a.Sources))
-			for p := range a.Sources {
-				paths = append(paths, p)
-			}
-			sort.Strings(paths)
+var phases = []phase{
+	{PhaseParse, func(_ context.Context, a *Analysis) error {
+		paths := make([]string, 0, len(a.Sources))
+		for p := range a.Sources {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
+		if a.snapshotting {
+			a.digests = make(map[string]string, len(paths))
+			a.changed = make(map[string]bool, len(paths))
+		}
+		// One token budget covers every file of the analysis. A
+		// reused file that would overspend it is parsed again, so
+		// the error names the token over budget.
+		var budget cminor.TokenBudget
+		for _, p := range paths {
 			if a.snapshotting {
-				a.digests = make(map[string]string, len(paths))
-				a.changed = make(map[string]bool, len(paths))
-			}
-			// One token budget covers every file of the analysis. A
-			// reused file that would overspend it is parsed again, so
-			// the error names the token over budget.
-			var budget cminor.TokenBudget
-			for _, p := range paths {
-				if a.snapshotting {
-					d := FileDigest(a.Sources[p])
-					a.digests[p] = d
-					if a.prev != nil && a.prev.digests[p] == d && budget.Reuse(a.prev.files[p]) {
-						a.Files = append(a.Files, a.prev.files[p])
-						a.Front.ParseReused++
-						continue
-					}
-					a.changed[p] = true
+				d := FileDigest(a.Sources[p])
+				a.digests[p] = d
+				if a.prev != nil && a.prev.digests[p] == d && budget.Reuse(a.prev.files[p]) {
+					a.Files = append(a.Files, a.prev.files[p])
+					a.Front.ParseReused++
+					continue
 				}
-				f, errs := budget.Parse(p, a.Sources[p])
-				if len(errs) != 0 {
-					return Errf(ErrParse, errs[0].Pos.String(),
-						"parse %s: %v (and %d more)", p, errs[0], len(errs)-1)
+				a.changed[p] = true
+			}
+			f, errs := budget.Parse(p, a.Sources[p])
+			if len(errs) != 0 {
+				return Errf(ErrParse, errs[0].Pos.String(),
+					"parse %s: %v (and %d more)", p, errs[0], len(errs)-1)
+			}
+			a.Files = append(a.Files, f)
+			a.Front.ParseParsed++
+		}
+		return nil
+	}},
+	{PhaseCheck, func(_ context.Context, a *Analysis) error {
+		if a.tryIncrementalCheck() {
+			a.incrementalCheck = true
+			a.Info = cminor.CheckIncremental(a.prev.info, a.Files, a.changed)
+			for _, f := range a.Files {
+				if a.changed[f.Path] {
+					a.Front.CheckChecked++
+				} else {
+					a.Front.CheckReused++
 				}
-				a.Files = append(a.Files, f)
-				a.Front.ParseParsed++
 			}
-			return nil
-		}), "sources"),
-		pipeline.WithInputs(pipeline.New(PhaseCheck, func(_ context.Context, a *Analysis) error {
-			if a.tryIncrementalCheck() {
-				a.incrementalCheck = true
-				a.Info = cminor.CheckIncremental(a.prev.info, a.Files, a.changed)
-				for _, f := range a.Files {
-					if a.changed[f.Path] {
-						a.Front.CheckChecked++
-					} else {
-						a.Front.CheckReused++
-					}
+		} else {
+			a.Info = cminor.Check(a.Files...)
+			a.Front.CheckChecked = len(a.Files)
+		}
+		if len(a.Info.Errors) != 0 {
+			return Errf(ErrParse, a.Info.Errors[0].Pos.String(),
+				"check: %v (and %d more)", a.Info.Errors[0], len(a.Info.Errors)-1)
+		}
+		return nil
+	}},
+	{PhaseLower, func(_ context.Context, a *Analysis) error {
+		if a.snapshotting {
+			// Per-file fragments, reused from the base when the file
+			// is unchanged and the declaration environment held
+			// (fragments bake in type layouts and symbol kinds, so a
+			// full fallback check invalidates all of them). Link
+			// assigns all program-wide IDs in file order.
+			frags := make([]*ir.Fragment, len(a.Files))
+			a.fragments = make(map[string]*ir.Fragment, len(a.Files))
+			for i, f := range a.Files {
+				if a.incrementalCheck && !a.changed[f.Path] {
+					frags[i] = a.prev.frags[f.Path]
+					a.Front.LowerReused++
+				} else {
+					frags[i] = ir.LowerFile(a.Info, f)
+					a.Front.LowerLowered++
 				}
-			} else {
-				a.Info = cminor.Check(a.Files...)
-				a.Front.CheckChecked = len(a.Files)
+				a.fragments[f.Path] = frags[i]
 			}
-			if len(a.Info.Errors) != 0 {
-				return Errf(ErrParse, a.Info.Errors[0].Pos.String(),
-					"check: %v (and %d more)", a.Info.Errors[0], len(a.Info.Errors)-1)
+			a.Prog = ir.Link(a.Info, frags)
+		} else {
+			a.Prog = ir.Lower(a.Info, a.Files...)
+		}
+		entries := a.Opts.Entries
+		if len(entries) == 0 {
+			if _, ok := a.Prog.Funcs[a.Opts.Entry]; !ok {
+				return Errf(ErrResolve, "", "entry function %q not defined", a.Opts.Entry)
 			}
-			return nil
-		}), "files", "decl_signatures"),
-	}
+			entries = []string{a.Opts.Entry}
+		} else {
+			for _, e := range entries {
+				if _, ok := a.Prog.Funcs[e]; !ok {
+					return Errf(ErrResolve, "", "entry function %q not defined", e)
+				}
+			}
+		}
+		a.entries = entries
+		return nil
+	}},
+	{PhaseCallGraph, func(_ context.Context, a *Analysis) error {
+		if a.prev != nil {
+			// Incremental rebuild: relinking shifts instruction IDs,
+			// so edges are rescanned rather than patched, but the
+			// direct scan skips the vF fixpoint whenever no function
+			// values flow through variables or memory. BuildDirect
+			// is exact — it refuses rather than approximates — so
+			// the graph matches BuildEntries' bit for bit.
+			if g, ok := callgraph.BuildDirect(a.Prog, a.entries, a.Opts.ImplicitSpecs); ok {
+				a.Graph = g
+				a.Front.CallGraphDirect = true
+				return nil
+			}
+		}
+		a.Graph = callgraph.BuildEntries(a.Prog, a.entries, a.Opts.ImplicitSpecs)
+		return nil
+	}},
+	{PhaseContexts, func(_ context.Context, a *Analysis) error {
+		switch {
+		case a.Opts.ContextPolicy == PolicyOrigin:
+			a.Numbering = contexts.NewOrigin(a.Graph, a.Opts.ContextCap, a.originFns())
+		case a.Opts.KCFA > 0:
+			a.Numbering = contexts.NewKCFA(a.Graph, a.Opts.KCFA, a.Opts.ContextCap)
+		default:
+			a.Numbering = contexts.Number(a.Graph, a.Opts.ContextCap)
+		}
+		return nil
+	}},
+	{PhasePointer, func(ctx context.Context, a *Analysis) error {
+		a.Ptr = pointer.AnalyzeContext(ctx, a.Numbering, a.pointerConfig())
+		return nil
+	}},
+	{PhaseRegions, func(_ context.Context, a *Analysis) error {
+		a.extractRegions()
+		a.collapseParents()
+		return nil
+	}},
+	{PhaseOwnership, func(_ context.Context, a *Analysis) error {
+		a.extractOwnership()
+		return nil
+	}},
+	{PhaseAccess, func(_ context.Context, a *Analysis) error {
+		a.extractAccess()
+		return nil
+	}},
+	{PhasePairs, func(ctx context.Context, a *Analysis) error {
+		a.pairs = a.computeObjectPairs(ctx)
+		// Opt-in provenance recording (explain.go): the explicit
+		// backend captures witnesses here; the BDD backend answers
+		// Explain by demand-driven replay instead. Recording writes
+		// only a.prov, never the pairs or any metric key.
+		if a.Opts.Provenance && a.Opts.Solver.Backend == ExplicitBackend {
+			a.recordProvenance(ctx)
+		}
+		return nil
+	}},
+	{PhasePost, func(_ context.Context, a *Analysis) error {
+		a.Report = a.postProcess(a.pairs)
+		return nil
+	}},
 }
 
-// analysisPhases is the back half of the pipeline: everything after
-// the front end, operating on a.Info and a.Files.
-func analysisPhases() []pipeline.Phase[*Analysis] {
-	return []pipeline.Phase[*Analysis]{
-		pipeline.WithInputs(pipeline.New(PhaseLower, func(_ context.Context, a *Analysis) error {
-			if a.snapshotting {
-				// Per-file fragments, reused from the base when the file
-				// is unchanged and the declaration environment held
-				// (fragments bake in type layouts and symbol kinds, so a
-				// full fallback check invalidates all of them). Link
-				// assigns all program-wide IDs in file order.
-				frags := make([]*ir.Fragment, len(a.Files))
-				a.fragments = make(map[string]*ir.Fragment, len(a.Files))
-				for i, f := range a.Files {
-					if a.incrementalCheck && !a.changed[f.Path] {
-						frags[i] = a.prev.frags[f.Path]
-						a.Front.LowerReused++
-					} else {
-						frags[i] = ir.LowerFile(a.Info, f)
-						a.Front.LowerLowered++
-					}
-					a.fragments[f.Path] = frags[i]
-				}
-				a.Prog = ir.Link(a.Info, frags)
-			} else {
-				a.Prog = ir.Lower(a.Info, a.Files...)
-			}
-			entries := a.Opts.Entries
-			if len(entries) == 0 {
-				if _, ok := a.Prog.Funcs[a.Opts.Entry]; !ok {
-					return Errf(ErrResolve, "", "entry function %q not defined", a.Opts.Entry)
-				}
-				entries = []string{a.Opts.Entry}
-			} else {
-				for _, e := range entries {
-					if _, ok := a.Prog.Funcs[e]; !ok {
-						return Errf(ErrResolve, "", "entry function %q not defined", e)
-					}
-				}
-			}
-			a.entries = entries
-			return nil
-		}), "files", "info"),
-		pipeline.WithInputs(pipeline.New(PhaseCallGraph, func(_ context.Context, a *Analysis) error {
-			if a.prev != nil {
-				// Incremental rebuild: relinking shifts instruction IDs,
-				// so edges are rescanned rather than patched, but the
-				// direct scan skips the vF fixpoint whenever no function
-				// values flow through variables or memory. BuildDirect
-				// is exact — it refuses rather than approximates — so
-				// the graph matches BuildEntries' bit for bit.
-				if g, ok := callgraph.BuildDirect(a.Prog, a.entries, a.Opts.ImplicitSpecs); ok {
-					a.Graph = g
-					a.Front.CallGraphDirect = true
-					return nil
-				}
-			}
-			a.Graph = callgraph.BuildEntries(a.Prog, a.entries, a.Opts.ImplicitSpecs)
-			return nil
-		}), "funcs", "entries"),
-		pipeline.WithInputs(pipeline.New(PhaseContexts, func(_ context.Context, a *Analysis) error {
-			switch {
-			case a.Opts.ContextPolicy == PolicyOrigin:
-				a.Numbering = contexts.NewOrigin(a.Graph, a.Opts.ContextCap, a.originFns())
-			case a.Opts.KCFA > 0:
-				a.Numbering = contexts.NewKCFA(a.Graph, a.Opts.KCFA, a.Opts.ContextCap)
-			default:
-				a.Numbering = contexts.Number(a.Graph, a.Opts.ContextCap)
-			}
-			return nil
-		}), "reachable_funcs", "call_edges"),
-		pipeline.WithInputs(pipeline.New(PhasePointer, func(ctx context.Context, a *Analysis) error {
-			a.Ptr = pointer.AnalyzeContext(ctx, a.Numbering, a.pointerConfig())
-			return nil
-		}), "contexts", "reachable_instrs"),
-		pipeline.WithInputs(pipeline.New(PhaseRegions, func(_ context.Context, a *Analysis) error {
-			a.extractRegions()
-			a.collapseParents()
-			return nil
-		}), "points_to", "region_api"),
-		pipeline.WithInputs(pipeline.New(PhaseOwnership, func(_ context.Context, a *Analysis) error {
-			a.extractOwnership()
-			return nil
-		}), "regions", "points_to"),
-		pipeline.WithInputs(pipeline.New(PhaseAccess, func(_ context.Context, a *Analysis) error {
-			a.extractAccess()
-			return nil
-		}), "ownership_edges", "heap_edges"),
-		pipeline.WithInputs(pipeline.New(PhasePairs, func(ctx context.Context, a *Analysis) error {
-			a.pairs = a.computeObjectPairs(ctx)
-			// Opt-in provenance recording (explain.go): the explicit
-			// backend captures witnesses here; the BDD backend answers
-			// Explain by demand-driven replay instead. Recording writes
-			// only a.prov, never the pairs or any metric key.
-			if a.Opts.Provenance && a.Opts.Solver.Backend == ExplicitBackend {
-				a.recordProvenance(ctx)
-			}
-			return nil
-		}), "regions", "subregion_edges", "ownership_edges", "access_edges"),
-		pipeline.WithInputs(pipeline.New(PhasePost, func(_ context.Context, a *Analysis) error {
-			a.Report = a.postProcess(a.pairs)
-			return nil
-		}), "object_pairs"),
-	}
-}
+// frontEnd counts the leading entries of phases that run only from
+// sources: parse and check.
+const frontEnd = 2
 
-// runPhases executes a phase list over a and folds the pipeline
-// metrics into the report's stats.
-func runPhases(ctx context.Context, a *Analysis, phases []pipeline.Phase[*Analysis]) (*Analysis, error) {
-	r := pipeline.NewRunner(phases...)
-	r.Observer = a.Opts.Observer
-	m, err := r.Run(ctx, a)
-	a.Metrics = m
+// phaseDone, when set, is called after every phase that ran, before
+// the run checks ctx again. Tests use it to act between phases.
+var phaseDone func(name string)
+
+// runPhases runs ps over a in order and writes their costs into the
+// report's stats. Between phases it checks ctx: a cancelled or expired
+// context stops the run before the next phase. A phase error stops it
+// likewise. Either way runPhases returns a nil analysis and an error
+// of kind ErrInternal (phase errors are already typed and keep their
+// kind) that unwraps to the cause.
+//
+// Every phase is timed, its allocation measured as the delta of
+// runtime.MemStats.TotalAlloc, and credited with the RelationSizes
+// entries that differ after it from before it. When ctx carries a
+// trace.Tracer the run is a "pipeline" span and every phase a
+// "phase:<name>" child span carrying the same numbers.
+func runPhases(ctx context.Context, a *Analysis, ps []phase) (*Analysis, error) {
+	start := time.Now()
+	ctx, runSpan := trace.StartSpan(ctx, "pipeline")
+	stats := make([]PhaseStat, 0, len(ps))
+	prev := a.RelationSizes()
+	var err error
+	for _, ph := range ps {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		pctx, span := trace.StartSpan(ctx, "phase:"+ph.name)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		t0 := time.Now()
+		err = ph.run(pctx, a)
+		wall := time.Since(t0)
+		runtime.ReadMemStats(&after)
+		cur := a.RelationSizes()
+		st := PhaseStat{
+			Name:       ph.name,
+			Time:       wall,
+			AllocBytes: int64(after.TotalAlloc - before.TotalAlloc),
+			Outputs:    changedSizes(prev, cur),
+		}
+		prev = cur
+		if span != nil {
+			// The span's duration additionally covers the MemStats
+			// reads and the sizes snapshot; wall_ns is the phase body
+			// alone.
+			span.End(phaseAttrs(st)...)
+		}
+		stats = append(stats, st)
+		if phaseDone != nil {
+			phaseDone(ph.name)
+		}
+		if err != nil {
+			break
+		}
+	}
+	total := time.Since(start)
+	runSpan.End(trace.Int("phases_run", len(stats)), trace.Bool("error", err != nil))
 	if err != nil {
-		// Phase errors are already typed; anything else (a context
-		// cancellation, an unexpected failure) becomes an internal
-		// Error that still unwraps to its cause.
 		return nil, WrapError(ErrInternal, err)
 	}
-	a.Report.Stats.Time = m.Total
-	a.Report.Stats.Phases = phaseStats(m)
+	a.Report.Stats.Time = total
+	a.Report.Stats.Phases = stats
 	return a, nil
 }
 
-// phaseStats converts pipeline metrics to the report's stable form.
-func phaseStats(m *pipeline.Metrics) []PhaseStat {
-	out := make([]PhaseStat, 0, len(m.Phases))
-	for _, pm := range m.Phases {
-		out = append(out, PhaseStat{
-			Name:       pm.Name,
-			Time:       pm.Wall,
-			AllocBytes: pm.AllocBytes,
-			Outputs:    pm.Outputs,
-		})
+// phaseAttrs renders one phase's stats as span attributes, outputs in
+// sorted key order for deterministic exports.
+func phaseAttrs(st PhaseStat) []trace.Attr {
+	attrs := make([]trace.Attr, 0, 2+len(st.Outputs))
+	attrs = append(attrs,
+		trace.Int64("wall_ns", int64(st.Time)),
+		trace.Int64("alloc_bytes", st.AllocBytes))
+	keys := make([]string, 0, len(st.Outputs))
+	for k := range st.Outputs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		attrs = append(attrs, trace.Int64("out."+k, st.Outputs[k]))
+	}
+	return attrs
+}
+
+// changedSizes returns the entries of cur that are new or different
+// from prev — the relations a phase produced or grew.
+func changedSizes(prev, cur map[string]int64) map[string]int64 {
+	var out map[string]int64
+	for k, v := range cur {
+		if pv, ok := prev[k]; !ok || pv != v {
+			if out == nil {
+				out = make(map[string]int64)
+			}
+			out[k] = v
+		}
 	}
 	return out
 }
 
-// RelationSizes implements pipeline.RelationSizer: a snapshot of
-// every relation and counter the pipeline has produced so far. The
-// Runner diffs consecutive snapshots to attribute sizes to phases, so
-// each key lands in the Outputs of the phase that produced (or last
-// grew) it.
+// RelationSizes is a snapshot of every relation and counter the
+// analysis has produced so far. runPhases diffs the snapshots taken
+// before and after each phase, so each key lands in the Outputs of the
+// phase that produced (or last grew) it.
 func (a *Analysis) RelationSizes() map[string]int64 {
 	s := make(map[string]int64)
 	if len(a.Files) > 0 {
@@ -318,7 +389,7 @@ func (a *Analysis) RelationSizes() map[string]int64 {
 	}
 	// Front-end reuse counters, only for snapshot-backed runs so that
 	// plain runs' phase outputs (pinned by golden reports) are
-	// untouched. Zero values surface nowhere: the Runner only
+	// untouched. Zero values surface nowhere: runPhases only
 	// attributes keys whose value changed.
 	if a.snapshotting {
 		s["parse_files_reused"] = int64(a.Front.ParseReused)

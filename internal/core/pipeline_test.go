@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/pipeline"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -153,64 +157,129 @@ func TestPhaseStatsInReport(t *testing.T) {
 	}
 }
 
-// TestAnalyzeCancellation cancels mid-pipeline via an Observer and
-// expects context.Canceled with no report.
-func TestAnalyzeCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	opts := Options{
-		Observer: pipeline.ObserverFuncs[*Analysis]{
-			End: func(name string, _ *Analysis, _ pipeline.PhaseMetrics) {
-				if name == PhasePointer {
-					cancel()
-				}
-			},
-		},
+// phaseSpans runs fn under a tracer and returns its "pipeline" and
+// "phase:<name>" spans in start order, as decoded JSONL records.
+func phaseSpans(t *testing.T, fn func(ctx context.Context)) []traceLine {
+	t.Helper()
+	tracer := trace.New()
+	fn(trace.WithTracer(context.Background(), tracer))
+	var buf bytes.Buffer
+	if err := tracer.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
 	}
-	a, err := AnalyzeSourceContext(ctx, opts, corpusSources(t))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	var out []traceLine
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var l traceLine
+		if err := dec.Decode(&l); err != nil {
+			t.Fatal(err)
+		}
+		if l.Name == "pipeline" || strings.HasPrefix(l.Name, "phase:") {
+			out = append(out, l)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].StartNS < out[j].StartNS })
+	return out
+}
+
+type traceLine struct {
+	Name    string         `json:"name"`
+	StartNS int64          `json:"start_ns"`
+	Attrs   map[string]any `json:"attrs"`
+}
+
+// TestAnalyzeCancellation cancels the context after the pointer phase:
+// the run stops before the next phase and returns an internal error
+// wrapping context.Canceled, with no analysis.
+func TestAnalyzeCancellation(t *testing.T) {
+	var ran []string
+	var a *Analysis
+	var err error
+	spans := phaseSpans(t, func(ctx context.Context) {
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		phaseDone = func(name string) {
+			ran = append(ran, name)
+			if name == PhasePointer {
+				cancel()
+			}
+		}
+		defer func() { phaseDone = nil }()
+		a, err = AnalyzeSourceContext(ctx, Options{}, corpusSources(t))
+	})
+	var aerr *Error
+	if !errors.As(err, &aerr) || aerr.Kind != ErrInternal || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want an internal Error wrapping context.Canceled", err)
 	}
 	if a != nil {
 		t.Error("cancelled analysis should return nil")
 	}
+	want := PhaseNames()[:6]
+	if fmt.Sprint(ran) != fmt.Sprint(want) || want[5] != PhasePointer {
+		t.Errorf("phases ran %v, want %v", ran, want)
+	}
+	var names []string
+	for _, sp := range spans {
+		names = append(names, sp.Name)
+	}
+	wantSpans := []string{"pipeline"}
+	for _, n := range want {
+		wantSpans = append(wantSpans, "phase:"+n)
+	}
+	if fmt.Sprint(names) != fmt.Sprint(wantSpans) {
+		t.Errorf("spans %v, want %v", names, wantSpans)
+	}
+	if got := spans[0].Attrs; got["phases_run"] != float64(6) || got["error"] != true {
+		t.Errorf("pipeline span attrs = %v, want phases_run 6 and error", got)
+	}
 }
 
-// TestAnalyzeExpiredDeadline runs against an already-expired context.
+// TestAnalyzeExpiredDeadline runs against contexts that are already
+// done: no phase runs, and the error unwraps to the context's cause.
 func TestAnalyzeExpiredDeadline(t *testing.T) {
+	src := map[string]string{"main.c": "int main() { return 0; }"}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AnalyzeSourceContext(ctx, Options{}, map[string]string{
-		"main.c": "int main() { return 0; }",
-	})
-	if !errors.Is(err, context.Canceled) {
+	if _, err := AnalyzeSourceContext(ctx, Options{}, src); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	ctx, cancel = context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	ran := 0
+	phaseDone = func(string) { ran++ }
+	defer func() { phaseDone = nil }()
+	a, err := AnalyzeSourceContext(ctx, Options{}, src)
+	var aerr *Error
+	if !errors.As(err, &aerr) || aerr.Kind != ErrInternal || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want an internal Error wrapping context.DeadlineExceeded", err)
+	}
+	if a != nil || ran != 0 {
+		t.Errorf("analysis %v and %d phases under an expired deadline, want nil and 0", a, ran)
 	}
 }
 
-// TestObserverThroughOptions checks the Observer wiring end to end:
-// callbacks arrive in pipeline order with start/end pairing.
-func TestObserverThroughOptions(t *testing.T) {
-	var events []string
-	opts := Options{
-		Observer: pipeline.ObserverFuncs[*Analysis]{
-			Start: func(name string, _ *Analysis) { events = append(events, "start:"+name) },
-			End:   func(name string, _ *Analysis, _ pipeline.PhaseMetrics) { events = append(events, "end:"+name) },
-		},
-	}
-	_, err := AnalyzeSource(opts, map[string]string{
-		"main.c": "int main() { return 0; }",
+// TestParseErrorAbortsBeforeCheck: a phase error stops the run after
+// that phase, keeps its kind, and the pipeline span records one phase.
+func TestParseErrorAbortsBeforeCheck(t *testing.T) {
+	var a *Analysis
+	var err error
+	spans := phaseSpans(t, func(ctx context.Context) {
+		a, err = AnalyzeSourceContext(ctx, Options{}, map[string]string{
+			"bad.c": "int main(void) { return }",
+		})
 	})
-	if err != nil {
-		t.Fatal(err)
+	var aerr *Error
+	if !errors.As(err, &aerr) || aerr.Kind != ErrParse {
+		t.Fatalf("err = %v, want a parse Error", err)
 	}
-	want := PhaseNames()
-	if len(events) != 2*len(want) {
-		t.Fatalf("%d observer events, want %d: %v", len(events), 2*len(want), events)
+	if a != nil {
+		t.Error("failed analysis should return nil")
 	}
-	for i, name := range want {
-		if events[2*i] != "start:"+name || events[2*i+1] != "end:"+name {
-			t.Fatalf("events around phase %q wrong: %v", name, events[2*i:2*i+2])
-		}
+	if len(spans) != 2 || spans[0].Name != "pipeline" || spans[1].Name != "phase:"+PhaseParse {
+		t.Fatalf("spans %v, want pipeline and phase:parse only", spans)
+	}
+	if got := spans[0].Attrs; got["phases_run"] != float64(1) || got["error"] != true {
+		t.Errorf("pipeline span attrs = %v, want phases_run 1 and error", got)
 	}
 }
 

@@ -121,7 +121,7 @@ func (r *Report) String() string {
 
 // postProcess condenses object pairs, ranks them, and assembles the
 // report (Section 5.4). Stats.Time and Stats.Phases are filled in by
-// runPhases once the pipeline completes.
+// runPhases once the last phase completes.
 func (a *Analysis) postProcess(pairs []ObjectPair) *Report {
 	ipairs := a.condense(pairs)
 	warnings := make([]Warning, 0, len(ipairs))

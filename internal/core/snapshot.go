@@ -43,7 +43,7 @@ type FrontEndStats struct {
 // are immutable — an incremental run reads its base and builds a new
 // snapshot — so one base can serve concurrent deltas.
 type Snapshot struct {
-	opts     Options // normalized, Observer stripped
+	opts     Options // normalized
 	fp       string  // opts.Fingerprint() at build time
 	sources  map[string]string
 	paths    []string // sorted
@@ -59,8 +59,7 @@ type Snapshot struct {
 	hasImplicit bool
 }
 
-// Options returns the options the snapshot was built under (Observer
-// stripped).
+// Options returns the options the snapshot was built under.
 func (s *Snapshot) Options() Options { return s.opts }
 
 // Apply materializes the source set a delta request describes: the
@@ -92,7 +91,7 @@ func AnalyzeSourceSnapshot(ctx context.Context, opts Options, sources map[string
 	a := newAnalysis(opts)
 	a.Sources = sources
 	a.snapshotting = true
-	a, err = runPhases(ctx, a, append(frontEndPhases(), analysisPhases()...))
+	a, err = runPhases(ctx, a, phases)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -107,8 +106,8 @@ func AnalyzeSourceSnapshot(ctx context.Context, opts Options, sources map[string
 // full re-check while still reusing unchanged parses. The back half
 // (contexts through post) always re-solves, so the resulting report is
 // byte-identical to a from-scratch run over the same sources. opts
-// must fingerprint-equal the snapshot's options (Observer and BDD
-// sizing may differ — they cannot change results).
+// must fingerprint-equal the snapshot's options (BDD sizing may
+// differ — it cannot change results).
 func AnalyzeIncremental(ctx context.Context, opts Options, base *Snapshot, changed map[string]string, removed []string) (*Analysis, *Snapshot, error) {
 	opts, err := opts.prepare()
 	if err != nil {
@@ -126,7 +125,7 @@ func AnalyzeIncremental(ctx context.Context, opts Options, base *Snapshot, chang
 	a.Sources = sources
 	a.snapshotting = true
 	a.prev = base
-	a, err = runPhases(ctx, a, append(frontEndPhases(), analysisPhases()...))
+	a, err = runPhases(ctx, a, phases)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -190,7 +189,6 @@ func (a *Analysis) buildSnapshot() *Snapshot {
 		info:        a.Info,
 		hasImplicit: cminor.HasImplicitFuncs(a.Info),
 	}
-	s.opts.Observer = nil
 	for _, f := range a.Files {
 		p := f.Path
 		s.paths = append(s.paths, p)

@@ -201,3 +201,60 @@ func TestIncrementalOptionMismatchRejected(t *testing.T) {
 		t.Fatalf("empty source set returned %v, want ErrConfig", err)
 	}
 }
+
+// typedefSources defines its structs inside typedefs, anonymous and
+// tagged, which the checker once reported as redefinitions of
+// themselves.
+func typedefSources(body string) map[string]string {
+	return map[string]string{
+		"lib.c": "int helper(int x) { return x; }\n",
+		"main.c": rcPrelude + `
+typedef struct { int fd; } conn_t;
+typedef struct req_s { conn_t *connection; } req_t;
+int main(void) {
+    region_t *r;
+    region_t *subr;
+    conn_t *conn;
+    struct req_s *req;
+    r = rnew(NULL);
+    conn = ralloc(r);
+    subr = rnew(NULL);   /* sibling, not a subregion */
+    req = ralloc(subr);
+` + body + `
+    return 0;
+}`,
+	}
+}
+
+func TestTypedefStructEndToEnd(t *testing.T) {
+	ctx := context.Background()
+	a, snap, err := AnalyzeSourceSnapshot(ctx, Options{}, typedefSources(""))
+	if err != nil {
+		t.Fatalf("base analyze: %v", err)
+	}
+	if n := len(a.Report.Warnings); n != 0 {
+		t.Fatalf("base: %d warnings, want 0", n)
+	}
+
+	edited := typedefSources("req->connection = conn;")
+	full, err := AnalyzeSource(Options{}, edited)
+	if err != nil {
+		t.Fatalf("from-scratch analyze: %v", err)
+	}
+	if n := len(full.Report.Warnings); n != 1 {
+		t.Fatalf("edited: %d warnings, want 1", n)
+	}
+	inc, _, err := AnalyzeIncremental(ctx, Options{}, snap,
+		map[string]string{"main.c": edited["main.c"]}, nil)
+	if err != nil {
+		t.Fatalf("incremental analyze: %v", err)
+	}
+	if got, want := stableReport(t, inc.Report), stableReport(t, full.Report); got != want {
+		t.Fatalf("incremental report differs from from-scratch:\nincremental: %s\nfull:        %s", got, want)
+	}
+	// The body edit keeps main.c's signature, so the check phase
+	// re-checks main.c alone against the base's declarations.
+	if f := inc.Front; f.CheckReused != 1 || f.CheckChecked != 1 {
+		t.Fatalf("check reuse = %d/%d, want 1 reused / 1 checked", f.CheckReused, f.CheckChecked)
+	}
+}

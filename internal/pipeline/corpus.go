@@ -1,3 +1,7 @@
+// Package pipeline runs many independent analyses over a bounded
+// worker pool: RunCorpus returns one CorpusResult per input, in input
+// order, so serial and parallel runs produce identical output streams.
+// The phases of one analysis run in internal/core.
 package pipeline
 
 import (

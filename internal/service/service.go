@@ -15,9 +15,9 @@
 //     and runs the pipeline; overflow is rejected with a typed
 //     overload error instead of piling up goroutines.
 //
-// Per-phase cost totals, hit/miss/overload counters, and queue-wait
-// gauges are collected from the pipeline's Observer seam and exposed
-// via Stats.
+// Per-phase cost totals (folded from each finished run's report),
+// hit/miss/overload counters, and queue-wait gauges are exposed via
+// Stats.
 package service
 
 import (
@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/bdd"
 	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -61,9 +60,6 @@ type Config struct {
 	// queue wait plus pipeline run (default none). The caller's
 	// context deadline applies in addition.
 	RequestTimeout time.Duration
-	// Observer, when set, receives phase callbacks for every pipeline
-	// run the service executes (after the service's own accounting).
-	Observer pipeline.Observer[*core.Analysis]
 	// BDD is the default BDD kernel sizing applied to requests that do
 	// not set their own (the zero value keeps the kernel defaults).
 	// Kernel sizing never changes results, so it does not enter cache
@@ -166,6 +162,12 @@ type Service struct {
 
 	closeCh chan struct{}
 	wg      sync.WaitGroup // in-flight leader requests
+
+	// leadHook, when set, is called by every leader after admission
+	// and before the analysis, inside the leader's panic boundary,
+	// with the request's full source set. Tests use it to park or
+	// count runs and to inject a panic.
+	leadHook func(sources map[string]string)
 }
 
 // New builds a Service from the config.
@@ -426,10 +428,9 @@ func (s *Service) run(ctx context.Context, key string, opts core.Options, source
 	s.stats.inflight.Add(1)
 	defer s.stats.inflight.Add(-1)
 
-	// The service's accounting observer wraps the configured one and
-	// the leader request's own (coalesced waiters' observers do not
-	// fire — the run is shared).
-	opts.Observer = s.stats.phaseObserver(s.cfg.Observer, opts.Observer)
+	if s.leadHook != nil {
+		s.leadHook(sources)
+	}
 	actx, asp := trace.StartSpan(ctx, "service.analysis")
 	var a *core.Analysis
 	var snap *core.Snapshot
@@ -446,6 +447,7 @@ func (s *Service) run(ctx context.Context, key string, opts core.Options, source
 	if err != nil {
 		return nil, err
 	}
+	s.stats.recordPhases(a.Report.Stats.Phases)
 	s.stats.frontendReused.Add(uint64(a.Front.ParseReused))
 	s.stats.frontendRerun.Add(uint64(a.Front.ParseParsed))
 	_, esp := trace.StartSpan(ctx, "service.encode")

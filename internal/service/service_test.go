@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/pipeline"
 )
 
 const brokenSrc = `
@@ -43,34 +42,28 @@ func sourcesFor(i int) map[string]string {
 	}
 }
 
-// phaseCounter counts pipeline phase starts, per source file.
-type phaseCounter struct {
+// runCounter counts leader runs, per source file.
+type runCounter struct {
 	mu     sync.Mutex
-	starts map[string]int // path of the (single) source -> parse starts
-	total  atomic.Int64   // all phase starts, any phase
+	starts map[string]int // path of the (single) source -> runs
+	total  atomic.Int64   // all runs
 }
 
-func newPhaseCounter() *phaseCounter { return &phaseCounter{starts: map[string]int{}} }
+func newRunCounter() *runCounter { return &runCounter{starts: map[string]int{}} }
 
-func (pc *phaseCounter) observer() pipeline.Observer[*core.Analysis] {
-	return pipeline.ObserverFuncs[*core.Analysis]{
-		Start: func(name string, a *core.Analysis) {
-			pc.total.Add(1)
-			if name != core.PhaseParse {
-				return
-			}
-			pc.mu.Lock()
-			defer pc.mu.Unlock()
-			for p := range a.Sources {
-				pc.starts[p]++
-			}
-		},
+func (rc *runCounter) hook(sources map[string]string) {
+	rc.total.Add(1)
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	for p := range sources {
+		rc.starts[p]++
 	}
 }
 
 func TestCacheHitRunsZeroPhases(t *testing.T) {
-	pc := newPhaseCounter()
-	s := New(Config{Workers: 2, Observer: pc.observer()})
+	rc := newRunCounter()
+	s := New(Config{Workers: 2})
+	s.leadHook = rc.hook
 	defer s.Close()
 	ctx := context.Background()
 
@@ -84,9 +77,8 @@ func TestCacheHitRunsZeroPhases(t *testing.T) {
 	if len(first.Analysis.Report.Warnings) != 1 {
 		t.Fatalf("expected 1 warning, got %d", len(first.Analysis.Report.Warnings))
 	}
-	phasesAfterFirst := pc.total.Load()
-	if phasesAfterFirst == 0 {
-		t.Fatal("observer saw no phases on the first run")
+	if rc.total.Load() != 1 {
+		t.Fatalf("first request ran %d times, want 1", rc.total.Load())
 	}
 
 	second, err := s.Analyze(ctx, core.Options{}, sourcesFor(0))
@@ -96,8 +88,8 @@ func TestCacheHitRunsZeroPhases(t *testing.T) {
 	if !second.Cached {
 		t.Fatal("second identical request was not served from cache")
 	}
-	if got := pc.total.Load(); got != phasesAfterFirst {
-		t.Fatalf("cache hit ran %d pipeline phases, want 0", got-phasesAfterFirst)
+	if got := rc.total.Load(); got != 1 {
+		t.Fatalf("cache hit ran the pipeline (%d runs in total, want 1)", got)
 	}
 	if !bytes.Equal(first.ReportJSON, second.ReportJSON) {
 		t.Fatal("cached report JSON differs from the fresh report")
@@ -133,23 +125,20 @@ func TestEquivalentOptionsShareCache(t *testing.T) {
 	}
 }
 
-// blockingObserver gates pipeline runs: each run parks in PhaseStart
+// blockingHook gates leader runs: each run parks after admission
 // until release is closed, letting tests saturate the pool.
-func blockingObserver(started chan<- struct{}, release <-chan struct{}) pipeline.Observer[*core.Analysis] {
-	return pipeline.ObserverFuncs[*core.Analysis]{
-		Start: func(name string, _ *core.Analysis) {
-			if name == core.PhaseParse {
-				started <- struct{}{}
-				<-release
-			}
-		},
+func blockingHook(started chan<- struct{}, release <-chan struct{}) func(map[string]string) {
+	return func(map[string]string) {
+		started <- struct{}{}
+		<-release
 	}
 }
 
 func TestSingleflightCoalesces(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s := New(Config{Workers: 2, Observer: blockingObserver(started, release)})
+	s := New(Config{Workers: 2})
+	s.leadHook = blockingHook(started, release)
 	defer s.Close()
 	ctx := context.Background()
 
@@ -172,7 +161,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 	}
 	// Give the followers time to register as waiters, then let the
 	// leader finish. If a follower raced ahead and became a second
-	// leader it would park in the observer and `started` would fill —
+	// leader it would park in the hook and `started` would fill —
 	// checked below.
 	time.Sleep(20 * time.Millisecond)
 	close(release)
@@ -197,8 +186,8 @@ func TestSingleflightCoalesces(t *testing.T) {
 	}
 }
 
-// TestLeaderPanicReleasesCall injects a panic into the leader's
-// pipeline run through the configured Observer. The panic must become
+// TestLeaderPanicReleasesCall injects a panic into the leader's run
+// after admission, inside its panic boundary. The panic must become
 // an ErrInternal error for the leader and for a request coalesced onto
 // it, and it must release the in-flight entry and the admission slot:
 // the next identical request runs fresh on the single worker, and
@@ -208,16 +197,14 @@ func TestLeaderPanicReleasesCall(t *testing.T) {
 	release := make(chan struct{})
 	var armed atomic.Bool
 	armed.Store(true)
-	obs := pipeline.ObserverFuncs[*core.Analysis]{
-		Start: func(name string, _ *core.Analysis) {
-			if name == core.PhaseParse && armed.Load() {
-				started <- struct{}{}
-				<-release
-				panic("injected observer panic")
-			}
-		},
+	s := New(Config{Workers: 1})
+	s.leadHook = func(map[string]string) {
+		if armed.Load() {
+			started <- struct{}{}
+			<-release
+			panic("injected leader panic")
+		}
 	}
-	s := New(Config{Workers: 1, Observer: obs})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -273,7 +260,8 @@ func TestLeaderPanicReleasesCall(t *testing.T) {
 func TestOverloadFailsFast(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s := New(Config{Workers: 1, QueueDepth: -1, Observer: blockingObserver(started, release)})
+	s := New(Config{Workers: 1, QueueDepth: -1})
+	s.leadHook = blockingHook(started, release)
 	defer s.Close()
 	ctx := context.Background()
 
@@ -310,7 +298,8 @@ func TestOverloadFailsFast(t *testing.T) {
 func TestQueueDeadlineOverload(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s := New(Config{Workers: 1, QueueDepth: 4, Observer: blockingObserver(started, release)})
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	s.leadHook = blockingHook(started, release)
 	defer s.Close()
 
 	done := make(chan struct{})
@@ -354,14 +343,15 @@ func TestCloseRejectsAndDrains(t *testing.T) {
 // TestConcurrentCacheExercise is the -race workhorse: many goroutines
 // fire a mixed hit/miss workload over a handful of unique keys and
 // every response must carry byte-identical report JSON per key, with
-// the pipeline (and its observer) having run exactly once per key.
+// the pipeline having run exactly once per key.
 func TestConcurrentCacheExercise(t *testing.T) {
 	const uniqueKeys = 4
 	const goroutines = 24
 	const perG = 6
 
-	pc := newPhaseCounter()
-	s := New(Config{Workers: 4, QueueDepth: goroutines * perG, Observer: pc.observer()})
+	rc := newRunCounter()
+	s := New(Config{Workers: 4, QueueDepth: goroutines * perG})
+	s.leadHook = rc.hook
 	defer s.Close()
 
 	var mu sync.Mutex
@@ -394,14 +384,14 @@ func TestConcurrentCacheExercise(t *testing.T) {
 	}
 	wg.Wait()
 
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if len(pc.starts) != uniqueKeys {
-		t.Fatalf("observer saw %d unique programs, want %d", len(pc.starts), uniqueKeys)
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if len(rc.starts) != uniqueKeys {
+		t.Fatalf("leaders ran %d unique programs, want %d", len(rc.starts), uniqueKeys)
 	}
-	for path, n := range pc.starts {
+	for path, n := range rc.starts {
 		if n != 1 {
-			t.Errorf("observer fired %d times for %s, want exactly 1", n, path)
+			t.Errorf("leaders ran %s %d times, want exactly 1", path, n)
 		}
 	}
 	st := s.Stats()
@@ -425,7 +415,8 @@ func TestNoGoroutineLeak(t *testing.T) {
 
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s := New(Config{Workers: 1, QueueDepth: -1, Observer: blockingObserver(started, release)})
+	s := New(Config{Workers: 1, QueueDepth: -1})
+	s.leadHook = blockingHook(started, release)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

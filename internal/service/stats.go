@@ -1,16 +1,16 @@
 package service
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/pipeline"
 )
 
 // PhaseTotal aggregates one pipeline phase's cost across every run
-// the service executed.
+// the service finished.
 type PhaseTotal struct {
 	Runs       uint64        `json:"runs"`
 	Wall       time.Duration `json:"wall_ns"`
@@ -112,10 +112,12 @@ type Stats struct {
 	QueueWaits   uint64        `json:"queue_waits"`
 	QueueWait    time.Duration `json:"queue_wait_ns"`
 	MaxQueueWait time.Duration `json:"max_queue_wait_ns"`
-	// Phases aggregates per-phase cost over every pipeline run.
+	// Phases aggregates per-phase cost over every pipeline run that
+	// finished: a run that failed or was cancelled part way adds
+	// nothing, not even for the phases it completed.
 	Phases map[string]PhaseTotal `json:"phases,omitempty"`
-	// BDDOutputs accumulates, over every pipeline run, the bdd_*
-	// counters the pairs phase reports (node/tuple footprint and
+	// BDDOutputs accumulates, over every finished pipeline run, the
+	// bdd_* counters the pairs phase reports (node/tuple footprint and
 	// op-cache traffic).
 	BDDOutputs map[string]int64 `json:"bdd_outputs,omitempty"`
 	// Warnings sums the warnings reported by every pipeline run the
@@ -134,8 +136,8 @@ type Stats struct {
 	QueryInconsistent uint64 `json:"query_inconsistent"`
 	// Histograms holds the latency distributions: "analyze" (end-to-end
 	// Analyze latency), "queue_wait" (admission queue wait), and
-	// "phase:<name>" (per-phase pipeline duration). Only histograms
-	// with at least one observation appear.
+	// "phase:<name>" (per-phase pipeline duration, finished runs only).
+	// Only histograms with at least one observation appear.
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -182,50 +184,32 @@ func (c *collector) recordQueueWait(d time.Duration) {
 	}
 }
 
-// phaseObserver feeds per-phase totals from the pipeline's Observer
-// callbacks, then forwards to the chained observers (the service-wide
-// one and the leader request's own), either of which may be nil.
-func (c *collector) phaseObserver(next ...pipeline.Observer[*core.Analysis]) pipeline.Observer[*core.Analysis] {
-	return pipeline.ObserverFuncs[*core.Analysis]{
-		Start: func(name string, st *core.Analysis) {
-			for _, o := range next {
-				if o != nil {
-					o.PhaseStart(name, st)
-				}
-			}
-		},
-		End: func(name string, st *core.Analysis, m pipeline.PhaseMetrics) {
-			c.mu.Lock()
-			pt := c.phases[name]
-			if pt == nil {
-				pt = &PhaseTotal{}
-				c.phases[name] = pt
-			}
-			pt.Runs++
-			pt.Wall += m.Wall
-			pt.AllocBytes += m.AllocBytes
-			// BDD kernel counters ride in the pairs phase's outputs;
-			// accumulate them service-wide so /v1/metrics and /v1/stats
-			// show the fleet totals.
-			for k, v := range m.Outputs {
-				if len(k) <= 4 || k[:4] != "bdd_" {
-					continue
-				}
+// recordPhases folds a finished run's per-phase stats into the
+// per-phase totals, the "phase:<name>" histograms, and the BDD kernel
+// counters the pairs phase reports.
+func (c *collector) recordPhases(phases []core.PhaseStat) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ps := range phases {
+		pt := c.phases[ps.Name]
+		if pt == nil {
+			pt = &PhaseTotal{}
+			c.phases[ps.Name] = pt
+		}
+		pt.Runs++
+		pt.Wall += ps.Time
+		pt.AllocBytes += ps.AllocBytes
+		for k, v := range ps.Outputs {
+			if strings.HasPrefix(k, "bdd_") {
 				c.bddOutputs[k] += v
 			}
-			ph := c.phaseHists[name]
-			if ph == nil {
-				ph = &histogram{}
-				c.phaseHists[name] = ph
-			}
-			c.mu.Unlock()
-			ph.observe(m.Wall)
-			for _, o := range next {
-				if o != nil {
-					o.PhaseEnd(name, st, m)
-				}
-			}
-		},
+		}
+		ph := c.phaseHists[ps.Name]
+		if ph == nil {
+			ph = &histogram{}
+			c.phaseHists[ps.Name] = ph
+		}
+		ph.observe(ps.Time)
 	}
 }
 

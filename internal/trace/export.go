@@ -151,9 +151,8 @@ type SpanTotal struct {
 	Wall  time.Duration
 }
 
-// Summary aggregates finished spans by name — the compact per-rule /
-// per-phase rollup regionbench embeds in its JSON output. Instant
-// events are counted with zero wall time.
+// Summary aggregates finished spans by name — a compact per-rule /
+// per-phase rollup. Instant events are counted with zero wall time.
 func (t *Tracer) Summary() map[string]SpanTotal {
 	out := make(map[string]SpanTotal)
 	t.mu.Lock()
