@@ -25,6 +25,8 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 	if len(a.AccessEdges) == 0 {
 		return nil
 	}
+	// pairs.load covers building the program and its base relations.
+	_, sl := trace.StartSpan(ctx, "pairs.load")
 	// Offsets are interned into a dense domain.
 	offIdx := make(map[int64]uint64)
 	var offs []int64
@@ -45,20 +47,23 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 	or := a.declareObjectRels(p, rr, len(offs))
 	a.loadRegionRels(rr)
 	a.loadObjectRels(or, offIdx)
+	sl.End()
 
-	// Stratum 1: the subregion partial order (semi-naive, as bddbddb
-	// evaluates recursive rules). Each stratum gets its own span so
-	// traces show which of the three fixpoints dominates.
+	// Every stratum is solved semi-naively, as bddbddb evaluates rules:
+	// the recursive leq closure only re-joins new tuples, and the two
+	// non-recursive strata evaluate each rule exactly once. Each stratum
+	// gets its own span so traces show which fixpoint dominates.
+	// Stratum 1: the subregion partial order.
 	sctx, s1 := trace.StartSpan(ctx, "pairs.stratum:leq")
 	p.SolveSemiNaive(sctx, regionLeqRules(rr), 0)
 	s1.End()
 	// Stratum 2: complement (safe, stratified negation).
 	sctx, s2 := trace.StartSpan(ctx, "pairs.stratum:regionPair")
-	p.Solve(sctx, regionPairRules(rr), 0)
+	p.SolveSemiNaive(sctx, regionPairRules(rr), 0)
 	s2.End()
 	// Stratum 3: the verification join.
 	sctx, s3 := trace.StartSpan(ctx, "pairs.stratum:objectPair")
-	p.Solve(sctx, []*datalog.Rule{objectPairRule(or)}, 0)
+	p.SolveSemiNaive(sctx, []*datalog.Rule{objectPairRule(or)}, 0)
 	s3.End()
 
 	// Expose the engine's final footprint and kernel counters to the
@@ -68,6 +73,7 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 	a.bddTuples = int64(p.TupleCount())
 	a.bddStats = p.M.Stats()
 
+	_, sx := trace.StartSpan(ctx, "pairs.extract")
 	var out []ObjectPair
 	or.objectPair.Each(func(t []uint64) bool {
 		e := AccessEdge{Src: int(t[0]), Off: offs[t[1]], Dst: int(t[2])}
@@ -76,6 +82,7 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 		}
 		return true
 	})
+	sx.End()
 	sortPairs(out)
 	return out
 }

@@ -384,22 +384,13 @@ func (e *Explicit) Solve(rules []*Rule, maxRounds int) (int, bool) {
 // mirroring Program.SolveSemiNaive: round 0 evaluates every rule in
 // full (pre-seeded tuples of derived relations count as the first
 // delta); later rounds re-evaluate each rule once per recursive
-// positive atom against only that atom's new tuples. Negated relations
-// must belong to an earlier stratum (enforced). The cutoff contract is
-// the BDD solver's: at most maxRounds rounds, fixpoint false exactly
-// when the cap bites.
+// positive atom against only that atom's new tuples, and a set with no
+// recursive atom finishes after round 0. Negated relations must belong
+// to an earlier stratum (enforced). The cutoff contract is the BDD
+// solver's: at most maxRounds rounds, fixpoint false exactly when the
+// cap bites.
 func (e *Explicit) SolveSemiNaive(rules []*Rule, maxRounds int) (int, bool) {
-	derivedBy := make(map[*Relation]bool)
-	for _, r := range rules {
-		derivedBy[r.Head.Rel] = true
-	}
-	for _, r := range rules {
-		for _, t := range r.Body {
-			if t.Neg && derivedBy[t.Rel] {
-				panic(fmt.Sprintf("datalog: negated relation %s derived in the same stratum", t.Rel.Name))
-			}
-		}
-	}
+	derivedBy, recursive := stratum(rules)
 	delta := make(map[*Relation][][]uint64)
 	for rel := range derivedBy {
 		rows := e.storeOf(rel).rows
@@ -415,8 +406,8 @@ func (e *Explicit) SolveSemiNaive(rules []*Rule, maxRounds int) (int, bool) {
 	}
 	for {
 		anyDelta := false
-		for _, d := range delta {
-			if len(d) > 0 {
+		for rel, d := range delta {
+			if len(d) > 0 && recursive[rel] {
 				anyDelta = true
 			}
 		}

@@ -140,6 +140,9 @@ type evalEnv struct {
 	p     *Program
 	insts map[string]*bdd.Domain
 	next  map[*LogicalDomain]int
+	// order and sizes are joinOrder's reusable buffers.
+	order []int
+	sizes []uint64
 }
 
 func newEvalEnv(p *Program) *evalEnv {
@@ -212,6 +215,71 @@ func (p *Program) Apply(r *Rule) bool {
 	return true
 }
 
+// joinOrder returns the body indices of r's positive atoms in the order
+// derive ANDs them. Rules with at most two positive atoms keep body
+// order: AND is commutative there, so counting would only add cost.
+// Longer bodies are planned greedily, as bddbddb orders a rule's
+// relational product: the smallest atom first (by tuple count, reading
+// delta for the atom it overrides), then, repeatedly, the smallest
+// remaining atom that shares a variable with the atoms already placed
+// (the smallest of all when none does). Ties break by body index, so
+// the plan — and with it the kernel's counters — is deterministic. The
+// returned slice is env's buffer, valid until the next call.
+func (p *Program) joinOrder(r *Rule, env *evalEnv, deltaIdx int, delta bdd.Node) []int {
+	order := env.order[:0]
+	for i, t := range r.Body {
+		if !t.Neg {
+			order = append(order, i)
+		}
+	}
+	env.order = order
+	if len(order) <= 2 {
+		return order
+	}
+	size := env.sizes[:0]
+	for _, i := range order {
+		n := r.Body[i].Rel.node
+		if i == deltaIdx {
+			n = delta
+		}
+		size = append(size, p.countTuples(n, r.Body[i].Rel.attrs))
+	}
+	env.sizes = size
+	for k := range order {
+		// order[k:] holds the unplanned atoms; move the best to k.
+		best, bestShares := -1, false
+		for j := k; j < len(order); j++ {
+			shares := sharesVar(r.Body[order[j]], r.Body, order[:k])
+			if best < 0 || shares && !bestShares ||
+				shares == bestShares && (size[j] < size[best] ||
+					size[j] == size[best] && order[j] < order[best]) {
+				best, bestShares = j, shares
+			}
+		}
+		order[k], order[best] = order[best], order[k]
+		size[k], size[best] = size[best], size[k]
+	}
+	return order
+}
+
+// sharesVar reports whether t names a variable of one of the placed
+// body atoms.
+func sharesVar(t Term, body []Term, placed []int) bool {
+	for _, v := range t.Vars {
+		if v == Wildcard {
+			continue
+		}
+		for _, i := range placed {
+			for _, w := range body[i].Vars {
+				if v == w {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // derive evaluates the rule body and returns the derived tuples over
 // the head schema, without merging them. When deltaIdx >= 0, the
 // positive body atom at that index reads delta instead of its
@@ -220,10 +288,8 @@ func (p *Program) derive(r *Rule, deltaIdx int, delta bdd.Node) bdd.Node {
 	m := p.M
 	env := p.evalScratch()
 	acc := bdd.True
-	for i, t := range r.Body {
-		if t.Neg {
-			continue
-		}
+	for _, i := range p.joinOrder(r, env, deltaIdx, delta) {
+		t := r.Body[i]
 		var override *bdd.Node
 		if i == deltaIdx {
 			override = &delta
@@ -278,8 +344,10 @@ func (p *Program) derive(r *Rule, deltaIdx int, delta bdd.Node) bdd.Node {
 // rule whose body reads relations derived by the rule set is only
 // re-evaluated against the tuples that are NEW since its last
 // evaluation, once per recursive atom. Non-recursive rules run exactly
-// once. Negated atoms must belong to an earlier stratum (they are read
-// in full and must not be heads in the same rule set — enforced).
+// once, and a rule set with no recursive atom (a non-recursive stratum)
+// finishes after that single round. Negated atoms must belong to an
+// earlier stratum (they are read in full and must not be heads in the
+// same rule set — enforced).
 //
 // It returns the number of rounds and whether a fixpoint was reached:
 // fixpoint is false exactly when maxRounds (>0) cut the iteration off
@@ -299,17 +367,7 @@ func (p *Program) derive(r *Rule, deltaIdx int, delta bdd.Node) bdd.Node {
 // allocations.
 func (p *Program) SolveSemiNaive(ctx context.Context, rules []*Rule, maxRounds int) (int, bool) {
 	m := p.M
-	derivedBy := make(map[*Relation]bool)
-	for _, r := range rules {
-		derivedBy[r.Head.Rel] = true
-	}
-	for _, r := range rules {
-		for _, t := range r.Body {
-			if t.Neg && derivedBy[t.Rel] {
-				panic(fmt.Sprintf("datalog: negated relation %s derived in the same stratum", t.Rel.Name))
-			}
-		}
-	}
+	derivedBy, recursive := stratum(rules)
 	_, solve := trace.StartSpan(ctx, "datalog.seminaive")
 	if solve != nil {
 		solve.Attrs(trace.Int("rules", len(rules)))
@@ -343,10 +401,10 @@ func (p *Program) SolveSemiNaive(ctx context.Context, rules []*Rule, maxRounds i
 		p.endRoundSpan(roundSp, rounds, delta, nodes0)
 	}
 	for {
-		// Quiesce?
+		// Quiesce? Only a delta some body atom reads can derive more.
 		anyDelta := false
-		for _, d := range delta {
-			if d != bdd.False {
+		for rel, d := range delta {
+			if d != bdd.False && recursive[rel] {
 				anyDelta = true
 			}
 		}
@@ -402,6 +460,30 @@ func (p *Program) SolveSemiNaive(ctx context.Context, rules []*Rule, maxRounds i
 			p.endRoundSpan(roundSp, rounds, delta, nodes0)
 		}
 	}
+}
+
+// stratum returns the relations a semi-naive rule set derives and,
+// among them, the recursive ones: those a positive body atom reads.
+// Only a recursive relation's new tuples can fire a rule again, so a
+// set with none (every non-recursive stratum) quiesces after round 0.
+// Negated relations must belong to an earlier stratum (enforced).
+func stratum(rules []*Rule) (derived, recursive map[*Relation]bool) {
+	derived = make(map[*Relation]bool)
+	for _, r := range rules {
+		derived[r.Head.Rel] = true
+	}
+	recursive = make(map[*Relation]bool)
+	for _, r := range rules {
+		for _, t := range r.Body {
+			switch {
+			case t.Neg && derived[t.Rel]:
+				panic(fmt.Sprintf("datalog: negated relation %s derived in the same stratum", t.Rel.Name))
+			case derived[t.Rel]:
+				recursive[t.Rel] = true
+			}
+		}
+	}
+	return derived, recursive
 }
 
 // endRoundSpan finishes one fixpoint round's span with the delta

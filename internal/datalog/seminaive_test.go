@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/trace"
 )
 
 func TestSemiNaiveMatchesNaiveClosure(t *testing.T) {
@@ -74,16 +76,28 @@ func TestSemiNaiveNonRecursiveRunsOnce(t *testing.T) {
 	b := p.Relation("b", d.At(0))
 	a.Add(1)
 	a.Add(2)
-	rounds, _ := p.SolveSemiNaive(context.Background(), []*Rule{
+	tracer := trace.New()
+	ctx := trace.WithTracer(context.Background(), tracer)
+	// Even a one-round cap is not cut off: no body atom reads b, so
+	// round 0 reaches the fixpoint and no empty second round runs.
+	rounds, fixpoint := p.SolveSemiNaive(ctx, []*Rule{
 		NewRule(T(b, "x"), T(a, "x")),
-	}, 0)
-	// Round 1 derives everything; round 2 sees the delta but the rule
-	// has no recursive atom, so nothing re-evaluates and it quiesces.
-	if rounds > 2 {
-		t.Fatalf("non-recursive rule took %d rounds", rounds)
+	}, 1)
+	if rounds != 1 || !fixpoint {
+		t.Fatalf("non-recursive rule: rounds=%d fixpoint=%v, want 1/true", rounds, fixpoint)
+	}
+	if got := tracer.Summary()["round"].Count; got != 1 {
+		t.Fatalf("round spans = %d, want 1", got)
 	}
 	if b.Count() != 2 {
 		t.Fatalf("b has %d tuples", b.Count())
+	}
+
+	// The explicit engine mirrors the contract.
+	e := NewExplicit(p)
+	e.Add(a, 1)
+	if rounds, fixpoint := e.SolveSemiNaive([]*Rule{NewRule(T(b, "x"), T(a, "x"))}, 1); rounds != 1 || !fixpoint {
+		t.Fatalf("explicit non-recursive rule: rounds=%d fixpoint=%v, want 1/true", rounds, fixpoint)
 	}
 }
 
