@@ -138,10 +138,6 @@ func run() int {
 			}
 			explainWarning = n
 		}
-		// Record witnesses during the solve where the backend supports
-		// it (explicit); the BDD backend answers by replay. Either way
-		// the report bytes are unchanged.
-		opts.Provenance = true
 	}
 	opts.Solver.BDD.NodeSize = *bddNodeSize
 	opts.Solver.BDD.CacheRatio = *bddCacheRatio

@@ -61,18 +61,16 @@ func TestCorpusRegression(t *testing.T) {
 }
 
 // TestCorpusBothBackendsAgree runs every executable of every package
-// through the explicit backend (with and without provenance
-// recording), the BDD backend at default sizing, and the BDD backend
-// on its minimum node table (which doubles and rehashes constantly).
-// All four must produce byte-identical canonical report JSON (Time and
-// Phases zeroed: they hold wall times and backend-specific counters).
-// On top of the reports it gates the two answer surfaces read from a
-// finished analysis:
+// through the explicit backend, the BDD backend at default sizing, and
+// the BDD backend on its minimum node table (which doubles and rehashes
+// constantly). All three must produce byte-identical canonical report
+// JSON (Time and Phases zeroed: they hold wall times and
+// backend-specific counters). On top of the reports it gates the two
+// answer surfaces read from a finished analysis:
 //
-//   - explanations: the recorded path (explicit with provenance) and
-//     the two replay paths (explicit, BDD) emit byte-identical
-//     documents, one per warning, every tree at least two levels deep
-//     and bottoming out in base facts with source positions;
+//   - explanations: explicit and BDD emit byte-identical documents,
+//     one per warning, every tree at least two levels deep and
+//     bottoming out in base facts with source positions;
 //   - pair queries: on explicit and BDD, every reported site pair
 //     queries inconsistent with object pairs, and every reversal the
 //     report does not also carry queries consistent.
@@ -80,21 +78,16 @@ func TestCorpusRegression(t *testing.T) {
 // Seed 2008 is the corpus regionbench analyzes by default; seed 77
 // adds a second draw.
 func TestCorpusBothBackendsAgree(t *testing.T) {
-	explicit := core.Options{Solver: core.SolverOptions{Backend: core.ExplicitBackend}}
-	provenance := explicit
-	provenance.Provenance = true
 	configs := []struct {
 		name string
 		opts core.Options
-		// explain: the run's explanation document joins the
-		// cross-path comparison; replayed is what its Explainer must
-		// report. query: the run answers the pair-query gate.
-		explain, replayed, query bool
+		// answer: the run's explanation document joins the cross-path
+		// comparison, and the run answers the pair-query gate.
+		answer bool
 	}{
-		{"explicit", explicit, true, true, true},
-		{"explicit-provenance", provenance, true, false, false},
-		{"bdd", core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend}}, true, true, true},
-		{"bdd-mintable", core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend, BDD: bdd.Config{NodeSize: 1}}}, false, false, false},
+		{"explicit", core.Options{Solver: core.SolverOptions{Backend: core.ExplicitBackend}}, true},
+		{"bdd", core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend}}, true},
+		{"bdd-mintable", core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend, BDD: bdd.Config{NodeSize: 1}}}, false},
 	}
 	ctx := context.Background()
 	// Corpus-wide totals, so the explain and query gates cannot pass
@@ -118,16 +111,14 @@ func TestCorpusBothBackendsAgree(t *testing.T) {
 						t.Errorf("%s: report diverged from explicit\nexplicit: %s\n%s: %s",
 							label, baseReport, cfg.name, report)
 					}
-					if cfg.explain {
-						doc := explainAll(ctx, t, label, a, cfg.replayed)
+					if cfg.answer {
+						doc := explainAll(ctx, t, label, a)
 						explained += len(a.Report.Warnings)
 						if baseExplain == nil {
 							baseExplain = doc
 						} else if !bytes.Equal(doc, baseExplain) {
 							t.Errorf("%s: explanation document diverged from explicit", label)
 						}
-					}
-					if cfg.query {
 						p, n := checkPairQueries(ctx, t, label, a)
 						positive += p
 						negative += n
@@ -157,14 +148,11 @@ func canonicalReport(t *testing.T, r *core.Report) []byte {
 
 // explainAll explains every warning of a, checks each tree is grounded,
 // and returns the explanation document.
-func explainAll(ctx context.Context, t *testing.T, label string, a *core.Analysis, wantReplayed bool) []byte {
+func explainAll(ctx context.Context, t *testing.T, label string, a *core.Analysis) []byte {
 	t.Helper()
 	ex, err := a.Explainer(ctx)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
-	}
-	if ex.Replayed != wantReplayed {
-		t.Errorf("%s: explainer replayed=%v, want %v", label, ex.Replayed, wantReplayed)
 	}
 	exps, err := ex.ExplainAll(ctx)
 	if err != nil {

@@ -77,14 +77,6 @@ type Options struct {
 	// Solver groups how the analysis is solved: fixpoint budget,
 	// points-to cap, backend, and BDD sizing. See SolverOptions.
 	Solver SolverOptions
-	// Provenance opts into why-provenance recording: on an
-	// explicit-backend run the pairs phase additionally solves the
-	// region strata on a witness-recording tuple engine, so Explain
-	// answers come from recorded derivations instead of a replay.
-	// Recording never changes the pairs, the report, or any phase
-	// metric — reports are byte-identical with it on or off — so it is
-	// excluded from Fingerprint.
-	Provenance bool
 }
 
 // Context policies (Options.ContextPolicy).
@@ -145,10 +137,6 @@ type Analysis struct {
 	// snapshots the kernel's cache/table counters.
 	bddNodes, bddTuples int64
 	bddStats            bdd.ManagerStats
-	// prov holds the provenance recorder's solved region strata when
-	// Options.Provenance was set on an explicit-backend run (explain.go);
-	// nil otherwise, in which case Explainer replays on demand.
-	prov *provRecord
 
 	// Front counts per-file front-end reuse for snapshot-backed runs
 	// (AnalyzeSourceSnapshot / AnalyzeIncremental); zero otherwise.

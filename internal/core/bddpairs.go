@@ -87,6 +87,44 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 	return out
 }
 
+// ruleText maps a rule's Name() to the paper's full Datalog rendering
+// (Section 5.3.2) — the rule text explanation nodes carry.
+var ruleText = map[string]string{
+	"leq:-region":                           "leq(x,x) :- region(x).",
+	"leq:-parent":                           "leq(x,y) :- parent(x,y).",
+	"leq:-leq,parent":                       "leq(x,z) :- leq(x,y), parent(y,z).",
+	"regionPair:-region,region,!leq":        "regionPair(x,y) :- region(x), region(y), !leq(x,y).",
+	"objectPair:-regionPair,own,own,access": "objectPair(o1,n,o2) :- regionPair(x,y), own(x,o1), own(y,o2), access(o1,n,o2).",
+}
+
+// regionLeqRules builds stratum 1, the subregion closure. Explanations
+// derive leq from the same rules by walking the ancestor chain
+// (explain.go), recording the first rule in this order that fires.
+func regionLeqRules(rr regionRels) []*datalog.Rule {
+	return []*datalog.Rule{
+		datalog.NewRule(datalog.T(rr.leq, "x", "x"), datalog.T(rr.region, "x")),
+		datalog.NewRule(datalog.T(rr.leq, "x", "y"), datalog.T(rr.parent, "x", "y")),
+		datalog.NewRule(datalog.T(rr.leq, "x", "z"), datalog.T(rr.leq, "x", "y"), datalog.T(rr.parent, "y", "z")),
+	}
+}
+
+// regionPairRules builds stratum 2, the stratified complement.
+func regionPairRules(rr regionRels) []*datalog.Rule {
+	return []*datalog.Rule{
+		datalog.NewRule(datalog.T(rr.regionPair, "x", "y"),
+			datalog.T(rr.region, "x"), datalog.T(rr.region, "y"), datalog.N(rr.leq, "x", "y")),
+	}
+}
+
+// objectPairRule builds stratum 3, the verification join.
+func objectPairRule(or objectRels) *datalog.Rule {
+	return datalog.NewRule(datalog.T(or.objectPair, "o1", "n", "o2"),
+		datalog.T(or.regionPair, "x", "y"),
+		datalog.T(or.own, "x", "o1"),
+		datalog.T(or.own, "y", "o2"),
+		datalog.T(or.access, "o1", "n", "o2"))
+}
+
 // regionRels are the relations of the region strata.
 type regionRels struct {
 	region, parent, leq, regionPair *datalog.Relation

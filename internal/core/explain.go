@@ -4,10 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
-	"repro/internal/datalog"
 	"repro/internal/ir"
 	"repro/internal/trace"
 )
@@ -20,9 +20,8 @@ const ExplainSchemaV1 = "regionwiz/explain/v1"
 // Explanation is the why-provenance of one warning: the derivation
 // tree from the warning's objectPair fact down to base facts with
 // source positions. Explanations are deterministic — the same warning
-// produces the same bytes run to run and on both solver backends (the recorded and replayed paths build
-// identical trees) — so they deliberately carry no timing, backend, or
-// replay accounting.
+// produces the same bytes run to run and on both solver backends — so
+// they deliberately carry no timing or backend accounting.
 type Explanation struct {
 	Schema string `json:"schema"`
 	// Warning is the 1-based index of the warning in the report's
@@ -49,125 +48,25 @@ type ExplainNode struct {
 	Children []*ExplainNode `json:"children,omitempty"`
 }
 
-// ruleText maps a rule's Name() to the paper's full Datalog rendering
-// (Section 5.3.2) — the rule text explanation nodes carry.
-var ruleText = map[string]string{
-	"leq:-region":                           "leq(x,x) :- region(x).",
-	"leq:-parent":                           "leq(x,y) :- parent(x,y).",
-	"leq:-leq,parent":                       "leq(x,z) :- leq(x,y), parent(y,z).",
-	"regionPair:-region,region,!leq":        "regionPair(x,y) :- region(x), region(y), !leq(x,y).",
-	"objectPair:-regionPair,own,own,access": "objectPair(o1,n,o2) :- regionPair(x,y), own(x,o1), own(y,o2), access(o1,n,o2).",
-}
-
-// regionLeqRules builds stratum 1, the subregion closure. The same
-// values drive the BDD solve, the provenance recorder, and the replay
-// engine, so all three derive identical tuples.
-func regionLeqRules(rr regionRels) []*datalog.Rule {
-	return []*datalog.Rule{
-		datalog.NewRule(datalog.T(rr.leq, "x", "x"), datalog.T(rr.region, "x")),
-		datalog.NewRule(datalog.T(rr.leq, "x", "y"), datalog.T(rr.parent, "x", "y")),
-		datalog.NewRule(datalog.T(rr.leq, "x", "z"), datalog.T(rr.leq, "x", "y"), datalog.T(rr.parent, "y", "z")),
-	}
-}
-
-// regionPairRules builds stratum 2, the stratified complement.
-func regionPairRules(rr regionRels) []*datalog.Rule {
-	return []*datalog.Rule{
-		datalog.NewRule(datalog.T(rr.regionPair, "x", "y"),
-			datalog.T(rr.region, "x"), datalog.T(rr.region, "y"), datalog.N(rr.leq, "x", "y")),
-	}
-}
-
-// objectPairRule builds stratum 3, the verification join.
-func objectPairRule(or objectRels) *datalog.Rule {
-	return datalog.NewRule(datalog.T(or.objectPair, "o1", "n", "o2"),
-		datalog.T(or.regionPair, "x", "y"),
-		datalog.T(or.own, "x", "o1"),
-		datalog.T(or.own, "y", "o2"),
-		datalog.T(or.access, "o1", "n", "o2"))
-}
-
-// provRecord is the provenance recorder's output: the region strata
-// solved on the explicit tuple engine with per-tuple witnesses. It is
-// captured during the pairs phase when Options.Provenance is set on an
-// explicit-backend run, and reused verbatim by every Explain call.
-type provRecord struct {
-	program *datalog.Program
-	engine  *datalog.Explicit
-	rels    regionRels
-}
-
-// recordProvenance solves the region strata on the witness-recording
-// explicit engine. It runs after the pair computation and writes only
-// a.prov — the pairs, the report, and every phase metric are untouched,
-// which is what keeps reports byte-identical with provenance on or off.
-func (a *Analysis) recordProvenance(ctx context.Context) {
-	_, sp := trace.StartSpan(ctx, "explain.record")
-	a.prov = a.solveRegionProvenance()
-	if sp != nil {
-		sp.End(
-			trace.Int("leq_tuples", a.prov.engine.Count(a.prov.rels.leq)),
-			trace.Int("region_pair_tuples", a.prov.engine.Count(a.prov.rels.regionPair)))
-	}
-}
-
-// solveRegionProvenance builds and solves the region strata on a fresh
-// explicit engine. Region and parent facts are loaded in full — the
-// leq stratum's witnesses depend on evaluation order, so recorded and
-// replayed engines must start from identical facts to produce
-// identical trees (TestExplainBackendParity pins this).
-func (a *Analysis) solveRegionProvenance() *provRecord {
-	p := datalog.NewProgram()
-	rr := a.declareRegionRels(p)
-	e := datalog.NewExplicit(p)
-	for i := range a.Regions {
-		e.Add(rr.region, uint64(i))
-		if i != RootRegion {
-			e.Add(rr.parent, uint64(i), uint64(a.Regions[i].Parent))
-		}
-	}
-	e.SolveSemiNaive(regionLeqRules(rr), 0)
-	e.Solve(regionPairRules(rr), 0)
-	return &provRecord{program: p, engine: e, rels: rr}
-}
-
 // Explainer answers why-provenance queries against one finished
-// analysis. Build one with Analysis.Explainer and reuse it across
-// warnings: the region strata are solved once (or taken from the pairs
-// phase's recorder) and only the per-warning object-level cone is
-// derived per query. An Explainer is read-only over the analysis and
-// safe for concurrent Explain calls.
+// analysis. Trees are read off the collapsed region tree
+// (Regions[].Parent), the ownership table, and the access edges: after
+// collapseParents every non-root region has one parent and no cycle,
+// so leq(x,·) is x's ancestor chain and regionPair(x,y) means y is not
+// on it. No Datalog engine is built. An Explainer is read-only over the
+// analysis and safe for concurrent Explain calls.
 type Explainer struct {
-	a    *Analysis
-	prov *provRecord
-	// Replayed reports that the region strata were re-derived on
-	// demand (the BDD-backend / cached-result path) rather than taken
-	// from the pairs phase's recorder. Accounting only: the resulting
-	// explanations are byte-identical either way.
-	Replayed bool
+	a *Analysis
 }
 
-// Explainer builds the explanation engine for this run's report. When
-// the pairs phase recorded provenance (Options.Provenance on the
-// explicit backend) the recorded witnesses are reused; otherwise —
-// BDD-backend runs, cached results, provenance off — the region strata
-// are replayed on the explicit engine under an "explain.replay" trace
-// span.
-func (a *Analysis) Explainer(ctx context.Context) (*Explainer, error) {
+// Explainer returns the explanation engine for this run's report.
+// Building one does no work, so the context is unused; it stays in the
+// signature so existing callers keep compiling.
+func (a *Analysis) Explainer(context.Context) (*Explainer, error) {
 	if a.Report == nil {
 		return nil, Errf(ErrInternal, "", "explain: analysis has no report")
 	}
-	if a.prov != nil {
-		return &Explainer{a: a, prov: a.prov}, nil
-	}
-	_, sp := trace.StartSpan(ctx, "explain.replay")
-	prov := a.solveRegionProvenance()
-	if sp != nil {
-		sp.End(
-			trace.Int("regions", len(a.Regions)),
-			trace.Int("leq_tuples", prov.engine.Count(prov.rels.leq)))
-	}
-	return &Explainer{a: a, prov: prov, Replayed: true}, nil
+	return &Explainer{a: a}, nil
 }
 
 // Explain explains one warning by its 1-based report index.
@@ -180,7 +79,7 @@ func (ex *Explainer) Explain(ctx context.Context, warning int) (*Explanation, er
 	_, sp := trace.StartSpan(ctx, "explain.tree")
 	w := a.Report.Warnings[warning-1]
 	pair := w.IPair.Example
-	if err := ex.verifyPair(pair); err != nil {
+	if err := a.verifyPair(pair); err != nil {
 		if sp != nil {
 			sp.End(trace.Int("warning", warning), trace.Bool("verified", false))
 		}
@@ -212,51 +111,41 @@ func (ex *Explainer) ExplainAll(ctx context.Context) ([]*Explanation, error) {
 	return out, nil
 }
 
-// verifyPair re-derives the warning's objectPair fact on a per-query
-// engine: regionPair restricted to the pair's owner regions (read out
-// of the solved region strata), ownership restricted to the two
-// objects (mirroring loadObjectRels, including root ownership of
-// unowned targets via ownersOf), and the single queried access edge.
-// A warning whose fact does not re-derive means the replayed verdict
-// diverged from the report — an internal error, surfaced rather than
-// papered over.
-func (ex *Explainer) verifyPair(p ObjectPair) error {
-	a := ex.a
-	x, y := uint64(p.Evidence[0]), uint64(p.Evidence[1])
-	if !ex.prov.engine.Has(ex.prov.rels.regionPair, x, y) {
-		return Errf(ErrInternal, "", "explain: replay diverged: evidence regionPair(%d,%d) not derivable", x, y)
-	}
-	op := datalog.NewProgram()
-	R := op.Domain("R", uint64(len(a.Regions)))
-	O := op.Domain("O", uint64(len(a.Ptr.Objects)))
-	N := op.Domain("N", 1)
-	or := objectRels{
-		regionPair: op.Relation("regionPair", R.At(0), R.At(1)),
-		own:        op.Relation("own", R.At(0), O.At(0)),
-		access:     op.Relation("access", O.At(0), N.At(0), O.At(1)),
-		objectPair: op.Relation("objectPair", O.At(0), N.At(0), O.At(1)),
-	}
-	oe := datalog.NewExplicit(op)
-	srcOwners := a.ownersOf(p.Src)
-	dstOwners := a.ownersOf(p.Dst)
-	for _, rx := range srcOwners {
-		for _, ry := range dstOwners {
-			if ex.prov.engine.Has(ex.prov.rels.regionPair, uint64(rx), uint64(ry)) {
-				oe.Add(or.regionPair, uint64(rx), uint64(ry))
-			}
+// leqChain returns x's ancestor chain x, parent(x), ..., root: exactly
+// the z with leq(x,z) under the closure rules (regionLeqRules), in the
+// order they derive them. The root has no parent fact, so the walk
+// ends there; the repeat guard keeps a corrupted tree finite.
+func (a *Analysis) leqChain(x int) []int {
+	chain := []int{x}
+	for z := x; z != RootRegion; {
+		z = a.Regions[z].Parent
+		if z < 0 || slices.Contains(chain, z) {
+			break
 		}
+		chain = append(chain, z)
 	}
-	for _, rx := range srcOwners {
-		oe.Add(or.own, uint64(rx), uint64(p.Src))
+	return chain
+}
+
+// verifyPair re-derives a reported object pair's objectPair fact at
+// its evidence region pair from the analysis tables, independently of
+// the edge check that produced the pair: regionPair(x,y) holds when
+// both are regions and y is not on x's ancestor chain, own(x,Src) and
+// own(y,Dst) come from ownersOf, and access(Src,Off,Dst) must be one of
+// the access edges. A pair that does not re-derive means the result
+// and the region tree disagree — an internal error, surfaced rather
+// than papered over.
+func (a *Analysis) verifyPair(p ObjectPair) error {
+	x, y := p.Evidence[0], p.Evidence[1]
+	isRegion := func(r int) bool { return r >= 0 && r < len(a.Regions) }
+	if !isRegion(x) || !isRegion(y) || slices.Contains(a.leqChain(x), y) {
+		return Errf(ErrInternal, "", "verify: evidence regionPair(%d,%d) does not hold in the region tree", x, y)
 	}
-	for _, ry := range dstOwners {
-		oe.Add(or.own, uint64(ry), uint64(p.Dst))
+	if !slices.Contains(a.ownersOf(p.Src), x) || !slices.Contains(a.ownersOf(p.Dst), y) {
+		return Errf(ErrInternal, "", "verify: evidence regions (%d,%d) do not own objects (%d,%d)", x, y, p.Src, p.Dst)
 	}
-	oe.Add(or.access, uint64(p.Src), 0, uint64(p.Dst))
-	oe.Solve([]*datalog.Rule{objectPairRule(or)}, 0)
-	if !oe.Has(or.objectPair, uint64(p.Src), 0, uint64(p.Dst)) {
-		return Errf(ErrInternal, "", "explain: replay diverged: objectPair(%d,%d) not re-derivable from its cone",
-			p.Src, p.Dst)
+	if !slices.Contains(a.AccessEdges, AccessEdge{Src: p.Src, Off: p.Off, Dst: p.Dst}) {
+		return Errf(ErrInternal, "", "verify: access(%d,%d,%d) is not an access edge", p.Src, p.Off, p.Dst)
 	}
 	return nil
 }
@@ -307,18 +196,17 @@ func (ex *Explainer) regionPairNode(x, y int) *ExplainNode {
 // y is not among them.
 func (ex *Explainer) negLeqNode(x, y int) *ExplainNode {
 	a := ex.a
-	var ancestors []uint64
-	for _, t := range ex.prov.engine.Tuples(ex.prov.rels.leq) {
-		if t[0] == uint64(x) {
-			ancestors = append(ancestors, t[1])
-		}
+	chain := a.leqChain(x)
+	byValue := make([]int, len(chain)) // chain indices, ordered by region
+	for k := range byValue {
+		byValue[k] = k
 	}
-	sort.Slice(ancestors, func(i, j int) bool { return ancestors[i] < ancestors[j] })
-	descs := make([]string, len(ancestors))
-	children := make([]*ExplainNode, len(ancestors))
-	for i, z := range ancestors {
-		descs[i] = a.regionDesc(int(z))
-		children[i] = ex.leqTree(uint64(x), z)
+	sort.Slice(byValue, func(i, j int) bool { return chain[byValue[i]] < chain[byValue[j]] })
+	descs := make([]string, len(chain))
+	children := make([]*ExplainNode, len(chain))
+	for i, k := range byValue {
+		descs[i] = a.regionDesc(chain[k])
+		children[i] = ex.leqTree(chain, k)
 	}
 	return &ExplainNode{
 		Kind: "negated",
@@ -329,38 +217,24 @@ func (ex *Explainer) negLeqNode(x, y int) *ExplainNode {
 	}
 }
 
-// leqTree walks the recorded witness of leq(x,z) recursively: leq
-// premises expand through their own witnesses; region/parent premises
-// become base leaves. Witness recording is well-founded (a premise was
-// derived strictly before the fact it justifies), so the walk
-// terminates without a visited set.
-func (ex *Explainer) leqTree(x, z uint64) *ExplainNode {
-	w, ok := ex.prov.engine.WitnessOf(ex.prov.rels.leq, x, z)
-	if !ok {
-		// leq is never pre-seeded, so a missing witness is a hole in the
-		// recorder; make it visible rather than fabricating a leaf.
-		return &ExplainNode{Kind: "base", Fact: fmt.Sprintf("leq(%d,%d)", x, z),
-			Note: "missing witness", Pos: "<unknown>"}
-	}
-	n := &ExplainNode{
-		Kind: "derived",
-		Fact: fmt.Sprintf("leq(%d,%d)", x, z),
-		Rule: ruleText[w.Rule],
-	}
-	if n.Rule == "" {
-		n.Rule = w.Rule
-	}
-	for _, prem := range w.Premises {
-		switch prem.Rel {
-		case "leq":
-			n.Children = append(n.Children, ex.leqTree(prem.Args[0], prem.Args[1]))
-		case "region":
-			n.Children = append(n.Children, ex.regionBase(int(prem.Args[0])))
-		case "parent":
-			n.Children = append(n.Children, ex.parentBase(int(prem.Args[0]), int(prem.Args[1])))
-		default:
-			n.Children = append(n.Children, &ExplainNode{Kind: "base", Fact: prem.String()})
-		}
+// leqTree derives leq(x,z) for z = chain[k] on x's ancestor chain,
+// with the witness the closure rules record first: reflexivity for
+// z = x, the parent rule for x's direct parent (it precedes the
+// transitive rule, which would also derive it), and otherwise the
+// transitive rule from leq(x,·) of z's child on the chain.
+func (ex *Explainer) leqTree(chain []int, k int) *ExplainNode {
+	x, z := chain[0], chain[k]
+	n := &ExplainNode{Kind: "derived", Fact: fmt.Sprintf("leq(%d,%d)", x, z)}
+	switch k {
+	case 0:
+		n.Rule = ruleText["leq:-region"]
+		n.Children = []*ExplainNode{ex.regionBase(x)}
+	case 1:
+		n.Rule = ruleText["leq:-parent"]
+		n.Children = []*ExplainNode{ex.parentBase(x, z)}
+	default:
+		n.Rule = ruleText["leq:-leq,parent"]
+		n.Children = []*ExplainNode{ex.leqTree(chain, k-1), ex.parentBase(chain[k-1], z)}
 	}
 	return n
 }

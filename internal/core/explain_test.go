@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -60,16 +61,10 @@ func checkTreeShape(t *testing.T, n *ExplainNode) {
 }
 
 func TestExplainRecordedTree(t *testing.T) {
-	a := runOpts(t, Options{Provenance: true}, explainSource)
-	if a.prov == nil {
-		t.Fatalf("explicit backend with Provenance did not record witnesses")
-	}
+	a := runOpts(t, Options{}, explainSource)
 	ex, err := a.Explainer(context.Background())
 	if err != nil {
 		t.Fatalf("explainer: %v", err)
-	}
-	if ex.Replayed {
-		t.Errorf("recorded path reported Replayed")
 	}
 	exps, err := ex.ExplainAll(context.Background())
 	if err != nil {
@@ -102,13 +97,13 @@ func TestExplainRecordedTree(t *testing.T) {
 	}
 }
 
-// TestExplainBackendParity pins the tentpole's determinism contract:
-// the BDD backend's replayed explanations are byte-identical to the
-// explicit backend's recorded ones.
+// TestExplainBackendParity pins the determinism contract: the BDD
+// backend's explanations are byte-identical to the explicit
+// backend's.
 func TestExplainBackendParity(t *testing.T) {
 	for i, src := range crossCheckSources {
 		t.Run(fmt.Sprintf("src%d", i), func(t *testing.T) {
-			exp := runOpts(t, Options{Provenance: true}, src)
+			exp := runOpts(t, Options{}, src)
 			bdd := runOpts(t, Options{Solver: SolverOptions{Backend: BDDBackend}}, src)
 			exExp, err := exp.Explainer(context.Background())
 			if err != nil {
@@ -118,19 +113,13 @@ func TestExplainBackendParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("bdd explainer: %v", err)
 			}
-			if exExp.Replayed {
-				t.Errorf("explicit+Provenance path replayed")
-			}
-			if !exBDD.Replayed {
-				t.Errorf("bdd path did not replay")
-			}
 			a, err := exExp.ExplainAll(context.Background())
 			if err != nil {
 				t.Fatalf("explicit explain: %v", err)
 			}
 			b, err := exBDD.ExplainAll(context.Background())
 			if err != nil {
-				t.Fatalf("bdd explain (replay verdict): %v", err)
+				t.Fatalf("bdd explain: %v", err)
 			}
 			ja, _ := MarshalExplanations(a)
 			jb, _ := MarshalExplanations(b)
@@ -147,10 +136,7 @@ func TestExplainBackendParity(t *testing.T) {
 // CI).
 func TestExplainWorkerDeterminism(t *testing.T) {
 	for _, backend := range []Backend{ExplicitBackend, BDDBackend} {
-		a := runOpts(t, Options{
-			Provenance: true,
-			Solver:     SolverOptions{Backend: backend},
-		}, explainSource)
+		a := runOpts(t, Options{Solver: SolverOptions{Backend: backend}}, explainSource)
 		ex, err := a.Explainer(context.Background())
 		if err != nil {
 			t.Fatalf("backend=%d: %v", backend, err)
@@ -182,10 +168,10 @@ func TestExplainWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestReportUnchangedByProvenance pins the fingerprint-exclusion
-// contract: provenance on/off yields byte-identical reports (timing
-// and the per-phase cost breakdown excluded, as in the oracle's
-// canonical form) and identical option fingerprints.
+// TestReportUnchangedByProvenance pins that answering is read-only:
+// explaining every warning and querying every reported site pair leave
+// the report byte-identical (timing and the per-phase cost breakdown
+// excluded, as in the oracle's canonical form), on both backends.
 func TestReportUnchangedByProvenance(t *testing.T) {
 	canonical := func(a *Analysis) []byte {
 		r := *a.Report
@@ -197,14 +183,61 @@ func TestReportUnchangedByProvenance(t *testing.T) {
 		}
 		return j
 	}
+	ctx := context.Background()
 	for _, backend := range []Backend{ExplicitBackend, BDDBackend} {
-		off := runOpts(t, Options{Solver: SolverOptions{Backend: backend}}, explainSource)
-		on := runOpts(t, Options{Provenance: true, Solver: SolverOptions{Backend: backend}}, explainSource)
-		if a, b := canonical(off), canonical(on); !bytes.Equal(a, b) {
-			t.Errorf("backend=%d: report changed with provenance on:\n--- off ---\n%s\n--- on ---\n%s", backend, a, b)
+		a := runOpts(t, Options{Solver: SolverOptions{Backend: backend}}, explainSource)
+		before := canonical(a)
+		ex, err := a.Explainer(ctx)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a, b := off.Opts.Fingerprint(), on.Opts.Fingerprint(); a != b {
-			t.Errorf("backend=%d: fingerprint changed with provenance on", backend)
+		if _, err := ex.ExplainAll(ctx); err != nil {
+			t.Fatalf("backend=%d: %v", backend, err)
+		}
+		for _, ps := range a.PairSites() {
+			if _, err := a.QueryPair(ctx, ps.Src.String(), ps.Dst.String()); err != nil {
+				t.Fatalf("backend=%d: %v", backend, err)
+			}
+		}
+		if after := canonical(a); !bytes.Equal(before, after) {
+			t.Errorf("backend=%d: report changed by explain/query:\n--- before ---\n%s\n--- after ---\n%s", backend, before, after)
+		}
+	}
+}
+
+// TestBrokenEvidenceIsInternalError breaks a warning's evidence so it
+// names a related region pair (the source owner and its own parent)
+// and requires Explain and QueryPair to refuse with ErrInternal rather
+// than explain or report a pair the region tree does not support.
+func TestBrokenEvidenceIsInternalError(t *testing.T) {
+	ctx := context.Background()
+	for _, backend := range []Backend{ExplicitBackend, BDDBackend} {
+		a := runOpts(t, Options{Solver: SolverOptions{Backend: backend}}, explainSource)
+		if len(a.Report.Warnings) == 0 || len(a.pairs) == 0 {
+			t.Fatalf("backend=%d: fixture reports nothing", backend)
+		}
+		related := func(p ObjectPair) [2]int {
+			x := p.Evidence[0]
+			return [2]int{x, a.Regions[x].Parent}
+		}
+		w := &a.Report.Warnings[0]
+		w.IPair.Example.Evidence = related(w.IPair.Example)
+		ex, err := a.Explainer(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var aerr *Error
+		if _, err := ex.Explain(ctx, 1); !errors.As(err, &aerr) || aerr.Kind != ErrInternal {
+			t.Errorf("backend=%d: Explain with related evidence: err = %v, want ErrInternal", backend, err)
+		}
+		ps := a.PairSites()[0]
+		for i, p := range a.pairs {
+			if a.siteOf(p.Src) == w.IPair.SrcSite && a.siteOf(p.Dst) == w.IPair.DstSite {
+				a.pairs[i].Evidence = related(p)
+			}
+		}
+		if _, err := a.QueryPair(ctx, ps.Src.String(), ps.Dst.String()); !errors.As(err, &aerr) || aerr.Kind != ErrInternal {
+			t.Errorf("backend=%d: QueryPair with related evidence: err = %v, want ErrInternal", backend, err)
 		}
 	}
 }

@@ -147,11 +147,8 @@ func sortedUnique(in []string) []string {
 // every field that can change an analysis result (entry roots, API
 // specs, context configuration, backend, refinements, extern models).
 // BDD is excluded: kernel sizing changes time and memory, never
-// results. Provenance is excluded too: witness recording feeds
-// Explain but never the report, so a provenance-on run may answer for
-// a cached provenance-off result and vice versa. Together with
-// per-file source digests this keys the analysis service's result
-// cache.
+// results. Together with per-file source digests this keys the
+// analysis service's result cache.
 func (o Options) Fingerprint() string {
 	o = o.Normalize()
 	h := sha256.New()

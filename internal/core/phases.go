@@ -211,13 +211,6 @@ var phases = []phase{
 	}},
 	{PhasePairs, func(ctx context.Context, a *Analysis) error {
 		a.pairs = a.computeObjectPairs(ctx)
-		// Opt-in provenance recording (explain.go): the explicit
-		// backend captures witnesses here; the BDD backend answers
-		// Explain by demand-driven replay instead. Recording writes
-		// only a.prov, never the pairs or any metric key.
-		if a.Opts.Provenance && a.Opts.Solver.Backend == ExplicitBackend {
-			a.recordProvenance(ctx)
-		}
 		return nil
 	}},
 	{PhasePost, func(_ context.Context, a *Analysis) error {

@@ -60,12 +60,11 @@ func (q *PairAnswer) String() string {
 // QueryPair answers one pair query against a finished analysis (a
 // one-shot run or one of the daemon's cached results): srcSite and
 // dstSite are "file:line" or "file:line:col" allocation-site
-// positions. The verdict is computed twice: once by the direct edge
-// check the explicit backend uses (checkEdge), and once by re-deriving
-// every witnessing objectPair fact on a per-query Datalog cone
-// restricted to the two sites' objects and owner regions. Divergence
-// between the two is an internal error, surfaced rather than papered
-// over.
+// positions. The verdict is read from the run's object pairs — the
+// result the report was condensed from — restricted to the two sites'
+// objects, and every witnessing pair is re-derived from the region
+// tree, ownership, and access edges (verifyPair). A pair that does not
+// re-derive is an internal error, surfaced rather than papered over.
 func (a *Analysis) QueryPair(ctx context.Context, srcSite, dstSite string) (*PairAnswer, error) {
 	if a.Report == nil {
 		return nil, Errf(ErrInternal, "", "query: analysis has no report")
@@ -87,27 +86,21 @@ func (a *Analysis) QueryPair(ctx context.Context, srcSite, dstSite string) (*Pai
 	for _, o := range dstObjs {
 		dstSet[o] = true
 	}
-	var pairs []ObjectPair
 	edges := 0
 	for _, e := range a.AccessEdges {
-		if !srcSet[e.Src] || !dstSet[e.Dst] {
-			continue
-		}
-		edges++
-		if p, ok := a.checkEdge(e); ok {
-			pairs = append(pairs, p)
+		if srcSet[e.Src] && dstSet[e.Dst] {
+			edges++
 		}
 	}
-	sortPairs(pairs)
-	if len(pairs) > 0 {
-		// Cross-check: every witnessing pair must re-derive from its
-		// Datalog cone (the same check Explain applies to warnings).
-		ex := &Explainer{a: a, prov: a.solveRegionProvenance()}
-		for _, p := range pairs {
-			if err := ex.verifyPair(p); err != nil {
-				return nil, err
-			}
+	var pairs []ObjectPair
+	for _, p := range a.pairs {
+		if !srcSet[p.Src] || !dstSet[p.Dst] {
+			continue
 		}
+		if err := a.verifyPair(p); err != nil {
+			return nil, err
+		}
+		pairs = append(pairs, p)
 	}
 	ans := &PairAnswer{
 		Schema:     QuerySchemaV1,

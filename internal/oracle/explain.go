@@ -13,9 +13,7 @@ import (
 // so the most useful triage context is what the analysis DID derive
 // closest to it — the nearest reported warning's explanation, showing
 // which base facts and rules fired there. Everything is built lazily
-// (most cases have no misses, and constructing an Explainer for a
-// provenance-less run replays the region strata) and every failure
-// degrades into a note: attaching an explanation must never turn a
+// (most cases have no misses) and every failure degrades into a note: attaching an explanation must never turn a
 // violation report into a harness error.
 type missExplainer struct {
 	a     *core.Analysis

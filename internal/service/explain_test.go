@@ -13,39 +13,32 @@ import (
 	"repro/internal/core"
 )
 
-// TestServiceExplain covers both answer paths — recorded provenance
-// (explicit backend with Provenance on) and demand-driven replay (the
-// default) — plus the snapshot-gone and out-of-range failure modes,
-// and the explain counters.
+// TestServiceExplain covers explanations of cached results on both
+// backends, the snapshot-gone and out-of-range failure modes, and the
+// explain counters.
 func TestServiceExplain(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
 	ctx := context.Background()
 
-	recorded, err := s.Analyze(ctx, core.Options{Provenance: true}, sourcesFor(0))
+	explicit, err := s.Analyze(ctx, core.Options{}, sourcesFor(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := s.Analyze(ctx, core.Options{}, sourcesFor(1))
+	bdd, err := s.Analyze(ctx, core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend}}, sourcesFor(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rec, err := s.Explain(ctx, recorded.Key, 0)
+	exp, err := s.Explain(ctx, explicit.Key, 0)
 	if err != nil {
-		t.Fatalf("explain recorded: %v", err)
+		t.Fatalf("explain explicit: %v", err)
 	}
-	if rec.Replayed {
-		t.Error("provenance-on result answered by replay")
-	}
-	rep, err := s.Explain(ctx, replayed.Key, 0)
+	bd, err := s.Explain(ctx, bdd.Key, 0)
 	if err != nil {
-		t.Fatalf("explain replayed: %v", err)
+		t.Fatalf("explain bdd: %v", err)
 	}
-	if !rep.Replayed {
-		t.Error("provenance-off result did not replay")
-	}
-	for name, res := range map[string]*ExplainResult{"recorded": rec, "replayed": rep} {
+	for name, res := range map[string]*ExplainResult{"explicit": exp, "bdd": bd} {
 		if res.Warnings != 1 || len(res.Explanations) != 1 {
 			t.Fatalf("%s: %d warnings, %d explanations, want 1/1", name, res.Warnings, len(res.Explanations))
 		}
@@ -54,15 +47,20 @@ func TestServiceExplain(t *testing.T) {
 		}
 	}
 	// Single-warning selection returns the same tree as the full set.
-	one, err := s.Explain(ctx, recorded.Key, 1)
+	one, err := s.Explain(ctx, explicit.Key, 1)
 	if err != nil {
 		t.Fatalf("explain warning 1: %v", err)
 	}
 	if len(one.Explanations) != 1 || one.Explanations[0].Warning != 1 {
 		t.Fatalf("warning selection returned %d explanations", len(one.Explanations))
 	}
+	a, _ := core.MarshalExplanations(one.Explanations)
+	b, _ := core.MarshalExplanations(exp.Explanations)
+	if !bytes.Equal(a, b) {
+		t.Errorf("warning 1 alone differs from the full set:\n%s\n%s", a, b)
+	}
 
-	if _, err := s.Explain(ctx, recorded.Key, 99); err == nil {
+	if _, err := s.Explain(ctx, explicit.Key, 99); err == nil {
 		t.Error("out-of-range warning succeeded")
 	}
 	var aerr *core.Error
@@ -75,13 +73,9 @@ func TestServiceExplain(t *testing.T) {
 		t.Errorf("warnings_total = %d, want 2 (one per pipeline run)", st.Warnings)
 	}
 	// 4 served queries (the out-of-range one counts; the unknown key
-	// never reached the explainer), exactly 1 of them a replay (the
-	// provenance-off key).
+	// never reached the explainer).
 	if st.ExplainRequests != 4 {
 		t.Errorf("explain_requests = %d, want 4", st.ExplainRequests)
-	}
-	if st.ExplainReplays != 1 {
-		t.Errorf("explain_replays = %d, want 1", st.ExplainReplays)
 	}
 	if st.Histograms["explain"].Count == 0 {
 		t.Error("explain histogram has no observations")
@@ -134,8 +128,8 @@ func TestHTTPExplain(t *testing.T) {
 	if er.Schema != core.ExplainSchemaV1 || er.Key != ar.Key {
 		t.Errorf("schema/key = %q/%q", er.Schema, er.Key)
 	}
-	if !er.Replayed {
-		t.Error("BDD-backend explanation did not report replay")
+	if strings.Contains(string(data), `"replayed"`) {
+		t.Errorf("explain response still carries the replayed field: %s", data)
 	}
 	if er.WarningsTotal != 1 || len(er.Explanations) != 1 {
 		t.Fatalf("warnings_total=%d explanations=%d, want 1/1", er.WarningsTotal, len(er.Explanations))
@@ -173,14 +167,51 @@ func TestHTTPExplain(t *testing.T) {
 		t.Fatalf("metrics: %d", resp.StatusCode)
 	}
 	text := string(data)
+	if strings.Contains(text, "regionwizd_explain_replays_total") {
+		t.Error("metrics still export regionwizd_explain_replays_total")
+	}
 	for _, want := range []string{
 		"regionwizd_explain_requests_total 1",
-		"regionwizd_explain_replays_total 1",
 		"regionwizd_warnings_total 1",
 		"regionwizd_explain_duration_seconds_count 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestHTTPProvenanceFieldIgnored keeps the wire compatible with clients
+// that still send the retired "provenance" option: the daemon decodes
+// with DisallowUnknownFields, so the field must stay accepted, and it
+// must not change the result key.
+func TestHTTPProvenanceFieldIgnored(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	keys := map[bool]string{}
+	for _, provenance := range []bool{false, true} {
+		opts := map[string]any{"api": "rc"}
+		if provenance {
+			opts["provenance"] = true
+		}
+		body, err := json.Marshal(map[string]any{"sources": sourcesFor(0), "options": opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := postAnalyze(t, srv, string(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("provenance=%v: %d %s", provenance, resp.StatusCode, data)
+		}
+		var ar AnalyzeResponse
+		if err := json.Unmarshal(data, &ar); err != nil {
+			t.Fatal(err)
+		}
+		keys[provenance] = ar.Key
+	}
+	if keys[false] == "" || keys[false] != keys[true] {
+		t.Errorf("key without provenance %q, with %q: want equal", keys[false], keys[true])
 	}
 }

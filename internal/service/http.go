@@ -91,11 +91,6 @@ type ExplainResponse struct {
 	Schema string `json:"schema"`
 	// Key is the analysis result the explanations were derived from.
 	Key string `json:"key"`
-	// Replayed reports that provenance was re-derived on demand
-	// (BDD-backend or provenance-off results) rather than read from
-	// recorded witnesses; the explanation bytes are identical either
-	// way.
-	Replayed bool `json:"replayed,omitempty"`
 	// WarningsTotal is the report's full warning count, whatever
 	// subset was requested.
 	WarningsTotal int `json:"warnings_total"`
@@ -272,7 +267,6 @@ func handleExplain(s *Service, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ExplainResponse{
 		Schema:        core.ExplainSchemaV1,
 		Key:           key,
-		Replayed:      res.Replayed,
 		WarningsTotal: res.Warnings,
 		Explanations:  exps,
 	})
@@ -397,7 +391,6 @@ func writeMetrics(w http.ResponseWriter, st Stats) {
 	counter("regionwizd_queue_waits_total", st.QueueWaits, "Requests that waited in the admission queue.")
 	counter("regionwizd_warnings_total", st.Warnings, "Warnings reported across every pipeline run.")
 	counter("regionwizd_explain_requests_total", st.ExplainRequests, "Provenance (explain) queries served.")
-	counter("regionwizd_explain_replays_total", st.ExplainReplays, "Explain queries answered by demand-driven replay.")
 	counter("regionwizd_query_requests_total", st.QueryRequests, "Demand pair queries served.")
 	counter("regionwizd_query_inconsistent_total", st.QueryInconsistent, "Demand pair queries with an inconsistent verdict.")
 	gauge("regionwizd_inflight", st.Inflight, "Pipeline runs executing now.")

@@ -467,11 +467,6 @@ type ExplainResult struct {
 	// Explanations holds the requested subset of the report's
 	// warnings, in report order.
 	Explanations []*core.Explanation
-	// Replayed reports that the region strata were re-derived on
-	// demand (BDD-backend or provenance-off results) rather than taken
-	// from recorded witnesses. The explanation bytes are identical
-	// either way.
-	Replayed bool
 	// Warnings is the underlying report's total warning count,
 	// whatever subset was explained.
 	Warnings int
@@ -506,10 +501,7 @@ func (s *Service) Explain(ctx context.Context, key string, warning int) (*Explai
 	if err != nil {
 		return nil, err
 	}
-	if ex.Replayed {
-		s.stats.explainReplays.Add(1)
-	}
-	out := &ExplainResult{Replayed: ex.Replayed, Warnings: len(res.Analysis.Report.Warnings)}
+	out := &ExplainResult{Warnings: len(res.Analysis.Report.Warnings)}
 	if warning <= 0 {
 		out.Explanations, err = ex.ExplainAll(ctx)
 	} else {

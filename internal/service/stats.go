@@ -124,11 +124,8 @@ type Stats struct {
 	// service executed (cache hits and coalesced waiters share their
 	// leader's run and do not re-count).
 	Warnings uint64 `json:"warnings_total"`
-	// ExplainRequests counts Explain calls served; ExplainReplays
-	// counts the subset answered by demand-driven replay (BDD-backend
-	// or provenance-off cached results) rather than recorded witnesses.
+	// ExplainRequests counts Explain calls served.
 	ExplainRequests uint64 `json:"explain_requests"`
-	ExplainReplays  uint64 `json:"explain_replays"`
 	// QueryRequests counts demand pair queries served;
 	// QueryInconsistent counts the subset whose verdict was
 	// inconsistent.
@@ -147,7 +144,7 @@ type collector struct {
 	deltaRequests, snapshotHits, snapshotGone          atomic.Uint64
 	frontendReused, frontendRerun                      atomic.Uint64
 	warnings                                           atomic.Uint64
-	explainRequests, explainReplays                    atomic.Uint64
+	explainRequests                                    atomic.Uint64
 	queryRequests, queryInconsistent                   atomic.Uint64
 	inflight, queued                                   atomic.Int64
 	queueWaits                                         atomic.Uint64
@@ -235,7 +232,6 @@ func (c *collector) snapshot() Stats {
 		FrontendFilesRerun:  c.frontendRerun.Load(),
 		Warnings:            c.warnings.Load(),
 		ExplainRequests:     c.explainRequests.Load(),
-		ExplainReplays:      c.explainReplays.Load(),
 		QueryRequests:       c.queryRequests.Load(),
 		QueryInconsistent:   c.queryInconsistent.Load(),
 	}

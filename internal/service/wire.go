@@ -83,11 +83,10 @@ type RequestOptions struct {
 	// marked throttled. A nonzero cap changes results and is part of
 	// the cache key.
 	PtsLimit int `json:"pts_limit,omitempty"`
-	// Provenance records derivation witnesses during the solve
-	// (explicit backend only) so later /v1/explain queries answer from
-	// recorded provenance instead of demand-driven replay. It never
-	// changes the report and stays out of the cache key; explanations
-	// are byte-identical either way.
+	// Provenance is accepted and ignored: /v1/explain derives every
+	// tree from the cached result, so there is nothing to record. It
+	// was never part of the cache key, so old clients that still send
+	// it get the same key as before.
 	Provenance bool `json:"provenance,omitempty"`
 }
 
@@ -102,7 +101,6 @@ func (ro RequestOptions) ToOptions() (core.Options, error) {
 		Entries:          ro.Entries,
 		DefUseRefinement: ro.Refine,
 		ExtraAllocFns:    ro.ExtraAllocFns,
-		Provenance:       ro.Provenance,
 		Solver: core.SolverOptions{
 			MaxRounds: ro.SolverMaxRounds,
 			PtsLimit:  ro.PtsLimit,
