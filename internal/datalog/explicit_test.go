@@ -6,14 +6,16 @@ import (
 	"testing"
 )
 
+// These tests check the BDD engine against refDB, the explicit-tuple
+// reference evaluator (reference_test.go).
+
 // buildRegionProgram declares the paper's region-strata schema over a
-// small synthetic region tree and loads the same base facts into the
-// BDD relations and an Explicit engine.
+// small synthetic region tree and loads its base facts.
 //
 // Tree (parent edges): 1->0, 2->1, 3->2, 4->2, 5->4 — a chain with a
 // branch at 2, deep enough that transitive closure takes several
 // rounds (the cutoff test needs the cap to actually bite).
-func buildRegionProgram(t *testing.T) (*Program, *Explicit, map[string]*Relation) {
+func buildRegionProgram(t *testing.T) (*Program, map[string]*Relation) {
 	t.Helper()
 	p := NewProgram()
 	R := p.Domain("R", 6)
@@ -23,17 +25,14 @@ func buildRegionProgram(t *testing.T) (*Program, *Explicit, map[string]*Relation
 		"leq":        p.Relation("leq", R.At(0), R.At(1)),
 		"regionPair": p.Relation("regionPair", R.At(0), R.At(1)),
 	}
-	e := NewExplicit(p)
 	parents := map[uint64]uint64{1: 0, 2: 1, 3: 2, 4: 2, 5: 4}
 	for i := uint64(0); i < 6; i++ {
 		rels["region"].Add(i)
-		e.Add(rels["region"], i)
 	}
 	for c, par := range parents {
 		rels["parent"].Add(c, par)
-		e.Add(rels["parent"], c, par)
 	}
-	return p, e, rels
+	return p, rels
 }
 
 func regionRules(rels map[string]*Relation) (leqRules, pairRules []*Rule) {
@@ -49,180 +48,88 @@ func regionRules(rels map[string]*Relation) (leqRules, pairRules []*Rule) {
 	return
 }
 
-// TestExplicitMatchesBDD solves the paper's region strata on both
-// engines from identical base facts and requires tuple-identical
-// results — the contract that makes explicit-engine replay a valid
-// oracle for BDD-backend reports.
+// TestExplicitMatchesBDD solves the paper's region strata on the BDD
+// engine and the reference evaluator from identical base facts and
+// requires tuple-identical results, including two facts checked by
+// hand: leq(3,0) holds through the chain 3 -> 2 -> 1 -> 0, and the
+// siblings 3 and 4 form a regionPair.
 func TestExplicitMatchesBDD(t *testing.T) {
-	p, e, rels := buildRegionProgram(t)
+	p, rels := buildRegionProgram(t)
 	leqRules, pairRules := regionRules(rels)
+	ref := newRefDB(rels["region"], rels["parent"])
 
 	p.SolveSemiNaive(context.Background(), leqRules, 0)
-	e.SolveSemiNaive(leqRules, 0)
-	p.Solve(context.Background(), pairRules, 0)
-	e.Solve(pairRules, 0)
+	ref.solve(leqRules)
+	p.SolveSemiNaive(context.Background(), pairRules, 0)
+	ref.solve(pairRules)
 
 	for _, name := range []string{"region", "parent", "leq", "regionPair"} {
-		want := rels[name].Tuples()
-		got := e.Tuples(rels[name])
-		if len(want) == 0 && len(got) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: BDD %v, explicit %v", name, want, got)
+		if got, want := rels[name].Tuples(), ref.tuples(rels[name]); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: BDD %v, reference %v", name, got, want)
 		}
 	}
-	if e.Count(rels["leq"]) == 0 || e.Count(rels["regionPair"]) == 0 {
-		t.Fatalf("expected non-trivial solve: leq=%d regionPair=%d",
-			e.Count(rels["leq"]), e.Count(rels["regionPair"]))
+	if !rels["leq"].Has(3, 0) || !rels["regionPair"].Has(3, 4) || rels["regionPair"].Has(3, 0) {
+		t.Errorf("leq(3,0)=%v regionPair(3,4)=%v regionPair(3,0)=%v, want true/true/false",
+			rels["leq"].Has(3, 0), rels["regionPair"].Has(3, 4), rels["regionPair"].Has(3, 0))
 	}
 }
 
-// TestExplicitWitnesses checks the provenance contract: base facts have
-// no witness; derived facts carry the rule that first produced them
-// with ground premises, including absence premises for negated atoms.
-func TestExplicitWitnesses(t *testing.T) {
-	_, e, rels := buildRegionProgram(t)
-	leqRules, pairRules := regionRules(rels)
-	e.SolveSemiNaive(leqRules, 0)
-	e.Solve(pairRules, 0)
-
-	if _, ok := e.WitnessOf(rels["region"], 3); ok {
-		t.Errorf("base fact region(3) should have no witness")
-	}
-	// leq(3,3) fires the reflexivity rule.
-	w, ok := e.WitnessOf(rels["leq"], 3, 3)
-	if !ok {
-		t.Fatalf("no witness for leq(3,3)")
-	}
-	if w.Rule != "leq:-region" {
-		t.Errorf("leq(3,3) rule = %q, want leq:-region", w.Rule)
-	}
-	if len(w.Premises) != 1 || w.Premises[0].String() != "region(3)" {
-		t.Errorf("leq(3,3) premises = %v", w.Premises)
-	}
-	// leq(3,0) needs the transitive rule: 3 -> 1 -> 0.
-	w, ok = e.WitnessOf(rels["leq"], 3, 0)
-	if !ok {
-		t.Fatalf("no witness for leq(3,0)")
-	}
-	if w.Rule != "leq:-leq,parent" {
-		t.Errorf("leq(3,0) rule = %q, want leq:-leq,parent", w.Rule)
-	}
-	wantPrem := []string{"leq(3,1)", "parent(1,0)"}
-	if len(w.Premises) != 2 || w.Premises[0].String() != wantPrem[0] || w.Premises[1].String() != wantPrem[1] {
-		t.Errorf("leq(3,0) premises = %v, want %v", w.Premises, wantPrem)
-	}
-	// regionPair(3,4): siblings, neither related; the witness records
-	// the absence premise !leq(3,4).
-	w, ok = e.WitnessOf(rels["regionPair"], 3, 4)
-	if !ok {
-		t.Fatalf("no witness for regionPair(3,4)")
-	}
-	if w.Rule != "regionPair:-region,region,!leq" {
-		t.Errorf("regionPair(3,4) rule = %q", w.Rule)
-	}
-	if len(w.Premises) != 3 {
-		t.Fatalf("regionPair(3,4) premises = %v", w.Premises)
-	}
-	if got := w.Premises[2]; !got.Neg || got.String() != "!leq(3,4)" {
-		t.Errorf("negated premise = %v, want !leq(3,4)", got)
-	}
-	// Witnesses only exist for facts that hold.
-	if _, ok := e.WitnessOf(rels["regionPair"], 3, 0); ok {
-		t.Errorf("regionPair(3,0) holds?! leq(3,0) should suppress it")
-	}
-	if e.Has(rels["regionPair"], 3, 0) {
-		t.Errorf("regionPair(3,0) present; expected suppressed by leq(3,0)")
-	}
-}
-
-// TestExplicitDeterministic runs the same solve twice and requires the
-// exact same witnesses — the property explanation byte-determinism
-// rests on.
-func TestExplicitDeterministic(t *testing.T) {
-	_, e1, rels1 := buildRegionProgram(t)
-	_, e2, rels2 := buildRegionProgram(t)
-	lr1, pr1 := regionRules(rels1)
-	lr2, pr2 := regionRules(rels2)
-	e1.SolveSemiNaive(lr1, 0)
-	e1.Solve(pr1, 0)
-	e2.SolveSemiNaive(lr2, 0)
-	e2.Solve(pr2, 0)
-	for _, tup := range e1.Tuples(rels1["leq"]) {
-		w1, ok1 := e1.WitnessOf(rels1["leq"], tup...)
-		w2, ok2 := e2.WitnessOf(rels2["leq"], tup...)
-		if ok1 != ok2 {
-			t.Fatalf("leq%v witness presence differs: %v vs %v", tup, ok1, ok2)
-		}
-		if !ok1 {
-			continue
-		}
-		if !reflect.DeepEqual(w1, w2) {
-			t.Errorf("leq%v witness differs: %+v vs %+v", tup, w1, w2)
-		}
-	}
-}
-
-// TestExplicitCutoff pins the shared maxRounds contract: at most
-// maxRounds rounds, fixpoint false exactly when the cap bites, and a
-// capped solve is an under-approximation of the full one.
+// TestExplicitCutoff pins the maxRounds contract against the reference:
+// a one-round semi-naive solve stops at the cap, reports no fixpoint,
+// and is a strict under-approximation of the full closure.
 func TestExplicitCutoff(t *testing.T) {
-	_, e, rels := buildRegionProgram(t)
+	p, rels := buildRegionProgram(t)
 	lr, _ := regionRules(rels)
-	rounds, fix := e.SolveSemiNaive(lr, 1)
+	ref := newRefDB(rels["region"], rels["parent"])
+	if rounds := ref.solve(lr); rounds <= 2 {
+		t.Fatalf("reference closure of a depth-4 tree converged in %d round(s)", rounds)
+	}
+	full := ref.tuples(rels["leq"])
+
+	rounds, fix := p.SolveSemiNaive(context.Background(), lr, 1)
 	if rounds != 1 || fix {
 		t.Errorf("capped solve: rounds=%d fixpoint=%v, want 1,false", rounds, fix)
 	}
-	capped := e.Count(rels["leq"])
-
-	_, e2, rels2 := buildRegionProgram(t)
-	lr2, _ := regionRules(rels2)
-	rounds, fix = e2.SolveSemiNaive(lr2, 0)
-	if !fix {
-		t.Errorf("uncapped solve did not reach fixpoint")
+	capped := rels["leq"].Tuples()
+	if len(capped) >= len(full) {
+		t.Errorf("capped count %d not < full count %d", len(capped), len(full))
 	}
-	if rounds <= 1 {
-		t.Errorf("transitive closure of depth-2 tree converged in %d round(s)", rounds)
-	}
-	if full := e2.Count(rels2["leq"]); capped >= full {
-		t.Errorf("capped count %d not < full count %d", capped, full)
+	for _, tup := range capped {
+		if !ref.has(rels["leq"], tup) {
+			t.Errorf("capped solve derived leq%v, which the full closure lacks", tup)
+		}
 	}
 }
 
 // TestExplicitWildcardAndConst covers Bind constants and wildcard
 // positions, including a wildcard in a negated atom (absence over every
-// value, recorded as WildArg).
+// value): the BDD engine, the reference, and the hand-checked answer
+// agree.
 func TestExplicitWildcardAndConst(t *testing.T) {
 	p := NewProgram()
 	D := p.Domain("D", 8)
 	edge := p.Relation("edge", D.At(0), D.At(1))
 	sink := p.Relation("sink", D.At(0))
 	fromZero := p.Relation("fromZero", D.At(0))
-	e := NewExplicit(p)
 	for _, t2 := range [][2]uint64{{0, 1}, {0, 2}, {1, 3}, {2, 2}} {
 		edge.Add(t2[0], t2[1])
-		e.Add(edge, t2[0], t2[1])
 	}
 	rules := []*Rule{
 		// fromZero(y) :- edge(0, y).
 		NewRule(T(fromZero, "y"), T(edge, Wildcard, "y").Bind(0, 0)),
-		// sink(x) :- edge(_, x), !edge(x, _).
-		NewRule(T(sink, "x"), T(edge, Wildcard, "x"), N(edge, "x", Wildcard)),
+		// sink(x) :- !edge(x, _), edge(_, x). The negated atom comes
+		// first in the body; evaluation must still bind x before it.
+		NewRule(T(sink, "x"), N(edge, "x", Wildcard), T(edge, Wildcard, "x")),
 	}
+	ref := newRefDB(edge)
+	ref.solve(rules)
 	p.Solve(context.Background(), rules, 0)
-	e.Solve(rules, 0)
-	if !reflect.DeepEqual(e.Tuples(fromZero), fromZero.Tuples()) {
-		t.Errorf("fromZero: explicit %v, BDD %v", e.Tuples(fromZero), fromZero.Tuples())
-	}
-	if !reflect.DeepEqual(e.Tuples(sink), sink.Tuples()) {
-		t.Errorf("sink: explicit %v, BDD %v", e.Tuples(sink), sink.Tuples())
-	}
-	w, ok := e.WitnessOf(sink, 3)
-	if !ok {
-		t.Fatalf("no witness for sink(3)")
-	}
-	if len(w.Premises) != 2 || w.Premises[1].String() != "!edge(3,_)" {
-		t.Errorf("sink(3) premises = %v, want [..., !edge(3,_)]", w.Premises)
+	for rel, want := range map[*Relation][][]uint64{fromZero: {{1}, {2}}, sink: {{3}}} {
+		if got := rel.Tuples(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: BDD %v, want %v", rel.Name, got, want)
+		}
+		if got := ref.tuples(rel); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reference %v, want %v", rel.Name, got, want)
+		}
 	}
 }
