@@ -38,11 +38,9 @@
 //	                   keyed off the result cache; an evicted key answers
 //	                   409 with kind "snapshot_gone" — re-run the analysis
 //	                   (the key is content-addressed and comes back
-//	                   identical) and retry. Results without recorded
-//	                   provenance (the bdd backend, or "provenance" unset
-//	                   on the analyze request) are answered by
-//	                   demand-driven replay ("replayed": true) with
-//	                   byte-identical trees.
+//	                   identical) and retry. Trees are read off the
+//	                   cached result's region tree, identical on both
+//	                   backends.
 //	GET  /v1/query     ?key=<analyze response key>&src=<file:line[:col]>
 //	                   &dst=<file:line[:col]>
 //	                   -> {"schema": "regionwiz/query/v1", "key": "...",
@@ -65,7 +63,6 @@
 //	                   regionwizd_query_duration_seconds, plus
 //	                   regionwizd_warnings_total,
 //	                   regionwizd_explain_requests_total,
-//	                   regionwizd_explain_replays_total,
 //	                   regionwizd_query_requests_total,
 //	                   and regionwizd_query_inconsistent_total)
 //	GET  /v1/stats     counters as JSON

@@ -98,8 +98,8 @@ var ruleText = map[string]string{
 }
 
 // regionLeqRules builds stratum 1, the subregion closure. Explanations
-// derive leq from the same rules by walking the ancestor chain
-// (explain.go), recording the first rule in this order that fires.
+// derive leq by walking the ancestor chain instead (explain.go), and
+// name the rule in this order that fires first.
 func regionLeqRules(rr regionRels) []*datalog.Rule {
 	return []*datalog.Rule{
 		datalog.NewRule(datalog.T(rr.leq, "x", "x"), datalog.T(rr.region, "x")),

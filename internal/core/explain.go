@@ -51,9 +51,9 @@ type ExplainNode struct {
 // Explainer answers why-provenance queries against one finished
 // analysis. Trees are read off the collapsed region tree
 // (Regions[].Parent), the ownership table, and the access edges: after
-// collapseParents every non-root region has one parent and no cycle,
-// so leq(x,·) is x's ancestor chain and regionPair(x,y) means y is not
-// on it. No Datalog engine is built. An Explainer is read-only over the
+// collapseParents every non-root region has exactly one parent, so
+// leq(x,·) is x's ancestor chain and regionPair(x,y) means y is not on
+// it. No Datalog engine is built. An Explainer is read-only over the
 // analysis and safe for concurrent Explain calls.
 type Explainer struct {
 	a *Analysis
@@ -114,7 +114,8 @@ func (ex *Explainer) ExplainAll(ctx context.Context) ([]*Explanation, error) {
 // leqChain returns x's ancestor chain x, parent(x), ..., root: exactly
 // the z with leq(x,z) under the closure rules (regionLeqRules), in the
 // order they derive them. The root has no parent fact, so the walk
-// ends there; the repeat guard keeps a corrupted tree finite.
+// ends there; like Leq, it also stops at a repeated region, so a parent
+// cycle cannot make it loop.
 func (a *Analysis) leqChain(x int) []int {
 	chain := []int{x}
 	for z := x; z != RootRegion; {
@@ -217,11 +218,12 @@ func (ex *Explainer) negLeqNode(x, y int) *ExplainNode {
 	}
 }
 
-// leqTree derives leq(x,z) for z = chain[k] on x's ancestor chain,
-// with the witness the closure rules record first: reflexivity for
-// z = x, the parent rule for x's direct parent (it precedes the
-// transitive rule, which would also derive it), and otherwise the
-// transitive rule from leq(x,·) of z's child on the chain.
+// leqTree derives leq(x,z) for z = chain[k] on x's ancestor chain by
+// the rule semi-naive evaluation of regionLeqRules fires first:
+// reflexivity for z = x, the parent rule for x's direct parent (it
+// precedes the transitive rule, which would also derive it), and
+// otherwise the transitive rule from leq(x,c) and parent(c,z), where c
+// is z's child on the chain.
 func (ex *Explainer) leqTree(chain []int, k int) *ExplainNode {
 	x, z := chain[0], chain[k]
 	n := &ExplainNode{Kind: "derived", Fact: fmt.Sprintf("leq(%d,%d)", x, z)}

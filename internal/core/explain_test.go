@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -227,8 +228,9 @@ func TestBrokenEvidenceIsInternalError(t *testing.T) {
 			t.Fatal(err)
 		}
 		var aerr *Error
-		if _, err := ex.Explain(ctx, 1); !errors.As(err, &aerr) || aerr.Kind != ErrInternal {
-			t.Errorf("backend=%d: Explain with related evidence: err = %v, want ErrInternal", backend, err)
+		_, err = ex.Explain(ctx, 1)
+		if !errors.As(err, &aerr) || aerr.Kind != ErrInternal || !strings.Contains(err.Error(), "regionPair") {
+			t.Errorf("backend=%d: Explain with related evidence: err = %v, want an ErrInternal naming regionPair", backend, err)
 		}
 		ps := a.PairSites()[0]
 		for i, p := range a.pairs {
@@ -236,8 +238,9 @@ func TestBrokenEvidenceIsInternalError(t *testing.T) {
 				a.pairs[i].Evidence = related(p)
 			}
 		}
-		if _, err := a.QueryPair(ctx, ps.Src.String(), ps.Dst.String()); !errors.As(err, &aerr) || aerr.Kind != ErrInternal {
-			t.Errorf("backend=%d: QueryPair with related evidence: err = %v, want ErrInternal", backend, err)
+		_, err = a.QueryPair(ctx, ps.Src.String(), ps.Dst.String())
+		if !errors.As(err, &aerr) || aerr.Kind != ErrInternal || !strings.Contains(err.Error(), "regionPair") {
+			t.Errorf("backend=%d: QueryPair with related evidence: err = %v, want an ErrInternal naming regionPair", backend, err)
 		}
 	}
 }

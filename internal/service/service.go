@@ -527,9 +527,9 @@ type QueryResult struct {
 // allocated at src hold pointers into the objects allocated at dst
 // across regions with no subregion order? src and dst are "file:line"
 // or "file:line:col" allocation-site positions. The query runs over
-// the cached Result's analysis state — only the two sites' access
-// edges are checked, no global pair fixpoint — and its verdict agrees
-// with the cached report. If the key has been evicted — or never
+// the cached Result's analysis state — the run's object pairs between
+// the two sites are read off, nothing is re-solved — and its verdict
+// agrees with the cached report. If the key has been evicted — or never
 // completed — Query fails with an ErrSnapshotGone-kind error (HTTP
 // 409) and the client re-runs the analysis first.
 func (s *Service) Query(ctx context.Context, key, src, dst string) (*QueryResult, error) {

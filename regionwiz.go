@@ -151,11 +151,9 @@ const ExplainSchemaV1 = core.ExplainSchemaV1
 
 // Explainer answers why-provenance queries against one finished
 // analysis: build one with Analysis.Explainer, then Explain a 1-based
-// warning id or ExplainAll. Runs that recorded provenance
-// (Options.Provenance on the explicit backend) answer from recorded
-// witnesses; every other run — BDD backend, provenance off — is
-// answered by demand-driven replay on the explicit engine, with
-// byte-identical explanations.
+// warning id or ExplainAll. Trees are read off the run's region tree,
+// ownership and access edges (no solver runs), and are byte-identical
+// on both backends.
 type Explainer = core.Explainer
 
 // Explanation is one warning's derivation tree, from the reported
