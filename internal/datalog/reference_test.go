@@ -56,10 +56,10 @@ func (db refDB) tuples(rel *Relation) [][]uint64 {
 	return out
 }
 
-// match binds atom t against tuple row under env, returning the
+// matchRow binds atom t against tuple row under env, returning the
 // extended environment or false. Wildcards match anything; Bind
 // constants must equal the row's value.
-func (t Term) match(row []uint64, env map[string]uint64) (map[string]uint64, bool) {
+func matchRow(t Term, row []uint64, env map[string]uint64) (map[string]uint64, bool) {
 	next := make(map[string]uint64, len(env)+len(t.Vars))
 	for k, v := range env {
 		next[k] = v
@@ -115,7 +115,7 @@ func (db refDB) solve(rules []*Rule) int {
 				}
 				t := body[k]
 				for _, row := range db[t.Rel] {
-					next, ok := t.match(row, env)
+					next, ok := matchRow(t, row, env)
 					switch {
 					case ok && t.Neg:
 						return
