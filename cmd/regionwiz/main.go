@@ -47,8 +47,6 @@
 //	                   -watch.
 //	-refine            enable the def-use (Figure 5(b)) refinement
 //	-jobs N            analyze N file sets concurrently (default GOMAXPROCS)
-//	-bdd-node-size N   initial BDD node-table capacity for -backend bdd
-//	-bdd-cache-ratio N BDD node-table slots per op-cache slot
 //	-timeout D         abort the whole run after D (e.g. 30s, 5m)
 //	-watch             poll the arguments and re-analyze on change,
 //	                   printing only the warning diff; unchanged files
@@ -102,8 +100,6 @@ func run() int {
 	querySel := flag.String("query", "", "pair query \"src,dst\" (allocation sites as file:line or file:line:col), answered from the full analysis instead of printing the report")
 	refine := flag.Bool("refine", false, "enable the def-use (Figure 5(b)) refinement")
 	jobs := flag.Int("jobs", 0, "number of file sets analyzed concurrently (0 = GOMAXPROCS)")
-	bddNodeSize := flag.Int("bdd-node-size", 0, "initial BDD node-table capacity for -backend bdd (0 = kernel default)")
-	bddCacheRatio := flag.Int("bdd-cache-ratio", 0, "BDD node-table slots per op-cache slot (0 = kernel default)")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
 	phaseStats := flag.Bool("phase-stats", false, "print the per-phase pipeline cost table")
 	watch := flag.Bool("watch", false, "re-analyze on file change, printing only the warning diff")
@@ -139,8 +135,6 @@ func run() int {
 			explainWarning = n
 		}
 	}
-	opts.Solver.BDD.NodeSize = *bddNodeSize
-	opts.Solver.BDD.CacheRatio = *bddCacheRatio
 	if *entries != "" {
 		opts.Entries = strings.Split(*entries, ",")
 	}
@@ -381,19 +375,7 @@ func fileSets(args []string) ([]fileSet, error) {
 // jsonOut the trees are emitted as the versioned explanation document
 // (schema "regionwiz/explain/v1") after the report JSON.
 func printExplanations(ctx context.Context, a *regionwiz.Analysis, warning int, jsonOut bool) error {
-	ex, err := a.Explainer(ctx)
-	if err != nil {
-		return err
-	}
-	var exps []*regionwiz.Explanation
-	if warning == 0 {
-		exps, err = ex.ExplainAll(ctx)
-	} else {
-		var e *regionwiz.Explanation
-		if e, err = ex.Explain(ctx, warning); err == nil {
-			exps = []*regionwiz.Explanation{e}
-		}
-	}
+	exps, err := a.Explain(ctx, warning)
 	if err != nil {
 		return err
 	}

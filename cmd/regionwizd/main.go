@@ -83,10 +83,6 @@
 //	-snapshot-entries N   front-end snapshot store size for delta requests
 //	                      (default 16; -1 disables delta analysis)
 //	-request-timeout D    per-request deadline, queue wait included (default 2m)
-//	-bdd-node-size N      initial BDD node-table capacity for bdd-backend
-//	                      runs (0 = kernel default, 8192)
-//	-bdd-cache-ratio N    BDD node-table slots per op-cache slot
-//	                      (0 = kernel default, 1)
 //	-pprof-addr host:port serve net/http/pprof on a SEPARATE listener
 //	                      (off by default; keep it on localhost — the
 //	                      profiling endpoints are not authenticated)
@@ -109,7 +105,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bdd"
 	"repro/internal/service"
 )
 
@@ -122,8 +117,6 @@ func run() int {
 	cacheEntries := flag.Int("cache-entries", 128, "LRU result cache size (-1 disables caching)")
 	snapshotEntries := flag.Int("snapshot-entries", 0, "front-end snapshot store size for delta requests (0 = default 16, -1 disables)")
 	requestTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request deadline including queue wait (0 = none)")
-	bddNodeSize := flag.Int("bdd-node-size", 0, "initial BDD node-table capacity for bdd-backend runs (0 = kernel default)")
-	bddCacheRatio := flag.Int("bdd-cache-ratio", 0, "BDD node-table slots per op-cache slot (0 = kernel default)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
 	flag.Parse()
@@ -142,10 +135,6 @@ func run() int {
 		CacheEntries:    *cacheEntries,
 		SnapshotEntries: *snapshotEntries,
 		RequestTimeout:  *requestTimeout,
-		BDD: bdd.Config{
-			NodeSize:   *bddNodeSize,
-			CacheRatio: *bddCacheRatio,
-		},
 	})
 	server := &http.Server{
 		Addr:              *addr,

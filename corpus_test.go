@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/workloads"
 )
@@ -61,10 +60,8 @@ func TestCorpusRegression(t *testing.T) {
 }
 
 // TestCorpusBothBackendsAgree runs every executable of every package
-// through the explicit backend, the BDD backend at default sizing, and
-// the BDD backend on its minimum node table (which doubles and rehashes
-// constantly). All three must produce byte-identical canonical report
-// JSON (Time and Phases zeroed: they hold wall times and
+// through the explicit and the BDD backend. Both must produce
+// byte-identical canonical report JSON (Time and Phases zeroed: they hold wall times and
 // backend-specific counters). On top of the reports it gates the two
 // answer surfaces read from a finished analysis:
 //
@@ -81,13 +78,9 @@ func TestCorpusBothBackendsAgree(t *testing.T) {
 	configs := []struct {
 		name string
 		opts core.Options
-		// answer: the run's explanation document joins the cross-path
-		// comparison, and the run answers the pair-query gate.
-		answer bool
 	}{
-		{"explicit", core.Options{Solver: core.SolverOptions{Backend: core.ExplicitBackend}}, true},
-		{"bdd", core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend}}, true},
-		{"bdd-mintable", core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend, BDD: bdd.Config{NodeSize: 1}}}, false},
+		{"explicit", core.Options{Solver: core.SolverOptions{Backend: core.ExplicitBackend}}},
+		{"bdd", core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend}}},
 	}
 	ctx := context.Background()
 	// Corpus-wide totals, so the explain and query gates cannot pass
@@ -111,18 +104,16 @@ func TestCorpusBothBackendsAgree(t *testing.T) {
 						t.Errorf("%s: report diverged from explicit\nexplicit: %s\n%s: %s",
 							label, baseReport, cfg.name, report)
 					}
-					if cfg.answer {
-						doc := explainAll(ctx, t, label, a)
-						explained += len(a.Report.Warnings)
-						if baseExplain == nil {
-							baseExplain = doc
-						} else if !bytes.Equal(doc, baseExplain) {
-							t.Errorf("%s: explanation document diverged from explicit", label)
-						}
-						p, n := checkPairQueries(ctx, t, label, a)
-						positive += p
-						negative += n
+					doc := explainAll(ctx, t, label, a)
+					explained += len(a.Report.Warnings)
+					if baseExplain == nil {
+						baseExplain = doc
+					} else if !bytes.Equal(doc, baseExplain) {
+						t.Errorf("%s: explanation document diverged from explicit", label)
 					}
+					p, n := checkPairQueries(ctx, t, label, a)
+					positive += p
+					negative += n
 				}
 			}
 		}
@@ -131,6 +122,50 @@ func TestCorpusBothBackendsAgree(t *testing.T) {
 		t.Errorf("gates ran vacuously: %d warnings explained, %d positive and %d negative queries",
 			explained, positive, negative)
 	}
+}
+
+// TestPaperScaleTableGrowth pins that node-table growth does not change
+// reports. The small corpus fits the BDD kernel's default 8192-node
+// table, so it never grows there; paper-scale freeswitch outgrows it
+// (≈15k nodes at seeds 1 and 2008). The BDD report must equal the
+// explicit backend's byte for byte.
+func TestPaperScaleTableGrowth(t *testing.T) {
+	var spec workloads.Spec
+	for _, s := range workloads.PaperCorpus() {
+		if s.Name == "freeswitch" {
+			spec = s
+		}
+	}
+	for _, seed := range []int64{1, 2008} {
+		pkg := workloads.Generate(spec, seed)
+		exe := pkg.Exes[0]
+		exp, err := core.AnalyzeSource(core.Options{}, pkg.SourcesFor(exe))
+		if err != nil {
+			t.Fatalf("seed %d %s explicit: %v", seed, exe.Name, err)
+		}
+		bdd, err := core.AnalyzeSource(core.Options{Solver: core.SolverOptions{Backend: core.BDDBackend}}, pkg.SourcesFor(exe))
+		if err != nil {
+			t.Fatalf("seed %d %s bdd: %v", seed, exe.Name, err)
+		}
+		if grows := pairsOutput(t, bdd.Report, "bdd_table_grows"); grows < 1 {
+			t.Errorf("seed %d %s: bdd_table_grows = %d, want >= 1 (growth not exercised)", seed, exe.Name, grows)
+		}
+		if want, got := canonicalReport(t, exp.Report), canonicalReport(t, bdd.Report); !bytes.Equal(got, want) {
+			t.Errorf("seed %d %s: BDD report diverged from explicit\nexplicit: %s\nbdd: %s", seed, exe.Name, want, got)
+		}
+	}
+}
+
+// pairsOutput reads one output counter of the report's pairs phase.
+func pairsOutput(t *testing.T, r *core.Report, key string) int64 {
+	t.Helper()
+	for _, p := range r.Stats.Phases {
+		if p.Name == core.PhasePairs {
+			return p.Outputs[key]
+		}
+	}
+	t.Fatal("report has no pairs phase")
+	return 0
 }
 
 // canonicalReport is the report's JSON with the volatile stats (wall
@@ -150,11 +185,7 @@ func canonicalReport(t *testing.T, r *core.Report) []byte {
 // and returns the explanation document.
 func explainAll(ctx context.Context, t *testing.T, label string, a *core.Analysis) []byte {
 	t.Helper()
-	ex, err := a.Explainer(ctx)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	exps, err := ex.ExplainAll(ctx)
+	exps, err := a.Explain(ctx, 0)
 	if err != nil {
 		t.Fatalf("%s: explain: %v", label, err)
 	}

@@ -6,9 +6,11 @@
 // (Section 5.2), and since the kernel rewrite it follows BuDDy's
 // hot-path design: nodes are hash-consed in a flat array with an
 // intrusive chained hash (table.go), all operations are memoized in
-// fixed-size lossy caches (cache.go), and both structures are sized by
-// a Config (config.go) so daemon operators can tune the kernel to the
-// corpus. Structural equality of BDDs is index equality.
+// fixed-size lossy caches (cache.go). Both are sized once, in this
+// package, for every caller (see initialNodes). Structural equality of
+// BDDs is index equality. The kernel has no garbage collection and no
+// variable reordering: nodes live as long as their Manager, and a
+// variable's level is its index.
 //
 // The package is deliberately stdlib-only and single-threaded; a
 // Manager must not be shared between goroutines without external
@@ -47,11 +49,9 @@ const (
 )
 
 // Manager owns a node table and the operation caches. Create one with
-// New or NewWith, allocate variables with AddVar or domains with
-// NewDomain, and build functions with Var, Not, And, Or, etc.
+// New, allocate variables with AddVar or domains with NewDomain, and
+// build functions with Var, Not, And, Or, etc.
 type Manager struct {
-	cfg Config
-
 	// The node table (see table.go): nodes[0:free] are live, mask is
 	// len(nodes)-1 for bucket indexing.
 	nodes []node
@@ -94,18 +94,24 @@ type Manager struct {
 	OnEvent func(kind string, nodes, capacity int)
 }
 
-// New returns a Manager with default sizing and no variables.
-// Variables are added with AddVar/AddVars or implicitly through
-// NewDomain.
-func New() *Manager { return NewWith(Config{}) }
+// The kernel's sizing, the same for every Manager: an 8192-node table
+// that doubles when full, and 8192-slot operation caches that never
+// grow. Like the paper's prototype, which sizes BuDDy once for its
+// corpus (Section 5.2), the kernel is not tuned per caller; sizing
+// moves time and memory, never results. Both sizes are powers of two.
+const (
+	initialNodes = 1 << 13
+	cacheSlots   = 1 << 13
+)
 
-// NewWith returns a Manager sized by the config (see Config for the
-// knobs; the zero value selects defaults).
-func NewWith(cfg Config) *Manager {
-	cfg = cfg.normalized()
-	slots := cfg.cacheSlots()
+// New returns a Manager with no variables. Variables are added with
+// AddVar/AddVars or implicitly through NewDomain.
+func New() *Manager { return newSized(initialNodes, cacheSlots) }
+
+// newSized returns a Manager with the given initial node-table
+// capacity and per-cache slot count, both powers of two.
+func newSized(nodes, slots int) *Manager {
 	m := &Manager{
-		cfg:          cfg,
 		applyCache:   newBinCache(slots),
 		notCache:     newTripleCache(slots),
 		iteCache:     newTripleCache(slots),
@@ -114,7 +120,7 @@ func NewWith(cfg Config) *Manager {
 		replaceCache: newTripleCache(slots),
 		satRecCache:  newSatCache(slots),
 	}
-	m.initTable(cfg.NodeSize)
+	m.initTable(nodes)
 	return m
 }
 

@@ -167,9 +167,8 @@ func TestDifferentialRandomOps(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		// Deliberately undersized: growth and cache collisions on every
-		// run (normalized floors still apply, but the defaults are far
-		// larger).
-		m := NewWith(Config{NodeSize: 1, CacheRatio: 1 << 20})
+		// run.
+		m := newSized(1<<10, 1<<8)
 		m.AddVars(numVars)
 		ref := newRef(numVars)
 
@@ -261,13 +260,13 @@ func TestDifferentialRandomOps(t *testing.T) {
 }
 
 // TestTableGrowthPreservesResults builds a function too large for the
-// minimum table, forcing geometric growth mid-construction, and checks
+// 1024-node table, forcing geometric growth mid-construction, and checks
 // the result against the reference. Node handles must stay valid across
 // growth (indices are stable; only buckets rehash).
 func TestTableGrowthPreservesResults(t *testing.T) {
 	const numVars = 16
 	rng := rand.New(rand.NewSource(7))
-	m := NewWith(Config{NodeSize: 1}) // floors to the 1024 minimum
+	m := newSized(1<<10, 1<<10)
 	m.AddVars(numVars)
 	ref := newRef(numVars)
 
@@ -287,7 +286,7 @@ func TestTableGrowthPreservesResults(t *testing.T) {
 		rf = ref.or(rf, rcube)
 	}
 	if st := m.Stats(); st.Grows == 0 {
-		t.Fatalf("expected table growth past the 1024-node floor (stats %+v)", st)
+		t.Fatalf("expected table growth past 1024 nodes (stats %+v)", st)
 	}
 	if !equalStructure(t, m, f, ref, rf) {
 		t.Fatal("kernel and reference diverged after table growth")

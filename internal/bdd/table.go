@@ -34,7 +34,7 @@ func hash3(level int32, low, high Node) uint32 {
 	return h
 }
 
-// initTable installs the terminals in a fresh table of the configured
+// initTable installs the terminals in a fresh table of the given
 // capacity.
 func (m *Manager) initTable(capacity int) {
 	m.nodes = make([]node, capacity)

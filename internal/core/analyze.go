@@ -75,7 +75,7 @@ type Options struct {
 	// non-region objects.
 	ExtraAllocFns []string
 	// Solver groups how the analysis is solved: fixpoint budget,
-	// points-to cap, backend, and BDD sizing. See SolverOptions.
+	// points-to cap, and backend. See SolverOptions.
 	Solver SolverOptions
 }
 
@@ -237,7 +237,6 @@ func (a *Analysis) pointerConfig() pointer.Config {
 		EntryParams:  len(a.Opts.Entries) > 0,
 		MaxRounds:    a.Opts.Solver.MaxRounds,
 		PtsLimit:     a.Opts.Solver.PtsLimit,
-		BDD:          a.Opts.Solver.BDD,
 	}
 	for _, fn := range a.Opts.ExtraAllocFns {
 		cfg.AllocFns[fn] = true

@@ -37,7 +37,7 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 		}
 	}
 
-	p := datalog.NewProgramConfig(a.Opts.Solver.BDD)
+	p := datalog.NewProgram()
 	if sp := trace.SpanFromContext(ctx); sp != nil {
 		p.M.OnEvent = func(kind string, nodes, capacity int) {
 			sp.Event("bdd_"+kind, trace.Int("nodes", nodes), trace.Int("capacity", capacity))

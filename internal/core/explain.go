@@ -48,30 +48,38 @@ type ExplainNode struct {
 	Children []*ExplainNode `json:"children,omitempty"`
 }
 
-// Explainer answers why-provenance queries against one finished
-// analysis. Trees are read off the collapsed region tree
-// (Regions[].Parent), the ownership table, and the access edges: after
-// collapseParents every non-root region has exactly one parent, so
-// leq(x,·) is x's ancestor chain and regionPair(x,y) means y is not on
-// it. No Datalog engine is built. An Explainer is read-only over the
-// analysis and safe for concurrent Explain calls.
-type Explainer struct {
-	a *Analysis
-}
-
-// Explainer returns the explanation engine for this run's report.
-// Building one does no work, so the context is unused; it stays in the
-// signature so existing callers keep compiling.
-func (a *Analysis) Explainer(context.Context) (*Explainer, error) {
+// Explain returns the why-provenance of the run's warnings: warning
+// is a 1-based report index, or 0 for every warning in report order.
+// Trees are read off the collapsed region tree (Regions[].Parent), the
+// ownership table, and the access edges: after collapseParents every
+// non-root region has exactly one parent, so leq(x,·) is x's ancestor
+// chain and regionPair(x,y) means y is not on it. No Datalog engine is
+// built. Explain is read-only over the analysis and safe for
+// concurrent calls.
+func (a *Analysis) Explain(ctx context.Context, warning int) ([]*Explanation, error) {
 	if a.Report == nil {
 		return nil, Errf(ErrInternal, "", "explain: analysis has no report")
 	}
-	return &Explainer{a: a}, nil
+	if warning != 0 {
+		e, err := a.explainOne(ctx, warning)
+		if err != nil {
+			return nil, err
+		}
+		return []*Explanation{e}, nil
+	}
+	out := make([]*Explanation, 0, len(a.Report.Warnings))
+	for i := 1; i <= len(a.Report.Warnings); i++ {
+		e, err := a.explainOne(ctx, i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
 }
 
-// Explain explains one warning by its 1-based report index.
-func (ex *Explainer) Explain(ctx context.Context, warning int) (*Explanation, error) {
-	a := ex.a
+// explainOne explains one warning by its 1-based report index.
+func (a *Analysis) explainOne(ctx context.Context, warning int) (*Explanation, error) {
 	if warning < 1 || warning > len(a.Report.Warnings) {
 		return nil, Errf(ErrConfig, "", "explain: warning %d out of range (report has %d)",
 			warning, len(a.Report.Warnings))
@@ -85,7 +93,7 @@ func (ex *Explainer) Explain(ctx context.Context, warning int) (*Explanation, er
 		}
 		return nil, err
 	}
-	tree := ex.buildTree(pair, w.IPair.Off)
+	tree := a.buildTree(pair, w.IPair.Off)
 	if sp != nil {
 		sp.End(trace.Int("warning", warning), trace.Bool("verified", true))
 	}
@@ -96,19 +104,6 @@ func (ex *Explainer) Explain(ctx context.Context, warning int) (*Explanation, er
 		Message: w.Message,
 		Tree:    tree,
 	}, nil
-}
-
-// ExplainAll explains every warning in report order.
-func (ex *Explainer) ExplainAll(ctx context.Context) ([]*Explanation, error) {
-	out := make([]*Explanation, 0, len(ex.a.Report.Warnings))
-	for i := 1; i <= len(ex.a.Report.Warnings); i++ {
-		e, err := ex.Explain(ctx, i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }
 
 // leqChain returns x's ancestor chain x, parent(x), ..., root: exactly
@@ -155,8 +150,7 @@ func (a *Analysis) verifyPair(p ObjectPair) error {
 // objectPair node is instantiated at the report's evidence region pair
 // (the pair checkEdge ranked the warning on), so the tree explains the
 // exact warning text the user saw.
-func (ex *Explainer) buildTree(p ObjectPair, off int64) *ExplainNode {
-	a := ex.a
+func (a *Analysis) buildTree(p ObjectPair, off int64) *ExplainNode {
 	x, y := p.Evidence[0], p.Evidence[1]
 	root := &ExplainNode{
 		Kind: "derived",
@@ -166,18 +160,17 @@ func (ex *Explainer) buildTree(p ObjectPair, off int64) *ExplainNode {
 			a.objPos(p.Src), a.objPos(p.Dst)),
 	}
 	root.Children = []*ExplainNode{
-		ex.regionPairNode(x, y),
-		ex.ownNode(x, p.Src),
-		ex.ownNode(y, p.Dst),
-		ex.accessNode(p.Src, off, p.Dst),
+		a.regionPairNode(x, y),
+		a.ownNode(x, p.Src),
+		a.ownNode(y, p.Dst),
+		a.accessNode(p.Src, off, p.Dst),
 	}
 	return root
 }
 
 // regionPairNode explains regionPair(x,y): both are regions and x has
 // no subregion order with y.
-func (ex *Explainer) regionPairNode(x, y int) *ExplainNode {
-	a := ex.a
+func (a *Analysis) regionPairNode(x, y int) *ExplainNode {
 	n := &ExplainNode{
 		Kind: "derived",
 		Fact: fmt.Sprintf("regionPair(%d,%d)", x, y),
@@ -185,9 +178,9 @@ func (ex *Explainer) regionPairNode(x, y int) *ExplainNode {
 		Note: fmt.Sprintf("%s has no subregion order with %s", a.regionDesc(x), a.regionDesc(y)),
 	}
 	n.Children = []*ExplainNode{
-		ex.regionBase(x),
-		ex.regionBase(y),
-		ex.negLeqNode(x, y),
+		a.regionBase(x),
+		a.regionBase(y),
+		a.negLeqNode(x, y),
 	}
 	return n
 }
@@ -195,8 +188,7 @@ func (ex *Explainer) regionPairNode(x, y int) *ExplainNode {
 // negLeqNode justifies !leq(x,y): the children derive x's complete
 // ancestor set (every leq(x,z) that does hold, value-sorted), showing
 // y is not among them.
-func (ex *Explainer) negLeqNode(x, y int) *ExplainNode {
-	a := ex.a
+func (a *Analysis) negLeqNode(x, y int) *ExplainNode {
 	chain := a.leqChain(x)
 	byValue := make([]int, len(chain)) // chain indices, ordered by region
 	for k := range byValue {
@@ -207,7 +199,7 @@ func (ex *Explainer) negLeqNode(x, y int) *ExplainNode {
 	children := make([]*ExplainNode, len(chain))
 	for i, k := range byValue {
 		descs[i] = a.regionDesc(chain[k])
-		children[i] = ex.leqTree(chain, k)
+		children[i] = a.leqTree(chain, k)
 	}
 	return &ExplainNode{
 		Kind: "negated",
@@ -224,27 +216,26 @@ func (ex *Explainer) negLeqNode(x, y int) *ExplainNode {
 // precedes the transitive rule, which would also derive it), and
 // otherwise the transitive rule from leq(x,c) and parent(c,z), where c
 // is z's child on the chain.
-func (ex *Explainer) leqTree(chain []int, k int) *ExplainNode {
+func (a *Analysis) leqTree(chain []int, k int) *ExplainNode {
 	x, z := chain[0], chain[k]
 	n := &ExplainNode{Kind: "derived", Fact: fmt.Sprintf("leq(%d,%d)", x, z)}
 	switch k {
 	case 0:
 		n.Rule = ruleText["leq:-region"]
-		n.Children = []*ExplainNode{ex.regionBase(x)}
+		n.Children = []*ExplainNode{a.regionBase(x)}
 	case 1:
 		n.Rule = ruleText["leq:-parent"]
-		n.Children = []*ExplainNode{ex.parentBase(x, z)}
+		n.Children = []*ExplainNode{a.parentBase(x, z)}
 	default:
 		n.Rule = ruleText["leq:-leq,parent"]
-		n.Children = []*ExplainNode{ex.leqTree(chain, k-1), ex.parentBase(chain[k-1], z)}
+		n.Children = []*ExplainNode{a.leqTree(chain, k-1), a.parentBase(chain[k-1], z)}
 	}
 	return n
 }
 
 // regionBase is the region(x) leaf: the fact that x is a region, at
 // its creation site.
-func (ex *Explainer) regionBase(x int) *ExplainNode {
-	a := ex.a
+func (a *Analysis) regionBase(x int) *ExplainNode {
 	return &ExplainNode{
 		Kind: "base",
 		Fact: fmt.Sprintf("region(%d)", x),
@@ -255,8 +246,7 @@ func (ex *Explainer) regionBase(x int) *ExplainNode {
 
 // parentBase is the parent(c,p) leaf: the collapsed parent edge, at
 // the child's creation site (where the parent argument was passed).
-func (ex *Explainer) parentBase(c, p int) *ExplainNode {
-	a := ex.a
+func (a *Analysis) parentBase(c, p int) *ExplainNode {
 	return &ExplainNode{
 		Kind: "base",
 		Fact: fmt.Sprintf("parent(%d,%d)", c, p),
@@ -268,8 +258,7 @@ func (ex *Explainer) parentBase(c, p int) *ExplainNode {
 // ownNode is the own(r,obj) leaf: region r owns obj, at the object's
 // allocation site. A region owning itself is the φ⁼ reflexive
 // extension rather than an allocation.
-func (ex *Explainer) ownNode(r, obj int) *ExplainNode {
-	a := ex.a
+func (a *Analysis) ownNode(r, obj int) *ExplainNode {
 	note := fmt.Sprintf("%s owns the object allocated at %s", a.regionDesc(r), a.objPos(obj))
 	if ri, ok := a.regionOf[obj]; ok && ri == r {
 		note = fmt.Sprintf("%s owns itself as an object (φ⁼)", a.regionDesc(r))
@@ -289,8 +278,7 @@ func (ex *Explainer) ownNode(r, obj int) *ExplainNode {
 // pointer layer's deterministic post-solve witness scan; the source
 // allocation site is the fallback when the edge came from
 // address-taken variable syncing).
-func (ex *Explainer) accessNode(src int, off int64, dst int) *ExplainNode {
-	a := ex.a
+func (a *Analysis) accessNode(src int, off int64, dst int) *ExplainNode {
 	pos := a.objPos(src)
 	note := fmt.Sprintf("a field of %s (offset %d) may point at %s", a.objPos(src), off, a.objPos(dst))
 	for _, l := range a.Ptr.HeapAt(src, off) {

@@ -42,11 +42,7 @@ func TestExplainGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		ex, err := a.Explainer(ctx)
-		if err != nil {
-			t.Fatalf("%s: %v", p.name, err)
-		}
-		exps, err := ex.ExplainAll(ctx)
+		exps, err := a.Explain(ctx, 0)
 		if err != nil {
 			t.Fatalf("%s: explain: %v", p.name, err)
 		}

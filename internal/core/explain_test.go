@@ -63,11 +63,7 @@ func checkTreeShape(t *testing.T, n *ExplainNode) {
 
 func TestExplainRecordedTree(t *testing.T) {
 	a := runOpts(t, Options{}, explainSource)
-	ex, err := a.Explainer(context.Background())
-	if err != nil {
-		t.Fatalf("explainer: %v", err)
-	}
-	exps, err := ex.ExplainAll(context.Background())
+	exps, err := a.Explain(context.Background(), 0)
 	if err != nil {
 		t.Fatalf("explain all: %v", err)
 	}
@@ -89,12 +85,17 @@ func TestExplainRecordedTree(t *testing.T) {
 			t.Errorf("human rendering missing objectPair root:\n%s", got)
 		}
 	}
-	// Out-of-range ids are config errors, not panics.
-	if _, err := ex.Explain(context.Background(), 0); err == nil {
-		t.Errorf("Explain(0) succeeded")
+	// One id explains that warning alone.
+	one, err := a.Explain(context.Background(), 1)
+	if err != nil || len(one) != 1 || one[0].Warning != 1 {
+		t.Errorf("Explain(1) = %d explanations, err %v; want warning 1 alone", len(one), err)
 	}
-	if _, err := ex.Explain(context.Background(), len(a.Report.Warnings)+1); err == nil {
-		t.Errorf("Explain(out of range) succeeded")
+	// Out-of-range ids are config errors, not panics.
+	for _, w := range []int{-1, len(a.Report.Warnings) + 1} {
+		var aerr *Error
+		if _, err := a.Explain(context.Background(), w); !errors.As(err, &aerr) || aerr.Kind != ErrConfig {
+			t.Errorf("Explain(%d): err = %v, want a config error", w, err)
+		}
 	}
 }
 
@@ -106,19 +107,11 @@ func TestExplainBackendParity(t *testing.T) {
 		t.Run(fmt.Sprintf("src%d", i), func(t *testing.T) {
 			exp := runOpts(t, Options{}, src)
 			bdd := runOpts(t, Options{Solver: SolverOptions{Backend: BDDBackend}}, src)
-			exExp, err := exp.Explainer(context.Background())
-			if err != nil {
-				t.Fatalf("explicit explainer: %v", err)
-			}
-			exBDD, err := bdd.Explainer(context.Background())
-			if err != nil {
-				t.Fatalf("bdd explainer: %v", err)
-			}
-			a, err := exExp.ExplainAll(context.Background())
+			a, err := exp.Explain(context.Background(), 0)
 			if err != nil {
 				t.Fatalf("explicit explain: %v", err)
 			}
-			b, err := exBDD.ExplainAll(context.Background())
+			b, err := bdd.Explain(context.Background(), 0)
 			if err != nil {
 				t.Fatalf("bdd explain: %v", err)
 			}
@@ -131,18 +124,14 @@ func TestExplainBackendParity(t *testing.T) {
 	}
 }
 
-// TestExplainWorkerDeterminism requires concurrent Explain calls on a
-// shared Explainer to produce the same explanation bytes as one
-// sequential ExplainAll pass, on both backends (run under -race in
-// CI).
+// TestExplainWorkerDeterminism requires concurrent one-warning Explain
+// calls on a shared analysis to produce the same explanation bytes as
+// one sequential all-warnings pass, on both backends (run under -race
+// in CI).
 func TestExplainWorkerDeterminism(t *testing.T) {
 	for _, backend := range []Backend{ExplicitBackend, BDDBackend} {
 		a := runOpts(t, Options{Solver: SolverOptions{Backend: backend}}, explainSource)
-		ex, err := a.Explainer(context.Background())
-		if err != nil {
-			t.Fatalf("backend=%d: %v", backend, err)
-		}
-		all, err := ex.ExplainAll(context.Background())
+		all, err := a.Explain(context.Background(), 0)
 		if err != nil {
 			t.Fatalf("backend=%d: %v", backend, err)
 		}
@@ -154,17 +143,17 @@ func TestExplainWorkerDeterminism(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				e, err := ex.Explain(context.Background(), i+1)
+				e, err := a.Explain(context.Background(), i+1)
 				if err != nil {
 					t.Errorf("concurrent explain %d: %v", i+1, err)
 					return
 				}
-				results[i] = e
+				results[i] = e[0]
 			}(i)
 		}
 		wg.Wait()
 		if got, _ := MarshalExplanations(results); !bytes.Equal(got, want) {
-			t.Errorf("backend=%d: concurrent explanation bytes differ from ExplainAll", backend)
+			t.Errorf("backend=%d: concurrent explanation bytes differ from the all-warnings pass", backend)
 		}
 	}
 }
@@ -188,11 +177,7 @@ func TestReportUnchangedByProvenance(t *testing.T) {
 	for _, backend := range []Backend{ExplicitBackend, BDDBackend} {
 		a := runOpts(t, Options{Solver: SolverOptions{Backend: backend}}, explainSource)
 		before := canonical(a)
-		ex, err := a.Explainer(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ex.ExplainAll(ctx); err != nil {
+		if _, err := a.Explain(ctx, 0); err != nil {
 			t.Fatalf("backend=%d: %v", backend, err)
 		}
 		for _, ps := range a.PairSites() {
@@ -223,12 +208,8 @@ func TestBrokenEvidenceIsInternalError(t *testing.T) {
 		}
 		w := &a.Report.Warnings[0]
 		w.IPair.Example.Evidence = related(w.IPair.Example)
-		ex, err := a.Explainer(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var aerr *Error
-		_, err = ex.Explain(ctx, 1)
+		_, err := a.Explain(ctx, 1)
 		if !errors.As(err, &aerr) || aerr.Kind != ErrInternal || !strings.Contains(err.Error(), "regionPair") {
 			t.Errorf("backend=%d: Explain with related evidence: err = %v, want an ErrInternal naming regionPair", backend, err)
 		}

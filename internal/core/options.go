@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/bdd"
 )
 
 // SolverOptions groups every knob that controls *how* an analysis is
 // solved, as opposed to *what* it computes: fixpoint budget,
-// points-to cap, pair-computation backend, and BDD kernel sizing. It
-// lives at Options.Solver.
+// points-to cap, and pair-computation backend. It lives at
+// Options.Solver.
 type SolverOptions struct {
 	// MaxRounds bounds the pointer fixpoint's iteration count
 	// (0 = unlimited). A cutoff changes results, so a nonzero value is
@@ -30,11 +28,6 @@ type SolverOptions struct {
 	PtsLimit int
 	// Backend selects the pair-computation engine.
 	Backend Backend
-	// BDD sizes the BDD kernel's node table and operation caches when
-	// the BDD backend runs (the zero value selects kernel defaults).
-	// Sizing changes time and memory, never results, so it is excluded
-	// from Fingerprint.
-	BDD bdd.Config
 }
 
 // Validate checks the invariants an Options value must satisfy before
@@ -55,9 +48,6 @@ func (o Options) Validate() error {
 	}
 	if o.Solver.PtsLimit < 0 {
 		return Errf(ErrConfig, "", "options: negative Solver.PtsLimit %d", o.Solver.PtsLimit)
-	}
-	if o.Solver.BDD.NodeSize > bdd.MaxNodeSize {
-		return Errf(ErrConfig, "", "options: Solver.BDD.NodeSize %d exceeds %d", o.Solver.BDD.NodeSize, bdd.MaxNodeSize)
 	}
 	switch o.ContextPolicy {
 	case "", PolicyClone, PolicyOrigin:
@@ -146,9 +136,8 @@ func sortedUnique(in []string) []string {
 // Fingerprint returns a stable hex digest of the normalized options —
 // every field that can change an analysis result (entry roots, API
 // specs, context configuration, backend, refinements, extern models).
-// BDD is excluded: kernel sizing changes time and memory, never
-// results. Together with per-file source digests this keys the
-// analysis service's result cache.
+// Together with per-file source digests this keys the analysis
+// service's result cache.
 func (o Options) Fingerprint() string {
 	o = o.Normalize()
 	h := sha256.New()
@@ -162,8 +151,7 @@ func (o Options) Fingerprint() string {
 		o.ContextCap, *o.HeapCloning, o.Solver.Backend, o.KCFA, o.DefUseRefinement)
 	fmt.Fprintf(h, "extra_alloc=%q\n", o.ExtraAllocFns)
 	// A fixpoint cutoff changes results; 0 (unlimited, the default) is
-	// not written so pre-SolverOptions digests stay valid. BDD sizing
-	// is deliberately absent — it cannot change results.
+	// not written so pre-SolverOptions digests stay valid.
 	if o.Solver.MaxRounds != 0 {
 		fmt.Fprintf(h, "max_rounds=%d\n", o.Solver.MaxRounds)
 	}

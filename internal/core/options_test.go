@@ -5,8 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"repro/internal/bdd"
 )
 
 func TestValidateRejects(t *testing.T) {
@@ -17,7 +15,6 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"negative kcfa", Options{Entry: "main", KCFA: -1}, "negative KCFA"},
 		{"no root", Options{}, "no analysis root"},
-		{"bdd node size", Options{Entry: "main", Solver: SolverOptions{BDD: bdd.Config{NodeSize: bdd.MaxNodeSize + 1}}}, "NodeSize"},
 		{"bad outarg", Options{
 			Entry: "main",
 			API: &RegionAPI{

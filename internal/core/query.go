@@ -70,6 +70,23 @@ func (a *Analysis) QueryPair(ctx context.Context, srcSite, dstSite string) (*Pai
 		return nil, Errf(ErrInternal, "", "query: analysis has no report")
 	}
 	_, sp := trace.StartSpan(ctx, "query.pair")
+	ans, err := a.queryPair(srcSite, dstSite)
+	if err != nil {
+		sp.End(trace.Bool("error", true))
+		return nil, err
+	}
+	if sp != nil {
+		sp.End(
+			trace.Int("edges", ans.Edges),
+			trace.Int("pairs", ans.Pairs),
+			trace.Bool("inconsistent", ans.Inconsistent))
+	}
+	return ans, nil
+}
+
+// queryPair computes QueryPair's answer; QueryPair wraps it in the
+// query.pair span so every return ends that span.
+func (a *Analysis) queryPair(srcSite, dstSite string) (*PairAnswer, error) {
 	srcObjs, err := a.allocObjectsAt(srcSite)
 	if err != nil {
 		return nil, err
@@ -131,12 +148,6 @@ func (a *Analysis) QueryPair(ctx context.Context, srcSite, dstSite string) (*Pai
 		ans.Message = fmt.Sprintf(
 			"no inconsistent access from %s to %s (%d access edge(s) checked)",
 			srcSite, dstSite, edges)
-	}
-	if sp != nil {
-		sp.End(
-			trace.Int("edges", edges),
-			trace.Int("pairs", len(pairs)),
-			trace.Bool("inconsistent", ans.Inconsistent))
 	}
 	return ans, nil
 }

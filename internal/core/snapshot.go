@@ -106,8 +106,7 @@ func AnalyzeSourceSnapshot(ctx context.Context, opts Options, sources map[string
 // full re-check while still reusing unchanged parses. The back half
 // (contexts through post) always re-solves, so the resulting report is
 // byte-identical to a from-scratch run over the same sources. opts
-// must fingerprint-equal the snapshot's options (BDD sizing may
-// differ — it cannot change results).
+// must fingerprint-equal the snapshot's options.
 func AnalyzeIncremental(ctx context.Context, opts Options, base *Snapshot, changed map[string]string, removed []string) (*Analysis, *Snapshot, error) {
 	opts, err := opts.prepare()
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"repro/internal/bdd"
 )
 
 // TestSolverOptionsFingerprintAliases: spelling a solver default out
@@ -34,14 +32,6 @@ func TestSolverOptionsFingerprintAliases(t *testing.T) {
 
 func TestSolverOptionsFingerprintExclusions(t *testing.T) {
 	base := Options{}
-	for _, o := range []Options{
-		{Solver: SolverOptions{BDD: bdd.Config{NodeSize: 1 << 20}}},
-		{Solver: SolverOptions{BDD: bdd.Config{NodeSize: 1 << 20, CacheRatio: 8}}},
-	} {
-		if o.Fingerprint() != base.Fingerprint() {
-			t.Errorf("options %+v changed the fingerprint; BDD sizing cannot change results and must not key the cache", o.Solver)
-		}
-	}
 	// MaxRounds does change results, so it must be fingerprinted — but
 	// only when nonzero, so pre-SolverOptions digests stay valid.
 	if (Options{Solver: SolverOptions{MaxRounds: 3}}).Fingerprint() == base.Fingerprint() {

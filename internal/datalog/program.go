@@ -28,16 +28,10 @@ type Program struct {
 	env     *evalEnv
 }
 
-// NewProgram returns an empty program with a default-sized BDD
-// manager.
-func NewProgram() *Program { return NewProgramConfig(bdd.Config{}) }
-
-// NewProgramConfig returns an empty program whose BDD manager is sized
-// by cfg (the zero value selects the kernel defaults). Kernel sizing
-// never changes solve results, only time and memory.
-func NewProgramConfig(cfg bdd.Config) *Program {
+// NewProgram returns an empty program with a fresh BDD manager.
+func NewProgram() *Program {
 	return &Program{
-		M:       bdd.NewWith(cfg),
+		M:       bdd.New(),
 		domains: make(map[string]*LogicalDomain),
 		rels:    make(map[string]*Relation),
 		renames: make(map[renameKey]renameOps),

@@ -17,10 +17,7 @@ import (
 // violation report into a harness error.
 type missExplainer struct {
 	a     *core.Analysis
-	built bool
-	ex    *core.Explainer
 	sites []core.PairSite
-	err   error
 }
 
 // nearest renders the explanation of the reported warning whose
@@ -29,15 +26,8 @@ func (m *missExplainer) nearest(src, dst cminor.FilePos) string {
 	if len(m.a.Report.Warnings) == 0 {
 		return "no warnings reported under this configuration; nothing was derived near the missed pair"
 	}
-	if !m.built {
-		m.built = true
-		m.ex, m.err = m.a.Explainer(context.Background())
-		if m.err == nil {
-			m.sites = m.a.PairSites()
-		}
-	}
-	if m.err != nil {
-		return fmt.Sprintf("explanation unavailable: %v", m.err)
+	if m.sites == nil {
+		m.sites = m.a.PairSites()
 	}
 	best, bestDist := 1, -1
 	for i, s := range m.sites {
@@ -46,12 +36,12 @@ func (m *missExplainer) nearest(src, dst cminor.FilePos) string {
 			best, bestDist = i+1, d
 		}
 	}
-	e, err := m.ex.Explain(context.Background(), best)
+	exps, err := m.a.Explain(context.Background(), best)
 	if err != nil {
 		return fmt.Sprintf("explanation unavailable: %v", err)
 	}
 	return fmt.Sprintf("nearest warning %d (%s -> %s):\n%s",
-		best, m.sites[best-1].Src, m.sites[best-1].Dst, e)
+		best, m.sites[best-1].Src, m.sites[best-1].Dst, exps[0])
 }
 
 // posDist scores how far apart two source positions are: positions in

@@ -28,7 +28,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/bdd"
 	"repro/internal/cminor"
 	"repro/internal/core"
 	"repro/internal/interp"
@@ -126,18 +125,11 @@ type AnalysisConfig struct {
 	// configurations (context merging, k-CFA) are checked too, but
 	// their failures must match an allowlist entry.
 	Sound bool
-	// SameReportsAs names a config whose canonical reports this one
-	// must reproduce byte-for-byte on both backends — the invariant
-	// that makes a knob "results-neutral" (BDD table sizing). Empty
-	// means no cross-config requirement.
-	SameReportsAs string
 }
 
 // DefaultConfigs returns the configuration matrix: the sound default
-// (full call-path cloning, heap cloning on), the BDD kernel on its
-// minimum node table (must reproduce the default's reports
-// byte-for-byte — the table doubles and rehashes constantly, and
-// growth must not perturb reports), the context-insensitive ablation
+// (full call-path cloning, heap cloning on), the context-insensitive
+// ablation
 // (ContextCap 1 — documented unsound: merging loses the distinctions
 // TestContextSensitivityMatters pins), 2-CFA numbering (bounded call
 // strings merge deep paths the same way), the points-to cap (⊤
@@ -150,12 +142,6 @@ type AnalysisConfig struct {
 func DefaultConfigs() []AnalysisConfig {
 	return []AnalysisConfig{
 		{Name: "default", Opts: core.Options{}, Sound: true},
-		{Name: "mintable",
-			Opts: core.Options{Solver: core.SolverOptions{
-				BDD: bdd.Config{NodeSize: 1},
-			}},
-			Sound:         true,
-			SameReportsAs: "default"},
 		{Name: "cap1", Opts: core.Options{ContextCap: 1}},
 		{Name: "kcfa2", Opts: core.Options{KCFA: 2}},
 		{Name: "ptscap",
@@ -426,29 +412,6 @@ func (h *Harness) Check(c *Case) (*CaseResult, error) {
 				}
 			}
 			res.Violations = append(res.Violations, v)
-		}
-	}
-
-	// Cross-config identity: configs that differ only in
-	// results-neutral knobs (BDD table sizing) must have reproduced
-	// their reference config's canonical reports on both backends.
-	for _, cfg := range h.Configs {
-		if cfg.SameReportsAs == "" {
-			continue
-		}
-		for _, backend := range []string{"explicit", "bdd"} {
-			want, ok := res.Reports[cfg.SameReportsAs+"/"+backend]
-			if !ok {
-				continue
-			}
-			got := res.Reports[cfg.Name+"/"+backend]
-			if string(got) != string(want) {
-				res.Violations = append(res.Violations, Violation{
-					Kind:   KindDeterminism,
-					Config: cfg.Name + "~" + cfg.SameReportsAs + "/" + backend,
-					Detail: firstDiff(want, got),
-				})
-			}
 		}
 	}
 	return res, nil

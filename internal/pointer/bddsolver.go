@@ -319,7 +319,7 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 	}
 
 	// --- the datalog program ---
-	p := datalog.NewProgramConfig(cfg.BDD)
+	p := datalog.NewProgram()
 	if sp := trace.SpanFromContext(ctx); sp != nil {
 		p.M.OnEvent = func(kind string, nodes, capacity int) {
 			sp.Event("bdd_"+kind, trace.Int("nodes", nodes), trace.Int("capacity", capacity))

@@ -18,7 +18,6 @@ import (
 	"context"
 	"sort"
 
-	"repro/internal/bdd"
 	"repro/internal/contexts"
 	"repro/internal/ir"
 	"repro/internal/trace"
@@ -103,9 +102,6 @@ type Config struct {
 	// over-approximation. Capped variables are counted by
 	// CappedVars.
 	PtsLimit int
-	// BDD sizes the BDD kernel used by AnalyzeBDD (ignored by the
-	// explicit solver). Sizing never changes results.
-	BDD bdd.Config
 }
 
 // varKey identifies a variable in a context.

@@ -96,7 +96,7 @@ func TestHTTPExplain(t *testing.T) {
 	defer srv.Close()
 
 	resp, data := postAnalyze(t, srv, analyzeBody(t, sourcesFor(0),
-		RequestOptions{Backend: "bdd", BDDNodeSize: 1}))
+		RequestOptions{Backend: "bdd"}))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze: %d %s", resp.StatusCode, data)
 	}

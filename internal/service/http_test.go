@@ -100,11 +100,13 @@ func TestHTTPErrors(t *testing.T) {
 		{"bad api", analyzeBody(t, sourcesFor(0), RequestOptions{API: "jemalloc"}), http.StatusBadRequest, "config"},
 		{"bad backend", analyzeBody(t, sourcesFor(0), RequestOptions{Backend: "quantum"}), http.StatusBadRequest, "config"},
 		{"solver workers", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"solver_workers": 2}}`, http.StatusBadRequest, "config"},
-		// The BDD kernel's GC and reorder options were removed; old
-		// clients get a config error, not a silently ignored knob.
+		// The BDD kernel's GC, reorder and sizing options were removed;
+		// old clients get a config error, not a silently ignored knob.
 		{"removed bdd_gc", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"bdd_gc": true}}`, http.StatusBadRequest, "config"},
 		{"removed bdd_gc_threshold", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"bdd_gc_threshold": 1}}`, http.StatusBadRequest, "config"},
 		{"removed bdd_reorder", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"bdd_reorder": true}}`, http.StatusBadRequest, "config"},
+		{"removed bdd_node_size", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"bdd_node_size": 65536}}`, http.StatusBadRequest, "config"},
+		{"removed bdd_cache_ratio", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"bdd_cache_ratio": 2}}`, http.StatusBadRequest, "config"},
 		{"negative kcfa", analyzeBody(t, sourcesFor(0), RequestOptions{KCFA: -1}), http.StatusBadRequest, "config"},
 		{"parse error", analyzeBody(t, map[string]string{"x.c": "int main( {"}, RequestOptions{}), http.StatusUnprocessableEntity, "parse"},
 		{"bad entry", analyzeBody(t, sourcesFor(0), RequestOptions{Entry: "nope"}), http.StatusUnprocessableEntity, "resolve"},

@@ -33,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -60,11 +59,6 @@ type Config struct {
 	// queue wait plus pipeline run (default none). The caller's
 	// context deadline applies in addition.
 	RequestTimeout time.Duration
-	// BDD is the default BDD kernel sizing applied to requests that do
-	// not set their own (the zero value keeps the kernel defaults).
-	// Kernel sizing never changes results, so it does not enter cache
-	// keys.
-	BDD bdd.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -250,9 +244,6 @@ func (s *Service) serve(ctx context.Context, opts core.Options, sources map[stri
 
 func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[string]string, delta *deltaReq) (*Result, error) {
 	opts = opts.Normalize()
-	if opts.Solver.BDD == (bdd.Config{}) {
-		opts.Solver.BDD = s.cfg.BDD
-	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -494,26 +485,13 @@ func (s *Service) Explain(ctx context.Context, key string, warning int) (*Explai
 	t0 := time.Now()
 	defer func() { s.stats.explainHist.observe(time.Since(t0)) }()
 	s.stats.explainRequests.Add(1)
-	// The cached Analysis is shared and immutable; Explainer is
-	// read-only over it, so concurrent Explain calls on one key are
-	// safe.
-	ex, err := res.Analysis.Explainer(ctx)
+	// The cached Analysis is shared and immutable; Explain is
+	// read-only over it, so concurrent calls on one key are safe.
+	exps, err := res.Analysis.Explain(ctx, warning)
 	if err != nil {
 		return nil, err
 	}
-	out := &ExplainResult{Warnings: len(res.Analysis.Report.Warnings)}
-	if warning <= 0 {
-		out.Explanations, err = ex.ExplainAll(ctx)
-	} else {
-		var e *core.Explanation
-		if e, err = ex.Explain(ctx, warning); err == nil {
-			out.Explanations = []*core.Explanation{e}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return &ExplainResult{Warnings: len(res.Analysis.Report.Warnings), Explanations: exps}, nil
 }
 
 // QueryResult is one served demand pair query.

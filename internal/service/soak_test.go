@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bdd"
 	"repro/internal/core"
 )
 
@@ -68,10 +67,11 @@ func pairsOutputs(t *testing.T, reportJSON []byte) map[string]int64 {
 
 // TestSoakBoundedKernelFootprint is the daemon soak regression: many
 // distinct analyze requests against one service, each running the BDD
-// backend on the minimum node table, must show a bounded — here:
-// exactly repeating — kernel node footprint. A leak across requests or
-// table growth that changes results would break the per-request
-// counters' equality. CI runs this under -race.
+// backend on a program large enough to grow the default node table,
+// must show a bounded — here: exactly repeating — kernel node
+// footprint. A leak across requests or table growth that changes
+// results would break the per-request counters' equality. CI runs
+// this under -race.
 func TestSoakBoundedKernelFootprint(t *testing.T) {
 	const requests = 55
 	s := New(Config{Workers: 2, CacheEntries: 8})
@@ -80,14 +80,11 @@ func TestSoakBoundedKernelFootprint(t *testing.T) {
 
 	opts := core.Options{}
 	opts.Solver.Backend = core.BDDBackend
-	// Minimum table: the node table doubles and rehashes even on this
-	// modest workload.
-	opts.Solver.BDD = bdd.Config{NodeSize: 1}
 
 	var first map[string]int64
 	var firstWarnings int
 	for i := 0; i < requests; i++ {
-		src := map[string]string{fmt.Sprintf("soak%d.c", i): soakSource(i, 24)}
+		src := map[string]string{fmt.Sprintf("soak%d.c", i): soakSource(i, 64)}
 		res, err := s.Analyze(ctx, opts, src)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)

@@ -1,9 +1,6 @@
 package service
 
-import (
-	"repro/internal/bdd"
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // DeltaSchemaV1 identifies the delta request/response encoding
 // (Request.Base/Changed/Removed and the response's "delta" block).
@@ -70,11 +67,6 @@ type RequestOptions struct {
 	Refine bool `json:"refine,omitempty"`
 	// ExtraAllocFns adds malloc-style allocator names.
 	ExtraAllocFns []string `json:"extra_alloc_fns,omitempty"`
-	// BDDNodeSize / BDDCacheRatio tune the BDD kernel when the bdd
-	// backend runs (0 = service default). Kernel sizing never changes
-	// results, so these do not affect the cache key.
-	BDDNodeSize   int `json:"bdd_node_size,omitempty"`
-	BDDCacheRatio int `json:"bdd_cache_ratio,omitempty"`
 	// SolverMaxRounds bounds fixpoint rounds (0 = unlimited). A nonzero
 	// bound can change results and is part of the cache key.
 	SolverMaxRounds int `json:"solver_max_rounds,omitempty"`
@@ -104,10 +96,6 @@ func (ro RequestOptions) ToOptions() (core.Options, error) {
 		Solver: core.SolverOptions{
 			MaxRounds: ro.SolverMaxRounds,
 			PtsLimit:  ro.PtsLimit,
-			BDD: bdd.Config{
-				NodeSize:   ro.BDDNodeSize,
-				CacheRatio: ro.BDDCacheRatio,
-			},
 		},
 	}
 	switch ro.API {

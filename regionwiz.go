@@ -46,7 +46,7 @@ import (
 type Options = core.Options
 
 // SolverOptions groups the solve-strategy knobs (Options.Solver):
-// fixpoint round bound, points-to cap, backend, and BDD kernel sizing.
+// fixpoint round bound, points-to cap, and backend.
 type SolverOptions = core.SolverOptions
 
 // Backend selects the relation engine for the inconsistency
@@ -148,13 +148,6 @@ const ReportSchemaV1 = core.ReportSchemaV1
 // encoding produced by MarshalExplanations, regionwiz -explain -json,
 // and the regionwizd /v1/explain endpoint.
 const ExplainSchemaV1 = core.ExplainSchemaV1
-
-// Explainer answers why-provenance queries against one finished
-// analysis: build one with Analysis.Explainer, then Explain a 1-based
-// warning id or ExplainAll. Trees are read off the run's region tree,
-// ownership and access edges (no solver runs), and are byte-identical
-// on both backends.
-type Explainer = core.Explainer
 
 // Explanation is one warning's derivation tree, from the reported
 // instruction pair back to base facts with source positions.
