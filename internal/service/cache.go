@@ -1,114 +1,62 @@
 package service
 
-import (
-	"container/list"
+import "container/list"
 
-	"repro/internal/core"
-)
-
-// lruCache is a plain LRU over completed analysis results, keyed by
-// the content-addressed request key. It is not self-locking: the
-// Service guards it with its own mutex, which also makes the
-// check-then-register singleflight window atomic.
-type lruCache struct {
+// lru is a bounded least-recently-used map keyed by the
+// content-addressed request key. The Service keeps two: completed
+// results, and the front-end snapshots that back delta requests (every
+// response key a client has seen is a usable delta base until
+// evicted). It is not self-locking: the Service guards both with its
+// own mutex, which also makes the check-then-register singleflight
+// window atomic. A max of 0 disables it.
+type lru[V any] struct {
 	max       int
 	ll        *list.List // front = most recently used
 	items     map[string]*list.Element
 	evictions uint64
 }
 
-type lruEntry struct {
+type lruEntry[V any] struct {
 	key string
-	res *Result
+	val V
 }
 
-func newLRUCache(max int) *lruCache {
-	return &lruCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
+func newLRU[V any](max int) *lru[V] {
+	return &lru[V]{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// get returns the cached result and marks it most recently used.
-func (c *lruCache) get(key string) (*Result, bool) {
+// get returns the value under key and marks it most recently used.
+func (c *lru[V]) get(key string) (V, bool) {
+	var zero V
 	if c.max <= 0 {
-		return nil, false
+		return zero, false
 	}
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).res, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// add inserts a result, evicting the least recently used entry when
+// add inserts a value, evicting the least recently used entry when
 // the cache is full.
-func (c *lruCache) add(key string, res *Result) {
+func (c *lru[V]) add(key string, val V) {
 	if c.max <= 0 {
 		return
 	}
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*lruEntry).res = res
+		el.Value.(*lruEntry[V]).val = val
 		return
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
 	for c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
+		delete(c.items, oldest.Value.(*lruEntry[V]).key)
 		c.evictions++
 	}
 }
 
-func (c *lruCache) len() int { return c.ll.Len() }
-
-// snapStore is a bounded LRU of front-end snapshots keyed by the
-// response key of the run that built them — every response key a
-// client has seen is a usable delta base until evicted. Like lruCache
-// it is guarded by the Service's mutex, not self-locking.
-type snapStore struct {
-	max       int
-	ll        *list.List
-	items     map[string]*list.Element
-	evictions uint64
-}
-
-type snapEntry struct {
-	key  string
-	snap *core.Snapshot
-}
-
-func newSnapStore(max int) *snapStore {
-	return &snapStore{max: max, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-func (c *snapStore) get(key string) (*core.Snapshot, bool) {
-	if c.max <= 0 {
-		return nil, false
-	}
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*snapEntry).snap, true
-}
-
-func (c *snapStore) add(key string, snap *core.Snapshot) {
-	if c.max <= 0 {
-		return
-	}
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*snapEntry).snap = snap
-		return
-	}
-	c.items[key] = c.ll.PushFront(&snapEntry{key: key, snap: snap})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*snapEntry).key)
-		c.evictions++
-	}
-}
-
-func (c *snapStore) len() int { return c.ll.Len() }
+func (c *lru[V]) len() int { return c.ll.Len() }

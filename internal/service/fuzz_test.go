@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/workloads"
 )
 
 // FuzzHandlerAnalyze feeds raw bodies to POST /v1/analyze. Whatever
@@ -63,6 +65,54 @@ func FuzzHandlerAnalyze(f *testing.F) {
 		}
 		if n := s.Stats().Inflight; n != 0 {
 			t.Fatalf("inflight = %d after the response", n)
+		}
+	})
+}
+
+// referenceDecode is what the handler did before decodeRequest, and
+// what defines it: encoding/json with DisallowUnknownFields.
+func referenceDecode(body []byte) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
+// FuzzDecodeRequest checks decodeRequest against encoding/json on
+// arbitrary bytes: the same error text, or an equal Request.
+func FuzzDecodeRequest(f *testing.F) {
+	spec := workloads.SmallCorpus()[0]
+	pkg := workloads.Generate(spec, 1)
+	program, err := json.Marshal(Request{Sources: pkg.SourcesFor(pkg.Exes[0])})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(program) // json.Marshal escapes <, > and & as \u003c, \u003e, \u0026
+	for _, seed := range []string{
+		`{"sources":{"a.c":"/* \ud83d\ude00 */ int main(void) { return 0; }"}}`,
+		`{"sources":{"a.c":"/* \ud800 */"}}`,
+		"{\"sources\":{\"a.c\":\"\xff\"}}",
+		"{\"sources\":{\"a.c\":\"a\x01b\"}}",
+		`{"Sources":{"a.c":"int x;"}}`,
+		`{"sources":{"a.c":"int x;"},"sources":{"b.c":"int y;"}}`,
+		`{"sources":null}`,
+		`{"sources":{"a.c":"int x;"},"options":{"backend":"bdd"}}`,
+		`{"sources":{"a.c":"int x;"},"trace":true}`,
+		`{"base":"k","changed":{"a.c":"int x;"},"removed":["b.c"]}`,
+		`{"sources":{"a.c":"int x;"}} trailing`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, _, gerr := decodeRequest(body)
+		want, werr := referenceDecode(body)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("decodeRequest error %v, encoding/json error %v", gerr, werr)
+		}
+		if werr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeRequest = %+v, encoding/json = %+v", got, want)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -148,29 +149,42 @@ func handleAnalyze(s *Service, w http.ResponseWriter, r *http.Request) {
 			core.Errf(core.ErrConfig, "", "analyze wants POST, got %s", r.Method))
 		return
 	}
+	// The body says whether to trace, so a traced request's clock
+	// starts here and its spans are opened once the body is decoded.
+	start := time.Now()
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxRequestBody), r.ContentLength)
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	var fast bool
+	if err == nil {
+		req, fast, err = decodeRequest(body)
+	}
+	if err != nil {
 		writeError(r.Context(), w, http.StatusBadRequest,
 			core.Errf(core.ErrConfig, "", "bad request body: %v", err))
-		return
-	}
-	opts, err := req.Options.ToOptions()
-	if err != nil {
-		writeError(r.Context(), w, statusFor(err), err)
 		return
 	}
 	ctx := r.Context()
 	var tr *trace.Tracer
 	var root *trace.Span
 	if req.Trace {
-		tr = trace.New()
+		tr = trace.NewAt(start)
 		ctx = trace.WithTracer(ctx, tr)
-		ctx, root = trace.StartSpan(ctx, "http.request")
+		ctx, root = trace.StartSpanAt(ctx, "http.request", start)
 		if id := RequestID(ctx); id != "" {
 			root.Attrs(trace.Str("request_id", id))
 		}
+		path := "fallback"
+		if fast {
+			path = "fast"
+		}
+		_, dsp := trace.StartSpanAt(ctx, "http.decode", start)
+		dsp.End(trace.Int("body_bytes", len(body)), trace.Str("path", path))
+	}
+	opts, err := req.Options.ToOptions()
+	if err != nil {
+		root.End(trace.Bool("error", true))
+		writeError(ctx, w, statusFor(err), err)
+		return
 	}
 	var res *Result
 	if req.Base != "" {

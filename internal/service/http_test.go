@@ -2,7 +2,10 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -135,6 +138,106 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET analyze status = %d, want 405", resp.StatusCode)
 	}
+}
+
+// TestHTTPDecodeEdgeBodies sends bodies at the edges of the one-pass
+// decoder through the handler. Each must get the status, error kind and
+// key that the same request decoded by encoding/json gets from a second
+// service, and take the decoding path listed.
+func TestHTTPDecodeEdgeBodies(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+	ref := New(Config{Workers: 1})
+	defer ref.Close()
+
+	const main = "int main(void) { return 0; }"
+	// json.Marshal writes <, > and & as \u003c, \u003e and \u0026.
+	htmlC := map[string]string{"html.c": "int f(int a) { return a < 2 && a > 0 ? a & 1 : 0; }\n" + main}
+	cases := []struct {
+		name string
+		body string
+		fast bool
+	}{
+		{"html-escaped C", analyzeBody(t, htmlC, RequestOptions{}), true},
+		{"surrogate pair", `{"sources":{"a.c":"/* \ud83d\ude00 */ ` + main + `"}}`, true},
+		{"lone surrogate", `{"sources":{"a.c":"/* \ud800 */ ` + main + `"}}`, false},
+		{"invalid UTF-8", "{\"sources\":{\"a.c\":\"/* \xff */ " + main + "\"}}", false},
+		{"case-variant key", `{"Sources":{"a.c":"` + main + `"}}`, false},
+		{"duplicate sources", `{"sources":{"a.c":"` + main + `"},"sources":{"b.c":"int g(void) { return 1; }"}}`, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body := []byte(tc.body)
+			if _, fast, _ := decodeRequest(body); fast != tc.fast {
+				t.Errorf("fast path = %v, want %v", fast, tc.fast)
+			}
+			want, err := referenceDecode(body)
+			if err != nil {
+				t.Fatalf("encoding/json rejects the body: %v", err)
+			}
+			opts, err := want.Options.ToOptions()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantStatus, wantKind, wantKey := http.StatusOK, "", Key(opts.Normalize(), want.Sources)
+			if _, err := ref.Analyze(context.Background(), opts, want.Sources); err != nil {
+				var aerr *core.Error
+				if !errors.As(err, &aerr) {
+					t.Fatalf("untyped reference error %v", err)
+				}
+				wantStatus, wantKind, wantKey = statusFor(err), aerr.Kind.String(), ""
+			}
+
+			resp, data := postAnalyze(t, srv, tc.body)
+			if resp.StatusCode != wantStatus {
+				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, wantStatus, data)
+			}
+			if wantStatus != http.StatusOK {
+				var er errorResponse
+				if err := json.Unmarshal(data, &er); err != nil || er.Error.Kind != wantKind {
+					t.Fatalf("error body %s, want kind %q", data, wantKind)
+				}
+				return
+			}
+			var ar AnalyzeResponse
+			if err := json.Unmarshal(data, &ar); err != nil {
+				t.Fatal(err)
+			}
+			if ar.Key != wantKey {
+				t.Errorf("key = %s, want %s", ar.Key, wantKey)
+			}
+		})
+	}
+
+	// Over the size cap the body is refused before decoding, as the
+	// streaming decoder refused it on reaching the cap.
+	t.Run("over-limit body", func(t *testing.T) {
+		prefix := `{"sources":{"a.c":"`
+		body := io.MultiReader(strings.NewReader(prefix),
+			io.LimitReader(zeros{}, maxRequestBody-int64(len(prefix))+1))
+		rec := httptest.NewRecorder()
+		NewHandler(s).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", body))
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Fatalf("error body not JSON: %.200s", rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusBadRequest || er.Error.Kind != "config" ||
+			er.Error.Message != "bad request body: http: request body too large" {
+			t.Errorf("status %d, error %+v; want 400, kind config, body too large", rec.Code, er.Error)
+		}
+	})
+}
+
+// zeros reads as an endless run of '0' bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
 }
 
 // TestHTTPDeepNestingSurvives: a body nested a million parentheses

@@ -137,6 +137,89 @@ func TestWireTraceOption(t *testing.T) {
 	}
 }
 
+// TestTracedHotRequestSpans: a traced cache hit's trace holds the body
+// decode under the HTTP request span and the keying under the service
+// request span, and tracing leaves the report bytes as they were.
+func TestTracedHotRequestSpans(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	plainBody := analyzeBody(t, sourcesFor(0), RequestOptions{})
+	tracedBody := strings.TrimSuffix(plainBody, "}") + `,"trace":true}`
+	var plain, traced AnalyzeResponse
+	for _, r := range []struct {
+		body string
+		into *AnalyzeResponse
+	}{{plainBody, &plain}, {tracedBody, &traced}} {
+		resp, data := postAnalyze(t, srv, r.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		if err := json.Unmarshal(data, r.into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !traced.Cached {
+		t.Fatal("the traced repeat was not a cache hit")
+	}
+	if !bytes.Equal(plain.Report, traced.Report) {
+		t.Fatal("report bytes differ between the untraced and the traced request")
+	}
+
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Ts   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(traced.Trace, &doc); err != nil {
+		t.Fatal(err)
+	}
+	type span struct {
+		id, parent float64
+		ts, end    float64
+		args       map[string]any
+	}
+	spans := map[string]span{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		if _, dup := spans[ev.Name]; dup {
+			t.Fatalf("span %q recorded twice", ev.Name)
+		}
+		parent, _ := ev.Args["parent_span"].(float64)
+		spans[ev.Name] = span{ev.Args["span_id"].(float64), parent, ev.Ts, ev.Ts + ev.Dur, ev.Args}
+	}
+	for child, parent := range map[string]string{
+		"http.decode":     "http.request",
+		"service.request": "http.request",
+		"service.key":     "service.request",
+	} {
+		c, ok := spans[child]
+		p, pok := spans[parent]
+		if !ok || !pok {
+			t.Fatalf("trace lacks %q or %q: %s", child, parent, traced.Trace)
+		}
+		if c.parent != p.id || c.ts < p.ts || c.end > p.end {
+			t.Errorf("%q [%g, %g] parent %g is not under %q [%g, %g] id %g",
+				child, c.ts, c.end, c.parent, parent, p.ts, p.end, p.id)
+		}
+	}
+	dec := spans["http.decode"]
+	if dec.ts != spans["http.request"].ts {
+		t.Errorf("http.decode starts at %g, not with the request at %g", dec.ts, spans["http.request"].ts)
+	}
+	if dec.args["body_bytes"] != float64(len(tracedBody)) || dec.args["path"] != "fast" {
+		t.Errorf("http.decode attributes %v, want body_bytes %d and path fast", dec.args, len(tracedBody))
+	}
+}
+
 func TestRequestIDReachesTraceSpans(t *testing.T) {
 	ctx := WithRequestID(context.Background(), "abc123")
 	if got := RequestID(ctx); got != "abc123" {

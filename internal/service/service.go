@@ -149,8 +149,8 @@ type Service struct {
 	sem   chan struct{} // worker slots
 
 	mu     sync.Mutex
-	cache  *lruCache
-	snaps  *snapStore
+	cache  *lru[*Result]
+	snaps  *lru[*core.Snapshot]
 	calls  map[string]*call
 	closed bool
 
@@ -171,8 +171,8 @@ func New(cfg Config) *Service {
 		cfg:     cfg,
 		stats:   newCollector(),
 		sem:     make(chan struct{}, cfg.Workers),
-		cache:   newLRUCache(cfg.CacheEntries),
-		snaps:   newSnapStore(cfg.SnapshotEntries),
+		cache:   newLRU[*Result](cfg.CacheEntries),
+		snaps:   newLRU[*core.Snapshot](cfg.SnapshotEntries),
 		calls:   make(map[string]*call),
 		closeCh: make(chan struct{}),
 	}
@@ -288,7 +288,9 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
+	_, ksp := trace.StartSpan(ctx, "service.key")
 	key := Key(opts, sources)
+	ksp.End()
 
 	s.mu.Lock()
 	if s.closed {

@@ -119,8 +119,13 @@ type Tracer struct {
 }
 
 // New returns an empty Tracer whose clock starts now.
-func New() *Tracer {
-	t := &Tracer{epoch: time.Now()}
+func New() *Tracer { return NewAt(time.Now()) }
+
+// NewAt returns an empty Tracer whose clock started at epoch — for
+// work that began before the decision to trace it was made, such as
+// reading the request that asks for a trace.
+func NewAt(epoch time.Time) *Tracer {
+	t := &Tracer{epoch: epoch}
 	t.now = func() time.Duration { return time.Since(t.epoch) }
 	return t
 }
@@ -138,8 +143,12 @@ type Span struct {
 	attrs  []Attr
 }
 
-// newSpan allocates a live span under the tracer lock.
+// newSpan allocates a live span under the tracer lock, starting now.
 func (t *Tracer) newSpan(name string, parent *Span) *Span {
+	return t.newSpanAt(name, parent, t.now())
+}
+
+func (t *Tracer) newSpanAt(name string, parent *Span, start time.Duration) *Span {
 	t.mu.Lock()
 	t.nextID++
 	id := t.nextID
@@ -152,7 +161,7 @@ func (t *Tracer) newSpan(name string, parent *Span) *Span {
 		lane = t.nextLane
 	}
 	t.mu.Unlock()
-	return &Span{t: t, id: id, parent: parentID, lane: lane, name: name, start: t.now()}
+	return &Span{t: t, id: id, parent: parentID, lane: lane, name: name, start: start}
 }
 
 // Root starts a parentless span on a fresh lane — the entry point for
@@ -254,6 +263,17 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		return ctx, nil
 	}
 	sp := t.newSpan(name, SpanFromContext(ctx))
+	return context.WithValue(ctx, spanKey{}, sp), sp
+}
+
+// StartSpanAt is StartSpan for a span that began at start, which lies
+// between the tracer's epoch and now.
+func StartSpanAt(ctx context.Context, name string, start time.Time) (context.Context, *Span) {
+	t := FromContext(ctx)
+	if t == nil {
+		return ctx, nil
+	}
+	sp := t.newSpanAt(name, SpanFromContext(ctx), start.Sub(t.epoch))
 	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
