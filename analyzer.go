@@ -10,7 +10,9 @@ import (
 // AnalyzerConfig sizes an Analyzer's service layer: worker pool,
 // admission queue, result cache, and per-request deadline. The zero
 // value is ready to use (GOMAXPROCS workers, queue depth 64, 128
-// cached results, no deadline).
+// cached results, no deadline). The result cache is also the store of
+// delta bases: a Key works as an AnalyzeDelta base exactly while its
+// result is cached. SnapshotEntries is deprecated and ignored.
 type AnalyzerConfig = service.Config
 
 // ServiceStats is a snapshot of an Analyzer's counters: cache hits
@@ -25,7 +27,7 @@ type ServiceStats = service.Stats
 type Result = service.Result
 
 // DeltaInfo describes how a delta request resolved against its base
-// snapshot (Result.Delta; nil on full requests).
+// result (Result.Delta; nil on full requests).
 type DeltaInfo = service.DeltaInfo
 
 // Analyzer is a reusable, concurrency-safe analysis handle. Unlike
@@ -88,7 +90,7 @@ func (a *Analyzer) AnalyzeResult(ctx context.Context, sources map[string]string)
 // AnalyzeDelta re-analyzes the source set of a previous result — named
 // by its Key — with changed paths overwritten or added and removed
 // paths deleted, reusing the base run's per-file front end. If the
-// base snapshot has been evicted the call fails with an
+// base result has been evicted from the cache the call fails with an
 // ErrSnapshotGone-kind error; retry with AnalyzeResult and the full
 // sources. The report is the one the equivalent full request would
 // produce, and the result's Key is a valid base for the next delta.

@@ -18,7 +18,7 @@ import (
 // watcher drives -watch mode: it polls the argument list, re-reads
 // files whose mtime or size moved, debounces until two consecutive
 // scans agree, and re-analyzes through an Analyzer handle — deltas
-// against the previous run's snapshot when possible, full analysis
+// against the previous run's result when possible, full analysis
 // otherwise — printing only the warning diff. Files that vanish
 // between the directory scan and the read (editors save by
 // rename-over) are treated as removed, never as errors.
@@ -168,7 +168,7 @@ func (w *watcher) tick(ctx context.Context) {
 
 // analyze runs the pipeline over cur — as a delta against the last
 // good run when one exists, falling back to a full analysis when the
-// daemon-side snapshot is gone — and prints the warning diff.
+// base result is gone from the cache — and prints the warning diff.
 func (w *watcher) analyze(ctx context.Context, cur map[string]string) {
 	w.lastTried = cur
 	if len(cur) == 0 {

@@ -26,9 +26,9 @@
 //	                   "removed": ["path", ...]} — the daemon reuses the
 //	                   base run's per-file front end and answers with the
 //	                   same report the full request would produce plus a
-//	                   "delta" block. If the base snapshot was evicted the
-//	                   response is 409 with kind "snapshot_gone"; resend
-//	                   the full sources.
+//	                   "delta" block. Any key still in the result cache
+//	                   is a base; an evicted one answers 409 with kind
+//	                   "snapshot_gone"; resend the full sources.
 //	GET  /v1/explain   ?key=<analyze response key>&warning=<1-based id|all>
 //	                   -> {"schema": "regionwiz/explain/v1", "key": "...",
 //	                       "warnings_total": N, "explanations": [...]}
@@ -79,9 +79,9 @@
 //	-addr host:port       listen address (default "127.0.0.1:8747")
 //	-workers N            concurrent pipeline runs (default GOMAXPROCS)
 //	-queue-depth N        waiting requests beyond the pool (default 64)
-//	-cache-entries N      LRU result cache size (default 128; -1 disables)
-//	-snapshot-entries N   front-end snapshot store size for delta requests
-//	                      (default 16; -1 disables delta analysis)
+//	-cache-entries N      LRU result cache size (default 128; -1 disables);
+//	                      a key answers explain, query and delta requests
+//	                      while its result is cached
 //	-request-timeout D    per-request deadline, queue wait included (default 2m)
 //	-pprof-addr host:port serve net/http/pprof on a SEPARATE listener
 //	                      (off by default; keep it on localhost — the
@@ -115,7 +115,6 @@ func run() int {
 	workers := flag.Int("workers", 0, "concurrent pipeline runs (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 64, "waiting requests beyond the worker pool")
 	cacheEntries := flag.Int("cache-entries", 128, "LRU result cache size (-1 disables caching)")
-	snapshotEntries := flag.Int("snapshot-entries", 0, "front-end snapshot store size for delta requests (0 = default 16, -1 disables)")
 	requestTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request deadline including queue wait (0 = none)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
@@ -130,11 +129,10 @@ func run() int {
 	slog.SetDefault(logger)
 
 	svc := service.New(service.Config{
-		Workers:         *workers,
-		QueueDepth:      *queueDepth,
-		CacheEntries:    *cacheEntries,
-		SnapshotEntries: *snapshotEntries,
-		RequestTimeout:  *requestTimeout,
+		Workers:        *workers,
+		QueueDepth:     *queueDepth,
+		CacheEntries:   *cacheEntries,
+		RequestTimeout: *requestTimeout,
 	})
 	server := &http.Server{
 		Addr:              *addr,

@@ -89,20 +89,16 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 	}
 
 	edgeSet := make(map[int]map[string]bool)
-	addEdge := func(instrID int, fn string) bool {
+	addEdge := func(instrID int, fn string) {
 		if _, defined := prog.Funcs[fn]; !defined {
-			return false
+			return
 		}
 		set := edgeSet[instrID]
 		if set == nil {
 			set = make(map[string]bool)
 			edgeSet[instrID] = set
 		}
-		if set[fn] {
-			return false
-		}
 		set[fn] = true
-		return true
 	}
 	addVF := func(v int32, fn string) bool {
 		set := g.VF[v]
@@ -150,48 +146,75 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 		return true
 	}
 
-	// Fixpoint: assignments, loads/stores, call/return wiring, and
-	// edge resolution all feed each other.
-	for changed := true; changed; {
+	// flows reports whether src can carry a function value: a function
+	// name, or a variable whose vF is not empty. Most operands cannot,
+	// so the loop below tests this before resolving a destination.
+	flows := func(src ir.Opd) bool {
+		return src.Kind == ir.FuncOpd || src.Kind == ir.VarOpd && len(g.VF[src.Var]) > 0
+	}
+
+	// Fixpoint: assignments, loads/stores, and call/return wiring feed
+	// vF and the heap vF; callees are resolved from vF. Only growth of
+	// the two vF relations forces another pass: nothing in the loop
+	// reads edges, and a call's wiring runs on every visit whether or
+	// not its edge is new. The first pass also records the extern
+	// callees of direct calls and the indirect call sites, whose
+	// extern callees are read off the final vF below.
+	type indirectCall struct {
+		id     int
+		callee int32
+	}
+	var indirect []indirectCall
+	for first, changed := true, true; changed; first = false {
 		changed = false
 		c := prog.Cursor(0, prog.NumInstrs())
 		for c.Next() {
 			in := c.Inst
 			switch in.Op {
 			case ir.Assign:
-				if in.Dst().Kind == ir.VarOpd && flowVF(in.Dst().Var, in.Src()) {
-					changed = true
+				if src := in.Src(); flows(src) {
+					if dst := in.Dst(); dst.Kind == ir.VarOpd && flowVF(dst.Var, src) {
+						changed = true
+					}
 				}
 			case ir.Store:
-				switch in.Src().Kind {
+				switch src := in.Src(); src.Kind {
 				case ir.FuncOpd:
-					if addHeapVF(in.Off(), in.Src().Fn) {
+					if addHeapVF(in.Off(), src.Fn) {
 						changed = true
 					}
 				case ir.VarOpd:
-					for fn := range g.VF[in.Src().Var] {
+					for fn := range g.VF[src.Var] {
 						if addHeapVF(in.Off(), fn) {
 							changed = true
 						}
 					}
 				}
 			case ir.Load:
-				if in.Dst().Kind == ir.VarOpd {
-					for fn := range heapVF[in.Off()] {
-						if addVF(in.Dst().Var, fn) {
-							changed = true
+				if fns := heapVF[in.Off()]; len(fns) > 0 {
+					if dst := in.Dst(); dst.Kind == ir.VarOpd {
+						for fn := range fns {
+							if addVF(dst.Var, fn) {
+								changed = true
+							}
 						}
 					}
 				}
 			case ir.Call:
 				// Resolve callees.
 				var callees []string
-				switch in.Callee().Kind {
+				switch callee := in.Callee(); callee.Kind {
 				case ir.FuncOpd:
-					callees = []string{in.Callee().Fn}
+					callees = []string{callee.Fn}
+					if _, defined := prog.Funcs[callee.Fn]; !defined && first {
+						g.ExternCalls[in.ID] = append(g.ExternCalls[in.ID], callee.Fn)
+					}
 				case ir.VarOpd:
-					for fn := range g.VF[in.Callee().Var] {
+					for fn := range g.VF[callee.Var] {
 						callees = append(callees, fn)
+					}
+					if first {
+						indirect = append(indirect, indirectCall{in.ID, callee.Var})
 					}
 				}
 				for _, fn := range callees {
@@ -203,32 +226,26 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 								a := in.Arg(argIdx)
 								switch a.Kind {
 								case ir.FuncOpd:
-									if addEdge(in.ID, a.Fn) {
-										changed = true
-									}
+									addEdge(in.ID, a.Fn)
 								case ir.VarOpd:
 									for efn := range g.VF[a.Var] {
-										if addEdge(in.ID, efn) {
-											changed = true
-										}
+										addEdge(in.ID, efn)
 									}
 								}
 							}
 						}
 						continue
 					}
-					if addEdge(in.ID, fn) {
-						changed = true
-					}
+					addEdge(in.ID, fn)
 					// Parameter wiring.
 					for i := 0; i < in.NumArgs() && i < target.NumParams; i++ {
-						if flowVF(target.Param(i), in.Arg(i)) {
+						if arg := in.Arg(i); flows(arg) && flowVF(target.Param(i), arg) {
 							changed = true
 						}
 					}
 					// Return wiring.
-					if in.Dst().Kind == ir.VarOpd && target.RetVal >= 0 {
-						if flowVF(in.Dst().Var, ir.Opd{Kind: ir.VarOpd, Var: target.RetVal}) {
+					if ret := (ir.Opd{Kind: ir.VarOpd, Var: target.RetVal}); target.RetVal >= 0 && flows(ret) {
+						if dst := in.Dst(); dst.Kind == ir.VarOpd && flowVF(dst.Var, ret) {
 							changed = true
 						}
 					}
@@ -237,7 +254,8 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 		}
 	}
 
-	// Materialize sorted edge lists, extern call targets, callers.
+	// Materialize sorted edge lists, callers, and indirect extern
+	// call targets.
 	for id, set := range edgeSet {
 		for fn := range set {
 			g.Edges[id] = append(g.Edges[id], fn)
@@ -248,25 +266,13 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 	for fn := range g.Callers {
 		sort.Ints(g.Callers[fn])
 	}
-	c := prog.Cursor(0, prog.NumInstrs())
-	for c.Next() {
-		in := c.Inst
-		if in.Op != ir.Call {
-			continue
-		}
-		switch in.Callee().Kind {
-		case ir.FuncOpd:
-			if _, defined := prog.Funcs[in.Callee().Fn]; !defined {
-				g.ExternCalls[in.ID] = append(g.ExternCalls[in.ID], in.Callee().Fn)
+	for _, call := range indirect {
+		for fn := range g.VF[call.callee] {
+			if _, defined := prog.Funcs[fn]; !defined {
+				g.ExternCalls[call.id] = append(g.ExternCalls[call.id], fn)
 			}
-		case ir.VarOpd:
-			for fn := range g.VF[in.Callee().Var] {
-				if _, defined := prog.Funcs[fn]; !defined {
-					g.ExternCalls[in.ID] = append(g.ExternCalls[in.ID], fn)
-				}
-			}
-			sort.Strings(g.ExternCalls[in.ID])
 		}
+		sort.Strings(g.ExternCalls[call.id])
 	}
 
 	g.computeReachable()

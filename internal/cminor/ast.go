@@ -4,8 +4,8 @@ package cminor
 // identifiers densely in source order (Ident.ID), so per-identifier
 // facts live in tables of NumIdents entries rather than in maps keyed
 // by node. NumTokens is what the file charged its TokenBudget. A File
-// is never written after Parse returns: snapshots share it between
-// concurrent checks.
+// is never written after Parse returns: incremental runs share it
+// between concurrent checks.
 type File struct {
 	Path      string
 	Decls     []Decl

@@ -379,7 +379,7 @@ func HasImplicitFuncs(info *Info) bool {
 // declarations (HasImplicitFuncs).
 //
 // The returned Info never aliases prev's maps — prev stays valid as
-// an immutable snapshot base, so several deltas can be checked
+// an immutable base, so several deltas can be checked
 // against it concurrently. The per-name maps are complete copies;
 // Uses has a table only for each changed file, and the other per-node
 // fact maps hold entries only for changed files' global initializers

@@ -138,23 +138,20 @@ type Analysis struct {
 	bddNodes, bddTuples int64
 	bddStats            bdd.ManagerStats
 
-	// Front counts per-file front-end reuse for snapshot-backed runs
-	// (AnalyzeSourceSnapshot / AnalyzeIncremental); zero otherwise.
+	// Front counts per-file front-end work: what a run reused from
+	// its base and what it recomputed (incremental.go).
 	Front FrontEndStats
 
-	// Incremental-run state (snapshot.go). snapshotting marks a run
-	// that will produce a Snapshot; prev is the base snapshot of an
-	// incremental run; changed/digests are per-path parse results;
-	// declSigs/bodyDefs cache signature computations for the new
-	// snapshot; fragments collects the per-file IR (reused or fresh);
-	// incrementalCheck records that check reused prev's declarations.
-	snapshotting     bool
-	prev             *Snapshot
+	// Per-run incremental state, cleared when AnalyzeIncremental
+	// returns so that a finished analysis keeps its base alive through
+	// no pointer. base is the analysis the run reuses per-file work
+	// from; baseIndex maps each of its file paths to the file's index
+	// in base.Files and base.Prog's fragments; changed marks the paths
+	// parsed afresh; incrementalCheck records that check reused base's
+	// declarations.
+	base             *Analysis
+	baseIndex        map[string]int
 	changed          map[string]bool
-	digests          map[string]string
-	declSigs         map[string]string
-	bodyDefs         map[string]bool
-	fragments        map[string]*ir.Fragment
 	incrementalCheck bool
 
 	// Regions indexed by region index; Regions[0] is the root.

@@ -132,11 +132,11 @@ func TestDiagnosticsIncrementalCheck(t *testing.T) {
 		"a.c": "int f(void) { return 0; }\nint main(void) { return f(); }",
 		"b.c": "extern int f(void);\nint g(void) {\n  return f();\n}",
 	}
-	_, snap, err := AnalyzeSourceSnapshot(ctx, Options{}, base)
+	first, err := AnalyzeSourceContext(ctx, Options{}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := AnalyzeIncremental(ctx, Options{}, snap,
+	a, err := AnalyzeIncremental(ctx, Options{}, first,
 		map[string]string{"b.c": "extern int f(void);\nint g(void) {\n  return f() + h->x;\n}"}, nil)
 	checkDiagnostic(t, "incremental/undeclared", err, ErrParse, "b.c:3:16",
 		`check: b.c:3:16: undeclared identifier "h" (and 1 more)`)

@@ -29,9 +29,10 @@ const (
 	// service's worker pool and queue are full, or the request's
 	// deadline expired while it waited for a slot.
 	ErrOverload
-	// ErrSnapshotGone is a failed delta request: the base snapshot the
-	// request named has been evicted or was never computed. The request
-	// itself is well formed — retrying with full sources succeeds.
+	// ErrSnapshotGone is a failed delta, explain or query request: the
+	// result the request named has been evicted or was never computed.
+	// The request itself is well formed — re-running with full sources
+	// succeeds.
 	ErrSnapshotGone
 )
 

@@ -14,8 +14,7 @@ import (
 // phase name and its sorted Outputs: which relation sizes and counters
 // each phase is credited with. It covers the paper's Figure 1 program
 // and one small-corpus executable, on both backends, through a plain
-// run, a snapshot-backed run, and an incremental edit of that
-// snapshot. Regenerate deliberately with
+// run and an incremental edit with that run as its base. Regenerate deliberately with
 // `go test ./internal/core -run PhaseOutputsGolden -update`.
 func TestPhaseOutputsGolden(t *testing.T) {
 	fig1, err := os.ReadFile(filepath.Join("..", "..", "examples", "figure1.c"))
@@ -41,17 +40,11 @@ func TestPhaseOutputsGolden(t *testing.T) {
 	for _, prog := range programs {
 		for _, be := range backends {
 			opts := Options{Solver: SolverOptions{Backend: be.backend}}
-			a, err := AnalyzeSource(opts, prog.sources)
+			base, err := AnalyzeSourceContext(ctx, opts, prog.sources)
 			if err != nil {
 				t.Fatalf("%s/%s source: %v", prog.name, be.name, err)
 			}
-			writePhaseOutputs(&buf, prog.name+" "+be.name+" source", a.Report)
-
-			a, snap, err := AnalyzeSourceSnapshot(ctx, opts, prog.sources)
-			if err != nil {
-				t.Fatalf("%s/%s snapshot: %v", prog.name, be.name, err)
-			}
-			writePhaseOutputs(&buf, prog.name+" "+be.name+" snapshot", a.Report)
+			writePhaseOutputs(&buf, prog.name+" "+be.name+" source", base.Report)
 
 			// A signature-preserving edit of the first file: it is
 			// re-parsed and re-checked, every other file is reused.
@@ -61,7 +54,7 @@ func TestPhaseOutputsGolden(t *testing.T) {
 			}
 			sort.Strings(paths)
 			edit := map[string]string{paths[0]: prog.sources[paths[0]] + "\n/* edited */\n"}
-			a, _, err = AnalyzeIncremental(ctx, opts, snap, edit, nil)
+			a, err := AnalyzeIncremental(ctx, opts, base, edit, nil)
 			if err != nil {
 				t.Fatalf("%s/%s incremental: %v", prog.name, be.name, err)
 			}

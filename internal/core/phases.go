@@ -63,11 +63,10 @@ type phase struct {
 // phases is the analysis in execution order. The first frontEnd
 // entries parse and check a.Sources into a.Files and a.Info; runs
 // that start from checked files (AnalyzeContext) skip them.
-// Snapshot-backed runs (a.snapshotting) digest every file; incremental
-// runs (a.prev set) additionally reuse the base snapshot's ASTs for
-// digest-unchanged files and, when the edit preserves all declaration
-// signatures, re-check only the changed files against the base's
-// declaration environment.
+// Incremental runs (a.base set) reuse the base's ASTs for unchanged
+// files and, when the edit preserves all declaration signatures,
+// re-check only the changed files against the base's declaration
+// environment and relink the base's IR fragments for the rest.
 var phases = []phase{
 	{PhaseParse, func(_ context.Context, a *Analysis) error {
 		paths := make([]string, 0, len(a.Sources))
@@ -75,8 +74,11 @@ var phases = []phase{
 			paths = append(paths, p)
 		}
 		sort.Strings(paths)
-		if a.snapshotting {
-			a.digests = make(map[string]string, len(paths))
+		if a.base != nil {
+			a.baseIndex = make(map[string]int, len(a.base.Files))
+			for i, f := range a.base.Files {
+				a.baseIndex[f.Path] = i
+			}
 			a.changed = make(map[string]bool, len(paths))
 		}
 		// One token budget covers every file of the analysis. A
@@ -84,11 +86,9 @@ var phases = []phase{
 		// the error names the token over budget.
 		var budget cminor.TokenBudget
 		for _, p := range paths {
-			if a.snapshotting {
-				d := FileDigest(a.Sources[p])
-				a.digests[p] = d
-				if a.prev != nil && a.prev.digests[p] == d && budget.Reuse(a.prev.files[p]) {
-					a.Files = append(a.Files, a.prev.files[p])
+			if a.base != nil {
+				if f, ok := a.reusedFile(p); ok && budget.Reuse(f) {
+					a.Files = append(a.Files, f)
 					a.Front.ParseReused++
 					continue
 				}
@@ -107,7 +107,7 @@ var phases = []phase{
 	{PhaseCheck, func(_ context.Context, a *Analysis) error {
 		if a.tryIncrementalCheck() {
 			a.incrementalCheck = true
-			a.Info = cminor.CheckIncremental(a.prev.info, a.Files, a.changed)
+			a.Info = cminor.CheckIncremental(a.base.Info, a.Files, a.changed)
 			for _, f := range a.Files {
 				if a.changed[f.Path] {
 					a.Front.CheckChecked++
@@ -126,28 +126,22 @@ var phases = []phase{
 		return nil
 	}},
 	{PhaseLower, func(_ context.Context, a *Analysis) error {
-		if a.snapshotting {
-			// Per-file fragments, reused from the base when the file
-			// is unchanged and the declaration environment held
-			// (fragments bake in type layouts and symbol kinds, so a
-			// full fallback check invalidates all of them). Link
-			// assigns all program-wide IDs in file order.
-			frags := make([]*ir.Fragment, len(a.Files))
-			a.fragments = make(map[string]*ir.Fragment, len(a.Files))
-			for i, f := range a.Files {
-				if a.incrementalCheck && !a.changed[f.Path] {
-					frags[i] = a.prev.frags[f.Path]
-					a.Front.LowerReused++
-				} else {
-					frags[i] = ir.LowerFile(a.Info, f)
-					a.Front.LowerLowered++
-				}
-				a.fragments[f.Path] = frags[i]
+		// Per-file fragments, reused from the base when the file is
+		// unchanged and the declaration environment held (fragments
+		// bake in type layouts and symbol kinds, so a full fallback
+		// check invalidates all of them). Link assigns all
+		// program-wide IDs in file order.
+		frags := make([]*ir.Fragment, len(a.Files))
+		for i, f := range a.Files {
+			if a.incrementalCheck && !a.changed[f.Path] {
+				frags[i] = a.base.Prog.Fragment(a.baseIndex[f.Path])
+				a.Front.LowerReused++
+			} else {
+				frags[i] = ir.LowerFile(a.Info, f)
+				a.Front.LowerLowered++
 			}
-			a.Prog = ir.Link(a.Info, frags)
-		} else {
-			a.Prog = ir.Lower(a.Info, a.Files...)
 		}
+		a.Prog = ir.Link(a.Info, frags)
 		entries := a.Opts.Entries
 		if len(entries) == 0 {
 			if _, ok := a.Prog.Funcs[a.Opts.Entry]; !ok {
@@ -165,19 +159,6 @@ var phases = []phase{
 		return nil
 	}},
 	{PhaseCallGraph, func(_ context.Context, a *Analysis) error {
-		if a.prev != nil {
-			// Incremental rebuild: relinking shifts instruction IDs,
-			// so edges are rescanned rather than patched, but the
-			// direct scan skips the vF fixpoint whenever no function
-			// values flow through variables or memory. BuildDirect
-			// is exact — it refuses rather than approximates — so
-			// the graph matches BuildEntries' bit for bit.
-			if g, ok := callgraph.BuildDirect(a.Prog, a.entries, a.Opts.ImplicitSpecs); ok {
-				a.Graph = g
-				a.Front.CallGraphDirect = true
-				return nil
-			}
-		}
 		a.Graph = callgraph.BuildEntries(a.Prog, a.entries, a.Opts.ImplicitSpecs)
 		return nil
 	}},
@@ -380,20 +361,15 @@ func (a *Analysis) RelationSizes() map[string]int64 {
 		s["instruction_pairs"] = int64(a.Report.Stats.IPairs)
 		s["warnings"] = int64(len(a.Report.Warnings))
 	}
-	// Front-end reuse counters, only for snapshot-backed runs so that
-	// plain runs' phase outputs (pinned by golden reports) are
-	// untouched. Zero values surface nowhere: runPhases only
-	// attributes keys whose value changed.
-	if a.snapshotting {
-		s["parse_files_reused"] = int64(a.Front.ParseReused)
-		s["parse_files_parsed"] = int64(a.Front.ParseParsed)
-		s["check_files_reused"] = int64(a.Front.CheckReused)
-		s["check_files_checked"] = int64(a.Front.CheckChecked)
-		s["lower_frags_reused"] = int64(a.Front.LowerReused)
-		s["lower_frags_lowered"] = int64(a.Front.LowerLowered)
-		if a.Front.CallGraphDirect {
-			s["callgraph_direct"] = 1
-		}
-	}
+	// Front-end counters. Zero values surface nowhere: runPhases only
+	// attributes keys whose value changed, so a run without a base
+	// reports no reuse, and one that starts from checked files
+	// (AnalyzeContext) reports only its lowered fragments.
+	s["parse_files_reused"] = int64(a.Front.ParseReused)
+	s["parse_files_parsed"] = int64(a.Front.ParseParsed)
+	s["check_files_reused"] = int64(a.Front.CheckReused)
+	s["check_files_checked"] = int64(a.Front.CheckChecked)
+	s["lower_frags_reused"] = int64(a.Front.LowerReused)
+	s["lower_frags_lowered"] = int64(a.Front.LowerLowered)
 	return s
 }

@@ -103,8 +103,8 @@ type linked struct {
 }
 
 // Link assembles fragments (in file order) into one Program. It reads
-// the fragments and writes only the Program, so fragments cached by a
-// snapshot may be shared by concurrent links, and reports are
+// the fragments and writes only the Program, so fragments reused from
+// an earlier program may be shared by concurrent links, and reports are
 // byte-identical whether a fragment was freshly lowered or replayed
 // from a cache. It costs O(#fragments + #globals + #funcs).
 func Link(info *cminor.Info, frags []*Fragment) *Program {
@@ -305,6 +305,9 @@ func (c *Cursor) enter() {
 		c.seg = c.lf.bodyInstr + len(c.lf.frag.instrs) - c.lf.frag.numInit
 	}
 }
+
+// Fragment returns the i-th linked fragment, in file order.
+func (p *Program) Fragment(i int) *Fragment { return p.frags[i].frag }
 
 // NumInstrs counts the program's instructions; IDs are 0..NumInstrs-1.
 func (p *Program) NumInstrs() int { return p.numInstrs }

@@ -75,7 +75,7 @@ func FuzzIncremental(f *testing.F) {
 	}
 	sort.Strings(paths)
 	opts := core.Options{}
-	_, snap, err := core.AnalyzeSourceSnapshot(context.Background(), opts, base)
+	first, err := core.AnalyzeSourceContext(context.Background(), opts, base)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -93,8 +93,8 @@ func FuzzIncremental(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		changed, removed := decodeDelta(data, base, paths)
 		ctx := context.Background()
-		sources := snap.Apply(changed, removed)
-		a, _, incErr := core.AnalyzeIncremental(ctx, opts, snap, changed, removed)
+		sources := first.Apply(changed, removed)
+		a, incErr := core.AnalyzeIncremental(ctx, opts, first, changed, removed)
 		if len(sources) == 0 {
 			if errorKind(incErr) != core.ErrConfig {
 				t.Fatalf("delta removing every file: %v, want a config error", incErr)

@@ -16,7 +16,7 @@ import (
 // TestIncrementalMatchesFromScratch is the differential oracle for the
 // incremental front end: starting from a multi-file program, a seeded
 // 25-step edit sequence is replayed twice — once as a chain of
-// AnalyzeIncremental deltas against the previous snapshot, once as a
+// AnalyzeIncremental deltas against the previous analysis, once as a
 // from-scratch analysis of each intermediate state — and the canonical
 // reports must be byte-identical at every step. The edits come from
 // the oracle's mutation machinery, so they rotate body-only changes
@@ -56,7 +56,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			}
 
 			ctx := context.Background()
-			inc, snap, err := core.AnalyzeSourceSnapshot(ctx, opts, cur)
+			inc, err := core.AnalyzeSourceContext(ctx, opts, cur)
 			if err != nil {
 				t.Fatalf("initial analysis: %v", err)
 			}
@@ -65,7 +65,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				t.Fatalf("initial from-scratch analysis: %v", err)
 			}
 			if !bytes.Equal(CanonicalReport(inc.Report), CanonicalReport(scratch.Report)) {
-				t.Fatal("snapshot and plain analyses disagree before any edit")
+				t.Fatal("two plain analyses disagree before any edit")
 			}
 
 			rng := rand.New(rand.NewSource(2008))
@@ -92,12 +92,12 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				cur = trial
 				applied++
 
-				a, next, err := core.AnalyzeIncremental(ctx, opts, snap,
+				a, err := core.AnalyzeIncremental(ctx, opts, inc,
 					map[string]string{p: mutated}, nil)
 				if err != nil {
 					t.Fatalf("step %d (%s): incremental: %v", applied, desc, err)
 				}
-				snap = next
+				inc = a
 				full, err := core.AnalyzeSource(opts, cur)
 				if err != nil {
 					t.Fatalf("step %d (%s): from-scratch: %v", applied, desc, err)
@@ -128,7 +128,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 }
 
 // TestDeltaFanOutSharesFragments runs six deltas concurrently against
-// one base snapshot, so every unchanged file's IR fragment is linked
+// one base analysis, so every unchanged file's IR fragment is linked
 // into several programs at once (run with -race): a body-only edit of
 // each of the four files, a declaration change that takes the
 // full-check fallback, and an edit that deletes the program's only
@@ -170,7 +170,7 @@ func TestDeltaFanOutSharesFragments(t *testing.T) {
 			}
 
 			ctx := context.Background()
-			first, snap, err := core.AnalyzeSourceSnapshot(ctx, opts, base)
+			first, err := core.AnalyzeSourceContext(ctx, opts, base)
 			if err != nil {
 				t.Fatalf("base analysis: %v", err)
 			}
@@ -190,12 +190,12 @@ func TestDeltaFanOutSharesFragments(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					a, _, err := core.AnalyzeIncremental(ctx, opts, snap, changed, nil)
+					a, err := core.AnalyzeIncremental(ctx, opts, first, changed, nil)
 					if err != nil {
 						t.Errorf("%s: incremental: %v", d.name, err)
 						return
 					}
-					full, err := core.AnalyzeSource(opts, snap.Apply(changed, nil))
+					full, err := core.AnalyzeSource(opts, first.Apply(changed, nil))
 					if err != nil {
 						t.Errorf("%s: from scratch: %v", d.name, err)
 						return
@@ -217,7 +217,7 @@ func TestDeltaFanOutSharesFragments(t *testing.T) {
 			wg.Wait()
 
 			// A delta that changes nothing relinks every base fragment.
-			again, _, err := core.AnalyzeIncremental(ctx, opts, snap, nil, nil)
+			again, err := core.AnalyzeIncremental(ctx, opts, first, nil, nil)
 			if err != nil {
 				t.Fatalf("relink: %v", err)
 			}

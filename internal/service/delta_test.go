@@ -1,17 +1,19 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
-
-	"context"
 )
 
 // deltaSources is a two-file program whose main.c body is
@@ -139,8 +141,8 @@ func TestDeltaAnalyze(t *testing.T) {
 	if st.FrontendFilesReused == 0 {
 		t.Fatalf("frontend_files_reused = 0 after a delta run")
 	}
-	if st.SnapshotEntries == 0 {
-		t.Fatal("snapshot store empty after successful runs")
+	if st.CacheEntries == 0 {
+		t.Fatal("result cache empty after successful runs")
 	}
 }
 
@@ -174,8 +176,9 @@ func TestDeltaOptionMismatch(t *testing.T) {
 }
 
 func TestDeltaDisabledSnapshots(t *testing.T) {
-	// SnapshotEntries < 0 disables the store: every delta is gone.
-	s := New(Config{Workers: 1, SnapshotEntries: -1})
+	// CacheEntries < 0 disables the result cache, which is also the
+	// store of delta bases: every delta is gone.
+	s := New(Config{Workers: 1, CacheEntries: -1})
 	defer s.Close()
 	ctx := context.Background()
 	full, err := s.Analyze(ctx, core.Options{}, deltaSources("conn_link(a, b);"))
@@ -185,7 +188,135 @@ func TestDeltaDisabledSnapshots(t *testing.T) {
 	_, err = s.AnalyzeDelta(ctx, core.Options{}, full.Key, nil, nil)
 	var aerr *core.Error
 	if !errors.As(err, &aerr) || aerr.Kind != core.ErrSnapshotGone {
-		t.Fatalf("err = %v, want snapshot_gone when the store is disabled", err)
+		t.Fatalf("err = %v, want snapshot_gone when the cache is disabled", err)
+	}
+}
+
+// TestDeltaFileCounts: the delta block counts what the request did to
+// the base's source set, not the lengths of its lists.
+func TestDeltaFileCounts(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	sources := deltaSources("conn_link(a, b);")
+	sources["extra.c"] = "int unused_helper(void) { return 2; }\n"
+	full, err := s.Analyze(ctx, core.Options{}, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := "int unused_helper(void) { return 3; }\n"
+	for _, tc := range []struct {
+		name                       string
+		changed                    map[string]string
+		removed                    []string
+		reused, nchanged, nremoved int
+	}{
+		{"remove one file", nil, []string{"extra.c"}, 2, 0, 1},
+		{"edit one file", map[string]string{"extra.c": edited}, nil, 2, 1, 0},
+		{"add one file", map[string]string{"new.c": "int new_helper(void) { return 4; }\n"}, nil, 3, 1, 0},
+		{"remove a path the base lacks", nil, []string{"absent.c"}, 3, 0, 0},
+		{"remove a path twice", nil, []string{"extra.c", "extra.c"}, 2, 0, 1},
+		{"remove and change one path", map[string]string{"extra.c": edited}, []string{"extra.c"}, 2, 1, 0},
+	} {
+		res, err := s.AnalyzeDelta(ctx, core.Options{}, full.Key, tc.changed, tc.removed)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := res.Delta; d.FilesReused != tc.reused || d.FilesChanged != tc.nchanged || d.FilesRemoved != tc.nremoved {
+			t.Errorf("%s: reused/changed/removed = %d/%d/%d, want %d/%d/%d", tc.name,
+				d.FilesReused, d.FilesChanged, d.FilesRemoved, tc.reused, tc.nchanged, tc.nremoved)
+		}
+	}
+}
+
+// TestDeltaKeysShareTheResultCache: a delta response's key is a delta
+// base and an explain/query key like any other, and once it is
+// evicted from the result cache all three requests fail alike.
+func TestDeltaKeysShareTheResultCache(t *testing.T) {
+	s := New(Config{Workers: 1, CacheEntries: 2})
+	defer s.Close()
+	ctx := context.Background()
+	full, err := s.Analyze(ctx, core.Options{}, deltaSources("conn_link(a, b);"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.AnalyzeDelta(ctx, core.Options{}, full.Key,
+		map[string]string{"main.c": deltaSources("conn_link(a, b); conn_link(a, a);")["main.c"]}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.AnalyzeDelta(ctx, core.Options{}, first.Key,
+		map[string]string{"main.c": deltaSources("conn_link(a, b); conn_link(b, b);")["main.c"]}, nil)
+	if err != nil {
+		t.Fatalf("delta on a delta's key: %v", err)
+	}
+	if second.Delta.Base != first.Key || second.Delta.FilesReused != 1 {
+		t.Fatalf("chained delta info = %+v", second.Delta)
+	}
+	ex, err := s.Explain(ctx, first.Key, 0)
+	if err != nil {
+		t.Fatalf("explain a delta's key: %v", err)
+	}
+	if ex.Warnings == 0 || len(ex.Explanations) != ex.Warnings {
+		t.Fatalf("explain a delta's key: %d explanations of %d warnings", len(ex.Explanations), ex.Warnings)
+	}
+
+	// The cache holds first and second; full's key is evicted.
+	var aerr *core.Error
+	_, err = s.AnalyzeDelta(ctx, core.Options{}, full.Key, nil, nil)
+	if !errors.As(err, &aerr) || aerr.Kind != core.ErrSnapshotGone {
+		t.Errorf("delta on an evicted key: %v, want snapshot_gone", err)
+	}
+	_, err = s.Explain(ctx, full.Key, 0)
+	if !errors.As(err, &aerr) || aerr.Kind != core.ErrSnapshotGone {
+		t.Errorf("explain an evicted key: %v, want snapshot_gone", err)
+	}
+	_, err = s.Query(ctx, full.Key, "main.c:13:9", "main.c:14:12")
+	if !errors.As(err, &aerr) || aerr.Kind != core.ErrSnapshotGone {
+		t.Errorf("query an evicted key: %v, want snapshot_gone", err)
+	}
+}
+
+// TestDeltaChainReleasesEvictedAnalyses runs a chain of deltas, each
+// against the previous response, through a two-entry cache. Every
+// analysis the cache evicted must be collectable: a finished analysis
+// that kept a pointer to its base would keep the whole chain alive.
+func TestDeltaChainReleasesEvictedAnalyses(t *testing.T) {
+	s := New(Config{Workers: 1, CacheEntries: 2})
+	defer s.Close()
+	ctx := context.Background()
+	var collected atomic.Int64
+	watch := func(res *Result) string {
+		runtime.SetFinalizer(res.Analysis, func(*core.Analysis) { collected.Add(1) })
+		return res.Key
+	}
+	res, err := s.Analyze(ctx, core.Options{}, deltaSources("conn_link(a, b);"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := watch(res)
+	const deltas = 24
+	for i := 0; i < deltas; i++ {
+		body := fmt.Sprintf("conn_link(a, b); /* edit %d */", i)
+		res, err := s.AnalyzeDelta(ctx, core.Options{}, key,
+			map[string]string{"main.c": deltaSources(body)["main.c"]}, nil)
+		if err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		key = watch(res)
+	}
+	if st := s.Stats(); st.CacheEntries != 2 || st.CacheEvictions != deltas-1 {
+		t.Fatalf("cache entries/evictions = %d/%d, want 2/%d", st.CacheEntries, st.CacheEvictions, deltas-1)
+	}
+	// Finalizers run after the collection that finds their object
+	// unreachable, on a goroutine of their own.
+	want := int64(deltas - 1)
+	for i := 0; i < 50 && collected.Load() < want; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != want {
+		t.Fatalf("%d of %d evicted analyses were collected", got, want)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // TestDigestFormat pins the byte layout of the source-set digest:
 // sha256 over "\x00<path>\x00<hex sha256 of content>" per path in
-// sorted order. Cache keys (and therefore snapshot bases) for
+// sorted order. Cache keys (and therefore delta bases) for
 // identical requests must never change across releases, so this test
 // spells the algorithm out independently rather than calling the
 // helpers under test.
@@ -42,28 +42,5 @@ func TestDigestFormat(t *testing.T) {
 	}
 	if got, want := Key(opts, sources), hex.EncodeToString(kh.Sum(nil)); got != want {
 		t.Fatalf("Key layout changed:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestDigestMatchesSnapshotFileDigests ties the two keying layers
-// together: the per-file digests inside Digest are core.FileDigest,
-// the same digests snapshots use to decide parse reuse.
-func TestDigestMatchesSnapshotFileDigests(t *testing.T) {
-	content := "struct s { int x; };\n"
-	sum := sha256.Sum256([]byte(content))
-	if got, want := core.FileDigest(content), hex.EncodeToString(sum[:]); got != want {
-		t.Fatalf("core.FileDigest = %s, want raw sha256 %s", got, want)
-	}
-
-	// Distinct paths with identical content digest differently; the
-	// empty set digests to sha256 of nothing.
-	a := Digest(map[string]string{"a.c": content})
-	b := Digest(map[string]string{"b.c": content})
-	if a == b {
-		t.Fatal("digest ignores file paths")
-	}
-	empty := sha256.Sum256(nil)
-	if got, want := Digest(nil), hex.EncodeToString(empty[:]); got != want {
-		t.Fatalf("empty-set digest = %s, want %s", got, want)
 	}
 }

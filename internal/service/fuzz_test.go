@@ -28,7 +28,7 @@ func FuzzHandlerAnalyze(f *testing.F) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	// Analyze the valid body's sources up front so the delta seed's
-	// base names a snapshot the service holds.
+	// base names a result the service holds.
 	base, err := s.Analyze(context.Background(), core.Options{}, sourcesFor(0))
 	if err != nil {
 		f.Fatal(err)

@@ -44,7 +44,7 @@ type AnalyzeResponse struct {
 }
 
 // DeltaResponse is the response's "delta" block (schema
-// "regionwiz/delta/v1"): how the base snapshot plus the request's
+// "regionwiz/delta/v1"): how the base's sources plus the request's
 // edits composed into the analyzed source set.
 type DeltaResponse struct {
 	Schema       string `json:"schema"`
@@ -199,7 +199,7 @@ func handleAnalyze(s *Service, w http.ResponseWriter, r *http.Request) {
 		if len(req.Changed) > 0 || len(req.Removed) > 0 {
 			root.End(trace.Bool("error", true))
 			writeError(ctx, w, http.StatusBadRequest, core.Errf(core.ErrConfig, "",
-				"changed/removed require a base snapshot key"))
+				"changed/removed require a base key"))
 			return
 		}
 		res, err = s.Analyze(ctx, opts, req.Sources)
@@ -396,12 +396,11 @@ func writeMetrics(w http.ResponseWriter, st Stats) {
 	counter("regionwizd_overloads_total", st.Overloads, "Requests rejected by admission control.")
 	counter("regionwizd_errors_total", st.Errors, "Failed requests, overloads included.")
 	counter("regionwizd_cache_evictions_total", st.CacheEvictions, "Cache entries evicted to make room.")
-	counter("regionwizd_delta_requests_total", st.DeltaRequests, "Requests that named a base snapshot.")
-	counter("regionwizd_snapshot_hits_total", st.SnapshotHits, "Delta requests whose base snapshot was held.")
-	counter("regionwizd_snapshot_gone_total", st.SnapshotGone, "Delta requests rejected because the base snapshot was gone.")
-	counter("regionwizd_snapshot_evictions_total", st.SnapshotEvictions, "Snapshots evicted to make room.")
-	counter("regionwizd_frontend_files_reused_total", st.FrontendFilesReused, "Source files whose front-end artifacts were reused.")
-	counter("regionwizd_frontend_files_rerun_total", st.FrontendFilesRerun, "Source files re-parsed by snapshot-backed runs.")
+	counter("regionwizd_delta_requests_total", st.DeltaRequests, "Requests that named a base key.")
+	counter("regionwizd_snapshot_hits_total", st.SnapshotHits, "Delta requests whose base was in the result cache.")
+	counter("regionwizd_snapshot_gone_total", st.SnapshotGone, "Delta requests rejected because the base was gone.")
+	counter("regionwizd_frontend_files_reused_total", st.FrontendFilesReused, "Source files whose parse was reused from a delta's base.")
+	counter("regionwizd_frontend_files_rerun_total", st.FrontendFilesRerun, "Source files parsed by pipeline runs.")
 	counter("regionwizd_queue_waits_total", st.QueueWaits, "Requests that waited in the admission queue.")
 	counter("regionwizd_warnings_total", st.Warnings, "Warnings reported across every pipeline run.")
 	counter("regionwizd_explain_requests_total", st.ExplainRequests, "Provenance (explain) queries served.")
@@ -410,7 +409,6 @@ func writeMetrics(w http.ResponseWriter, st Stats) {
 	gauge("regionwizd_inflight", st.Inflight, "Pipeline runs executing now.")
 	gauge("regionwizd_queued", st.Queued, "Requests waiting for a worker slot.")
 	gauge("regionwizd_cache_entries", int64(st.CacheEntries), "Result cache population.")
-	gauge("regionwizd_snapshot_entries", int64(st.SnapshotEntries), "Snapshot store population.")
 	fmt.Fprintf(&sb, "# HELP regionwizd_queue_wait_seconds_total Cumulative admission queue wait.\n# TYPE regionwizd_queue_wait_seconds_total counter\nregionwizd_queue_wait_seconds_total %g\n",
 		st.QueueWait.Seconds())
 	names := make([]string, 0, len(st.Phases))

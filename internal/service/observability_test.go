@@ -137,9 +137,71 @@ func TestWireTraceOption(t *testing.T) {
 	}
 }
 
+// traceSpan is one complete span of a Chrome trace document; dup marks
+// a name recorded more than once.
+type traceSpan struct {
+	id, parent float64
+	ts, end    float64
+	args       map[string]any
+	dup        bool
+}
+
+// traceSpans indexes a trace document's complete spans by name.
+func traceSpans(t *testing.T, raw json.RawMessage) map[string]traceSpan {
+	t.Helper()
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Ts   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]traceSpan{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		if sp, dup := spans[ev.Name]; dup {
+			sp.dup = true
+			spans[ev.Name] = sp
+			continue
+		}
+		parent, _ := ev.Args["parent_span"].(float64)
+		spans[ev.Name] = traceSpan{ev.Args["span_id"].(float64), parent, ev.Ts, ev.Ts + ev.Dur, ev.Args, false}
+	}
+	return spans
+}
+
+// checkNesting fails the test unless each child span, recorded once,
+// lies inside its parent, recorded once, and names it as its parent.
+func checkNesting(t *testing.T, spans map[string]traceSpan, raw json.RawMessage, parentOf map[string]string) {
+	t.Helper()
+	for child, parent := range parentOf {
+		c, ok := spans[child]
+		p, pok := spans[parent]
+		if !ok || !pok {
+			t.Fatalf("trace lacks %q or %q: %s", child, parent, raw)
+		}
+		if c.dup || p.dup {
+			t.Fatalf("%q or %q recorded twice: %s", child, parent, raw)
+		}
+		if c.parent != p.id || c.ts < p.ts || c.end > p.end {
+			t.Errorf("%q [%g, %g] parent %g is not under %q [%g, %g] id %g",
+				child, c.ts, c.end, c.parent, parent, p.ts, p.end, p.id)
+		}
+	}
+}
+
 // TestTracedHotRequestSpans: a traced cache hit's trace holds the body
 // decode under the HTTP request span and the keying under the service
-// request span, and tracing leaves the report bytes as they were.
+// request span, and tracing leaves the report bytes as they were. A
+// traced delta against the hit's key adds the base lookup under the
+// service request span, with the delta's file counts.
 func TestTracedHotRequestSpans(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -168,55 +230,53 @@ func TestTracedHotRequestSpans(t *testing.T) {
 		t.Fatal("report bytes differ between the untraced and the traced request")
 	}
 
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Ts   float64        `json:"ts"`
-			Dur  float64        `json:"dur"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(traced.Trace, &doc); err != nil {
-		t.Fatal(err)
-	}
-	type span struct {
-		id, parent float64
-		ts, end    float64
-		args       map[string]any
-	}
-	spans := map[string]span{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
-			continue
-		}
-		if _, dup := spans[ev.Name]; dup {
-			t.Fatalf("span %q recorded twice", ev.Name)
-		}
-		parent, _ := ev.Args["parent_span"].(float64)
-		spans[ev.Name] = span{ev.Args["span_id"].(float64), parent, ev.Ts, ev.Ts + ev.Dur, ev.Args}
-	}
-	for child, parent := range map[string]string{
+	spans := traceSpans(t, traced.Trace)
+	checkNesting(t, spans, traced.Trace, map[string]string{
 		"http.decode":     "http.request",
 		"service.request": "http.request",
 		"service.key":     "service.request",
-	} {
-		c, ok := spans[child]
-		p, pok := spans[parent]
-		if !ok || !pok {
-			t.Fatalf("trace lacks %q or %q: %s", child, parent, traced.Trace)
-		}
-		if c.parent != p.id || c.ts < p.ts || c.end > p.end {
-			t.Errorf("%q [%g, %g] parent %g is not under %q [%g, %g] id %g",
-				child, c.ts, c.end, c.parent, parent, p.ts, p.end, p.id)
-		}
-	}
+	})
 	dec := spans["http.decode"]
 	if dec.ts != spans["http.request"].ts {
 		t.Errorf("http.decode starts at %g, not with the request at %g", dec.ts, spans["http.request"].ts)
 	}
 	if dec.args["body_bytes"] != float64(len(tracedBody)) || dec.args["path"] != "fast" {
 		t.Errorf("http.decode attributes %v, want body_bytes %d and path fast", dec.args, len(tracedBody))
+	}
+	if _, ok := spans["service.base"]; ok {
+		t.Error("a full request recorded a service.base span")
+	}
+
+	deltaBody, err := json.Marshal(Request{
+		Base:    traced.Key,
+		Changed: map[string]string{"extra.c": "int unused_helper(void) { return 2; }\n"},
+		Removed: []string{"absent.c"},
+		Trace:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, data := postAnalyze(t, srv, string(deltaBody))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta status %d: %s", resp.StatusCode, data)
+	}
+	var delta AnalyzeResponse
+	if err := json.Unmarshal(data, &delta); err != nil {
+		t.Fatal(err)
+	}
+	spans = traceSpans(t, delta.Trace)
+	checkNesting(t, spans, delta.Trace, map[string]string{
+		"service.request": "http.request",
+		"service.base":    "service.request",
+		"service.key":     "service.request",
+	})
+	if base, key := spans["service.base"], spans["service.key"]; base.end > key.ts {
+		t.Errorf("service.base [%g, %g] does not end before service.key starts at %g", base.ts, base.end, key.ts)
+	}
+	for attr, want := range map[string]float64{"files_reused": 1, "files_changed": 1, "files_removed": 0} {
+		if got := spans["service.base"].args[attr]; got != want {
+			t.Errorf("service.base %s = %v, want %g", attr, got, want)
+		}
 	}
 }
 

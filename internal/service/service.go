@@ -46,14 +46,13 @@ type Config struct {
 	// fast with an overload error.
 	QueueDepth int
 	// CacheEntries bounds the LRU result cache (default 128; negative
-	// disables caching — requests still coalesce while in flight).
+	// disables caching — requests still coalesce while in flight). A
+	// key answers explain, query and delta requests exactly while its
+	// result is cached, so with caching disabled every one of them
+	// fails with a snapshot-gone error.
 	CacheEntries int
-	// SnapshotEntries bounds the LRU snapshot store backing delta
-	// requests (default 16; negative disables snapshots — every delta
-	// request then fails with a snapshot-gone error and full requests
-	// skip snapshot building). Snapshots hold parsed files and IR for
-	// the whole source set, so they are much heavier than cached
-	// results; size accordingly.
+	// Deprecated: ignored. Delta requests use the result cache as
+	// their base store; see CacheEntries.
 	SnapshotEntries int
 	// RequestTimeout, when positive, caps each request end to end:
 	// queue wait plus pipeline run (default none). The caller's
@@ -76,12 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries < 0 {
 		c.CacheEntries = 0
-	}
-	if c.SnapshotEntries == 0 {
-		c.SnapshotEntries = 16
-	}
-	if c.SnapshotEntries < 0 {
-		c.SnapshotEntries = 0
 	}
 	return c
 }
@@ -107,20 +100,16 @@ type Result struct {
 	// computed: a delta request answered from the cache still reports
 	// its file split.
 	Delta *DeltaInfo
-
-	// snap is the front-end snapshot the run produced, deposited into
-	// the snapshot store under Key; nil for cache hits and when
-	// snapshots are disabled.
-	snap *core.Snapshot
 }
 
-// DeltaInfo summarizes a delta request against its base snapshot.
+// DeltaInfo summarizes a delta request against its base result.
 type DeltaInfo struct {
-	// Base is the snapshot key the request named.
+	// Base is the result key the request named.
 	Base string
 	// FilesReused counts files taken unchanged from the base;
-	// FilesChanged counts edited or added files; FilesRemoved counts
-	// deletions.
+	// FilesChanged counts edited or added paths; FilesRemoved counts
+	// base paths missing from the resulting source set (a path both
+	// removed and changed counts as changed).
 	FilesReused  int
 	FilesChanged int
 	FilesRemoved int
@@ -149,8 +138,7 @@ type Service struct {
 	sem   chan struct{} // worker slots
 
 	mu     sync.Mutex
-	cache  *lru[*Result]
-	snaps  *lru[*core.Snapshot]
+	cache  *lru
 	calls  map[string]*call
 	closed bool
 
@@ -171,8 +159,7 @@ func New(cfg Config) *Service {
 		cfg:     cfg,
 		stats:   newCollector(),
 		sem:     make(chan struct{}, cfg.Workers),
-		cache:   newLRU[*Result](cfg.CacheEntries),
-		snaps:   newLRU[*core.Snapshot](cfg.SnapshotEntries),
+		cache:   newLRU(cfg.CacheEntries),
 		calls:   make(map[string]*call),
 		closeCh: make(chan struct{}),
 	}
@@ -182,7 +169,7 @@ func New(cfg Config) *Service {
 // normalized options fingerprint combined with a per-file digest of
 // every source (see Digest). Any change to an option that can alter
 // results, to a path, or to a file's content changes the key. The key
-// of a completed request is also its snapshot handle: a later delta
+// of a completed request is also its delta handle: a later delta
 // request names it as "base".
 func Key(opts core.Options, sources map[string]string) string {
 	h := sha256.New()
@@ -202,10 +189,10 @@ func (s *Service) Analyze(ctx context.Context, opts core.Options, sources map[st
 }
 
 // AnalyzeDelta serves a delta request: the source set of a previous
-// response (named by its key, the snapshot base) with changed paths
-// overwritten or added and removed paths deleted. The run reuses the
-// base snapshot's per-file front end; if the base has been evicted —
-// or was never computed — the request fails with an
+// response (named by its key, the base) with changed paths overwritten
+// or added and removed paths deleted. The run reuses the cached base
+// analysis's per-file front end; if the base has been evicted from the
+// result cache — or was never computed — the request fails with an
 // ErrSnapshotGone-kind error (HTTP 409) and the client retries with
 // full sources. The result is keyed and cached exactly as the
 // equivalent full request would be: the report bytes are identical and
@@ -248,36 +235,16 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 		return nil, err
 	}
 
-	// A delta request materializes its source set from the base
-	// snapshot, then flows through keying, caching, and coalescing
+	// A delta request materializes its source set from the cached
+	// base result, then flows through keying, caching, and coalescing
 	// exactly like the full request it abbreviates.
-	var base *core.Snapshot
+	var base *core.Analysis
 	var dinfo *DeltaInfo
 	if delta != nil {
-		s.mu.Lock()
-		snap, ok := s.snaps.get(delta.base)
-		s.mu.Unlock()
-		if !ok {
-			s.stats.snapshotGone.Add(1)
-			return nil, core.Errf(core.ErrSnapshotGone, "",
-				"base snapshot %.12s… is gone (evicted or never computed); retry with full sources", delta.base)
-		}
-		if snap.Options().Fingerprint() != opts.Fingerprint() {
-			return nil, core.Errf(core.ErrConfig, "",
-				"delta request options do not match the base snapshot's")
-		}
-		s.stats.snapshotHits.Add(1)
-		base = snap
-		sources = snap.Apply(delta.changed, delta.removed)
-		dinfo = &DeltaInfo{
-			Base:         delta.base,
-			FilesChanged: len(delta.changed),
-			FilesRemoved: len(delta.removed),
-		}
-		for p := range sources {
-			if _, changed := delta.changed[p]; !changed {
-				dinfo.FilesReused++
-			}
+		var err error
+		base, sources, dinfo, err = s.resolveDelta(ctx, opts, delta)
+		if err != nil {
+			return nil, err
 		}
 	}
 	if len(sources) == 0 {
@@ -332,9 +299,6 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 	delete(s.calls, key)
 	if err == nil {
 		s.cache.add(key, res)
-		if res.snap != nil {
-			s.snaps.add(key, res.snap)
-		}
 	}
 	s.mu.Unlock()
 	c.res, c.err = res, err
@@ -343,12 +307,53 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 	return res, err
 }
 
+// resolveDelta looks up a delta's base in the result cache and
+// materializes the request's source set from it, under a
+// "service.base" span.
+func (s *Service) resolveDelta(ctx context.Context, opts core.Options, delta *deltaReq) (*core.Analysis, map[string]string, *DeltaInfo, error) {
+	_, sp := trace.StartSpan(ctx, "service.base")
+	s.mu.Lock()
+	res, ok := s.cache.get(delta.base)
+	s.mu.Unlock()
+	if !ok {
+		s.stats.snapshotGone.Add(1)
+		sp.End(trace.Bool("error", true))
+		return nil, nil, nil, core.Errf(core.ErrSnapshotGone, "",
+			"base %.12s… is gone (evicted or never computed); retry with full sources", delta.base)
+	}
+	base := res.Analysis
+	if base.Opts.Fingerprint() != opts.Fingerprint() {
+		sp.End(trace.Bool("error", true))
+		return nil, nil, nil, core.Errf(core.ErrConfig, "",
+			"delta request options do not match the base analysis's")
+	}
+	s.stats.snapshotHits.Add(1)
+	sources := base.Apply(delta.changed, delta.removed)
+	dinfo := &DeltaInfo{Base: delta.base, FilesChanged: len(delta.changed)}
+	for p := range sources {
+		if _, changed := delta.changed[p]; !changed {
+			dinfo.FilesReused++
+		}
+	}
+	for p := range base.Sources {
+		if _, kept := sources[p]; !kept {
+			dinfo.FilesRemoved++
+		}
+	}
+	if sp != nil {
+		sp.End(trace.Int("files_reused", dinfo.FilesReused),
+			trace.Int("files_changed", dinfo.FilesChanged),
+			trace.Int("files_removed", dinfo.FilesRemoved))
+	}
+	return base, sources, dinfo, nil
+}
+
 // lead runs the leader path behind a panic boundary. A panic anywhere
 // in admission or the pipeline becomes an ErrInternal error, which
 // analyze then hands to the leader and every coalesced waiter while
 // it releases the in-flight entry as usual. run's own deferred
 // releases (admission slot, inflight gauge) fire during the unwind.
-func (s *Service) lead(ctx context.Context, key string, opts core.Options, sources map[string]string, base *core.Snapshot, delta *deltaReq) (res *Result, err error) {
+func (s *Service) lead(ctx context.Context, key string, opts core.Options, sources map[string]string, base *core.Analysis, delta *deltaReq) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			slog.Default().LogAttrs(ctx, slog.LevelError, "analysis panicked",
@@ -379,9 +384,8 @@ func (s *Service) await(ctx context.Context, c *call) (*Result, error) {
 }
 
 // run is the leader path: admission control, then the pipeline. base
-// and delta are non-nil for delta requests; the snapshot the run
-// produces rides back on Result.snap.
-func (s *Service) run(ctx context.Context, key string, opts core.Options, sources map[string]string, base *core.Snapshot, delta *deltaReq) (*Result, error) {
+// and delta are non-nil for delta requests.
+func (s *Service) run(ctx context.Context, key string, opts core.Options, sources map[string]string, base *core.Analysis, delta *deltaReq) (*Result, error) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -426,14 +430,10 @@ func (s *Service) run(ctx context.Context, key string, opts core.Options, source
 	}
 	actx, asp := trace.StartSpan(ctx, "service.analysis")
 	var a *core.Analysis
-	var snap *core.Snapshot
 	var err error
-	switch {
-	case base != nil:
-		a, snap, err = core.AnalyzeIncremental(actx, opts, base, delta.changed, delta.removed)
-	case s.cfg.SnapshotEntries > 0:
-		a, snap, err = core.AnalyzeSourceSnapshot(actx, opts, sources)
-	default:
+	if base != nil {
+		a, err = core.AnalyzeIncremental(actx, opts, base, delta.changed, delta.removed)
+	} else {
 		a, err = core.AnalyzeSourceContext(actx, opts, sources)
 	}
 	asp.End(trace.Bool("error", err != nil))
@@ -452,7 +452,7 @@ func (s *Service) run(ctx context.Context, key string, opts core.Options, source
 		return nil, core.WrapError(core.ErrInternal, err)
 	}
 	s.stats.warnings.Add(uint64(len(a.Report.Warnings)))
-	return &Result{Analysis: a, ReportJSON: data, Key: key, snap: snap}, nil
+	return &Result{Analysis: a, ReportJSON: data, Key: key}, nil
 }
 
 // ExplainResult is one served provenance query.
@@ -545,8 +545,6 @@ func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	st.CacheEntries = s.cache.len()
 	st.CacheEvictions = s.cache.evictions
-	st.SnapshotEntries = s.snaps.len()
-	st.SnapshotEvictions = s.snaps.evictions
 	s.mu.Unlock()
 	return st
 }

@@ -93,18 +93,15 @@ type Stats struct {
 	// counts entries dropped to make room.
 	CacheEntries   int    `json:"cache_entries"`
 	CacheEvictions uint64 `json:"cache_evictions"`
-	// DeltaRequests counts requests that named a base snapshot;
-	// SnapshotHits found it, SnapshotGone did not (the 409 path).
+	// DeltaRequests counts requests that named a base key;
+	// SnapshotHits found it in the result cache, SnapshotGone did not
+	// (the 409 path).
 	DeltaRequests uint64 `json:"delta_requests"`
 	SnapshotHits  uint64 `json:"snapshot_hits"`
 	SnapshotGone  uint64 `json:"snapshot_gone"`
-	// SnapshotEntries is the snapshot store's population;
-	// SnapshotEvictions counts snapshots dropped to make room.
-	SnapshotEntries   int    `json:"snapshot_entries"`
-	SnapshotEvictions uint64 `json:"snapshot_evictions"`
 	// FrontendFilesReused and FrontendFilesRerun count, across every
-	// snapshot-backed pipeline run, source files whose front-end
-	// artifacts were reused versus re-parsed.
+	// pipeline run, source files whose parse was reused from a delta's
+	// base versus parsed.
 	FrontendFilesReused uint64 `json:"frontend_files_reused"`
 	FrontendFilesRerun  uint64 `json:"frontend_files_rerun"`
 	// QueueWaits counts requests that had to queue; QueueWait is their

@@ -15,10 +15,10 @@ const DeltaSchemaV1 = "regionwiz/delta/v1"
 type Request struct {
 	// Sources maps path -> CMinor/C-subset content.
 	Sources map[string]string `json:"sources,omitempty"`
-	// Base is the response key of a prior run whose snapshot this
-	// delta applies to. If the daemon no longer holds that snapshot the
-	// request fails with kind "snapshot_gone" (HTTP 409); resend the
-	// full sources.
+	// Base is the response key of a prior run whose sources this
+	// delta applies to. If that result is no longer in the daemon's
+	// result cache the request fails with kind "snapshot_gone" (HTTP
+	// 409); resend the full sources.
 	Base string `json:"base,omitempty"`
 	// Changed maps path -> full new content for edited or added files.
 	Changed map[string]string `json:"changed,omitempty"`

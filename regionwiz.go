@@ -134,9 +134,9 @@ const (
 	// ErrOverload is an admission-control rejection from an Analyzer
 	// or regionwizd under load.
 	ErrOverload = core.ErrOverload
-	// ErrSnapshotGone means a delta request named a base snapshot the
-	// service no longer holds (evicted or never computed); retrying
-	// with full sources succeeds.
+	// ErrSnapshotGone means a delta, explain or query request named a
+	// key whose result the service no longer caches (evicted or never
+	// computed); re-running with full sources succeeds.
 	ErrSnapshotGone = core.ErrSnapshotGone
 )
 
