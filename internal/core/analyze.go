@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"repro/internal/bdd"
 	"repro/internal/callgraph"
 	"repro/internal/cminor"
 	"repro/internal/contexts"
@@ -132,11 +131,6 @@ type Analysis struct {
 	// pairs is the inconsistency computation's raw output (pairs
 	// phase), condensed by the post phase.
 	pairs []ObjectPair
-	// bddNodes/bddTuples record the BDD backend's final node-table
-	// and relation sizes (zero for the explicit backend); bddStats
-	// snapshots the kernel's cache/table counters.
-	bddNodes, bddTuples int64
-	bddStats            bdd.ManagerStats
 
 	// Front counts per-file front-end work: what a run reused from
 	// its base and what it recomputed (incremental.go).

@@ -58,8 +58,8 @@ func TestBackendsAgree(t *testing.T) {
 		t.Run(fmt.Sprintf("src%d", i), func(t *testing.T) {
 			exp := runOpts(t, Options{Solver: SolverOptions{Backend: ExplicitBackend}}, src)
 			bdd := runOpts(t, Options{Solver: SolverOptions{Backend: BDDBackend}}, src)
-			expPairs := exp.computeObjectPairs(context.Background())
-			bddPairs := bdd.computeObjectPairsBDD(context.Background())
+			expPairs, _ := exp.computeObjectPairs(context.Background())
+			bddPairs, _ := bdd.computeObjectPairsBDD(context.Background())
 			if !reflect.DeepEqual(expPairs, bddPairs) {
 				t.Fatalf("backends disagree:\nexplicit: %+v\nbdd:      %+v", expPairs, bddPairs)
 			}
@@ -78,7 +78,7 @@ func TestCorrelationFrameworkAgrees(t *testing.T) {
 		t.Run(fmt.Sprintf("src%d", i), func(t *testing.T) {
 			a := run(t, src)
 			corr := a.Correlation()
-			pairs := a.computeObjectPairs(context.Background())
+			pairs, _ := a.computeObjectPairs(context.Background())
 			// The correlation ranges over created regions only; filter
 			// pairs whose evidence involves the root.
 			var nonRoot int

@@ -20,10 +20,13 @@ import (
 //	                         access(o1, n, o2).
 //
 // The result is identical to the explicit backend (asserted by tests);
-// the two differ only in how the relations are stored and joined.
-func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
+// the two differ only in how the relations are stored and joined. The
+// second result is the engine's final footprint and kernel counters,
+// which the pairs phase reports; it is nil when there is nothing to
+// verify and the engine never runs.
+func (a *Analysis) computeObjectPairsBDD(ctx context.Context) ([]ObjectPair, map[string]int64) {
 	if len(a.AccessEdges) == 0 {
-		return nil
+		return nil, nil
 	}
 	// pairs.load covers building the program and its base relations.
 	_, sl := trace.StartSpan(ctx, "pairs.load")
@@ -66,12 +69,15 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 	p.SolveSemiNaive(sctx, []*datalog.Rule{objectPairRule(or)}, 0)
 	s3.End()
 
-	// Expose the engine's final footprint and kernel counters to the
-	// pipeline metrics (the pairs phase reports them as bdd_nodes /
-	// datalog_tuples / bdd_cache_* keys).
-	a.bddNodes = int64(p.NodeCount())
-	a.bddTuples = int64(p.TupleCount())
-	a.bddStats = p.M.Stats()
+	st := p.M.Stats()
+	counters := map[string]int64{
+		"bdd_nodes":             int64(p.NodeCount()),
+		"datalog_tuples":        int64(p.TupleCount()),
+		"bdd_cache_hits":        int64(st.CacheHits),
+		"bdd_cache_misses":      int64(st.CacheMisses),
+		"bdd_unique_collisions": int64(st.UniqueCollisions),
+		"bdd_table_grows":       int64(st.Grows),
+	}
 
 	_, sx := trace.StartSpan(ctx, "pairs.extract")
 	var out []ObjectPair
@@ -84,7 +90,7 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 	})
 	sx.End()
 	sortPairs(out)
-	return out
+	return out, counters
 }
 
 // ruleText maps a rule's Name() to the paper's full Datalog rendering

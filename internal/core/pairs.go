@@ -27,8 +27,9 @@ type ObjectPair struct {
 // pairs with no subregion partial order. The explicit backend checks
 // each σ edge directly (equivalent to materializing regionPair and
 // joining, but linear in |σ|); the BDD backend runs the paper's
-// Datalog rules and is cross-checked in tests.
-func (a *Analysis) computeObjectPairs(ctx context.Context) []ObjectPair {
+// Datalog rules and is cross-checked in tests. The second result holds
+// the BDD engine's counters, nil on the explicit backend.
+func (a *Analysis) computeObjectPairs(ctx context.Context) ([]ObjectPair, map[string]int64) {
 	if a.Opts.Solver.Backend == BDDBackend {
 		return a.computeObjectPairsBDD(ctx)
 	}
@@ -39,7 +40,7 @@ func (a *Analysis) computeObjectPairs(ctx context.Context) []ObjectPair {
 		}
 	}
 	sortPairs(out)
-	return out
+	return out, nil
 }
 
 // checkEdge decides whether one access edge is inconsistent and, if

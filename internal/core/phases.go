@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"runtime"
+	"runtime/metrics"
 	"sort"
 	"time"
 
@@ -54,21 +54,25 @@ func newAnalysis(opts Options) *Analysis {
 }
 
 // phase is one named stage of the analysis over the shared state.
-// ctx is the run's; long phases poll it for cancellation.
+// ctx is the run's; long phases poll it for cancellation. run returns
+// the phase's outputs, the sizes of the relations and the counters it
+// produced (PhaseStat.Outputs), or nil when it produced none worth
+// reporting.
 type phase struct {
 	name string
-	run  func(ctx context.Context, a *Analysis) error
+	run  func(ctx context.Context, a *Analysis) (map[string]int64, error)
 }
 
 // phases is the analysis in execution order. The first frontEnd
 // entries parse and check a.Sources into a.Files and a.Info; runs
-// that start from checked files (AnalyzeContext) skip them.
+// that start from checked files (AnalyzeContext) skip them, and so
+// report neither their files nor their counters.
 // Incremental runs (a.base set) reuse the base's ASTs for unchanged
 // files and, when the edit preserves all declaration signatures,
 // re-check only the changed files against the base's declaration
 // environment and relink the base's IR fragments for the rest.
 var phases = []phase{
-	{PhaseParse, func(_ context.Context, a *Analysis) error {
+	{PhaseParse, func(_ context.Context, a *Analysis) (map[string]int64, error) {
 		paths := make([]string, 0, len(a.Sources))
 		for p := range a.Sources {
 			paths = append(paths, p)
@@ -96,15 +100,19 @@ var phases = []phase{
 			}
 			f, errs := budget.Parse(p, a.Sources[p])
 			if len(errs) != 0 {
-				return Errf(ErrParse, errs[0].Pos.String(),
+				return nil, Errf(ErrParse, errs[0].Pos.String(),
 					"parse %s: %v (and %d more)", p, errs[0], len(errs)-1)
 			}
 			a.Files = append(a.Files, f)
 			a.Front.ParseParsed++
 		}
-		return nil
+		return nonZero(map[string]int{
+			"files":              len(a.Files),
+			"parse_files_reused": a.Front.ParseReused,
+			"parse_files_parsed": a.Front.ParseParsed,
+		}), nil
 	}},
-	{PhaseCheck, func(_ context.Context, a *Analysis) error {
+	{PhaseCheck, func(_ context.Context, a *Analysis) (map[string]int64, error) {
 		if a.tryIncrementalCheck() {
 			a.incrementalCheck = true
 			a.Info = cminor.CheckIncremental(a.base.Info, a.Files, a.changed)
@@ -120,12 +128,15 @@ var phases = []phase{
 			a.Front.CheckChecked = len(a.Files)
 		}
 		if len(a.Info.Errors) != 0 {
-			return Errf(ErrParse, a.Info.Errors[0].Pos.String(),
+			return nil, Errf(ErrParse, a.Info.Errors[0].Pos.String(),
 				"check: %v (and %d more)", a.Info.Errors[0], len(a.Info.Errors)-1)
 		}
-		return nil
+		return nonZero(map[string]int{
+			"check_files_reused":  a.Front.CheckReused,
+			"check_files_checked": a.Front.CheckChecked,
+		}), nil
 	}},
-	{PhaseLower, func(_ context.Context, a *Analysis) error {
+	{PhaseLower, func(_ context.Context, a *Analysis) (map[string]int64, error) {
 		// Per-file fragments, reused from the base when the file is
 		// unchanged and the declaration environment held (fragments
 		// bake in type layouts and symbol kinds, so a full fallback
@@ -145,24 +156,36 @@ var phases = []phase{
 		entries := a.Opts.Entries
 		if len(entries) == 0 {
 			if _, ok := a.Prog.Funcs[a.Opts.Entry]; !ok {
-				return Errf(ErrResolve, "", "entry function %q not defined", a.Opts.Entry)
+				return nil, Errf(ErrResolve, "", "entry function %q not defined", a.Opts.Entry)
 			}
 			entries = []string{a.Opts.Entry}
 		} else {
 			for _, e := range entries {
 				if _, ok := a.Prog.Funcs[e]; !ok {
-					return Errf(ErrResolve, "", "entry function %q not defined", e)
+					return nil, Errf(ErrResolve, "", "entry function %q not defined", e)
 				}
 			}
 		}
 		a.entries = entries
-		return nil
+		return nonZero(map[string]int{
+			"funcs":               len(a.Prog.Funcs),
+			"lower_frags_reused":  a.Front.LowerReused,
+			"lower_frags_lowered": a.Front.LowerLowered,
+		}), nil
 	}},
-	{PhaseCallGraph, func(_ context.Context, a *Analysis) error {
+	{PhaseCallGraph, func(_ context.Context, a *Analysis) (map[string]int64, error) {
 		a.Graph = callgraph.BuildEntries(a.Prog, a.entries, a.Opts.ImplicitSpecs)
-		return nil
+		reach := a.Graph.ReachableFuncs()
+		instrs := 0
+		for _, fn := range reach {
+			instrs += a.Prog.Funcs[fn].NumInstrs()
+		}
+		return map[string]int64{
+			"reachable_funcs":  int64(len(reach)),
+			"reachable_instrs": int64(instrs),
+		}, nil
 	}},
-	{PhaseContexts, func(_ context.Context, a *Analysis) error {
+	{PhaseContexts, func(_ context.Context, a *Analysis) (map[string]int64, error) {
 		switch {
 		case a.Opts.ContextPolicy == PolicyOrigin:
 			a.Numbering = contexts.NewOrigin(a.Graph, a.Opts.ContextCap, a.originFns())
@@ -171,33 +194,70 @@ var phases = []phase{
 		default:
 			a.Numbering = contexts.Number(a.Graph, a.Opts.ContextCap)
 		}
-		return nil
+		out := map[string]int64{"contexts": int64(a.Numbering.TotalContexts())}
+		// Reported only when the cap actually merged contexts, so
+		// uncapped runs keep their golden phase outputs.
+		if a.Numbering.Capped {
+			out["ctx_capped"] = 1
+		}
+		return out, nil
 	}},
-	{PhasePointer, func(ctx context.Context, a *Analysis) error {
+	{PhasePointer, func(ctx context.Context, a *Analysis) (map[string]int64, error) {
 		a.Ptr = pointer.AnalyzeContext(ctx, a.Numbering, a.pointerConfig())
-		return nil
+		return a.Ptr.SolverStats(), nil
 	}},
-	{PhaseRegions, func(_ context.Context, a *Analysis) error {
+	{PhaseRegions, func(_ context.Context, a *Analysis) (map[string]int64, error) {
 		a.extractRegions()
 		a.collapseParents()
-		return nil
+		return map[string]int64{
+			"regions":         int64(len(a.Regions) - 1),
+			"subregion_edges": int64(a.subEdges),
+		}, nil
 	}},
-	{PhaseOwnership, func(_ context.Context, a *Analysis) error {
+	{PhaseOwnership, func(_ context.Context, a *Analysis) (map[string]int64, error) {
 		a.extractOwnership()
-		return nil
+		return nonZero(map[string]int{"ownership_edges": a.ownEdges}), nil
 	}},
-	{PhaseAccess, func(_ context.Context, a *Analysis) error {
+	{PhaseAccess, func(_ context.Context, a *Analysis) (map[string]int64, error) {
 		a.extractAccess()
-		return nil
+		return nonZero(map[string]int{"access_edges": len(a.AccessEdges)}), nil
 	}},
-	{PhasePairs, func(ctx context.Context, a *Analysis) error {
-		a.pairs = a.computeObjectPairs(ctx)
-		return nil
+	{PhasePairs, func(ctx context.Context, a *Analysis) (map[string]int64, error) {
+		var out map[string]int64
+		a.pairs, out = a.computeObjectPairs(ctx)
+		if len(a.pairs) > 0 {
+			if out == nil {
+				out = make(map[string]int64, 1)
+			}
+			out["object_pairs"] = int64(len(a.pairs))
+		}
+		return out, nil
 	}},
-	{PhasePost, func(_ context.Context, a *Analysis) error {
+	{PhasePost, func(_ context.Context, a *Analysis) (map[string]int64, error) {
 		a.Report = a.postProcess(a.pairs)
-		return nil
+		return map[string]int64{
+			"instruction_pairs": int64(a.Report.Stats.IPairs),
+			"warnings":          int64(len(a.Report.Warnings)),
+		}, nil
 	}},
+}
+
+// nonZero converts a phase's counts to its outputs, leaving out the
+// zero ones: a run without a base reports no reuse, and a program
+// without regions no ownership or access edges. It returns nil when
+// every count is zero.
+func nonZero(counts map[string]int) map[string]int64 {
+	var out map[string]int64
+	for k, v := range counts {
+		if v == 0 {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]int64, len(counts))
+		}
+		out[k] = int64(v)
+	}
+	return out
 }
 
 // frontEnd counts the leading entries of phases that run only from
@@ -215,40 +275,40 @@ var phaseDone func(name string)
 // of kind ErrInternal (phase errors are already typed and keep their
 // kind) that unwraps to the cause.
 //
-// Every phase is timed, its allocation measured as the delta of
-// runtime.MemStats.TotalAlloc, and credited with the RelationSizes
-// entries that differ after it from before it. When ctx carries a
+// Every phase is timed and credited with the outputs it returns. Its
+// allocation is the growth of the runtime/metrics sample
+// /gc/heap/allocs:bytes across it, read once before the first phase
+// and once after each, so the phases' figures add up to the run's
+// (see PhaseStat for what the sample counts). When ctx carries a
 // trace.Tracer the run is a "pipeline" span and every phase a
 // "phase:<name>" child span carrying the same numbers.
 func runPhases(ctx context.Context, a *Analysis, ps []phase) (*Analysis, error) {
 	start := time.Now()
 	ctx, runSpan := trace.StartSpan(ctx, "pipeline")
 	stats := make([]PhaseStat, 0, len(ps))
-	prev := a.RelationSizes()
+	allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(allocs)
+	prevAlloc := allocs[0].Value.Uint64()
 	var err error
 	for _, ph := range ps {
 		if err = ctx.Err(); err != nil {
 			break
 		}
 		pctx, span := trace.StartSpan(ctx, "phase:"+ph.name)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
 		t0 := time.Now()
-		err = ph.run(pctx, a)
+		var out map[string]int64
+		out, err = ph.run(pctx, a)
 		wall := time.Since(t0)
-		runtime.ReadMemStats(&after)
-		cur := a.RelationSizes()
+		metrics.Read(allocs)
+		alloc := allocs[0].Value.Uint64()
 		st := PhaseStat{
 			Name:       ph.name,
 			Time:       wall,
-			AllocBytes: int64(after.TotalAlloc - before.TotalAlloc),
-			Outputs:    changedSizes(prev, cur),
+			AllocBytes: int64(alloc - prevAlloc),
+			Outputs:    out,
 		}
-		prev = cur
+		prevAlloc = alloc
 		if span != nil {
-			// The span's duration additionally covers the MemStats
-			// reads and the sizes snapshot; wall_ns is the phase body
-			// alone.
 			span.End(phaseAttrs(st)...)
 		}
 		stats = append(stats, st)
@@ -285,91 +345,4 @@ func phaseAttrs(st PhaseStat) []trace.Attr {
 		attrs = append(attrs, trace.Int64("out."+k, st.Outputs[k]))
 	}
 	return attrs
-}
-
-// changedSizes returns the entries of cur that are new or different
-// from prev — the relations a phase produced or grew.
-func changedSizes(prev, cur map[string]int64) map[string]int64 {
-	var out map[string]int64
-	for k, v := range cur {
-		if pv, ok := prev[k]; !ok || pv != v {
-			if out == nil {
-				out = make(map[string]int64)
-			}
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// RelationSizes is a snapshot of every relation and counter the
-// analysis has produced so far. runPhases diffs the snapshots taken
-// before and after each phase, so each key lands in the Outputs of the
-// phase that produced (or last grew) it.
-func (a *Analysis) RelationSizes() map[string]int64 {
-	s := make(map[string]int64)
-	if len(a.Files) > 0 {
-		s["files"] = int64(len(a.Files))
-	}
-	if a.Prog != nil {
-		s["funcs"] = int64(len(a.Prog.Funcs))
-	}
-	if a.Graph != nil {
-		reach := a.Graph.ReachableFuncs()
-		s["reachable_funcs"] = int64(len(reach))
-		instrs := 0
-		for _, fn := range reach {
-			instrs += a.Prog.Funcs[fn].NumInstrs()
-		}
-		s["reachable_instrs"] = int64(instrs)
-	}
-	if a.Numbering != nil {
-		s["contexts"] = int64(a.Numbering.TotalContexts())
-		// Surfaced only when the cap actually merged contexts, so
-		// uncapped runs keep their golden phase outputs.
-		if a.Numbering.Capped {
-			s["ctx_capped"] = 1
-		}
-	}
-	if a.Ptr != nil {
-		for k, v := range a.Ptr.SolverStats() {
-			s[k] = v
-		}
-	}
-	if len(a.Regions) > 0 {
-		s["regions"] = int64(len(a.Regions) - 1)
-		s["subregion_edges"] = int64(a.subEdges)
-	}
-	if a.ownEdges > 0 {
-		s["ownership_edges"] = int64(a.ownEdges)
-	}
-	if len(a.AccessEdges) > 0 {
-		s["access_edges"] = int64(len(a.AccessEdges))
-	}
-	if a.pairs != nil {
-		s["object_pairs"] = int64(len(a.pairs))
-	}
-	if a.bddNodes > 0 {
-		s["bdd_nodes"] = a.bddNodes
-		s["datalog_tuples"] = a.bddTuples
-		s["bdd_cache_hits"] = int64(a.bddStats.CacheHits)
-		s["bdd_cache_misses"] = int64(a.bddStats.CacheMisses)
-		s["bdd_unique_collisions"] = int64(a.bddStats.UniqueCollisions)
-		s["bdd_table_grows"] = int64(a.bddStats.Grows)
-	}
-	if a.Report != nil {
-		s["instruction_pairs"] = int64(a.Report.Stats.IPairs)
-		s["warnings"] = int64(len(a.Report.Warnings))
-	}
-	// Front-end counters. Zero values surface nowhere: runPhases only
-	// attributes keys whose value changed, so a run without a base
-	// reports no reuse, and one that starts from checked files
-	// (AnalyzeContext) reports only its lowered fragments.
-	s["parse_files_reused"] = int64(a.Front.ParseReused)
-	s["parse_files_parsed"] = int64(a.Front.ParseParsed)
-	s["check_files_reused"] = int64(a.Front.CheckReused)
-	s["check_files_checked"] = int64(a.Front.CheckChecked)
-	s["lower_frags_reused"] = int64(a.Front.LowerReused)
-	s["lower_frags_lowered"] = int64(a.Front.LowerLowered)
-	return s
 }

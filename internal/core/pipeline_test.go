@@ -303,3 +303,51 @@ func TestBDDBackendMetrics(t *testing.T) {
 		t.Errorf("pairs outputs = %v, want bdd_nodes and datalog_tuples", pairs.Outputs)
 	}
 }
+
+// TestPhaseAllocIsProcessWide pins that PhaseStat.AllocBytes counts
+// every goroutine's allocation, not the phase's own: a phase blocked
+// on a channel is charged with the allocation of a whole analysis
+// that runs to completion while it waits.
+func TestPhaseAllocIsProcessWide(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	blocked := []phase{{"blocked", func(context.Context, *Analysis) (map[string]int64, error) {
+		close(started)
+		<-release
+		return nil, nil
+	}}}
+	type outcome struct {
+		a   *Analysis
+		err error
+	}
+	waited := make(chan outcome, 1)
+	go func() {
+		a := newAnalysis(Options{})
+		a.Report = &Report{}
+		a, err := runPhases(context.Background(), a, blocked)
+		waited <- outcome{a, err}
+	}()
+	<-started
+
+	sources := corpusSources(t)
+	ran := make(chan outcome, 1)
+	go func() {
+		a, err := AnalyzeSource(Options{}, sources)
+		ran <- outcome{a, err}
+	}()
+	other := <-ran
+	close(release)
+	w := <-waited
+	if other.err != nil || w.err != nil {
+		t.Fatalf("concurrent run: %v; blocked run: %v", other.err, w.err)
+	}
+	var total int64
+	for _, ps := range other.a.Report.Stats.Phases {
+		total += ps.AllocBytes
+	}
+	if total == 0 {
+		t.Fatal("the subversion run reports no allocation")
+	}
+	if got := w.a.Report.Stats.Phases[0].AllocBytes; got < total/2 {
+		t.Errorf("blocked phase AllocBytes = %d, want at least half of the concurrent run's %d", got, total)
+	}
+}

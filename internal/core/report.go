@@ -53,8 +53,16 @@ func (s Stats) Throttled() bool {
 }
 
 // PhaseStat is one pipeline phase's contribution to the run: wall
-// time, cumulative allocation, and the sizes of the relations the
-// phase produced.
+// time, allocation, and the outputs the phase itself reports, the
+// sizes of the relations and the counters it produced.
+//
+// AllocBytes is the growth of the runtime/metrics sample
+// /gc/heap/allocs:bytes across the phase. The sample is process-wide:
+// under concurrent runs it includes the other runs' allocations. It is
+// also cache-granular: small objects are counted when a per-P span
+// cache is refilled or flushed, so a phase that allocates a few tens of
+// kilobytes may read low or as 0, while megabytes read within a few
+// tens of kilobytes.
 type PhaseStat struct {
 	Name       string
 	Time       time.Duration

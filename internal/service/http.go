@@ -425,7 +425,7 @@ func writeMetrics(w http.ResponseWriter, st Stats) {
 		for _, name := range names {
 			fmt.Fprintf(&sb, "regionwizd_phase_wall_seconds_total{phase=%q} %g\n", name, st.Phases[name].Wall.Seconds())
 		}
-		sb.WriteString("# HELP regionwizd_phase_alloc_bytes_total Cumulative phase allocation.\n# TYPE regionwizd_phase_alloc_bytes_total counter\n")
+		sb.WriteString("# HELP regionwizd_phase_alloc_bytes_total Cumulative bytes allocated process-wide while each phase ran, including concurrent runs; small objects are counted per span-cache refill.\n# TYPE regionwizd_phase_alloc_bytes_total counter\n")
 		for _, name := range names {
 			fmt.Fprintf(&sb, "regionwizd_phase_alloc_bytes_total{phase=%q} %d\n", name, st.Phases[name].AllocBytes)
 		}
