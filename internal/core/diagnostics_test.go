@@ -137,7 +137,7 @@ func TestDiagnosticsIncrementalCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, err := AnalyzeIncremental(ctx, Options{}, first,
-		map[string]string{"b.c": "extern int f(void);\nint g(void) {\n  return f() + h->x;\n}"}, nil)
+		first.Apply(map[string]string{"b.c": "extern int f(void);\nint g(void) {\n  return f() + h->x;\n}"}, nil))
 	checkDiagnostic(t, "incremental/undeclared", err, ErrParse, "b.c:3:16",
 		`check: b.c:3:16: undeclared identifier "h" (and 1 more)`)
 	if a != nil {

@@ -72,7 +72,7 @@ func TestIncrementalBodyEditMatchesFromScratch(t *testing.T) {
 
 	edited := incrSources("conn_link(b, a);") // flips the inconsistency direction
 	inc, err := AnalyzeIncremental(ctx, Options{}, first,
-		map[string]string{"main.c": edited["main.c"]}, nil)
+		first.Apply(map[string]string{"main.c": edited["main.c"]}, nil))
 	if err != nil {
 		t.Fatalf("incremental analyze: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestIncrementalSignatureChangeFallsBack(t *testing.T) {
 int helper(void) { return 1; }`,
 	}
 	inc, err := AnalyzeIncremental(ctx, Options{}, first,
-		map[string]string{"main.c": edited["main.c"]}, nil)
+		first.Apply(map[string]string{"main.c": edited["main.c"]}, nil))
 	if err != nil {
 		t.Fatalf("incremental analyze: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestIncrementalAddAndRemoveFile(t *testing.T) {
 	extra := rcPrelude + `
 int unused_helper(void) { return 2; }`
 	inc, err := AnalyzeIncremental(ctx, Options{}, first,
-		map[string]string{"extra.c": extra}, nil)
+		first.Apply(map[string]string{"extra.c": extra}, nil))
 	if err != nil {
 		t.Fatalf("add-file analyze: %v", err)
 	}
@@ -175,7 +175,7 @@ int unused_helper(void) { return 2; }`
 	}
 
 	// Removing it again returns to the base program.
-	inc2, err := AnalyzeIncremental(ctx, Options{}, inc, nil, []string{"extra.c"})
+	inc2, err := AnalyzeIncremental(ctx, Options{}, inc, inc.Apply(nil, []string{"extra.c"}))
 	if err != nil {
 		t.Fatalf("remove-file analyze: %v", err)
 	}
@@ -194,11 +194,11 @@ func TestIncrementalOptionMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("base analyze: %v", err)
 	}
-	_, err = AnalyzeIncremental(ctx, Options{ContextCap: 1}, first, nil, nil)
+	_, err = AnalyzeIncremental(ctx, Options{ContextCap: 1}, first, first.Apply(nil, nil))
 	if !errors.Is(err, &Error{Kind: ErrConfig}) {
 		t.Fatalf("options mismatch returned %v, want ErrConfig", err)
 	}
-	_, err = AnalyzeIncremental(ctx, Options{}, first, nil, []string{"lib.c", "main.c"})
+	_, err = AnalyzeIncremental(ctx, Options{}, first, first.Apply(nil, []string{"lib.c", "main.c"}))
 	if !errors.Is(err, &Error{Kind: ErrConfig}) {
 		t.Fatalf("empty source set returned %v, want ErrConfig", err)
 	}
@@ -247,7 +247,7 @@ func TestTypedefStructEndToEnd(t *testing.T) {
 		t.Fatalf("edited: %d warnings, want 1", n)
 	}
 	inc, err := AnalyzeIncremental(ctx, Options{}, a,
-		map[string]string{"main.c": edited["main.c"]}, nil)
+		a.Apply(map[string]string{"main.c": edited["main.c"]}, nil))
 	if err != nil {
 		t.Fatalf("incremental analyze: %v", err)
 	}

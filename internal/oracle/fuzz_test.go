@@ -94,7 +94,7 @@ func FuzzIncremental(f *testing.F) {
 		changed, removed := decodeDelta(data, base, paths)
 		ctx := context.Background()
 		sources := first.Apply(changed, removed)
-		a, incErr := core.AnalyzeIncremental(ctx, opts, first, changed, removed)
+		a, incErr := core.AnalyzeIncremental(ctx, opts, first, sources)
 		if len(sources) == 0 {
 			if errorKind(incErr) != core.ErrConfig {
 				t.Fatalf("delta removing every file: %v, want a config error", incErr)

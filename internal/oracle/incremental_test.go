@@ -93,7 +93,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				applied++
 
 				a, err := core.AnalyzeIncremental(ctx, opts, inc,
-					map[string]string{p: mutated}, nil)
+					inc.Apply(map[string]string{p: mutated}, nil))
 				if err != nil {
 					t.Fatalf("step %d (%s): incremental: %v", applied, desc, err)
 				}
@@ -190,7 +190,7 @@ func TestDeltaFanOutSharesFragments(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					a, err := core.AnalyzeIncremental(ctx, opts, first, changed, nil)
+					a, err := core.AnalyzeIncremental(ctx, opts, first, first.Apply(changed, nil))
 					if err != nil {
 						t.Errorf("%s: incremental: %v", d.name, err)
 						return
@@ -217,7 +217,7 @@ func TestDeltaFanOutSharesFragments(t *testing.T) {
 			wg.Wait()
 
 			// A delta that changes nothing relinks every base fragment.
-			again, err := core.AnalyzeIncremental(ctx, opts, first, nil, nil)
+			again, err := core.AnalyzeIncremental(ctx, opts, first, first.Apply(nil, nil))
 			if err != nil {
 				t.Fatalf("relink: %v", err)
 			}

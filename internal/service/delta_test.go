@@ -217,14 +217,32 @@ func TestDeltaFileCounts(t *testing.T) {
 		{"remove a path the base lacks", nil, []string{"absent.c"}, 3, 0, 0},
 		{"remove a path twice", nil, []string{"extra.c", "extra.c"}, 2, 0, 1},
 		{"remove and change one path", map[string]string{"extra.c": edited}, []string{"extra.c"}, 2, 1, 0},
+		{"list a path with its base content", map[string]string{"extra.c": sources["extra.c"]}, nil, 3, 0, 0},
+		{"list a base path and add one", map[string]string{
+			"extra.c": sources["extra.c"],
+			"more.c":  "int more_helper(void) { return 5; }\n",
+		}, nil, 3, 1, 0},
 	} {
 		res, err := s.AnalyzeDelta(ctx, core.Options{}, full.Key, tc.changed, tc.removed)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if d := res.Delta; d.FilesReused != tc.reused || d.FilesChanged != tc.nchanged || d.FilesRemoved != tc.nremoved {
+		d := res.Delta
+		if d.FilesReused != tc.reused || d.FilesChanged != tc.nchanged || d.FilesRemoved != tc.nremoved {
 			t.Errorf("%s: reused/changed/removed = %d/%d/%d, want %d/%d/%d", tc.name,
 				d.FilesReused, d.FilesChanged, d.FilesRemoved, tc.reused, tc.nchanged, tc.nremoved)
+		}
+		if res.Cached || res.Coalesced {
+			continue
+		}
+		// This request ran the pipeline against full: its parse phase
+		// must split the files as the delta block does.
+		parse := res.Analysis.Report.Stats.Phases[0]
+		if parse.Name != core.PhaseParse ||
+			parse.Outputs["parse_files_reused"] != int64(d.FilesReused) ||
+			parse.Outputs["parse_files_parsed"] != int64(d.FilesChanged) {
+			t.Errorf("%s: delta block reused/changed %d/%d, run's %s outputs %v", tc.name,
+				d.FilesReused, d.FilesChanged, parse.Name, parse.Outputs)
 		}
 	}
 }

@@ -106,10 +106,11 @@ type Result struct {
 type DeltaInfo struct {
 	// Base is the result key the request named.
 	Base string
-	// FilesReused counts files taken unchanged from the base;
-	// FilesChanged counts edited or added paths; FilesRemoved counts
-	// base paths missing from the resulting source set (a path both
-	// removed and changed counts as changed).
+	// FilesReused counts files whose content equals the base's, listed
+	// in the request or not: the run reuses their parse. FilesChanged
+	// counts added paths and paths whose content differs. FilesRemoved
+	// counts base paths missing from the resulting source set (a path
+	// both removed and changed counts as reused or changed).
 	FilesReused  int
 	FilesChanged int
 	FilesRemoved int
@@ -290,7 +291,7 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	res, err := s.lead(ctx, key, opts, sources, base, delta)
+	res, err := s.lead(ctx, key, opts, sources, base)
 	if err == nil {
 		res.Delta = dinfo
 	}
@@ -329,10 +330,12 @@ func (s *Service) resolveDelta(ctx context.Context, opts core.Options, delta *de
 	}
 	s.stats.snapshotHits.Add(1)
 	sources := base.Apply(delta.changed, delta.removed)
-	dinfo := &DeltaInfo{Base: delta.base, FilesChanged: len(delta.changed)}
-	for p := range sources {
-		if _, changed := delta.changed[p]; !changed {
+	dinfo := &DeltaInfo{Base: delta.base}
+	for p, src := range sources {
+		if old, ok := base.Sources[p]; ok && old == src {
 			dinfo.FilesReused++
+		} else {
+			dinfo.FilesChanged++
 		}
 	}
 	for p := range base.Sources {
@@ -353,7 +356,7 @@ func (s *Service) resolveDelta(ctx context.Context, opts core.Options, delta *de
 // analyze then hands to the leader and every coalesced waiter while
 // it releases the in-flight entry as usual. run's own deferred
 // releases (admission slot, inflight gauge) fire during the unwind.
-func (s *Service) lead(ctx context.Context, key string, opts core.Options, sources map[string]string, base *core.Analysis, delta *deltaReq) (res *Result, err error) {
+func (s *Service) lead(ctx context.Context, key string, opts core.Options, sources map[string]string, base *core.Analysis) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			slog.Default().LogAttrs(ctx, slog.LevelError, "analysis panicked",
@@ -364,7 +367,7 @@ func (s *Service) lead(ctx context.Context, key string, opts core.Options, sourc
 			res, err = nil, core.Errf(core.ErrInternal, "", "analysis panicked: %v", p)
 		}
 	}()
-	return s.run(ctx, key, opts, sources, base, delta)
+	return s.run(ctx, key, opts, sources, base)
 }
 
 // await joins an in-flight identical run.
@@ -384,8 +387,8 @@ func (s *Service) await(ctx context.Context, c *call) (*Result, error) {
 }
 
 // run is the leader path: admission control, then the pipeline. base
-// and delta are non-nil for delta requests.
-func (s *Service) run(ctx context.Context, key string, opts core.Options, sources map[string]string, base *core.Analysis, delta *deltaReq) (*Result, error) {
+// is non-nil for delta requests.
+func (s *Service) run(ctx context.Context, key string, opts core.Options, sources map[string]string, base *core.Analysis) (*Result, error) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -432,7 +435,7 @@ func (s *Service) run(ctx context.Context, key string, opts core.Options, source
 	var a *core.Analysis
 	var err error
 	if base != nil {
-		a, err = core.AnalyzeIncremental(actx, opts, base, delta.changed, delta.removed)
+		a, err = core.AnalyzeIncremental(actx, opts, base, sources)
 	} else {
 		a, err = core.AnalyzeSourceContext(actx, opts, sources)
 	}
