@@ -15,9 +15,11 @@ import (
 // result is cached. SnapshotEntries is deprecated and ignored.
 type AnalyzerConfig = service.Config
 
-// ServiceStats is a snapshot of an Analyzer's counters: cache hits
-// and misses, coalesced and overloaded requests, inflight and queued
-// gauges, queue waits, and per-phase cost totals.
+// ServiceStats is a snapshot of an Analyzer's counters: calls counted
+// by path and outcome, a duration histogram per span name (the
+// service's own stages and each finished run's phases), and the
+// inflight, queued and cache gauges. Requests, Hits, Misses,
+// Coalesced, Overloads, Errors and QueueWait summarize those tables.
 type ServiceStats = service.Stats
 
 // Result is one served analysis: the full pipeline state, the

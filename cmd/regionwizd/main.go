@@ -55,17 +55,18 @@
 //	                   runs (points-to cap, capped contexts, origin
 //	                   policy) carry "throttled": true in the answer.
 //	GET  /v1/healthz   liveness probe
-//	GET  /v1/metrics   Prometheus text exposition (counters, gauges, and
-//	                   latency histograms: regionwizd_analyze_duration_seconds,
-//	                   regionwizd_queue_wait_seconds,
-//	                   regionwizd_phase_duration_seconds{phase=...},
-//	                   regionwizd_explain_duration_seconds,
-//	                   regionwizd_query_duration_seconds, plus
-//	                   regionwizd_warnings_total,
-//	                   regionwizd_explain_requests_total,
-//	                   regionwizd_query_requests_total,
-//	                   and regionwizd_query_inconsistent_total)
-//	GET  /v1/stats     counters as JSON
+//	GET  /v1/metrics   Prometheus text exposition, derived from the
+//	                   service's span names:
+//	                   regionwizd_requests_total{path,outcome},
+//	                   regionwizd_span_duration_seconds{span},
+//	                   regionwizd_span_alloc_bytes_total{span},
+//	                   regionwizd_inflight, regionwizd_queued,
+//	                   regionwizd_cache_entries and
+//	                   regionwizd_cache_evictions_total (README lists
+//	                   the labels and bucket bounds)
+//	GET  /v1/stats     the same counters as JSON
+//
+// healthz, metrics and stats answer GET and HEAD; other methods get 405.
 //
 // Logs are structured (log/slog, logfmt-style text): every request
 // gets a short random id carried through handler spans, and access

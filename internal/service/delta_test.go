@@ -134,12 +134,11 @@ func TestDeltaAnalyze(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.DeltaRequests != 2 || st.SnapshotHits != 2 || st.SnapshotGone != 0 {
-		t.Fatalf("stats = delta %d / hits %d / gone %d, want 2/2/0",
-			st.DeltaRequests, st.SnapshotHits, st.SnapshotGone)
+	if got := st.Outcomes["delta"]; len(got) != 2 || got["run"] != 1 || got["cache_hit"] != 1 {
+		t.Fatalf("delta outcomes = %v, want one run and one cache_hit", got)
 	}
-	if st.FrontendFilesReused == 0 {
-		t.Fatalf("frontend_files_reused = 0 after a delta run")
+	if n := st.Histograms["service.base"].Count; n != 2 {
+		t.Fatalf("service.base span count = %d, want 2", n)
 	}
 	if st.CacheEntries == 0 {
 		t.Fatal("result cache empty after successful runs")
@@ -155,8 +154,8 @@ func TestDeltaUnknownBaseGone(t *testing.T) {
 	if !errors.As(err, &aerr) || aerr.Kind != core.ErrSnapshotGone {
 		t.Fatalf("err = %v, want snapshot_gone Error", err)
 	}
-	if st := s.Stats(); st.SnapshotGone != 1 {
-		t.Fatalf("snapshot_gone = %d, want 1", st.SnapshotGone)
+	if got := s.Stats().Outcomes["delta"]["snapshot_gone"]; got != 1 {
+		t.Fatalf("delta snapshot_gone outcomes = %d, want 1", got)
 	}
 }
 
@@ -400,6 +399,10 @@ func TestDeltaHTTP(t *testing.T) {
 	if er.Error.Kind != "snapshot_gone" {
 		t.Fatalf("error kind %q, want snapshot_gone", er.Error.Kind)
 	}
+	wantMetrics(t, srv,
+		`regionwizd_requests_total{path="analyze",outcome="run"} 1`,
+		`regionwizd_requests_total{path="delta",outcome="run"} 1`,
+		`regionwizd_requests_total{path="delta",outcome="snapshot_gone"} 1`)
 
 	// Base plus full sources is ambiguous -> 400. Changed without a
 	// base is likewise rejected.

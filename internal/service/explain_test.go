@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,8 +15,8 @@ import (
 )
 
 // TestServiceExplain covers explanations of cached results on both
-// backends, the snapshot-gone and out-of-range failure modes, and the
-// explain counters.
+// backends, the snapshot-gone and out-of-range failure modes, and how
+// each call is counted.
 func TestServiceExplain(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -68,23 +69,20 @@ func TestServiceExplain(t *testing.T) {
 		t.Errorf("unknown key error = %v, want snapshot-gone kind", err)
 	}
 
+	// Every call counts once, by outcome. Four reached the explainer
+	// (the out-of-range one too); the unknown key did not.
 	st := s.Stats()
-	if st.Warnings != 2 {
-		t.Errorf("warnings_total = %d, want 2 (one per pipeline run)", st.Warnings)
+	if want := map[string]uint64{"ok": 3, "config": 1, "snapshot_gone": 1}; !maps.Equal(st.Outcomes["explain"], want) {
+		t.Errorf("explain outcomes = %v, want %v", st.Outcomes["explain"], want)
 	}
-	// 4 served queries (the out-of-range one counts; the unknown key
-	// never reached the explainer).
-	if st.ExplainRequests != 4 {
-		t.Errorf("explain_requests = %d, want 4", st.ExplainRequests)
-	}
-	if st.Histograms["explain"].Count == 0 {
-		t.Error("explain histogram has no observations")
+	if n := st.Histograms["service.explain"].Count; n != 4 {
+		t.Errorf("service.explain span count = %d, want 4", n)
 	}
 }
 
 // TestHTTPExplain is the endpoint round-trip: analyze, explain by key,
 // and the snapshot-gone conflict. It also checks the request id lands
-// in error bodies and the explain metrics reach /v1/metrics.
+// in error bodies and that /v1/metrics counts each explain call.
 func TestHTTPExplain(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -153,6 +151,9 @@ func TestHTTPExplain(t *testing.T) {
 	if fail.Error.RequestID != "req-42" {
 		t.Errorf("request_id = %q, want req-42", fail.Error.RequestID)
 	}
+	wantMetrics(t, srv,
+		`regionwizd_requests_total{path="explain",outcome="ok"} 1`,
+		`regionwizd_requests_total{path="explain",outcome="snapshot_gone"} 1`)
 
 	// Bad selector and missing key are config errors.
 	if resp, _ = get(srv.URL + "/v1/explain?key=" + ar.Key + "&warning=zero"); resp.StatusCode != http.StatusBadRequest {
@@ -162,22 +163,13 @@ func TestHTTPExplain(t *testing.T) {
 		t.Errorf("missing key: %d", resp.StatusCode)
 	}
 
-	resp, data = get(srv.URL + "/v1/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d", resp.StatusCode)
-	}
-	text := string(data)
-	if strings.Contains(text, "regionwizd_explain_replays_total") {
-		t.Error("metrics still export regionwizd_explain_replays_total")
-	}
-	for _, want := range []string{
-		"regionwizd_explain_requests_total 1",
-		"regionwizd_warnings_total 1",
-		"regionwizd_explain_duration_seconds_count 1",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q", want)
-		}
+	// The 400s above never reached the service, so they count nowhere.
+	wantMetrics(t, srv,
+		`regionwizd_requests_total{path="explain",outcome="ok"} 1`,
+		`regionwizd_requests_total{path="explain",outcome="snapshot_gone"} 1`,
+		`regionwizd_span_duration_seconds_count{span="service.explain"} 1`)
+	if text := getMetrics(t, srv); strings.Contains(text, `path="explain",outcome="config"`) {
+		t.Errorf("a handler-level 400 was counted as an explain call:\n%s", text)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -130,16 +129,30 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("/v1/query", func(w http.ResponseWriter, r *http.Request) {
 		handleQuery(s, w, r)
 	})
-	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/healthz", readOnly("healthz", func(w http.ResponseWriter) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
+	}))
+	mux.HandleFunc("/v1/metrics", readOnly("metrics", func(w http.ResponseWriter) {
 		writeMetrics(w, s.Stats())
-	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
+	}))
+	mux.HandleFunc("/v1/stats", readOnly("stats", func(w http.ResponseWriter) {
 		writeJSON(w, http.StatusOK, s.Stats())
-	})
+	}))
 	return mux
+}
+
+// readOnly serves a read-only endpoint: GET and HEAD get the body,
+// any other method a 405 with an Allow header.
+func readOnly(name string, serve func(http.ResponseWriter)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet && r.Method != http.MethodHead {
+			w.Header().Set("Allow", "GET, HEAD")
+			writeError(r.Context(), w, http.StatusMethodNotAllowed,
+				core.Errf(core.ErrConfig, "", "%s wants GET, got %s", name, r.Method))
+			return
+		}
+		serve(w)
+	}
 }
 
 func handleAnalyze(s *Service, w http.ResponseWriter, r *http.Request) {
@@ -165,46 +178,22 @@ func handleAnalyze(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	var tr *trace.Tracer
-	var root *trace.Span
 	if req.Trace {
 		tr = trace.NewAt(start)
 		ctx = trace.WithTracer(ctx, tr)
-		ctx, root = trace.StartSpanAt(ctx, "http.request", start)
-		if id := RequestID(ctx); id != "" {
-			root.Attrs(trace.Str("request_id", id))
-		}
-		path := "fallback"
-		if fast {
-			path = "fast"
-		}
-		_, dsp := trace.StartSpanAt(ctx, "http.decode", start)
-		dsp.End(trace.Int("body_bytes", len(body)), trace.Str("path", path))
 	}
-	opts, err := req.Options.ToOptions()
-	if err != nil {
-		root.End(trace.Bool("error", true))
-		writeError(ctx, w, statusFor(err), err)
-		return
+	ctx, root := s.stats.startAt(ctx, "http.request", start)
+	if id := RequestID(ctx); id != "" {
+		root.Attrs(trace.Str("request_id", id))
 	}
-	var res *Result
-	if req.Base != "" {
-		if len(req.Sources) > 0 {
-			root.End(trace.Bool("error", true))
-			writeError(ctx, w, http.StatusBadRequest, core.Errf(core.ErrConfig, "",
-				"a delta request (base set) must not also carry full sources"))
-			return
-		}
-		res, err = s.AnalyzeDelta(ctx, opts, req.Base, req.Changed, req.Removed)
-	} else {
-		if len(req.Changed) > 0 || len(req.Removed) > 0 {
-			root.End(trace.Bool("error", true))
-			writeError(ctx, w, http.StatusBadRequest, core.Errf(core.ErrConfig, "",
-				"changed/removed require a base key"))
-			return
-		}
-		res, err = s.Analyze(ctx, opts, req.Sources)
+	path := "fallback"
+	if fast {
+		path = "fast"
 	}
-	root.End(trace.Bool("error", err != nil))
+	_, dsp := s.stats.startAt(ctx, "http.decode", start)
+	dsp.end(trace.Int("body_bytes", len(body)), trace.Str("path", path))
+	res, err := dispatch(ctx, s, &req)
+	root.end(trace.Bool("error", err != nil))
 	if err != nil {
 		writeError(ctx, w, statusFor(err), err)
 		return
@@ -236,6 +225,26 @@ func handleAnalyze(s *Service, w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// dispatch sends a decoded analyze request to the service as a full or
+// a delta request.
+func dispatch(ctx context.Context, s *Service, req *Request) (*Result, error) {
+	opts, err := req.Options.ToOptions()
+	if err != nil {
+		return nil, err
+	}
+	if req.Base != "" {
+		if len(req.Sources) > 0 {
+			return nil, core.Errf(core.ErrConfig, "",
+				"a delta request (base set) must not also carry full sources")
+		}
+		return s.AnalyzeDelta(ctx, opts, req.Base, req.Changed, req.Removed)
+	}
+	if len(req.Changed) > 0 || len(req.Removed) > 0 {
+		return nil, core.Errf(core.ErrConfig, "", "changed/removed require a base key")
+	}
+	return s.Analyze(ctx, opts, req.Sources)
 }
 
 // handleExplain serves GET /v1/explain?key=<result key>[&warning=N|all].
@@ -379,121 +388,53 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 }
 
 // writeMetrics renders the stats snapshot in the Prometheus text
-// exposition format (hand-rolled: no client library dependency).
+// exposition format (hand-rolled: no client library dependency). Every
+// family is written, with or without samples, so the set of families
+// is fixed; label values are span names, paths and outcomes.
 func writeMetrics(w http.ResponseWriter, st Stats) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var sb strings.Builder
-	counter := func(name string, v uint64, help string) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	var b strings.Builder
+	family := func(name, typ, help string) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	}
-	gauge := func(name string, v int64, help string) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("regionwizd_requests_total", st.Requests, "Analyze requests received.")
-	counter("regionwizd_cache_hits_total", st.Hits, "Requests served from the result cache.")
-	counter("regionwizd_coalesced_total", st.Coalesced, "Requests coalesced onto an identical in-flight run.")
-	counter("regionwizd_cache_misses_total", st.Misses, "Requests that ran the pipeline.")
-	counter("regionwizd_overloads_total", st.Overloads, "Requests rejected by admission control.")
-	counter("regionwizd_errors_total", st.Errors, "Failed requests, overloads included.")
-	counter("regionwizd_cache_evictions_total", st.CacheEvictions, "Cache entries evicted to make room.")
-	counter("regionwizd_delta_requests_total", st.DeltaRequests, "Requests that named a base key.")
-	counter("regionwizd_snapshot_hits_total", st.SnapshotHits, "Delta requests whose base was in the result cache.")
-	counter("regionwizd_snapshot_gone_total", st.SnapshotGone, "Delta requests rejected because the base was gone.")
-	counter("regionwizd_frontend_files_reused_total", st.FrontendFilesReused, "Source files whose parse was reused from a delta's base.")
-	counter("regionwizd_frontend_files_rerun_total", st.FrontendFilesRerun, "Source files parsed by pipeline runs.")
-	counter("regionwizd_queue_waits_total", st.QueueWaits, "Requests that waited in the admission queue.")
-	counter("regionwizd_warnings_total", st.Warnings, "Warnings reported across every pipeline run.")
-	counter("regionwizd_explain_requests_total", st.ExplainRequests, "Provenance (explain) queries served.")
-	counter("regionwizd_query_requests_total", st.QueryRequests, "Demand pair queries served.")
-	counter("regionwizd_query_inconsistent_total", st.QueryInconsistent, "Demand pair queries with an inconsistent verdict.")
-	gauge("regionwizd_inflight", st.Inflight, "Pipeline runs executing now.")
-	gauge("regionwizd_queued", st.Queued, "Requests waiting for a worker slot.")
-	gauge("regionwizd_cache_entries", int64(st.CacheEntries), "Result cache population.")
-	fmt.Fprintf(&sb, "# HELP regionwizd_queue_wait_seconds_total Cumulative admission queue wait.\n# TYPE regionwizd_queue_wait_seconds_total counter\nregionwizd_queue_wait_seconds_total %g\n",
-		st.QueueWait.Seconds())
-	names := make([]string, 0, len(st.Phases))
-	for name := range st.Phases {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) > 0 {
-		sb.WriteString("# HELP regionwizd_phase_runs_total Pipeline phase executions.\n# TYPE regionwizd_phase_runs_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(&sb, "regionwizd_phase_runs_total{phase=%q} %d\n", name, st.Phases[name].Runs)
-		}
-		sb.WriteString("# HELP regionwizd_phase_wall_seconds_total Cumulative phase wall time.\n# TYPE regionwizd_phase_wall_seconds_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(&sb, "regionwizd_phase_wall_seconds_total{phase=%q} %g\n", name, st.Phases[name].Wall.Seconds())
-		}
-		sb.WriteString("# HELP regionwizd_phase_alloc_bytes_total Cumulative bytes allocated process-wide while each phase ran, including concurrent runs; small objects are counted per span-cache refill.\n# TYPE regionwizd_phase_alloc_bytes_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(&sb, "regionwizd_phase_alloc_bytes_total{phase=%q} %d\n", name, st.Phases[name].AllocBytes)
+	family("regionwizd_requests_total", "counter",
+		"Service calls by path and outcome: run, cache_hit, coalesced or ok, else the error kind.")
+	for _, path := range sortedKeys(st.Outcomes) {
+		for _, o := range sortedKeys(st.Outcomes[path]) {
+			fmt.Fprintf(&b, "regionwizd_requests_total{path=%q,outcome=%q} %d\n", path, o, st.Outcomes[path][o])
 		}
 	}
-	if len(st.BDDOutputs) > 0 {
-		keys := make([]string, 0, len(st.BDDOutputs))
-		for k := range st.BDDOutputs {
-			keys = append(keys, k)
+	family("regionwizd_span_duration_seconds", "histogram", "Duration of each ended span, by span name.")
+	for _, name := range sortedKeys(st.Histograms) {
+		h := st.Histograms[name]
+		var cum uint64
+		for i, n := range h.Counts {
+			cum += n
+			le := "+Inf"
+			if i < len(h.Bounds) {
+				le = fmt.Sprintf("%g", h.Bounds[i])
+			}
+			fmt.Fprintf(&b, "regionwizd_span_duration_seconds_bucket{span=%q,le=%q} %d\n", name, le, cum)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			// bdd_cache_hits -> regionwizd_bdd_cache_hits_total etc.;
-			// cumulative over every bdd-backend pipeline run.
-			counter("regionwizd_"+k+"_total", uint64(st.BDDOutputs[k]),
-				"Cumulative BDD kernel counter from the pairs phase.")
-		}
+		fmt.Fprintf(&b, "regionwizd_span_duration_seconds_sum{span=%q} %g\n", name, h.Sum.Seconds())
+		fmt.Fprintf(&b, "regionwizd_span_duration_seconds_count{span=%q} %d\n", name, h.Count)
 	}
-	writeHistogram(&sb, "regionwizd_analyze_duration_seconds",
-		"End-to-end Analyze latency, all outcomes.", "", st.Histograms["analyze"])
-	writeHistogram(&sb, "regionwizd_queue_wait_seconds",
-		"Admission queue wait of queued requests.", "", st.Histograms["queue_wait"])
-	writeHistogram(&sb, "regionwizd_explain_duration_seconds",
-		"Explain (provenance) query latency.", "", st.Histograms["explain"])
-	writeHistogram(&sb, "regionwizd_query_duration_seconds",
-		"Demand pair query latency.", "", st.Histograms["query"])
-	hnames := make([]string, 0, len(st.Histograms))
-	for name := range st.Histograms {
-		if strings.HasPrefix(name, "phase:") {
-			hnames = append(hnames, name)
-		}
+	family("regionwizd_span_alloc_bytes_total", "counter",
+		"Bytes allocated process-wide while each phase span ran, including concurrent runs; small objects are counted per span-cache refill.")
+	for _, name := range sortedKeys(st.AllocBytes) {
+		fmt.Fprintf(&b, "regionwizd_span_alloc_bytes_total{span=%q} %d\n", name, st.AllocBytes[name])
 	}
-	sort.Strings(hnames)
-	for i, name := range hnames {
-		help := ""
-		if i == 0 {
-			help = "Pipeline phase duration."
-		}
-		writeHistogram(&sb, "regionwizd_phase_duration_seconds", help,
-			fmt.Sprintf("phase=%q", strings.TrimPrefix(name, "phase:")), st.Histograms[name])
+	for _, m := range []struct {
+		name, typ, help string
+		v               int64
+	}{
+		{"regionwizd_inflight", "gauge", "Pipeline runs executing now.", st.Inflight},
+		{"regionwizd_queued", "gauge", "Requests waiting for a worker slot.", st.Queued},
+		{"regionwizd_cache_entries", "gauge", "Result cache population.", int64(st.CacheEntries)},
+		{"regionwizd_cache_evictions_total", "counter", "Cache entries evicted to make room.", int64(st.CacheEvictions)},
+	} {
+		family(m.name, m.typ, m.help)
+		fmt.Fprintf(&b, "%s %d\n", m.name, m.v)
 	}
-	w.Write([]byte(sb.String()))
-}
-
-// writeHistogram renders one histogram in Prometheus exposition form:
-// cumulative le-labelled buckets, then _sum and _count. A histogram
-// with no observations is skipped entirely (its series would be all
-// zeros). labels, when non-empty, is spliced into every series.
-func writeHistogram(sb *strings.Builder, name, help, labels string, h HistogramSnapshot) {
-	if h.Count == 0 {
-		return
-	}
-	if help != "" {
-		fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	}
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	var cum uint64
-	for i, bound := range h.Bounds {
-		cum += h.Counts[i]
-		fmt.Fprintf(sb, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, bound, cum)
-	}
-	cum += h.Counts[len(h.Bounds)]
-	fmt.Fprintf(sb, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
-	if labels != "" {
-		fmt.Fprintf(sb, "%s_sum{%s} %g\n%s_count{%s} %d\n", name, labels, h.Sum.Seconds(), name, labels, h.Count)
-	} else {
-		fmt.Fprintf(sb, "%s_sum %g\n%s_count %d\n", name, h.Sum.Seconds(), name, h.Count)
-	}
+	w.Write([]byte(b.String()))
 }

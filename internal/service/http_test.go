@@ -28,6 +28,33 @@ func postAnalyze(t *testing.T, srv *httptest.Server, body string) (*http.Respons
 	return resp, buf.Bytes()
 }
 
+// getMetrics returns the /v1/metrics exposition.
+func getMetrics(t *testing.T, srv *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: status %d, %v", resp.StatusCode, err)
+	}
+	return string(data)
+}
+
+// wantMetrics fails the test unless each of lines is a whole line of
+// the /v1/metrics exposition.
+func wantMetrics(t *testing.T, srv *httptest.Server, lines ...string) {
+	t.Helper()
+	text := getMetrics(t, srv)
+	for _, line := range lines {
+		if !strings.Contains("\n"+text, "\n"+line+"\n") {
+			t.Errorf("metrics lack the line %q:\n%s", line, text)
+		}
+	}
+}
+
 func analyzeBody(t *testing.T, sources map[string]string, opts RequestOptions) string {
 	t.Helper()
 	data, err := json.Marshal(Request{Sources: sources, Options: opts})
@@ -130,13 +157,35 @@ func TestHTTPErrors(t *testing.T) {
 		})
 	}
 
-	resp, err := http.Get(srv.URL + "/v1/analyze")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET analyze status = %d, want 405", resp.StatusCode)
+	// Each endpoint answers a method it does not serve with 405 and
+	// the methods it does.
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		allow        string
+	}{
+		{http.MethodGet, "/v1/analyze", http.StatusMethodNotAllowed, "POST"},
+		{http.MethodPost, "/v1/metrics", http.StatusMethodNotAllowed, "GET, HEAD"},
+		{http.MethodPut, "/v1/stats", http.StatusMethodNotAllowed, "GET, HEAD"},
+		{http.MethodDelete, "/v1/healthz", http.StatusMethodNotAllowed, "GET, HEAD"},
+		{http.MethodHead, "/v1/metrics", http.StatusOK, ""},
+		{http.MethodHead, "/v1/stats", http.StatusOK, ""},
+		{http.MethodHead, "/v1/healthz", http.StatusOK, ""},
+	} {
+		t.Run(tc.method+strings.ReplaceAll(tc.path, "/", "_"), func(t *testing.T) {
+			req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.status || resp.Header.Get("Allow") != tc.allow {
+				t.Errorf("status %d, Allow %q; want %d, %q", resp.StatusCode, resp.Header.Get("Allow"), tc.status, tc.allow)
+			}
+		})
 	}
 }
 
@@ -322,23 +371,10 @@ func TestHTTPHealthMetricsStats(t *testing.T) {
 		t.Fatal("empty analyze response")
 	}
 
-	resp, err = http.Get(srv.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	text := buf.String()
-	for _, want := range []string{
-		"regionwizd_requests_total 1",
-		"regionwizd_cache_misses_total 1",
-		`regionwizd_phase_runs_total{phase="parse"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q:\n%s", want, text)
-		}
-	}
+	wantMetrics(t, srv,
+		`regionwizd_requests_total{path="analyze",outcome="run"} 1`,
+		`regionwizd_span_duration_seconds_count{span="service.analysis"} 1`,
+		`regionwizd_span_duration_seconds_count{span="phase:parse"} 1`)
 
 	resp, err = http.Get(srv.URL + "/v1/stats")
 	if err != nil {

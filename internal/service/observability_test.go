@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -22,21 +26,16 @@ func TestMetricsExposeLatencyHistograms(t *testing.T) {
 		t.Fatalf("analyze status %d: %s", resp.StatusCode, data)
 	}
 
-	resp, err := http.Get(srv.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	text := buf.String()
+	text := getMetrics(t, srv)
 	for _, want := range []string{
-		"# TYPE regionwizd_analyze_duration_seconds histogram",
-		`regionwizd_analyze_duration_seconds_bucket{le="+Inf"} 1`,
-		"regionwizd_analyze_duration_seconds_sum",
-		"regionwizd_analyze_duration_seconds_count 1",
-		`regionwizd_phase_duration_seconds_bucket{phase="parse",le="+Inf"} 1`,
-		`regionwizd_phase_duration_seconds_count{phase="parse"} 1`,
+		"# TYPE regionwizd_span_duration_seconds histogram",
+		`regionwizd_span_duration_seconds_bucket{span="service.request",le="5e-05"} `,
+		`regionwizd_span_duration_seconds_bucket{span="service.request",le="+Inf"} 1`,
+		`regionwizd_span_duration_seconds_sum{span="service.request"} `,
+		`regionwizd_span_duration_seconds_count{span="service.request"} 1`,
+		`regionwizd_span_duration_seconds_bucket{span="phase:parse",le="+Inf"} 1`,
+		`regionwizd_span_duration_seconds_count{span="phase:parse"} 1`,
+		`regionwizd_span_alloc_bytes_total{span="phase:parse"} `,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
@@ -53,12 +52,12 @@ func TestMetricsExposeLatencyHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	stResp.Body.Close()
-	hs, ok := st.Histograms["analyze"]
+	hs, ok := st.Histograms["service.request"]
 	if !ok {
-		t.Fatal("stats lack the analyze histogram")
+		t.Fatal("stats lack the service.request histogram")
 	}
 	if hs.Count != 1 || len(hs.Counts) != len(hs.Bounds)+1 {
-		t.Fatalf("analyze histogram shape: count=%d buckets=%d bounds=%d",
+		t.Fatalf("service.request histogram shape: count=%d buckets=%d bounds=%d",
 			hs.Count, len(hs.Counts), len(hs.Bounds))
 	}
 	var total uint64
@@ -67,6 +66,182 @@ func TestMetricsExposeLatencyHistograms(t *testing.T) {
 	}
 	if total != hs.Count {
 		t.Fatalf("bucket sum %d != count %d", total, hs.Count)
+	}
+}
+
+// spanCounts parses the span histogram's _count series out of a
+// /v1/metrics exposition, by span label.
+func spanCounts(t *testing.T, text string) map[string]uint64 {
+	t.Helper()
+	const prefix = `regionwizd_span_duration_seconds_count{span="`
+	counts := map[string]uint64{}
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
+		}
+		name, n, ok := strings.Cut(rest, `"} `)
+		v, err := strconv.ParseUint(n, 10, 64)
+		if !ok || err != nil {
+			t.Fatalf("bad count line %q", line)
+		}
+		counts[name] = v
+	}
+	return counts
+}
+
+// TestMetricsDerivedFromSpans pins what the span histogram is: one
+// observation per ended span the service opens. Over a traced cold
+// request, a traced hit and a traced delta, each span label's count
+// equals the number of spans of that name in the returned traces whose
+// names start with "http.", "service." or "phase:", and no other label
+// appears. An explain and a query then add their spans, and nothing
+// else.
+func TestMetricsDerivedFromSpans(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	traced := func(req Request) AnalyzeResponse {
+		t.Helper()
+		req.Trace = true
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := postAnalyze(t, srv, string(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		var ar AnalyzeResponse
+		if err := json.Unmarshal(data, &ar); err != nil {
+			t.Fatal(err)
+		}
+		return ar
+	}
+	sources := sourcesFor(0)
+	cold := traced(Request{Sources: sources})
+	hot := traced(Request{Sources: sources})
+	delta := traced(Request{Base: cold.Key, Changed: map[string]string{"extra.c": "int unused_helper(void) { return 2; }\n"}})
+	if cold.Cached || !hot.Cached || delta.Cached {
+		t.Fatalf("cached cold/hot/delta = %v/%v/%v, want false/true/false", cold.Cached, hot.Cached, delta.Cached)
+	}
+
+	want := map[string]uint64{}
+	for _, raw := range []json.RawMessage{cold.Trace, hot.Trace, delta.Trace} {
+		var doc struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Ph   string `json:"ph"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph == "X" && (strings.HasPrefix(ev.Name, "http.") ||
+				strings.HasPrefix(ev.Name, "service.") || strings.HasPrefix(ev.Name, "phase:")) {
+				want[ev.Name]++
+			}
+		}
+	}
+	for _, name := range []string{"http.request", "http.decode", "service.key", "service.base", "service.analysis", "phase:parse"} {
+		if want[name] == 0 {
+			t.Fatalf("the traces hold no %q span: %v", name, want)
+		}
+	}
+	if got := spanCounts(t, getMetrics(t, srv)); !maps.Equal(got, want) {
+		t.Fatalf("span histogram counts %v,\nspans in the traces %v", got, want)
+	}
+
+	src, dst := querySites(t, sources)
+	if _, err := s.Explain(context.Background(), cold.Key, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Query(context.Background(), cold.Key, src, dst); err != nil {
+		t.Fatal(err)
+	}
+	want["service.explain"]++
+	want["service.query"]++
+	if got := spanCounts(t, getMetrics(t, srv)); !maps.Equal(got, want) {
+		t.Fatalf("after explain and query: span histogram counts %v, want %v", got, want)
+	}
+}
+
+// TestMetricsFamiliesDocumented: after every request path — a run, a
+// hit, a BDD run, a delta, a failure, an explain and a query — the
+// families /v1/metrics serves are exactly the regionwizd_* families
+// README documents.
+func TestMetricsFamiliesDocumented(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	sources := sourcesFor(0)
+	var ar AnalyzeResponse
+	for _, body := range []string{
+		analyzeBody(t, sources, RequestOptions{}),
+		analyzeBody(t, sources, RequestOptions{}),
+		analyzeBody(t, sources, RequestOptions{Backend: "bdd"}),
+		analyzeBody(t, map[string]string{"x.c": "int main( {"}, RequestOptions{}),
+	} {
+		resp, data := postAnalyze(t, srv, body)
+		if resp.StatusCode == http.StatusOK && ar.Key == "" {
+			if err := json.Unmarshal(data, &ar); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	delta, err := json.Marshal(Request{Base: ar.Key, Changed: map[string]string{"extra.c": "int h(void) { return 1; }\n"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, data := postAnalyze(t, srv, string(delta)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta: %d %s", resp.StatusCode, data)
+	}
+	src, dst := querySites(t, sources)
+	for _, url := range []string{
+		srv.URL + "/v1/explain?key=" + ar.Key,
+		srv.URL + "/v1/query?key=" + ar.Key + "&src=" + src + "&dst=" + dst,
+	} {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d", url, resp.StatusCode)
+		}
+	}
+
+	served := map[string]bool{}
+	for _, line := range strings.Split(getMetrics(t, srv), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			served[f[2]] = true
+		}
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, name := range regexp.MustCompile(`regionwizd_[a-z_]+`).FindAllString(string(readme), -1) {
+		documented[name] = true
+	}
+	for name := range served {
+		if !documented[name] {
+			t.Errorf("served family %s is not documented in README", name)
+		}
+	}
+	for name := range documented {
+		if !served[name] {
+			t.Errorf("README documents %s, which is not served", name)
+		}
+	}
+	if len(served) != 7 {
+		t.Errorf("served %d families, want 7: %v", len(served), served)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,7 +31,8 @@ func querySites(t *testing.T, sources map[string]string) (src, dst string) {
 
 // TestServiceQuery covers the demand pair-query path against a cached
 // result: the positive verdict, the consistent reverse probe, the
-// snapshot-gone and bad-input failure modes, and the query counters.
+// snapshot-gone and bad-input failure modes, and how each call is
+// counted.
 func TestServiceQuery(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -69,23 +71,19 @@ func TestServiceQuery(t *testing.T) {
 		t.Errorf("malformed site error = %v, want config kind", err)
 	}
 
+	// Every call counts once, by outcome. The unknown key failed
+	// before reaching a cached analysis; the other four queried one.
 	st := s.Stats()
-	// The two verdicts count; the failed lookups count as requests
-	// too (unknown key never reached a cached analysis but is still a
-	// request; it fails before the verdict).
-	if st.QueryRequests < 2 {
-		t.Errorf("query_requests = %d, want >= 2", st.QueryRequests)
+	if want := map[string]uint64{"ok": 2, "snapshot_gone": 1, "resolve": 1, "config": 1}; !maps.Equal(st.Outcomes["query"], want) {
+		t.Errorf("query outcomes = %v, want %v", st.Outcomes["query"], want)
 	}
-	if st.QueryInconsistent != 1 {
-		t.Errorf("query_inconsistent = %d, want 1", st.QueryInconsistent)
-	}
-	if st.Histograms["query"].Count == 0 {
-		t.Error("query histogram has no observations")
+	if n := st.Histograms["service.query"].Count; n != 4 {
+		t.Errorf("service.query span count = %d, want 4", n)
 	}
 }
 
 // TestHTTPQuery is the /v1/query endpoint round-trip plus its status
-// mapping and metrics.
+// mapping, and the request counter after each failure.
 func TestHTTPQuery(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -131,18 +129,25 @@ func TestHTTPQuery(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name string
-		url  string
-		want int
+		name   string
+		url    string
+		want   int
+		metric string // the counter line after the request
 	}{
-		{"unknown key", srv.URL + "/v1/query?key=" + strings.Repeat("0", 64) + "&src=" + src + "&dst=" + dst, http.StatusConflict},
-		{"unknown site", srv.URL + "/v1/query?key=" + ar.Key + "&src=prog0.c:9999&dst=" + dst, http.StatusUnprocessableEntity},
-		{"malformed site", srv.URL + "/v1/query?key=" + ar.Key + "&src=nonsense&dst=" + dst, http.StatusBadRequest},
-		{"missing params", srv.URL + "/v1/query?key=" + ar.Key, http.StatusBadRequest},
+		{"unknown key", srv.URL + "/v1/query?key=" + strings.Repeat("0", 64) + "&src=" + src + "&dst=" + dst, http.StatusConflict,
+			`regionwizd_requests_total{path="query",outcome="snapshot_gone"} 1`},
+		{"unknown site", srv.URL + "/v1/query?key=" + ar.Key + "&src=prog0.c:9999&dst=" + dst, http.StatusUnprocessableEntity,
+			`regionwizd_requests_total{path="query",outcome="resolve"} 1`},
+		{"malformed site", srv.URL + "/v1/query?key=" + ar.Key + "&src=nonsense&dst=" + dst, http.StatusBadRequest,
+			`regionwizd_requests_total{path="query",outcome="config"} 1`},
+		// Missing parameters are refused before the service is called.
+		{"missing params", srv.URL + "/v1/query?key=" + ar.Key, http.StatusBadRequest,
+			`regionwizd_requests_total{path="query",outcome="config"} 1`},
 	} {
 		if resp, data = get(tc.url); resp.StatusCode != tc.want {
 			t.Errorf("%s: %d (want %d) %s", tc.name, resp.StatusCode, tc.want, data)
 		}
+		wantMetrics(t, srv, tc.metric)
 	}
 	if resp, err := http.Post(srv.URL+"/v1/query", "text/plain", nil); err != nil {
 		t.Fatal(err)
@@ -150,20 +155,9 @@ func TestHTTPQuery(t *testing.T) {
 		t.Errorf("POST: %d, want 405", resp.StatusCode)
 	}
 
-	resp, data = get(srv.URL + "/v1/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d", resp.StatusCode)
-	}
-	text := string(data)
-	for _, want := range []string{
-		"regionwizd_query_requests_total",
-		"regionwizd_query_inconsistent_total 1",
-		"regionwizd_query_duration_seconds_count",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
+	wantMetrics(t, srv,
+		`regionwizd_requests_total{path="query",outcome="ok"} 1`,
+		`regionwizd_span_duration_seconds_count{span="service.query"} 3`)
 }
 
 // TestWireThrottleOptions: the new wire options must round-trip into

@@ -15,9 +15,12 @@
 //     and runs the pipeline; overflow is rejected with a typed
 //     overload error instead of piling up goroutines.
 //
-// Per-phase cost totals (folded from each finished run's report),
-// hit/miss/overload counters, and queue-wait gauges are exposed via
-// Stats.
+// The service counts every call by path and outcome, and times each
+// stage it opens under the name of its trace span ("service.key",
+// "service.analysis", ...), plus each finished run's "phase:<name>"
+// spans. Stats, GET /v1/stats and GET /v1/metrics all read these two
+// tables; tracing stays opt-in, since a stage is timed by the clock
+// whether or not the request carries a tracer.
 package service
 
 import (
@@ -204,29 +207,26 @@ func (s *Service) AnalyzeDelta(ctx context.Context, opts core.Options, base stri
 
 // serve is the shared outer shell: request accounting around analyze.
 func (s *Service) serve(ctx context.Context, opts core.Options, sources map[string]string, delta *deltaReq) (*Result, error) {
-	s.stats.requests.Add(1)
+	path := "analyze"
 	if delta != nil {
-		s.stats.deltaRequests.Add(1)
+		path = "delta"
 	}
-	t0 := time.Now()
-	ctx, sp := trace.StartSpan(ctx, "service.request")
+	ctx, sp := s.stats.start(ctx, "service.request")
 	res, err := s.analyze(ctx, opts, sources, delta)
-	s.stats.analyzeHist.observe(time.Since(t0))
 	if err != nil {
-		s.stats.errs.Add(1)
-		sp.End(trace.Bool("error", true), trace.Str("outcome", "error"))
+		s.stats.request(path, "", err)
+		sp.end(trace.Bool("error", true), trace.Str("outcome", "error"))
 		return nil, err
 	}
-	if sp != nil {
-		outcome := "run"
-		switch {
-		case res.Cached:
-			outcome = "cache_hit"
-		case res.Coalesced:
-			outcome = "coalesced"
-		}
-		sp.End(trace.Str("outcome", outcome), trace.Str("key", res.Key[:12]))
+	outcome := "run"
+	switch {
+	case res.Cached:
+		outcome = "cache_hit"
+	case res.Coalesced:
+		outcome = "coalesced"
 	}
+	s.stats.request(path, outcome, nil)
+	sp.end(trace.Str("outcome", outcome), trace.Str("key", res.Key[:12]))
 	return res, nil
 }
 
@@ -256,9 +256,9 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
-	_, ksp := trace.StartSpan(ctx, "service.key")
+	_, ksp := s.stats.start(ctx, "service.key")
 	key := Key(opts, sources)
-	ksp.End()
+	ksp.end()
 
 	s.mu.Lock()
 	if s.closed {
@@ -267,7 +267,6 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 	}
 	if res, ok := s.cache.get(key); ok {
 		s.mu.Unlock()
-		s.stats.hits.Add(1)
 		if sp := trace.SpanFromContext(ctx); sp != nil {
 			sp.Event("cache_hit")
 		}
@@ -278,9 +277,9 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 	}
 	if c, ok := s.calls[key]; ok {
 		s.mu.Unlock()
-		cctx, wsp := trace.StartSpan(ctx, "service.coalesce_wait")
+		cctx, wsp := s.stats.start(ctx, "service.coalesce_wait")
 		res, err := s.await(cctx, c)
-		wsp.End()
+		wsp.end()
 		if err == nil {
 			res.Delta = dinfo
 		}
@@ -312,23 +311,21 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 // materializes the request's source set from it, under a
 // "service.base" span.
 func (s *Service) resolveDelta(ctx context.Context, opts core.Options, delta *deltaReq) (*core.Analysis, map[string]string, *DeltaInfo, error) {
-	_, sp := trace.StartSpan(ctx, "service.base")
+	_, sp := s.stats.start(ctx, "service.base")
 	s.mu.Lock()
 	res, ok := s.cache.get(delta.base)
 	s.mu.Unlock()
 	if !ok {
-		s.stats.snapshotGone.Add(1)
-		sp.End(trace.Bool("error", true))
+		sp.end(trace.Bool("error", true))
 		return nil, nil, nil, core.Errf(core.ErrSnapshotGone, "",
 			"base %.12s… is gone (evicted or never computed); retry with full sources", delta.base)
 	}
 	base := res.Analysis
 	if base.Opts.Fingerprint() != opts.Fingerprint() {
-		sp.End(trace.Bool("error", true))
+		sp.end(trace.Bool("error", true))
 		return nil, nil, nil, core.Errf(core.ErrConfig, "",
 			"delta request options do not match the base analysis's")
 	}
-	s.stats.snapshotHits.Add(1)
 	sources := base.Apply(delta.changed, delta.removed)
 	dinfo := &DeltaInfo{Base: delta.base}
 	for p, src := range sources {
@@ -343,11 +340,9 @@ func (s *Service) resolveDelta(ctx context.Context, opts core.Options, delta *de
 			dinfo.FilesRemoved++
 		}
 	}
-	if sp != nil {
-		sp.End(trace.Int("files_reused", dinfo.FilesReused),
-			trace.Int("files_changed", dinfo.FilesChanged),
-			trace.Int("files_removed", dinfo.FilesRemoved))
-	}
+	sp.end(trace.Int("files_reused", dinfo.FilesReused),
+		trace.Int("files_changed", dinfo.FilesChanged),
+		trace.Int("files_removed", dinfo.FilesRemoved))
 	return base, sources, dinfo, nil
 }
 
@@ -377,7 +372,6 @@ func (s *Service) await(ctx context.Context, c *call) (*Result, error) {
 		if c.err != nil {
 			return nil, c.err
 		}
-		s.stats.coalesced.Add(1)
 		shared := *c.res
 		shared.Coalesced = true
 		return &shared, nil
@@ -395,67 +389,81 @@ func (s *Service) run(ctx context.Context, key string, opts core.Options, source
 		// Pool full: queue if there is room, fail fast otherwise.
 		if s.stats.queued.Add(1) > int64(s.cfg.QueueDepth) {
 			s.stats.queued.Add(-1)
-			s.stats.overloads.Add(1)
 			return nil, core.Errf(core.ErrOverload, "",
 				"analysis service overloaded: %d workers busy and queue of %d full",
 				s.cfg.Workers, s.cfg.QueueDepth)
 		}
-		t0 := time.Now()
-		_, qsp := trace.StartSpan(ctx, "service.admission_wait")
+		_, qsp := s.stats.start(ctx, "service.admission_wait")
 		select {
 		case s.sem <- struct{}{}:
 			s.stats.queued.Add(-1)
-			qsp.End()
-			s.stats.recordQueueWait(time.Since(t0))
+			qsp.end()
 		case <-ctx.Done():
 			s.stats.queued.Add(-1)
-			s.stats.overloads.Add(1)
-			qsp.End(trace.Str("outcome", "expired"))
+			qsp.end(trace.Str("outcome", "expired"))
 			return nil, &core.Error{
 				Kind: core.ErrOverload,
-				Msg:  fmt.Sprintf("analysis request expired after queueing %v: %v", time.Since(t0).Round(time.Millisecond), ctx.Err()),
+				Msg:  fmt.Sprintf("analysis request expired after queueing %v: %v", time.Since(qsp.t0).Round(time.Millisecond), ctx.Err()),
 				Err:  ctx.Err(),
 			}
 		case <-s.closeCh:
 			s.stats.queued.Add(-1)
-			qsp.End(trace.Str("outcome", "closed"))
+			qsp.end(trace.Str("outcome", "closed"))
 			return nil, errClosed()
 		}
 	}
 	defer func() { <-s.sem }()
 
-	s.stats.misses.Add(1)
 	s.stats.inflight.Add(1)
 	defer s.stats.inflight.Add(-1)
 
-	if s.leadHook != nil {
-		s.leadHook(sources)
-	}
-	actx, asp := trace.StartSpan(ctx, "service.analysis")
-	var a *core.Analysis
-	var err error
-	if base != nil {
-		a, err = core.AnalyzeIncremental(actx, opts, base, sources)
-	} else {
-		a, err = core.AnalyzeSourceContext(actx, opts, sources)
-	}
-	asp.End(trace.Bool("error", err != nil))
+	a, err := s.pipeline(ctx, opts, sources, base)
 	if err != nil {
 		return nil, err
 	}
 	s.stats.recordPhases(a.Report.Stats.Phases)
-	s.stats.frontendReused.Add(uint64(a.Front.ParseReused))
-	s.stats.frontendRerun.Add(uint64(a.Front.ParseParsed))
-	_, esp := trace.StartSpan(ctx, "service.encode")
+	_, esp := s.stats.start(ctx, "service.encode")
 	data, err := json.Marshal(a.Report)
-	if esp != nil {
-		esp.End(trace.Int("bytes", len(data)))
-	}
+	esp.end(trace.Int("bytes", len(data)))
 	if err != nil {
 		return nil, core.WrapError(core.ErrInternal, err)
 	}
-	s.stats.warnings.Add(uint64(len(a.Report.Warnings)))
 	return &Result{Analysis: a, ReportJSON: data, Key: key}, nil
+}
+
+// pipeline runs the analysis under a "service.analysis" span, which
+// ends even when the run panics: every run that passed admission is
+// counted (Stats.Misses).
+func (s *Service) pipeline(ctx context.Context, opts core.Options, sources map[string]string, base *core.Analysis) (a *core.Analysis, err error) {
+	ctx, sp := s.stats.start(ctx, "service.analysis")
+	failed := true
+	defer func() { sp.end(trace.Bool("error", failed)) }()
+	if s.leadHook != nil {
+		s.leadHook(sources)
+	}
+	if base != nil {
+		a, err = core.AnalyzeIncremental(ctx, opts, base, sources)
+	} else {
+		a, err = core.AnalyzeSourceContext(ctx, opts, sources)
+	}
+	failed = err != nil
+	return a, err
+}
+
+// cached returns the cached result of key: the one rule explain, query
+// and delta share. A key that is not cached fails with an
+// ErrSnapshotGone-kind error.
+func (s *Service) cached(key string) (*Result, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, errClosed()
+	}
+	if res, ok := s.cache.get(key); ok {
+		return res, nil
+	}
+	return nil, core.Errf(core.ErrSnapshotGone, "",
+		"result %.12s… is gone (evicted or never computed); re-run the analysis and retry", key)
 }
 
 // ExplainResult is one served provenance query.
@@ -471,28 +479,21 @@ type ExplainResult struct {
 // Explain answers a why-provenance query against a completed request,
 // named by its content-addressed key. warning is a 1-based report
 // index; 0 (or any non-positive value) explains every warning. The
-// explanation engine runs over the cached Result's analysis state: if
-// the key has been evicted — or never completed — Explain fails with
-// an ErrSnapshotGone-kind error (HTTP 409) and the client re-runs the
-// analysis first.
-func (s *Service) Explain(ctx context.Context, key string, warning int) (*ExplainResult, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, errClosed()
+// explanation engine runs over the cached Result's analysis state,
+// under a "service.explain" span: if the key has been evicted — or
+// never completed — Explain fails with an ErrSnapshotGone-kind error
+// (HTTP 409) and the client re-runs the analysis first.
+func (s *Service) Explain(ctx context.Context, key string, warning int) (_ *ExplainResult, err error) {
+	defer func() { s.stats.request("explain", "ok", err) }()
+	res, err := s.cached(key)
+	if err != nil {
+		return nil, err
 	}
-	res, ok := s.cache.get(key)
-	s.mu.Unlock()
-	if !ok {
-		return nil, core.Errf(core.ErrSnapshotGone, "",
-			"result %.12s… is gone (evicted or never computed); re-run the analysis and retry", key)
-	}
-	t0 := time.Now()
-	defer func() { s.stats.explainHist.observe(time.Since(t0)) }()
-	s.stats.explainRequests.Add(1)
 	// The cached Analysis is shared and immutable; Explain is
 	// read-only over it, so concurrent calls on one key are safe.
+	ctx, sp := s.stats.start(ctx, "service.explain")
 	exps, err := res.Analysis.Explain(ctx, warning)
+	sp.end(trace.Bool("error", err != nil))
 	if err != nil {
 		return nil, err
 	}
@@ -510,34 +511,25 @@ type QueryResult struct {
 // allocated at src hold pointers into the objects allocated at dst
 // across regions with no subregion order? src and dst are "file:line"
 // or "file:line:col" allocation-site positions. The query runs over
-// the cached Result's analysis state — the run's object pairs between
-// the two sites are read off, nothing is re-solved — and its verdict
-// agrees with the cached report. If the key has been evicted — or never
-// completed — Query fails with an ErrSnapshotGone-kind error (HTTP
-// 409) and the client re-runs the analysis first.
-func (s *Service) Query(ctx context.Context, key, src, dst string) (*QueryResult, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, errClosed()
-	}
-	res, ok := s.cache.get(key)
-	s.mu.Unlock()
-	if !ok {
-		return nil, core.Errf(core.ErrSnapshotGone, "",
-			"result %.12s… is gone (evicted or never computed); re-run the analysis and retry", key)
-	}
-	t0 := time.Now()
-	defer func() { s.stats.queryHist.observe(time.Since(t0)) }()
-	s.stats.queryRequests.Add(1)
-	// The cached Analysis is shared and immutable; QueryPair is
-	// read-only over it, so concurrent queries on one key are safe.
-	ans, err := res.Analysis.QueryPair(ctx, src, dst)
+// the cached Result's analysis state, under a "service.query" span —
+// the run's object pairs between the two sites are read off, nothing
+// is re-solved — and its verdict agrees with the cached report. If the
+// key has been evicted — or never completed — Query fails with an
+// ErrSnapshotGone-kind error (HTTP 409) and the client re-runs the
+// analysis first.
+func (s *Service) Query(ctx context.Context, key, src, dst string) (_ *QueryResult, err error) {
+	defer func() { s.stats.request("query", "ok", err) }()
+	res, err := s.cached(key)
 	if err != nil {
 		return nil, err
 	}
-	if ans.Inconsistent {
-		s.stats.queryInconsistent.Add(1)
+	// The cached Analysis is shared and immutable; QueryPair is
+	// read-only over it, so concurrent queries on one key are safe.
+	ctx, sp := s.stats.start(ctx, "service.query")
+	ans, err := res.Analysis.QueryPair(ctx, src, dst)
+	sp.end(trace.Bool("error", err != nil))
+	if err != nil {
+		return nil, err
 	}
 	return &QueryResult{Answer: ans}, nil
 }

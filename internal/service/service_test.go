@@ -102,8 +102,8 @@ func TestCacheHitRunsZeroPhases(t *testing.T) {
 	if st.Requests != 2 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 2 requests / 1 hit / 1 miss", st)
 	}
-	if st.Phases[core.PhaseParse].Runs != 1 {
-		t.Fatalf("parse phase total runs = %d, want 1", st.Phases[core.PhaseParse].Runs)
+	if n := st.Histograms["phase:"+core.PhaseParse].Count; n != 1 {
+		t.Fatalf("phase:parse span count = %d, want 1", n)
 	}
 }
 

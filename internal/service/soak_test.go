@@ -123,10 +123,4 @@ func TestSoakBoundedKernelFootprint(t *testing.T) {
 	if first["bdd_table_grows"] == 0 {
 		t.Fatalf("node table never grew — growth path not exercised (outputs %v)", first)
 	}
-
-	st := s.Stats()
-	if st.BDDOutputs["bdd_nodes"] != first["bdd_nodes"]*requests {
-		t.Fatalf("service-wide bdd_nodes = %d, want %d x %d",
-			st.BDDOutputs["bdd_nodes"], first["bdd_nodes"], requests)
-	}
 }

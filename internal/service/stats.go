@@ -1,50 +1,33 @@
 package service
 
 import (
-	"strings"
+	"context"
+	"errors"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
-// PhaseTotal aggregates one pipeline phase's cost across every run
-// the service finished.
-type PhaseTotal struct {
-	Runs       uint64        `json:"runs"`
-	Wall       time.Duration `json:"wall_ns"`
-	AllocBytes int64         `json:"alloc_bytes"`
-}
-
-// latencyBuckets are the histogram upper bounds in seconds, shared by
-// every service latency histogram (analyze, queue wait, per-phase).
-// They span 1ms to 1min log-ish; observations above the last bound
-// land in the implicit +Inf bucket.
-var latencyBuckets = [...]float64{
+// spanBuckets are the upper bounds, in seconds, of every span
+// histogram: 50µs to 1min, log-ish, so that a hot request's sub-ms
+// spans and a paper-scale run's phases both resolve. Observations above
+// the last bound land in the implicit +Inf bucket.
+var spanBuckets = [...]float64{
+	0.00005, 0.0001, 0.00025, 0.0005,
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// histogram is a fixed-bucket latency histogram with lock-free
-// observation — the service records every request on the hot path.
+// histogram is one span's fixed-bucket duration histogram. counts[i]
+// is the number of observations <= spanBuckets[i] and above the bound
+// before it; the last entry is the +Inf bucket. Exposition cumulates.
 type histogram struct {
-	// counts[i] is the number of observations <= latencyBuckets[i];
-	// counts[len(latencyBuckets)] is the +Inf overflow bucket. Buckets
-	// are NOT cumulative here; exposition cumulates.
-	counts [len(latencyBuckets) + 1]atomic.Uint64
-	sumNS  atomic.Int64
-	count  atomic.Uint64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	secs := d.Seconds()
-	i := 0
-	for i < len(latencyBuckets) && secs > latencyBuckets[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumNS.Add(int64(d))
-	h.count.Add(1)
+	counts [len(spanBuckets) + 1]uint64
+	sum    time.Duration
+	count  uint64
 }
 
 // HistogramSnapshot is one histogram's point-in-time state. Counts are
@@ -57,33 +40,24 @@ type HistogramSnapshot struct {
 	Count  uint64        `json:"count"`
 }
 
-func (h *histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: latencyBuckets[:],
-		Counts: make([]uint64, len(h.counts)),
-		Sum:    time.Duration(h.sumNS.Load()),
-		Count:  h.count.Load(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
-
 // Stats is a point-in-time snapshot of the service's counters and
-// gauges (the /v1/stats payload).
+// gauges (the /v1/stats payload). The summary counters are derived
+// from two tables, Outcomes and Histograms.
 type Stats struct {
-	// Requests counts every Analyze call, however it was served.
+	// Requests counts every Analyze and AnalyzeDelta call, however it
+	// was served.
 	Requests uint64 `json:"requests"`
 	// Hits were served from the result cache without running anything.
 	Hits uint64 `json:"cache_hits"`
 	// Coalesced joined an identical in-flight run (singleflight).
 	Coalesced uint64 `json:"coalesced"`
-	// Misses ran the pipeline.
+	// Misses ran the pipeline: the "service.analysis" span count.
 	Misses uint64 `json:"cache_misses"`
-	// Overloads were rejected by admission control.
+	// Overloads failed with an overload error: rejected by admission
+	// control, or coalesced onto a leader that was.
 	Overloads uint64 `json:"overloads"`
-	// Errors counts failed requests of any kind, overloads included.
+	// Errors counts failed Analyze and AnalyzeDelta calls of any kind,
+	// overloads included.
 	Errors uint64 `json:"errors"`
 	// Inflight is the number of pipeline runs executing right now.
 	Inflight int64 `json:"inflight"`
@@ -93,179 +67,177 @@ type Stats struct {
 	// counts entries dropped to make room.
 	CacheEntries   int    `json:"cache_entries"`
 	CacheEvictions uint64 `json:"cache_evictions"`
-	// DeltaRequests counts requests that named a base key;
-	// SnapshotHits found it in the result cache, SnapshotGone did not
-	// (the 409 path).
-	DeltaRequests uint64 `json:"delta_requests"`
-	SnapshotHits  uint64 `json:"snapshot_hits"`
-	SnapshotGone  uint64 `json:"snapshot_gone"`
-	// FrontendFilesReused and FrontendFilesRerun count, across every
-	// pipeline run, source files whose parse was reused from a delta's
-	// base versus parsed.
-	FrontendFilesReused uint64 `json:"frontend_files_reused"`
-	FrontendFilesRerun  uint64 `json:"frontend_files_rerun"`
-	// QueueWaits counts requests that had to queue; QueueWait is their
-	// cumulative wait, MaxQueueWait the single longest.
-	QueueWaits   uint64        `json:"queue_waits"`
-	QueueWait    time.Duration `json:"queue_wait_ns"`
-	MaxQueueWait time.Duration `json:"max_queue_wait_ns"`
-	// Phases aggregates per-phase cost over every pipeline run that
-	// finished: a run that failed or was cancelled part way adds
-	// nothing, not even for the phases it completed.
-	Phases map[string]PhaseTotal `json:"phases,omitempty"`
-	// BDDOutputs accumulates, over every finished pipeline run, the
-	// bdd_* counters the pairs phase reports (node/tuple footprint and
-	// op-cache traffic).
-	BDDOutputs map[string]int64 `json:"bdd_outputs,omitempty"`
-	// Warnings sums the warnings reported by every pipeline run the
-	// service executed (cache hits and coalesced waiters share their
-	// leader's run and do not re-count).
-	Warnings uint64 `json:"warnings_total"`
-	// ExplainRequests counts Explain calls served.
-	ExplainRequests uint64 `json:"explain_requests"`
-	// QueryRequests counts demand pair queries served;
-	// QueryInconsistent counts the subset whose verdict was
-	// inconsistent.
-	QueryRequests     uint64 `json:"query_requests"`
-	QueryInconsistent uint64 `json:"query_inconsistent"`
-	// Histograms holds the latency distributions: "analyze" (end-to-end
-	// Analyze latency), "queue_wait" (admission queue wait), and
-	// "phase:<name>" (per-phase pipeline duration, finished runs only).
-	// Only histograms with at least one observation appear.
+	// QueueWait is the cumulative admission queue wait: the
+	// "service.admission_wait" span sum.
+	QueueWait time.Duration `json:"queue_wait_ns"`
+	// Outcomes counts service calls by path ("analyze", "delta",
+	// "explain", "query") and outcome: "run", "cache_hit" or
+	// "coalesced" for analyses, "ok" for explain and query, and the
+	// error kind for any failure.
+	Outcomes map[string]map[string]uint64 `json:"outcomes,omitempty"`
+	// Histograms holds the duration of every ended span the service
+	// opens, keyed by span name: "http.request", "service.key", ...,
+	// and "phase:<name>" for each finished run's phases. Only spans
+	// that ended at least once appear.
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	// AllocBytes sums, per "phase:<name>" span, the bytes allocated
+	// while the phase ran (see core.PhaseStat.AllocBytes).
+	AllocBytes map[string]int64 `json:"alloc_bytes,omitempty"`
 }
 
-// collector is the service's live counter set.
+// cell is one cell of the request counter.
+type cell struct{ path, outcome string }
+
+// collector is the service's live counter set: one request counter,
+// one histogram per span name, and the two gauges admission control
+// reads.
 type collector struct {
-	requests, hits, coalesced, misses, overloads, errs atomic.Uint64
-	deltaRequests, snapshotHits, snapshotGone          atomic.Uint64
-	frontendReused, frontendRerun                      atomic.Uint64
-	warnings                                           atomic.Uint64
-	explainRequests                                    atomic.Uint64
-	queryRequests, queryInconsistent                   atomic.Uint64
-	inflight, queued                                   atomic.Int64
-	queueWaits                                         atomic.Uint64
-	queueWaitNS, maxQueueWaitNS                        atomic.Int64
+	inflight, queued atomic.Int64
 
-	analyzeHist histogram
-	queueHist   histogram
-	explainHist histogram
-	queryHist   histogram
-
-	mu         sync.Mutex
-	phases     map[string]*PhaseTotal
-	phaseHists map[string]*histogram
-	bddOutputs map[string]int64
+	mu       sync.Mutex
+	requests map[cell]uint64
+	spans    map[string]*histogram
+	allocs   map[string]int64
 }
 
 func newCollector() *collector {
 	return &collector{
-		phases:     make(map[string]*PhaseTotal),
-		phaseHists: make(map[string]*histogram),
-		bddOutputs: make(map[string]int64),
+		requests: make(map[cell]uint64),
+		spans:    make(map[string]*histogram),
+		allocs:   make(map[string]int64),
 	}
 }
 
-func (c *collector) recordQueueWait(d time.Duration) {
-	c.queueWaits.Add(1)
-	c.queueWaitNS.Add(int64(d))
-	c.queueHist.observe(d)
-	for {
-		max := c.maxQueueWaitNS.Load()
-		if int64(d) <= max || c.maxQueueWaitNS.CompareAndSwap(max, int64(d)) {
-			return
+// request counts one service call on path: under outcome, or under
+// err's kind when err is non-nil.
+func (c *collector) request(path, outcome string, err error) {
+	if err != nil {
+		var aerr *core.Error
+		outcome = core.ErrInternal.String()
+		if errors.As(err, &aerr) {
+			outcome = aerr.Kind.String()
 		}
 	}
+	c.mu.Lock()
+	c.requests[cell{path, outcome}]++
+	c.mu.Unlock()
 }
 
-// recordPhases folds a finished run's per-phase stats into the
-// per-phase totals, the "phase:<name>" histograms, and the BDD kernel
-// counters the pairs phase reports.
+// observeLocked adds one duration to the named span's histogram.
+func (c *collector) observeLocked(name string, d time.Duration) {
+	h := c.spans[name]
+	if h == nil {
+		h = &histogram{}
+		c.spans[name] = h
+	}
+	i := 0
+	for i < len(spanBuckets) && d.Seconds() > spanBuckets[i] {
+		i++
+	}
+	h.counts[i]++
+	h.sum += d
+	h.count++
+}
+
+// recordPhases observes a finished run's phases as "phase:<name>"
+// spans and adds their allocation. A failed run reports no phases, so
+// it adds nothing, not even for the phases it completed.
 func (c *collector) recordPhases(phases []core.PhaseStat) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, ps := range phases {
-		pt := c.phases[ps.Name]
-		if pt == nil {
-			pt = &PhaseTotal{}
-			c.phases[ps.Name] = pt
-		}
-		pt.Runs++
-		pt.Wall += ps.Time
-		pt.AllocBytes += ps.AllocBytes
-		for k, v := range ps.Outputs {
-			if strings.HasPrefix(k, "bdd_") {
-				c.bddOutputs[k] += v
-			}
-		}
-		ph := c.phaseHists[ps.Name]
-		if ph == nil {
-			ph = &histogram{}
-			c.phaseHists[ps.Name] = ph
-		}
-		ph.observe(ps.Time)
+		name := "phase:" + ps.Name
+		c.observeLocked(name, ps.Time)
+		c.allocs[name] += ps.AllocBytes
 	}
 }
 
-// snapshot copies the counters into a Stats value.
+// span is one service stage: a trace span when the request is traced,
+// and in every case one observation of the span histogram when it
+// ends. The service times itself under the names its traces use.
+type span struct {
+	*trace.Span
+	c    *collector
+	name string
+	t0   time.Time
+}
+
+// start opens a stage that begins now.
+func (c *collector) start(ctx context.Context, name string) (context.Context, span) {
+	return c.startAt(ctx, name, time.Now())
+}
+
+// startAt opens a stage that began at t0.
+func (c *collector) startAt(ctx context.Context, name string, t0 time.Time) (context.Context, span) {
+	ctx, sp := trace.StartSpanAt(ctx, name, t0)
+	return ctx, span{sp, c, name, t0}
+}
+
+// end ends the trace span, if any, with attrs and observes the stage.
+func (s span) end(attrs ...trace.Attr) {
+	s.Span.End(attrs...)
+	d := time.Since(s.t0)
+	s.c.mu.Lock()
+	s.c.observeLocked(s.name, d)
+	s.c.mu.Unlock()
+}
+
+// snapshot copies the tables into a Stats value and derives the
+// summary counters from them.
 func (c *collector) snapshot() Stats {
 	s := Stats{
-		Requests:     c.requests.Load(),
-		Hits:         c.hits.Load(),
-		Coalesced:    c.coalesced.Load(),
-		Misses:       c.misses.Load(),
-		Overloads:    c.overloads.Load(),
-		Errors:       c.errs.Load(),
-		Inflight:     c.inflight.Load(),
-		Queued:       c.queued.Load(),
-		QueueWaits:   c.queueWaits.Load(),
-		QueueWait:    time.Duration(c.queueWaitNS.Load()),
-		MaxQueueWait: time.Duration(c.maxQueueWaitNS.Load()),
-
-		DeltaRequests:       c.deltaRequests.Load(),
-		SnapshotHits:        c.snapshotHits.Load(),
-		SnapshotGone:        c.snapshotGone.Load(),
-		FrontendFilesReused: c.frontendReused.Load(),
-		FrontendFilesRerun:  c.frontendRerun.Load(),
-		Warnings:            c.warnings.Load(),
-		ExplainRequests:     c.explainRequests.Load(),
-		QueryRequests:       c.queryRequests.Load(),
-		QueryInconsistent:   c.queryInconsistent.Load(),
-	}
-	s.Histograms = make(map[string]HistogramSnapshot)
-	if hs := c.analyzeHist.snapshot(); hs.Count > 0 {
-		s.Histograms["analyze"] = hs
-	}
-	if hs := c.queueHist.snapshot(); hs.Count > 0 {
-		s.Histograms["queue_wait"] = hs
-	}
-	if hs := c.explainHist.snapshot(); hs.Count > 0 {
-		s.Histograms["explain"] = hs
-	}
-	if hs := c.queryHist.snapshot(); hs.Count > 0 {
-		s.Histograms["query"] = hs
+		Inflight:   c.inflight.Load(),
+		Queued:     c.queued.Load(),
+		Outcomes:   make(map[string]map[string]uint64),
+		Histograms: make(map[string]HistogramSnapshot),
+		AllocBytes: make(map[string]int64),
 	}
 	c.mu.Lock()
-	if len(c.phases) > 0 {
-		s.Phases = make(map[string]PhaseTotal, len(c.phases))
-		for name, pt := range c.phases {
-			s.Phases[name] = *pt
+	defer c.mu.Unlock()
+	for k, n := range c.requests {
+		if s.Outcomes[k.path] == nil {
+			s.Outcomes[k.path] = make(map[string]uint64)
+		}
+		s.Outcomes[k.path][k.outcome] = n
+		if k.path != "analyze" && k.path != "delta" {
+			continue
+		}
+		s.Requests += n
+		switch k.outcome {
+		case "run":
+		case "cache_hit":
+			s.Hits += n
+		case "coalesced":
+			s.Coalesced += n
+		case core.ErrOverload.String():
+			s.Overloads += n
+			s.Errors += n
+		default:
+			s.Errors += n
 		}
 	}
-	if len(c.bddOutputs) > 0 {
-		s.BDDOutputs = make(map[string]int64, len(c.bddOutputs))
-		for k, v := range c.bddOutputs {
-			s.BDDOutputs[k] = v
+	for name, h := range c.spans {
+		s.Histograms[name] = HistogramSnapshot{
+			Bounds: spanBuckets[:],
+			Counts: append([]uint64(nil), h.counts[:]...),
+			Sum:    h.sum,
+			Count:  h.count,
 		}
 	}
-	for name, h := range c.phaseHists {
-		if hs := h.snapshot(); hs.Count > 0 {
-			s.Histograms["phase:"+name] = hs
-		}
+	for name, n := range c.allocs {
+		s.AllocBytes[name] = n
 	}
-	c.mu.Unlock()
-	if len(s.Histograms) == 0 {
-		s.Histograms = nil
-	}
+	s.Misses = s.Histograms["service.analysis"].Count
+	s.QueueWait = s.Histograms["service.admission_wait"].Sum
 	return s
+}
+
+// sortedKeys returns m's keys in order, for deterministic exposition.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

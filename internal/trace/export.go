@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -173,9 +172,4 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.records)
-}
-
-// String summarizes the tracer for debugging.
-func (t *Tracer) String() string {
-	return fmt.Sprintf("trace.Tracer(%d records)", t.Len())
 }

@@ -243,9 +243,6 @@ func FromContext(ctx context.Context) *Tracer {
 	return t
 }
 
-// Enabled reports whether the context carries a Tracer.
-func Enabled(ctx context.Context) bool { return FromContext(ctx) != nil }
-
 // SpanFromContext returns the current span, or nil — including when a
 // Tracer is installed but no span has been started yet.
 func SpanFromContext(ctx context.Context) *Span {
@@ -275,14 +272,4 @@ func StartSpanAt(ctx context.Context, name string, start time.Time) (context.Con
 	}
 	sp := t.newSpanAt(name, SpanFromContext(ctx), start.Sub(t.epoch))
 	return context.WithValue(ctx, spanKey{}, sp), sp
-}
-
-// ContextWithSpan returns a context whose current span is sp — for
-// handing an externally created span (Root, Child) to code that walks
-// the context. sp may be nil, in which case ctx is returned unchanged.
-func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, sp)
 }
