@@ -13,7 +13,9 @@
 // supports a context cap: when a function's path count would exceed
 // the cap, paths are merged modulo the cap — a sound (merging only)
 // degradation the paper's prototype did not need because BuDDy could
-// hold the full count.
+// hold the full count. NewKCFA and NewOrigin are the cheaper
+// alternatives: one token walk (tokens.go) numbers k-CFA call strings
+// or origin call sites instead of full call paths.
 package contexts
 
 import (
@@ -48,12 +50,10 @@ type Numbering struct {
 	// Capped reports whether any function hit the cap.
 	Capped bool
 
-	// kcfa is non-nil when the numbering was produced by NewKCFA; it
-	// switches MapContext to call-string semantics.
-	kcfa *kState
-	// origin is non-nil when the numbering was produced by NewOrigin;
-	// it switches MapContext to origin-token semantics.
-	origin *oState
+	// tokens is non-nil when the numbering was produced by NewKCFA or
+	// NewOrigin; it switches MapContext to token semantics. Such
+	// numberings leave SCC, Order and Offset empty.
+	tokens *tokens
 }
 
 // Number computes the context numbering for the reachable part of g.
@@ -156,11 +156,16 @@ func (n *Numbering) number(funcs []string) {
 // MapContext maps a caller context through a call edge to the callee
 // context — one tuple of the paper's cc relation.
 func (n *Numbering) MapContext(caller string, callerCtx uint64, e Edge) uint64 {
-	if n.kcfa != nil {
-		return n.mapContextKCFA(caller, callerCtx, e)
-	}
-	if n.origin != nil {
-		return n.mapContextOrigin(caller, callerCtx, e)
+	if ts := n.tokens; ts != nil {
+		// The token walk gives every reachable function a token per
+		// context, so only an out-of-range caller context has none.
+		// It maps to context 0, as does a token the walk never reached.
+		if reps := ts.rep[caller]; callerCtx < uint64(len(reps)) {
+			if i, ok := ts.idx[e.Callee][ts.push(reps[callerCtx], e)]; ok {
+				return i
+			}
+		}
+		return 0
 	}
 	if n.SCC[caller] == n.SCC[e.Callee] {
 		// Recursive (intra-component) calls reuse the caller context:

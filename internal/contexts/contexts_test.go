@@ -8,7 +8,8 @@ import (
 	"repro/internal/ir"
 )
 
-func number(t *testing.T, src string, cap uint64) *Numbering {
+// graph builds the call graph of src, rooted at main.
+func graph(t *testing.T, src string) *callgraph.Graph {
 	t.Helper()
 	f, errs := cminor.Parse("test.c", src)
 	if len(errs) != 0 {
@@ -18,9 +19,12 @@ func number(t *testing.T, src string, cap uint64) *Numbering {
 	if len(info.Errors) != 0 {
 		t.Fatalf("check: %v", info.Errors)
 	}
-	prog := ir.Lower(info, f)
-	g := callgraph.Build(prog, "main", nil)
-	return Number(g, cap)
+	return callgraph.Build(ir.Lower(info, f), "main", nil)
+}
+
+func number(t *testing.T, src string, cap uint64) *Numbering {
+	t.Helper()
+	return Number(graph(t, src), cap)
 }
 
 func TestLinearChain(t *testing.T) {

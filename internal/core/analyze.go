@@ -116,8 +116,7 @@ const RootRegion = 0
 // shared State threaded through the pipeline phases (phases.go).
 type Analysis struct {
 	Opts Options
-	// Sources holds path->content pairs when the front-end phases
-	// (parse, check) run as part of the pipeline (AnalyzeSource).
+	// Sources holds the analyzed path->content pairs.
 	Sources   map[string]string
 	Files     []*cminor.File
 	Info      *cminor.Info
@@ -199,24 +198,6 @@ func AnalyzeSourceContext(ctx context.Context, opts Options, sources map[string]
 	return runPhases(ctx, a, phases)
 }
 
-// Analyze runs the full RegionWiz pipeline over checked files.
-func Analyze(opts Options, info *cminor.Info, files ...*cminor.File) (*Analysis, error) {
-	return AnalyzeContext(context.Background(), opts, info, files...)
-}
-
-// AnalyzeContext is Analyze under a context (see
-// AnalyzeSourceContext).
-func AnalyzeContext(ctx context.Context, opts Options, info *cminor.Info, files ...*cminor.File) (*Analysis, error) {
-	opts, err := opts.prepare()
-	if err != nil {
-		return nil, err
-	}
-	a := newAnalysis(opts)
-	a.Info = info
-	a.Files = files
-	return runPhases(ctx, a, phases[frontEnd:])
-}
-
 // pointerConfig derives the pointer-analysis extern models from the
 // region API.
 func (a *Analysis) pointerConfig() pointer.Config {
@@ -226,7 +207,6 @@ func (a *Analysis) pointerConfig() pointer.Config {
 		ReturnArgFns: map[string]int{"memcpy": 0, "memset": 0, "strcpy": 0, "strcat": 0, "memmove": 0},
 		HeapCloning:  *a.Opts.HeapCloning,
 		EntryParams:  len(a.Opts.Entries) > 0,
-		MaxRounds:    a.Opts.Solver.MaxRounds,
 		PtsLimit:     a.Opts.Solver.PtsLimit,
 	}
 	for _, fn := range a.Opts.ExtraAllocFns {

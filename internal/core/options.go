@@ -9,14 +9,9 @@ import (
 )
 
 // SolverOptions groups every knob that controls *how* an analysis is
-// solved, as opposed to *what* it computes: fixpoint budget,
-// points-to cap, and pair-computation backend. It lives at
-// Options.Solver.
+// solved, as opposed to *what* it computes: points-to cap and
+// pair-computation backend. It lives at Options.Solver.
 type SolverOptions struct {
-	// MaxRounds bounds the pointer fixpoint's iteration count
-	// (0 = unlimited). A cutoff changes results, so a nonzero value is
-	// fingerprinted.
-	MaxRounds int
 	// PtsLimit caps each variable's points-to set in the pointer
 	// solve (0 = unlimited). A set about to exceed the cap collapses
 	// to a tainted ⊤ object — a documented-unsound throttle
@@ -42,9 +37,6 @@ type SolverOptions struct {
 func (o Options) Validate() error {
 	if o.KCFA < 0 {
 		return Errf(ErrConfig, "", "options: negative KCFA %d", o.KCFA)
-	}
-	if o.Solver.MaxRounds < 0 {
-		return Errf(ErrConfig, "", "options: negative Solver.MaxRounds %d", o.Solver.MaxRounds)
 	}
 	if o.Solver.PtsLimit < 0 {
 		return Errf(ErrConfig, "", "options: negative Solver.PtsLimit %d", o.Solver.PtsLimit)
@@ -150,15 +142,10 @@ func (o Options) Fingerprint() string {
 	fmt.Fprintf(h, "cap=%d cloning=%t backend=%d kcfa=%d refine=%t\n",
 		o.ContextCap, *o.HeapCloning, o.Solver.Backend, o.KCFA, o.DefUseRefinement)
 	fmt.Fprintf(h, "extra_alloc=%q\n", o.ExtraAllocFns)
-	// A fixpoint cutoff changes results; 0 (unlimited, the default) is
-	// not written so pre-SolverOptions digests stay valid.
-	if o.Solver.MaxRounds != 0 {
-		fmt.Fprintf(h, "max_rounds=%d\n", o.Solver.MaxRounds)
-	}
-	// Same back-compat shape for the newer throttles: written only
-	// when non-default, so existing digests stay valid. Clone and
-	// kcfa policies are fully determined by the KCFA field above;
-	// only origin carries new information.
+	// The throttles are written only when non-default, so digests
+	// from before they existed stay valid. Clone and kcfa policies are
+	// fully determined by the KCFA field above; only origin carries
+	// new information.
 	if o.Solver.PtsLimit != 0 {
 		fmt.Fprintf(h, "pts_limit=%d\n", o.Solver.PtsLimit)
 	}

@@ -14,11 +14,10 @@ import (
 // phase name and its sorted Outputs: which relation sizes and counters
 // each phase is credited with. It covers the paper's Figure 1 program
 // and one small-corpus executable, on both backends, through a plain
-// run and an incremental edit with that run as its base. Three more
+// run and an incremental edit with that run as its base. Two more
 // runs pin the presence rules of individual keys: a context cap that
-// merges contexts (ctx_capped), a run from already-checked files (no
-// parse or check outputs, no files), and a program with no ownership
-// or access edges. Regenerate deliberately with
+// merges contexts (ctx_capped), and a program with no ownership or
+// access edges. Regenerate deliberately with
 // `go test ./internal/core -run PhaseOutputsGolden -update`.
 func TestPhaseOutputsGolden(t *testing.T) {
 	fig1, err := os.ReadFile(filepath.Join("..", "..", "examples", "figure1.c"))
@@ -75,12 +74,6 @@ func TestPhaseOutputsGolden(t *testing.T) {
 		t.Fatal("subversion with ContextCap 4: the cap merged no contexts")
 	}
 	writePhaseOutputs(&buf, "subversion explicit capped", capped.Report)
-
-	checked, err := AnalyzeContext(ctx, Options{}, capped.Info, capped.Files...)
-	if err != nil {
-		t.Fatalf("subversion checked files: %v", err)
-	}
-	writePhaseOutputs(&buf, "subversion explicit checked-files", checked.Report)
 
 	trivial := map[string]string{"main.c": "int main() { return 0; }\n"}
 	for _, be := range backends {

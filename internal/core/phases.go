@@ -31,8 +31,7 @@ const (
 	PhasePost      = "post"      // condensing + ranking (Section 5.4)
 )
 
-// PhaseNames lists every analysis phase in execution order, including
-// the front-end phases run only by AnalyzeSource.
+// PhaseNames lists every analysis phase in execution order.
 func PhaseNames() []string {
 	names := make([]string, len(phases))
 	for i, ph := range phases {
@@ -63,10 +62,8 @@ type phase struct {
 	run  func(ctx context.Context, a *Analysis) (map[string]int64, error)
 }
 
-// phases is the analysis in execution order. The first frontEnd
-// entries parse and check a.Sources into a.Files and a.Info; runs
-// that start from checked files (AnalyzeContext) skip them, and so
-// report neither their files nor their counters.
+// phases is the analysis in execution order; parse and check turn
+// a.Sources into a.Files and a.Info.
 // Incremental runs (a.base set) reuse the base's ASTs for unchanged
 // files and, when the edit preserves all declaration signatures,
 // re-check only the changed files against the base's declaration
@@ -186,10 +183,10 @@ var phases = []phase{
 		}, nil
 	}},
 	{PhaseContexts, func(_ context.Context, a *Analysis) (map[string]int64, error) {
-		switch {
-		case a.Opts.ContextPolicy == PolicyOrigin:
+		switch a.Opts.ContextPolicy {
+		case PolicyOrigin:
 			a.Numbering = contexts.NewOrigin(a.Graph, a.Opts.ContextCap, a.originFns())
-		case a.Opts.KCFA > 0:
+		case PolicyKCFA:
 			a.Numbering = contexts.NewKCFA(a.Graph, a.Opts.KCFA, a.Opts.ContextCap)
 		default:
 			a.Numbering = contexts.Number(a.Graph, a.Opts.ContextCap)
@@ -259,10 +256,6 @@ func nonZero(counts map[string]int) map[string]int64 {
 	}
 	return out
 }
-
-// frontEnd counts the leading entries of phases that run only from
-// sources: parse and check.
-const frontEnd = 2
 
 // phaseDone, when set, is called after every phase that ran, before
 // the run checks ctx again. Tests use it to act between phases.

@@ -11,7 +11,7 @@ import (
 // themselves are pinned — the text Fingerprint hashes must not drift,
 // or every cache key changes with it.
 func TestSolverOptionsFingerprintAliases(t *testing.T) {
-	spelled := Options{Solver: SolverOptions{Backend: ExplicitBackend, MaxRounds: 0, PtsLimit: 0}}
+	spelled := Options{Solver: SolverOptions{Backend: ExplicitBackend, PtsLimit: 0}}
 	if spelled.Fingerprint() != (Options{}).Fingerprint() {
 		t.Errorf("explicitly spelled solver defaults fingerprint differently from the zero value")
 	}
@@ -21,24 +21,11 @@ func TestSolverOptionsFingerprintAliases(t *testing.T) {
 	}{
 		{Options{}, "cecf35781c0030af4a979f296b9f951957794b2920c4064034111ca7554665f1"},
 		{Options{Solver: SolverOptions{Backend: BDDBackend}}, "57a44afa188cd4beb27af44cf0a1045cdbc41c6f2cb8094b4ef8f2a505f303cb"},
-		{Options{Solver: SolverOptions{MaxRounds: 3}}, "c8c1955bb818577e8bc95220125f70de9d6a835272f9a8d79f69e7c0c1cc15f5"},
 		{Options{Solver: SolverOptions{PtsLimit: 2}}, "8160e740a4e37ba1487b574875f9ee6e0e8c66fcce67dd6c543572e298098312"},
 	} {
 		if got := tc.o.Fingerprint(); got != tc.want {
 			t.Errorf("Fingerprint(%+v) = %s, want %s", tc.o.Solver, got, tc.want)
 		}
-	}
-}
-
-func TestSolverOptionsFingerprintExclusions(t *testing.T) {
-	base := Options{}
-	// MaxRounds does change results, so it must be fingerprinted — but
-	// only when nonzero, so pre-SolverOptions digests stay valid.
-	if (Options{Solver: SolverOptions{MaxRounds: 3}}).Fingerprint() == base.Fingerprint() {
-		t.Errorf("nonzero MaxRounds did not change the fingerprint")
-	}
-	if (Options{Solver: SolverOptions{MaxRounds: 0}}).Fingerprint() != base.Fingerprint() {
-		t.Errorf("zero MaxRounds changed the fingerprint")
 	}
 }
 
@@ -52,7 +39,7 @@ func TestSolverOptionsValidate(t *testing.T) {
 		o    Options
 		want string
 	}{
-		{"negative max rounds", Options{Entry: "main", Solver: SolverOptions{MaxRounds: -2}}, "Solver.MaxRounds"},
+		{"negative pts limit", Options{Entry: "main", Solver: SolverOptions{PtsLimit: -2}}, "Solver.PtsLimit"},
 	} {
 		err := tc.o.Validate()
 		if err == nil {

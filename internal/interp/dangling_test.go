@@ -3,7 +3,6 @@ package interp
 import (
 	"testing"
 
-	"repro/internal/cminor"
 	"repro/internal/core"
 )
 
@@ -82,16 +81,12 @@ int main(int schedule) {
     }
     return x;
 }`
-	f, errs := cminor.Parse("sched.c", src)
-	if len(errs) != 0 {
-		t.Fatalf("parse: %v", errs)
-	}
-	info := cminor.Check(f)
-	if len(info.Errors) != 0 {
-		t.Fatalf("check: %v", info.Errors)
+	a, err := core.AnalyzeSource(core.Options{}, map[string]string{"sched.c": src})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Dynamic testing under the lucky schedule sees nothing...
-	eff, err := Run(info, Options{Args: []int64{0}}, f)
+	eff, err := Run(a.Info, Options{Args: []int64{0}}, a.Files...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +94,7 @@ int main(int schedule) {
 		t.Fatalf("lucky schedule should not crash, got %d dangling uses", len(eff.Dangling))
 	}
 	// ...the unlucky schedule crashes...
-	eff, err = Run(info, Options{Args: []int64{1}}, f)
+	eff, err = Run(a.Info, Options{Args: []int64{1}}, a.Files...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +103,6 @@ int main(int schedule) {
 	}
 	// ...and the static analysis reports the inconsistency without
 	// running anything.
-	a, err := core.Analyze(core.Options{}, info, f)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(a.Report.Warnings) == 0 {
 		t.Fatal("static analysis missed the scheduling-sensitive bug")
 	}

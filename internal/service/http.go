@@ -379,12 +379,12 @@ func writeError(ctx context.Context, w http.ResponseWriter, status int, err erro
 	}})
 }
 
+// writeJSON writes v as compact JSON, so an analyze response carries
+// the cached ReportJSON bytes as they are.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // writeMetrics renders the stats snapshot in the Prometheus text

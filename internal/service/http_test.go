@@ -110,6 +110,19 @@ func TestHTTPAnalyzeAndCache(t *testing.T) {
 	if first.Key != second.Key || first.Key == "" {
 		t.Errorf("keys: %q vs %q, want equal and non-empty", first.Key, second.Key)
 	}
+	// The response carries the cached report bytes unchanged, not a
+	// re-indented copy.
+	opts, err := RequestOptions{API: "rc"}.ToOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Analyze(context.Background(), opts, sourcesFor(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(second.Report, res.ReportJSON) {
+		t.Errorf("response report is not Result.ReportJSON:\n%s\nvs\n%s", second.Report, res.ReportJSON)
+	}
 }
 
 func TestHTTPErrors(t *testing.T) {
@@ -137,7 +150,10 @@ func TestHTTPErrors(t *testing.T) {
 		{"removed bdd_reorder", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"bdd_reorder": true}}`, http.StatusBadRequest, "config"},
 		{"removed bdd_node_size", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"bdd_node_size": 65536}}`, http.StatusBadRequest, "config"},
 		{"removed bdd_cache_ratio", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"bdd_cache_ratio": 2}}`, http.StatusBadRequest, "config"},
+		// Solver.MaxRounds was removed with its wire option.
+		{"removed solver_max_rounds", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"solver_max_rounds": 3}}`, http.StatusBadRequest, "config"},
 		{"negative kcfa", analyzeBody(t, sourcesFor(0), RequestOptions{KCFA: -1}), http.StatusBadRequest, "config"},
+		{"unknown context_policy", analyzeBody(t, sourcesFor(0), RequestOptions{ContextPolicy: "2cfa"}), http.StatusBadRequest, "config"},
 		{"parse error", analyzeBody(t, map[string]string{"x.c": "int main( {"}, RequestOptions{}), http.StatusUnprocessableEntity, "parse"},
 		{"bad entry", analyzeBody(t, sourcesFor(0), RequestOptions{Entry: "nope"}), http.StatusUnprocessableEntity, "resolve"},
 	}

@@ -484,7 +484,18 @@ func TestRequestIDReachesTraceSpans(t *testing.T) {
 	if err := json.Unmarshal(data, &ar); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(ar.Trace), `"request_id": "req-42"`) {
-		t.Fatalf("trace lacks the request_id attribute:\n%s", ar.Trace)
+	var doc struct {
+		TraceEvents []struct {
+			Args map[string]interface{} `json:"args"`
+		} `json:"traceEvents"`
 	}
+	if err := json.Unmarshal(ar.Trace, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Args["request_id"] == "req-42" {
+			return
+		}
+	}
+	t.Fatalf("trace lacks the request_id attribute:\n%s", ar.Trace)
 }

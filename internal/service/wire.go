@@ -58,7 +58,8 @@ type RequestOptions struct {
 	// ContextPolicy names the context-numbering policy: "clone" (full
 	// call-path cloning, the default), "kcfa" (requires kcfa > 0), or
 	// "origin" (allocation-site origin sensitivity). Origin changes
-	// results and is part of the cache key.
+	// results and is part of the cache key. Options.Validate checks
+	// the spelling.
 	ContextPolicy string `json:"context_policy,omitempty"`
 	// Entries, when present, analyzes an open program with the listed
 	// roots (empty list = every defined function).
@@ -67,9 +68,6 @@ type RequestOptions struct {
 	Refine bool `json:"refine,omitempty"`
 	// ExtraAllocFns adds malloc-style allocator names.
 	ExtraAllocFns []string `json:"extra_alloc_fns,omitempty"`
-	// SolverMaxRounds bounds fixpoint rounds (0 = unlimited). A nonzero
-	// bound can change results and is part of the cache key.
-	SolverMaxRounds int `json:"solver_max_rounds,omitempty"`
 	// PtsLimit caps each variable's points-to set (0 = unlimited);
 	// overflow collapses to a tainted ⊤ object and the report is
 	// marked throttled. A nonzero cap changes results and is part of
@@ -82,21 +80,19 @@ type RequestOptions struct {
 	Provenance bool `json:"provenance,omitempty"`
 }
 
-// ToOptions converts the wire form to core Options, rejecting unknown
-// enum spellings with a config-kind error.
+// ToOptions converts the wire form to core Options, rejecting an
+// unknown api or backend spelling with a config-kind error.
 func (ro RequestOptions) ToOptions() (core.Options, error) {
 	opts := core.Options{
 		Entry:            ro.Entry,
 		ContextCap:       ro.ContextCap,
 		HeapCloning:      ro.HeapCloning,
 		KCFA:             ro.KCFA,
+		ContextPolicy:    ro.ContextPolicy,
 		Entries:          ro.Entries,
 		DefUseRefinement: ro.Refine,
 		ExtraAllocFns:    ro.ExtraAllocFns,
-		Solver: core.SolverOptions{
-			MaxRounds: ro.SolverMaxRounds,
-			PtsLimit:  ro.PtsLimit,
-		},
+		Solver:           core.SolverOptions{PtsLimit: ro.PtsLimit},
 	}
 	switch ro.API {
 	case "", "both":
@@ -115,12 +111,6 @@ func (ro RequestOptions) ToOptions() (core.Options, error) {
 		opts.Solver.Backend = core.BDDBackend
 	default:
 		return core.Options{}, core.Errf(core.ErrConfig, "", "options: unknown backend %q (want explicit or bdd)", ro.Backend)
-	}
-	switch ro.ContextPolicy {
-	case "", core.PolicyClone, core.PolicyKCFA, core.PolicyOrigin:
-		opts.ContextPolicy = ro.ContextPolicy
-	default:
-		return core.Options{}, core.Errf(core.ErrConfig, "", "options: unknown context_policy %q (want clone, kcfa, or origin)", ro.ContextPolicy)
 	}
 	return opts, nil
 }

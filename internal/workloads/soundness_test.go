@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/cminor"
@@ -55,24 +54,7 @@ func TestSoundnessAgainstInterpreter(t *testing.T) {
 
 func checkSoundness(t *testing.T, name string, sources map[string]string) {
 	t.Helper()
-	var files []*cminor.File
-	var paths []string
-	for p := range sources {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		f, errs := cminor.Parse(p, sources[p])
-		if len(errs) != 0 {
-			t.Fatalf("%s: parse: %v", name, errs[0])
-		}
-		files = append(files, f)
-	}
-	info := cminor.Check(files...)
-	if len(info.Errors) != 0 {
-		t.Fatalf("%s: check: %v", name, info.Errors[0])
-	}
-	a, err := core.Analyze(core.Options{}, info, files...)
+	a, err := core.AnalyzeSource(core.Options{}, sources)
 	if err != nil {
 		t.Fatalf("%s: analyze: %v", name, err)
 	}
@@ -86,7 +68,7 @@ func checkSoundness(t *testing.T, name string, sources map[string]string) {
 	// Drive several executions (argc controls the main loop trip
 	// count).
 	for _, argc := range []int64{0, 1, 3} {
-		eff, err := interp.Run(info, interp.Options{Args: []int64{argc}}, files...)
+		eff, err := interp.Run(a.Info, interp.Options{Args: []int64{argc}}, a.Files...)
 		if err != nil {
 			t.Fatalf("%s: interp(argc=%d): %v", name, argc, err)
 		}
