@@ -11,6 +11,9 @@ type File struct {
 	Decls     []Decl
 	NumIdents int
 	NumTokens int
+	// bodyTypeDefs is set when a struct or enum is defined inside a
+	// function body or a global initializer (see SameDecls).
+	bodyTypeDefs bool
 }
 
 // Decl is a top-level or block-level declaration.
@@ -79,6 +82,9 @@ type FuncDecl struct {
 	Variadic bool
 	Body     *Block
 	Extern   bool
+	// bodyOff and bodyEnd are the byte offsets of the body's "{" and
+	// of the token after its "}" (see SameDecls).
+	bodyOff, bodyEnd int32
 }
 
 // Param is one formal parameter.

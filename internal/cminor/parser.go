@@ -20,6 +20,12 @@ type Parser struct {
 	lastParams []string // names from the most recent parseParamTypes
 	anonCount  int
 
+	// inBody is set while a function body or a global initializer is
+	// parsed; a struct or enum defined there sets bodyTypeDefs. Only a
+	// file-scope declaration is outside every body, so leaving a body
+	// or initializer resets inBody to mode != declTop.
+	inBody, bodyTypeDefs bool
+
 	// Nesting budget (see maxNesting). depth counts the levels
 	// enclosing the construct being parsed; peak is the deepest level
 	// reached since the innermost open scope began, counting the levels
@@ -102,7 +108,7 @@ func (b *TokenBudget) Parse(path, src string) (*File, []*Error) {
 		}
 	}
 	p.errs = append(p.errs, p.lx.Errors()...)
-	f.NumIdents, f.NumTokens = p.numIdents, p.tokens
+	f.NumIdents, f.NumTokens, f.bodyTypeDefs = p.numIdents, p.tokens, p.bodyTypeDefs
 	b.used += p.tokens
 	return f, p.errs
 }
@@ -337,6 +343,7 @@ func (p *Parser) parseStructBody(pos Pos, tag string, union bool) *StructDecl {
 	defer p.leave()
 	p.expect(LBrace)
 	sd := &StructDecl{Pos: pos, Name: tag, Union: union}
+	p.bodyTypeDefs = p.bodyTypeDefs || p.inBody
 	for p.tok.Kind != RBrace && p.tok.Kind != EOF {
 		start := p.tok.Pos
 		base := p.parseTypeSpecifier()
@@ -363,6 +370,7 @@ func (p *Parser) parseEnumBody(pos Pos, tag string) *EnumDecl {
 	defer p.leave()
 	p.expect(LBrace)
 	ed := &EnumDecl{Pos: pos, Name: tag}
+	p.bodyTypeDefs = p.bodyTypeDefs || p.inBody
 	for p.tok.Kind != RBrace && p.tok.Kind != EOF {
 		itemPos := p.tok.Pos
 		name := p.lx.Text(p.expect(IDENT))
@@ -664,7 +672,11 @@ func (p *Parser) parseDeclarationFrom(pos Pos, base TypeExpr, mode declMode, dec
 				if mode != declTop {
 					p.errorf(p.tok.Pos, "nested function definition")
 				}
+				fd.bodyOff = p.tok.Off
+				p.inBody = true
 				fd.Body = p.parseBlock()
+				p.inBody = mode != declTop
+				fd.bodyEnd = p.tok.Off
 				return append(decls, fd)
 			}
 			fd.Extern = true // prototype without body
@@ -676,7 +688,9 @@ func (p *Parser) parseDeclarationFrom(pos Pos, base TypeExpr, mode declMode, dec
 			vd := slab.New(&p.varDecls)
 			*vd = VarDecl{Pos: pos, Name: name, Type: te}
 			if p.accept(Assign) {
+				p.inBody = true
 				vd.Init = p.parseAssignExpr()
+				p.inBody = mode != declTop
 			}
 			if mode == declBlock {
 				p.pushStmt(p.declStmt(vd))

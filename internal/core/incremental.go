@@ -43,12 +43,12 @@ func (a *Analysis) Apply(changed map[string]string, removed []string) map[string
 // sources is the edited program's whole source set, which callers
 // materialize with base.Apply(changed, removed); it is not copied.
 // Front-end work is reused per file — unchanged files skip parse,
-// check, and lower entirely when the edit preserves every declaration
-// signature; any signature change falls back to a full re-check while
-// still reusing unchanged parses. The back half (contexts through
-// post) always re-solves, so the resulting report is byte-identical to
-// a from-scratch run over the same sources. opts must fingerprint-equal
-// base's options.
+// check, and lower entirely when every changed file keeps its text
+// outside function bodies (cminor.SameDecls); any other edit falls
+// back to a full re-check while still reusing unchanged parses. The
+// back half (contexts through post) always re-solves, so the resulting
+// report is byte-identical to a from-scratch run over the same
+// sources. opts must fingerprint-equal base's options.
 //
 // base is only read, so one base can serve concurrent deltas, and the
 // returned analysis keeps no pointer to it: a chain of deltas retains
@@ -87,13 +87,10 @@ func (a *Analysis) reusedFile(p string) (*cminor.File, bool) {
 // tryIncrementalCheck decides whether the check phase may reuse the
 // base's declaration environment and re-check only changed files. The
 // conditions (see DESIGN.md "Incremental analysis"): a base exists and
-// declared no implicit functions, the path set is unchanged, every
-// changed file keeps its declaration signature byte-for-byte, and
-// neither the old nor the new version of a changed file defines types
-// inside function bodies or initializers (re-resolving such a
-// definition against the already-laid-out environment would be a
-// spurious redefinition). Signatures are computed here, for the
-// changed files only.
+// declared no implicit functions, the path set is unchanged, and every
+// changed file passes cminor.SameDecls against its base version — the
+// same text outside function bodies, and no type defined inside a
+// body or initializer.
 func (a *Analysis) tryIncrementalCheck() bool {
 	b := a.base
 	if b == nil || len(a.Files) != len(b.Files) || cminor.HasImplicitFuncs(b.Info) {
@@ -104,12 +101,7 @@ func (a *Analysis) tryIncrementalCheck() bool {
 		if !ok {
 			return false // added path (same count ⇒ set differs)
 		}
-		if !a.changed[f.Path] {
-			continue
-		}
-		old := b.Files[i]
-		if cminor.DeclSignature(f) != cminor.DeclSignature(old) ||
-			cminor.HasBodyTypeDefs(f) || cminor.HasBodyTypeDefs(old) {
+		if a.changed[f.Path] && !cminor.SameDecls(b.Files[i], b.Sources[f.Path], f, a.Sources[f.Path]) {
 			return false
 		}
 	}

@@ -49,8 +49,10 @@ func TestPhaseOutputsGolden(t *testing.T) {
 			}
 			writePhaseOutputs(&buf, prog.name+" "+be.name+" source", base.Report)
 
-			// A signature-preserving edit of the first file: it is
-			// re-parsed and re-checked, every other file is reused.
+			// A declaration-preserving edit of the first file (a
+			// comment after its last body, which belongs to that
+			// body's span): it is re-parsed and re-checked, every
+			// other file is reused.
 			paths := make([]string, 0, len(prog.sources))
 			for p := range prog.sources {
 				paths = append(paths, p)

@@ -65,9 +65,10 @@ type phase struct {
 // phases is the analysis in execution order; parse and check turn
 // a.Sources into a.Files and a.Info.
 // Incremental runs (a.base set) reuse the base's ASTs for unchanged
-// files and, when the edit preserves all declaration signatures,
-// re-check only the changed files against the base's declaration
-// environment and relink the base's IR fragments for the rest.
+// files and, when every changed file keeps its declarations
+// (cminor.SameDecls), re-check only the changed files against the
+// base's declaration environment and relink the base's IR fragments
+// for the rest.
 var phases = []phase{
 	{PhaseParse, func(_ context.Context, a *Analysis) (map[string]int64, error) {
 		paths := make([]string, 0, len(a.Sources))

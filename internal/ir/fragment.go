@@ -12,7 +12,7 @@ import (
 // numbered locally, and globals are name-keyed slots — so it depends
 // only on its own file's AST and the declaration environment (types,
 // layouts, signatures). As long as that environment is unchanged (see
-// cminor.DeclSignature), a fragment can be cached by file digest and
+// cminor.SameDecls), a fragment can be cached by file digest and
 // linked into any number of programs. A fragment is immutable once
 // LowerFile returns: Link only reads it, so concurrent links may share
 // it, and its instruction and variable tables hold no pointers for the

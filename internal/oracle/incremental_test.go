@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -50,10 +51,12 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			pkg := workloads.Generate(spec, 2008)
 			exe := pkg.Exes[0]
 			cur := pkg.SplitSourcesFor(exe, 3)
-			var editable []string
+			// Sorted, so the seeded sequence replays step for step.
+			editable := make([]string, 0, len(cur))
 			for p := range cur {
 				editable = append(editable, p)
 			}
+			sort.Strings(editable)
 
 			ctx := context.Background()
 			inc, err := core.AnalyzeSourceContext(ctx, opts, cur)

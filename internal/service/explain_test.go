@@ -172,38 +172,3 @@ func TestHTTPExplain(t *testing.T) {
 		t.Errorf("a handler-level 400 was counted as an explain call:\n%s", text)
 	}
 }
-
-// TestHTTPProvenanceFieldIgnored keeps the wire compatible with clients
-// that still send the retired "provenance" option: the daemon decodes
-// with DisallowUnknownFields, so the field must stay accepted, and it
-// must not change the result key.
-func TestHTTPProvenanceFieldIgnored(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	srv := httptest.NewServer(NewHandler(s))
-	defer srv.Close()
-
-	keys := map[bool]string{}
-	for _, provenance := range []bool{false, true} {
-		opts := map[string]any{"api": "rc"}
-		if provenance {
-			opts["provenance"] = true
-		}
-		body, err := json.Marshal(map[string]any{"sources": sourcesFor(0), "options": opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, data := postAnalyze(t, srv, string(body))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("provenance=%v: %d %s", provenance, resp.StatusCode, data)
-		}
-		var ar AnalyzeResponse
-		if err := json.Unmarshal(data, &ar); err != nil {
-			t.Fatal(err)
-		}
-		keys[provenance] = ar.Key
-	}
-	if keys[false] == "" || keys[false] != keys[true] {
-		t.Errorf("key without provenance %q, with %q: want equal", keys[false], keys[true])
-	}
-}

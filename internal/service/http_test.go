@@ -152,6 +152,9 @@ func TestHTTPErrors(t *testing.T) {
 		{"removed bdd_cache_ratio", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"bdd_cache_ratio": 2}}`, http.StatusBadRequest, "config"},
 		// Solver.MaxRounds was removed with its wire option.
 		{"removed solver_max_rounds", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"solver_max_rounds": 3}}`, http.StatusBadRequest, "config"},
+		// The provenance option, ignored since explain trees are read
+		// off the cached result, was removed too.
+		{"removed provenance", `{"sources": {"a.c": "int main(void) { return 0; }"}, "options": {"provenance": true}}`, http.StatusBadRequest, "config"},
 		{"negative kcfa", analyzeBody(t, sourcesFor(0), RequestOptions{KCFA: -1}), http.StatusBadRequest, "config"},
 		{"unknown context_policy", analyzeBody(t, sourcesFor(0), RequestOptions{ContextPolicy: "2cfa"}), http.StatusBadRequest, "config"},
 		{"parse error", analyzeBody(t, map[string]string{"x.c": "int main( {"}, RequestOptions{}), http.StatusUnprocessableEntity, "parse"},

@@ -73,11 +73,6 @@ type RequestOptions struct {
 	// marked throttled. A nonzero cap changes results and is part of
 	// the cache key.
 	PtsLimit int `json:"pts_limit,omitempty"`
-	// Provenance is accepted and ignored: /v1/explain derives every
-	// tree from the cached result, so there is nothing to record. It
-	// was never part of the cache key, so old clients that still send
-	// it get the same key as before.
-	Provenance bool `json:"provenance,omitempty"`
 }
 
 // ToOptions converts the wire form to core Options, rejecting an
