@@ -307,9 +307,9 @@ func BenchmarkDatalogClosure(b *testing.B) {
 				datalog.NewRule(datalog.T(path, "x", "z"), datalog.T(path, "x", "y"), datalog.T(path, "y", "z")),
 			}
 			if semiNaive {
-				p.SolveSemiNaive(context.Background(), rules, 0)
+				p.SolveSemiNaive(context.Background(), rules)
 			} else {
-				p.Solve(context.Background(), rules, 0)
+				p.Solve(context.Background(), rules)
 			}
 			if path.Count() != 128*127/2 {
 				b.Fatal("closure wrong")

@@ -37,20 +37,20 @@ const (
 const terminalLevel = math.MaxInt32
 
 // opcode identifies a binary boolean operation for the memo cache.
+// Each value is an apply-cache hash input, so renumbering one moves the
+// kernel's counters.
 type opcode uint8
 
 const (
-	opAnd opcode = iota
-	opOr
-	opXor
-	opDiff // a AND NOT b
-	opImp  // a IMPLIES b
-	opBiimp
+	opAnd   opcode = 0
+	opOr    opcode = 1
+	opDiff  opcode = 3 // a AND NOT b
+	opBiimp opcode = 5
 )
 
 // Manager owns a node table and the operation caches. Create one with
 // New, allocate variables with AddVar or domains with NewDomain, and
-// build functions with Var, Not, And, Or, etc.
+// build functions with Var, And, Or, Diff, etc.
 type Manager struct {
 	// The node table (see table.go): nodes[0:free] are live, mask is
 	// len(nodes)-1 for bucket indexing.
@@ -59,24 +59,12 @@ type Manager struct {
 	mask  uint32
 
 	// Operation caches (see cache.go), one array per operation family.
-	applyCache   binCache
-	notCache     tripleCache
-	iteCache     tripleCache
-	existsCache  tripleCache
-	andExCache   tripleCache
-	replaceCache tripleCache
-	satRecCache  satCache
-
-	// Replacement state for Replace: the currently loaded VarMap and
-	// its dense level map. Cache entries are keyed by VarMap identity,
-	// so switching maps invalidates nothing.
-	replMap []int32
-	replVm  *VarMap
-	vmSeq   int32
+	applyCache  binCache
+	existsCache tripleCache
+	andExCache  tripleCache
+	satRecCache satCache
 
 	numVars int
-
-	domains []*Domain
 
 	// Kernel counters, surfaced via Stats.
 	cacheHits        uint64
@@ -84,9 +72,8 @@ type Manager struct {
 	uniqueCollisions uint64
 	grows            uint64
 
-	// OnEvent, when non-nil, is called synchronously on kernel
-	// structural events — kind "grow" after a node-table doubling and
-	// "cache_clear" after ClearCaches — with the live node count and
+	// OnEvent, when non-nil, is called synchronously after each
+	// node-table doubling with kind "grow", the live node count and the
 	// table capacity. The trace layer hooks it to mark grows on the
 	// timeline without this package importing it. The callback runs on
 	// the (single-threaded) manager's goroutine and must not call back
@@ -112,13 +99,10 @@ func New() *Manager { return newSized(initialNodes, cacheSlots) }
 // capacity and per-cache slot count, both powers of two.
 func newSized(nodes, slots int) *Manager {
 	m := &Manager{
-		applyCache:   newBinCache(slots),
-		notCache:     newTripleCache(slots),
-		iteCache:     newTripleCache(slots),
-		existsCache:  newTripleCache(slots),
-		andExCache:   newTripleCache(slots),
-		replaceCache: newTripleCache(slots),
-		satRecCache:  newSatCache(slots),
+		applyCache:  newBinCache(slots),
+		existsCache: newTripleCache(slots),
+		andExCache:  newTripleCache(slots),
+		satRecCache: newSatCache(slots),
 	}
 	m.initTable(nodes)
 	return m
@@ -166,23 +150,6 @@ func (m *Manager) Stats() ManagerStats {
 	}
 }
 
-// ClearCaches drops every operation-cache entry in O(1) (generation
-// bump; no memory is released). The node table is untouched, so all
-// Nodes stay valid — this only forces recomputation, e.g. between
-// benchmark runs.
-func (m *Manager) ClearCaches() {
-	m.applyCache.clear()
-	m.notCache.clear()
-	m.iteCache.clear()
-	m.existsCache.clear()
-	m.andExCache.clear()
-	m.replaceCache.clear()
-	m.satRecCache.clear()
-	if m.OnEvent != nil {
-		m.OnEvent("cache_clear", int(m.free), len(m.nodes))
-	}
-}
-
 // AddVar allocates one fresh boolean variable and returns its index.
 func (m *Manager) AddVar() int {
 	v := m.numVars
@@ -203,51 +170,10 @@ func (m *Manager) Var(v int) Node {
 	return m.mk(int32(v), False, True)
 }
 
-// NVar returns the BDD for the negation of variable v.
-func (m *Manager) NVar(v int) Node {
-	m.checkVar(v)
-	return m.mk(int32(v), True, False)
-}
-
 func (m *Manager) checkVar(v int) {
 	if v < 0 || v >= m.numVars {
 		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, m.numVars))
 	}
-}
-
-// Level reports the variable tested at the root of n, or -1 for a
-// terminal.
-func (m *Manager) Level(n Node) int {
-	l := m.nodes[n].level
-	if l == terminalLevel {
-		return -1
-	}
-	return int(l)
-}
-
-// Low returns the low (variable=0) cofactor of n.
-func (m *Manager) Low(n Node) Node { return m.nodes[n].low }
-
-// High returns the high (variable=1) cofactor of n.
-func (m *Manager) High(n Node) Node { return m.nodes[n].high }
-
-// Not returns the complement of n.
-func (m *Manager) Not(n Node) Node {
-	switch n {
-	case False:
-		return True
-	case True:
-		return False
-	}
-	if r, ok := m.notCache.lookup(n, 0, 0); ok {
-		m.cacheHits++
-		return r
-	}
-	m.cacheMisses++
-	nd := m.nodes[n]
-	r := m.mk(nd.level, m.Not(nd.low), m.Not(nd.high))
-	m.notCache.store(n, 0, 0, r)
-	return r
 }
 
 // And returns the conjunction of a and b.
@@ -256,41 +182,11 @@ func (m *Manager) And(a, b Node) Node { return m.apply(opAnd, a, b) }
 // Or returns the disjunction of a and b.
 func (m *Manager) Or(a, b Node) Node { return m.apply(opOr, a, b) }
 
-// Xor returns the exclusive-or of a and b.
-func (m *Manager) Xor(a, b Node) Node { return m.apply(opXor, a, b) }
-
 // Diff returns a AND NOT b (set difference when BDDs encode sets).
 func (m *Manager) Diff(a, b Node) Node { return m.apply(opDiff, a, b) }
 
-// Imp returns a IMPLIES b.
-func (m *Manager) Imp(a, b Node) Node { return m.apply(opImp, a, b) }
-
 // Biimp returns a IFF b.
 func (m *Manager) Biimp(a, b Node) Node { return m.apply(opBiimp, a, b) }
-
-// AndN folds And over its arguments; AndN() == True.
-func (m *Manager) AndN(ns ...Node) Node {
-	r := True
-	for _, n := range ns {
-		r = m.And(r, n)
-		if r == False {
-			return False
-		}
-	}
-	return r
-}
-
-// OrN folds Or over its arguments; OrN() == False.
-func (m *Manager) OrN(ns ...Node) Node {
-	r := False
-	for _, n := range ns {
-		r = m.Or(r, n)
-		if r == True {
-			return True
-		}
-	}
-	return r
-}
 
 // terminalCase resolves op on (possibly) terminal operands. ok reports
 // whether the result is decided without recursion.
@@ -322,16 +218,6 @@ func terminalCase(op opcode, a, b Node) (Node, bool) {
 		if a == b {
 			return a, true
 		}
-	case opXor:
-		if a == b {
-			return False, true
-		}
-		if a == False {
-			return b, true
-		}
-		if b == False {
-			return a, true
-		}
 	case opDiff:
 		if a == False || b == True {
 			return False, true
@@ -341,13 +227,6 @@ func terminalCase(op opcode, a, b Node) (Node, bool) {
 		}
 		if a == b {
 			return False, true
-		}
-	case opImp:
-		if a == False || b == True {
-			return True, true
-		}
-		if a == True {
-			return b, true
 		}
 	case opBiimp:
 		if a == b {
@@ -367,7 +246,7 @@ func terminalCase(op opcode, a, b Node) (Node, bool) {
 // normalize cache keys.
 func commutative(op opcode) bool {
 	switch op {
-	case opAnd, opOr, opXor, opBiimp:
+	case opAnd, opOr, opBiimp:
 		return true
 	}
 	return false
@@ -398,52 +277,6 @@ func (m *Manager) apply(op opcode, a, b Node) Node {
 	}
 	r := m.mk(level, m.apply(op, a0, b0), m.apply(op, a1, b1))
 	m.applyCache.store(op, a, b, r)
-	return r
-}
-
-// Ite returns if-then-else: (f AND g) OR (NOT f AND h), computed as
-// one cached three-operand recursion (BuDDy's bdd_ite) instead of
-// composing Or/And/Not.
-func (m *Manager) Ite(f, g, h Node) Node {
-	switch {
-	case f == True:
-		return g
-	case f == False:
-		return h
-	case g == h:
-		return g
-	case g == True && h == False:
-		return f
-	case g == False && h == True:
-		return m.Not(f)
-	}
-	if r, ok := m.iteCache.lookup(f, g, h); ok {
-		m.cacheHits++
-		return r
-	}
-	m.cacheMisses++
-	nf, ng, nh := m.nodes[f], m.nodes[g], m.nodes[h]
-	level := nf.level
-	if ng.level < level {
-		level = ng.level
-	}
-	if nh.level < level {
-		level = nh.level
-	}
-	f0, f1 := f, f
-	if nf.level == level {
-		f0, f1 = nf.low, nf.high
-	}
-	g0, g1 := g, g
-	if ng.level == level {
-		g0, g1 = ng.low, ng.high
-	}
-	h0, h1 := h, h
-	if nh.level == level {
-		h0, h1 = nh.low, nh.high
-	}
-	r := m.mk(level, m.Ite(f0, g0, h0), m.Ite(f1, g1, h1))
-	m.iteCache.store(f, g, h, r)
 	return r
 }
 
@@ -545,108 +378,6 @@ func (m *Manager) AndExists(a, b, cube Node) Node {
 	return r
 }
 
-// Replace renames variables of n according to map from[i] -> to[i].
-// The mapping must be order-preserving on the support of n (mapping a
-// variable to one at a different relative position among mapped
-// variables is rejected at construction in NewVarMap). Results are
-// memoized per VarMap, so reusing one VarMap across calls hits the
-// cache.
-func (m *Manager) Replace(n Node, vm *VarMap) Node {
-	if vm.m != m {
-		panic("bdd: VarMap used with wrong Manager")
-	}
-	if m.replVm != vm || len(m.replMap) != m.numVars {
-		if len(m.replMap) != m.numVars {
-			m.replMap = make([]int32, m.numVars)
-		}
-		for i := range m.replMap {
-			m.replMap[i] = int32(i)
-		}
-		for i, from := range vm.from {
-			m.replMap[from] = int32(vm.to[i])
-		}
-		m.replVm = vm
-	}
-	return m.replaceRec(n, Node(vm.id))
-}
-
-func (m *Manager) replaceRec(n, id Node) Node {
-	if n == False || n == True {
-		return n
-	}
-	if r, ok := m.replaceCache.lookup(n, id, 0); ok {
-		m.cacheHits++
-		return r
-	}
-	m.cacheMisses++
-	nd := m.nodes[n]
-	low := m.replaceRec(nd.low, id)
-	high := m.replaceRec(nd.high, id)
-	nl := m.replMap[nd.level]
-	r := m.correctify(nl, low, high)
-	m.replaceCache.store(n, id, 0, r)
-	return r
-}
-
-// correctify rebuilds a node whose new level may sit below the roots of
-// its children (when renaming moves a variable down). It mirrors the
-// BuDDy correctify step.
-func (m *Manager) correctify(level int32, low, high Node) Node {
-	ll, hl := m.nodes[low].level, m.nodes[high].level
-	if level < ll && level < hl {
-		return m.mk(level, low, high)
-	}
-	if level == ll || level == hl {
-		panic("bdd: replace produced overlapping variable levels")
-	}
-	// The new variable sits below at least one child's root: push it
-	// down by Shannon expansion on the topmost child variable.
-	top := ll
-	if hl < top {
-		top = hl
-	}
-	var l0, l1 Node = low, low
-	if ll == top {
-		l0, l1 = m.nodes[low].low, m.nodes[low].high
-	}
-	var h0, h1 Node = high, high
-	if hl == top {
-		h0, h1 = m.nodes[high].low, m.nodes[high].high
-	}
-	return m.mk(top, m.correctify(level, l0, h0), m.correctify(level, l1, h1))
-}
-
-// VarMap is a variable renaming prepared for Manager.Replace. Each
-// VarMap has a distinct identity in the replace cache, so renames
-// through a reused VarMap are memoized across Replace calls.
-type VarMap struct {
-	m        *Manager
-	id       int32
-	from, to []int
-}
-
-// NewVarMap builds a renaming mapping from[i] to to[i]. Both slices
-// must have equal length, contain valid distinct variables, and the
-// mapping must preserve relative order of the mapped variables.
-func (m *Manager) NewVarMap(from, to []int) *VarMap {
-	if len(from) != len(to) {
-		panic("bdd: NewVarMap slices of unequal length")
-	}
-	for i := range from {
-		m.checkVar(from[i])
-		m.checkVar(to[i])
-	}
-	for i := 0; i < len(from); i++ {
-		for j := i + 1; j < len(from); j++ {
-			if (from[i] < from[j]) != (to[i] < to[j]) {
-				panic("bdd: NewVarMap does not preserve variable order")
-			}
-		}
-	}
-	m.vmSeq++
-	return &VarMap{m: m, id: m.vmSeq, from: append([]int(nil), from...), to: append([]int(nil), to...)}
-}
-
 // SatCount returns the number of satisfying assignments of n over all
 // allocated variables.
 func (m *Manager) SatCount(n Node) float64 {
@@ -737,33 +468,4 @@ func (m *Manager) allSatRec(n Node, vars []int, i int, assign []bool, fn func([]
 		}
 		return m.allSatRec(nd.high, vars, i, assign, fn)
 	}
-}
-
-// Support returns the set of variables tested anywhere in n, ascending.
-func (m *Manager) Support(n Node) []int {
-	seen := make(map[Node]bool)
-	vars := make(map[int]bool)
-	var walk func(Node)
-	walk = func(x Node) {
-		if x == False || x == True || seen[x] {
-			return
-		}
-		seen[x] = true
-		nd := m.nodes[x]
-		vars[int(nd.level)] = true
-		walk(nd.low)
-		walk(nd.high)
-	}
-	walk(n)
-	out := make([]int, 0, len(vars))
-	for v := range vars {
-		out = append(out, v)
-	}
-	// insertion sort; support sets are small
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
 }

@@ -2,13 +2,14 @@ package bdd
 
 import (
 	"math/rand"
+	"runtime/metrics"
 	"testing"
 	"testing/quick"
 )
 
 func TestTerminals(t *testing.T) {
 	m := New()
-	if m.Not(True) != False || m.Not(False) != True {
+	if m.Diff(True, True) != False || m.Diff(True, False) != True {
 		t.Fatal("terminal negation broken")
 	}
 	if m.And(True, False) != False || m.Or(True, False) != True {
@@ -27,17 +28,14 @@ func TestVarBasics(t *testing.T) {
 	if vx == vy {
 		t.Fatal("distinct variables share a node")
 	}
-	if m.And(vx, m.Not(vx)) != False {
+	if m.And(vx, m.Diff(True, vx)) != False {
 		t.Fatal("x AND NOT x != false")
 	}
-	if m.Or(vx, m.Not(vx)) != True {
+	if m.Or(vx, m.Diff(True, vx)) != True {
 		t.Fatal("x OR NOT x != true")
 	}
 	if m.And(vx, vx) != vx {
 		t.Fatal("idempotence broken")
-	}
-	if m.NVar(x) != m.Not(vx) {
-		t.Fatal("NVar != Not(Var)")
 	}
 	if got := m.And(vx, vy); got != m.And(vy, vx) {
 		t.Fatal("And not commutative (hash consing broken)")
@@ -47,8 +45,8 @@ func TestVarBasics(t *testing.T) {
 func TestDeMorgan(t *testing.T) {
 	m := New()
 	x, y := m.Var(m.AddVar()), m.Var(m.AddVar())
-	lhs := m.Not(m.And(x, y))
-	rhs := m.Or(m.Not(x), m.Not(y))
+	lhs := m.Diff(True, m.And(x, y))
+	rhs := m.Or(m.Diff(True, x), m.Diff(True, y))
 	if lhs != rhs {
 		t.Fatal("De Morgan violated")
 	}
@@ -57,30 +55,11 @@ func TestDeMorgan(t *testing.T) {
 func TestXorDiffImpBiimp(t *testing.T) {
 	m := New()
 	x, y := m.Var(m.AddVar()), m.Var(m.AddVar())
-	if m.Xor(x, y) != m.Or(m.Diff(x, y), m.Diff(y, x)) {
-		t.Fatal("xor != symmetric difference")
+	if m.Biimp(x, y) != m.Diff(True, m.Or(m.Diff(x, y), m.Diff(y, x))) {
+		t.Fatal("biimp != not symmetric difference")
 	}
-	if m.Imp(x, y) != m.Or(m.Not(x), y) {
-		t.Fatal("imp broken")
-	}
-	if m.Biimp(x, y) != m.Not(m.Xor(x, y)) {
-		t.Fatal("biimp != not xor")
-	}
-	if m.Diff(x, y) != m.And(x, m.Not(y)) {
+	if m.Diff(x, y) != m.And(x, m.Diff(True, y)) {
 		t.Fatal("diff broken")
-	}
-}
-
-func TestIte(t *testing.T) {
-	m := New()
-	f, g, h := m.Var(m.AddVar()), m.Var(m.AddVar()), m.Var(m.AddVar())
-	ite := m.Ite(f, g, h)
-	want := m.Or(m.And(f, g), m.And(m.Not(f), h))
-	if ite != want {
-		t.Fatal("ite mismatch")
-	}
-	if m.Ite(True, g, h) != g || m.Ite(False, g, h) != h {
-		t.Fatal("ite terminal cases")
 	}
 }
 
@@ -108,7 +87,7 @@ func randomBDD(m *Manager, r *rand.Rand, nvars, depth int) Node {
 		default:
 			v := m.Var(r.Intn(nvars))
 			if r.Intn(2) == 0 {
-				return m.Not(v)
+				return m.Diff(True, v)
 			}
 			return v
 		}
@@ -121,9 +100,9 @@ func randomBDD(m *Manager, r *rand.Rand, nvars, depth int) Node {
 	case 1:
 		return m.Or(a, b)
 	case 2:
-		return m.Xor(a, b)
+		return m.Biimp(a, b)
 	default:
-		return m.Not(a)
+		return m.Diff(True, a)
 	}
 }
 
@@ -137,8 +116,8 @@ func TestPropertySemanticEquivalence(t *testing.T) {
 		m.AddVars(nvars)
 		a := randomBDD(m, r, nvars, 4)
 		b := randomBDD(m, r, nvars, 4)
-		and, or, xor := m.And(a, b), m.Or(a, b), m.Xor(a, b)
-		not := m.Not(a)
+		and, or, biimp := m.And(a, b), m.Or(a, b), m.Biimp(a, b)
+		diff, not := m.Diff(a, b), m.Diff(True, a)
 		env := make([]bool, nvars)
 		for bits := 0; bits < 1<<nvars; bits++ {
 			for i := range env {
@@ -151,7 +130,10 @@ func TestPropertySemanticEquivalence(t *testing.T) {
 			if eval(m, or, env) != (ea || eb) {
 				return false
 			}
-			if eval(m, xor, env) != (ea != eb) {
+			if eval(m, biimp, env) != (ea == eb) {
+				return false
+			}
+			if eval(m, diff, env) != (ea && !eb) {
 				return false
 			}
 			if eval(m, not, env) != !ea {
@@ -175,11 +157,11 @@ func TestPropertyCanonicity(t *testing.T) {
 		a := randomBDD(m, r, 5, 3)
 		b := randomBDD(m, r, 5, 3)
 		// (a OR b) == NOT(NOT a AND NOT b)
-		if m.Or(a, b) != m.Not(m.And(m.Not(a), m.Not(b))) {
+		if m.Or(a, b) != m.Diff(True, m.And(m.Diff(True, a), m.Diff(True, b))) {
 			return false
 		}
-		// a XOR b == (a OR b) DIFF (a AND b)
-		if m.Xor(a, b) != m.Diff(m.Or(a, b), m.And(a, b)) {
+		// a IFF b == NOT((a OR b) DIFF (a AND b))
+		if m.Biimp(a, b) != m.Diff(True, m.Diff(m.Or(a, b), m.And(a, b))) {
 			return false
 		}
 		return true
@@ -262,35 +244,6 @@ func TestAndExistsEqualsComposition(t *testing.T) {
 	}
 }
 
-func TestReplace(t *testing.T) {
-	m := New()
-	x, y := m.AddVar(), m.AddVar()
-	x2, y2 := m.AddVar(), m.AddVar()
-	f := m.And(m.Var(x), m.Not(m.Var(y)))
-	vm := m.NewVarMap([]int{x, y}, []int{x2, y2})
-	g := m.Replace(f, vm)
-	want := m.And(m.Var(x2), m.Not(m.Var(y2)))
-	if g != want {
-		t.Fatal("replace mismatch")
-	}
-	// Replacing back round-trips.
-	back := m.NewVarMap([]int{x2, y2}, []int{x, y})
-	if m.Replace(g, back) != f {
-		t.Fatal("replace round-trip failed")
-	}
-}
-
-func TestReplaceOrderViolationPanics(t *testing.T) {
-	m := New()
-	a, b := m.AddVar(), m.AddVar()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("order-violating VarMap did not panic")
-		}
-	}()
-	m.NewVarMap([]int{a, b}, []int{b, a})
-}
-
 func TestSatCount(t *testing.T) {
 	m := New()
 	x, y, z := m.AddVar(), m.AddVar(), m.AddVar()
@@ -336,7 +289,7 @@ func TestPropertySatCountBruteForce(t *testing.T) {
 func TestAllSat(t *testing.T) {
 	m := New()
 	x, y := m.AddVar(), m.AddVar()
-	f := m.Or(m.And(m.Var(x), m.Not(m.Var(y))), m.And(m.Not(m.Var(x)), m.Var(y)))
+	f := m.Diff(True, m.Biimp(m.Var(x), m.Var(y)))
 	var got [][2]bool
 	m.AllSat(f, []int{x, y}, func(a []bool) bool {
 		got = append(got, [2]bool{a[0], a[1]})
@@ -365,20 +318,6 @@ func TestAllSatEarlyStop(t *testing.T) {
 	}
 }
 
-func TestSupport(t *testing.T) {
-	m := New()
-	x, y, z := m.AddVar(), m.AddVar(), m.AddVar()
-	f := m.And(m.Var(x), m.Var(z))
-	sup := m.Support(f)
-	if len(sup) != 2 || sup[0] != x || sup[1] != z {
-		t.Fatalf("support = %v, want [%d %d]", sup, x, z)
-	}
-	if len(m.Support(True)) != 0 {
-		t.Fatal("terminal support not empty")
-	}
-	_ = y
-}
-
 func TestVarOutOfRangePanics(t *testing.T) {
 	m := New()
 	defer func() {
@@ -387,4 +326,28 @@ func TestVarOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	m.Var(0)
+}
+
+// TestNewManagerFootprint pins what a fresh Manager allocates: the node
+// table plus the four operation caches the analysis reads (apply,
+// exists, and-exists and sat-count). Each table is a large object,
+// which the runtime counts in /gc/heap/allocs:bytes as it is allocated,
+// so the per-call figure is exact up to the Manager struct itself.
+func TestNewManagerFootprint(t *testing.T) {
+	// 8192 slots each: the node table at 20 B a node and the four
+	// caches at no more than 20, 20, 20 and 16 B a slot come to 768
+	// KiB. The rest is slack for the Manager struct.
+	const limit = 768<<10 + 4<<10
+	const calls = 16
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	managers := make([]*Manager, calls)
+	metrics.Read(sample)
+	before := sample[0].Value.Uint64()
+	for i := range managers {
+		managers[i] = New()
+	}
+	metrics.Read(sample)
+	if per := (sample[0].Value.Uint64() - before) / calls; per > limit {
+		t.Fatalf("New allocates %d bytes, want at most %d", per, limit)
+	}
 }

@@ -29,7 +29,6 @@ func (m *Manager) NewDomain(name string, size uint64) *Domain {
 	for i := 0; i < bits; i++ {
 		d.vars[i] = first + i
 	}
-	m.domains = append(m.domains, d)
 	return d
 }
 
@@ -63,7 +62,6 @@ func (m *Manager) NewInterleavedDomains(names []string, sizes []uint64) []*Domai
 			}
 		}
 	}
-	m.domains = append(m.domains, ds...)
 	return ds
 }
 
@@ -146,48 +144,6 @@ func (d *Domain) Decode(vars []int, assignment []bool) uint64 {
 		}
 	}
 	return value
-}
-
-// LtConst returns the BDD asserting the domain's value is strictly less
-// than c. LtConst(Size()) is the domain's range constraint, used to keep
-// complements of relations inside the domain.
-func (d *Domain) LtConst(c uint64) Node {
-	if c == 0 {
-		return False
-	}
-	maxVal := uint64(1)<<len(d.vars) - 1
-	if len(d.vars) >= 64 || c > maxVal {
-		return True
-	}
-	// x < c  iff  there is a bit position k (scanning from the most
-	// significant bit) where x agrees with c above k, c_k = 1, and
-	// x_k = 0. This formulation is independent of the BDD variable
-	// order of the domain's bits.
-	res := False
-	agree := True
-	for k := len(d.vars) - 1; k >= 0; k-- {
-		xv := d.m.Var(d.vars[k])
-		if c&(1<<k) != 0 {
-			res = d.m.Or(res, d.m.And(agree, d.m.Not(xv)))
-			agree = d.m.And(agree, xv)
-		} else {
-			agree = d.m.And(agree, d.m.Not(xv))
-		}
-	}
-	return res
-}
-
-// Range returns the constraint that the domain holds a legal value,
-// i.e. LtConst(Size()).
-func (d *Domain) Range() Node { return d.LtConst(d.size) }
-
-// RenameTo builds a VarMap renaming d's variables to other's. Both
-// domains must have the same bit count and compatible variable order.
-func (d *Domain) RenameTo(other *Domain) *VarMap {
-	if len(d.vars) != len(other.vars) {
-		panic("bdd: RenameTo bit mismatch")
-	}
-	return d.m.NewVarMap(d.vars, other.vars)
 }
 
 func sortInts(a []int) {

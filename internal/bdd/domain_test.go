@@ -65,10 +65,10 @@ func TestEqDomain(t *testing.T) {
 	a, b := ds[0], ds[1]
 	eq := a.EqDomain(b)
 	// eq AND a=5 AND b=5 satisfiable; eq AND a=5 AND b=6 not.
-	if m.AndN(eq, a.Eq(5), b.Eq(5)) == False {
+	if m.And(eq, m.And(a.Eq(5), b.Eq(5))) == False {
 		t.Fatal("EqDomain rejects equal values")
 	}
-	if m.AndN(eq, a.Eq(5), b.Eq(6)) != False {
+	if m.And(eq, m.And(a.Eq(5), b.Eq(6))) != False {
 		t.Fatal("EqDomain accepts unequal values")
 	}
 	// Exactly 8 diagonal tuples.
@@ -77,12 +77,14 @@ func TestEqDomain(t *testing.T) {
 	}
 }
 
+// TestDomainRename moves a value between domains the way the datalog
+// engine renames a column: exists a. (n AND a==b).
 func TestDomainRename(t *testing.T) {
 	m := New()
 	ds := m.NewInterleavedDomains([]string{"a", "b"}, []uint64{16, 16})
 	a, b := ds[0], ds[1]
 	n := a.Eq(11)
-	r := m.Replace(n, a.RenameTo(b))
+	r := m.AndExists(n, a.EqDomain(b), a.Cube())
 	if r != b.Eq(11) {
 		t.Fatal("rename of Eq(11) from a to b mismatch")
 	}
@@ -95,17 +97,16 @@ func TestInterleavedRelationJoin(t *testing.T) {
 	ds := m.NewInterleavedDomains([]string{"a", "b", "c"}, []uint64{8, 8, 8})
 	a, b, c := ds[0], ds[1], ds[2]
 
-	edgeAB := m.OrN(
+	edgeAB := m.Or(
 		m.And(a.Eq(1), b.Eq(2)),
 		m.And(a.Eq(2), b.Eq(3)),
 	)
-	edgeBC := m.OrN(
-		m.And(b.Eq(2), c.Eq(5)),
-		m.And(b.Eq(3), c.Eq(6)),
+	edgeBC := m.Or(
+		m.Or(m.And(b.Eq(2), c.Eq(5)), m.And(b.Eq(3), c.Eq(6))),
 		m.And(b.Eq(4), c.Eq(7)),
 	)
 	comp := m.AndExists(edgeAB, edgeBC, b.Cube())
-	want := m.OrN(
+	want := m.Or(
 		m.And(a.Eq(1), c.Eq(5)),
 		m.And(a.Eq(2), c.Eq(6)),
 	)

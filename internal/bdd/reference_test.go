@@ -51,14 +51,6 @@ func (r *refBDD) levelOf(n int) int32 { return r.nodes[n].level }
 
 func (r *refBDD) variable(v int) int { return r.mk(int32(v), 0, 1) }
 
-func (r *refBDD) not(n int) int {
-	if n <= 1 {
-		return 1 - n
-	}
-	nd := r.nodes[n]
-	return r.mk(nd.level, r.not(nd.low), r.not(nd.high))
-}
-
 func (r *refBDD) apply(op func(a, b bool) bool, a, b int) int {
 	if a <= 1 && b <= 1 {
 		if op(a == 1, b == 1) {
@@ -82,10 +74,10 @@ func (r *refBDD) apply(op func(a, b bool) bool, a, b int) int {
 	return r.mk(level, r.apply(op, a0, b0), r.apply(op, a1, b1))
 }
 
-func (r *refBDD) and(a, b int) int  { return r.apply(func(x, y bool) bool { return x && y }, a, b) }
-func (r *refBDD) or(a, b int) int   { return r.apply(func(x, y bool) bool { return x || y }, a, b) }
-func (r *refBDD) xor(a, b int) int  { return r.apply(func(x, y bool) bool { return x != y }, a, b) }
-func (r *refBDD) diff(a, b int) int { return r.apply(func(x, y bool) bool { return x && !y }, a, b) }
+func (r *refBDD) and(a, b int) int   { return r.apply(func(x, y bool) bool { return x && y }, a, b) }
+func (r *refBDD) or(a, b int) int    { return r.apply(func(x, y bool) bool { return x || y }, a, b) }
+func (r *refBDD) diff(a, b int) int  { return r.apply(func(x, y bool) bool { return x && !y }, a, b) }
+func (r *refBDD) biimp(a, b int) int { return r.apply(func(x, y bool) bool { return x == y }, a, b) }
 
 // exists quantifies away one variable.
 func (r *refBDD) exists1(n int, v int32) int {
@@ -108,24 +100,6 @@ func (r *refBDD) exists(n int, vars []int32) int {
 		n = r.exists1(n, v)
 	}
 	return n
-}
-
-// replace renames variables via full Shannon expansion against the
-// renamed variable BDDs — slow but obviously correct for any
-// order-preserving map.
-func (r *refBDD) replace(n int, mapping map[int32]int32) int {
-	if n <= 1 {
-		return n
-	}
-	nd := r.nodes[n]
-	low := r.replace(nd.low, mapping)
-	high := r.replace(nd.high, mapping)
-	nl := nd.level
-	if to, ok := mapping[nl]; ok {
-		nl = to
-	}
-	v := r.variable(int(nl))
-	return r.or(r.and(r.not(v), low), r.and(v, high))
 }
 
 // equalStructure checks that node a in the kernel manager and node b in
@@ -184,18 +158,16 @@ func TestDifferentialRandomOps(t *testing.T) {
 			i, j := rng.Intn(len(ks)), rng.Intn(len(ks))
 			var kn Node
 			var rn int
-			switch op := rng.Intn(8); op {
+			switch op := rng.Intn(6); op {
 			case 0:
 				kn, rn = m.And(ks[i], ks[j]), ref.and(rs[i], rs[j])
 			case 1:
 				kn, rn = m.Or(ks[i], ks[j]), ref.or(rs[i], rs[j])
 			case 2:
-				kn, rn = m.Xor(ks[i], ks[j]), ref.xor(rs[i], rs[j])
-			case 3:
 				kn, rn = m.Diff(ks[i], ks[j]), ref.diff(rs[i], rs[j])
-			case 4:
-				kn, rn = m.Not(ks[i]), ref.not(rs[i])
-			case 5: // Exists over a random variable set
+			case 3:
+				kn, rn = m.Biimp(ks[i], ks[j]), ref.biimp(rs[i], rs[j])
+			case 4: // Exists over a random variable set
 				var vars []int
 				var rvars []int32
 				for v := 0; v < numVars; v++ {
@@ -205,7 +177,7 @@ func TestDifferentialRandomOps(t *testing.T) {
 					}
 				}
 				kn, rn = m.Exists(ks[i], m.Cube(vars)), ref.exists(rs[i], rvars)
-			case 6: // AndExists == Exists(And)
+			case 5: // AndExists == Exists(And)
 				var vars []int
 				var rvars []int32
 				for v := 0; v < numVars; v++ {
@@ -216,39 +188,12 @@ func TestDifferentialRandomOps(t *testing.T) {
 				}
 				kn = m.AndExists(ks[i], ks[j], m.Cube(vars))
 				rn = ref.exists(ref.and(rs[i], rs[j]), rvars)
-			case 7: // Replace with a random order-preserving shift
-				// Map a contiguous variable block [lo,hi) up by delta.
-				lo := rng.Intn(numVars)
-				hi := lo + rng.Intn(numVars-lo)
-				delta := rng.Intn(numVars - hi + 1)
-				var from, to []int
-				mapping := map[int32]int32{}
-				for v := lo; v < hi; v++ {
-					from = append(from, v)
-					to = append(to, v+delta)
-					mapping[int32(v)] = int32(v + delta)
-				}
-				// Skip maps whose targets overlap unmapped support
-				// variables (ambiguous level collisions panic by design).
-				overlap := false
-				for _, v := range m.Support(ks[i]) {
-					if _, mapped := mapping[int32(v)]; mapped {
-						continue
-					}
-					for _, tv := range to {
-						if tv == v {
-							overlap = true
-						}
-					}
-				}
-				if overlap || len(from) == 0 {
-					continue
-				}
-				kn = m.Replace(ks[i], m.NewVarMap(from, to))
-				rn = ref.replace(rs[i], mapping)
 			}
 			if !equalStructure(t, m, kn, ref, rn) {
 				t.Fatalf("seed %d step %d: kernel and reference diverged", seed, step)
+			}
+			if got, want := m.SatCount(kn), ref.satCount(rn, numVars); got != want {
+				t.Fatalf("seed %d step %d: SatCount = %v, reference = %v", seed, step, got, want)
 			}
 			ks = append(ks, kn)
 			rs = append(rs, rn)
@@ -278,8 +223,8 @@ func TestTableGrowthPreservesResults(t *testing.T) {
 				cube = m.And(cube, m.Var(v))
 				rcube = ref.and(rcube, ref.variable(v))
 			} else {
-				cube = m.And(cube, m.NVar(v))
-				rcube = ref.and(rcube, ref.not(ref.variable(v)))
+				cube = m.Diff(cube, m.Var(v))
+				rcube = ref.diff(rcube, ref.variable(v))
 			}
 		}
 		f = m.Or(f, cube)
@@ -358,14 +303,14 @@ func TestSatCountManyVars(t *testing.T) {
 	if got, want := m.SatCount(cube), math.Ldexp(1, numVars-7); got != want {
 		t.Fatalf("SatCount(7-cube) = %v, want %v", got, want)
 	}
-	// XOR over k variables is satisfied by exactly half the
-	// assignments of those variables.
-	f := False
-	for _, v := range []int{3, 70, 96} {
-		f = m.Xor(f, m.Var(v))
+	// A chain of IFFs over k variables is satisfied by exactly half
+	// the assignments of those variables.
+	f := m.Var(3)
+	for _, v := range []int{70, 96} {
+		f = m.Biimp(f, m.Var(v))
 	}
 	if got, want := m.SatCount(f), math.Ldexp(1, numVars-1); got != want {
-		t.Fatalf("SatCount(xor3) = %v, want %v", got, want)
+		t.Fatalf("SatCount(iff3) = %v, want %v", got, want)
 	}
 }
 
@@ -386,7 +331,7 @@ func TestDifferentialSatCount(t *testing.T) {
 				case 0:
 					cube = m.And(cube, m.Var(v))
 				case 1:
-					cube = m.And(cube, m.NVar(v))
+					cube = m.Diff(cube, m.Var(v))
 				}
 			}
 			f = m.Or(f, cube)

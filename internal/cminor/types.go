@@ -155,12 +155,6 @@ func PointerElem(t Type) Type {
 	return nil
 }
 
-// IsInteger reports whether t is an integer type.
-func IsInteger(t Type) bool {
-	_, ok := t.(*IntType)
-	return ok
-}
-
 // Deref unwraps one pointer level; arrays decay.
 func Deref(t Type) (Type, bool) {
 	e := PointerElem(t)

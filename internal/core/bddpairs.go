@@ -58,15 +58,15 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) ([]ObjectPair, map
 	// gets its own span so traces show which fixpoint dominates.
 	// Stratum 1: the subregion partial order.
 	sctx, s1 := trace.StartSpan(ctx, "pairs.stratum:leq")
-	p.SolveSemiNaive(sctx, regionLeqRules(rr), 0)
+	p.SolveSemiNaive(sctx, regionLeqRules(rr))
 	s1.End()
 	// Stratum 2: complement (safe, stratified negation).
 	sctx, s2 := trace.StartSpan(ctx, "pairs.stratum:regionPair")
-	p.SolveSemiNaive(sctx, regionPairRules(rr), 0)
+	p.SolveSemiNaive(sctx, regionPairRules(rr))
 	s2.End()
 	// Stratum 3: the verification join.
 	sctx, s3 := trace.StartSpan(ctx, "pairs.stratum:objectPair")
-	p.SolveSemiNaive(sctx, []*datalog.Rule{objectPairRule(or)}, 0)
+	p.SolveSemiNaive(sctx, []*datalog.Rule{objectPairRule(or)})
 	s3.End()
 
 	st := p.M.Stats()

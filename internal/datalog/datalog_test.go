@@ -25,37 +25,6 @@ func TestRelationBasics(t *testing.T) {
 	if got := r.Count(); got != 2 {
 		t.Fatalf("Count = %d, want 2", got)
 	}
-	r.Remove(1, 2)
-	if r.Has(1, 2) || r.Count() != 1 {
-		t.Fatal("Remove failed")
-	}
-}
-
-func TestRelationSetOps(t *testing.T) {
-	p := NewProgram()
-	d := p.Domain("D", 8)
-	a := p.Relation("a", d.At(0))
-	b := p.Relation("b", d.At(0))
-	a.Add(1)
-	a.Add(2)
-	b.Add(2)
-	b.Add(3)
-	u := p.Relation("u", d.At(0))
-	u.UnionWith(a)
-	u.UnionWith(b)
-	if u.Count() != 3 {
-		t.Fatalf("union count = %d, want 3", u.Count())
-	}
-	u.DifferenceWith(b)
-	if u.Count() != 1 || !u.Has(1) {
-		t.Fatal("difference wrong")
-	}
-	i := p.Relation("i", d.At(0))
-	i.UnionWith(a)
-	i.IntersectWith(b)
-	if i.Count() != 1 || !i.Has(2) {
-		t.Fatal("intersection wrong")
-	}
 }
 
 func TestEachAndTuples(t *testing.T) {
@@ -91,7 +60,7 @@ func TestTransitiveClosure(t *testing.T) {
 		NewRule(T(path, "x", "y"), T(edge, "x", "y")),
 		NewRule(T(path, "x", "z"), T(path, "x", "y"), T(edge, "y", "z")),
 	}
-	p.Solve(context.Background(), rules, 0)
+	p.Solve(context.Background(), rules)
 	// A 10-cycle's closure is complete: 100 pairs.
 	if got := path.Count(); got != 100 {
 		t.Fatalf("closure of 10-cycle has %d pairs, want 100", got)
@@ -118,7 +87,7 @@ func TestPropertyClosureMatchesFloydWarshall(t *testing.T) {
 		p.Solve(context.Background(), []*Rule{
 			NewRule(T(path, "x", "y"), T(edge, "x", "y")),
 			NewRule(T(path, "x", "z"), T(path, "x", "y"), T(path, "y", "z")),
-		}, 0)
+		})
 		// Floyd-Warshall reference.
 		reach := make([][]bool, n)
 		for i := range reach {
@@ -152,43 +121,26 @@ func TestNegation(t *testing.T) {
 	d := p.Domain("N", 8)
 	node := p.Relation("node", d.At(0))
 	edge := p.Relation("edge", d.At(0), d.At(1))
+	start := p.Relation("start", d.At(0))
 	unreachedFrom0 := p.Relation("unreached", d.At(0))
 	reach := p.Relation("reach", d.At(0))
 	for i := uint64(0); i < 5; i++ {
 		node.Add(i)
 	}
+	start.Add(0)
 	edge.Add(0, 1)
 	edge.Add(1, 2)
 	// 3,4 disconnected.
 	p.Solve(context.Background(), []*Rule{
-		NewRule(T(reach, "x"), T(node, "x").Bind(0, 0)),
+		NewRule(T(reach, "x"), T(start, "x")),
 		NewRule(T(reach, "y"), T(reach, "x"), T(edge, "x", "y")),
-	}, 0)
+	})
 	p.Solve(context.Background(), []*Rule{
 		NewRule(T(unreachedFrom0, "x"), T(node, "x"), N(reach, "x")),
-	}, 0)
+	})
 	want := [][]uint64{{3}, {4}}
 	if got := unreachedFrom0.Tuples(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("unreached = %v, want %v", got, want)
-	}
-}
-
-func TestConstantsAndWildcards(t *testing.T) {
-	p := NewProgram()
-	d := p.Domain("N", 8)
-	f := p.Domain("F", 4)
-	call := p.Relation("call", d.At(0), f.At(0), d.At(1))
-	callers := p.Relation("callers", d.At(0))
-	call.Add(1, 0, 2)
-	call.Add(3, 1, 2)
-	call.Add(4, 1, 5)
-	// callers(x) :- call(x, _, 2).  (who calls node 2, any function)
-	p.Solve(context.Background(), []*Rule{
-		NewRule(T(callers, "x"), T(call, "x", Wildcard, Wildcard).Bind(2, 2)),
-	}, 0)
-	want := [][]uint64{{1}, {3}}
-	if got := callers.Tuples(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("callers = %v, want %v", got, want)
 	}
 }
 
@@ -202,7 +154,7 @@ func TestRepeatedVariableInAtom(t *testing.T) {
 	edge.Add(3, 3)
 	p.Solve(context.Background(), []*Rule{
 		NewRule(T(self, "x"), T(edge, "x", "x")),
-	}, 0)
+	})
 	want := [][]uint64{{1}, {3}}
 	if got := self.Tuples(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("self loops = %v, want %v", got, want)
@@ -226,7 +178,7 @@ func TestJoinAcrossDomains(t *testing.T) {
 	load.Add(2, 1, 3) // v2 = v1.f3
 	p.Solve(context.Background(), []*Rule{
 		NewRule(T(vP, "x", "h2"), T(load, "x", "y", "f"), T(vP, "y", "h"), T(hP, "h", "f", "h2")),
-	}, 0)
+	})
 	if !vP.Has(2, 11) {
 		t.Fatal("load rule failed to derive vP(2,11)")
 	}
@@ -262,21 +214,6 @@ func TestDomainMismatchPanics(t *testing.T) {
 	NewRule(T(a, "x"), T(b, "x"))
 }
 
-func TestHeadConstant(t *testing.T) {
-	p := NewProgram()
-	d := p.Domain("N", 8)
-	a := p.Relation("a", d.At(0))
-	out := p.Relation("out", d.At(0), d.At(1))
-	a.Add(5)
-	// out(x, 7) :- a(x).
-	p.Solve(context.Background(), []*Rule{
-		NewRule(T(out, "x", Wildcard).Bind(1, 7), T(a, "x")),
-	}, 0)
-	if !out.Has(5, 7) || out.Count() != 1 {
-		t.Fatalf("head constant failed: %v", out.Tuples())
-	}
-}
-
 func TestRelationRedeclare(t *testing.T) {
 	p := NewProgram()
 	d := p.Domain("N", 8)
@@ -284,9 +221,6 @@ func TestRelationRedeclare(t *testing.T) {
 	r2 := p.Relation("r", d.At(0))
 	if r1 != r2 {
 		t.Fatal("same-schema redeclare returned distinct relation")
-	}
-	if p.Lookup("r") != r1 {
-		t.Fatal("Lookup mismatch")
 	}
 	defer func() {
 		if recover() == nil {
@@ -309,7 +243,7 @@ func TestSolveRoundCount(t *testing.T) {
 		// Quadratic rule converges in O(log n) rounds.
 		NewRule(T(path, "x", "z"), T(path, "x", "y"), T(path, "y", "z")),
 	}
-	rounds, _ := p.Solve(context.Background(), rules, 100)
+	rounds := p.Solve(context.Background(), rules)
 	if rounds > 10 {
 		t.Fatalf("doubling closure took %d rounds, expected <= 10", rounds)
 	}

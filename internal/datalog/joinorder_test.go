@@ -73,21 +73,22 @@ func TestJoinOrderPlansLongBodies(t *testing.T) {
 	}
 }
 
-// randomJoinProgram builds one random stratum over a fresh program:
-// base relations with random tuples, a fully computed relation the
-// rules negate, and rules of three or four positive atoms with shared
-// variables, wildcards, Bind constants, recursive atoms over the
-// derived relations, and one stratified negated atom each. The same
-// seed always builds the same program.
+// randomJoinProgram builds one random stratum over a fresh program
+// with two domains: base relations with random tuples, a fully
+// computed relation the rules negate, and rules of three or four
+// positive atoms with shared and repeated variables, recursive atoms
+// over the derived relations, and one stratified negated atom each.
+// The same seed always builds the same program.
 func randomJoinProgram(seed int64) (*Program, []*Rule, []*Relation) {
-	const n = 8
 	r := rand.New(rand.NewSource(seed))
 	p := NewProgram()
-	d := p.Domain("N", n)
+	d := p.Domain("N", 8)
+	e := p.Domain("M", 4)
 	base := []*Relation{
 		p.Relation("a", d.At(0), d.At(1)),
 		p.Relation("b", d.At(0), d.At(1)),
 		p.Relation("c", d.At(0)),
+		p.Relation("l", d.At(0), e.At(0)),
 	}
 	neg := p.Relation("neg", d.At(0), d.At(1))
 	heads := []*Relation{
@@ -98,7 +99,7 @@ func randomJoinProgram(seed int64) (*Program, []*Rule, []*Relation) {
 		for i := r.Intn(14); i >= 0; i-- {
 			vals := make([]uint64, rel.Arity())
 			for j := range vals {
-				vals[j] = uint64(r.Intn(n))
+				vals[j] = uint64(r.Intn(int(rel.attrs[j].Dom.Size)))
 			}
 			rel.Add(vals...)
 		}
@@ -110,13 +111,7 @@ func randomJoinProgram(seed int64) (*Program, []*Rule, []*Relation) {
 		NewRule(T(heads[1], "x", "y"), T(base[1], "y", "x")),
 	}
 	rels := append(base[:len(base):len(base)], heads...)
-	vars := []string{"x", "y", "z", "w"}
-	pickVar := func() string {
-		if r.Intn(5) == 0 {
-			return Wildcard
-		}
-		return vars[r.Intn(len(vars))]
-	}
+	vars := map[*LogicalDomain][]string{d: {"x", "y", "z", "w"}, e: {"u", "v"}}
 	for len(rules) < 5 {
 		atoms := 3 + r.Intn(2)
 		body := make([]Term, 0, atoms+1)
@@ -125,18 +120,14 @@ func randomJoinProgram(seed int64) (*Program, []*Rule, []*Relation) {
 			rel := rels[r.Intn(len(rels))]
 			t := T(rel, make([]string, rel.Arity())...)
 			for j := range t.Vars {
-				t.Vars[j] = pickVar()
-				if t.Vars[j] != Wildcard {
-					bound[t.Vars[j]] = true
-				}
-			}
-			if r.Intn(4) == 0 {
-				t = t.Bind(r.Intn(rel.Arity()), uint64(r.Intn(n)))
+				vs := vars[rel.attrs[j].Dom]
+				t.Vars[j] = vs[r.Intn(len(vs))]
+				bound[t.Vars[j]] = true
 			}
 			body = append(body, t)
 		}
 		var free []string
-		for _, v := range vars {
+		for _, v := range vars[d] {
 			if bound[v] {
 				free = append(free, v)
 			}
@@ -145,7 +136,7 @@ func randomJoinProgram(seed int64) (*Program, []*Rule, []*Relation) {
 			continue
 		}
 		pick := func() string { return free[r.Intn(len(free))] }
-		body = append(body, N(neg, pick(), Wildcard))
+		body = append(body, N(neg, pick(), pick()))
 		// Move the negated atom to a random body position: the planner
 		// must skip it wherever it sits.
 		at := r.Intn(len(body))
@@ -164,9 +155,7 @@ func TestPropertyPlannedJoinMatchesExplicit(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		p, rules, rels := randomJoinProgram(seed)
 		ref := newRefDB(rels...)
-		if _, fix := p.SolveSemiNaive(context.Background(), rules, 0); !fix {
-			t.Fatalf("seed %d: BDD solve reached no fixpoint", seed)
-		}
+		p.SolveSemiNaive(context.Background(), rules)
 		ref.solve(rules)
 		for _, rel := range rels {
 			got, want := rel.Tuples(), ref.tuples(rel)
@@ -176,7 +165,7 @@ func TestPropertyPlannedJoinMatchesExplicit(t *testing.T) {
 		}
 
 		p2, rules2, _ := randomJoinProgram(seed)
-		p2.SolveSemiNaive(context.Background(), rules2, 0)
+		p2.SolveSemiNaive(context.Background(), rules2)
 		if s1, s2 := p.M.Stats(), p2.M.Stats(); s1 != s2 {
 			t.Fatalf("seed %d: identical solves left different kernel stats\n%+v\n%+v", seed, s1, s2)
 		}

@@ -20,7 +20,6 @@ import (
 type Program struct {
 	M       *bdd.Manager
 	domains map[string]*LogicalDomain
-	order   []*LogicalDomain
 	rels    map[string]*Relation
 	// renames caches the per-(src,dst) rename apparatus (relation.go);
 	// env is the reusable rule-evaluation scratch (rule.go).
@@ -61,7 +60,6 @@ func (p *Program) Domain(name string, size uint64) *LogicalDomain {
 	}
 	d := &LogicalDomain{p: p, Name: name, Size: size}
 	p.domains[name] = d
-	p.order = append(p.order, d)
 	return d
 }
 
@@ -142,11 +140,6 @@ func (p *Program) Relation(name string, attrs ...Attr) *Relation {
 	return r
 }
 
-// Lookup returns a previously declared relation, or nil.
-func (p *Program) Lookup(name string) *Relation {
-	return p.rels[name]
-}
-
 // NodeCount reports the size of the program's BDD node table — the
 // shared cost metric of every relation the program holds (the
 // "number of BDD nodes" the paper's Section 6.3 discussion tracks
@@ -163,6 +156,3 @@ func (p *Program) TupleCount() uint64 {
 	}
 	return n
 }
-
-// RelationCount reports how many relations are declared.
-func (p *Program) RelationCount() int { return len(p.rels) }

@@ -33,11 +33,6 @@ func (db refDB) add(rel *Relation, t []uint64) bool {
 	return true
 }
 
-func (db refDB) has(rel *Relation, t []uint64) bool {
-	_, ok := db[rel][fmt.Sprint(t)]
-	return ok
-}
-
 // tuples returns rel's tuples sorted lexicographically, the order
 // Relation.Tuples uses.
 func (db refDB) tuples(rel *Relation) [][]uint64 {
@@ -57,20 +52,13 @@ func (db refDB) tuples(rel *Relation) [][]uint64 {
 }
 
 // matchRow binds atom t against tuple row under env, returning the
-// extended environment or false. Wildcards match anything; Bind
-// constants must equal the row's value.
+// extended environment or false.
 func matchRow(t Term, row []uint64, env map[string]uint64) (map[string]uint64, bool) {
 	next := make(map[string]uint64, len(env)+len(t.Vars))
 	for k, v := range env {
 		next[k] = v
 	}
 	for i, v := range t.Vars {
-		if c, ok := t.consts[i]; ok && row[i] != c {
-			return nil, false
-		}
-		if v == Wildcard {
-			continue
-		}
 		if bound, ok := next[v]; ok && bound != row[i] {
 			return nil, false
 		}
@@ -83,9 +71,9 @@ func matchRow(t Term, row []uint64, env map[string]uint64) (map[string]uint64, b
 // positive atoms in body order against the full relations, drops the
 // bindings a negated atom matches, and adds the heads; rounds repeat
 // until one adds nothing. Negated relations must be complete already
-// (stratified negation). It returns the number of rounds.
-func (db refDB) solve(rules []*Rule) int {
-	for round := 1; ; round++ {
+// (stratified negation).
+func (db refDB) solve(rules []*Rule) {
+	for {
 		changed := false
 		for _, r := range rules {
 			// Positive atoms in body order, then the negated ones, whose
@@ -104,11 +92,7 @@ func (db refDB) solve(rules []*Rule) int {
 				if k == len(body) {
 					head := make([]uint64, len(r.Head.Vars))
 					for i, v := range r.Head.Vars {
-						if c, ok := r.Head.consts[i]; ok {
-							head[i] = c
-						} else {
-							head[i] = env[v]
-						}
+						head[i] = env[v]
 					}
 					heads = append(heads, head)
 					return
@@ -135,7 +119,7 @@ func (db refDB) solve(rules []*Rule) int {
 			}
 		}
 		if !changed {
-			return round
+			return
 		}
 	}
 }

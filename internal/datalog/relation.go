@@ -23,20 +23,6 @@ func (r *Relation) Arity() int { return len(r.attrs) }
 // Attrs returns a copy of the schema.
 func (r *Relation) Attrs() []Attr { return append([]Attr(nil), r.attrs...) }
 
-// BDD returns the backing BDD node.
-func (r *Relation) BDD() bdd.Node { return r.node }
-
-// SetBDD replaces the relation's contents with the given BDD. The
-// caller is responsible for the node ranging only over the relation's
-// instances and legal domain values.
-func (r *Relation) SetBDD(n bdd.Node) { r.node = n }
-
-// Clear removes all tuples.
-func (r *Relation) Clear() { r.node = bdd.False }
-
-// IsEmpty reports whether the relation has no tuples.
-func (r *Relation) IsEmpty() bool { return r.node == bdd.False }
-
 func (r *Relation) tupleBDD(vals []uint64) bdd.Node {
 	if len(vals) != len(r.attrs) {
 		panic(fmt.Sprintf("datalog: %s arity %d, got %d values", r.Name, len(r.attrs), len(vals)))
@@ -60,50 +46,10 @@ func (r *Relation) Add(vals ...uint64) bool {
 	return true
 }
 
-// Remove deletes one tuple if present.
-func (r *Relation) Remove(vals ...uint64) {
-	r.node = r.p.M.Diff(r.node, r.tupleBDD(vals))
-}
-
 // Has reports whether the tuple is present.
 func (r *Relation) Has(vals ...uint64) bool {
 	t := r.tupleBDD(vals)
 	return r.p.M.And(r.node, t) == t
-}
-
-// UnionWith adds every tuple of other (same schema required). It
-// reports whether r changed.
-func (r *Relation) UnionWith(other *Relation) bool {
-	r.mustMatchSchema(other)
-	merged := r.p.M.Or(r.node, other.node)
-	if merged == r.node {
-		return false
-	}
-	r.node = merged
-	return true
-}
-
-// DifferenceWith removes every tuple of other (same schema required).
-func (r *Relation) DifferenceWith(other *Relation) {
-	r.mustMatchSchema(other)
-	r.node = r.p.M.Diff(r.node, other.node)
-}
-
-// IntersectWith keeps only tuples also in other (same schema required).
-func (r *Relation) IntersectWith(other *Relation) {
-	r.mustMatchSchema(other)
-	r.node = r.p.M.And(r.node, other.node)
-}
-
-func (r *Relation) mustMatchSchema(other *Relation) {
-	if len(r.attrs) != len(other.attrs) {
-		panic(fmt.Sprintf("datalog: schema mismatch %s/%s", r.Name, other.Name))
-	}
-	for i := range r.attrs {
-		if r.attrs[i] != other.attrs[i] {
-			panic(fmt.Sprintf("datalog: schema mismatch %s/%s at attr %d", r.Name, other.Name, i))
-		}
-	}
 }
 
 // Count returns the number of tuples.

@@ -10,20 +10,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Wildcard is the anonymous variable: the attribute is quantified away.
-const Wildcard = "_"
-
 // Term is one atom of a rule: a relation applied to variables. Vars
-// must have one entry per relation attribute; Wildcard entries match
-// anything. Neg marks a negated body atom; every variable of a negated
-// atom must also appear in a positive atom of the same rule (safe
-// stratified negation — the solver does not re-derive negated
-// relations, so callers must fully compute them first).
+// must have one named variable per relation attribute. Neg marks a
+// negated body atom; every variable of a negated atom must also appear
+// in a positive atom of the same rule (safe stratified negation — the
+// solver does not re-derive negated relations, so callers must fully
+// compute them first).
 type Term struct {
-	Rel    *Relation
-	Vars   []string
-	Neg    bool
-	consts map[int]uint64
+	Rel  *Relation
+	Vars []string
+	Neg  bool
 }
 
 // T builds a positive atom.
@@ -31,19 +27,6 @@ func T(rel *Relation, vars ...string) Term { return Term{Rel: rel, Vars: vars} }
 
 // N builds a negated atom.
 func N(rel *Relation, vars ...string) Term { return Term{Rel: rel, Vars: vars, Neg: true} }
-
-// Bind constrains the atom's i-th argument to a constant value and
-// returns the modified term. The argument's Vars entry should be
-// Wildcard unless the value should additionally bind a variable.
-func (t Term) Bind(i int, value uint64) Term {
-	nc := make(map[int]uint64, len(t.consts)+1)
-	for k, v := range t.consts {
-		nc[k] = v
-	}
-	nc[i] = value
-	t.consts = nc
-	return t
-}
 
 // Rule is a Horn clause Head :- Body. The head must be positive.
 type Rule struct {
@@ -90,19 +73,11 @@ func (r *Rule) validate() {
 				t.Rel.Name, len(t.Vars), t.Rel.Arity()))
 		}
 		for i, v := range t.Vars {
-			if v == Wildcard {
-				continue
-			}
 			d := t.Rel.attrs[i].Dom
 			if prev, ok := varDom[v]; ok && prev != d {
 				panic(fmt.Sprintf("datalog: variable %s used with domains %s and %s", v, prev.Name, d.Name))
 			}
 			varDom[v] = d
-		}
-		for i := range t.consts {
-			if i < 0 || i >= t.Rel.Arity() {
-				panic(fmt.Sprintf("datalog: constant bound to argument %d of %s (arity %d)", i, t.Rel.Name, t.Rel.Arity()))
-			}
 		}
 	}
 	positive := make(map[string]bool)
@@ -110,9 +85,7 @@ func (r *Rule) validate() {
 		check(t)
 		if !t.Neg {
 			for _, v := range t.Vars {
-				if v != Wildcard {
-					positive[v] = true
-				}
+				positive[v] = true
 			}
 		}
 	}
@@ -122,13 +95,13 @@ func (r *Rule) validate() {
 			continue
 		}
 		for _, v := range t.Vars {
-			if v != Wildcard && !positive[v] {
+			if !positive[v] {
 				panic(fmt.Sprintf("datalog: unsafe negation: variable %s of %s not bound positively", v, t.Rel.Name))
 			}
 		}
 	}
 	for _, v := range r.Head.Vars {
-		if v != Wildcard && !positive[v] {
+		if !positive[v] {
 			panic(fmt.Sprintf("datalog: head variable %s not bound in body", v))
 		}
 	}
@@ -174,30 +147,18 @@ func (e *evalEnv) instance(v string, d *LogicalDomain) *bdd.Domain {
 }
 
 // atomBDD renames one atom's relation contents from its schema
-// instances onto the rule's evaluation instances, applying constant
-// bindings and quantifying wildcards. override, when non-nil, replaces
-// the relation's contents (semi-naive evaluation passes deltas).
+// instances onto the rule's evaluation instances. override, when
+// non-nil, replaces the relation's contents (semi-naive evaluation
+// passes deltas).
 func (r *Rule) atomBDD(env *evalEnv, t Term, override *bdd.Node) bdd.Node {
-	m := env.p.M
 	n := t.Rel.node
 	if override != nil {
 		n = *override
 	}
-	quantify := bdd.True
 	for i, v := range t.Vars {
 		inst := t.Rel.attrs[i].Dom.Instance(t.Rel.attrs[i].Inst)
-		if c, ok := t.consts[i]; ok {
-			n = m.And(n, inst.Eq(c))
-		}
-		if v == Wildcard {
-			quantify = m.And(quantify, inst.Cube())
-			continue
-		}
 		target := env.instance(v, t.Rel.attrs[i].Dom)
 		n = env.p.renameInstance(n, inst, target)
-	}
-	if quantify != bdd.True {
-		n = m.Exists(n, quantify)
 	}
 	return n
 }
@@ -266,9 +227,6 @@ func (p *Program) joinOrder(r *Rule, env *evalEnv, deltaIdx int, delta bdd.Node)
 // body atoms.
 func sharesVar(t Term, body []Term, placed []int) bool {
 	for _, v := range t.Vars {
-		if v == Wildcard {
-			continue
-		}
 		for _, i := range placed {
 			for _, w := range body[i].Vars {
 				if v == w {
@@ -314,13 +272,6 @@ func (p *Program) derive(r *Rule, deltaIdx int, delta bdd.Node) bdd.Node {
 	constrain := bdd.True
 	for i, v := range head.Vars {
 		attrInst := head.Rel.attrs[i].Dom.Instance(head.Rel.attrs[i].Inst)
-		if c, ok := head.consts[i]; ok {
-			constrain = m.And(constrain, attrInst.Eq(c))
-			continue
-		}
-		if v == Wildcard {
-			panic(fmt.Sprintf("datalog: wildcard in head of %s without constant binding", head.Rel.Name))
-		}
 		constrain = m.And(constrain, env.insts[v].EqDomain(attrInst))
 	}
 	// Build the quantification cube in sorted-variable order: map
@@ -347,17 +298,7 @@ func (p *Program) derive(r *Rule, deltaIdx int, delta bdd.Node) bdd.Node {
 // once, and a rule set with no recursive atom (a non-recursive stratum)
 // finishes after that single round. Negated atoms must belong to an
 // earlier stratum (they are read in full and must not be heads in the
-// same rule set — enforced).
-//
-// It returns the number of rounds and whether a fixpoint was reached:
-// fixpoint is false exactly when maxRounds (>0) cut the iteration off
-// early, in which case the relations hold a sound under-approximation
-// of the fixpoint — callers must not treat it as converged. The cutoff
-// contract — shared verbatim with Solve and pointer's solver — is "run
-// at most maxRounds rounds": exactly maxRounds rounds execute when the
-// cap bites, the returned round count equals the cap, and a run that
-// quiesces within the cap still reports fixpoint — even at exactly the
-// cap (TestSolverCutoffBoundary pins all three boundaries).
+// same rule set — enforced). It returns the number of rounds.
 //
 // When ctx carries a trace.Tracer the solve becomes a span with one
 // child span per round and, inside each round, one child per rule
@@ -365,7 +306,7 @@ func (p *Program) derive(r *Rule, deltaIdx int, delta bdd.Node) bdd.Node {
 // per-rule timing bddbddb printed with -v). Counting tuples only
 // happens while tracing: the tracing-off path adds zero work and zero
 // allocations.
-func (p *Program) SolveSemiNaive(ctx context.Context, rules []*Rule, maxRounds int) (int, bool) {
+func (p *Program) SolveSemiNaive(ctx context.Context, rules []*Rule) int {
 	m := p.M
 	derivedBy, recursive := stratum(rules)
 	_, solve := trace.StartSpan(ctx, "datalog.seminaive")
@@ -409,18 +350,8 @@ func (p *Program) SolveSemiNaive(ctx context.Context, rules []*Rule, maxRounds i
 			}
 		}
 		if !anyDelta {
-			solve.End(trace.Int("rounds", rounds), trace.Bool("fixpoint", true))
-			return rounds, true
-		}
-		// Cutoff semantics, shared with Solve and pointer.Result.solve:
-		// run at most maxRounds rounds. `rounds` counts completed
-		// rounds here, so the check mirrors the solvers' post-round
-		// `rounds >= maxRounds` test exactly (pinned by
-		// TestSolverCutoffBoundary).
-		if maxRounds > 0 && rounds >= maxRounds {
-			solve.Event("max_rounds_exceeded", trace.Int("max_rounds", maxRounds))
-			solve.End(trace.Int("rounds", rounds), trace.Bool("fixpoint", false))
-			return rounds, false
+			solve.End(trace.Int("rounds", rounds))
+			return rounds
 		}
 		rounds++
 		roundSp = solve.Child("round")
@@ -503,13 +434,10 @@ func (p *Program) endRoundSpan(sp *trace.Span, round int, delta map[*Relation]bd
 }
 
 // Solve runs the rules to a global fixpoint using naive iteration (a
-// round applies every rule once; rounds repeat while anything changed).
-// It returns the number of rounds and whether a fixpoint was reached
-// (false exactly when maxRounds > 0 cut the iteration off early; 0
-// means no limit). The cutoff runs at most maxRounds rounds — the
-// contract SolveSemiNaive documents. Tracing mirrors SolveSemiNaive: a
+// round applies every rule once; rounds repeat while anything changed)
+// and returns the number of rounds. Tracing mirrors SolveSemiNaive: a
 // span per solve, per round, and per changed-rule application.
-func (p *Program) Solve(ctx context.Context, rules []*Rule, maxRounds int) (int, bool) {
+func (p *Program) Solve(ctx context.Context, rules []*Rule) int {
 	_, solve := trace.StartSpan(ctx, "datalog.solve")
 	if solve != nil {
 		solve.Attrs(trace.Int("rules", len(rules)))
@@ -545,13 +473,8 @@ func (p *Program) Solve(ctx context.Context, rules []*Rule, maxRounds int) (int,
 				trace.Int("bdd_nodes_delta", p.M.NumNodes()-nodes0))
 		}
 		if !changed {
-			solve.End(trace.Int("rounds", rounds), trace.Bool("fixpoint", true))
-			return rounds, true
-		}
-		if maxRounds > 0 && rounds >= maxRounds {
-			solve.Event("max_rounds_exceeded", trace.Int("max_rounds", maxRounds))
-			solve.End(trace.Int("rounds", rounds), trace.Bool("fixpoint", false))
-			return rounds, false
+			solve.End(trace.Int("rounds", rounds))
+			return rounds
 		}
 	}
 }

@@ -11,9 +11,8 @@ import (
 )
 
 // chainProgram builds a linear chain edge(0,1)..edge(n-1,n) with the
-// usual transitive-closure rules — the closure needs ~n rounds, which
-// makes round cutoffs easy to provoke.
-func chainProgram(n uint64) (*Program, []*Rule, *Relation) {
+// usual transitive-closure rules — the closure needs ~n rounds.
+func chainProgram(n uint64) (*Program, []*Rule) {
 	p := NewProgram()
 	d := p.Domain("N", n+1)
 	edge := p.Relation("edge", d.At(0), d.At(1))
@@ -25,68 +24,14 @@ func chainProgram(n uint64) (*Program, []*Rule, *Relation) {
 		NewRule(T(path, "x", "y"), T(edge, "x", "y")),
 		NewRule(T(path, "x", "z"), T(path, "x", "y"), T(edge, "y", "z")),
 	}
-	return p, rules, path
-}
-
-func TestSolveSemiNaiveMaxRoundsReportsNonConvergence(t *testing.T) {
-	p, rules, path := chainProgram(30)
-	tracer := trace.New()
-	ctx := trace.WithTracer(context.Background(), tracer)
-
-	rounds, fixpoint := p.SolveSemiNaive(ctx, rules, 3)
-	if fixpoint {
-		t.Fatal("3-round cutoff on a 30-chain reported fixpoint")
-	}
-	if rounds != 3 {
-		t.Fatalf("rounds = %d, want 3 (the cutoff)", rounds)
-	}
-	if full := uint64(31 * 30 / 2); path.Count() >= full {
-		t.Fatalf("cut-off closure already complete (%d tuples)", path.Count())
-	}
-	sum := tracer.Summary()
-	if sum["max_rounds_exceeded"].Count != 1 {
-		t.Fatalf("max_rounds_exceeded events = %d, want 1", sum["max_rounds_exceeded"].Count)
-	}
-
-	// Resuming with no limit converges from the under-approximation.
-	rounds, fixpoint = p.SolveSemiNaive(context.Background(), rules, 0)
-	if !fixpoint {
-		t.Fatalf("unlimited resume did not reach fixpoint (%d rounds)", rounds)
-	}
-	if full := uint64(31 * 30 / 2); path.Count() != full {
-		t.Fatalf("closure count = %d, want %d", path.Count(), full)
-	}
-}
-
-func TestSolveMaxRoundsReportsNonConvergence(t *testing.T) {
-	p, rules, _ := chainProgram(20)
-	tracer := trace.New()
-	ctx := trace.WithTracer(context.Background(), tracer)
-
-	rounds, fixpoint := p.Solve(ctx, rules, 2)
-	if fixpoint {
-		t.Fatal("2-round cutoff on a 20-chain reported fixpoint")
-	}
-	if rounds != 2 {
-		t.Fatalf("rounds = %d, want 2", rounds)
-	}
-	if tracer.Summary()["max_rounds_exceeded"].Count != 1 {
-		t.Fatal("naive cutoff did not emit a max_rounds_exceeded event")
-	}
-
-	if _, fixpoint = p.Solve(context.Background(), rules, 0); !fixpoint {
-		t.Fatal("unlimited naive resume did not reach fixpoint")
-	}
+	return p, rules
 }
 
 func TestSolveSemiNaiveEmitsRuleSpans(t *testing.T) {
-	p, rules, _ := chainProgram(8)
+	p, rules := chainProgram(8)
 	tracer := trace.New()
 	ctx := trace.WithTracer(context.Background(), tracer)
-	rounds, fixpoint := p.SolveSemiNaive(ctx, rules, 0)
-	if !fixpoint {
-		t.Fatal("chain closure did not converge")
-	}
+	rounds := p.SolveSemiNaive(ctx, rules)
 
 	sum := tracer.Summary()
 	if sum["datalog.seminaive"].Count != 1 {
@@ -157,8 +102,7 @@ func TestTracingOffAddsZeroAllocs(t *testing.T) {
 		if roundSp != nil {
 			roundSp.End(trace.Int("round", 1))
 		}
-		solve.Event("max_rounds_exceeded", trace.Int("max_rounds", 1))
-		solve.End(trace.Int("rounds", 1), trace.Bool("fixpoint", true))
+		solve.End(trace.Int("rounds", 1))
 	})
 	if allocs != 0 {
 		t.Fatalf("tracing-off span path allocates %.1f/op, want 0", allocs)
@@ -173,14 +117,12 @@ func BenchmarkSolveSemiNaiveTracing(b *testing.B) {
 	run := func(b *testing.B, traced bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p, rules, _ := chainProgram(24)
+			p, rules := chainProgram(24)
 			ctx := context.Background()
 			if traced {
 				ctx = trace.WithTracer(ctx, trace.New())
 			}
-			if _, fixpoint := p.SolveSemiNaive(ctx, rules, 0); !fixpoint {
-				b.Fatal("no fixpoint")
-			}
+			p.SolveSemiNaive(ctx, rules)
 		}
 	}
 	b.Run("off", func(b *testing.B) { run(b, false) })

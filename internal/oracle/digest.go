@@ -1,8 +1,6 @@
 package oracle
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 
@@ -35,10 +33,4 @@ func CanonicalReport(r *core.Report) []byte {
 			s.Policy, s.CtxCapped, s.PtrCappedVars)
 	}
 	return []byte(sb.String())
-}
-
-// ReportDigest is the hex SHA-256 of the canonical report form.
-func ReportDigest(r *core.Report) string {
-	sum := sha256.Sum256(CanonicalReport(r))
-	return hex.EncodeToString(sum[:])
 }

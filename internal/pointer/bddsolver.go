@@ -49,9 +49,6 @@ type BDDResult struct {
 	heap map[heapKey]map[Loc]bool
 
 	Rounds int
-	// Converged mirrors Result.Converged for the relational solver
-	// (always true today: the fixpoint runs unbounded).
-	Converged bool
 
 	// TopID is the tainted ⊤ object's ID when Config.PtsLimit > 0
 	// (-1 otherwise); CappedVars counts the variables whose read-out
@@ -310,7 +307,6 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 	}
 
 	if len(varList) == 0 || len(locList) == 0 {
-		br.Converged = true
 		return br
 	}
 	if len(offList) == 0 {
@@ -420,7 +416,7 @@ func AnalyzeBDD(ctx context.Context, n *contexts.Numbering, cfg Config) *BDDResu
 			datalog.T(edges, "d", "b"), datalog.T(vP, "b", "h"), datalog.T(sr.rel, "h", "h2")))
 	}
 
-	br.Rounds, br.Converged = p.SolveSemiNaive(ctx, rules, 0)
+	br.Rounds = p.SolveSemiNaive(ctx, rules)
 
 	// --- read the results back out ---
 	vP.Each(func(t []uint64) bool {

@@ -93,8 +93,6 @@ type Config struct {
 	// EntryParams seeds every pointer-like parameter of every
 	// analysis root with a fresh ParamObj — the open-program mode.
 	EntryParams bool
-	// MaxRounds bounds fixpoint iterations (0 = unlimited).
-	MaxRounds int
 	// PtsLimit caps each variable's points-to set (0 = unlimited). A
 	// set about to exceed the cap collapses to the tainted ⊤ object;
 	// loads through ⊤ yield ⊤ and stores through ⊤ are dropped, so a
@@ -136,11 +134,9 @@ type Result struct {
 	// globals).
 	addrTaken map[*ir.Func][]int32
 
+	// Rounds counts the fixpoint rounds, the last of which changed
+	// nothing.
 	Rounds int
-	// Converged reports whether the fixpoint was actually reached;
-	// false means Config.MaxRounds cut the iteration off and the
-	// points-to sets are an under-approximation.
-	Converged bool
 
 	// topID is the interned TopObj's ID when Config.PtsLimit > 0, -1
 	// otherwise; capped records every variable whose set collapsed.
@@ -160,7 +156,7 @@ func Analyze(n *contexts.Numbering, cfg Config) *Result {
 
 // AnalyzeContext is Analyze with a context: when ctx carries a
 // trace.Tracer, the solve and each of its fixpoint rounds become
-// spans, and a MaxRounds cutoff is recorded as an event.
+// spans.
 func AnalyzeContext(ctx context.Context, n *contexts.Numbering, cfg Config) *Result {
 	r := &Result{
 		Prog:      n.G.Prog,
@@ -232,10 +228,6 @@ func (r *Result) addHeap(k heapKey, l Loc) bool {
 	set[l] = true
 	return true
 }
-
-// TopObjID returns the tainted ⊤ object's ID, or -1 when no cap was
-// configured (no TopObj exists then).
-func (r *Result) TopObjID() int { return r.topID }
 
 // CappedVars counts the (variable, context) keys whose points-to set
 // collapsed to {⊤} under Config.PtsLimit.
@@ -310,13 +302,8 @@ func (r *Result) PtsSize() int {
 // pipeline metrics: fixpoint rounds, abstract objects, and the
 // variable/heap points-to relation sizes.
 func (r *Result) SolverStats() map[string]int64 {
-	converged := int64(0)
-	if r.Converged {
-		converged = 1
-	}
 	out := map[string]int64{
 		"ptr_rounds":     int64(r.Rounds),
-		"ptr_converged":  converged,
 		"ptr_objects":    int64(len(r.Objects)),
 		"pts_edges":      int64(r.PtsSize()),
 		"ptr_heap_edges": int64(r.HeapSize()),
@@ -410,18 +397,7 @@ func (r *Result) solve(ctx context.Context) {
 				trace.Int("objects", len(r.Objects)))
 		}
 		if !changed {
-			r.Converged = true
-			sp.End(trace.Int("rounds", r.Rounds), trace.Bool("converged", true))
-			return
-		}
-		if r.Config.MaxRounds > 0 && r.Rounds >= r.Config.MaxRounds {
-			// Not a fixpoint: the caller sees Converged == false rather
-			// than a silently truncated result. The cutoff contract is
-			// the datalog solvers' — run at most MaxRounds rounds; a
-			// solve that quiesces in exactly MaxRounds rounds reports
-			// Converged (the !changed branch above wins the tie).
-			sp.Event("max_rounds_exceeded", trace.Int("max_rounds", r.Config.MaxRounds))
-			sp.End(trace.Int("rounds", r.Rounds), trace.Bool("converged", false))
+			sp.End(trace.Int("rounds", r.Rounds))
 			return
 		}
 	}

@@ -162,23 +162,3 @@ func TestConcurrentCorpusTraceWellFormed(t *testing.T) {
 		seen[lane] = name
 	}
 }
-
-// TestPointerSolverReportsConvergence pins the non-convergence
-// satellite end-to-end: an analysis that completes normally reports a
-// converged pointer solve in its phase outputs.
-func TestPointerSolverReportsConvergence(t *testing.T) {
-	a, err := AnalyzeSource(Options{}, map[string]string{"q.c": quickstartSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range a.Report.Stats.Phases {
-		if p.Name != "pointer" {
-			continue
-		}
-		if got, ok := p.Outputs["ptr_converged"]; !ok || got != 1 {
-			t.Fatalf("pointer phase ptr_converged = %d (present %v), want 1", got, ok)
-		}
-		return
-	}
-	t.Fatal("no pointer phase in report")
-}
