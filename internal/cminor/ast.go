@@ -28,6 +28,9 @@ type StructDecl struct {
 	// Opaque is true for "struct name;" forward declarations whose
 	// body never appears; such types can only be used behind pointers.
 	Opaque bool
+	// Anon is set when the parser synthesized Name for a struct
+	// defined without a tag.
+	Anon bool
 }
 
 // FieldDecl is one member of a struct or union. Pos is the token
@@ -43,8 +46,9 @@ type FieldDecl struct {
 // EnumDecl declares an enum type; each item is an integer constant.
 type EnumDecl struct {
 	Pos   Pos
-	Name  string // tag, may be synthesized
+	Name  string // tag, synthesized when Anon is set
 	Items []EnumItem
+	Anon  bool
 }
 
 // EnumItem is one enumerator; Value is nil for implicit (previous+1).

@@ -91,8 +91,9 @@ type checker struct {
 	// backing array, emptied, for the next block to reuse.
 	scopes []map[string]*VarObject
 	cur    *FuncInfo
-	// file is the path of the file being checked, for diagnostics.
-	file string
+	// file is the path of the file being checked, for diagnostics;
+	// first is the path of the check's first file (see tag).
+	file, first string
 
 	laying map[string]bool // struct layout cycle detection
 	// bodies records where each struct's fields were declared, for
@@ -128,6 +129,9 @@ func Check(files ...*File) *Info {
 	}
 	for _, f := range files {
 		c.info.Uses[f] = make([]any, f.NumIdents)
+	}
+	if len(files) > 0 {
+		c.first = files[0].Path
 	}
 	// Pass 1: struct tags and typedefs (typedefs resolve in order).
 	for _, f := range files {
@@ -190,23 +194,37 @@ func (c *checker) errorAt(file string, pos Pos, format string, args ...interface
 	}
 }
 
+// tag returns the name a struct or enum definition of the file being
+// checked is registered under: its tag, except that a tag the parser
+// synthesized is qualified by the file's path in every file but the
+// check's first. Every file numbers its anonymous types from 1, so
+// this keeps them apart; a file's names depend only on its own path,
+// and a lone file's stay as parsed.
+func (c *checker) tag(name string, anon bool) string {
+	if anon && c.file != c.first {
+		return name + "@" + c.file
+	}
+	return name
+}
+
 func (c *checker) declareStruct(d *StructDecl) {
-	st, ok := c.info.Structs[d.Name]
+	tag := c.tag(d.Name, d.Anon)
+	st, ok := c.info.Structs[tag]
 	if !ok {
-		st = &StructType{Name: d.Name, Union: d.Union, Opaque: true}
-		c.info.Structs[d.Name] = st
+		st = &StructType{Name: tag, Union: d.Union, Opaque: true}
+		c.info.Structs[tag] = st
 	}
 	if d.Opaque {
 		return
 	}
 	if len(d.Fields) > 0 {
 		if !st.Opaque {
-			c.errorf(d.Pos, "struct %s redefined", d.Name)
+			c.errorf(d.Pos, "struct %s redefined", tag)
 			return
 		}
 		st.Opaque = false
 		st.Union = d.Union
-		c.bodies[d.Name] = structBody{file: c.file, decl: d}
+		c.bodies[tag] = structBody{file: c.file, decl: d}
 		for _, fd := range d.Fields {
 			st.Fields = append(st.Fields, Field{Name: fd.Name, Type: c.resolve(fd.Type, fd.Pos)})
 		}
@@ -230,7 +248,7 @@ func (c *checker) declareEnum(d *EnumDecl) {
 		if _, dup := c.info.Enums[item.Name]; dup {
 			c.errorf(item.Pos, "enumerator %s redeclared", item.Name)
 		}
-		c.info.Enums[item.Name] = &EnumConst{Name: item.Name, Value: v, Enum: d.Name}
+		c.info.Enums[item.Name] = &EnumConst{Name: item.Name, Value: v, Enum: c.tag(d.Name, d.Anon)}
 		next = v + 1
 	}
 }
@@ -356,11 +374,12 @@ func (c *checker) resolve(te TypeExpr, pos Pos) Type {
 	case *structDefTE:
 		// A file-scope definition ("typedef struct s {...} T;") also
 		// reaches pass 1 as a StructDecl; declare it only once.
-		if c.bodies[te.Name].decl != te.def {
+		tag := c.tag(te.Name, te.def.Anon)
+		if c.bodies[tag].decl != te.def {
 			c.declareStruct(te.def)
 		}
-		c.layoutStruct(te.Name)
-		return c.structRef(te.Name, te.Union)
+		c.layoutStruct(tag)
+		return c.structRef(tag, te.Union)
 	case *enumDefTE:
 		// Items may already be declared by pass 1; declareEnum guards
 		// duplicates only by name, so re-declaration of the same decl

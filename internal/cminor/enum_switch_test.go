@@ -1,6 +1,10 @@
 package cminor
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestEnumDeclAndConstants(t *testing.T) {
 	_, info := mustCheck(t, `
@@ -89,6 +93,57 @@ int g(int x) {
 	}
 	if !sw.Cases[2].Default {
 		t.Fatal("default group not marked")
+	}
+}
+
+// TestNestedListsKeepApart: a switch nested in a case body, with
+// enough groups to grow the parser's case stack, and an enum defined
+// inside an enumerator's value each keep their own lists.
+func TestNestedListsKeepApart(t *testing.T) {
+	var cases strings.Builder
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&cases, "        case %d: x = %d; break;\n", i, i)
+	}
+	f := mustParse(t, `
+enum { A = sizeof(enum { B, C }), D };
+int g(int x) {
+    switch (x) {
+    case 0:
+        return 1;
+    case 1:
+        switch (x) {
+`+cases.String()+`        }
+        x = 2;
+        break;
+    default:
+        return -1;
+    }
+    return x;
+}`)
+	items := func(ed *EnumDecl) string {
+		var names []string
+		for _, it := range ed.Items {
+			names = append(names, it.Name)
+		}
+		return strings.Join(names, " ")
+	}
+	outer := f.Decls[0].(*EnumDecl)
+	inner := outer.Items[0].Value.(*SizeofType).Type.(*enumDefTE).def
+	if items(outer) != "A D" || items(inner) != "B C" {
+		t.Errorf("enum items %q and %q, want A D and B C", items(outer), items(inner))
+	}
+	sw := f.Decls[len(f.Decls)-1].(*FuncDecl).Body.Stmts[0].(*Switch)
+	if len(sw.Cases) != 3 || !sw.Cases[2].Default || len(sw.Cases[1].Body) != 3 {
+		t.Fatalf("outer switch: %d groups, want 3 with a 3-statement second body: %+v", len(sw.Cases), sw.Cases)
+	}
+	nested := sw.Cases[1].Body[0].(*Switch)
+	if len(nested.Cases) != 20 {
+		t.Fatalf("nested switch has %d groups, want 20", len(nested.Cases))
+	}
+	for i, c := range nested.Cases {
+		if len(c.Values) != 1 || c.Values[0].(*IntLit).V != int64(i) || len(c.Body) != 2 {
+			t.Fatalf("nested group %d: %+v", i, c)
+		}
 	}
 }
 

@@ -38,8 +38,11 @@ type Parser struct {
 	// the file abandoned.
 	abandoned bool
 
-	// stmts is the statement stack (see pushStmt).
+	// stmts, cases and items are the stacks statements, switch groups
+	// and enumerators are gathered on (see pushStmt).
 	stmts []Stmt
+	cases []SwitchCase
+	items []EnumItem
 
 	// Slabs for the most numerous nodes; they live as long as the
 	// file (see package slab).
@@ -371,6 +374,7 @@ func (p *Parser) parseEnumBody(pos Pos, tag string) *EnumDecl {
 	p.expect(LBrace)
 	ed := &EnumDecl{Pos: pos, Name: tag}
 	p.bodyTypeDefs = p.bodyTypeDefs || p.inBody
+	mark := len(p.items)
 	for p.tok.Kind != RBrace && p.tok.Kind != EOF {
 		itemPos := p.tok.Pos
 		name := p.lx.Text(p.expect(IDENT))
@@ -378,11 +382,12 @@ func (p *Parser) parseEnumBody(pos Pos, tag string) *EnumDecl {
 		if p.accept(Assign) {
 			value = p.parseCondExpr()
 		}
-		ed.Items = append(ed.Items, EnumItem{Pos: itemPos, Name: name, Value: value})
+		p.items = append(p.items, EnumItem{Pos: itemPos, Name: name, Value: value})
 		if !p.accept(Comma) {
 			break
 		}
 	}
+	ed.Items = pop(&p.items, mark)
 	p.expect(RBrace)
 	return ed
 }
@@ -448,12 +453,14 @@ func (p *Parser) parseTypeSpecifier() TypeExpr {
 			p.next()
 		}
 		if p.tok.Kind == LBrace {
-			if tag == "" {
+			anon := tag == ""
+			if anon {
 				p.anonCount++
 				tag = fmt.Sprintf("__anon%d", p.anonCount)
 			}
 			outer := p.scope()
 			sd := p.parseStructBody(pos, tag, union)
+			sd.Anon = anon
 			h := p.peak - p.depth
 			p.endScope(outer)
 			return &structDefTE{StructTE: StructTE{Name: tag, Union: union}, def: sd, height: h}
@@ -471,12 +478,14 @@ func (p *Parser) parseTypeSpecifier() TypeExpr {
 			p.next()
 		}
 		if p.tok.Kind == LBrace {
-			if tag == "" {
+			anon := tag == ""
+			if anon {
 				p.anonCount++
 				tag = fmt.Sprintf("__anonenum%d", p.anonCount)
 			}
 			outer := p.scope()
 			ed := p.parseEnumBody(pos, tag)
+			ed.Anon = anon
 			h := p.peak - p.depth
 			p.endScope(outer)
 			return &enumDefTE{EnumTE: EnumTE{Name: tag}, def: ed, height: h}
@@ -711,15 +720,17 @@ func (p *Parser) parseDeclarationFrom(pos Pos, base TypeExpr, mode declMode, dec
 // pushStmt pushes a parsed statement on the statement stack. Each
 // statement list being parsed (a block's, a case body's, a single
 // statement's) is the part of the stack above the height its parser
-// started at, and is taken off by popStmts once complete, so no list
-// grows by reallocation and a single statement takes no list at all.
+// started at, and is taken off by pop once complete, so no list grows
+// by reallocation and a single statement takes no list at all. A
+// switch's groups and an enum's items are gathered the same way.
 func (p *Parser) pushStmt(s Stmt) { p.stmts = append(p.stmts, s) }
 
-// popStmts takes the statements above height mark off the stack.
-func (p *Parser) popStmts(mark int) []Stmt {
-	list := append([]Stmt(nil), p.stmts[mark:]...)
-	clear(p.stmts[mark:])
-	p.stmts = p.stmts[:mark]
+// pop takes the values above height mark off a parser stack, into a
+// list of their own.
+func pop[T any](stack *[]T, mark int) []T {
+	list := append([]T(nil), (*stack)[mark:]...)
+	clear((*stack)[mark:])
+	*stack = (*stack)[:mark]
 	return list
 }
 
@@ -736,7 +747,7 @@ func (p *Parser) parseBlock() *Block {
 			p.next()
 		}
 	}
-	b.Stmts = p.popStmts(mark)
+	b.Stmts = pop(&p.stmts, mark)
 	p.expect(RBrace)
 	return b
 }
@@ -855,7 +866,8 @@ func (p *Parser) parseStmt() {
 
 // parseSwitch parses a switch statement. A case label directly after
 // another joins its group; the statements after a group's labels are
-// its body.
+// its body. The groups are gathered on the case stack, where a nested
+// switch's go above them and are taken off before it returns.
 func (p *Parser) parseSwitch() *Switch {
 	pos := p.tok.Pos
 	p.next()
@@ -864,15 +876,17 @@ func (p *Parser) parseSwitch() *Switch {
 	p.expect(RParen)
 	p.expect(LBrace)
 	sw := &Switch{Pos: pos, Cond: cond}
-	var cur *SwitchCase
-	mark := len(p.stmts)
+	// cur indexes the current group on the case stack, or is -1; a
+	// pointer would not survive the stack's growth.
+	cur := -1
+	caseMark, mark := len(p.cases), len(p.stmts)
 	// startCase ends the current group's body and starts a new group.
 	startCase := func(c SwitchCase) {
-		if cur != nil {
-			cur.Body = p.popStmts(mark)
+		if cur >= 0 {
+			p.cases[cur].Body = pop(&p.stmts, mark)
 		}
-		sw.Cases = append(sw.Cases, c)
-		cur = &sw.Cases[len(sw.Cases)-1]
+		cur = len(p.cases)
+		p.cases = append(p.cases, c)
 	}
 	for p.tok.Kind != RBrace && p.tok.Kind != EOF {
 		switch p.tok.Kind {
@@ -881,17 +895,17 @@ func (p *Parser) parseSwitch() *Switch {
 			p.next()
 			v := p.parseCondExpr()
 			p.expect(Colon)
-			if cur == nil || len(p.stmts) > mark || cur.Default {
+			if cur < 0 || len(p.stmts) > mark || p.cases[cur].Default {
 				startCase(SwitchCase{Pos: cpos})
 			}
-			cur.Values = append(cur.Values, v)
+			p.cases[cur].Values = append(p.cases[cur].Values, v)
 		case KwDefault:
 			cpos := p.tok.Pos
 			p.next()
 			p.expect(Colon)
 			startCase(SwitchCase{Pos: cpos, Default: true})
 		default:
-			if cur == nil {
+			if cur < 0 {
 				p.errorf(p.tok.Pos, "statement before first case label")
 				startCase(SwitchCase{Pos: p.tok.Pos, Default: true})
 			}
@@ -903,9 +917,10 @@ func (p *Parser) parseSwitch() *Switch {
 			}
 		}
 	}
-	if cur != nil {
-		cur.Body = p.popStmts(mark)
+	if cur >= 0 {
+		p.cases[cur].Body = pop(&p.stmts, mark)
 	}
+	sw.Cases = pop(&p.cases, caseMark)
 	p.expect(RBrace)
 	return sw
 }
@@ -933,7 +948,7 @@ func (p *Parser) parseSingleStmt() Stmt {
 		p.stmts = p.stmts[:mark]
 		return s
 	}
-	return &Block{Pos: p.tok.Pos, Stmts: p.popStmts(mark)}
+	return &Block{Pos: p.tok.Pos, Stmts: pop(&p.stmts, mark)}
 }
 
 // --- Expressions ---

@@ -288,6 +288,26 @@ func TestCheckInlineStructDefinitions(t *testing.T) {
 	}
 }
 
+// TestCheckAnonymousTypesAcrossFiles: files that each define an
+// anonymous struct and enum check together, each name resolving to
+// its own file's type; the first file keeps the tags it parsed.
+func TestCheckAnonymousTypesAcrossFiles(t *testing.T) {
+	c1 := mustParseAs(t, "c1.c", "typedef struct { int a; } T;\nenum { X };\nint f(T *t) { return t->a + X; }")
+	c2 := mustParseAs(t, "c2.c", "typedef struct { long l; int b; } U;\nenum { Y };\nint g(U *u) { return u->b + Y; }")
+	info := Check(c1, c2)
+	if len(info.Errors) != 0 {
+		t.Fatalf("check errors: %v", info.Errors)
+	}
+	st, su := info.Typedefs["T"].(*StructType), info.Typedefs["U"].(*StructType)
+	if st.Name != "__anon1" || st.Size() != 4 || su.Name != "__anon1@c2.c" || su.Size() != 16 {
+		t.Errorf("T = %s of %d bytes, U = %s of %d bytes; want __anon1 of 4 and __anon1@c2.c of 16",
+			st, st.Size(), su, su.Size())
+	}
+	if x, y := info.Enums["X"].Enum, info.Enums["Y"].Enum; x != "__anonenum2" || y != "__anonenum2@c2.c" {
+		t.Errorf("enum tags %s and %s, want __anonenum2 and __anonenum2@c2.c", x, y)
+	}
+}
+
 func TestCheckSelfEmbeddingRejected(t *testing.T) {
 	f := mustParse(t, `struct s { struct s inner; };`)
 	info := Check(f)

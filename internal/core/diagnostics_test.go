@@ -115,6 +115,15 @@ var diagnosticCases = []diagnosticCase{
 		kind: ErrParse, pos: "b.c:3:11",
 		msg: `check: b.c:3:11: struct s has no field "b" (and 0 more)`,
 	},
+	{
+		// Every file numbers its anonymous structs from 1; in files
+		// after the first the tag names the file.
+		name: "check/anonymous-struct-field",
+		sources: map[string]string{"a.c": "typedef struct { int a; } T;",
+			"b.c": "typedef struct { int b; } U;\nint f(U *p) {\n  return p->a;\n}"},
+		kind: ErrParse, pos: "b.c:3:11",
+		msg: `check: b.c:3:11: struct __anon1@b.c has no field "a" (and 0 more)`,
+	},
 }
 
 func TestDiagnosticsAcrossFiles(t *testing.T) {
@@ -126,6 +135,17 @@ func TestDiagnosticsAcrossFiles(t *testing.T) {
 
 // TestDiagnosticsIncrementalCheck: an error found by the incremental
 // checker's fast path (a body-only edit) names the edited file.
+// TestAnonymousStructsAcrossFiles: two files that each define a struct
+// without a tag analyze together.
+func TestAnonymousStructsAcrossFiles(t *testing.T) {
+	if _, err := AnalyzeSource(Options{}, map[string]string{
+		"c1.c": "typedef struct { int a; } T;\nint g(void *u);\nint main(void) { T t; t.a = 1; return t.a + g(&t); }",
+		"c2.c": "typedef struct { int b; } U;\nint g(U *u) { return u->b; }",
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDiagnosticsIncrementalCheck(t *testing.T) {
 	ctx := context.Background()
 	base := map[string]string{

@@ -23,7 +23,7 @@ type Fragment struct {
 
 	// instrs holds the file's global-initializer instructions
 	// [0, numInit), then its function bodies in declaration order.
-	instrs  []Instr
+	instrs  instrTable
 	numInit int
 	// vars holds the temporaries of the initializers [0, numInitVars),
 	// then every function-local variable (parameters, return slots,
@@ -31,14 +31,15 @@ type Fragment struct {
 	vars        []Var
 	varNames    []string
 	numInitVars int32
-	// args is the argument table Instr.Args indexes; consts holds the
-	// constants too wide for an Operand; names the callee and function
-	// value names FuncOpd operands index.
+	// args is the argument table a Call's Instr.Off indexes; consts
+	// holds the constants and offsets too wide for an Operand or an
+	// Instr.Off; names the callee and function value names FuncOpd
+	// operands index.
 	args   []Operand
 	consts []int64
 	names  []string
 	// funcs are the file's defined functions in declaration order,
-	// numbered fragment-locally.
+	// which is instruction order, numbered fragment-locally.
 	funcs []Func
 	// globals are the program globals the file names, one slot each;
 	// a slot's addrTaken records that this file takes the address.
@@ -47,6 +48,40 @@ type Fragment struct {
 	// initStrings from global initializers, the rest from bodies.
 	strings     []StringLit
 	initStrings int
+}
+
+// Chunks of an instrTable hold chunkLen instructions: 22 KiB, under
+// slab.MaxChunkBytes, so no chunk is a large object.
+const (
+	chunkBits = 9
+	chunkLen  = 1 << chunkBits
+	chunkMask = chunkLen - 1
+)
+
+// instrTable is a fragment's instruction table: chunks of chunkLen
+// instructions, every one full but the last. It grows by a chunk at a
+// time and never copies, so it costs what it stores plus at most one
+// chunk.
+type instrTable [][]Instr
+
+// len counts the instructions in the table.
+func (t instrTable) len() int {
+	if len(t) == 0 {
+		return 0
+	}
+	return (len(t)-1)<<chunkBits + len(t[len(t)-1])
+}
+
+// at returns the i-th instruction.
+func (t instrTable) at(i int) *Instr { return &t[i>>chunkBits][i&chunkMask] }
+
+// add appends an instruction, starting a chunk when the last is full.
+func (t *instrTable) add(in Instr) {
+	if n := len(*t); n == 0 || len((*t)[n-1]) == chunkLen {
+		*t = append(*t, make([]Instr, 0, chunkLen))
+	}
+	last := &(*t)[len(*t)-1]
+	*last = append(*last, in)
 }
 
 type globalSlot struct {
@@ -178,7 +213,7 @@ func Link(info *cminor.Info, frags []*Fragment) *Program {
 			p.funcs = append(p.funcs, fn)
 		}
 		nextVar += int32(len(fr.vars)) - fr.numInitVars
-		nextInstr += len(fr.instrs) - fr.numInit
+		nextInstr += fr.instrs.len() - fr.numInit
 		nextStr += len(fr.strings) - fr.initStrings
 	}
 	p.numVars, p.numInstrs, p.numStrs = nextVar, nextInstr, nextStr
@@ -237,8 +272,8 @@ func (lf *linked) opd(o Operand) Opd {
 
 // inst returns the fragment's local-th instruction, whose ID is id.
 func (lf *linked) inst(local, id int) Inst {
-	in := &lf.frag.instrs[local]
-	return Inst{ID: id, Op: in.Op, in: in, lf: lf}
+	in := lf.frag.instrs.at(local)
+	return Inst{ID: id, Op: in.Op &^ wideOff, in: in, lf: lf}
 }
 
 // locate finds the fragment holding instruction id and its local
@@ -302,7 +337,7 @@ func (c *Cursor) enter() {
 	if c.next < c.p.numInit {
 		c.seg = c.lf.initInstr + c.lf.frag.numInit
 	} else {
-		c.seg = c.lf.bodyInstr + len(c.lf.frag.instrs) - c.lf.frag.numInit
+		c.seg = c.lf.bodyInstr + c.lf.frag.instrs.len() - c.lf.frag.numInit
 	}
 }
 

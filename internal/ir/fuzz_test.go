@@ -10,7 +10,10 @@ import (
 
 // FuzzFrontEnd feeds raw bytes through parse, check and lower. Each
 // stage runs only on its predecessor's clean output, and none may
-// panic: a hostile request body reaches exactly this path.
+// panic: a hostile request body reaches exactly this path. The lowered
+// program must be wired (every instruction resolves in its function,
+// every variable operand below NumVars) and equal to linking the
+// file's fragment.
 func FuzzFrontEnd(f *testing.F) {
 	fig1, err := os.ReadFile("../../examples/figure1.c")
 	if err != nil {
@@ -30,6 +33,10 @@ func FuzzFrontEnd(f *testing.F) {
 		if n := len(info.Uses[file]); n != file.NumIdents {
 			t.Fatalf("Uses table has %d entries for %d identifiers", n, file.NumIdents)
 		}
-		Lower(info, file)
+		p := Lower(info, file)
+		checkWired(t, p)
+		if got, want := progDump(p), progDump(Link(info, lowerFiles(info, []*cminor.File{file}))); got != want {
+			t.Fatalf("Lower differs from Link(LowerFile):\n%s\nwant:\n%s", got, want)
+		}
 	})
 }

@@ -100,23 +100,25 @@ type Operand struct {
 }
 
 // Instr is one stored IR instruction: an opcode with its operands as
-// fragment-local numbers. The call arguments are NumArgs operands
-// from index Args of the fragment's argument table; the source file
-// is the fragment's. Its program-wide ID is computed when linked.
+// fragment-local numbers. A Call keeps its callee in Base and its
+// NumArgs arguments from index Off of the fragment's argument table; a
+// Load, Store or FieldAddr keeps its byte offset in Off, or, with
+// wideOff set in Op, the index of the offset in the fragment's constant
+// table. The source file is the fragment's, and the enclosing function
+// the one whose range holds the instruction. Its program-wide ID is
+// computed when linked.
 type Instr struct {
-	Dst    Operand
-	Src    Operand // Assign/Store/Ret source; Addr variable
-	Base   Operand // Load/Store/FieldAddr base pointer
-	Callee Operand // Call
-	Off    int64   // Load/Store/FieldAddr byte offset
-
-	Args, NumArgs int32
-	Pos           cminor.Pos
-	// Func is the fragment-local index of the enclosing function, or
-	// -1 for a global initializer.
-	Func int32
-	Op   Op
+	Dst     Operand
+	Src     Operand // Assign/Store/Ret source; Addr variable
+	Base    Operand // Load/Store/FieldAddr base pointer; Call callee
+	Off     int32
+	NumArgs int32
+	Pos     cminor.Pos
+	Op      Op
 }
+
+// wideOff marks a stored Op whose Instr.Off indexes the constant table.
+const wideOff Op = 0x80
 
 // Var is one variable's record: a source variable, parameter, global,
 // or compiler temporary. Its name lives in a separate table, so
@@ -163,7 +165,15 @@ type Inst struct {
 }
 
 // Off is a Load, Store or FieldAddr's byte offset.
-func (in Inst) Off() int64 { return in.in.Off }
+func (in Inst) Off() int64 {
+	switch {
+	case in.Op == Call:
+		return 0
+	case in.in.Op&wideOff != 0:
+		return in.lf.frag.consts[in.in.Off]
+	}
+	return int64(in.in.Off)
+}
 
 // NumArgs is a call's argument count; Arg resolves each one.
 func (in Inst) NumArgs() int { return int(in.in.NumArgs) }
@@ -175,13 +185,23 @@ func (in Inst) Dst() Opd { return in.lf.opd(in.in.Dst) }
 func (in Inst) Src() Opd { return in.lf.opd(in.in.Src) }
 
 // Base is the Load/Store/FieldAddr base pointer.
-func (in Inst) Base() Opd { return in.lf.opd(in.in.Base) }
+func (in Inst) Base() Opd {
+	if in.Op == Call {
+		return Opd{}
+	}
+	return in.lf.opd(in.in.Base)
+}
 
 // Callee is a Call's callee.
-func (in Inst) Callee() Opd { return in.lf.opd(in.in.Callee) }
+func (in Inst) Callee() Opd {
+	if in.Op != Call {
+		return Opd{}
+	}
+	return in.lf.opd(in.in.Base)
+}
 
 // Arg returns the k-th call argument, 0 <= k < NumArgs.
-func (in Inst) Arg(k int) Opd { return in.lf.opd(in.lf.frag.args[int(in.in.Args)+k]) }
+func (in Inst) Arg(k int) Opd { return in.lf.opd(in.lf.frag.args[int(in.in.Off)+k]) }
 
 // Pos is the instruction's source position, in its fragment's file.
 func (in Inst) Pos() cminor.FilePos {
@@ -191,10 +211,16 @@ func (in Inst) Pos() cminor.FilePos {
 // Func is the enclosing function: the synthetic initializer for a
 // global initializer.
 func (in Inst) Func() *Func {
-	if in.in.Func < 0 {
-		return in.lf.p.initFn
+	lf := in.lf
+	if in.ID < lf.p.numInit {
+		return lf.p.initFn
 	}
-	return &in.lf.p.funcs[in.lf.funcs+int(in.in.Func)]
+	// The fragment's functions tile its body instructions in order: the
+	// first one ending after the instruction holds it.
+	local := lf.frag.numInit + in.ID - lf.bodyInstr
+	funcs := lf.frag.funcs
+	k := sort.Search(len(funcs), func(k int) bool { return funcs[k].End > local })
+	return &lf.p.funcs[lf.funcs+k]
 }
 
 func (in Inst) String() string {

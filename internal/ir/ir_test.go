@@ -30,7 +30,7 @@ func TestInstrString(t *testing.T) {
 	x := Operand{Kind: VarOpd, V: 0}
 	y := Operand{Kind: VarOpd, V: 1}
 	g := Operand{Kind: FuncOpd, V: 0}
-	lf := &linked{frag: &Fragment{args: []Operand{y}, names: []string{"g"}}}
+	lf := &linked{frag: &Fragment{args: []Operand{y}, names: []string{"g"}, consts: []int64{3000000000}}}
 	cases := []struct {
 		in   Instr
 		want string
@@ -40,15 +40,55 @@ func TestInstrString(t *testing.T) {
 		{Instr{Op: Store, Base: x, Off: 4, Src: y}, "STORE [x+4] = y"},
 		{Instr{Op: Addr, Dst: x, Src: y}, "x = ADDR y"},
 		{Instr{Op: FieldAddr, Dst: x, Base: y, Off: 16}, "x = ADD y, 16"},
-		{Instr{Op: Call, Dst: x, Callee: g, NumArgs: 1}, "x = CALL &g(y)"},
-		{Instr{Op: Call, Callee: g}, "CALL &g()"},
+		{Instr{Op: Store | wideOff, Base: x, Src: y}, "STORE [x+3000000000] = y"},
+		{Instr{Op: Call, Dst: x, Base: g, NumArgs: 1}, "x = CALL &g(y)"},
+		{Instr{Op: Call, Base: g}, "CALL &g()"},
 		{Instr{Op: Ret, Src: x}, "RET x"},
 		{Instr{Op: Ret}, "RET"},
 	}
 	for _, tc := range cases {
-		lf.frag.instrs = []Instr{tc.in}
+		lf.frag.instrs = instrTable{{tc.in}}
 		if got := lf.inst(0, 0).format(testName); got != tc.want {
 			t.Errorf("Instr = %q, want %q", got, tc.want)
+		}
+	}
+}
+
+// TestInstrAccessors: Base answers only for a non-call and Callee only
+// for a call, though a call keeps its callee in Instr.Base; Off is 0
+// for a call, whose Instr.Off indexes its arguments, and reads the
+// constant table when wideOff is set.
+func TestInstrAccessors(t *testing.T) {
+	x := Operand{Kind: VarOpd, V: 0}
+	y := Operand{Kind: VarOpd, V: 1}
+	g := Operand{Kind: FuncOpd, V: 0}
+	lf := &linked{frag: &Fragment{args: []Operand{x, y}, names: []string{"g"}, consts: []int64{-1 << 40}}}
+	cases := []struct {
+		in           Instr
+		base, callee OperandKind
+		off          int64
+		args         int
+	}{
+		{Instr{Op: Assign, Dst: x, Src: y}, None, None, 0, 0},
+		{Instr{Op: Load, Dst: x, Base: y, Off: 8}, VarOpd, None, 8, 0},
+		{Instr{Op: Load | wideOff, Dst: x, Base: y}, VarOpd, None, -1 << 40, 0},
+		{Instr{Op: Store, Base: x, Off: -4, Src: y}, VarOpd, None, -4, 0},
+		{Instr{Op: Addr, Dst: x, Src: y}, None, None, 0, 0},
+		{Instr{Op: FieldAddr, Dst: x, Base: y, Off: 16}, VarOpd, None, 16, 0},
+		{Instr{Op: Call, Dst: x, Base: g, Off: 1, NumArgs: 1}, None, FuncOpd, 0, 1},
+		{Instr{Op: Call, Base: y}, None, VarOpd, 0, 0},
+		{Instr{Op: Ret, Src: x}, None, None, 0, 0},
+	}
+	for _, tc := range cases {
+		lf.frag.instrs = instrTable{{tc.in}}
+		in := lf.inst(0, 0)
+		if in.Op != tc.in.Op&^wideOff || in.Base().Kind != tc.base || in.Callee().Kind != tc.callee ||
+			in.Off() != tc.off || in.NumArgs() != tc.args {
+			t.Errorf("%s: Op %s, Base %v, Callee %v, Off %d, NumArgs %d; want %s, %v, %v, %d, %d", in.format(testName),
+				in.Op, in.Base().Kind, in.Callee().Kind, in.Off(), in.NumArgs(), tc.in.Op&^wideOff, tc.base, tc.callee, tc.off, tc.args)
+		}
+		if in.NumArgs() == 1 && in.Arg(0).Var != 1 {
+			t.Errorf("%s: argument 0 is %v, want y", in.format(testName), in.Arg(0))
 		}
 	}
 }
@@ -192,6 +232,36 @@ long * g(struct s *p) { return &p->b; }`)
 	}
 	if fa == nil || fa.Off() != 8 {
 		t.Fatalf("&p->b: %v", fa)
+	}
+}
+
+// TestWideOffset: a field offset that does not fit in Instr.Off still
+// reaches every accessor and the dump.
+func TestWideOffset(t *testing.T) {
+	p := lower(t, `
+struct big { char pad[3000000000]; int *p; };
+int *g(struct big *b, int *q) {
+    b->p = q;
+    return b->p;
+}
+int **h(struct big *b) { return &b->p; }`)
+	want := map[Op]string{
+		Store:     "STORE [b+3000000000] = q",
+		Load:      "LOAD [b+3000000000]",
+		FieldAddr: "ADD b, 3000000000",
+	}
+	for _, name := range []string{"g", "h"} {
+		for _, in := range p.Funcs[name].Instrs() {
+			if w, ok := want[in.Op]; ok {
+				if in.Off() != 3000000000 || !strings.Contains(in.String(), w) {
+					t.Errorf("%s: %s with offset %d, want %q", name, in, in.Off(), w)
+				}
+				delete(want, in.Op)
+			}
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("not lowered: %v", want)
 	}
 }
 

@@ -137,6 +137,9 @@ func fragState(fr *Fragment) string {
 	fmt.Fprintf(&sb, "%+v\n", *fr)
 	fmt.Fprintf(&sb, "%p %p %p %p %p %p %p %p %p %p\n", fr.instrs, fr.vars, fr.varNames, fr.args,
 		fr.consts, fr.names, fr.funcs, fr.globals, fr.strings, fr)
+	for _, chunk := range fr.instrs {
+		fmt.Fprintf(&sb, "%p ", chunk)
+	}
 	return sb.String()
 }
 
@@ -235,11 +238,11 @@ func TestLowerMatchesLink(t *testing.T) {
 }
 
 // TestOperandAndInstrSizes pins the stored IR's layout: an Instr fits
-// in 64 bytes, and Instr, Operand and Var hold no pointers, so the
+// in 44 bytes, and Instr, Operand and Var hold no pointers, so the
 // collector never scans the tables holding them.
 func TestOperandAndInstrSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Instr{}); got > 64 {
-		t.Errorf("Instr is %d bytes, want at most 64", got)
+	if got := unsafe.Sizeof(Instr{}); got > 44 {
+		t.Errorf("Instr is %d bytes, want at most 44", got)
 	}
 	for _, v := range []any{Instr{}, Operand{}, Var{}} {
 		if path := pointerField(reflect.TypeOf(v)); path != "" {
@@ -273,7 +276,8 @@ func pointerField(t reflect.Type) string {
 
 // TestCursorMatchesInstr: a cursor yields exactly what Instr resolves,
 // in ID order, across fragments whose initializer or body segments are
-// empty.
+// empty and across instruction chunks, and every instruction is wired
+// into its function.
 func TestCursorMatchesInstr(t *testing.T) {
 	var files []*cminor.File
 	for _, s := range []struct{ path, src string }{
@@ -282,6 +286,9 @@ func TestCursorMatchesInstr(t *testing.T) {
 		{"c.c", "extern int x;\nint *p = &x;"},
 		{"d.c", ""},
 		{"e.c", "int *q = &x;\nint main(void) { return f() + g(); }"},
+		// Two functions of more than a chunk each, so one starts in one
+		// chunk and ends in the next.
+		{"f.c", "int *r = &x;\n" + longFunc("h1", chunkLen) + longFunc("h2", chunkLen)},
 	} {
 		f, errs := cminor.Parse(s.path, s.src)
 		if len(errs) != 0 {
@@ -312,7 +319,24 @@ func TestCursorMatchesInstr(t *testing.T) {
 	for _, name := range p.FuncNames() {
 		walk(p.Funcs[name].First, p.Funcs[name].End)
 	}
+	checkWired(t, p)
 	if p.Funcs[InitFuncName].NumInstrs() == 0 || p.NumInstrs() <= p.Funcs[InitFuncName].End {
 		t.Fatal("fixture lacks initializers or bodies")
 	}
+	for _, fn := range p.Fragment(5).funcs {
+		if fn.First>>chunkBits == (fn.End-1)>>chunkBits {
+			t.Fatalf("%s holds instructions [%d, %d) of its fragment, within one chunk", fn.Name, fn.First, fn.End)
+		}
+	}
+}
+
+// longFunc returns a function of more than n instructions.
+func longFunc(name string, n int) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "int %s(int a) {\n    int b;\n", name)
+	for i := 0; i < n; i++ {
+		sb.WriteString("    b = a;\n")
+	}
+	sb.WriteString("    return b;\n}\n")
+	return sb.String()
 }

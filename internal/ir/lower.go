@@ -27,17 +27,22 @@ func Lower(info *cminor.Info, files ...*cminor.File) *Program {
 
 // LowerFile lowers one checked file into a reusable fragment. info
 // must cover the file (a full check, or an incremental check that
-// re-checked it).
+// re-checked it). The instruction table grows a chunk at a time and
+// only its last chunk is trimmed; the function table is sized from the
+// file's definitions.
 func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
-	// Lowering emits about 1.25 instructions and 0.6 variables per
-	// identifier on the paper corpus; tables sized from that seldom
-	// regrow.
+	nFuncs := 0
+	for _, d := range f.Decls {
+		if fd, ok := d.(*cminor.FuncDecl); ok && fd.Body != nil {
+			nFuncs++
+		}
+	}
+	// Lowering makes about 0.6 variables per identifier on the paper
+	// corpus; tables sized from that seldom regrow.
 	b := &builder{
-		frag:     &Fragment{Path: f.Path},
+		frag:     &Fragment{Path: f.Path, funcs: make([]Func, 0, nFuncs)},
 		info:     info,
 		uses:     info.Uses[f],
-		fn:       -1,
-		instrs:   make([]Instr, 0, f.NumIdents*5/4+16),
 		vars:     make([]Var, 0, f.NumIdents*5/8+16),
 		varNames: make([]string, 0, f.NumIdents*5/8+16),
 		slots:    make(map[string]int32),
@@ -54,7 +59,7 @@ func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
 			}
 		}
 	}
-	b.frag.numInit = len(b.instrs)
+	b.frag.numInit = b.frag.instrs.len()
 	b.frag.numInitVars = int32(len(b.vars))
 	b.frag.initStrings = len(b.frag.strings)
 	// Function bodies.
@@ -63,7 +68,10 @@ func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
 			b.lowerFunc(fd)
 		}
 	}
-	b.frag.instrs, b.frag.vars, b.frag.varNames, b.frag.args = fit(b.instrs), fit(b.vars), fit(b.varNames), b.args
+	if n := len(b.frag.instrs); n > 0 {
+		b.frag.instrs[n-1] = fit(b.frag.instrs[n-1])
+	}
+	b.frag.vars, b.frag.varNames, b.frag.args = fit(b.vars), fit(b.varNames), b.args
 	return b.frag
 }
 
@@ -81,16 +89,12 @@ func fit[T any](s []T) []T {
 // fragment-locally; Link assigns program-wide identity.
 type builder struct {
 	frag *Fragment
-	// instrs, vars, varNames and args become the fragment's tables.
-	instrs   []Instr
+	// vars, varNames and args become the fragment's tables.
 	vars     []Var
 	varNames []string
 	args     []Operand
 	info     *cminor.Info
 	uses     []any // info.Uses table of the file being lowered
-	// fn is the fragment-local index of the function being lowered, -1
-	// while lowering global initializers.
-	fn int32
 	// fi and fnVars describe the current function: fnVars[i] is the
 	// variable of the parameter or local whose VarObject.Index is i.
 	fi     *cminor.FuncInfo
@@ -105,6 +109,8 @@ type builder struct {
 	names map[string]int32
 	// argStack holds the arguments of the calls being lowered.
 	argStack []Operand
+	// name is scratch for a temporary's name.
+	name []byte
 }
 
 // newVar appends a variable and returns its fragment-local index
@@ -118,7 +124,8 @@ func (b *builder) newVar(name string, v Var) int32 {
 
 func (b *builder) temp() int32 {
 	b.tmps++
-	return b.newVar("t"+strconv.Itoa(b.tmps), Var{Temp: true})
+	b.name = strconv.AppendInt(append(b.name[:0], 't'), int64(b.tmps), 10)
+	return b.newVar(string(b.name), Var{Temp: true})
 }
 
 // globalSlot returns the operand index of the fragment's slot for a
@@ -146,9 +153,24 @@ func (b *builder) takeAddr(v int32) {
 // emit appends an instruction to the current function (or the file's
 // initializers).
 func (b *builder) emit(in Instr, pos cminor.Pos) {
-	in.Func = b.fn
 	in.Pos = pos
-	b.instrs = append(b.instrs, in)
+	b.frag.instrs.add(in)
+}
+
+// emitAt emits a Load, Store or FieldAddr at byte offset off, which
+// goes to the constant table when it does not fit in Instr.Off.
+func (b *builder) emitAt(in Instr, off int64, pos cminor.Pos) {
+	if in.Off = int32(off); int64(in.Off) != off {
+		in.Off, in.Op = b.wideConst(off), in.Op|wideOff
+	}
+	b.emit(in, pos)
+}
+
+// wideConst adds a constant to the constant table and returns its
+// index.
+func (b *builder) wideConst(c int64) int32 {
+	b.frag.consts = append(b.frag.consts, c)
+	return int32(len(b.frag.consts) - 1)
 }
 
 func varOpd(v int32) Operand { return Operand{Kind: VarOpd, V: v} }
@@ -157,8 +179,7 @@ func (b *builder) constOpd(c int64) Operand {
 	if c == int64(int32(c)) {
 		return Operand{Kind: ConstOpd, V: int32(c)}
 	}
-	b.frag.consts = append(b.frag.consts, c)
-	return Operand{Kind: bigConstOpd, V: int32(len(b.frag.consts) - 1)}
+	return Operand{Kind: bigConstOpd, V: b.wideConst(c)}
 }
 
 func (b *builder) funcOpd(name string) Operand {
@@ -177,10 +198,9 @@ func (b *builder) lowerFunc(fd *cminor.FuncDecl) {
 	if _, isVoid := b.info.Funcs[fd.Name].Type.Ret.(*cminor.VoidType); !isVoid {
 		fn.Ret = true
 	}
-	b.fn = int32(len(b.frag.funcs))
 	b.fi, b.nextLocal = fi, 0
 	b.fnVars = b.fnVars[:0]
-	fn.First = len(b.instrs)
+	fn.First = b.frag.instrs.len()
 	fn.VarFirst = int32(len(b.vars))
 	fn.Params, fn.NumParams = fn.VarFirst, len(fi.Params)
 	for _, p := range fi.Params {
@@ -192,10 +212,10 @@ func (b *builder) lowerFunc(fd *cminor.FuncDecl) {
 	}
 	b.frag.funcs = append(b.frag.funcs, fn)
 	b.stmt(fd.Body)
-	f := &b.frag.funcs[b.fn]
-	f.End = len(b.instrs)
+	f := &b.frag.funcs[len(b.frag.funcs)-1]
+	f.End = b.frag.instrs.len()
 	f.VarEnd = int32(len(b.vars))
-	b.fn, b.fi = -1, nil
+	b.fi = nil
 }
 
 // --- statements ---
@@ -250,7 +270,7 @@ func (b *builder) stmt(s cminor.Stmt) {
 			}
 		}
 	case *cminor.Return:
-		ret := b.frag.funcs[b.fn].RetVal
+		ret := b.frag.funcs[len(b.frag.funcs)-1].RetVal
 		if s.X != nil {
 			src := b.expr(s.X)
 			b.emit(Instr{Op: Assign, Dst: varOpd(ret), Src: src}, s.Pos)
@@ -367,7 +387,7 @@ func (b *builder) unary(e *cminor.Unary) Operand {
 	case cminor.Star:
 		base := b.expr(e.X)
 		t := b.temp()
-		b.emit(Instr{Op: Load, Dst: varOpd(t), Base: base, Off: 0}, e.Pos)
+		b.emit(Instr{Op: Load, Dst: varOpd(t), Base: base}, e.Pos)
 		return varOpd(t)
 	case cminor.Amp:
 		return b.addressOf(e.X, e.Pos)
@@ -393,7 +413,7 @@ func (b *builder) addressOf(x cminor.Expr, pos cminor.Pos) Operand {
 		return pl.base
 	}
 	t := b.temp()
-	b.emit(Instr{Op: FieldAddr, Dst: varOpd(t), Base: pl.base, Off: pl.off}, pos)
+	b.emitAt(Instr{Op: FieldAddr, Dst: varOpd(t), Base: pl.base}, pl.off, pos)
 	return varOpd(t)
 }
 
@@ -432,7 +452,7 @@ func (b *builder) assign(e *cminor.AssignExpr) Operand {
 	if pl.isVar {
 		b.emit(Instr{Op: Assign, Dst: varOpd(pl.v), Src: src}, e.Pos)
 	} else {
-		b.emit(Instr{Op: Store, Base: pl.base, Off: pl.off, Src: src}, e.Pos)
+		b.emitAt(Instr{Op: Store, Base: pl.base, Src: src}, pl.off, e.Pos)
 	}
 	return src
 }
@@ -458,7 +478,7 @@ func (b *builder) call(e *cminor.Call) Operand {
 	b.args = append(b.args, b.argStack[base:]...)
 	b.argStack = b.argStack[:base]
 	dst := b.temp()
-	b.emit(Instr{Op: Call, Dst: varOpd(dst), Callee: callee, Args: start, NumArgs: int32(len(e.Args))}, e.Pos)
+	b.emit(Instr{Op: Call, Dst: varOpd(dst), Base: callee, Off: start, NumArgs: int32(len(e.Args))}, e.Pos)
 	return varOpd(dst)
 }
 
@@ -508,6 +528,6 @@ func (b *builder) readPlace(pl place, pos cminor.Pos) Operand {
 		return varOpd(pl.v)
 	}
 	t := b.temp()
-	b.emit(Instr{Op: Load, Dst: varOpd(t), Base: pl.base, Off: pl.off}, pos)
+	b.emitAt(Instr{Op: Load, Dst: varOpd(t), Base: pl.base}, pl.off, pos)
 	return varOpd(t)
 }

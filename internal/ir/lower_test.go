@@ -1,10 +1,14 @@
 package ir
 
 import (
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
 	"repro/internal/cminor"
+	"repro/internal/slab"
+	"repro/internal/workloads"
 )
 
 func lower(t *testing.T, src string) *Program {
@@ -361,3 +365,74 @@ int f(void) {
 		t.Fatalf("return assigns %s, want the outer x:\n%s", &ret, fn.Dump())
 	}
 }
+
+// TestLowerFileFootprint: lowering the seed-1 paper corpus allocates
+// no more than the fragments' final tables, plus one instruction chunk
+// a file (the last chunk, which trimming copies), plus 1/32 for the
+// builder's maps and stacks. A table sized from an estimate and then
+// regrown or copied exceeds it.
+func TestLowerFileFootprint(t *testing.T) {
+	type unit struct {
+		info *cminor.Info
+		f    *cminor.File
+	}
+	var units []unit
+	for _, spec := range workloads.PaperCorpus() {
+		pkg := workloads.Generate(spec, 1)
+		for _, exe := range pkg.Exes {
+			for path, src := range pkg.SourcesFor(exe) {
+				f, errs := cminor.Parse(path, src)
+				if len(errs) != 0 {
+					t.Fatalf("parse %s: %v", path, errs[0])
+				}
+				units = append(units, unit{cminor.Check(f), f})
+			}
+		}
+	}
+	// A collection flushes the per-P allocation caches, which hold
+	// back the count of the small objects they serve.
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	allocs := func() uint64 {
+		runtime.GC()
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	frags := make([]*Fragment, len(units))
+	start := allocs()
+	for i, u := range units {
+		frags[i] = LowerFile(u.info, u.f)
+	}
+	lowered := allocs() - start
+	// The final tables' size, as the allocator rounds it, is what
+	// copying them allocates.
+	copies := make([]*Fragment, len(frags))
+	start = allocs()
+	for i, fr := range frags {
+		copies[i] = copyTables(fr)
+	}
+	final := allocs() - start
+	if limit := final + final/32 + uint64(len(frags))*slab.MaxChunkBytes; lowered > limit {
+		t.Fatalf("lowering %d files allocates %d bytes for %d bytes of tables, want at most %d", len(frags), lowered, final, limit)
+	}
+	t.Logf("lowering %d files allocates %d bytes for %d bytes of tables", len(frags), lowered, final)
+}
+
+// copyTables copies every table a fragment holds, at its capacity,
+// with the temporaries' names, which lowering makes.
+func copyTables(fr *Fragment) *Fragment {
+	c := *fr
+	c.instrs = make(instrTable, len(fr.instrs), cap(fr.instrs))
+	for i, chunk := range fr.instrs {
+		c.instrs[i] = clone(chunk)
+	}
+	c.vars, c.varNames, c.args, c.consts = clone(fr.vars), clone(fr.varNames), clone(fr.args), clone(fr.consts)
+	c.names, c.funcs, c.globals, c.strings = clone(fr.names), clone(fr.funcs), clone(fr.globals), clone(fr.strings)
+	for i, v := range fr.vars {
+		if v.Temp {
+			c.varNames[i] = strings.Clone(fr.varNames[i])
+		}
+	}
+	return &c
+}
+
+func clone[T any](s []T) []T { return append(make([]T, 0, cap(s)), s...) }
