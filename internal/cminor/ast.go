@@ -1,19 +1,33 @@
 package cminor
 
 // File is one parsed translation unit. The parser numbers the file's
-// identifiers densely in source order (Ident.ID), so per-identifier
-// facts live in tables of NumIdents entries rather than in maps keyed
-// by node. NumTokens is what the file charged its TokenBudget. A File
-// is never written after Parse returns: incremental runs share it
-// between concurrent checks.
+// identifiers densely in source order (Ident.ID), and its function
+// definitions (FuncDecl.Index), so per-identifier and per-function
+// facts live in tables of NumIdents and NumBodies entries rather than
+// in maps keyed by node. NumTokens is what the file charged its
+// TokenBudget. A File keeps its source, which its identifiers' names
+// are read from (Name). A File is never written after Parse returns:
+// incremental runs share it between concurrent checks.
 type File struct {
 	Path      string
 	Decls     []Decl
 	NumIdents int
+	NumBodies int
 	NumTokens int
+	src       string
 	// bodyTypeDefs is set when a struct or enum is defined inside a
 	// function body or a global initializer (see SameDecls).
 	bodyTypeDefs bool
+}
+
+// Name returns the name of one of the file's identifiers: its
+// spelling in the file's source.
+func (f *File) Name(id *Ident) string {
+	end := int(id.off)
+	for end < len(f.src) && isIdentCont(f.src[end]) {
+		end++
+	}
+	return f.src[id.off:end]
 }
 
 // Decl is a top-level or block-level declaration.
@@ -86,6 +100,9 @@ type FuncDecl struct {
 	Variadic bool
 	Body     *Block
 	Extern   bool
+	// Index numbers a definition among its file's definitions, in
+	// source order; it is 0 for a prototype.
+	Index int
 	// bodyOff and bodyEnd are the byte offsets of the body's "{" and
 	// of the token after its "}" (see SameDecls).
 	bodyOff, bodyEnd int32
@@ -241,11 +258,13 @@ func ExprPos(e Expr) Pos { return e.exprPos() }
 func StmtPos(s Stmt) Pos { return s.stmtPos() }
 
 // Ident names a variable or function. ID is its index among its
-// file's identifiers, 0..File.NumIdents-1 in source order.
+// file's identifiers, 0..File.NumIdents-1 in source order, and off the
+// byte offset of its name in the file's source (see File.Name). It
+// holds no pointer.
 type Ident struct {
-	Pos  Pos
-	Name string
-	ID   int
+	Pos Pos
+	ID  int32
+	off int32
 }
 
 // IntLit is an integer literal.

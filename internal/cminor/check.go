@@ -13,8 +13,8 @@ type VarObject struct {
 	Param  bool
 	Decl   *VarDecl // nil for parameters
 	// Index numbers a parameter or local within its function: its
-	// position in FuncInfo.Params followed by FuncInfo.Locals. It is
-	// zero for globals.
+	// position in FuncInfo.Params followed by FuncInfo.Locals (see
+	// FuncInfo.Var). A global's is its number in Info.Objects.
 	Index int
 }
 
@@ -24,6 +24,7 @@ type FuncObject struct {
 	Type     *FuncType
 	Decl     *FuncDecl // the defining decl if any, else the first prototype
 	Implicit bool      // called without any declaration (C89 style)
+	Index    int       // its number in Info.Objects
 }
 
 // EnumConst is a named enum constant.
@@ -31,6 +32,15 @@ type EnumConst struct {
 	Name  string
 	Value int64
 	Enum  string // tag of the declaring enum
+	Index int    // its number in Info.Objects
+}
+
+// ref is the Uses entry of an identifier naming v.
+func (v *VarObject) ref() int32 {
+	if v.Global {
+		return int32(v.Index)
+	}
+	return int32(-1 - v.Index)
 }
 
 // FieldInfo resolves one FieldAccess expression.
@@ -47,24 +57,41 @@ type FuncInfo struct {
 	Locals []*VarObject
 }
 
+// Var returns the parameter or local whose VarObject.Index is i.
+func (fi *FuncInfo) Var(i int) *VarObject {
+	if i < len(fi.Params) {
+		return fi.Params[i]
+	}
+	return fi.Locals[i-len(fi.Params)]
+}
+
 // Info is the checker's output for one program (possibly several
 // files): the declaration environment, symbol resolution, and the few
 // per-expression facts the IR lowering reads. Expression types are
 // computed while checking but not stored, and no fact is stored in
 // the AST, which stays shared and read-only.
 type Info struct {
-	// Uses resolves identifiers: Uses[f][id.ID] is the *VarObject,
-	// *FuncObject or *EnumConst that identifier id of file f names
-	// (nil for identifiers the checker did not resolve, such as those
-	// in enumerator values). Each file's table has f.NumIdents entries.
-	Uses     map[*File][]any
+	// Uses resolves identifiers: Uses[f][id.ID] encodes what
+	// identifier id of file f names, and Object decodes it. It is 0
+	// for an identifier the checker did not resolve (such as one in an
+	// enumerator value), -1-i for the parameter or local of the
+	// enclosing function whose VarObject.Index is i, and k > 0 for
+	// Objects[k]. Each file's table has f.NumIdents entries.
+	Uses map[*File][]int32
+	// Objects numbers the file-scope objects from 1: every global
+	// *VarObject, *FuncObject and *EnumConst, in the order the checker
+	// declared them. Objects[0] is nil.
+	Objects  []any
 	Fields   map[*FieldAccess]FieldInfo
 	Structs  map[string]*StructType
 	Typedefs map[string]Type
 	Funcs    map[string]*FuncObject
 	Globals  map[string]*VarObject
 	Enums    map[string]*EnumConst // by constant name
-	FuncInfo map[*FuncDecl]*FuncInfo
+	// FuncInfo[f][fd.Index] lists the parameters and locals of
+	// function definition fd of file f. It is zero for a redefinition
+	// the checker rejected.
+	FuncInfo map[*File][]FuncInfo
 	// Sizeofs records the byte size each sizeof expression yields.
 	Sizeofs map[Expr]int64
 	// PtrArith maps each + or - with a pointer operand to that
@@ -72,6 +99,19 @@ type Info struct {
 	// non-pointers has no entry.
 	PtrArith map[*Binary]Expr
 	Errors   []*Error
+}
+
+// Object returns what a Uses entry u names: nil for 0, the parameter
+// or local of fi for a negative entry, else Objects[u]. fi is the
+// FuncInfo of the function the identifier is in.
+func (info *Info) Object(u int32, fi *FuncInfo) any {
+	switch {
+	case u < 0:
+		return fi.Var(int(-1 - u))
+	case u > 0:
+		return info.Objects[u]
+	}
+	return nil
 }
 
 // FuncNames returns the defined and declared function names, sorted.
@@ -86,14 +126,17 @@ func (info *Info) FuncNames() []string {
 
 type checker struct {
 	info *Info
-	uses []any // Uses table of the file being checked
+	// f is the file being checked, uses and funcs its Uses and
+	// FuncInfo tables.
+	f     *File
+	uses  []int32
+	funcs []FuncInfo
 	// scopes is the block scope stack. Maps above the top stay in the
 	// backing array, emptied, for the next block to reuse.
 	scopes []map[string]*VarObject
 	cur    *FuncInfo
-	// file is the path of the file being checked, for diagnostics;
 	// first is the path of the check's first file (see tag).
-	file, first string
+	first string
 
 	laying map[string]bool // struct layout cycle detection
 	// bodies records where each struct's fields were declared, for
@@ -111,16 +154,32 @@ type structBody struct {
 // Check resolves and type-checks the given files as one program.
 // It always returns an Info; Info.Errors collects diagnostics.
 func Check(files ...*File) *Info {
+	// The symbol tables are sized from the files' declarations, each
+	// function or global counted once per declaration.
+	var nFuncs, nGlobals, nEnums int
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *FuncDecl:
+				nFuncs++
+			case *VarDecl:
+				nGlobals++
+			case *EnumDecl:
+				nEnums += len(d.Items)
+			}
+		}
+	}
 	c := &checker{
 		info: &Info{
-			Uses:     make(map[*File][]any, len(files)),
+			Uses:     make(map[*File][]int32, len(files)),
+			Objects:  make([]any, 1, 1+nFuncs+nGlobals+nEnums),
 			Fields:   make(map[*FieldAccess]FieldInfo),
 			Structs:  make(map[string]*StructType),
 			Typedefs: make(map[string]Type),
-			Funcs:    make(map[string]*FuncObject),
-			Globals:  make(map[string]*VarObject),
-			Enums:    make(map[string]*EnumConst),
-			FuncInfo: make(map[*FuncDecl]*FuncInfo),
+			Funcs:    make(map[string]*FuncObject, nFuncs),
+			Globals:  make(map[string]*VarObject, nGlobals),
+			Enums:    make(map[string]*EnumConst, nEnums),
+			FuncInfo: make(map[*File][]FuncInfo, len(files)),
 			Sizeofs:  make(map[Expr]int64),
 			PtrArith: make(map[*Binary]Expr),
 		},
@@ -128,14 +187,15 @@ func Check(files ...*File) *Info {
 		bodies: make(map[string]structBody),
 	}
 	for _, f := range files {
-		c.info.Uses[f] = make([]any, f.NumIdents)
+		c.info.Uses[f] = make([]int32, f.NumIdents)
+		c.info.FuncInfo[f] = make([]FuncInfo, f.NumBodies)
 	}
 	if len(files) > 0 {
 		c.first = files[0].Path
 	}
 	// Pass 1: struct tags and typedefs (typedefs resolve in order).
 	for _, f := range files {
-		c.file = f.Path
+		c.enter(f)
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *StructDecl:
@@ -159,8 +219,7 @@ func Check(files ...*File) *Info {
 	// Pass 3: functions and globals (signatures first so forward calls
 	// resolve).
 	for _, f := range files {
-		c.file = f.Path
-		c.uses = c.info.Uses[f]
+		c.enter(f)
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *FuncDecl:
@@ -172,8 +231,7 @@ func Check(files ...*File) *Info {
 	}
 	// Pass 4: function bodies.
 	for _, f := range files {
-		c.file = f.Path
-		c.uses = c.info.Uses[f]
+		c.enter(f)
 		for _, d := range f.Decls {
 			if fd, ok := d.(*FuncDecl); ok && fd.Body != nil {
 				c.checkFuncBody(fd)
@@ -183,8 +241,19 @@ func Check(files ...*File) *Info {
 	return c.info
 }
 
+// enter makes f the file being checked.
+func (c *checker) enter(f *File) {
+	c.f, c.uses, c.funcs = f, c.info.Uses[f], c.info.FuncInfo[f]
+}
+
+// object numbers a new file-scope object in Info.Objects.
+func (c *checker) object(obj any) int {
+	c.info.Objects = append(c.info.Objects, obj)
+	return len(c.info.Objects) - 1
+}
+
 func (c *checker) errorf(pos Pos, format string, args ...interface{}) {
-	c.errorAt(c.file, pos, format, args...)
+	c.errorAt(c.f.Path, pos, format, args...)
 }
 
 // errorAt records a diagnostic at pos in file.
@@ -201,8 +270,8 @@ func (c *checker) errorAt(file string, pos Pos, format string, args ...interface
 // this keeps them apart; a file's names depend only on its own path,
 // and a lone file's stay as parsed.
 func (c *checker) tag(name string, anon bool) string {
-	if anon && c.file != c.first {
-		return name + "@" + c.file
+	if anon && c.f.Path != c.first {
+		return name + "@" + c.f.Path
 	}
 	return name
 }
@@ -224,7 +293,7 @@ func (c *checker) declareStruct(d *StructDecl) {
 		}
 		st.Opaque = false
 		st.Union = d.Union
-		c.bodies[tag] = structBody{file: c.file, decl: d}
+		c.bodies[tag] = structBody{file: c.f.Path, decl: d}
 		for _, fd := range d.Fields {
 			st.Fields = append(st.Fields, Field{Name: fd.Name, Type: c.resolve(fd.Type, fd.Pos)})
 		}
@@ -248,7 +317,9 @@ func (c *checker) declareEnum(d *EnumDecl) {
 		if _, dup := c.info.Enums[item.Name]; dup {
 			c.errorf(item.Pos, "enumerator %s redeclared", item.Name)
 		}
-		c.info.Enums[item.Name] = &EnumConst{Name: item.Name, Value: v, Enum: c.tag(d.Name, d.Anon)}
+		ec := &EnumConst{Name: item.Name, Value: v, Enum: c.tag(d.Name, d.Anon)}
+		ec.Index = c.object(ec)
+		c.info.Enums[item.Name] = ec
 		next = v + 1
 	}
 }
@@ -260,7 +331,7 @@ func (c *checker) constEval(e Expr) (int64, bool) {
 	case *IntLit:
 		return e.V, true
 	case *Ident:
-		if ec, ok := c.info.Enums[e.Name]; ok {
+		if ec, ok := c.info.Enums[c.f.Name(e)]; ok {
 			return ec.Value, true
 		}
 	case *Unary:
@@ -441,7 +512,9 @@ func (c *checker) declareFunc(d *FuncDecl) {
 		}
 		return
 	}
-	c.info.Funcs[d.Name] = &FuncObject{Name: d.Name, Type: ft, Decl: d}
+	fo := &FuncObject{Name: d.Name, Type: ft, Decl: d}
+	fo.Index = c.object(fo)
+	c.info.Funcs[d.Name] = fo
 }
 
 func (c *checker) declareGlobal(d *VarDecl) {
@@ -459,6 +532,7 @@ func (c *checker) declareGlobal(d *VarDecl) {
 		return
 	}
 	obj := &VarObject{Name: d.Name, Type: c.resolve(d.Type, d.Pos), Global: true, Decl: d}
+	obj.Index = c.object(obj)
 	c.info.Globals[d.Name] = obj
 	if d.Init != nil {
 		c.checkExpr(d.Init)
@@ -519,8 +593,8 @@ func (c *checker) checkFuncBody(fd *FuncDecl) {
 		// list: there is no signature to check its body against.
 		return
 	}
-	fi := &FuncInfo{Obj: obj}
-	c.info.FuncInfo[fd] = fi
+	fi := &c.funcs[fd.Index]
+	fi.Obj = obj
 	c.cur = fi
 	c.pushScope()
 	for i, p := range fd.Params {
@@ -613,24 +687,26 @@ func (c *checker) checkStmt(s Stmt) {
 func (c *checker) checkExpr(e Expr) Type {
 	switch e := e.(type) {
 	case *Ident:
-		if v := c.lookupVar(e.Name); v != nil {
-			c.uses[e.ID] = v
+		name := c.f.Name(e)
+		if v := c.lookupVar(name); v != nil {
+			c.uses[e.ID] = v.ref()
 			return v.Type
 		}
-		if ec, ok := c.info.Enums[e.Name]; ok {
-			c.uses[e.ID] = ec
+		if ec, ok := c.info.Enums[name]; ok {
+			c.uses[e.ID] = int32(ec.Index)
 			return TypeInt
 		}
-		if f, ok := c.info.Funcs[e.Name]; ok {
-			c.uses[e.ID] = f
+		if f, ok := c.info.Funcs[name]; ok {
+			c.uses[e.ID] = int32(f.Index)
 			return &PtrType{Elem: f.Type}
 		}
-		c.errorf(e.Pos, "undeclared identifier %q", e.Name)
+		c.errorf(e.Pos, "undeclared identifier %q", name)
 		// Define it as an int global so downstream phases have an
 		// object; C compilers issue the same courtesy.
-		v := &VarObject{Name: e.Name, Type: TypeInt, Global: true}
-		c.info.Globals[e.Name] = v
-		c.uses[e.ID] = v
+		v := &VarObject{Name: name, Type: TypeInt, Global: true}
+		v.Index = c.object(v)
+		c.info.Globals[name] = v
+		c.uses[e.ID] = v.ref()
 		return v.Type
 	case *IntLit:
 		if e.V > 1<<31-1 || e.V < -(1<<31) {
@@ -699,13 +775,15 @@ func (c *checker) checkExpr(e Expr) Type {
 	case *Call:
 		// Direct call to an undeclared function: implicit declaration.
 		if id, ok := e.Fun.(*Ident); ok {
-			if c.lookupVar(id.Name) == nil {
-				if _, ok := c.info.Funcs[id.Name]; !ok {
-					c.info.Funcs[id.Name] = &FuncObject{
-						Name:     id.Name,
+			if name := c.f.Name(id); c.lookupVar(name) == nil {
+				if _, ok := c.info.Funcs[name]; !ok {
+					fo := &FuncObject{
+						Name:     name,
 						Type:     &FuncType{Ret: TypeInt, Variadic: true},
 						Implicit: true,
 					}
+					fo.Index = c.object(fo)
+					c.info.Funcs[name] = fo
 				}
 			}
 		}

@@ -31,30 +31,42 @@ func mustParseAs(t *testing.T, path, src string) *File {
 	return f
 }
 
-// describeUses renders a Uses table independently of object identity,
-// so tables from separate checks compare equal when they resolve every
-// identifier the same way.
-func describeUses(table []any) []string {
-	out := make([]string, len(table))
-	for i, u := range table {
-		switch u := u.(type) {
-		case nil:
-			out[i] = "-"
-		case *VarObject:
-			out[i] = fmt.Sprintf("var %s %s global=%t param=%t index=%d", u.Name, u.Type, u.Global, u.Param, u.Index)
-		case *FuncObject:
-			out[i] = "func " + u.Name
-		case *EnumConst:
-			out[i] = fmt.Sprintf("enum %s=%d", u.Name, u.Value)
-		default:
-			out[i] = fmt.Sprintf("?%T", u)
+// describeUses renders file f's Uses table in info independently of
+// object identity and of table numbering, so tables from separate
+// checks compare equal when they resolve every identifier to the same
+// object: a local or parameter through the FuncInfo of the function it
+// is in, anything else through Objects.
+func describeUses(info *Info, f *File) []string {
+	out := make([]string, f.NumIdents)
+	table := info.Uses[f]
+	for _, d := range f.Decls {
+		var fi *FuncInfo
+		if fd, ok := d.(*FuncDecl); ok && fd.Body != nil {
+			fi = &info.FuncInfo[f][fd.Index]
+		}
+		for _, id := range idents(d) {
+			switch u := info.Object(table[id.ID], fi).(type) {
+			case nil:
+				out[id.ID] = "-"
+			case *VarObject:
+				out[id.ID] = fmt.Sprintf("var %s %s global=%t param=%t local=%t", u.Name, u.Type, u.Global, u.Param, !u.Global && !u.Param)
+				if !u.Global {
+					out[id.ID] += fmt.Sprintf(" index=%d", u.Index)
+				}
+			case *FuncObject:
+				out[id.ID] = "func " + u.Name
+			case *EnumConst:
+				out[id.ID] = fmt.Sprintf("enum %s=%d", u.Name, u.Value)
+			default:
+				out[id.ID] = fmt.Sprintf("?%T", u)
+			}
 		}
 	}
 	return out
 }
 
-// idents collects every Ident reachable from f, each once.
-func idents(f *File) []*Ident {
+// idents collects every Ident reachable from v, each once.
+func idents(v any) []*Ident {
 	var out []*Ident
 	seen := make(map[uintptr]bool)
 	var walk func(v reflect.Value)
@@ -82,7 +94,7 @@ func idents(f *File) []*Ident {
 			}
 		}
 	}
-	walk(reflect.ValueOf(f))
+	walk(reflect.ValueOf(v))
 	return out
 }
 
@@ -98,8 +110,8 @@ func TestIdentIDsDenseInSourceOrder(t *testing.T) {
 			return a.Line < b.Line || a.Line == b.Line && a.Col < b.Col
 		})
 		for i, id := range ids {
-			if id.ID != i {
-				t.Fatalf("%s: identifier %d in source order (%s at %s) has ID %d", f.Path, i, id.Name, id.Pos, id.ID)
+			if int(id.ID) != i {
+				t.Fatalf("%s: identifier %d in source order (%s at %s) has ID %d", f.Path, i, f.Name(id), id.Pos, id.ID)
 			}
 		}
 	}
@@ -129,16 +141,21 @@ func TestCheckLeavesASTsShared(t *testing.T) {
 		wg.Wait()
 		return out
 	}
-	same := func(what string, a, b []any) {
+	same := func(what string, a, b []string) {
 		t.Helper()
-		if da, db := describeUses(a), describeUses(b); !reflect.DeepEqual(da, db) {
+		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: Uses tables differ", what)
+		}
+		for i, d := range a {
+			if d == "-" {
+				t.Fatalf("%s: identifier %d is unresolved", what, i)
+			}
 		}
 	}
 
 	full := twice(func() *Info { return Check(files...) })
 	for _, f := range files {
-		same("concurrent Check of "+f.Path, full[0].Uses[f], full[1].Uses[f])
+		same("concurrent Check of "+f.Path, describeUses(full[0], f), describeUses(full[1], f))
 	}
 
 	edited := append([]*File(nil), files...)
@@ -154,6 +171,6 @@ func TestCheckLeavesASTsShared(t *testing.T) {
 			t.Fatalf("incremental check holds %d tables; want one of %d entries for the changed file", len(info.Uses), edited[1].NumIdents)
 		}
 	}
-	same("concurrent CheckIncremental", inc[0].Uses[edited[1]], inc[1].Uses[edited[1]])
-	same("CheckIncremental against Check", inc[0].Uses[edited[1]], base.Uses[files[1]])
+	same("concurrent CheckIncremental", describeUses(inc[0], edited[1]), describeUses(inc[1], edited[1]))
+	same("CheckIncremental against Check", describeUses(inc[0], edited[1]), describeUses(base, files[1]))
 }

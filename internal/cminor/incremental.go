@@ -22,12 +22,13 @@ package cminor
 //
 // CheckIncremental returns a *partial* Info: the per-name environment
 // maps (Structs, Typedefs, Funcs, Globals, Enums) are complete copies,
-// but the per-AST-node facts (the per-file Uses tables, and Fields,
-// Sizeofs, PtrArith, FuncInfo) cover only the re-checked
-// declarations. That is exactly what the IR lowering needs, because
-// unchanged files are not re-lowered either — their cached IR
-// fragments are reused (see ir.Fragment). Nothing downstream of
-// lowering reads the per-node facts.
+// and Objects extends the previous table, but the per-AST-node facts
+// (the per-file Uses and FuncInfo tables, and Fields, Sizeofs,
+// PtrArith) cover only the re-checked declarations. That is exactly
+// what the IR lowering needs, because unchanged files are not
+// re-lowered either — their cached IR fragments are reused (see
+// ir.Fragment). Nothing downstream of lowering reads the per-node
+// facts.
 
 // SameDecls reports whether cur, parsed from src, declares exactly
 // what old, parsed from oldSrc, declares, so that a check may reuse
@@ -97,21 +98,25 @@ func HasImplicitFuncs(info *Info) bool {
 // The returned Info never aliases prev's maps — prev stays valid as
 // an immutable base, so several deltas can be checked
 // against it concurrently. The per-name maps are complete copies;
-// Uses has a table only for each changed file, and the other per-node
-// fact maps hold entries only for changed files' global initializers
-// and function bodies. Retained objects (struct layouts, function and
-// global objects) are shared, never mutated.
+// Objects shares prev's table up to its length, so appending a new
+// object copies it; Uses and FuncInfo have tables only for each
+// changed file, and the other per-node fact maps hold entries only for
+// changed files' global initializers and function bodies. Retained
+// objects (struct layouts, function and global objects) are shared,
+// never mutated.
 func CheckIncremental(prev *Info, files []*File, changed map[string]bool) *Info {
+	n := len(prev.Objects)
 	c := &checker{
 		info: &Info{
-			Uses:     make(map[*File][]any, len(changed)),
+			Uses:     make(map[*File][]int32, len(changed)),
+			Objects:  prev.Objects[:n:n],
 			Fields:   make(map[*FieldAccess]FieldInfo),
 			Structs:  copyStrMap(prev.Structs),
 			Typedefs: copyStrMap(prev.Typedefs),
 			Funcs:    copyStrMap(prev.Funcs),
 			Globals:  copyStrMap(prev.Globals),
 			Enums:    copyStrMap(prev.Enums),
-			FuncInfo: make(map[*FuncDecl]*FuncInfo),
+			FuncInfo: make(map[*File][]FuncInfo, len(changed)),
 			Sizeofs:  make(map[Expr]int64),
 			PtrArith: make(map[*Binary]Expr),
 		},
@@ -121,9 +126,9 @@ func CheckIncremental(prev *Info, files []*File, changed map[string]bool) *Info 
 		if !changed[f.Path] {
 			continue
 		}
-		c.file = f.Path
-		c.uses = make([]any, f.NumIdents)
-		c.info.Uses[f] = c.uses
+		c.info.Uses[f] = make([]int32, f.NumIdents)
+		c.info.FuncInfo[f] = make([]FuncInfo, f.NumBodies)
+		c.enter(f)
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *VarDecl:

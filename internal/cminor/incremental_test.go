@@ -58,3 +58,52 @@ func TestSameDecls(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckIncrementalKeepsObjectsApart: two incremental checks
+// against one base that each add an object (an implicit function)
+// number it after the base's objects without writing the base's table
+// or each other's. The prototype makes the base's table larger than
+// its objects, so an append that did not copy would share the spare
+// slot.
+func TestCheckIncrementalKeepsObjectsApart(t *testing.T) {
+	const baseSrc = "int f(int x);\n" + sameDeclsBase
+	prev := Check(mustParseAs(t, "a.c", baseSrc))
+	if len(prev.Errors) != 0 {
+		t.Fatalf("check: %v", prev.Errors[0])
+	}
+	n := len(prev.Objects)
+	infos := make(map[string]*Info)
+	files := make(map[string]*File)
+	for _, callee := range []string{"foo", "bar"} {
+		src := strings.Replace(baseSrc, "return x + 1;", "return "+callee+"(x);", 1)
+		f := mustParseAs(t, "a.c", src)
+		infos[callee] = CheckIncremental(prev, []*File{f}, map[string]bool{"a.c": true})
+		files[callee] = f
+	}
+	for callee, info := range infos {
+		f := files[callee]
+		var fd *FuncDecl
+		for _, d := range f.Decls {
+			if d, ok := d.(*FuncDecl); ok && d.Name == "f" && d.Body != nil {
+				fd = d
+			}
+		}
+		found := false
+		for _, id := range idents(fd.Body) {
+			if f.Name(id) != callee {
+				continue
+			}
+			fo, ok := info.Object(info.Uses[f][id.ID], &info.FuncInfo[f][fd.Index]).(*FuncObject)
+			if !ok || fo.Name != callee || !fo.Implicit || fo.Index < n {
+				t.Fatalf("%s resolves to %#v, want an implicit function numbered from %d", callee, fo, n)
+			}
+			found = true
+		}
+		if !found {
+			t.Fatalf("%s: no identifier names the callee", callee)
+		}
+	}
+	if len(prev.Objects) != n || prev.Funcs["foo"] != nil || prev.Funcs["bar"] != nil {
+		t.Fatal("an incremental check wrote the base's tables")
+	}
+}

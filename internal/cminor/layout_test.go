@@ -35,6 +35,21 @@ func TestTokenAndPosLayout(t *testing.T) {
 	}
 }
 
+// TestIdentAndUsesLayout: an Ident fits in 20 bytes with nothing the
+// collector has to scan, so its slabs are never scanned, and a Uses
+// entry is 4 bytes.
+func TestIdentAndUsesLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Ident{}); got > 20 {
+		t.Errorf("Ident is %d bytes, want at most 20", got)
+	}
+	if path := pointerField(reflect.TypeOf(Ident{})); path != "" {
+		t.Errorf("Ident holds a pointer-carrying field %s", path)
+	}
+	if got := reflect.TypeOf(Info{}.Uses).Elem().Elem().Size(); got != 4 {
+		t.Errorf("a Uses entry is %d bytes, want 4", got)
+	}
+}
+
 // pointerField returns the path to the first field of t (searched
 // depth first) whose type carries a pointer: a pointer, slice, string,
 // map, channel, function or interface. It returns "" if there is none.

@@ -48,6 +48,7 @@ type Parser struct {
 	// file (see package slab).
 	idents    []Ident
 	numIdents int
+	numBodies int
 	intLits   []IntLit
 	binaries  []Binary
 	assigns   []AssignExpr
@@ -94,7 +95,7 @@ type TokenBudget struct{ used int }
 // file that would overspend is a parse error at its first token over
 // budget, and is parsed no further.
 func (b *TokenBudget) Parse(path, src string) (*File, []*Error) {
-	f := &File{Path: path}
+	f := &File{Path: path, src: src}
 	if err := checkFileSize(path, len(src)); err != nil {
 		return f, []*Error{err}
 	}
@@ -111,7 +112,7 @@ func (b *TokenBudget) Parse(path, src string) (*File, []*Error) {
 		}
 	}
 	p.errs = append(p.errs, p.lx.Errors()...)
-	f.NumIdents, f.NumTokens, f.bodyTypeDefs = p.numIdents, p.tokens, p.bodyTypeDefs
+	f.NumIdents, f.NumBodies, f.NumTokens, f.bodyTypeDefs = p.numIdents, p.numBodies, p.tokens, p.bodyTypeDefs
 	b.used += p.tokens
 	return f, p.errs
 }
@@ -681,7 +682,8 @@ func (p *Parser) parseDeclarationFrom(pos Pos, base TypeExpr, mode declMode, dec
 				if mode != declTop {
 					p.errorf(p.tok.Pos, "nested function definition")
 				}
-				fd.bodyOff = p.tok.Off
+				fd.Index, fd.bodyOff = p.numBodies, p.tok.Off
+				p.numBodies++
 				p.inBody = true
 				fd.Body = p.parseBlock()
 				p.inBody = mode != declTop
@@ -1133,7 +1135,7 @@ func (p *Parser) parsePrimary() Expr {
 	switch p.tok.Kind {
 	case IDENT:
 		id := slab.New(&p.idents)
-		*id = Ident{Pos: pos, Name: p.lx.Text(p.tok), ID: p.numIdents}
+		*id = Ident{Pos: pos, ID: int32(p.numIdents), off: p.tok.Off}
 		p.numIdents++
 		p.next()
 		return id

@@ -387,7 +387,7 @@ void g(void) {
 }
 
 func TestCheckForScope(t *testing.T) {
-	_, info := mustCheck(t, `
+	f, info := mustCheck(t, `
 int g(void) {
     int s;
     s = 0;
@@ -395,7 +395,7 @@ int g(void) {
     for (int i = 9; i > 0; i--) s = s - i;
     return s;
 }`)
-	fi := info.FuncInfo[findFunc(info, "g")]
+	fi := info.FuncInfo[f][findFunc(info, "g").Index]
 	if len(fi.Locals) != 3 {
 		t.Fatalf("locals = %d, want 3 (s and two loop i's)", len(fi.Locals))
 	}

@@ -418,7 +418,7 @@ func (m *Machine) exec(fr *frame, s cminor.Stmt) error {
 func (m *Machine) lvalue(fr *frame, e cminor.Expr) (*Cell, error) {
 	switch e := e.(type) {
 	case *cminor.Ident:
-		return m.varCell(fr, e.Name)
+		return m.varCell(fr, m.file.Name(e))
 	case *cminor.Unary:
 		if e.Op == cminor.Star {
 			v, err := m.eval(fr, e.X)
@@ -534,14 +534,15 @@ func (m *Machine) eval(fr *frame, e cminor.Expr) (Value, error) {
 	}
 	switch e := e.(type) {
 	case *cminor.Ident:
-		if c, err := m.varCell(fr, e.Name); err == nil {
+		name := m.file.Name(e)
+		if c, err := m.varCell(fr, name); err == nil {
 			return c.Val, nil
 		}
-		if ec, ok := m.info.Enums[e.Name]; ok {
+		if ec, ok := m.info.Enums[name]; ok {
 			return Value{Kind: IntVal, Int: ec.Value}, nil
 		}
-		if _, ok := m.info.Funcs[e.Name]; ok {
-			return Value{Kind: FnVal, Fn: e.Name}, nil
+		if _, ok := m.info.Funcs[name]; ok {
+			return Value{Kind: FnVal, Fn: name}, nil
 		}
 		return Value{}, nil
 	case *cminor.IntLit:
@@ -805,12 +806,13 @@ func (m *Machine) evalCall(fr *frame, e *cminor.Call) (Value, error) {
 	if id, ok := e.Fun.(*cminor.Ident); ok {
 		// Prefer a variable holding a function pointer, else the
 		// function itself.
-		if c, err := m.varCell(fr, id.Name); err == nil {
+		name := m.file.Name(id)
+		if c, err := m.varCell(fr, name); err == nil {
 			if c.Val.Kind == FnVal {
 				return m.call(c.Val.Fn, args, m.at(e.Pos))
 			}
 		}
-		return m.call(id.Name, args, m.at(e.Pos))
+		return m.call(name, args, m.at(e.Pos))
 	}
 	v, err := m.eval(fr, e.Fun)
 	if err != nil {

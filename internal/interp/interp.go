@@ -244,10 +244,11 @@ type Machine struct {
 	files []*cminor.File
 	opts  Options
 
-	// file is the file of the code executing, which positions in the
-	// AST are relative to; fileOf gives each defined function's.
-	file   string
-	fileOf map[*cminor.FuncDecl]string
+	// file is the file of the code executing, which positions and
+	// identifier names in the AST are relative to; fileOf gives each
+	// defined function's.
+	file   *cminor.File
+	fileOf map[*cminor.FuncDecl]*cminor.File
 
 	globals map[string]*Cell
 	effects *Effects
@@ -294,7 +295,7 @@ func Run(info *cminor.Info, opts Options, files ...*cminor.File) (*Effects, erro
 		fuel:     opts.Fuel,
 		strings:  make(map[string]*Object),
 		cleanups: make(map[*Region][]cleanupEntry),
-		fileOf:   make(map[*cminor.FuncDecl]string),
+		fileOf:   make(map[*cminor.FuncDecl]*cminor.File),
 	}
 	for name := range info.Globals {
 		m.globals[name] = &Cell{}
@@ -302,13 +303,13 @@ func Run(info *cminor.Info, opts Options, files ...*cminor.File) (*Effects, erro
 	for _, f := range files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*cminor.FuncDecl); ok && fd.Body != nil {
-				m.fileOf[fd] = f.Path
+				m.fileOf[fd] = f
 			}
 		}
 	}
 	// Global initializers.
 	for _, f := range files {
-		m.file = f.Path
+		m.file = f
 		for _, d := range f.Decls {
 			if vd, ok := d.(*cminor.VarDecl); ok && vd.Init != nil {
 				v, err := m.eval(nil, vd.Init)
@@ -335,7 +336,7 @@ func Run(info *cminor.Info, opts Options, files ...*cminor.File) (*Effects, erro
 
 // at qualifies a position in the executing code with its file.
 func (m *Machine) at(pos cminor.Pos) cminor.FilePos {
-	return cminor.FilePos{File: m.file, Pos: pos}
+	return cminor.FilePos{File: m.file.Path, Pos: pos}
 }
 
 // frame is one activation record.

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"sort"
+	"strconv"
 
 	"repro/internal/cminor"
 )
@@ -27,7 +28,9 @@ type Fragment struct {
 	numInit int
 	// vars holds the temporaries of the initializers [0, numInitVars),
 	// then every function-local variable (parameters, return slots,
-	// locals, temporaries) in creation order; varNames is parallel.
+	// locals, temporaries) in creation order. varNames holds the names
+	// of the named ones in the same order; a temporary is named by its
+	// ordinal (see varName).
 	vars        []Var
 	varNames    []string
 	numInitVars int32
@@ -50,10 +53,10 @@ type Fragment struct {
 	initStrings int
 }
 
-// Chunks of an instrTable hold chunkLen instructions: 22 KiB, under
-// slab.MaxChunkBytes, so no chunk is a large object.
+// Chunks of an instrTable hold chunkLen instructions: 32 KiB, the
+// largest small size class, which a pointer-free chunk fills exactly.
 const (
-	chunkBits = 9
+	chunkBits = 10
 	chunkLen  = 1 << chunkBits
 	chunkMask = chunkLen - 1
 )
@@ -62,7 +65,7 @@ const (
 // instructions, every one full but the last. It grows by a chunk at a
 // time and never copies, so it costs what it stores plus at most one
 // chunk.
-type instrTable [][]Instr
+type instrTable [][]instr
 
 // len counts the instructions in the table.
 func (t instrTable) len() int {
@@ -73,15 +76,20 @@ func (t instrTable) len() int {
 }
 
 // at returns the i-th instruction.
-func (t instrTable) at(i int) *Instr { return &t[i>>chunkBits][i&chunkMask] }
+func (t instrTable) at(i int) *instr { return &t[i>>chunkBits][i&chunkMask] }
 
-// add appends an instruction, starting a chunk when the last is full.
+// add packs an instruction and appends it, starting a chunk when the
+// last is full.
 func (t *instrTable) add(in Instr) {
 	if n := len(*t); n == 0 || len((*t)[n-1]) == chunkLen {
-		*t = append(*t, make([]Instr, 0, chunkLen))
+		*t = append(*t, make([]instr, 0, chunkLen))
 	}
 	last := &(*t)[len(*t)-1]
-	*last = append(*last, in)
+	*last = append(*last, instr{
+		op: in.Op, dstKind: in.Dst.Kind, srcKind: in.Src.Kind, baseKind: in.Base.Kind,
+		dst: in.Dst.V, src: in.Src.V, base: in.Base.V,
+		off: in.Off, numArgs: in.NumArgs, pos: in.Pos,
+	})
 }
 
 type globalSlot struct {
@@ -143,8 +151,12 @@ type linked struct {
 // byte-identical whether a fragment was freshly lowered or replayed
 // from a cache. It costs O(#fragments + #globals + #funcs).
 func Link(info *cminor.Info, frags []*Fragment) *Program {
+	nFuncs := 0
+	for _, fr := range frags {
+		nFuncs += len(fr.funcs)
+	}
 	p := &Program{
-		Funcs:     make(map[string]*Func),
+		Funcs:     make(map[string]*Func, nFuncs+1),
 		Externs:   make(map[string]*cminor.FuncObject),
 		Info:      info,
 		frags:     make([]linked, len(frags)),
@@ -170,7 +182,6 @@ func Link(info *cminor.Info, frags []*Fragment) *Program {
 	// Global slots: a name the checker did not register (a fallback)
 	// gets a canonical global after the declared ones. AddrTaken is
 	// the OR over every slot naming the global.
-	nFuncs := 0
 	for i, fr := range frags {
 		lf := &p.frags[i]
 		lf.p, lf.frag = p, fr
@@ -187,7 +198,6 @@ func Link(info *cminor.Info, frags []*Fragment) *Program {
 				p.globals[id].addrTaken = true
 			}
 		}
-		nFuncs += len(fr.funcs)
 	}
 	// Bases: every initializer segment first, then every body.
 	nextVar, nextInstr, nextStr := int32(len(p.globals)), 0, 0
@@ -250,30 +260,30 @@ func (lf *linked) varID(v int32) int32 {
 	return lf.bodyVar + v - lf.frag.numInitVars
 }
 
-// opd resolves a stored operand.
-func (lf *linked) opd(o Operand) Opd {
-	switch o.Kind {
+// opd resolves a stored operand of kind k and value v.
+func (lf *linked) opd(k OperandKind, v int32) Opd {
+	switch k {
 	case VarOpd:
-		return Opd{Kind: VarOpd, Var: lf.varID(o.V)}
+		return Opd{Kind: VarOpd, Var: lf.varID(v)}
 	case ConstOpd:
-		return Opd{Kind: ConstOpd, C: int64(o.V)}
+		return Opd{Kind: ConstOpd, C: int64(v)}
 	case bigConstOpd:
-		return Opd{Kind: ConstOpd, C: lf.frag.consts[o.V]}
+		return Opd{Kind: ConstOpd, C: lf.frag.consts[v]}
 	case FuncOpd:
-		return Opd{Kind: FuncOpd, Fn: lf.frag.names[o.V]}
+		return Opd{Kind: FuncOpd, Fn: lf.frag.names[v]}
 	case StringOpd:
-		if int(o.V) < lf.frag.initStrings {
-			return Opd{Kind: StringOpd, C: int64(lf.initStr + int(o.V))}
+		if int(v) < lf.frag.initStrings {
+			return Opd{Kind: StringOpd, C: int64(lf.initStr + int(v))}
 		}
-		return Opd{Kind: StringOpd, C: int64(lf.bodyStr + int(o.V) - lf.frag.initStrings)}
+		return Opd{Kind: StringOpd, C: int64(lf.bodyStr + int(v) - lf.frag.initStrings)}
 	}
-	return Opd{Kind: o.Kind}
+	return Opd{Kind: k}
 }
 
 // inst returns the fragment's local-th instruction, whose ID is id.
 func (lf *linked) inst(local, id int) Inst {
 	in := lf.frag.instrs.at(local)
-	return Inst{ID: id, Op: in.Op &^ wideOff, in: in, lf: lf}
+	return Inst{ID: id, Op: in.op &^ wideOff, in: in, lf: lf}
 }
 
 // locate finds the fragment holding instruction id and its local
@@ -395,7 +405,24 @@ func (p *Program) VarName(id int32) string {
 		return p.globals[id].name
 	}
 	lf, local := p.locateVar(id)
-	return lf.frag.varNames[local]
+	return lf.frag.varName(local)
+}
+
+// varName names the fragment's variable v. Temporaries are numbered
+// from 1 in creation order across the fragment and named "t" and their
+// number: every variable is a temporary but the named ones, which
+// start each function.
+func (fr *Fragment) varName(v int32) string {
+	named := int32(0) // named variables before v
+	if v >= fr.numInitVars {
+		k := sort.Search(len(fr.funcs), func(k int) bool { return fr.funcs[k].VarEnd > v })
+		fn := &fr.funcs[k]
+		if v < fn.temps {
+			return fr.varNames[fn.names+v-fn.VarFirst]
+		}
+		named = fn.names + fn.temps - fn.VarFirst
+	}
+	return "t" + strconv.Itoa(int(v+1-named))
 }
 
 // NumStrings counts the program's string literal sites.

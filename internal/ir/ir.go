@@ -11,9 +11,10 @@
 // interp executes the AST directly and is the flow-sensitive
 // reference.)
 //
-// The stored IR is numbered tuples, as bddbddb consumed it: an Instr
-// names its variables, callee, string literal and arguments by
-// integer indices local to its file's Fragment, and holds no pointer.
+// The stored IR is numbered tuples, as bddbddb consumed it: a stored
+// instruction names its variables, callee, string literal and
+// arguments by integer indices local to its file's Fragment, and
+// holds no pointer.
 // Fragments are immutable once lowered and shared by every Program
 // linked from them; a Program is a view that adds per-fragment base
 // offsets, and hands readers resolved values (Inst, Opd) that carry
@@ -99,14 +100,15 @@ type Operand struct {
 	V    int32
 }
 
-// Instr is one stored IR instruction: an opcode with its operands as
-// fragment-local numbers. A Call keeps its callee in Base and its
-// NumArgs arguments from index Off of the fragment's argument table; a
-// Load, Store or FieldAddr keeps its byte offset in Off, or, with
-// wideOff set in Op, the index of the offset in the fragment's constant
-// table. The source file is the fragment's, and the enclosing function
-// the one whose range holds the instruction. Its program-wide ID is
-// computed when linked.
+// Instr is one IR instruction as lowering builds it: an opcode with
+// its operands as fragment-local numbers. A Call keeps its callee in
+// Base and its NumArgs arguments from index Off of the fragment's
+// argument table; a Load, Store or FieldAddr keeps its byte offset in
+// Off, or, with wideOff set in Op, the index of the offset in the
+// fragment's constant table. The source file is the fragment's, and
+// the enclosing function the one whose range holds the instruction.
+// Its program-wide ID is computed when linked. The fragment stores it
+// packed as an instr.
 type Instr struct {
 	Dst     Operand
 	Src     Operand // Assign/Store/Ret source; Addr variable
@@ -115,6 +117,17 @@ type Instr struct {
 	NumArgs int32
 	Pos     cminor.Pos
 	Op      Op
+}
+
+// instr is an Instr as a fragment stores it: the opcode and the three
+// operand kinds in four bytes, then the operand values, Off, NumArgs
+// and Pos. It is 32 bytes and holds no pointer.
+type instr struct {
+	op                         Op
+	dstKind, srcKind, baseKind OperandKind
+	dst, src, base             int32
+	off, numArgs               int32
+	pos                        cminor.Pos
 }
 
 // wideOff marks a stored Op whose Instr.Off indexes the constant table.
@@ -151,8 +164,9 @@ type Opd struct {
 	Fn string // FuncOpd: function name
 }
 
-// Inst is an instruction of a Program: a handle on the stored Instr
-// whose accessors resolve operands, position and function on demand.
+// Inst is an instruction of a Program: a handle on the stored instr
+// whose accessors decode and resolve operands, position and function
+// on demand.
 // ID is unique across the program — the paper's instruction set I.
 // Inst values are computed by Program.Instr; nothing a Program holds
 // points at them. At four words it stays in registers.
@@ -160,7 +174,7 @@ type Inst struct {
 	ID int
 	Op Op
 
-	in *Instr
+	in *instr
 	lf *linked
 }
 
@@ -169,27 +183,27 @@ func (in Inst) Off() int64 {
 	switch {
 	case in.Op == Call:
 		return 0
-	case in.in.Op&wideOff != 0:
-		return in.lf.frag.consts[in.in.Off]
+	case in.in.op&wideOff != 0:
+		return in.lf.frag.consts[in.in.off]
 	}
-	return int64(in.in.Off)
+	return int64(in.in.off)
 }
 
 // NumArgs is a call's argument count; Arg resolves each one.
-func (in Inst) NumArgs() int { return int(in.in.NumArgs) }
+func (in Inst) NumArgs() int { return int(in.in.numArgs) }
 
 // Dst is the destination operand.
-func (in Inst) Dst() Opd { return in.lf.opd(in.in.Dst) }
+func (in Inst) Dst() Opd { return in.lf.opd(in.in.dstKind, in.in.dst) }
 
 // Src is the Assign/Store/Ret source, or the Addr variable.
-func (in Inst) Src() Opd { return in.lf.opd(in.in.Src) }
+func (in Inst) Src() Opd { return in.lf.opd(in.in.srcKind, in.in.src) }
 
 // Base is the Load/Store/FieldAddr base pointer.
 func (in Inst) Base() Opd {
 	if in.Op == Call {
 		return Opd{}
 	}
-	return in.lf.opd(in.in.Base)
+	return in.lf.opd(in.in.baseKind, in.in.base)
 }
 
 // Callee is a Call's callee.
@@ -197,15 +211,18 @@ func (in Inst) Callee() Opd {
 	if in.Op != Call {
 		return Opd{}
 	}
-	return in.lf.opd(in.in.Base)
+	return in.lf.opd(in.in.baseKind, in.in.base)
 }
 
 // Arg returns the k-th call argument, 0 <= k < NumArgs.
-func (in Inst) Arg(k int) Opd { return in.lf.opd(in.lf.frag.args[int(in.in.Off)+k]) }
+func (in Inst) Arg(k int) Opd {
+	a := in.lf.frag.args[int(in.in.off)+k]
+	return in.lf.opd(a.Kind, a.V)
+}
 
 // Pos is the instruction's source position, in its fragment's file.
 func (in Inst) Pos() cminor.FilePos {
-	return cminor.FilePos{File: in.lf.frag.Path, Pos: in.in.Pos}
+	return cminor.FilePos{File: in.lf.frag.Path, Pos: in.in.pos}
 }
 
 // Func is the enclosing function: the synthetic initializer for a
@@ -298,6 +315,12 @@ type Func struct {
 	// assign, which the call-return wiring in the pointer analysis
 	// reads; -1 for the synthetic initializer.
 	RetVal int32
+
+	// In a Fragment, the function's named variables (parameters,
+	// return slot, locals) are [VarFirst, temps) and the rest are
+	// temporaries; names is the index of the first one's name in the
+	// fragment's name table. Link does not rebase them.
+	names, temps int32
 
 	p *Program
 }

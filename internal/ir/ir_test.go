@@ -47,7 +47,8 @@ func TestInstrString(t *testing.T) {
 		{Instr{Op: Ret}, "RET"},
 	}
 	for _, tc := range cases {
-		lf.frag.instrs = instrTable{{tc.in}}
+		lf.frag.instrs = nil
+		lf.frag.instrs.add(tc.in)
 		if got := lf.inst(0, 0).format(testName); got != tc.want {
 			t.Errorf("Instr = %q, want %q", got, tc.want)
 		}
@@ -80,7 +81,8 @@ func TestInstrAccessors(t *testing.T) {
 		{Instr{Op: Ret, Src: x}, None, None, 0, 0},
 	}
 	for _, tc := range cases {
-		lf.frag.instrs = instrTable{{tc.in}}
+		lf.frag.instrs = nil
+		lf.frag.instrs.add(tc.in)
 		in := lf.inst(0, 0)
 		if in.Op != tc.in.Op&^wideOff || in.Base().Kind != tc.base || in.Callee().Kind != tc.callee ||
 			in.Off() != tc.off || in.NumArgs() != tc.args {

@@ -237,14 +237,18 @@ func TestLowerMatchesLink(t *testing.T) {
 	}
 }
 
-// TestOperandAndInstrSizes pins the stored IR's layout: an Instr fits
-// in 44 bytes, and Instr, Operand and Var hold no pointers, so the
-// collector never scans the tables holding them.
+// TestOperandAndInstrSizes pins the stored IR's layout: a stored
+// instruction is 32 bytes, so a chunk of them is exactly 32 KiB, and
+// it, Operand and Var hold no pointers, so the collector never scans
+// the tables holding them.
 func TestOperandAndInstrSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Instr{}); got > 44 {
-		t.Errorf("Instr is %d bytes, want at most 44", got)
+	if got := unsafe.Sizeof(instr{}); got != 32 {
+		t.Errorf("a stored instruction is %d bytes, want 32", got)
 	}
-	for _, v := range []any{Instr{}, Operand{}, Var{}} {
+	if got := chunkLen * unsafe.Sizeof(instr{}); got != 32<<10 {
+		t.Errorf("an instruction chunk is %d bytes, want 32 KiB", got)
+	}
+	for _, v := range []any{instr{}, Operand{}, Var{}} {
 		if path := pointerField(reflect.TypeOf(v)); path != "" {
 			t.Errorf("%T holds a pointer-carrying field %s", v, path)
 		}

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"slices"
-	"strconv"
 
 	"repro/internal/cminor"
 )
@@ -28,23 +27,23 @@ func Lower(info *cminor.Info, files ...*cminor.File) *Program {
 // LowerFile lowers one checked file into a reusable fragment. info
 // must cover the file (a full check, or an incremental check that
 // re-checked it). The instruction table grows a chunk at a time and
-// only its last chunk is trimmed; the function table is sized from the
-// file's definitions.
+// only its last chunk is trimmed; the function and name tables are
+// sized from the file's definitions.
 func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
-	nFuncs := 0
-	for _, d := range f.Decls {
-		if fd, ok := d.(*cminor.FuncDecl); ok && fd.Body != nil {
-			nFuncs++
-		}
+	funcs := info.FuncInfo[f]
+	named := 0
+	for i := range funcs {
+		named += len(funcs[i].Params) + 1 + len(funcs[i].Locals)
 	}
 	// Lowering makes about 0.6 variables per identifier on the paper
-	// corpus; tables sized from that seldom regrow.
+	// corpus; a table sized from that seldom regrows.
 	b := &builder{
-		frag:     &Fragment{Path: f.Path, funcs: make([]Func, 0, nFuncs)},
+		frag:     &Fragment{Path: f.Path, funcs: make([]Func, 0, f.NumBodies)},
 		info:     info,
 		uses:     info.Uses[f],
+		funcs:    funcs,
 		vars:     make([]Var, 0, f.NumIdents*5/8+16),
-		varNames: make([]string, 0, f.NumIdents*5/8+16),
+		varNames: make([]string, 0, named),
 		slots:    make(map[string]int32),
 		names:    make(map[string]int32),
 	}
@@ -71,7 +70,7 @@ func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
 	if n := len(b.frag.instrs); n > 0 {
 		b.frag.instrs[n-1] = fit(b.frag.instrs[n-1])
 	}
-	b.frag.vars, b.frag.varNames, b.frag.args = fit(b.vars), fit(b.varNames), b.args
+	b.frag.vars, b.frag.varNames, b.frag.args = fit(b.vars), b.varNames, b.args
 	return b.frag
 }
 
@@ -94,7 +93,10 @@ type builder struct {
 	varNames []string
 	args     []Operand
 	info     *cminor.Info
-	uses     []any // info.Uses table of the file being lowered
+	// uses and funcs are the info.Uses and info.FuncInfo tables of
+	// the file being lowered.
+	uses  []int32
+	funcs []cminor.FuncInfo
 	// fi and fnVars describe the current function: fnVars[i] is the
 	// variable of the parameter or local whose VarObject.Index is i.
 	fi     *cminor.FuncInfo
@@ -102,30 +104,29 @@ type builder struct {
 	// nextLocal is the position in fi.Locals of the next local
 	// declaration statement to lower.
 	nextLocal int
-	tmps      int
 	// slots and names number the fragment's global slots and FuncOpd
 	// names.
 	slots map[string]int32
 	names map[string]int32
 	// argStack holds the arguments of the calls being lowered.
 	argStack []Operand
-	// name is scratch for a temporary's name.
-	name []byte
 }
 
-// newVar appends a variable and returns its fragment-local index
-// (initializers are lowered before any body, so initializer
-// temporaries come first).
+// newVar appends a named variable and returns its fragment-local
+// index.
 func (b *builder) newVar(name string, v Var) int32 {
-	b.vars = append(b.vars, v)
 	b.varNames = append(b.varNames, name)
-	return int32(len(b.vars) - 1)
+	return b.addVar(v)
 }
 
-func (b *builder) temp() int32 {
-	b.tmps++
-	b.name = strconv.AppendInt(append(b.name[:0], 't'), int64(b.tmps), 10)
-	return b.newVar(string(b.name), Var{Temp: true})
+// temp appends a temporary, which is named by its ordinal (see
+// Fragment.varName). Initializers are lowered before any body, so
+// initializer temporaries come first.
+func (b *builder) temp() int32 { return b.addVar(Var{Temp: true}) }
+
+func (b *builder) addVar(v Var) int32 {
+	b.vars = append(b.vars, v)
+	return int32(len(b.vars) - 1)
 }
 
 // globalSlot returns the operand index of the fragment's slot for a
@@ -193,8 +194,8 @@ func (b *builder) funcOpd(name string) Operand {
 }
 
 func (b *builder) lowerFunc(fd *cminor.FuncDecl) {
-	fi := b.info.FuncInfo[fd]
-	fn := Func{Name: fd.Name, Decl: fd, Variadic: fd.Variadic}
+	fi := &b.funcs[fd.Index]
+	fn := Func{Name: fd.Name, Decl: fd, Variadic: fd.Variadic, names: int32(len(b.varNames))}
 	if _, isVoid := b.info.Funcs[fd.Name].Type.Ret.(*cminor.VoidType); !isVoid {
 		fn.Ret = true
 	}
@@ -210,6 +211,7 @@ func (b *builder) lowerFunc(fd *cminor.FuncDecl) {
 	for _, l := range fi.Locals {
 		b.fnVars = append(b.fnVars, b.newVar(l.Name, Var{PointerLike: cminor.IsPointer(l.Type)}))
 	}
+	fn.temps = int32(len(b.vars))
 	b.frag.funcs = append(b.frag.funcs, fn)
 	b.stmt(fd.Body)
 	f := &b.frag.funcs[len(b.frag.funcs)-1]
@@ -317,7 +319,7 @@ type place struct {
 func (b *builder) expr(e cminor.Expr) Operand {
 	switch e := e.(type) {
 	case *cminor.Ident:
-		switch obj := b.uses[e.ID].(type) {
+		switch obj := b.info.Object(b.uses[e.ID], b.fi).(type) {
 		case *cminor.VarObject:
 			v := b.varOf(obj)
 			// Array-typed variables decay to a pointer to their
@@ -460,7 +462,7 @@ func (b *builder) assign(e *cminor.AssignExpr) Operand {
 func (b *builder) call(e *cminor.Call) Operand {
 	var callee Operand
 	if id, ok := e.Fun.(*cminor.Ident); ok {
-		if fo, ok := b.uses[id.ID].(*cminor.FuncObject); ok {
+		if fo, ok := b.info.Object(b.uses[id.ID], b.fi).(*cminor.FuncObject); ok {
 			callee = b.funcOpd(fo.Name)
 		}
 	}
@@ -486,7 +488,7 @@ func (b *builder) call(e *cminor.Call) Operand {
 func (b *builder) lvalue(e cminor.Expr) place {
 	switch e := e.(type) {
 	case *cminor.Ident:
-		if obj, ok := b.uses[e.ID].(*cminor.VarObject); ok {
+		if obj, ok := b.info.Object(b.uses[e.ID], b.fi).(*cminor.VarObject); ok {
 			return place{isVar: true, v: b.varOf(obj)}
 		}
 	case *cminor.Unary:

@@ -5,9 +5,9 @@ import (
 	"runtime/metrics"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cminor"
-	"repro/internal/slab"
 	"repro/internal/workloads"
 )
 
@@ -369,8 +369,10 @@ int f(void) {
 // TestLowerFileFootprint: lowering the seed-1 paper corpus allocates
 // no more than the fragments' final tables, plus one instruction chunk
 // a file (the last chunk, which trimming copies), plus 1/32 for the
-// builder's maps and stacks. A table sized from an estimate and then
-// regrown or copied exceeds it.
+// builder's maps and stacks. Instruction chunks count at the bytes
+// they hold, so a chunk the allocator rounds up to a larger size class
+// exceeds it, as does a table sized from an estimate and then regrown
+// or copied.
 func TestLowerFileFootprint(t *testing.T) {
 	type unit struct {
 		info *cminor.Info
@@ -403,7 +405,7 @@ func TestLowerFileFootprint(t *testing.T) {
 		frags[i] = LowerFile(u.info, u.f)
 	}
 	lowered := allocs() - start
-	// The final tables' size, as the allocator rounds it, is what
+	// The other tables' size, as the allocator rounds it, is what
 	// copying them allocates.
 	copies := make([]*Fragment, len(frags))
 	start = allocs()
@@ -411,27 +413,25 @@ func TestLowerFileFootprint(t *testing.T) {
 		copies[i] = copyTables(fr)
 	}
 	final := allocs() - start
-	if limit := final + final/32 + uint64(len(frags))*slab.MaxChunkBytes; lowered > limit {
+	size := uint64(unsafe.Sizeof(instr{}))
+	for _, fr := range frags {
+		for _, chunk := range fr.instrs {
+			final += uint64(cap(chunk)) * size
+		}
+	}
+	if limit := final + final/32 + uint64(len(frags))*chunkLen*size; lowered > limit {
 		t.Fatalf("lowering %d files allocates %d bytes for %d bytes of tables, want at most %d", len(frags), lowered, final, limit)
 	}
 	t.Logf("lowering %d files allocates %d bytes for %d bytes of tables", len(frags), lowered, final)
 }
 
-// copyTables copies every table a fragment holds, at its capacity,
-// with the temporaries' names, which lowering makes.
+// copyTables copies every table a fragment holds but the instruction
+// chunks, at its capacity.
 func copyTables(fr *Fragment) *Fragment {
 	c := *fr
 	c.instrs = make(instrTable, len(fr.instrs), cap(fr.instrs))
-	for i, chunk := range fr.instrs {
-		c.instrs[i] = clone(chunk)
-	}
 	c.vars, c.varNames, c.args, c.consts = clone(fr.vars), clone(fr.varNames), clone(fr.args), clone(fr.consts)
 	c.names, c.funcs, c.globals, c.strings = clone(fr.names), clone(fr.funcs), clone(fr.globals), clone(fr.strings)
-	for i, v := range fr.vars {
-		if v.Temp {
-			c.varNames[i] = strings.Clone(fr.varNames[i])
-		}
-	}
 	return &c
 }
 
