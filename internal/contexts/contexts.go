@@ -167,14 +167,37 @@ func (n *Numbering) MapContext(caller string, callerCtx uint64, e Edge) uint64 {
 		}
 		return 0
 	}
-	if n.SCC[caller] == n.SCC[e.Callee] {
+	off, mod, _ := n.EdgeMap(caller, e)
+	return Shift(callerCtx, off, mod)
+}
+
+// EdgeMap gives MapContext's map for the call edge e from caller in
+// arithmetic form, so a caller can compute it once per edge:
+// MapContext(caller, c, e) == Shift(c, off, mod) for every c. ok is
+// false for token numberings (NewKCFA, NewOrigin), whose map is a
+// table lookup per context.
+func (n *Numbering) EdgeMap(caller string, e Edge) (off, mod uint64, ok bool) {
+	if n.tokens != nil {
+		return 0, 0, false
+	}
+	// An unreachable function has no component; SCC's zero value is
+	// a real component ID, so compare only when both have one.
+	from, okFrom := n.SCC[caller]
+	to, okTo := n.SCC[e.Callee]
+	if okFrom && okTo && from == to {
 		// Recursive (intra-component) calls reuse the caller context:
 		// the standard treatment after SCC reduction.
-		return callerCtx % n.Count[e.Callee]
+		return 0, n.Count[e.Callee], true
 	}
-	c := n.Offset[e] + callerCtx
-	if cnt := n.Count[e.Callee]; cnt > 0 {
-		c %= cnt
+	return n.Offset[e], n.Count[e.Callee], true
+}
+
+// Shift applies an EdgeMap to a caller context: off + c, modulo mod
+// when mod is not 0.
+func Shift(c, off, mod uint64) uint64 {
+	c += off
+	if mod > 0 {
+		c %= mod
 	}
 	return c
 }

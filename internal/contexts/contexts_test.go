@@ -120,6 +120,24 @@ int main(void) { return even(4); }`, 0)
 	}
 }
 
+// TestMapContextUnreachableCallee: a function outside the reachable
+// graph has no component, so a call edge into it is never taken for
+// an intra-component one, and mapping through it yields a context
+// rather than dividing by its zero count.
+func TestMapContextUnreachableCallee(t *testing.T) {
+	n := number(t, `int dead(void) { return 0; } int main(void) { return 0; }`, 0)
+	if _, ok := n.SCC["dead"]; ok {
+		t.Fatal("unreachable function has a component")
+	}
+	e := Edge{Callee: "dead"}
+	if got := n.MapContext("main", 0, e); got != 0 {
+		t.Fatalf("context map into an unreachable function = %d, want 0", got)
+	}
+	if off, mod, ok := n.EdgeMap("main", e); !ok || Shift(3, off, mod) != n.MapContext("main", 3, e) {
+		t.Fatalf("EdgeMap = (%d, %d, %t) disagrees with MapContext", off, mod, ok)
+	}
+}
+
 func TestContextCap(t *testing.T) {
 	n := number(t, `
 int f4(void) { return 0; }

@@ -201,7 +201,10 @@ var phases = []phase{
 		return out, nil
 	}},
 	{PhasePointer, func(ctx context.Context, a *Analysis) (map[string]int64, error) {
-		a.Ptr = pointer.AnalyzeContext(ctx, a.Numbering, a.pointerConfig())
+		var err error
+		if a.Ptr, err = pointer.AnalyzeContext(ctx, a.Numbering, a.pointerConfig()); err != nil {
+			return nil, err
+		}
 		return a.Ptr.SolverStats(), nil
 	}},
 	{PhaseRegions, func(_ context.Context, a *Analysis) (map[string]int64, error) {
@@ -264,10 +267,12 @@ var phaseDone func(name string)
 
 // runPhases runs ps over a in order and writes their costs into the
 // report's stats. Between phases it checks ctx: a cancelled or expired
-// context stops the run before the next phase. A phase error stops it
-// likewise. Either way runPhases returns a nil analysis and an error
-// of kind ErrInternal (phase errors are already typed and keep their
-// kind) that unwraps to the cause.
+// context stops the run before the next phase. Inside a phase only the
+// pointer solve checks it, once per fixpoint round, and returns its
+// error as a phase error. A phase error stops the run likewise. Either
+// way runPhases returns a nil analysis and an error of kind
+// ErrInternal (phase errors are already typed and keep their kind)
+// that unwraps to the cause.
 //
 // Every phase is timed and credited with the outputs it returns. Its
 // allocation is the growth of the runtime/metrics sample

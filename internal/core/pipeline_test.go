@@ -234,6 +234,46 @@ func TestAnalyzeCancellation(t *testing.T) {
 	}
 }
 
+// roundCancel is a context that is cancelled while the pointer solve's
+// first fixpoint round runs: its Err reports context.Canceled once its
+// tracer has recorded a finished round.
+type roundCancel struct {
+	context.Context
+	tr *trace.Tracer
+}
+
+func (c roundCancel) Err() error {
+	if c.tr.Summary()["round"].Count > 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAnalyzeCancelledInPointerPhase: a context cancelled inside the
+// pointer phase ends that phase after one solver round, and the run
+// returns an internal error wrapping the cause, with no analysis.
+func TestAnalyzeCancelledInPointerPhase(t *testing.T) {
+	tr := trace.New()
+	ctx := roundCancel{trace.WithTracer(context.Background(), tr), tr}
+	var ran []string
+	phaseDone = func(name string) { ran = append(ran, name) }
+	defer func() { phaseDone = nil }()
+	a, err := AnalyzeSourceContext(ctx, Options{}, corpusSources(t))
+	var aerr *Error
+	if !errors.As(err, &aerr) || aerr.Kind != ErrInternal || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want an internal Error wrapping context.Canceled", err)
+	}
+	if a != nil {
+		t.Error("cancelled analysis should return nil")
+	}
+	if want := PhaseNames()[:6]; fmt.Sprint(ran) != fmt.Sprint(want) || want[5] != PhasePointer {
+		t.Errorf("phases ran %v, want %v", ran, want)
+	}
+	if n := tr.Summary()["round"].Count; n != 1 {
+		t.Errorf("the pointer phase ran %d rounds after the cancellation, want 1", n)
+	}
+}
+
 // TestAnalyzeExpiredDeadline runs against contexts that are already
 // done: no phase runs, and the error unwraps to the context's cause.
 func TestAnalyzeExpiredDeadline(t *testing.T) {

@@ -493,3 +493,28 @@ func itoa(v int64) string {
 	}
 	return string(buf[i:])
 }
+
+// heapKey identifies one field of one object.
+type heapKey struct {
+	obj int
+	off int64
+}
+
+func sortedLocs(set map[Loc]bool) []Loc {
+	out := make([]Loc, 0, len(set))
+	for l := range set {
+		out = append(out, l)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Obj != out[j].Obj {
+			return out[i].Obj < out[j].Obj
+		}
+		return out[i].Off < out[j].Off
+	})
+	return out
+}
+
+func hasKey(m map[string]int, k string) bool {
+	_, ok := m[k]
+	return ok
+}

@@ -13,22 +13,19 @@ import "repro/internal/ir"
 // The scan is demand-driven and deterministic: functions in sorted
 // order, contexts ascending, instructions in program order, and the
 // first match wins. The scan reads only the converged points-to sets,
-// so both solver backends witness the same instruction. It allocates nothing into the Result and is safe to call
+// so both solver backends witness the same instruction. It reads the
+// sets in place, adds nothing to the Result, and is safe to call
 // concurrently with other read-only accessors.
 func (r *Result) HeapWitness(obj int, off int64, dst Loc) (ir.Inst, uint64, bool) {
-	for _, fn := range r.Numbering.G.ReachableFuncs() {
-		f := r.Prog.Funcs[fn]
-		if f == nil {
-			continue
-		}
-		for ctx := uint64(0); ctx < r.Numbering.Count[fn]; ctx++ {
-			c := r.Prog.Cursor(f.First, f.End)
-			for c.Next() {
+	for i := range r.funcs {
+		fc := &r.funcs[i]
+		for ctx := uint64(0); ctx < fc.count; ctx++ {
+			for c := r.Prog.Cursor(fc.f.First, fc.f.End); c.Next(); {
 				in := c.Inst
 				switch in.Op {
 				case ir.Store:
 					hit := false
-					for _, b := range r.evalOpd(in.Base(), ctx) {
+					for _, b := range r.evalOpd(fc, in.Base(), ctx) {
 						if b.Obj == obj && b.Off+in.Off() == off {
 							hit = true
 							break
@@ -37,7 +34,7 @@ func (r *Result) HeapWitness(obj int, off int64, dst Loc) (ir.Inst, uint64, bool
 					if !hit {
 						continue
 					}
-					for _, l := range r.evalOpd(in.Src(), ctx) {
+					for _, l := range r.evalOpd(fc, in.Src(), ctx) {
 						if l == dst {
 							return in, ctx, true
 						}
@@ -51,7 +48,7 @@ func (r *Result) HeapWitness(obj int, off int64, dst Loc) (ir.Inst, uint64, bool
 						if !ok || argIdx >= in.NumArgs() {
 							continue
 						}
-						for _, b := range r.evalOpd(in.Arg(argIdx), ctx) {
+						for _, b := range r.evalOpd(fc, in.Arg(argIdx), ctx) {
 							if b.Obj == obj && b.Off == off {
 								return in, ctx, true
 							}
