@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -23,28 +25,40 @@ import (
 	"repro/internal/workloads"
 )
 
-func main() {
-	table := flag.String("table", "all", "which table to print: 7, 8, 11, or all")
-	seed := flag.Int64("seed", 2008, "corpus generation seed")
-	scale := flag.String("scale", "paper", "corpus scale: small or paper")
-	oracleMode := flag.Bool("oracle", false, "run the differential soundness/parity oracle sweep instead of the tables")
-	oracleSeeds := flag.Int("seeds", 100, "number of oracle sweep seeds (with -oracle)")
-	oracleStart := flag.Int64("seed-start", 0, "first oracle sweep seed (with -oracle)")
-	jobs := flag.Int("jobs", 0, "number of oracle seeds run concurrently (with -oracle; 0 = GOMAXPROCS)")
-	jsonPath := flag.String("json", "", "write the oracle summary as JSON to this file (with -oracle)")
-	reproDir := flag.String("repro-dir", "", "directory for minimized failure repros (with -oracle; empty = no artifacts)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the tables or the
+// oracle verdict to stdout and diagnostics to stderr, and returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("regionbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.String("table", "all", "which table to print: 7, 8, 11, or all")
+	seed := fs.Int64("seed", 2008, "corpus generation seed")
+	scale := fs.String("scale", "paper", "corpus scale: small or paper")
+	oracleMode := fs.Bool("oracle", false, "run the differential soundness/parity oracle sweep instead of the tables")
+	oracleSeeds := fs.Int("seeds", 100, "number of oracle sweep seeds (with -oracle)")
+	oracleStart := fs.Int64("seed-start", 0, "first oracle sweep seed (with -oracle)")
+	jobs := fs.Int("jobs", 0, "number of oracle seeds run concurrently (with -oracle; 0 = GOMAXPROCS)")
+	jsonPath := fs.String("json", "", "write the oracle summary as JSON to this file (with -oracle)")
+	reproDir := fs.String("repro-dir", "", "directory for minimized failure repros (with -oracle; empty = no artifacts)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *oracleMode {
-		if err := runOracle(*oracleSeeds, *oracleStart, *jobs, *reproDir, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "regionbench: %v\n", err)
-			os.Exit(1)
+		if err := runOracle(stdout, *oracleSeeds, *oracleStart, *jobs, *reproDir, *jsonPath); err != nil {
+			fmt.Fprintf(stderr, "regionbench: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *jsonPath != "" {
-		fmt.Fprintln(os.Stderr, "regionbench: -json applies only to -oracle")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "regionbench: -json applies only to -oracle")
+		return 2
 	}
 
 	var specs []workloads.Spec
@@ -54,8 +68,8 @@ func main() {
 	case "small":
 		specs = workloads.SmallCorpus()
 	default:
-		fmt.Fprintf(os.Stderr, "regionbench: unknown -scale %q\n", *scale)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "regionbench: unknown -scale %q\n", *scale)
+		return 2
 	}
 
 	pkgs := make([]*workloads.Package, len(specs))
@@ -64,40 +78,41 @@ func main() {
 	}
 
 	if *table == "7" || *table == "all" {
-		printFigure7(pkgs)
+		printFigure7(stdout, pkgs)
 	}
 	if *table == "8" || *table == "all" {
-		printFigure8(pkgs)
+		printFigure8(stdout, stderr, pkgs)
 	}
 	if *table == "11" || *table == "all" {
-		printFigure11(pkgs)
+		printFigure11(stdout, stderr, pkgs)
 	}
+	return 0
 }
 
 func analyze(pkg *workloads.Package, exe workloads.Exe) (*core.Analysis, error) {
 	return core.AnalyzeSource(core.Options{}, pkg.SourcesFor(exe))
 }
 
-func printFigure7(pkgs []*workloads.Package) {
-	fmt.Println("Figure 7. Benchmarks (synthetic corpus; KLOC scaled, see DESIGN.md).")
-	fmt.Printf("%-12s %8s %5s  %s\n", "package", "KLOC", "exe", "interface")
+func printFigure7(w io.Writer, pkgs []*workloads.Package) {
+	fmt.Fprintln(w, "Figure 7. Benchmarks (synthetic corpus; KLOC scaled, see DESIGN.md).")
+	fmt.Fprintf(w, "%-12s %8s %5s  %s\n", "package", "KLOC", "exe", "interface")
 	for _, p := range pkgs {
-		fmt.Printf("%-12s %8.1f %5d  %s\n", p.Spec.Name, p.KLOC, len(p.Exes), p.Spec.Interface)
+		fmt.Fprintf(w, "%-12s %8.1f %5d  %s\n", p.Spec.Name, p.KLOC, len(p.Exes), p.Spec.Interface)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func printFigure8(pkgs []*workloads.Package) {
-	fmt.Println("Figure 8. High-ranked warnings (unique causes) and inconsistencies (unique causes).")
-	fmt.Println("Measured causes cluster warnings by holder function; inconsistency counts are the planted ground truth.")
-	fmt.Printf("%-12s %14s %18s\n", "package", "high (cause)", "inconsistency (cause)")
+func printFigure8(w, stderr io.Writer, pkgs []*workloads.Package) {
+	fmt.Fprintln(w, "Figure 8. High-ranked warnings (unique causes) and inconsistencies (unique causes).")
+	fmt.Fprintln(w, "Measured causes cluster warnings by holder function; inconsistency counts are the planted ground truth.")
+	fmt.Fprintf(w, "%-12s %14s %18s\n", "package", "high (cause)", "inconsistency (cause)")
 	totalHigh, totalHighCauses, totalInc, totalIncCauses := 0, 0, 0, 0
 	for _, p := range pkgs {
 		high, highCauses := 0, 0
 		for _, exe := range p.Exes {
 			a, err := analyze(p, exe)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "regionbench: %s: %v\n", exe.Name, err)
+				fmt.Fprintf(stderr, "regionbench: %s: %v\n", exe.Name, err)
 				continue
 			}
 			high += a.Report.Stats.High
@@ -114,35 +129,35 @@ func printFigure8(pkgs []*workloads.Package) {
 				}
 			}
 		}
-		fmt.Printf("%-12s %7d (%2d) %13d (%2d)\n", p.Spec.Name, high, highCauses, inc, incCauses)
+		fmt.Fprintf(w, "%-12s %7d (%2d) %13d (%2d)\n", p.Spec.Name, high, highCauses, inc, incCauses)
 		totalHigh += high
 		totalHighCauses += highCauses
 		totalInc += inc
 		totalIncCauses += incCauses
 	}
-	fmt.Printf("%-12s %7d (%2d) %13d (%2d)\n", "total", totalHigh, totalHighCauses, totalInc, totalIncCauses)
-	fmt.Println()
+	fmt.Fprintf(w, "%-12s %7d (%2d) %13d (%2d)\n", "total", totalHigh, totalHighCauses, totalInc, totalIncCauses)
+	fmt.Fprintln(w)
 }
 
-func printFigure11(pkgs []*workloads.Package) {
-	fmt.Println("Figure 11. Quantitative results per executable.")
-	fmt.Printf("%-16s %9s %6s %7s %6s %7s %8s %9s %7s %7s %5s\n",
+func printFigure11(w, stderr io.Writer, pkgs []*workloads.Package) {
+	fmt.Fprintln(w, "Figure 11. Quantitative results per executable.")
+	fmt.Fprintf(w, "%-16s %9s %6s %7s %6s %7s %8s %9s %7s %7s %5s\n",
 		"executable", "time", "R", "H", "sub", "own", "heap", "R-pair", "O-pair", "I-pair", "high")
 	for _, p := range pkgs {
 		for _, exe := range p.Exes {
 			start := time.Now()
 			a, err := analyze(p, exe)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "regionbench: %s: %v\n", exe.Name, err)
+				fmt.Fprintf(stderr, "regionbench: %s: %v\n", exe.Name, err)
 				continue
 			}
 			s := a.Report.Stats
-			fmt.Printf("%-16s %9s %6d %7d %6d %7d %8d %9d %7d %7d %5d\n",
+			fmt.Fprintf(w, "%-16s %9s %6d %7d %6d %7d %8d %9d %7d %7d %5d\n",
 				shorten(exe.Name), time.Since(start).Round(time.Millisecond),
 				s.R, s.H, s.Sub, s.Own, s.Heap, s.RPairs, s.OPairs, s.IPairs, s.High)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 func shorten(s string) string {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -15,7 +16,7 @@ import (
 // parity invariant needs them. With -json the regionwiz/oracle/v1 summary is written to the given
 // path; the human-readable verdict always prints. A sweep with
 // unallowlisted violations (or harness errors) exits 1.
-func runOracle(seeds int, start int64, jobs int, reproDir, jsonPath string) error {
+func runOracle(w io.Writer, seeds int, start int64, jobs int, reproDir, jsonPath string) error {
 	sum, err := oracle.Sweep(context.Background(), oracle.SweepConfig{
 		Seeds:    seeds,
 		Start:    start,
@@ -35,18 +36,18 @@ func runOracle(seeds int, start int64, jobs int, reproDir, jsonPath string) erro
 			return err
 		}
 	}
-	printOracleSummary(sum)
+	printOracleSummary(w, sum)
 	if !sum.Clean() {
 		return fmt.Errorf("oracle sweep failed: %d unallowlisted failure(s)", len(sum.Failures))
 	}
 	return nil
 }
 
-func printOracleSummary(sum *oracle.Summary) {
-	fmt.Printf("oracle: %d case(s) from seed %d (%d mutated, %d budget-aborted run(s))\n",
+func printOracleSummary(w io.Writer, sum *oracle.Summary) {
+	fmt.Fprintf(w, "oracle: %d case(s) from seed %d (%d mutated, %d budget-aborted run(s))\n",
 		sum.Cases, sum.Start, sum.Mutated, sum.BudgetAborts)
-	fmt.Printf("dynamic ground truth: %d violation pair(s)\n", sum.DynamicViolations)
-	fmt.Printf("soundness: %d failed / %d allowlisted; parity: %d failed; determinism: %d failed; throttle: %d failed\n",
+	fmt.Fprintf(w, "dynamic ground truth: %d violation pair(s)\n", sum.DynamicViolations)
+	fmt.Fprintf(w, "soundness: %d failed / %d allowlisted; parity: %d failed; determinism: %d failed; throttle: %d failed\n",
 		sum.Soundness.Failed, sum.Soundness.Allowed, sum.Parity.Failed, sum.Determinism.Failed, sum.Throttle.Failed)
 	kinds := make([]string, 0, len(sum.PatternPlanted))
 	for k := range sum.PatternPlanted {
@@ -54,7 +55,7 @@ func printOracleSummary(sum *oracle.Summary) {
 	}
 	sort.Strings(kinds)
 	for _, k := range kinds {
-		fmt.Printf("  pattern %-24s planted %3d  observed %3d\n",
+		fmt.Fprintf(w, "  pattern %-24s planted %3d  observed %3d\n",
 			k, sum.PatternPlanted[k], sum.PatternObserved[k])
 	}
 	rules := make([]string, 0, len(sum.AllowedByRule))
@@ -63,15 +64,15 @@ func printOracleSummary(sum *oracle.Summary) {
 	}
 	sort.Strings(rules)
 	for _, r := range rules {
-		fmt.Printf("  allowlisted %3d: %s\n", sum.AllowedByRule[r], r)
+		fmt.Fprintf(w, "  allowlisted %3d: %s\n", sum.AllowedByRule[r], r)
 	}
 	for _, f := range sum.Failures {
-		fmt.Printf("FAIL %s (seed %d): %s\n", f.Case, f.Seed, f.Violation)
+		fmt.Fprintf(w, "FAIL %s (seed %d): %s\n", f.Case, f.Seed, f.Violation)
 		if f.ReproDir != "" {
-			fmt.Printf("     repro: %s\n", f.ReproDir)
+			fmt.Fprintf(w, "     repro: %s\n", f.ReproDir)
 		}
 	}
 	if sum.Clean() {
-		fmt.Println("oracle: PASS")
+		fmt.Fprintln(w, "oracle: PASS")
 	}
 }

@@ -65,8 +65,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -81,37 +83,46 @@ import (
 	"repro/internal/trace"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
-	entry := flag.String("entry", "main", "program entry function")
-	api := flag.String("api", "both", "region interface: apr, rc, or both")
-	contextCap := flag.Uint64("context-cap", 4096, "per-function context cap")
-	noHeapCloning := flag.Bool("no-heap-cloning", false, "disable heap cloning")
-	backend := flag.String("backend", "explicit", "pair computation backend: explicit or bdd")
-	highOnly := flag.Bool("high-only", false, "print only high-ranked warnings")
-	statsOnly := flag.Bool("stats", false, "print stats only")
-	jsonOut := flag.Bool("json", false, "print the report as JSON")
-	explainSel := flag.String("explain", "", "explain warning derivations: a 1-based warning id or \"all\"")
-	entries := flag.String("entries", "", "comma-separated analysis roots for open-program (library) analysis")
-	kcfa := flag.Int("kcfa", 0, "use k-CFA call-string contexts of this depth instead of call-path cloning")
-	contextPolicy := flag.String("context-policy", "", "context numbering policy: clone, kcfa, or origin (default derived from -kcfa)")
-	ptsLimit := flag.Int("pts-limit", 0, "cap each variable's points-to set; overflow collapses to a tainted ⊤ object (0 = unlimited)")
-	querySel := flag.String("query", "", "pair query \"src,dst\" (allocation sites as file:line or file:line:col), answered from the full analysis instead of printing the report")
-	refine := flag.Bool("refine", false, "enable the def-use (Figure 5(b)) refinement")
-	jobs := flag.Int("jobs", 0, "number of file sets analyzed concurrently (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
-	phaseStats := flag.Bool("phase-stats", false, "print the per-phase pipeline cost table")
-	watch := flag.Bool("watch", false, "re-analyze on file change, printing only the warning diff")
-	watchInterval := flag.Duration("watch-interval", 500*time.Millisecond, "poll interval for -watch")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON trace to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	flag.Parse()
+// run is the whole command: it parses args, writes the report to
+// stdout and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("regionwiz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	entry := fs.String("entry", "main", "program entry function")
+	api := fs.String("api", "both", "region interface: apr, rc, or both")
+	contextCap := fs.Uint64("context-cap", 4096, "per-function context cap")
+	noHeapCloning := fs.Bool("no-heap-cloning", false, "disable heap cloning")
+	backend := fs.String("backend", "explicit", "pair computation backend: explicit or bdd")
+	highOnly := fs.Bool("high-only", false, "print only high-ranked warnings")
+	statsOnly := fs.Bool("stats", false, "print stats only")
+	jsonOut := fs.Bool("json", false, "print the report as JSON")
+	explainSel := fs.String("explain", "", "explain warning derivations: a 1-based warning id or \"all\"")
+	entries := fs.String("entries", "", "comma-separated analysis roots for open-program (library) analysis")
+	kcfa := fs.Int("kcfa", 0, "use k-CFA call-string contexts of this depth instead of call-path cloning")
+	contextPolicy := fs.String("context-policy", "", "context numbering policy: clone, kcfa, or origin (default derived from -kcfa)")
+	ptsLimit := fs.Int("pts-limit", 0, "cap each variable's points-to set; overflow collapses to a tainted ⊤ object (0 = unlimited)")
+	querySel := fs.String("query", "", "pair query \"src,dst\" (allocation sites as file:line or file:line:col), answered from the full analysis instead of printing the report")
+	refine := fs.Bool("refine", false, "enable the def-use (Figure 5(b)) refinement")
+	jobs := fs.Int("jobs", 0, "number of file sets analyzed concurrently (0 = GOMAXPROCS)")
+	timeout := fs.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
+	phaseStats := fs.Bool("phase-stats", false, "print the per-phase pipeline cost table")
+	watch := fs.Bool("watch", false, "re-analyze on file change, printing only the warning diff")
+	watchInterval := fs.Duration("watch-interval", 500*time.Millisecond, "poll interval for -watch")
+	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON trace to this file")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "regionwiz: no input files")
-		flag.Usage()
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "regionwiz: no input files")
+		fs.Usage()
 		return 2
 	}
 
@@ -129,7 +140,7 @@ func run() int {
 		if *explainSel != "all" {
 			n, err := strconv.Atoi(*explainSel)
 			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "regionwiz: -explain wants a 1-based warning id or \"all\", got %q\n", *explainSel)
+				fmt.Fprintf(stderr, "regionwiz: -explain wants a 1-based warning id or \"all\", got %q\n", *explainSel)
 				return 2
 			}
 			explainWarning = n
@@ -146,7 +157,7 @@ func run() int {
 	case "both":
 		opts.API = regionwiz.MergeAPIs(regionwiz.APRPools(), regionwiz.RCRegions())
 	default:
-		fmt.Fprintf(os.Stderr, "regionwiz: unknown -api %q\n", *api)
+		fmt.Fprintf(stderr, "regionwiz: unknown -api %q\n", *api)
 		return 2
 	}
 	switch *backend {
@@ -155,7 +166,7 @@ func run() int {
 	case "bdd":
 		opts.Solver.Backend = regionwiz.BDDBackend
 	default:
-		fmt.Fprintf(os.Stderr, "regionwiz: unknown -backend %q\n", *backend)
+		fmt.Fprintf(stderr, "regionwiz: unknown -backend %q\n", *backend)
 		return 2
 	}
 
@@ -164,11 +175,11 @@ func run() int {
 		var ok bool
 		srcSite, dstSite, ok = strings.Cut(*querySel, ",")
 		if !ok || srcSite == "" || dstSite == "" {
-			fmt.Fprintf(os.Stderr, "regionwiz: -query wants \"src,dst\" allocation sites, got %q\n", *querySel)
+			fmt.Fprintf(stderr, "regionwiz: -query wants \"src,dst\" allocation sites, got %q\n", *querySel)
 			return 2
 		}
 		if *watch {
-			fmt.Fprintln(os.Stderr, "regionwiz: -query and -watch cannot be combined")
+			fmt.Fprintln(stderr, "regionwiz: -query and -watch cannot be combined")
 			return 2
 		}
 	}
@@ -180,24 +191,24 @@ func run() int {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
 		}
-		return runWatch(ctx, flag.Args(), opts, *watchInterval)
+		return runWatch(ctx, fs.Args(), opts, *watchInterval, stdout, stderr)
 	}
 
-	sets, err := fileSets(flag.Args())
+	sets, err := fileSets(fs.Args())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "regionwiz: %v\n", err)
+		fmt.Fprintf(stderr, "regionwiz: %v\n", err)
 		return 1
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "regionwiz: -cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "regionwiz: -cpuprofile: %v\n", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "regionwiz: -cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "regionwiz: -cpuprofile: %v\n", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -228,10 +239,10 @@ func run() int {
 	code := 0
 	for i, res := range results {
 		if len(sets) > 1 {
-			fmt.Printf("== %s ==\n", sets[i].name)
+			fmt.Fprintf(stdout, "== %s ==\n", sets[i].name)
 		}
 		if res.Err != nil {
-			fmt.Fprintf(os.Stderr, "regionwiz: %s: %v\n", sets[i].name, res.Err)
+			fmt.Fprintf(stderr, "regionwiz: %s: %v\n", sets[i].name, res.Err)
 			code = 1
 			continue
 		}
@@ -240,19 +251,19 @@ func run() int {
 		case *querySel != "":
 			ans, err := res.Out.QueryPair(ctx, srcSite, dstSite)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "regionwiz: %s: %v\n", sets[i].name, err)
+				fmt.Fprintf(stderr, "regionwiz: %s: %v\n", sets[i].name, err)
 				code = 1
 				continue
 			}
 			if *jsonOut {
 				data, err := json.MarshalIndent(ans, "", "  ")
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "regionwiz: %v\n", err)
+					fmt.Fprintf(stderr, "regionwiz: %v\n", err)
 					return 1
 				}
-				fmt.Println(string(data))
+				fmt.Fprintln(stdout, string(data))
 			} else {
-				fmt.Println(ans)
+				fmt.Fprintln(stdout, ans)
 			}
 			// A query's exit status is its verdict, not the report's
 			// warning count.
@@ -262,31 +273,31 @@ func run() int {
 		case *jsonOut:
 			data, err := json.MarshalIndent(report, "", "  ")
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "regionwiz: %v\n", err)
+				fmt.Fprintf(stderr, "regionwiz: %v\n", err)
 				return 1
 			}
-			fmt.Println(string(data))
+			fmt.Fprintln(stdout, string(data))
 		case *statsOnly:
 			s := report.Stats
-			fmt.Printf("time=%v R=%d H=%d sub=%d own=%d heap=%d R-pair=%d O-pair=%d I-pair=%d high=%d contexts=%d\n",
+			fmt.Fprintf(stdout, "time=%v R=%d H=%d sub=%d own=%d heap=%d R-pair=%d O-pair=%d I-pair=%d high=%d contexts=%d\n",
 				s.Time, s.R, s.H, s.Sub, s.Own, s.Heap, s.RPairs, s.OPairs, s.IPairs, s.High, s.Contexts)
 		case *highOnly:
 			hw := report.HighWarnings()
-			fmt.Printf("regionwiz: %d high-ranked warning(s)\n", len(hw))
+			fmt.Fprintf(stdout, "regionwiz: %d high-ranked warning(s)\n", len(hw))
 			for i, w := range hw {
-				fmt.Printf("%3d [HIGH] %s\n", i+1, w.Message)
+				fmt.Fprintf(stdout, "%3d [HIGH] %s\n", i+1, w.Message)
 			}
 		default:
-			fmt.Print(report)
+			fmt.Fprint(stdout, report)
 		}
 		if *explainSel != "" {
-			if err := printExplanations(ctx, res.Out, explainWarning, *jsonOut); err != nil {
-				fmt.Fprintf(os.Stderr, "regionwiz: %s: %v\n", sets[i].name, err)
+			if err := printExplanations(ctx, stdout, res.Out, explainWarning, *jsonOut); err != nil {
+				fmt.Fprintf(stderr, "regionwiz: %s: %v\n", sets[i].name, err)
 				code = 1
 			}
 		}
 		if *phaseStats {
-			printPhaseStats(report.Stats.Phases)
+			printPhaseStats(stdout, report.Stats.Phases)
 		}
 		if *querySel == "" && len(report.Warnings) > 0 && code == 0 {
 			code = 3
@@ -296,7 +307,7 @@ func run() int {
 	if tracer != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "regionwiz: -trace: %v\n", err)
+			fmt.Fprintf(stderr, "regionwiz: -trace: %v\n", err)
 			return 1
 		}
 		werr := tracer.WriteChromeTrace(f)
@@ -304,22 +315,22 @@ func run() int {
 			werr = cerr
 		}
 		if werr != nil {
-			fmt.Fprintf(os.Stderr, "regionwiz: -trace: %v\n", werr)
+			fmt.Fprintf(stderr, "regionwiz: -trace: %v\n", werr)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "regionwiz: wrote %d trace records to %s\n", tracer.Len(), *traceOut)
+		fmt.Fprintf(stderr, "regionwiz: wrote %d trace records to %s\n", tracer.Len(), *traceOut)
 	}
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "regionwiz: -memprofile: %v\n", err)
+			fmt.Fprintf(stderr, "regionwiz: -memprofile: %v\n", err)
 			return 1
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "regionwiz: -memprofile: %v\n", err)
+			fmt.Fprintf(stderr, "regionwiz: -memprofile: %v\n", err)
 			return 1
 		}
 	}
@@ -374,7 +385,7 @@ func fileSets(args []string) ([]fileSet, error) {
 // facts with source positions. warning 0 means every warning; with
 // jsonOut the trees are emitted as the versioned explanation document
 // (schema "regionwiz/explain/v1") after the report JSON.
-func printExplanations(ctx context.Context, a *regionwiz.Analysis, warning int, jsonOut bool) error {
+func printExplanations(ctx context.Context, w io.Writer, a *regionwiz.Analysis, warning int, jsonOut bool) error {
 	exps, err := a.Explain(ctx, warning)
 	if err != nil {
 		return err
@@ -384,22 +395,22 @@ func printExplanations(ctx context.Context, a *regionwiz.Analysis, warning int, 
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(w, string(data))
 		return nil
 	}
 	if len(exps) == 0 {
-		fmt.Println("regionwiz: no warnings to explain")
+		fmt.Fprintln(w, "regionwiz: no warnings to explain")
 		return nil
 	}
 	for _, e := range exps {
-		fmt.Print(e)
+		fmt.Fprint(w, e)
 	}
 	return nil
 }
 
 // printPhaseStats renders the pipeline cost table.
-func printPhaseStats(phases []regionwiz.PhaseStat) {
-	fmt.Printf("%-10s %12s %12s  %s\n", "phase", "time", "alloc", "outputs")
+func printPhaseStats(w io.Writer, phases []regionwiz.PhaseStat) {
+	fmt.Fprintf(w, "%-10s %12s %12s  %s\n", "phase", "time", "alloc", "outputs")
 	var total time.Duration
 	for _, p := range phases {
 		keys := make([]string, 0, len(p.Outputs))
@@ -411,12 +422,12 @@ func printPhaseStats(phases []regionwiz.PhaseStat) {
 		for _, k := range keys {
 			outs = append(outs, fmt.Sprintf("%s=%d", k, p.Outputs[k]))
 		}
-		fmt.Printf("%-10s %12v %12s  %s\n",
+		fmt.Fprintf(w, "%-10s %12v %12s  %s\n",
 			p.Name, p.Time.Round(time.Microsecond), fmtBytes(p.AllocBytes),
 			strings.Join(outs, " "))
 		total += p.Time
 	}
-	fmt.Printf("%-10s %12v\n", "total", total.Round(time.Microsecond))
+	fmt.Fprintf(w, "%-10s %12v\n", "total", total.Round(time.Microsecond))
 }
 
 func fmtBytes(n int64) string {

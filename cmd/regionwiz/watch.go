@@ -64,17 +64,17 @@ func newWatcher(args []string, an *regionwiz.Analyzer, out, errw io.Writer) *wat
 
 // runWatch is the -watch entry point: an initial full analysis, then
 // re-analysis on change until interrupted.
-func runWatch(ctx context.Context, args []string, opts regionwiz.Options, interval time.Duration) int {
+func runWatch(ctx context.Context, args []string, opts regionwiz.Options, interval time.Duration, stdout, stderr io.Writer) int {
 	an, err := regionwiz.New(opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "regionwiz: %v\n", err)
+		fmt.Fprintf(stderr, "regionwiz: %v\n", err)
 		return 1
 	}
 	defer an.Close()
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	w := newWatcher(args, an, os.Stdout, os.Stderr)
+	w := newWatcher(args, an, stdout, stderr)
 	fmt.Fprintf(w.errw, "regionwiz: watching %v (interval %v)\n", args, interval)
 	w.analyze(ctx, w.scan())
 	t := time.NewTicker(interval)

@@ -77,7 +77,9 @@
 //
 // Flags:
 //
-//	-addr host:port       listen address (default "127.0.0.1:8747")
+//	-addr host:port       listen address (default "127.0.0.1:8747"); the
+//	                      "listening" log line names the bound address,
+//	                      so port 0 picks a free port
 //	-workers N            concurrent pipeline runs (default GOMAXPROCS)
 //	-queue-depth N        waiting requests beyond the pool (default 64)
 //	-cache-entries N      LRU result cache size (default 128; -1 disables);
@@ -96,8 +98,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -109,26 +113,48 @@ import (
 	"repro/internal/service"
 )
 
-func main() { os.Exit(run()) }
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-func run() int {
-	addr := flag.String("addr", "127.0.0.1:8747", "listen address")
-	workers := flag.Int("workers", 0, "concurrent pipeline runs (0 = GOMAXPROCS)")
-	queueDepth := flag.Int("queue-depth", 64, "waiting requests beyond the worker pool")
-	cacheEntries := flag.Int("cache-entries", 128, "LRU result cache size (-1 disables caching)")
-	requestTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request deadline including queue wait (0 = none)")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
-	flag.Parse()
+// run is the whole daemon: it parses args, serves until ctx ends, logs
+// to stderr, and returns the exit status.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("regionwizd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:8747", "listen address")
+	workers := fs.Int("workers", 0, "concurrent pipeline runs (0 = GOMAXPROCS)")
+	queueDepth := fs.Int("queue-depth", 64, "waiting requests beyond the worker pool")
+	cacheEntries := fs.Int("cache-entries", 128, "LRU result cache size (-1 disables caching)")
+	requestTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-request deadline including queue wait (0 = none)")
+	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
+	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, or error")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fmt.Fprintf(os.Stderr, "regionwizd: bad -log-level %q: %v\n", *logLevel, err)
+		fmt.Fprintf(stderr, "regionwizd: bad -log-level %q: %v\n", *logLevel, err)
 		return 2
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	logger := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
 	slog.SetDefault(logger)
 
+	// Bind before logging "listening", so the line names the bound
+	// address (the port -addr :0 chose) and a port clash logs no such
+	// line.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(stderr, "regionwizd: %v\n", err)
+		return 1
+	}
 	svc := service.New(service.Config{
 		Workers:        *workers,
 		QueueDepth:     *queueDepth,
@@ -136,15 +162,14 @@ func run() int {
 		RequestTimeout: *requestTimeout,
 	})
 	server := &http.Server{
-		Addr:              *addr,
 		Handler:           logRequests(logger, service.NewHandler(svc)),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
 	errCh := make(chan error, 1)
-	go func() { errCh <- server.ListenAndServe() }()
+	go func() { errCh <- server.Serve(ln) }()
 	logger.Info("listening",
-		"addr", *addr, "workers", *workers, "queue", *queueDepth,
+		"addr", ln.Addr().String(), "workers", *workers, "queue", *queueDepth,
 		"cache", *cacheEntries, "timeout", *requestTimeout)
 
 	var pprofServer *http.Server
@@ -167,11 +192,9 @@ func run() int {
 		logger.Info("pprof listening", "addr", *pprofAddr)
 	}
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
-	case sig := <-sigCh:
-		logger.Info("shutting down", "signal", sig.String())
+	case <-ctx.Done():
+		logger.Info("shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := server.Shutdown(ctx); err != nil {
@@ -187,10 +210,8 @@ func run() int {
 			"coalesced", st.Coalesced, "overloads", st.Overloads)
 		return 0
 	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "regionwizd: %v\n", err)
+		svc.Close()
+		fmt.Fprintf(stderr, "regionwizd: %v\n", err)
 		return 1
 	}
 }

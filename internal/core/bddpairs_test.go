@@ -28,32 +28,34 @@ func TestBDDPairsEvaluatesEachJoinOnce(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := tracer.WriteJSONL(&buf); err != nil {
+	if err := tracer.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	type rec struct {
-		Name   string         `json:"name"`
-		ID     uint64         `json:"id"`
-		Parent uint64         `json:"parent"`
-		Attrs  map[string]any `json:"attrs"`
+		Name  string         `json:"name"`
+		Attrs map[string]any `json:"args"`
 	}
-	var recs []rec
-	byID := make(map[uint64]rec)
+	var doc struct {
+		Events []rec `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	// A span carries its span_id and, below a root, its parent_span; an
+	// instant event carries only the parent.
+	id := func(r rec, key string) float64 { n, _ := r.Attrs[key].(float64); return n }
+	recs := doc.Events
+	byID := make(map[float64]rec)
 	count := make(map[string]int)
-	for dec := json.NewDecoder(&buf); dec.More(); {
-		var r rec
-		if err := dec.Decode(&r); err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, r)
-		if r.ID != 0 { // instant events carry no ID
-			byID[r.ID] = r
+	for _, r := range recs {
+		if n := id(r, "span_id"); n != 0 {
+			byID[n] = r
 		}
 		count[r.Name]++
 	}
 	// underStratum names the pairs.stratum:* span r runs under, if any.
 	underStratum := func(r rec) string {
-		for p, ok := byID[r.Parent]; ok; p, ok = byID[p.Parent] {
+		for p, ok := byID[id(r, "parent_span")]; ok; p, ok = byID[id(p, "parent_span")] {
 			if strings.HasPrefix(p.Name, "pairs.stratum:") {
 				return p.Name
 			}

@@ -158,34 +158,35 @@ func TestPhaseStatsInReport(t *testing.T) {
 }
 
 // phaseSpans runs fn under a tracer and returns its "pipeline" and
-// "phase:<name>" spans in start order, as decoded JSONL records.
-func phaseSpans(t *testing.T, fn func(ctx context.Context)) []traceLine {
+// "phase:<name>" spans in start order, as decoded Chrome trace events.
+func phaseSpans(t *testing.T, fn func(ctx context.Context)) []traceEvent {
 	t.Helper()
 	tracer := trace.New()
 	fn(trace.WithTracer(context.Background(), tracer))
 	var buf bytes.Buffer
-	if err := tracer.WriteJSONL(&buf); err != nil {
+	if err := tracer.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var out []traceLine
-	dec := json.NewDecoder(&buf)
-	for dec.More() {
-		var l traceLine
-		if err := dec.Decode(&l); err != nil {
-			t.Fatal(err)
-		}
-		if l.Name == "pipeline" || strings.HasPrefix(l.Name, "phase:") {
-			out = append(out, l)
+	var doc struct {
+		Events []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var out []traceEvent
+	for _, ev := range doc.Events {
+		if ev.Name == "pipeline" || strings.HasPrefix(ev.Name, "phase:") {
+			out = append(out, ev)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].StartNS < out[j].StartNS })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Ts < out[j].Ts })
 	return out
 }
 
-type traceLine struct {
-	Name    string         `json:"name"`
-	StartNS int64          `json:"start_ns"`
-	Attrs   map[string]any `json:"attrs"`
+type traceEvent struct {
+	Name  string         `json:"name"`
+	Ts    float64        `json:"ts"`
+	Attrs map[string]any `json:"args"`
 }
 
 // TestAnalyzeCancellation cancels the context after the pointer phase:

@@ -37,18 +37,20 @@ func TestQueryPairSpan(t *testing.T) {
 			t.Fatalf("QueryPair(%s, %s): err = %v, want failure %t", tc.src, tc.dst, err, tc.fail)
 		}
 		var buf bytes.Buffer
-		if err := tracer.WriteJSONL(&buf); err != nil {
+		if err := tracer.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Events []struct {
+				Name  string         `json:"name"`
+				Attrs map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 			t.Fatal(err)
 		}
 		var spans []map[string]any
-		for dec := json.NewDecoder(&buf); dec.More(); {
-			var r struct {
-				Name  string         `json:"name"`
-				Attrs map[string]any `json:"attrs"`
-			}
-			if err := dec.Decode(&r); err != nil {
-				t.Fatal(err)
-			}
+		for _, r := range doc.Events {
 			if r.Name == "query.pair" {
 				spans = append(spans, r.Attrs)
 			}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -51,18 +50,20 @@ func TestSolveSemiNaiveEmitsRuleSpans(t *testing.T) {
 
 	// The per-rule spans carry the delta-evaluation attributes.
 	var buf bytes.Buffer
-	if err := tracer.WriteJSONL(&buf); err != nil {
+	if err := tracer.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sawDelta := false
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var rec struct {
+	var doc struct {
+		Events []struct {
 			Name  string         `json:"name"`
-			Attrs map[string]any `json:"attrs"`
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
-		}
+			Attrs map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	sawDelta := false
+	for _, rec := range doc.Events {
 		if rec.Name != "rule:path:-path,edge" {
 			continue
 		}

@@ -20,10 +20,10 @@ import (
 // These tests run core's analysis pipeline the way corpus drivers do:
 // one analysis per RunCorpus job, all under the corpus context.
 
-// span is one finished trace span, as WriteJSONL renders it.
+// span is one finished trace span, as WriteChromeTrace renders it.
 type span struct {
 	Name  string         `json:"name"`
-	Attrs map[string]any `json:"attrs"`
+	Attrs map[string]any `json:"args"`
 }
 
 // traced is one job's analysis, its pipeline span and its
@@ -39,17 +39,19 @@ func analyzeTraced(ctx context.Context, sources map[string]string) (traced, erro
 	tr := trace.New()
 	a, err := core.AnalyzeSourceContext(trace.WithTracer(ctx, tr), core.Options{}, sources)
 	var buf bytes.Buffer
-	if werr := tr.WriteJSONL(&buf); werr != nil {
+	if werr := tr.WriteChromeTrace(&buf); werr != nil {
 		return traced{}, werr
 	}
-	out := traced{a: a}
+	var doc struct {
+		Events []span `json:"traceEvents"`
+	}
 	dec := json.NewDecoder(&buf)
 	dec.UseNumber()
-	for dec.More() {
-		var s span
-		if derr := dec.Decode(&s); derr != nil {
-			return traced{}, derr
-		}
+	if derr := dec.Decode(&doc); derr != nil {
+		return traced{}, derr
+	}
+	out := traced{a: a}
+	for _, s := range doc.Events {
 		switch {
 		case s.Name == "pipeline":
 			out.run = s

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -378,8 +379,31 @@ func TestDeltaHTTP(t *testing.T) {
 	if deltaResp.Delta == nil {
 		t.Fatal("delta response has no delta block")
 	}
-	if d := deltaResp.Delta; d.Schema != DeltaSchemaV1 || d.Base != fullResp.Key || d.FilesReused != 1 || d.FilesChanged != 1 {
+	if d := deltaResp.Delta; d.Schema != DeltaSchemaV1 || d.Base != fullResp.Key || d.FilesReused != 1 || d.FilesChanged != 1 || d.FilesRemoved != 0 {
 		t.Fatalf("delta block = %+v", d)
+	}
+	// The unchanged file skipped every front-end phase.
+	var report struct {
+		Stats struct {
+			Phases []struct {
+				Name    string           `json:"name"`
+				Outputs map[string]int64 `json:"outputs"`
+			} `json:"phases"`
+		} `json:"stats"`
+	}
+	if err := json.Unmarshal(deltaResp.Report, &report); err != nil {
+		t.Fatal(err)
+	}
+	reused := map[string]int64{}
+	for _, p := range report.Stats.Phases {
+		for _, k := range []string{"parse_files_reused", "check_files_reused", "lower_frags_reused"} {
+			if v, ok := p.Outputs[k]; ok {
+				reused[k] = v
+			}
+		}
+	}
+	if want := map[string]int64{"parse_files_reused": 1, "check_files_reused": 1, "lower_frags_reused": 1}; !maps.Equal(reused, want) {
+		t.Errorf("delta phase outputs reused %v, want %v", reused, want)
 	}
 
 	// Unknown base -> 409 with kind snapshot_gone.

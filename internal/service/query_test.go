@@ -124,8 +124,8 @@ func TestHTTPQuery(t *testing.T) {
 	if qr.Schema != core.QuerySchemaV1 || qr.Key != ar.Key {
 		t.Errorf("schema/key = %q/%q", qr.Schema, qr.Key)
 	}
-	if qr.Answer == nil || !qr.Answer.Inconsistent {
-		t.Fatalf("answer = %+v, want inconsistent", qr.Answer)
+	if qr.Answer == nil || !qr.Answer.Inconsistent || qr.Answer.Pairs == 0 {
+		t.Fatalf("answer = %+v, want inconsistent with object pairs", qr.Answer)
 	}
 
 	for _, tc := range []struct {

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// SchemaV1 identifies the trace export encodings. Consumers should
+// SchemaV1 identifies the trace export encoding. Consumers should
 // check it before decoding; additive changes keep the v1 name,
 // incompatible ones bump it.
 const SchemaV1 = "regionwiz/trace/v1"
@@ -97,51 +97,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// jsonlRecord is one WriteJSONL line.
-type jsonlRecord struct {
-	Schema  string         `json:"schema"`
-	Type    string         `json:"type"` // "span" or "event"
-	Name    string         `json:"name"`
-	ID      uint64         `json:"id,omitempty"`
-	Parent  uint64         `json:"parent,omitempty"`
-	Lane    uint64         `json:"lane"`
-	StartNS int64          `json:"start_ns"`
-	DurNS   int64          `json:"dur_ns,omitempty"`
-	Attrs   map[string]any `json:"attrs,omitempty"`
-}
-
-// WriteJSONL renders the collected records one JSON object per line —
-// the flat form for jq-style processing. Every line carries the
-// schema tag.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range t.snapshot() {
-		line := jsonlRecord{
-			Schema:  SchemaV1,
-			Type:    "span",
-			Name:    rec.name,
-			ID:      rec.id,
-			Parent:  rec.parent,
-			Lane:    rec.lane,
-			StartNS: rec.start.Nanoseconds(),
-			DurNS:   rec.dur.Nanoseconds(),
-		}
-		if rec.instant {
-			line.Type = "event"
-		}
-		if len(rec.attrs) > 0 {
-			line.Attrs = make(map[string]any, len(rec.attrs))
-			for _, a := range rec.attrs {
-				line.Attrs[a.Key] = a.value()
-			}
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SpanTotal aggregates the spans sharing one name.

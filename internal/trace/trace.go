@@ -3,8 +3,8 @@
 // and typed attributes, carried through context.Context, plus instant
 // events for point-in-time facts (a BDD table grow, a fixpoint
 // cutoff). Finished spans accumulate in a Tracer and export as Chrome
-// trace_event JSON (loadable in chrome://tracing or Perfetto) or as
-// flat JSONL (export.go).
+// trace_event JSON, loadable in chrome://tracing or Perfetto
+// (export.go).
 //
 // Tracing off is the fast path: when no Tracer is installed in the
 // context, StartSpan returns the context unchanged and a nil *Span,
@@ -37,17 +37,15 @@ const (
 	KindInt AttrKind = iota
 	KindStr
 	KindBool
-	KindFloat
 )
 
 // Attr is one typed span or event attribute. Construct with Int,
-// Int64, Str, Bool, or Float.
+// Int64, Uint64, Str, or Bool.
 type Attr struct {
 	Key  string
 	Kind AttrKind
 	num  int64
 	str  string
-	f    float64
 }
 
 // Int builds an integer attribute.
@@ -77,9 +75,6 @@ func Bool(key string, v bool) Attr {
 	return Attr{Key: key, Kind: KindBool, num: n}
 }
 
-// Float builds a float attribute.
-func Float(key string, v float64) Attr { return Attr{Key: key, Kind: KindFloat, f: v} }
-
 // value returns the attribute payload as a JSON-encodable value.
 func (a Attr) value() any {
 	switch a.Kind {
@@ -87,8 +82,6 @@ func (a Attr) value() any {
 		return a.str
 	case KindBool:
 		return a.num != 0
-	case KindFloat:
-		return a.f
 	default:
 		return a.num
 	}

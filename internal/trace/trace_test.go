@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,7 +36,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	rule.End(Int64("new_tuples", 17), Str("delta", "vP"))
 	phase.End(Int64("alloc_bytes", 4096))
 	_ = ctx2
-	root.End(Bool("fixpoint", true), Float("score", 0.5))
+	root.End(Bool("fixpoint", true))
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -81,7 +80,10 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
-func TestJSONLExport(t *testing.T) {
+// TestChromeTraceSpanAndEvent: a span and an instant event on it each
+// export as one record of the versioned document, the event naming the
+// span as its parent.
+func TestChromeTraceSpanAndEvent(t *testing.T) {
 	tr := New()
 	fixedClock(tr)
 	sp := tr.Root("solve")
@@ -89,21 +91,28 @@ func TestJSONLExport(t *testing.T) {
 	sp.End()
 
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d JSONL lines, want 2:\n%s", len(lines), buf.String())
+	var doc struct {
+		Schema string        `json:"schema"`
+		Events []chromeEvent `json:"traceEvents"`
 	}
-	for _, line := range lines {
-		var rec jsonlRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
-		}
-		if rec.Schema != SchemaV1 {
-			t.Errorf("line schema = %q, want %q", rec.Schema, SchemaV1)
-		}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Schema != SchemaV1 {
+		t.Errorf("schema = %q, want %q", doc.Schema, SchemaV1)
+	}
+	if len(doc.Events) != 3 {
+		t.Fatalf("got %d events, want process metadata, the span and the event:\n%s", len(doc.Events), buf.String())
+	}
+	span, event := doc.Events[1], doc.Events[2]
+	if span.Name != "solve" || span.Ph != "X" || event.Name != "round" || event.Ph != "i" {
+		t.Fatalf("records %+v, %+v; want the solve span, then its round event", span, event)
+	}
+	if event.Args["parent_span"] != span.Args["span_id"] || event.Tid != span.Tid {
+		t.Errorf("event args %v on lane %d, span args %v on lane %d", event.Args, event.Tid, span.Args, span.Tid)
 	}
 }
 
