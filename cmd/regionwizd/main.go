@@ -88,7 +88,10 @@
 //	-request-timeout D    per-request deadline, queue wait included (default 2m)
 //	-pprof-addr host:port serve net/http/pprof on a SEPARATE listener
 //	                      (off by default; keep it on localhost — the
-//	                      profiling endpoints are not authenticated)
+//	                      profiling endpoints are not authenticated);
+//	                      the "pprof listening" line names the bound
+//	                      address, and a port that cannot be bound
+//	                      stops the daemon with status 1
 //	-log-level level      debug, info, warn, or error (default info)
 package main
 
@@ -149,11 +152,19 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 
 	// Bind before logging "listening", so the line names the bound
 	// address (the port -addr :0 chose) and a port clash logs no such
-	// line.
+	// line. The pprof listener, when asked for, binds first too.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "regionwizd: %v\n", err)
 		return 1
+	}
+	var pprofLn net.Listener
+	if *pprofAddr != "" {
+		if pprofLn, err = net.Listen("tcp", *pprofAddr); err != nil {
+			ln.Close()
+			fmt.Fprintf(stderr, "regionwizd: pprof: %v\n", err)
+			return 1
+		}
 	}
 	svc := service.New(service.Config{
 		Workers:        *workers,
@@ -173,7 +184,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		"cache", *cacheEntries, "timeout", *requestTimeout)
 
 	var pprofServer *http.Server
-	if *pprofAddr != "" {
+	if pprofLn != nil {
 		// An explicit mux on a separate listener: the profiling
 		// endpoints never share a port with the analysis API, so an
 		// exposed -addr does not also expose pprof.
@@ -183,13 +194,13 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		pprofServer = &http.Server{Addr: *pprofAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+		pprofServer = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 		go func() {
-			if err := pprofServer.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := pprofServer.Serve(pprofLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("pprof server failed", "err", err)
 			}
 		}()
-		logger.Info("pprof listening", "addr", *pprofAddr)
+		logger.Info("pprof listening", "addr", pprofLn.Addr().String())
 	}
 
 	select {

@@ -193,6 +193,36 @@ func TestDaemonPortTaken(t *testing.T) {
 	}
 }
 
+// TestDaemonPprofPortTaken: when the -pprof-addr port is already
+// bound, run returns 1 and logs neither listening line.
+func TestDaemonPprofPortTaken(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var log bytes.Buffer
+	if code := run(ended(), []string{"-addr", "127.0.0.1:0", "-pprof-addr", ln.Addr().String()}, &log); code != 1 {
+		t.Errorf("exit %d on a taken pprof port, want 1", code)
+	}
+	if strings.Contains(log.String(), "listening") {
+		t.Errorf("a daemon whose pprof listener could not bind logged listening:\n%s", log.String())
+	}
+}
+
+// TestDaemonPprofLogsBoundAddr: the "pprof listening" line names the
+// port -pprof-addr :0 chose.
+func TestDaemonPprofLogsBoundAddr(t *testing.T) {
+	var log bytes.Buffer
+	if code := run(ended(), []string{"-addr", "127.0.0.1:0", "-pprof-addr", "127.0.0.1:0"}, &log); code != 0 {
+		t.Fatalf("exit %d, want 0:\n%s", code, log.String())
+	}
+	m := regexp.MustCompile(`msg="pprof listening" addr=127\.0\.0\.1:(\d+)`).FindStringSubmatch(log.String())
+	if m == nil || m[1] == "0" {
+		t.Errorf("no pprof listening line with a bound port:\n%s", log.String())
+	}
+}
+
 // TestDaemonUsageErrors: usage errors exit 2 before binding anything,
 // the retired snapshot-store flag included, and -h exits 0.
 func TestDaemonUsageErrors(t *testing.T) {

@@ -103,9 +103,12 @@ type FuncDecl struct {
 	// Index numbers a definition among its file's definitions, in
 	// source order; it is 0 for a prototype.
 	Index int
-	// bodyOff and bodyEnd are the byte offsets of the body's "{" and
-	// of the token after its "}" (see SameDecls).
-	bodyOff, bodyEnd int32
+	// declOff, bodyOff and bodyEnd are the byte offsets of the
+	// definition's first token, of its body's "{" and of the token
+	// after its "}" (see SameDecls). declOff is -1 for a definition
+	// that cannot be cut out of its file whole: one that shares its
+	// declaration with other declarators or defines a type.
+	declOff, bodyOff, bodyEnd int32
 }
 
 // Param is one formal parameter.

@@ -80,7 +80,9 @@ type Info struct {
 	Uses map[*File][]int32
 	// Objects numbers the file-scope objects from 1: every global
 	// *VarObject, *FuncObject and *EnumConst, in the order the checker
-	// declared them. Objects[0] is nil.
+	// declared them. Objects[0] is nil. An incremental check gives a
+	// removed function's number to the next new object, and leaves it
+	// nil when there is none (see CheckIncremental).
 	Objects  []any
 	Fields   map[*FieldAccess]FieldInfo
 	Structs  map[string]*StructType
@@ -137,6 +139,10 @@ type checker struct {
 	cur    *FuncInfo
 	// first is the path of the check's first file (see tag).
 	first string
+
+	// free holds numbers in Info.Objects that a new object takes
+	// before the table grows: an incremental check's removed functions'.
+	free []int
 
 	laying map[string]bool // struct layout cycle detection
 	// bodies records where each struct's fields were declared, for
@@ -248,6 +254,12 @@ func (c *checker) enter(f *File) {
 
 // object numbers a new file-scope object in Info.Objects.
 func (c *checker) object(obj any) int {
+	if n := len(c.free); n > 0 {
+		i := c.free[n-1]
+		c.free = c.free[:n-1]
+		c.info.Objects[i] = obj
+		return i
+	}
 	c.info.Objects = append(c.info.Objects, obj)
 	return len(c.info.Objects) - 1
 }

@@ -160,7 +160,7 @@ func TestCheckLeavesASTsShared(t *testing.T) {
 
 	edited := append([]*File(nil), files...)
 	edited[1] = mustParseAs(t, files[1].Path, srcs[1])
-	changed := map[string]bool{files[1].Path: true}
+	changed := map[string]DeclEdit{files[1].Path: {}}
 	base := full[0]
 	inc := twice(func() *Info { return CheckIncremental(base, edited, changed) })
 	for _, info := range inc {

@@ -25,6 +25,8 @@ type Parser struct {
 	// file-scope declaration is outside every body, so leaving a body
 	// or initializer resets inBody to mode != declTop.
 	inBody, bodyTypeDefs bool
+	// typeDefs counts the struct and enum bodies parsed so far.
+	typeDefs int
 
 	// Nesting budget (see maxNesting). depth counts the levels
 	// enclosing the construct being parsed; peak is the deepest level
@@ -242,8 +244,24 @@ func (p *Parser) isTypeStart(t Token) bool {
 // --- Declarations ---
 
 // parseTopDecl parses one file-scope declaration and appends what it
-// declares to decls.
+// declares to decls. A function definition that is all its
+// declaration declares, and whose signature defines no type, records
+// the offset of the declaration's first token: the definition can be
+// cut out of the file whole without changing how the rest parses (see
+// SameDecls).
 func (p *Parser) parseTopDecl(decls []Decl) []Decl {
+	first, off, typeDefs := len(decls), p.tok.Off, p.typeDefs
+	decls = p.parseTopDeclaration(decls)
+	if len(decls) == first+1 && p.typeDefs == typeDefs {
+		if fd, ok := decls[first].(*FuncDecl); ok && fd.Body != nil {
+			fd.declOff = off
+		}
+	}
+	return decls
+}
+
+// parseTopDeclaration is parseTopDecl without the offset bookkeeping.
+func (p *Parser) parseTopDeclaration(decls []Decl) []Decl {
 	switch p.tok.Kind {
 	case Semi:
 		p.next()
@@ -348,6 +366,7 @@ func (p *Parser) parseStructBody(pos Pos, tag string, union bool) *StructDecl {
 	p.expect(LBrace)
 	sd := &StructDecl{Pos: pos, Name: tag, Union: union}
 	p.bodyTypeDefs = p.bodyTypeDefs || p.inBody
+	p.typeDefs++
 	for p.tok.Kind != RBrace && p.tok.Kind != EOF {
 		start := p.tok.Pos
 		base := p.parseTypeSpecifier()
@@ -375,6 +394,7 @@ func (p *Parser) parseEnumBody(pos Pos, tag string) *EnumDecl {
 	p.expect(LBrace)
 	ed := &EnumDecl{Pos: pos, Name: tag}
 	p.bodyTypeDefs = p.bodyTypeDefs || p.inBody
+	p.typeDefs++
 	mark := len(p.items)
 	for p.tok.Kind != RBrace && p.tok.Kind != EOF {
 		itemPos := p.tok.Pos
@@ -682,7 +702,7 @@ func (p *Parser) parseDeclarationFrom(pos Pos, base TypeExpr, mode declMode, dec
 				if mode != declTop {
 					p.errorf(p.tok.Pos, "nested function definition")
 				}
-				fd.Index, fd.bodyOff = p.numBodies, p.tok.Off
+				fd.Index, fd.declOff, fd.bodyOff = p.numBodies, -1, p.tok.Off
 				p.numBodies++
 				p.inBody = true
 				fd.Body = p.parseBlock()

@@ -44,8 +44,9 @@ func (a *Analysis) Apply(changed map[string]string, removed []string) map[string
 // materialize with base.Apply(changed, removed); it is not copied.
 // Front-end work is reused per file — unchanged files skip parse,
 // check, and lower entirely when every changed file keeps its text
-// outside function bodies (cminor.SameDecls); any other edit falls
-// back to a full re-check while still reusing unchanged parses. The
+// outside function bodies and whole added or removed function
+// definitions (cminor.SameDecls, see incrementalEdits); any other edit
+// falls back to a full re-check while still reusing unchanged parses. The
 // back half (contexts through post) always re-solves, so the resulting
 // report is byte-identical to a from-scratch run over the same
 // sources. opts must fingerprint-equal base's options.
@@ -84,26 +85,52 @@ func (a *Analysis) reusedFile(p string) (*cminor.File, bool) {
 	return a.base.Files[i], true
 }
 
-// tryIncrementalCheck decides whether the check phase may reuse the
-// base's declaration environment and re-check only changed files. The
-// conditions (see DESIGN.md "Incremental analysis"): a base exists and
-// declared no implicit functions, the path set is unchanged, and every
-// changed file passes cminor.SameDecls against its base version — the
-// same text outside function bodies, and no type defined inside a
-// body or initializer.
-func (a *Analysis) tryIncrementalCheck() bool {
+// incrementalEdits decides whether the check phase may reuse the
+// base's declaration environment and re-check only changed files, and
+// returns what cminor.CheckIncremental needs to do so: each changed
+// file's added and removed function definitions. The conditions (see
+// DESIGN.md "Incremental analysis"): a base exists and declared no
+// implicit functions, the path set is unchanged, every changed file
+// passes cminor.SameDecls against its base version — the same text
+// outside function bodies and whole added or removed definitions, and
+// no type defined inside a body or initializer — no added name is
+// declared anywhere in the base or added twice, and no removed name
+// still occurs in any source.
+func (a *Analysis) incrementalEdits() (map[string]cminor.DeclEdit, bool) {
 	b := a.base
 	if b == nil || len(a.Files) != len(b.Files) || cminor.HasImplicitFuncs(b.Info) {
-		return false
+		return nil, false
 	}
+	edits := make(map[string]cminor.DeclEdit, len(a.changed))
+	added := make(map[string]bool)
+	var removed []string
 	for _, f := range a.Files {
 		i, ok := a.baseIndex[f.Path]
 		if !ok {
-			return false // added path (same count ⇒ set differs)
+			return nil, false // added path (same count ⇒ set differs)
 		}
-		if a.changed[f.Path] && !cminor.SameDecls(b.Files[i], b.Sources[f.Path], f, a.Sources[f.Path]) {
-			return false
+		if !a.changed[f.Path] {
+			continue
+		}
+		e, ok := cminor.SameDecls(b.Files[i], b.Sources[f.Path], f, a.Sources[f.Path])
+		if !ok {
+			return nil, false
+		}
+		for _, fd := range e.Added {
+			if b.Info.Declares(fd.Name) || added[fd.Name] {
+				return nil, false
+			}
+			added[fd.Name] = true
+		}
+		removed = append(removed, e.Removed...)
+		edits[f.Path] = e
+	}
+	for _, name := range removed {
+		for _, src := range a.Sources {
+			if cminor.HasIdent(src, name) {
+				return nil, false
+			}
 		}
 	}
-	return true
+	return edits, true
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -119,15 +120,18 @@ func TestIncrementalSignatureChangeFallsBack(t *testing.T) {
 		t.Fatalf("base analyze: %v", err)
 	}
 
-	// Adding a function changes main.c's declaration signature: the
-	// checker must rerun over everything, but parses are still reused.
+	// A parameter-type change changes lib.c's declaration signature:
+	// the checker must rerun over everything, but parses are still
+	// reused.
 	edited := map[string]string{
-		"lib.c": base["lib.c"],
-		"main.c": base["main.c"] + `
-int helper(void) { return 1; }`,
+		"lib.c":  strings.Replace(base["lib.c"], "struct conn_t *y) {", "void *y) {", 1),
+		"main.c": base["main.c"],
+	}
+	if edited["lib.c"] == base["lib.c"] {
+		t.Fatal("lib.c holds no conn_link definition to edit")
 	}
 	inc, err := AnalyzeIncremental(ctx, Options{}, first,
-		first.Apply(map[string]string{"main.c": edited["main.c"]}, nil))
+		first.Apply(map[string]string{"lib.c": edited["lib.c"]}, nil))
 	if err != nil {
 		t.Fatalf("incremental analyze: %v", err)
 	}
@@ -258,5 +262,108 @@ func TestTypedefStructEndToEnd(t *testing.T) {
 	// re-checks main.c alone against the base's declarations.
 	if f := inc.Front; f.CheckReused != 1 || f.CheckChecked != 1 {
 		t.Fatalf("check reuse = %d/%d, want 1 reused / 1 checked", f.CheckReused, f.CheckChecked)
+	}
+}
+
+// deltaAgainstScratch runs one delta against base and a from-scratch
+// analysis of the same sources. Either both fail with the same error
+// text, and it returns nil, or both succeed with the same report, and
+// it returns the delta's analysis.
+func deltaAgainstScratch(t *testing.T, base *Analysis, changed map[string]string) *Analysis {
+	t.Helper()
+	ctx := context.Background()
+	sources := base.Apply(changed, nil)
+	inc, incErr := AnalyzeIncremental(ctx, base.Opts, base, sources)
+	full, fullErr := AnalyzeSourceContext(ctx, base.Opts, sources)
+	if incErr != nil || fullErr != nil {
+		if incErr == nil || fullErr == nil || incErr.Error() != fullErr.Error() {
+			t.Fatalf("delta error %v, from-scratch error %v", incErr, fullErr)
+		}
+		return nil
+	}
+	if got, want := stableReport(t, inc.Report), stableReport(t, full.Report); got != want {
+		t.Fatalf("delta report differs from from-scratch:\ndelta: %s\nfull:  %s", got, want)
+	}
+	return inc
+}
+
+// incrementalEligible parses a delta against base and reports whether
+// its check may reuse the base's declaration environment.
+func incrementalEligible(t *testing.T, base *Analysis, changed map[string]string) bool {
+	t.Helper()
+	a := newAnalysis(base.Opts)
+	a.Sources, a.base = base.Apply(changed, nil), base
+	if _, err := phases[0].run(context.Background(), a); err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	_, ok := a.incrementalEdits()
+	return ok
+}
+
+// TestIncrementalAddRemoveFunction: adding or removing whole function
+// definitions re-checks only the edited file unless the rest of the
+// program names, or already declares, an added or removed function.
+// Every delta must equal the from-scratch run, error text included.
+func TestIncrementalAddRemoveFunction(t *testing.T) {
+	ctx := context.Background()
+	base := incrSources("conn_link(a, b);\n    lib_count();")
+	base["lib.c"] += `
+int gcount;
+int helper(void);
+int helper(void) { return 1; }
+int lib_count(void) { return 4; }
+int perfbench_edit_5(int x) { return x + 5; }
+
+int perfbench_edit_10(int x) { return x + 10; }
+
+`
+	first, err := AnalyzeSourceContext(ctx, Options{}, base)
+	if err != nil {
+		t.Fatalf("base analyze: %v", err)
+	}
+	edit := func(changed map[string]string, path, old, new string) map[string]string {
+		t.Helper()
+		if !strings.Contains(base[path], old) {
+			t.Fatalf("%q not in %s", old, path)
+		}
+		if changed == nil {
+			changed = make(map[string]string)
+		}
+		changed[path] = strings.Replace(base[path], old, new, 1)
+		return changed
+	}
+	perfbench := edit(nil, "lib.c", "int perfbench_edit_5(int x) { return x + 5; }\n\n", "")
+	perfbench["lib.c"] += "int perfbench_edit_55(int x) { return x + 55; }\n\n"
+	for _, tc := range []struct {
+		name    string
+		changed map[string]string
+		fast    bool
+	}{
+		{"perfbench shape: one added, the oldest dropped", perfbench, true},
+		{"added name clashes with a global in another file",
+			edit(nil, "main.c", "    return 0;\n}", "    return gcount();\n}\nint gcount(void) { return 0; }"), false},
+		{"added name defined in another file", edit(nil, "main.c", "int main(void)", "int helper(void) { return 3; }\nint main(void)"), false},
+		{"name added to two files",
+			edit(edit(nil, "main.c", "int main(void)", "int twice(void) { return 3; }\nint main(void)"),
+				"lib.c", "int gcount;", "int twice(void) { return 3; }\nint gcount;"), false},
+		{"removed function still called from another file", edit(nil, "lib.c", "int lib_count(void) { return 4; }\n", ""), false},
+		{"removed function keeps its prototype", edit(nil, "lib.c", "int helper(void) { return 1; }\n", ""), false},
+		{"body names an undeclared identifier", edit(nil, "main.c", "conn_link(a, b);", "conn_link(a, missing);"), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := incrementalEligible(t, first, tc.changed); got != tc.fast {
+				t.Errorf("incremental check eligible %t, want %t", got, tc.fast)
+			}
+			inc := deltaAgainstScratch(t, first, tc.changed)
+			if inc == nil {
+				return
+			}
+			if fast := inc.Front.CheckReused > 0; fast != tc.fast {
+				t.Errorf("check reused %d files, want the incremental path %t", inc.Front.CheckReused, tc.fast)
+			}
+			if tc.fast && inc.Front.LowerReused != len(base)-len(tc.changed) {
+				t.Errorf("lower reused %d fragments, want every unchanged file's", inc.Front.LowerReused)
+			}
+		})
 	}
 }

@@ -65,10 +65,10 @@ type phase struct {
 // phases is the analysis in execution order; parse and check turn
 // a.Sources into a.Files and a.Info.
 // Incremental runs (a.base set) reuse the base's ASTs for unchanged
-// files and, when every changed file keeps its declarations
-// (cminor.SameDecls), re-check only the changed files against the
-// base's declaration environment and relink the base's IR fragments
-// for the rest.
+// files and, when every changed file keeps its declarations apart from
+// whole added or removed function definitions (incrementalEdits),
+// re-check only the changed files against the base's declaration
+// environment and relink the base's IR fragments for the rest.
 var phases = []phase{
 	{PhaseParse, func(_ context.Context, a *Analysis) (map[string]int64, error) {
 		paths := make([]string, 0, len(a.Sources))
@@ -111,17 +111,16 @@ var phases = []phase{
 		}), nil
 	}},
 	{PhaseCheck, func(_ context.Context, a *Analysis) (map[string]int64, error) {
-		if a.tryIncrementalCheck() {
-			a.incrementalCheck = true
-			a.Info = cminor.CheckIncremental(a.base.Info, a.Files, a.changed)
-			for _, f := range a.Files {
-				if a.changed[f.Path] {
-					a.Front.CheckChecked++
-				} else {
-					a.Front.CheckReused++
-				}
+		// An incremental check that reports a diagnostic is discarded:
+		// the full check's diagnostics are the ones a delta reports.
+		if edits, ok := a.incrementalEdits(); ok {
+			if info := cminor.CheckIncremental(a.base.Info, a.Files, edits); info != nil && len(info.Errors) == 0 {
+				a.Info, a.incrementalCheck = info, true
+				a.Front.CheckChecked = len(edits)
+				a.Front.CheckReused = len(a.Files) - len(edits)
 			}
-		} else {
+		}
+		if !a.incrementalCheck {
 			a.Info = cminor.Check(a.Files...)
 			a.Front.CheckChecked = len(a.Files)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -58,12 +59,14 @@ func FuzzAnalyzeOracle(f *testing.F) {
 }
 
 // FuzzIncremental checks delta requests against a fixed multi-file
-// base: the fuzzer's bytes pick removed paths and changed files, each
-// either a mutation of its base version or raw replacement bytes (a
-// changed path may also be new). The delta, applied with
+// base, whose every file ends in an appended function: the fuzzer's
+// bytes pick removed paths and changed files, each a mutation of its
+// base version, raw replacement bytes (a changed path may also be
+// new), its base version with a fresh function appended, or its base
+// version without its appended function. The delta, applied with
 // AnalyzeIncremental, and a from-scratch AnalyzeSource of the same
 // sources must both succeed with byte-identical canonical reports or
-// both fail with the same error kind; a delta that removes every file
+// both fail with the same error text; a delta that removes every file
 // must fail as ErrConfig; nothing may panic.
 //
 // Run bounded in CI: go test ./internal/oracle -run '^$' -fuzz FuzzIncremental -fuzztime 15s
@@ -74,22 +77,31 @@ func FuzzIncremental(f *testing.F) {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
+	for i, p := range paths {
+		base[p] += fuzzFunc(i)
+	}
 	opts := core.Options{}
 	first, err := core.AnalyzeSourceContext(context.Background(), opts, base)
 	if err != nil {
 		f.Fatal(err)
 	}
 	// Layout: removed-path mask, changed-path mask (bit len(paths) is a
-	// new file), then per changed path a mode byte followed by either
-	// two seed bytes (even mode: mutate) or a length byte and that many
-	// content bytes (odd mode: replace).
+	// new file), then per changed path a mode byte: mode%4 == 0 mutates
+	// with two seed bytes, 2 appends fuzzFunc of the next byte, 3
+	// deletes the base's appended function, and 1 (or any mode for the
+	// new file) replaces the content with a length byte and that many
+	// content bytes.
 	for i := range paths {
 		f.Add([]byte{0, 1 << i, 0, 7, byte(i)})
+		f.Add([]byte{0, 1 << i, 2, byte(10 + i)})
+		f.Add([]byte{0, 1 << i, 3})
 	}
 	f.Add([]byte{0x0f, 0})                         // remove everything
 	f.Add([]byte{0x01, 0})                         // remove one file
 	f.Add([]byte{0x0f, 0x10, 1, 3, 'i', 'n', 't'}) // everything replaced by a new file
 	f.Add([]byte{0, 0x02, 1, 9, 'v', 'o', 'i', 'd', ' ', 'f', '(', ')', ';'})
+	f.Add([]byte{0, 0x03, 3, 2, 0}) // one file adds the function another drops
+	f.Add([]byte{0, 0x01, 2, 1})    // added name defined in another file
 	f.Fuzz(func(t *testing.T, data []byte) {
 		changed, removed := decodeDelta(data, base, paths)
 		ctx := context.Background()
@@ -103,7 +115,7 @@ func FuzzIncremental(f *testing.F) {
 		}
 		full, fullErr := core.AnalyzeSource(opts, sources)
 		if incErr != nil || fullErr != nil {
-			if errorKind(incErr) != errorKind(fullErr) {
+			if incErr == nil || fullErr == nil || incErr.Error() != fullErr.Error() {
 				t.Fatalf("incremental error %v, from-scratch error %v", incErr, fullErr)
 			}
 			return
@@ -112,6 +124,12 @@ func FuzzIncremental(f *testing.F) {
 			t.Fatalf("incremental diverged from from-scratch\nincremental:\n%s\nfrom-scratch:\n%s", got, want)
 		}
 	})
+}
+
+// fuzzFunc is a function definition FuzzIncremental appends to a
+// file, named after k.
+func fuzzFunc(k int) string {
+	return fmt.Sprintf("\nint fuzz_fn_%d(int x) {\n    return x + %d;\n}\n", k, k)
 }
 
 // decodeDelta turns fuzzer bytes into a delta over base (see
@@ -137,13 +155,18 @@ func decodeDelta(data []byte, base map[string]string, paths []string) (map[strin
 		if changeMask>>i&1 == 0 {
 			continue
 		}
-		if mode := next(); mode%2 == 0 && i < len(paths) {
-			rng := rand.New(rand.NewSource(int64(next())<<8 | int64(next())))
-			changed[p], _ = mutateOnce(base[p], rng)
-		} else {
+		switch mode := next() % 4; {
+		case i == len(paths) || mode == 1:
 			n := min(int(next()), len(data))
 			changed[p] = string(data[:n])
 			data = data[n:]
+		case mode == 0:
+			rng := rand.New(rand.NewSource(int64(next())<<8 | int64(next())))
+			changed[p], _ = mutateOnce(base[p], rng)
+		case mode == 2:
+			changed[p] = base[p] + fuzzFunc(int(next()))
+		default:
+			changed[p] = strings.Replace(base[p], fuzzFunc(i), "", 1)
 		}
 	}
 	return changed, removed

@@ -21,9 +21,10 @@ import (
 // from-scratch analysis of each intermediate state — and the canonical
 // reports must be byte-identical at every step. The edits come from
 // the oracle's mutation machinery, so they rotate body-only changes
-// (statement reorders, region-op swaps, which keep the per-file fast
-// path eligible) and declaration changes (call-depth inflation adds
-// functions, forcing the full-fixpoint fallback). Both pair-computation
+// (statement reorders, region-op swaps inside bodies), added functions
+// (call-depth inflation), both of which keep the per-file fast path
+// eligible, and declaration changes (a region-op swap in a prototype,
+// which forces the full-check fallback). Both pair-computation
 // backends are covered.
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	const steps = 25
@@ -130,10 +131,11 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestDeltaFanOutSharesFragments runs six deltas concurrently against
-// one base analysis, so every unchanged file's IR fragment is linked
-// into several programs at once (run with -race): a body-only edit of
-// each of the four files, a declaration change that takes the
+// TestDeltaFanOutSharesFragments runs seven deltas concurrently
+// against one base analysis, so every unchanged file's IR fragment is
+// linked into several programs at once (run with -race): a body-only
+// edit of each of the four files, an added function, which stays on
+// the incremental path, a parameter-type change that takes the
 // full-check fallback, and an edit that deletes the program's only
 // &spare_pool. Every report must equal a from-scratch run of the same
 // sources, the deleted &spare_pool must leave the global not
@@ -168,7 +170,8 @@ func TestDeltaFanOutSharesFragments(t *testing.T) {
 				{"body 0-01", "o-incr-0-01.c", "pattern_iterator_escape_1(pool, sub);", "pattern_iterator_escape_1(sub, pool);", true, false},
 				{"body 0-02", main, "stage_0_1(root);", "stage_0_0(root);", true, false},
 				{"body lib", lib, "n = apr_palloc(pool, 32);", "n = apr_pcalloc(pool, 32);", true, false},
-				{"decl 0-01", "o-incr-0-01.c", "void stage_0_1(", "void stage_extra(void) {}\n\nvoid stage_0_1(", false, false},
+				{"decl 0-01", "o-incr-0-01.c", "void stage_0_1(", "void stage_extra(void) {}\n\nvoid stage_0_1(", true, false},
+				{"param type 0-01", "o-incr-0-01.c", "void stage_0_1(apr_pool_t *pool) {", "void stage_0_1(void *pool) {", false, false},
 				{"drop &spare_pool", lib, "apr_pool_create(&spare_pool, parent);", "spare_pool = parent;", true, true},
 			}
 

@@ -103,6 +103,9 @@ type Result struct {
 	// computed: a delta request answered from the cache still reports
 	// its file split.
 	Delta *DeltaInfo
+	// digests holds each source's hex sha256 by path, which a delta
+	// against this result reuses for the files it leaves alone.
+	digests map[string]string
 }
 
 // DeltaInfo summarizes a delta request against its base result.
@@ -176,9 +179,14 @@ func New(cfg Config) *Service {
 // of a completed request is also its delta handle: a later delta
 // request names it as "base".
 func Key(opts core.Options, sources map[string]string) string {
+	return keyOf(opts, fileDigests(sources, nil))
+}
+
+// keyOf is Key over per-file digests already computed.
+func keyOf(opts core.Options, digests map[string]string) string {
 	h := sha256.New()
 	io.WriteString(h, opts.Fingerprint())
-	writeSources(h, sources)
+	writeDigests(h, digests)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -239,7 +247,7 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 	// A delta request materializes its source set from the cached
 	// base result, then flows through keying, caching, and coalescing
 	// exactly like the full request it abbreviates.
-	var base *core.Analysis
+	var base *Result
 	var dinfo *DeltaInfo
 	if delta != nil {
 		var err error
@@ -257,7 +265,8 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 		defer cancel()
 	}
 	_, ksp := s.stats.start(ctx, "service.key")
-	key := Key(opts, sources)
+	digests := fileDigests(sources, base)
+	key := keyOf(opts, digests)
 	ksp.end()
 
 	s.mu.Lock()
@@ -290,9 +299,13 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	res, err := s.lead(ctx, key, opts, sources, base)
+	var baseAnalysis *core.Analysis
+	if base != nil {
+		baseAnalysis = base.Analysis
+	}
+	res, err := s.lead(ctx, key, opts, sources, baseAnalysis)
 	if err == nil {
-		res.Delta = dinfo
+		res.Delta, res.digests = dinfo, digests
 	}
 
 	s.mu.Lock()
@@ -307,10 +320,10 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 	return res, err
 }
 
-// resolveDelta looks up a delta's base in the result cache and
+// resolveDelta looks up a delta's base result in the result cache and
 // materializes the request's source set from it, under a
 // "service.base" span.
-func (s *Service) resolveDelta(ctx context.Context, opts core.Options, delta *deltaReq) (*core.Analysis, map[string]string, *DeltaInfo, error) {
+func (s *Service) resolveDelta(ctx context.Context, opts core.Options, delta *deltaReq) (*Result, map[string]string, *DeltaInfo, error) {
 	_, sp := s.stats.start(ctx, "service.base")
 	s.mu.Lock()
 	res, ok := s.cache.get(delta.base)
@@ -343,7 +356,7 @@ func (s *Service) resolveDelta(ctx context.Context, opts core.Options, delta *de
 	sp.end(trace.Int("files_reused", dinfo.FilesReused),
 		trace.Int("files_changed", dinfo.FilesChanged),
 		trace.Int("files_removed", dinfo.FilesRemoved))
-	return base, sources, dinfo, nil
+	return res, sources, dinfo, nil
 }
 
 // lead runs the leader path behind a panic boundary. A panic anywhere
