@@ -127,9 +127,6 @@ type Analysis struct {
 
 	// entries are the resolved analysis roots (lower phase).
 	entries []string
-	// pairs is the inconsistency computation's raw output (pairs
-	// phase), condensed by the post phase.
-	pairs []ObjectPair
 
 	// Front counts per-file front-end work: what a run reused from
 	// its base and what it recomputed (incremental.go).
@@ -165,18 +162,15 @@ type Analysis struct {
 	// subEdges counts raw candidate subregion tuples ("sub." column).
 	subEdges int
 
-	// AccessEdges is σ restricted to region-allocated sources: source
-	// object, field offset, target object.
-	AccessEdges []AccessEdge
+	// accessEdges counts σ, the heap restricted to region-allocated
+	// sources (eachAccess). objectPairs counts the inconsistent
+	// object pairs, and ipairs holds them condensed by instruction
+	// pair (foldPair).
+	accessEdges int
+	objectPairs int
+	ipairs      map[ipairKey]*IPair
 
 	Report *Report
-}
-
-// AccessEdge is one tuple of the heap/access relation.
-type AccessEdge struct {
-	Src int
-	Off int64
-	Dst int
 }
 
 // AnalyzeSource parses, checks, lowers, and analyzes CMinor sources
@@ -656,17 +650,6 @@ func (a *Analysis) ownersOf(obj int) []int {
 func (a *Analysis) isRegionAllocated(obj int) bool {
 	_, owned := a.Owner[obj]
 	return owned
-}
-
-// extractAccess restricts the pointer analysis heap to σ: edges whose
-// source is a region-allocated object.
-func (a *Analysis) extractAccess() {
-	a.Ptr.EachHeap(func(obj int, off int64, l pointer.Loc) {
-		if !a.isRegionAllocated(obj) {
-			return
-		}
-		a.AccessEdges = append(a.AccessEdges, AccessEdge{Src: obj, Off: off, Dst: l.Obj})
-	})
 }
 
 // RegionCount returns the number of created region instances (the

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -51,6 +53,34 @@ int main(void) {
 }`,
 	// Figure 9.
 	figure9Source,
+	// Interior pointer: one cell holds o2 at two offsets, which is one
+	// σ edge and one object pair.
+	rcPrelude + `
+struct obj { struct obj *p; int x; int y; };
+int main(void) {
+    region_t *r1; region_t *r2;
+    struct obj *o1; struct obj *o2;
+    r1 = rnew(NULL); r2 = rnew(NULL);
+    o1 = ralloc(r1); o2 = ralloc(r2);
+    o1->p = o2;
+    o1->p = (struct obj *)&o2->y;
+    return 0;
+}`,
+}
+
+// interiorSource is the crossCheckSources fixture whose heap cell holds
+// one object at two offsets.
+const interiorSource = 4
+
+// objectPairs collects a finished analysis's object pairs through the
+// pairs phase's visitor, sorted by (Src, Off, Dst).
+func objectPairs(a *Analysis) []ObjectPair {
+	var out []ObjectPair
+	a.eachObjectPair(context.Background(), func(p ObjectPair) { out = append(out, p) })
+	slices.SortFunc(out, func(p, q ObjectPair) int {
+		return cmp.Or(cmp.Compare(p.Src, q.Src), cmp.Compare(p.Off, q.Off), cmp.Compare(p.Dst, q.Dst))
+	})
+	return out
 }
 
 func TestBackendsAgree(t *testing.T) {
@@ -58,14 +88,25 @@ func TestBackendsAgree(t *testing.T) {
 		t.Run(fmt.Sprintf("src%d", i), func(t *testing.T) {
 			exp := runOpts(t, Options{Solver: SolverOptions{Backend: ExplicitBackend}}, src)
 			bdd := runOpts(t, Options{Solver: SolverOptions{Backend: BDDBackend}}, src)
-			expPairs, _ := exp.computeObjectPairs(context.Background())
-			bddPairs, _ := bdd.computeObjectPairsBDD(context.Background())
+			expPairs, bddPairs := objectPairs(exp), objectPairs(bdd)
 			if !reflect.DeepEqual(expPairs, bddPairs) {
 				t.Fatalf("backends disagree:\nexplicit: %+v\nbdd:      %+v", expPairs, bddPairs)
 			}
-			if len(exp.Report.Warnings) != len(bdd.Report.Warnings) {
-				t.Fatalf("warning counts differ: %d vs %d",
-					len(exp.Report.Warnings), len(bdd.Report.Warnings))
+			if got, want := canonicalReportText(t, bdd.Report), canonicalReportText(t, exp.Report); got != want {
+				t.Fatalf("reports differ:\nexplicit: %s\nbdd:      %s", want, got)
+			}
+			if i == interiorSource {
+				for _, a := range []*Analysis{exp, bdd} {
+					s := a.Report.Stats
+					if s.Heap != 1 || s.OPairs != 1 || len(expPairs) != 1 {
+						t.Errorf("backend=%d: heap=%d O-pair=%d, %d visited pairs; want 1, 1, 1",
+							a.Opts.Solver.Backend, s.Heap, s.OPairs, len(expPairs))
+					}
+					if ws := a.Report.Warnings; len(ws) != 1 || ws[0].IPair.Pairs != 1 {
+						t.Errorf("backend=%d: warnings %+v, want one I-pair of one object pair",
+							a.Opts.Solver.Backend, ws)
+					}
+				}
 			}
 		})
 	}
@@ -78,7 +119,7 @@ func TestCorrelationFrameworkAgrees(t *testing.T) {
 		t.Run(fmt.Sprintf("src%d", i), func(t *testing.T) {
 			a := run(t, src)
 			corr := a.Correlation()
-			pairs, _ := a.computeObjectPairs(context.Background())
+			pairs := objectPairs(a)
 			// The correlation ranges over created regions only; filter
 			// pairs whose evidence involves the root.
 			var nonRoot int

@@ -8,7 +8,7 @@ import (
 	"repro/internal/trace"
 )
 
-// computeObjectPairsBDD runs the inconsistency computation on the
+// eachObjectPairBDD runs the inconsistency computation on the
 // BDD-backed Datalog engine, mirroring the paper's bddbddb rules
 // (Section 5.3.2):
 //
@@ -19,26 +19,26 @@ import (
 //	objectPair(o1, n, o2) :- regionPair(x, y), own(x, o1), own(y, o2),
 //	                         access(o1, n, o2).
 //
-// The result is identical to the explicit backend (asserted by tests);
-// the two differ only in how the relations are stored and joined. The
-// second result is the engine's final footprint and kernel counters,
-// which the pairs phase reports; it is nil when there is nothing to
-// verify and the engine never runs.
-func (a *Analysis) computeObjectPairsBDD(ctx context.Context) ([]ObjectPair, map[string]int64) {
-	if len(a.AccessEdges) == 0 {
-		return nil, nil
+// It visits the same object pairs as the explicit backend (asserted by
+// tests), each once as it extracts them; the two differ only in how
+// the relations are stored and joined. The result is the engine's
+// final footprint and kernel counters, which the pairs phase reports;
+// it is nil when there is nothing to verify and the engine never runs.
+func (a *Analysis) eachObjectPairBDD(ctx context.Context, visit func(ObjectPair)) map[string]int64 {
+	if a.accessEdges == 0 {
+		return nil
 	}
 	// pairs.load covers building the program and its base relations.
 	_, sl := trace.StartSpan(ctx, "pairs.load")
 	// Offsets are interned into a dense domain.
 	offIdx := make(map[int64]uint64)
 	var offs []int64
-	for _, e := range a.AccessEdges {
-		if _, ok := offIdx[e.Off]; !ok {
-			offIdx[e.Off] = uint64(len(offs))
-			offs = append(offs, e.Off)
+	a.eachAccess(func(_ int, off int64, _ int) {
+		if _, ok := offIdx[off]; !ok {
+			offIdx[off] = uint64(len(offs))
+			offs = append(offs, off)
 		}
-	}
+	})
 
 	p := datalog.NewProgram()
 	if sp := trace.SpanFromContext(ctx); sp != nil {
@@ -80,17 +80,14 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) ([]ObjectPair, map
 	}
 
 	_, sx := trace.StartSpan(ctx, "pairs.extract")
-	var out []ObjectPair
 	or.objectPair.Each(func(t []uint64) bool {
-		e := AccessEdge{Src: int(t[0]), Off: offs[t[1]], Dst: int(t[2])}
-		if p, bad := a.checkEdge(e); bad {
-			out = append(out, p)
+		if p, bad := a.checkEdge(int(t[0]), offs[t[1]], int(t[2])); bad {
+			visit(p)
 		}
 		return true
 	})
 	sx.End()
-	sortPairs(out)
-	return out, counters
+	return counters
 }
 
 // ruleText maps a rule's Name() to the paper's full Datalog rendering
@@ -197,12 +194,12 @@ func (a *Analysis) loadObjectRels(or objectRels, offIdx map[int64]uint64) {
 	// Non-region, non-allocated objects belong to the root (storage,
 	// strings, malloc'ed memory) — only the ones that actually appear
 	// as access targets matter.
-	for _, e := range a.AccessEdges {
-		if _, isRegion := a.regionOf[e.Dst]; !isRegion {
-			if _, owned := a.Owner[e.Dst]; !owned {
-				or.own.Add(uint64(RootRegion), uint64(e.Dst))
+	a.eachAccess(func(src int, off int64, dst int) {
+		if _, isRegion := a.regionOf[dst]; !isRegion {
+			if _, owned := a.Owner[dst]; !owned {
+				or.own.Add(uint64(RootRegion), uint64(dst))
 			}
 		}
-		or.access.Add(uint64(e.Src), offIdx[e.Off], uint64(e.Dst))
-	}
+		or.access.Add(uint64(src), offIdx[off], uint64(dst))
+	})
 }

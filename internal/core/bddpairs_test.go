@@ -23,7 +23,7 @@ func TestBDDPairsEvaluatesEachJoinOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.pairs) == 0 {
+	if a.Report.Stats.OPairs == 0 {
 		t.Fatal("fixture derives no object pairs; the join would be vacuous")
 	}
 

@@ -127,10 +127,11 @@ func (a *Analysis) leqChain(x int) []int {
 // its evidence region pair from the analysis tables, independently of
 // the edge check that produced the pair: regionPair(x,y) holds when
 // both are regions and y is not on x's ancestor chain, own(x,Src) and
-// own(y,Dst) come from ownersOf, and access(Src,Off,Dst) must be one of
-// the access edges. A pair that does not re-derive means the result
-// and the region tree disagree — an internal error, surfaced rather
-// than papered over.
+// own(y,Dst) come from ownersOf, and access(Src,Off,Dst) holds when Src
+// is region-allocated and its heap cell at Off holds Dst (a binary
+// search of the sorted cell). A pair that does not re-derive means the
+// result and the region tree disagree — an internal error, surfaced
+// rather than papered over.
 func (a *Analysis) verifyPair(p ObjectPair) error {
 	x, y := p.Evidence[0], p.Evidence[1]
 	isRegion := func(r int) bool { return r >= 0 && r < len(a.Regions) }
@@ -140,7 +141,9 @@ func (a *Analysis) verifyPair(p ObjectPair) error {
 	if !slices.Contains(a.ownersOf(p.Src), x) || !slices.Contains(a.ownersOf(p.Dst), y) {
 		return Errf(ErrInternal, "", "verify: evidence regions (%d,%d) do not own objects (%d,%d)", x, y, p.Src, p.Dst)
 	}
-	if !slices.Contains(a.AccessEdges, AccessEdge{Src: p.Src, Off: p.Off, Dst: p.Dst}) {
+	cell := a.Ptr.HeapAt(p.Src, p.Off)
+	i := sort.Search(len(cell), func(i int) bool { return cell[i].Obj >= p.Dst })
+	if !a.isRegionAllocated(p.Src) || i == len(cell) || cell[i].Obj != p.Dst {
 		return Errf(ErrInternal, "", "verify: access(%d,%d,%d) is not an access edge", p.Src, p.Off, p.Dst)
 	}
 	return nil

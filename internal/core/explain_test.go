@@ -193,13 +193,14 @@ func TestReportUnchangedByProvenance(t *testing.T) {
 
 // TestBrokenEvidenceIsInternalError breaks a warning's evidence so it
 // names a related region pair (the source owner and its own parent)
-// and requires Explain and QueryPair to refuse with ErrInternal rather
-// than explain or report a pair the region tree does not support.
+// and requires Explain, and verifyPair (the check QueryPair runs on
+// every pair it derives), to refuse with ErrInternal rather than
+// explain or report a pair the region tree does not support.
 func TestBrokenEvidenceIsInternalError(t *testing.T) {
 	ctx := context.Background()
 	for _, backend := range []Backend{ExplicitBackend, BDDBackend} {
 		a := runOpts(t, Options{Solver: SolverOptions{Backend: backend}}, explainSource)
-		if len(a.Report.Warnings) == 0 || len(a.pairs) == 0 {
+		if len(a.Report.Warnings) == 0 || a.Report.Stats.OPairs == 0 {
 			t.Fatalf("backend=%d: fixture reports nothing", backend)
 		}
 		related := func(p ObjectPair) [2]int {
@@ -213,15 +214,9 @@ func TestBrokenEvidenceIsInternalError(t *testing.T) {
 		if !errors.As(err, &aerr) || aerr.Kind != ErrInternal || !strings.Contains(err.Error(), "regionPair") {
 			t.Errorf("backend=%d: Explain with related evidence: err = %v, want an ErrInternal naming regionPair", backend, err)
 		}
-		ps := a.PairSites()[0]
-		for i, p := range a.pairs {
-			if a.siteOf(p.Src) == w.IPair.SrcSite && a.siteOf(p.Dst) == w.IPair.DstSite {
-				a.pairs[i].Evidence = related(p)
-			}
-		}
-		_, err = a.QueryPair(ctx, ps.Src.String(), ps.Dst.String())
+		err = a.verifyPair(w.IPair.Example)
 		if !errors.As(err, &aerr) || aerr.Kind != ErrInternal || !strings.Contains(err.Error(), "regionPair") {
-			t.Errorf("backend=%d: QueryPair with related evidence: err = %v, want an ErrInternal naming regionPair", backend, err)
+			t.Errorf("backend=%d: verifyPair with related evidence: err = %v, want an ErrInternal naming regionPair", backend, err)
 		}
 	}
 }

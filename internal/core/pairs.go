@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/cminor"
 	"repro/internal/correlation"
@@ -23,24 +22,49 @@ type ObjectPair struct {
 	High bool
 }
 
-// computeObjectPairs verifies the non-access property against region
-// pairs with no subregion partial order. The explicit backend checks
-// each σ edge directly (equivalent to materializing regionPair and
-// joining, but linear in |σ|); the BDD backend runs the paper's
-// Datalog rules and is cross-checked in tests. The second result holds
-// the BDD engine's counters, nil on the explicit backend.
-func (a *Analysis) computeObjectPairs(ctx context.Context) ([]ObjectPair, map[string]int64) {
-	if a.Opts.Solver.Backend == BDDBackend {
-		return a.computeObjectPairsBDD(ctx)
+// eachAccess calls fn on every σ edge in (Src, Off, Dst) order, the
+// order of Ptr.EachHeap.
+func (a *Analysis) eachAccess(fn func(src int, off int64, dst int)) {
+	for obj := range a.Ptr.Objects {
+		a.eachAccessFrom(obj, func(off int64, dst int) { fn(obj, off, dst) })
 	}
-	var out []ObjectPair
-	for _, e := range a.AccessEdges {
-		if p, bad := a.checkEdge(e); bad {
-			out = append(out, p)
+}
+
+// eachAccessFrom calls fn on σ's edges out of obj in (Off, Dst) order:
+// none unless obj is region-allocated, and each (Off, Dst) once,
+// although a heap cell holds one object at each of its offsets.
+func (a *Analysis) eachAccessFrom(obj int, fn func(off int64, dst int)) {
+	if !a.isRegionAllocated(obj) {
+		return
+	}
+	lastOff, lastDst := int64(0), -1
+	a.Ptr.EachHeapOf(obj, func(off int64, l pointer.Loc) {
+		if off == lastOff && l.Obj == lastDst {
+			return
 		}
+		lastOff, lastDst = off, l.Obj
+		fn(off, l.Obj)
+	})
+}
+
+// eachObjectPair verifies the non-access property against region
+// pairs with no subregion partial order and calls visit on every
+// inconsistent object pair. The explicit backend checks each σ edge
+// directly (equivalent to materializing regionPair and joining, but
+// linear in |σ|) and visits in (Src, Off, Dst) order; the BDD backend
+// runs the paper's Datalog rules, is cross-checked in tests, and visits
+// in the order it extracts the objectPair relation. The result holds
+// the BDD engine's counters, nil on the explicit backend.
+func (a *Analysis) eachObjectPair(ctx context.Context, visit func(ObjectPair)) map[string]int64 {
+	if a.Opts.Solver.Backend == BDDBackend {
+		return a.eachObjectPairBDD(ctx, visit)
 	}
-	sortPairs(out)
-	return out, nil
+	a.eachAccess(func(src int, off int64, dst int) {
+		if p, bad := a.checkEdge(src, off, dst); bad {
+			visit(p)
+		}
+	})
+	return nil
 }
 
 // checkEdge decides whether one access edge is inconsistent and, if
@@ -51,19 +75,19 @@ func (a *Analysis) computeObjectPairs(ctx context.Context) ([]ObjectPair, map[st
 // case (pool/subpool, related but inverted) ranks low while its
 // Section 6.2 false positive (a fresh pool vs. an unrelated one) and
 // the sibling-region bugs rank high.
-func (a *Analysis) checkEdge(e AccessEdge) (ObjectPair, bool) {
-	srcOwners := a.ownersOf(e.Src)
-	dstOwners := a.ownersOf(e.Dst)
+func (a *Analysis) checkEdge(src int, off int64, dst int) (ObjectPair, bool) {
+	srcOwners := a.ownersOf(src)
+	dstOwners := a.ownersOf(dst)
 	bad := false
 	high := false
 	var evidence [2]int
-	refine := a.Opts.DefUseRefinement && a.sameVarWitness(0, e.Src, e.Dst)
+	refine := a.Opts.DefUseRefinement && a.sameVarWitness(0, src, dst)
 	for _, x := range srcOwners {
 		for _, y := range dstOwners {
 			if a.Leq(x, y) {
 				continue
 			}
-			if a.Opts.DefUseRefinement && (refine || a.sameVarWitness(x, e.Src, e.Dst)) {
+			if a.Opts.DefUseRefinement && (refine || a.sameVarWitness(x, src, dst)) {
 				// Figure 5(b): the witness is an artifact of
 				// flow-insensitive region aliasing.
 				continue
@@ -83,22 +107,10 @@ func (a *Analysis) checkEdge(e AccessEdge) (ObjectPair, bool) {
 		return ObjectPair{}, false
 	}
 	return ObjectPair{
-		Src: e.Src, Off: e.Off, Dst: e.Dst,
+		Src: src, Off: off, Dst: dst,
 		Evidence: evidence,
 		High:     high,
 	}, true
-}
-
-func sortPairs(ps []ObjectPair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Src != ps[j].Src {
-			return ps[i].Src < ps[j].Src
-		}
-		if ps[i].Off != ps[j].Off {
-			return ps[i].Off < ps[j].Off
-		}
-		return ps[i].Dst < ps[j].Dst
-	})
 }
 
 // Correlation materializes the paper's Definition 4.1 instantiation
@@ -131,9 +143,7 @@ func (a *Analysis) Correlation() *correlation.Correlation[int, map[int]bool] {
 		return set
 	}
 	access := map[[2]int]bool{}
-	for _, e := range a.AccessEdges {
-		access[[2]int{e.Src, e.Dst}] = true
-	}
+	a.eachAccess(func(src int, _ int64, dst int) { access[[2]int{src, dst}] = true })
 	g := func(s, t map[int]bool) bool {
 		for o1 := range s {
 			for o2 := range t {
@@ -163,43 +173,30 @@ type IPair struct {
 	Example ObjectPair
 }
 
-// condense folds context-sensitive object pairs to instruction pairs.
-func (a *Analysis) condense(pairs []ObjectPair) []IPair {
-	type key struct {
-		src int
-		off int64
-		dst int
+// ipairKey is an instruction pair's key: source allocation site,
+// offset, target allocation site.
+type ipairKey struct {
+	src int
+	off int64
+	dst int
+}
+
+// foldPair condenses one inconsistent object pair into its instruction
+// pair as the pairs phase finds it: the I-pair counts the pair, is High
+// when any of its pairs is, and keeps as Example its least pair in
+// (Src, Off, Dst) order, whatever order the backend visits them in.
+func (a *Analysis) foldPair(p ObjectPair) {
+	a.objectPairs++
+	k := ipairKey{a.siteOf(p.Src), p.Off, a.siteOf(p.Dst)}
+	ip := a.ipairs[k]
+	if ip == nil {
+		ip = &IPair{SrcSite: k.src, Off: k.off, DstSite: k.dst, Example: p}
+		a.ipairs[k] = ip
+	} else if e := ip.Example; p.Src < e.Src || p.Src == e.Src && (p.Off < e.Off || p.Off == e.Off && p.Dst < e.Dst) {
+		ip.Example = p
 	}
-	m := make(map[key]*IPair)
-	var order []key
-	for _, p := range pairs {
-		k := key{a.siteOf(p.Src), p.Off, a.siteOf(p.Dst)}
-		ip := m[k]
-		if ip == nil {
-			ip = &IPair{SrcSite: k.src, Off: k.off, DstSite: k.dst, Example: p}
-			m[k] = ip
-			order = append(order, k)
-		}
-		ip.Pairs++
-		if p.High {
-			ip.High = true
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		if a.off != b.off {
-			return a.off < b.off
-		}
-		return a.dst < b.dst
-	})
-	out := make([]IPair, 0, len(order))
-	for _, k := range order {
-		out = append(out, *m[k])
-	}
-	return out
+	ip.Pairs++
+	ip.High = ip.High || p.High
 }
 
 // PairSite is one reported pair as source positions of the two

@@ -28,7 +28,7 @@ const (
 	PhaseOwnership = "ownership" // ownership relation extraction (Section 5.3.1)
 	PhaseAccess    = "access"    // access relation restriction (Section 5.3.1)
 	PhasePairs     = "pairs"     // inconsistency computation (Section 5.3.2)
-	PhasePost      = "post"      // condensing + ranking (Section 5.4)
+	PhasePost      = "post"      // ranking + report assembly (Section 5.4)
 )
 
 // PhaseNames lists every analysis phase in execution order.
@@ -49,6 +49,7 @@ func newAnalysis(opts Options) *Analysis {
 		Owner:      make(map[int][]int),
 		parentVars: make(map[int]map[varInst]bool),
 		ownerVars:  make(map[int]map[varInst]bool),
+		ipairs:     make(map[ipairKey]*IPair),
 	}
 }
 
@@ -219,22 +220,21 @@ var phases = []phase{
 		return nonZero(map[string]int{"ownership_edges": a.ownEdges}), nil
 	}},
 	{PhaseAccess, func(_ context.Context, a *Analysis) (map[string]int64, error) {
-		a.extractAccess()
-		return nonZero(map[string]int{"access_edges": len(a.AccessEdges)}), nil
+		a.eachAccess(func(int, int64, int) { a.accessEdges++ })
+		return nonZero(map[string]int{"access_edges": a.accessEdges}), nil
 	}},
 	{PhasePairs, func(ctx context.Context, a *Analysis) (map[string]int64, error) {
-		var out map[string]int64
-		a.pairs, out = a.computeObjectPairs(ctx)
-		if len(a.pairs) > 0 {
+		out := a.eachObjectPair(ctx, a.foldPair)
+		if a.objectPairs > 0 {
 			if out == nil {
 				out = make(map[string]int64, 1)
 			}
-			out["object_pairs"] = int64(len(a.pairs))
+			out["object_pairs"] = int64(a.objectPairs)
 		}
 		return out, nil
 	}},
 	{PhasePost, func(_ context.Context, a *Analysis) (map[string]int64, error) {
-		a.Report = a.postProcess(a.pairs)
+		a.Report = a.postProcess()
 		return map[string]int64{
 			"instruction_pairs": int64(a.Report.Stats.IPairs),
 			"warnings":          int64(len(a.Report.Warnings)),

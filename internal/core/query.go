@@ -29,8 +29,9 @@ type PairAnswer struct {
 	Src string `json:"src"`
 	Dst string `json:"dst"`
 	// SrcObjects / DstObjects count the abstract objects (context
-	// clones) the two sites resolved to; Edges counts the access edges
-	// between them that were checked.
+	// clones) the two sites resolved to; Edges counts the σ edges from
+	// the source objects' heap cells into the destination objects,
+	// each of which was checked.
 	SrcObjects int `json:"src_objects"`
 	DstObjects int `json:"dst_objects"`
 	Edges      int `json:"access_edges"`
@@ -60,10 +61,11 @@ func (q *PairAnswer) String() string {
 // QueryPair answers one pair query against a finished analysis (a
 // one-shot run or one of the daemon's cached results): srcSite and
 // dstSite are "file:line" or "file:line:col" allocation-site
-// positions. The verdict is read from the run's object pairs — the
-// result the report was condensed from — restricted to the two sites'
-// objects, and every witnessing pair is re-derived from the region
-// tree, ownership, and access edges (verifyPair). A pair that does not
+// positions. Only the heap cells of the source site's objects are
+// read: each σ edge into a destination object is checked as the pairs
+// phase checks it (checkEdge), so the verdict agrees with the report,
+// and every witnessing pair is re-derived from the region tree,
+// ownership, and the heap cell (verifyPair). A pair that does not
 // re-derive is an internal error, surfaced rather than papered over.
 func (a *Analysis) QueryPair(ctx context.Context, srcSite, dstSite string) (*PairAnswer, error) {
 	if a.Report == nil {
@@ -95,29 +97,37 @@ func (a *Analysis) queryPair(srcSite, dstSite string) (*PairAnswer, error) {
 	if err != nil {
 		return nil, err
 	}
-	srcSet := make(map[int]bool, len(srcObjs))
-	for _, o := range srcObjs {
-		srcSet[o] = true
-	}
 	dstSet := make(map[int]bool, len(dstObjs))
 	for _, o := range dstObjs {
 		dstSet[o] = true
 	}
-	edges := 0
-	for _, e := range a.AccessEdges {
-		if srcSet[e.Src] && dstSet[e.Dst] {
+	// The source objects' σ edges in (Src, Off, Dst) order, the order
+	// of the pairs the report was condensed from; the representative
+	// is the first high-ranked pair, else the first.
+	edges, pairs := 0, 0
+	var rep ObjectPair
+	for _, src := range srcObjs {
+		var err error
+		a.eachAccessFrom(src, func(off int64, dst int) {
+			if err != nil || !dstSet[dst] {
+				return
+			}
 			edges++
-		}
-	}
-	var pairs []ObjectPair
-	for _, p := range a.pairs {
-		if !srcSet[p.Src] || !dstSet[p.Dst] {
-			continue
-		}
-		if err := a.verifyPair(p); err != nil {
+			p, bad := a.checkEdge(src, off, dst)
+			if !bad {
+				return
+			}
+			if err = a.verifyPair(p); err != nil {
+				return
+			}
+			if pairs == 0 || p.High && !rep.High {
+				rep = p
+			}
+			pairs++
+		})
+		if err != nil {
 			return nil, err
 		}
-		pairs = append(pairs, p)
 	}
 	ans := &PairAnswer{
 		Schema:     QuerySchemaV1,
@@ -126,24 +136,17 @@ func (a *Analysis) queryPair(srcSite, dstSite string) (*PairAnswer, error) {
 		SrcObjects: len(srcObjs),
 		DstObjects: len(dstObjs),
 		Edges:      edges,
-		Pairs:      len(pairs),
+		Pairs:      pairs,
 		Throttled:  a.Report.Stats.Throttled(),
 	}
-	if len(pairs) > 0 {
+	if pairs > 0 {
 		ans.Inconsistent = true
-		rep := pairs[0]
-		for _, p := range pairs {
-			if p.High {
-				ans.High = true
-				rep = p
-				break
-			}
-		}
+		ans.High = rep.High
 		ans.SrcRegion = a.regionDesc(rep.Evidence[0])
 		ans.DstRegion = a.regionDesc(rep.Evidence[1])
 		ans.Message = fmt.Sprintf(
 			"objects allocated at %s may hold a dangling pointer to objects allocated at %s: owner region %s has no subregion order with %s (%d object pair(s))",
-			srcSite, dstSite, ans.SrcRegion, ans.DstRegion, len(pairs))
+			srcSite, dstSite, ans.SrcRegion, ans.DstRegion, pairs)
 	} else {
 		ans.Message = fmt.Sprintf(
 			"no inconsistent access from %s to %s (%d access edge(s) checked)",

@@ -127,20 +127,20 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// postProcess condenses object pairs, ranks them, and assembles the
-// report (Section 5.4). Stats.Time and Stats.Phases are filled in by
-// runPhases once the last phase completes.
-func (a *Analysis) postProcess(pairs []ObjectPair) *Report {
-	ipairs := a.condense(pairs)
-	warnings := make([]Warning, 0, len(ipairs))
+// postProcess ranks the instruction pairs the pairs phase condensed,
+// sorts them, and assembles the report (Section 5.4). Stats.Time and
+// Stats.Phases are filled in by runPhases once the last phase
+// completes.
+func (a *Analysis) postProcess() *Report {
+	warnings := make([]Warning, 0, len(a.ipairs))
 	high := 0
 	causes := map[string]bool{}
 	highCauses := map[string]bool{}
-	for _, ip := range ipairs {
+	for _, ip := range a.ipairs {
 		if ip.High {
 			high++
 		}
-		w := a.describe(ip)
+		w := a.describe(*ip)
 		causes[w.Cause] = true
 		if ip.High {
 			highCauses[w.Cause] = true
@@ -153,7 +153,7 @@ func (a *Analysis) postProcess(pairs []ObjectPair) *Report {
 	// instruction ID, field offset, destination instruction ID).
 	// Repeated runs over the same input therefore produce
 	// byte-identical reports (asserted by TestReportDeterminism).
-	sort.SliceStable(warnings, func(i, j int) bool {
+	sort.Slice(warnings, func(i, j int) bool {
 		wi, wj := warnings[i], warnings[j]
 		if wi.High() != wj.High() {
 			return wi.High()
@@ -183,10 +183,10 @@ func (a *Analysis) postProcess(pairs []ObjectPair) *Report {
 		H:             a.ObjectCount(),
 		Sub:           a.subEdges,
 		Own:           a.ownEdges,
-		Heap:          len(a.AccessEdges),
+		Heap:          a.accessEdges,
 		RPairs:        a.RPairCount(),
-		OPairs:        len(pairs),
-		IPairs:        len(ipairs),
+		OPairs:        a.objectPairs,
+		IPairs:        len(a.ipairs),
 		High:          high,
 		Contexts:      a.Numbering.TotalContexts(),
 		Funcs:         len(reach),

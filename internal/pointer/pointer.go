@@ -348,11 +348,20 @@ func (r *Result) HeapAt(obj int, off int64) []Loc {
 // EachHeap enumerates every (obj, off) -> loc heap edge, ordered by
 // object, offset and location.
 func (r *Result) EachHeap(fn func(obj int, off int64, l Loc)) {
-	for obj, cells := range r.heapCells {
-		for _, hc := range cells {
-			for _, l := range r.set(hc.cell) {
-				fn(obj, hc.off, l)
-			}
+	for obj := range r.heapCells {
+		r.EachHeapOf(obj, func(off int64, l Loc) { fn(obj, off, l) })
+	}
+}
+
+// EachHeapOf enumerates object obj's heap edges off -> loc, ordered by
+// offset and location.
+func (r *Result) EachHeapOf(obj int, fn func(off int64, l Loc)) {
+	if obj < 0 || obj >= len(r.heapCells) {
+		return
+	}
+	for _, hc := range r.heapCells[obj] {
+		for _, l := range r.set(hc.cell) {
+			fn(hc.off, l)
 		}
 	}
 }

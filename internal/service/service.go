@@ -525,8 +525,8 @@ type QueryResult struct {
 // across regions with no subregion order? src and dst are "file:line"
 // or "file:line:col" allocation-site positions. The query runs over
 // the cached Result's analysis state, under a "service.query" span —
-// the run's object pairs between the two sites are read off, nothing
-// is re-solved — and its verdict agrees with the cached report. If the
+// the source site's heap cells are checked edge by edge, nothing is
+// re-solved — and its verdict agrees with the cached report. If the
 // key has been evicted — or never completed — Query fails with an
 // ErrSnapshotGone-kind error (HTTP 409) and the client re-runs the
 // analysis first.
