@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/callgraph"
@@ -106,6 +107,8 @@ type Region struct {
 	Parent int // region index after the Section 4.3 join collapse
 	// Cands are the candidate parents observed before collapsing.
 	Cands []int
+	// Depth is the number of parent edges from the region up to the
+	// root (0 for the root itself).
 	Depth int
 }
 
@@ -376,19 +379,23 @@ func (a *Analysis) regionArgTargets(in *ir.Inst, ctx uint64, argIdx int) []int {
 	if arg.Kind == ir.NullOpd || arg.Kind == ir.ConstOpd {
 		return []int{RootRegion}
 	}
+	if out := a.pointeeRegions(arg, ctx); len(out) > 0 {
+		return out
+	}
+	return []int{RootRegion}
+}
+
+// pointeeRegions returns the regions an operand may point to in ctx,
+// sorted and distinct.
+func (a *Analysis) pointeeRegions(arg ir.Opd, ctx uint64) []int {
 	var out []int
-	seen := map[int]bool{}
 	for _, l := range a.Ptr.OperandPointsTo(arg, ctx) {
-		if r, ok := a.regionOf[l.Obj]; ok && !seen[r] {
-			seen[r] = true
+		if r, ok := a.regionOf[l.Obj]; ok {
 			out = append(out, r)
 		}
 	}
-	if len(out) == 0 {
-		return []int{RootRegion}
-	}
 	sort.Ints(out)
-	return out
+	return slices.Compact(out)
 }
 
 // varInst is one context-sensitive variable instance — the V of the
@@ -442,150 +449,87 @@ func (a *Analysis) allocRegionTargets(in *ir.Inst, ctx uint64, argIdx int) []int
 	if arg.Kind != ir.VarOpd && arg.Kind != ir.StringOpd {
 		return nil
 	}
-	var out []int
-	seen := map[int]bool{}
-	for _, l := range a.Ptr.OperandPointsTo(arg, ctx) {
-		if r, ok := a.regionOf[l.Obj]; ok && !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	sort.Ints(out)
-	return out
+	return a.pointeeRegions(arg, ctx)
 }
 
-// collapseParents implements the Section 4.3 under-approximation: a
-// region with several candidate parents is re-parented to their join
-// in the region semilattice (the root is the top). The join is the
-// least common ancestor over the forest formed by unique-parent
-// regions; regions whose candidates have no common ancestor chain join
-// at the root, exactly as in Example 4.4.
+// collapseParents implements the Section 4.3 under-approximation and
+// leaves Regions a tree rooted at the root region, with every Depth
+// set. A unique candidate becomes the parent; a region with several
+// candidates is re-parented to their join, the least common ancestor
+// in the region semilattice (the root is the top), so candidates with
+// no common ancestor chain join at the root, exactly as in Example 4.4.
+// Unique parents are set first, in descending index order, then the
+// joins in index order; every edge goes through setParent, the one
+// place a parent cycle is broken.
 func (a *Analysis) collapseParents() {
-	// Start from unique-parent edges.
-	for i := range a.Regions {
-		r := &a.Regions[i]
-		if i == RootRegion {
-			continue
-		}
-		switch len(r.Cands) {
-		case 0:
-			r.Parent = RootRegion
-		case 1:
-			r.Parent = r.Cands[0]
-		default:
-			r.Parent = -1 // to be joined below
+	for i := len(a.Regions) - 1; i > RootRegion; i-- {
+		if cands := a.Regions[i].Cands; len(cands) == 1 {
+			a.setParent(i, cands[0])
 		}
 	}
-	// Guard against parent cycles (possible after context merging):
-	// walk each unique chain; any cycle is broken at the root.
 	for i := range a.Regions {
-		if a.Regions[i].Parent < 0 {
-			continue
-		}
-		seen := map[int]bool{i: true}
-		for j := a.Regions[i].Parent; j != RootRegion; j = a.Regions[j].Parent {
-			if j < 0 || seen[j] {
-				a.Regions[i].Parent = RootRegion
-				break
-			}
-			seen[j] = true
+		if cands := a.Regions[i].Cands; len(cands) > 1 {
+			a.setParent(i, a.join(cands))
 		}
 	}
-	// Join multi-parent regions.
-	for i := range a.Regions {
-		r := &a.Regions[i]
-		if r.Parent >= 0 {
-			continue
+	var depth func(i int) int
+	depth = func(i int) int {
+		if r := &a.Regions[i]; i != RootRegion && r.Depth == 0 {
+			r.Depth = depth(r.Parent) + 1
 		}
-		r.Parent = a.join(r.Cands, i)
+		return a.Regions[i].Depth
 	}
-	// Depths for reporting and LCA sanity.
 	for i := range a.Regions {
-		a.Regions[i].Depth = a.depth(i)
+		depth(i)
 	}
 }
 
-// ancestors returns the chain idx, parent(idx), ..., root. Nodes with
-// still-undetermined parents (-1) fall to the root immediately.
-func (a *Analysis) ancestors(idx int) []int {
-	var chain []int
-	seen := map[int]bool{}
-	for {
-		chain = append(chain, idx)
-		if idx == RootRegion || seen[idx] {
-			return chain
+// setParent makes p the parent of region i unless p is i or descends
+// from it, in which case the edge would close a cycle (candidate edges
+// can, after context merging) and i is attached to the root instead.
+// Every parent edge starts at the root and is set here once, so the
+// parent relation stays a tree under the root and the walk from p
+// always ends there.
+func (a *Analysis) setParent(i, p int) {
+	for z := p; z != RootRegion; z = a.Regions[z].Parent {
+		if z == i {
+			p = RootRegion
+			break
 		}
-		seen[idx] = true
-		p := a.Regions[idx].Parent
-		if p < 0 {
-			chain = append(chain, RootRegion)
-			return chain
-		}
-		idx = p
 	}
+	a.Regions[i].Parent = p
 }
 
-// join computes the least common ancestor of the candidate set,
-// excluding the joining region itself from the result.
-func (a *Analysis) join(cands []int, self int) int {
-	if len(cands) == 0 {
-		return RootRegion
-	}
-	common := map[int]bool{}
-	for i, c := range cands {
-		chain := a.ancestors(c)
-		set := map[int]bool{}
-		for _, x := range chain {
-			set[x] = true
-		}
-		if i == 0 {
-			common = set
-			continue
-		}
-		for x := range common {
-			if !set[x] {
-				delete(common, x)
-			}
+// join computes the least common ancestor of the candidates over the
+// parent edges set so far: the deepest region on the first
+// candidate's chain that every candidate's chain reaches. Candidates
+// are distinct and each chain visits a region at most once, so a
+// region is common exactly when len(cands) chains reach it. The
+// joining region itself, or one of its descendants, can be the
+// result; setParent then attaches it to the root.
+func (a *Analysis) join(cands []int) int {
+	reach := make(map[int]int)
+	for _, c := range cands {
+		for z := c; z != RootRegion; z = a.Regions[z].Parent {
+			reach[z]++
 		}
 	}
-	// Deepest common ancestor: walk the first candidate's chain from
-	// the bottom; the first member of common that is not self wins.
-	for _, x := range a.ancestors(cands[0]) {
-		if common[x] && x != self {
-			return x
+	for z := cands[0]; z != RootRegion; z = a.Regions[z].Parent {
+		if reach[z] == len(cands) {
+			return z
 		}
 	}
 	return RootRegion
 }
 
-func (a *Analysis) depth(idx int) int {
-	d := 0
-	seen := map[int]bool{}
-	for idx != RootRegion && !seen[idx] {
-		seen[idx] = true
-		idx = a.Regions[idx].Parent
-		d++
-	}
-	return d
-}
-
 // Leq reports the subregion partial order x ⊑ y (reflexive transitive
-// closure of the collapsed parent edges; everything ⊑ root).
+// closure of the collapsed parent edges; everything ⊑ root): y is on
+// x's chain exactly when the walk from x up to y's depth lands on y.
 func (a *Analysis) Leq(x, y int) bool {
-	if y == RootRegion {
-		return true
-	}
-	seen := map[int]bool{}
-	for {
-		if x == y {
-			return true
-		}
-		if x == RootRegion || seen[x] {
-			return false
-		}
-		seen[x] = true
+	for a.Regions[x].Depth > a.Regions[y].Depth {
 		x = a.Regions[x].Parent
 	}
+	return x == y
 }
 
 // extractOwnership collects the ownership relation from allocation
@@ -662,17 +606,13 @@ func (a *Analysis) ObjectCount() int { return len(a.Owner) }
 
 // RPairCount counts ordered region pairs with no subregion partial
 // order ("R-pair" column) without materializing them: x ⊑ y holds for
-// x ≠ y exactly when y is a proper ancestor of x, so the related-pair
-// count is the sum of ancestor-chain lengths (root excluded).
+// x ≠ y exactly when y is a proper ancestor of x, and x has Depth−1
+// of those besides the root.
 func (a *Analysis) RPairCount() int64 {
 	n := int64(a.RegionCount())
 	var related int64
 	for x := 1; x < len(a.Regions); x++ {
-		seen := map[int]bool{x: true}
-		for y := a.Regions[x].Parent; y != RootRegion && !seen[y]; y = a.Regions[y].Parent {
-			seen[y] = true
-			related++
-		}
+		related += int64(a.Regions[x].Depth - 1)
 	}
 	return n*(n-1) - related
 }

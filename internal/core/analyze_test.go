@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/workloads"
 )
 
 // run analyzes a single source file with default options.
@@ -204,6 +209,167 @@ int main(int P, int Q) {
 	}
 	if !found {
 		t.Fatal("multi-parent region not collapsed to root join")
+	}
+}
+
+// multiParentChildSource gives the joined region r2 a unique-parent
+// child r3 that owns an object pointing into r2.
+const multiParentChildSource = rcPrelude + `
+struct obj { struct obj *f; };
+int main(int P, int Q) {
+    region_t *r0;
+    region_t *r1;
+    region_t *r;
+    region_t *r2;
+    region_t *r3;
+    struct obj *o2;
+    struct obj *o3;
+    r0 = rnew(NULL);
+    r1 = rnew(NULL);
+    if (P) r = r0;
+    if (Q) r = r1;
+    r2 = rnew(r);
+    r3 = rnew(r2);
+    o2 = ralloc(r2);
+    o3 = ralloc(r3);
+    o3->f = o2;
+    return 0;
+}`
+
+// joinCycleSource makes f's join close a cycle: f's candidates g and
+// h are both subregions of d, which is f's own subregion.
+const joinCycleSource = rcPrelude + `
+struct obj { struct obj *f; };
+int main(int c) {
+    region_t *p;
+    region_t *f;
+    region_t *d;
+    region_t *g;
+    region_t *h;
+    struct obj *of;
+    struct obj *od;
+    f = rnew(p);
+    d = rnew(f);
+    g = rnew(d);
+    h = rnew(d);
+    p = g;
+    if (c) p = h;
+    of = ralloc(f);
+    od = ralloc(d);
+    of->f = od;
+    od->f = of;
+    return 0;
+}`
+
+// joinedAndChild returns the one region with two candidate parents
+// and the region whose only candidate it is.
+func joinedAndChild(t *testing.T, a *Analysis) (joined, child int) {
+	t.Helper()
+	joined, child = -1, -1
+	for i, r := range a.Regions {
+		if len(r.Cands) == 2 {
+			joined = i
+		}
+	}
+	for i, r := range a.Regions {
+		if len(r.Cands) == 1 && r.Cands[0] == joined {
+			child = i
+		}
+	}
+	if joined < 0 || child < 0 {
+		t.Fatalf("no joined region with a unique-parent child: %+v", a.Regions)
+	}
+	return joined, child
+}
+
+// TestMultiParentChildKeepsItsParent: a region whose only candidate
+// parent is a multi-parent region stays under it after the join, so
+// r3 ⊑ r2 and o3->f = o2 is consistent.
+func TestMultiParentChildKeepsItsParent(t *testing.T) {
+	a := run(t, multiParentChildSource)
+	r2, r3 := joinedAndChild(t, a)
+	if got := a.Regions[r2].Parent; got != RootRegion {
+		t.Errorf("r2 joins under region %d, want the root", got)
+	}
+	if got := a.Regions[r3].Parent; got != r2 {
+		t.Errorf("r3 has parent %d, want r2 (%d)", got, r2)
+	}
+	if n := len(a.Report.Warnings); n != 0 || a.Report.Stats.RPairs != 11 {
+		t.Errorf("%d warnings, R-pair=%d; want 0 and 11:\n%s", n, a.Report.Stats.RPairs, a.Report)
+	}
+}
+
+// TestJoinCycleAttachesJoiningRegionToRoot pins the cycle rule: an
+// edge that would close a parent cycle attaches its child to the root.
+// Here f's join is d, which already descends from f, so f goes to the
+// root and d stays under f: of -> od points into a subregion (a low
+// warning) and od -> of is consistent.
+func TestJoinCycleAttachesJoiningRegionToRoot(t *testing.T) {
+	a := run(t, joinCycleSource)
+	f, d := joinedAndChild(t, a)
+	if got := a.Regions[f].Parent; got != RootRegion {
+		t.Errorf("f has parent %d, want the root", got)
+	}
+	if got := a.Regions[d].Parent; got != f {
+		t.Errorf("d has parent %d, want f (%d)", got, f)
+	}
+	ws := a.Report.Warnings
+	if len(ws) != 1 {
+		t.Fatalf("%d warnings, want 1:\n%s", len(ws), a.Report)
+	}
+	if ws[0].High() || ws[0].IPair.Example.Evidence != [2]int{f, d} {
+		t.Errorf("warning high=%v evidence %v, want low (%d,%d)", ws[0].High(), ws[0].IPair.Example.Evidence, f, d)
+	}
+}
+
+// TestRegionTree checks the invariant collapseParents establishes on
+// the paper's Figure 1, the small corpus at two seeds, a fan-out tree
+// and the two join probes: every region hangs under the root with
+// Depth one more than its parent's, leqChain walks Depth+1 regions to
+// the root, and RPairCount equals a count over Leq.
+func TestRegionTree(t *testing.T) {
+	fig1, err := os.ReadFile(filepath.Join("..", "..", "examples", "figure1.c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs := map[string]map[string]string{
+		"figure1":            {"figure1.c": string(fig1)},
+		"fanout5":            {"fanout.c": fanOutSource(5)},
+		"multi-parent-child": {"test.c": multiParentChildSource},
+		"join-cycle":         {"test.c": joinCycleSource},
+	}
+	for _, seed := range []int64{2008, 77} {
+		for _, spec := range workloads.SmallCorpus() {
+			pkg := workloads.Generate(spec, seed)
+			for _, exe := range pkg.Exes {
+				programs[fmt.Sprintf("seed%d/%s", seed, exe.Name)] = pkg.SourcesFor(exe)
+			}
+		}
+	}
+	for name, sources := range programs {
+		a, err := AnalyzeSource(Options{}, sources)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var unrelated int64
+		for x := 1; x < len(a.Regions); x++ {
+			r := a.Regions[x]
+			if r.Parent < 0 || r.Depth != a.Regions[r.Parent].Depth+1 {
+				t.Errorf("%s: region %d has parent %d and depth %d", name, x, r.Parent, r.Depth)
+				continue
+			}
+			if chain := a.leqChain(x); len(chain) != r.Depth+1 || chain[len(chain)-1] != RootRegion {
+				t.Errorf("%s: leqChain(%d) = %v at depth %d", name, x, chain, r.Depth)
+			}
+			for y := 1; y < len(a.Regions); y++ {
+				if y != x && !a.Leq(x, y) {
+					unrelated++
+				}
+			}
+		}
+		if got := a.RPairCount(); got != unrelated {
+			t.Errorf("%s: RPairCount %d, counted %d", name, got, unrelated)
+		}
 	}
 }
 

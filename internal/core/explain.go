@@ -108,19 +108,14 @@ func (a *Analysis) explainOne(ctx context.Context, warning int) (*Explanation, e
 
 // leqChain returns x's ancestor chain x, parent(x), ..., root: exactly
 // the z with leq(x,z) under the closure rules (regionLeqRules), in the
-// order they derive them. The root has no parent fact, so the walk
-// ends there; like Leq, it also stops at a repeated region, so a parent
-// cycle cannot make it loop.
+// order they derive them. The root has no parent fact, so the chain
+// ends there, after Depth(x)+1 regions.
 func (a *Analysis) leqChain(x int) []int {
-	chain := []int{x}
-	for z := x; z != RootRegion; {
-		z = a.Regions[z].Parent
-		if z < 0 || slices.Contains(chain, z) {
-			break
-		}
+	chain := make([]int, 0, a.Regions[x].Depth+1)
+	for z := x; z != RootRegion; z = a.Regions[z].Parent {
 		chain = append(chain, z)
 	}
-	return chain
+	return append(chain, RootRegion)
 }
 
 // verifyPair re-derives a reported object pair's objectPair fact at
